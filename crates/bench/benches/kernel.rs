@@ -4,7 +4,7 @@
 //! at the raised n = 24, p = 16 frontier.
 //!
 //! Compiled (not run) in CI via `cargo bench --no-run`; run locally to
-//! compare kernel generations. `pwsched bench-kernel` records the same
+//! compare kernel generations. `pwsched bench kernel` records the same
 //! quantities into `BENCH_kernel.json` for the cross-PR perf trajectory.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};

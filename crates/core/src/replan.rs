@@ -183,7 +183,7 @@ fn stage_procs(mapping: &IntervalMapping, n_stages: usize, lost: Option<ProcId>)
 /// (ready to serve further requests) and the recovery report.
 ///
 /// Wall-clock recovery time is deliberately *not* part of the report —
-/// it would poison deterministic studies; `pwsched bench-failover`
+/// it would poison deterministic studies; `pwsched bench failover`
 /// times this function externally against a from-scratch baseline.
 pub fn replan(
     prev: &PreparedInstance,

@@ -387,8 +387,8 @@ impl ServeState {
         }
     }
 
-    /// A snapshot of the counters. The `stats` wire verb and
-    /// `bench-serve` both read through here, so they can never disagree.
+    /// A snapshot of the counters. The `stats` wire verb and `pwsched
+    /// bench serve` both read through here, so they can never disagree.
     pub fn stats(&self) -> ServeStats {
         let (cache_hits, cache_misses, cache_evictions) = self.cache.counters();
         ServeStats {

@@ -1,0 +1,175 @@
+//! `bench delta`: the online re-solve path. A speed-drift update stream
+//! is answered incrementally (`PreparedInstance::apply_in`, carrying
+//! trajectories and the split memo across updates) and from scratch (a
+//! fresh `PreparedInstance` per update). Both paths must produce
+//! bit-identical answers, so `speedup` is pure reuse, not a different
+//! algorithm.
+
+use std::time::Instant;
+
+use pipeline_core::service::{PreparedInstance, SolveRequest};
+use pipeline_core::{HeuristicKind, Objective, SolveWorkspace, Strategy};
+use pipeline_model::delta::DeltaError;
+use pipeline_model::scenario::{DriftFamily, DriftGenerator};
+
+use super::{Bench, Gate, Json, Opts, Rule};
+
+/// Per size, the speedup must stay within 75% of the baseline's entry:
+/// generous, because the delta path is sub-millisecond and the gated
+/// quantity is a ratio of two wall-clocks. A hard floor backs it up: at
+/// `n >= 120` the incremental path must beat scratch at least 5x (the
+/// reuse story this bench exists to prove), and no size may be slower
+/// than scratch.
+pub(super) const BENCH: Bench = Bench {
+    name: "delta",
+    run,
+    gates: &[Gate {
+        rows: "sizes",
+        key: &["n"],
+        metric: "speedup",
+        rule: Rule::RelFloor {
+            tol: 0.75,
+            hard: |row| match row.get("n").and_then(Json::as_f64) {
+                Some(n) if n >= 120.0 => 5.0,
+                _ => 1.0,
+            },
+        },
+        complete: false,
+    }],
+};
+
+fn run(opts: &Opts) -> Result<Json, String> {
+    // Quick mode runs the one size the acceptance gate cares about; the
+    // full run adds a smaller and a larger platform.
+    let sizes: &[usize] = if opts.quick { &[120] } else { &[60, 120, 240] };
+    let reps = 3usize;
+    let n_updates = 20usize;
+    let bound_factors = [0.8f64, 0.55, 0.4];
+
+    // One update's worth of queries: period-bound latency minimization
+    // at a few fractions of the *current* single-processor period, by
+    // each trajectory-backed heuristic — exactly the memoized artifacts
+    // `apply_in` carries across updates. H4 stays out of the rotation on
+    // purpose: its binary search consults the bound and re-runs per
+    // query in *both* paths, so including it would measure the solver,
+    // not the reuse. Answers come back as bit patterns so the two paths
+    // can be compared exactly.
+    let kinds = [
+        HeuristicKind::SpMonoP,
+        HeuristicKind::ThreeExploMono,
+        HeuristicKind::ThreeExploBi,
+    ];
+    let solve_round = |inst: &PreparedInstance, ws: &mut SolveWorkspace| -> Vec<u64> {
+        let p0 = inst.single_proc_period();
+        let mut bits = Vec::new();
+        for f in bound_factors {
+            for kind in kinds {
+                let request = SolveRequest::new(Objective::MinLatencyForPeriod(f * p0))
+                    .strategy(Strategy::Heuristic(kind));
+                match inst.solve_in(&request, ws) {
+                    Ok(report) => {
+                        bits.push(report.result.period.to_bits());
+                        bits.push(report.result.latency.to_bits());
+                        bits.push(u64::from(report.result.feasible));
+                    }
+                    Err(_) => bits.push(u64::MAX),
+                }
+            }
+        }
+        bits
+    };
+    let rejected = |e: DeltaError| format!("drift stream delta rejected: {e}");
+
+    let mut rows = Vec::new();
+    for &n in sizes {
+        // A platform as wide as the pipeline: online platforms have
+        // spare capacity, and the drifting straggler (the slowest
+        // processor) mostly stays out of the speed-order prefix the
+        // recorded trajectories consulted — the reuse case the
+        // incremental path exists for. (Genuine order crossings still
+        // happen along the stream and are re-recorded, and the answers
+        // are asserted to match scratch either way.)
+        let p = n;
+        let gen = DriftGenerator::new(DriftFamily::SpeedDrift, n, p);
+        let (app0, pf0) = gen.initial(2007);
+        let stream = gen.updates(2007, n_updates);
+
+        let mut delta_secs = f64::INFINITY;
+        let mut scratch_secs = f64::INFINITY;
+        let mut delta_bits: Vec<u64> = Vec::new();
+        let mut scratch_bits: Vec<u64> = Vec::new();
+        for rep in 0..reps {
+            // Incremental path: warm the base session (untimed — the
+            // steady-state update cost is what this measures), then
+            // chain every update through `apply_in` and one workspace.
+            let mut ws = SolveWorkspace::new();
+            let mut cur = PreparedInstance::new(app0.clone(), pf0.clone());
+            let _ = solve_round(&cur, &mut ws);
+            let t0 = Instant::now();
+            let mut bits = Vec::new();
+            for delta in &stream {
+                let next = cur.apply_in(delta, &mut ws).map_err(rejected)?;
+                bits.extend(solve_round(&next, &mut ws));
+                cur = next;
+            }
+            delta_secs = delta_secs.min(t0.elapsed().as_secs_f64());
+            if rep == 0 {
+                delta_bits = bits;
+            } else {
+                assert_eq!(bits, delta_bits, "delta path must be deterministic");
+            }
+
+            // Scratch path: the same stream and the same queries, but
+            // every update pays a full preparation (trajectory
+            // recording, cold split memo) on a fresh instance.
+            let mut ws = SolveWorkspace::new();
+            let (mut app, mut pf) = (app0.clone(), pf0.clone());
+            let base = PreparedInstance::new(app.clone(), pf.clone());
+            let _ = solve_round(&base, &mut ws);
+            let t0 = Instant::now();
+            let mut bits = Vec::new();
+            for delta in &stream {
+                (app, pf) = delta.apply_to(&app, &pf).map_err(rejected)?;
+                let inst = PreparedInstance::new(app.clone(), pf.clone());
+                bits.extend(solve_round(&inst, &mut ws));
+            }
+            scratch_secs = scratch_secs.min(t0.elapsed().as_secs_f64());
+            if rep == 0 {
+                scratch_bits = bits;
+            } else {
+                assert_eq!(bits, scratch_bits, "scratch path must be deterministic");
+            }
+        }
+        assert_eq!(
+            delta_bits, scratch_bits,
+            "incremental answers must be bit-identical to scratch (n={n})"
+        );
+        let speedup = scratch_secs / delta_secs;
+        rows.push(Json::obj([
+            ("n", Json::num(n)),
+            ("p", Json::num(p)),
+            ("updates", Json::num(n_updates)),
+            ("delta_ms", Json::fixed(delta_secs * 1e3, 3)),
+            ("scratch_ms", Json::fixed(scratch_secs * 1e3, 3)),
+            ("speedup", Json::fixed(speedup, 2)),
+        ]));
+    }
+
+    Ok(Json::obj([
+        ("bench", "delta".into()),
+        (
+            "config",
+            Json::obj([
+                ("quick", Json::Bool(opts.quick)),
+                ("family", "speed-drift".into()),
+                ("updates_per_stream", Json::num(n_updates)),
+                (
+                    "solves_per_update",
+                    Json::num(bound_factors.len() * kinds.len()),
+                ),
+                ("reps", Json::num(reps)),
+            ]),
+        ),
+        ("sizes", Json::Arr(rows)),
+    ]))
+}

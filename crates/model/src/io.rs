@@ -585,6 +585,19 @@ impl WireFields {
             .transpose()
     }
 
+    /// The optional relative `tolerance=`: finite and non-negative (0
+    /// asks for an exact search).
+    fn take_tolerance(&mut self) -> std::result::Result<Option<f64>, ParseError> {
+        let tolerance = self.take_f64("tolerance")?;
+        match tolerance {
+            Some(t) if !(t.is_finite() && t >= 0.0) => Err(self.field_err(
+                "tolerance",
+                format!("tolerance= must be finite and >= 0, got {t}"),
+            )),
+            _ => Ok(tolerance),
+        }
+    }
+
     fn require(&mut self, key: &str) -> std::result::Result<String, ParseError> {
         self.take(key)
             .ok_or_else(|| self.field_err(key, format!("missing {key}=")))
@@ -659,10 +672,7 @@ pub fn parse_request_at(
         return Err(fields.field_err("bound", "bound= must not be NaN".into()));
     }
     let strategy = fields.take("strategy").unwrap_or_else(|| "auto".into());
-    let tolerance = fields.take_f64("tolerance")?;
-    if tolerance.is_some_and(f64::is_nan) {
-        return Err(fields.field_err("tolerance", "tolerance= must not be NaN".into()));
-    }
+    let tolerance = fields.take_tolerance()?;
     let instance = fields.take("instance");
     fields.finish()?;
     Ok(WireRequest {
@@ -875,10 +885,7 @@ pub fn parse_cosched_at(
         })
         .transpose()?;
     let strategy = fields.take("strategy").unwrap_or_else(|| "auto".into());
-    let tolerance = fields.take_f64("tolerance")?;
-    if tolerance.is_some_and(f64::is_nan) {
-        return Err(fields.field_err("tolerance", "tolerance= must not be NaN".into()));
-    }
+    let tolerance = fields.take_tolerance()?;
     fields.finish()?;
     Ok(WireCosched {
         id,
@@ -1332,6 +1339,31 @@ mod tests {
         assert!(parse_request("solve id=1 objective=nope").is_err());
         assert!(parse_request("solve id=1 objective=min-period junk=1").is_err());
         assert!(parse_request("report id=1 status=ok").is_err()); // wrong verb
+    }
+
+    #[test]
+    fn tolerance_must_be_finite_and_non_negative() {
+        for bad in ["nan", "-5", "-0.001", "inf", "-inf"] {
+            let err = parse_request(&format!("solve id=1 objective=min-period tolerance={bad}"))
+                .unwrap_err();
+            assert_eq!(err.key(), Some("tolerance"), "solve tolerance={bad}");
+            let err = parse_cosched(&format!(
+                "cosched id=1 objective=max-min tenants=- tolerance={bad}"
+            ))
+            .unwrap_err();
+            assert_eq!(err.key(), Some("tolerance"), "cosched tolerance={bad}");
+        }
+        for ok in ["0", "0.001", "1e-9"] {
+            let want = Some(ok.parse::<f64>().unwrap());
+            let req = parse_request(&format!("solve id=1 objective=min-period tolerance={ok}"))
+                .expect("valid tolerance");
+            assert_eq!(req.tolerance, want);
+            let req = parse_cosched(&format!(
+                "cosched id=1 objective=max-min tenants=- tolerance={ok}"
+            ))
+            .expect("valid tolerance");
+            assert_eq!(req.tolerance, want);
+        }
     }
 
     #[test]

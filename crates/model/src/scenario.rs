@@ -625,7 +625,7 @@ impl ScenarioGenerator {
 // so the full heuristic/exact stack applies) with a seeded stream of
 // `InstanceDelta`s that stays valid when applied in order — every prefix
 // of the stream is a valid instance. The session layer's incremental
-// re-solve (`PreparedInstance::apply`) and `pwsched bench-delta` replay
+// re-solve (`PreparedInstance::apply`) and `pwsched bench delta` replay
 // these streams.
 // ---------------------------------------------------------------------------
 

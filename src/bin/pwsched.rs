@@ -1,6 +1,6 @@
 //! `pwsched` — schedule a pipeline instance from a file, serve solve
-//! requests over stdin or TCP, sweep the scenario zoo, or record a
-//! kernel perf baseline.
+//! requests over stdin or TCP, sweep the scenario zoo, run the chaos
+//! study, or run the committed benches.
 //!
 //! ```text
 //! pwsched <instance-file> [--period BOUND | --latency BOUND | --min-period
@@ -11,64 +11,40 @@
 //! pwsched serve <addr> [--default-instance FILE] [--max-conns N]
 //!         [--cache-capacity N] [--idle-timeout-secs S]
 //! pwsched load <addr> [--replay FILE | --connections N --requests M]
-//! pwsched bench-serve [--quick] [--out FILE] [--check BASELINE] [--tolerance F]
-//! pwsched bench-delta [--quick] [--out FILE] [--check BASELINE] [--tolerance F]
-//! pwsched bench-tenant [--quick] [--out FILE] [--check BASELINE] [--tolerance F]
 //! pwsched --sweep <family|all> [--stages N] [--procs P] [--instances K]
 //!         [--grid G] [--threads T] [--seed S]
-//! pwsched bench-kernel [--out FILE] [--exact-n N] [--instances K]
-//!         [--threads T] [--check BASELINE]
-//! pwsched bench-sweep [--out FILE] [--sizes N1,N2,..] [--instances K]
-//!         [--grid G] [--batch-jobs J] [--check BASELINE] [--tolerance F]
+//! pwsched chaos [--families F1,F2|all] [--heuristics H1,H2|all] ...
+//! pwsched bench <serve|delta|tenant|failover|sweep|kernel|all>
+//!         [--quick] [--out DIR] [--check] [--threads T]
 //! ```
 //!
 //! `serve` is the persistent TCP front: the same line-oriented wire
 //! format v1, one report line per request line per connection, behind a
 //! shared LRU cache of prepared instances (`core::serve`). `load` is the
 //! matching client — a replay mode for CI smoke diffs and a generated
-//! scenario-zoo corpus for load testing. `bench-serve` runs an
-//! in-process server through cold and warm phases at 1/2/4 connections
-//! and emits `BENCH_serve.json`; `--check` gates warm requests/sec
-//! against a committed baseline.
+//! scenario-zoo corpus for load testing.
 //!
-//! `bench-delta` measures the online re-solve path: a speed-drift
-//! update stream answered incrementally (`PreparedInstance::apply_in`
-//! carrying trajectories and the split memo across updates) vs the
-//! same stream prepared from scratch per update, with answers asserted
-//! bit-identical. Emits `BENCH_delta.json`; `--check` gates the
-//! per-size delta-vs-scratch speedup against a committed baseline.
+//! `bench <name>` runs one of the six committed benches through the
+//! shared harness in `experiments::bench` and emits `BENCH_<name>.json`
+//! (to stdout, or into `--out DIR`); `all` runs every one. `--quick` is
+//! the CI-sized run, `--threads` shards the kernel's exact rows, and
+//! `--check` gates the result against the committed `BENCH_<name>.json`
+//! in the working directory, matching rows by key:
 //!
-//! `bench-tenant` measures the multi-tenant co-scheduler
-//! (`core::tenancy`): heuristic-vs-exact partition quality over the
-//! tenant zoo for every partition objective, plus `solve_tenant_batch`
-//! throughput by thread count. Emits `BENCH_tenant.json`; `--check`
-//! gates every per-(family, objective) mean score ratio against a
-//! committed baseline.
-//!
-//! `bench-kernel` measures the solver kernel — per-family sweep
-//! wall-times, exact-solver latencies at growing `n` (zoo rows plus a
-//! uniform-speed cluster section where the v3 dominance DP carries the
-//! frontier to n = 30 at p = 16), split-step throughput, and H3's
-//! memoized binary search — and emits one JSON object
-//! (`BENCH_kernel.json` by convention) so successive PRs have a perf
-//! trajectory to compare against. `--threads` routes the exact rows
-//! through the sharded branch-and-bound (bit-identical values at any
-//! thread count); `--check` gates every exact `min_period` **bit-wise**
-//! against a committed baseline. CI runs it in release mode with
-//! `--exact-n 24 --threads 2 --check` under a timeout: a pruning
-//! regression shows up as a timeout, an optimality regression as a
-//! bits mismatch.
-//!
-//! `bench-sweep` measures the sweep/batch *throughput* path the
-//! zero-allocation workspaces optimize: full-zoo sweeps at each `--sizes`
-//! entry (per-family wall time, skipped-solver counts, bound-query
-//! throughput), per-family × heuristic front quality against the exact
-//! Pareto front at an exactly-solvable size (hypervolume ratio +
-//! distance-to-front, gated by `--check`), `solve_batch` items/sec with
-//! per-item fresh workspaces vs one reused workspace, and a peak-RSS
-//! proxy (`VmHWM` on Linux). Emits `BENCH_sweep.json` by convention; CI
-//! runs a small-`n` smoke under timeout so an allocation regression
-//! fails loudly.
+//! * `serve` — in-process TCP server, cold and warm phases at 1/2/4
+//!   connections; gates peak warm requests/sec;
+//! * `delta` — a speed-drift update stream through
+//!   `PreparedInstance::apply_in` vs from scratch, answers asserted
+//!   bit-identical; gates the per-`n` speedup;
+//! * `tenant` — heuristic vs exact co-scheduling over the tenant zoo;
+//!   gates every per-(family, objective) mean score ratio;
+//! * `failover` — warm-started replan vs scratch after a fault; gates the
+//!   per-(n, fault) speedup and the exact post-fault period ratio;
+//! * `sweep` — full-zoo sweep throughput, `solve_batch` items/sec and
+//!   peak RSS; gates per-family × heuristic front quality;
+//! * `kernel` — sweep wall-times, exact frontier latencies to n = 30
+//!   (24 under `--quick`), split-step throughput; gates every exact
+//!   `min_period` bit for bit.
 //!
 //! The instance file uses the `pipeline-instance v1` text format, and the
 //! service mode speaks the line-oriented request/report wire format —
@@ -88,16 +64,17 @@
 
 use std::io::{BufRead, Write};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use pipeline_workflows::core::serve::{self, ServeConfig, ServeState};
-use pipeline_workflows::core::service::{PreparedInstance, SolveRequest};
+use pipeline_workflows::core::service::PreparedInstance;
 use pipeline_workflows::core::SolveWorkspace;
 use pipeline_workflows::core::{Objective, Scheduler, Strategy};
 use pipeline_workflows::experiments::{
-    request_lines, run_load, run_scenario, scenario_zoo, write_zoo_instances, LoadReport,
+    bench, request_lines, run_load, run_scenario, scenario_zoo, write_zoo_instances, LoadReport,
 };
 use pipeline_workflows::model::io::{format_report, parse_instance};
 use pipeline_workflows::model::scenario::ScenarioFamily;
@@ -111,28 +88,43 @@ fn usage() -> ! {
          \tpwsched solve <instance-file> --stdin\n\
          \tpwsched --sweep <family|all> [--stages N] [--procs P] [--instances K]\n\
          \t[--grid G] [--threads T] [--seed S]\n\
-         \tpwsched bench-kernel [--out FILE] [--exact-n N] [--instances K]\n\
-         \t[--threads T] [--check BASELINE]\n\
-         \tpwsched bench-sweep [--out FILE] [--sizes N1,N2,..] [--instances K]\n\
-         \t[--grid G] [--batch-jobs J] [--check BASELINE] [--tolerance F]\n\
          \tpwsched serve <addr> [--default-instance FILE] [--max-conns N]\n\
          \t[--cache-capacity N] [--idle-timeout-secs S] [--request-quota N]\n\
          \t[--conn-deadline-secs S]\n\
          \tpwsched chaos [--families F1,F2|all] [--heuristics H1,H2|all]\n\
          \t[--plans P1,P2|all] [--stages N] [--procs P] [--instances K]\n\
          \t[--datasets D] [--seed S] [--threads T] [--verify-threads]\n\
-         \tpwsched bench-failover [--quick] [--out FILE] [--check BASELINE]\n\
-         \t[--tolerance F]\n\
          \tpwsched load <addr> [--replay FILE | --connections N --requests M\n\
          \t[--stages n] [--procs p]]\n\
-         \tpwsched bench-serve [--quick] [--out FILE] [--check BASELINE]\n\
-         \t[--tolerance F]\n\
-         \tpwsched bench-delta [--quick] [--out FILE] [--check BASELINE]\n\
-         \t[--tolerance F]\n\
-         \tpwsched bench-tenant [--quick] [--out FILE] [--check BASELINE]\n\
-         \t[--tolerance F]"
+         \tpwsched bench <serve|delta|tenant|failover|sweep|kernel|all>\n\
+         \t[--quick] [--out DIR] [--check] [--threads T]"
     );
     std::process::exit(2);
+}
+
+/// The value following `flag`, or the usage text.
+fn flag_value(flag: &str, args: &mut impl Iterator<Item = String>) -> String {
+    args.next().unwrap_or_else(|| {
+        eprintln!("missing value for {flag}");
+        usage();
+    })
+}
+
+/// `value` parsed as a `T`, or the usage text.
+fn parsed<T: std::str::FromStr>(value: &str) -> T {
+    value.parse().unwrap_or_else(|_| usage())
+}
+
+/// The comma-separated items of `value`, each parsed by `parse`, or the
+/// usage text.
+fn list<T>(value: &str, parse: impl Fn(&str) -> Result<T, String>) -> Vec<T> {
+    let item = |l: &str| {
+        parse(l.trim()).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            usage();
+        })
+    };
+    value.split(',').map(item).collect()
 }
 
 fn parse_strategy(s: &str) -> Strategy {
@@ -255,24 +247,15 @@ fn run_serve(mut args: impl Iterator<Item = String>) -> ! {
     let mut config = ServeConfig::default();
     let mut default_instance: Option<String> = None;
     while let Some(flag) = args.next() {
-        let value = args.next().unwrap_or_else(|| {
-            eprintln!("missing value for {flag}");
-            usage();
-        });
+        let value = flag_value(&flag, &mut args);
         match flag.as_str() {
             "--default-instance" => default_instance = Some(value),
-            "--max-conns" => config.max_connections = value.parse().unwrap_or_else(|_| usage()),
-            "--cache-capacity" => config.cache_capacity = value.parse().unwrap_or_else(|_| usage()),
-            "--idle-timeout-secs" => {
-                config.idle_timeout = Duration::from_secs(value.parse().unwrap_or_else(|_| usage()))
-            }
-            "--request-quota" => {
-                config.request_quota = Some(value.parse().unwrap_or_else(|_| usage()))
-            }
+            "--max-conns" => config.max_connections = parsed(&value),
+            "--cache-capacity" => config.cache_capacity = parsed(&value),
+            "--idle-timeout-secs" => config.idle_timeout = Duration::from_secs(parsed(&value)),
+            "--request-quota" => config.request_quota = Some(parsed(&value)),
             "--conn-deadline-secs" => {
-                config.conn_deadline = Some(Duration::from_secs(
-                    value.parse().unwrap_or_else(|_| usage()),
-                ))
+                config.conn_deadline = Some(Duration::from_secs(parsed(&value)))
             }
             _ => usage(),
         }
@@ -385,16 +368,13 @@ fn run_load_cmd(mut args: impl Iterator<Item = String>) -> ! {
     let mut stages = 24usize;
     let mut procs = 12usize;
     while let Some(flag) = args.next() {
-        let value = args.next().unwrap_or_else(|| {
-            eprintln!("missing value for {flag}");
-            usage();
-        });
+        let value = flag_value(&flag, &mut args);
         match flag.as_str() {
             "--replay" => replay = Some(value),
-            "--connections" => connections = value.parse().unwrap_or_else(|_| usage()),
-            "--requests" => requests = value.parse().unwrap_or_else(|_| usage()),
-            "--stages" => stages = value.parse().unwrap_or_else(|_| usage()),
-            "--procs" => procs = value.parse().unwrap_or_else(|_| usage()),
+            "--connections" => connections = parsed(&value),
+            "--requests" => requests = parsed(&value),
+            "--stages" => stages = parsed(&value),
+            "--procs" => procs = parsed(&value),
             _ => usage(),
         }
     }
@@ -422,445 +402,6 @@ fn run_load_cmd(mut args: impl Iterator<Item = String>) -> ! {
     std::process::exit(if failed { 1 } else { 0 });
 }
 
-/// The `"min_period_bits"` value of the exact row tagged `"id": id`, or
-/// `None` when the baseline has no such row — the same no-parser JSON
-/// awareness as [`extract_f64_all`], keyed by row id so baselines
-/// recorded at different `--exact-n` depths still gate their common
-/// rows.
-fn extract_row_bits(json: &str, id: &str) -> Option<String> {
-    let at = json.find(&format!("\"id\": \"{id}\""))?;
-    let rest = &json[at..];
-    let needle = "\"min_period_bits\": \"";
-    let at = rest.find(needle)?;
-    let rest = &rest[at + needle.len()..];
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-/// All `"key": <number>` values in `json`, in order of appearance — just
-/// enough JSON awareness to gate one benchmark file against another
-/// without a parser dependency.
-fn extract_f64_all(json: &str, key: &str) -> Vec<f64> {
-    let needle = format!("\"{key}\":");
-    let mut out = Vec::new();
-    let mut rest = json;
-    while let Some(at) = rest.find(&needle) {
-        rest = &rest[at + needle.len()..];
-        let value: String = rest
-            .trim_start()
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E'))
-            .collect();
-        if let Ok(v) = value.parse() {
-            out.push(v);
-        }
-    }
-    out
-}
-
-/// `bench-serve`: record the serve-path baseline as one JSON object —
-/// cold and warm phases through a real in-process TCP server, warm
-/// throughput at 1/2/4 connections, and the shared-cache hit rate.
-/// `--check FILE` gates warm requests/sec against a committed baseline.
-fn run_bench_serve(mut args: impl Iterator<Item = String>) -> ! {
-    let mut out_path: Option<String> = None;
-    let mut check_path: Option<String> = None;
-    let mut tolerance = 0.30f64;
-    let mut quick = false;
-    while let Some(flag) = args.next() {
-        if flag == "--quick" {
-            quick = true;
-            continue;
-        }
-        let value = args.next().unwrap_or_else(|| {
-            eprintln!("missing value for {flag}");
-            usage();
-        });
-        match flag.as_str() {
-            "--out" => out_path = Some(value),
-            "--check" => check_path = Some(value),
-            "--tolerance" => tolerance = value.parse().unwrap_or_else(|_| usage()),
-            _ => usage(),
-        }
-    }
-    if !(0.0..1.0).contains(&tolerance) {
-        eprintln!("--tolerance must be in [0, 1)");
-        usage();
-    }
-    // Quick mode (CI) shrinks instances and the corpus, not the shape:
-    // the same phases, connection counts, and JSON schema either way.
-    // Phases stay hundreds of requests long even in quick mode — at
-    // microsecond request latencies, short phases measure scheduler
-    // noise, not the server.
-    let (stages, procs, requests) = if quick { (16, 8, 600) } else { (48, 24, 1200) };
-    let warm_conns = [1usize, 2, 4];
-
-    let dir = std::env::temp_dir().join(format!("pwsched-bench-serve-{}", std::process::id()));
-    let paths = write_zoo_instances(&dir, "bench", stages, procs, 2007).unwrap_or_else(|e| {
-        eprintln!("cannot write instance corpus: {e}");
-        std::process::exit(1);
-    });
-    let lines = request_lines(&paths, requests);
-
-    let config = ServeConfig::default();
-    let state = Arc::new(ServeState::new(None, config.cache_capacity));
-    let handle = serve::spawn("127.0.0.1:0", Arc::clone(&state), config).unwrap_or_else(|e| {
-        eprintln!("cannot start in-process server: {e}");
-        std::process::exit(1);
-    });
-    let addr = handle.local_addr();
-
-    // Cold: every instance path is a cache miss at first touch and every
-    // first bound query pays the lazy trajectory memoization.
-    let cold = run_load(addr, &lines, 1);
-    // Warm: the same corpus answered from the shared prepared-instance
-    // cache, at each connection count. Best of three passes per count —
-    // scheduler noise only ever slows a pass down, so the max is the
-    // serve path's actual capability and is what stays comparable
-    // across runs.
-    let warm: Vec<(usize, LoadReport)> = warm_conns
-        .iter()
-        .map(|&c| {
-            let best = (0..3)
-                .map(|_| run_load(addr, &lines, c))
-                .max_by(|a, b| {
-                    a.requests_per_sec()
-                        .partial_cmp(&b.requests_per_sec())
-                        .expect("rates are finite")
-                })
-                .expect("three passes ran");
-            (c, best)
-        })
-        .collect();
-    let stats = handle.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let json_us = |v: Option<u64>| v.map_or_else(|| "null".to_string(), |us| us.to_string());
-    let phase_json = |connections: usize, r: &LoadReport| {
-        format!(
-            "{{\"connections\": {connections}, \"requests\": {}, \"errors\": {}, \
-             \"p50_us\": {}, \"p99_us\": {}, \"requests_per_sec\": {:.1}}}",
-            r.answered + r.errors,
-            r.errors,
-            json_us(r.p50_us()),
-            json_us(r.p99_us()),
-            r.requests_per_sec()
-        )
-    };
-    let mut json = String::from("{\n  \"bench\": \"serve\",\n");
-    json.push_str(&format!(
-        "  \"config\": {{\"quick\": {quick}, \"stages\": {stages}, \"procs\": {procs}, \
-         \"instances\": {}, \"requests_per_phase\": {requests}}},\n",
-        paths.len()
-    ));
-    json.push_str(&format!("  \"cold\": {},\n", phase_json(1, &cold)));
-    json.push_str("  \"warm\": [");
-    for (i, (c, r)) in warm.iter().enumerate() {
-        if i > 0 {
-            json.push_str(", ");
-        }
-        json.push_str(&phase_json(*c, r));
-    }
-    json.push_str("],\n");
-    json.push_str(&format!(
-        "  \"cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \
-         \"hit_rate\": {:.4}}}\n}}\n",
-        stats.cache_hits,
-        stats.cache_misses,
-        stats.cache_evictions,
-        stats.cache_hit_rate()
-    ));
-
-    match &out_path {
-        Some(path) => {
-            std::fs::write(path, &json).unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            });
-            eprintln!("wrote {path}");
-        }
-        None => print!("{json}"),
-    }
-
-    let transport_errors: usize = cold.errors + warm.iter().map(|(_, r)| r.errors).sum::<usize>();
-    if transport_errors > 0 {
-        eprintln!("bench-serve: {transport_errors} transport errors");
-        std::process::exit(1);
-    }
-
-    // Regression gate: peak warm requests/sec (the best connection
-    // count) must stay within `tolerance` of the committed baseline's
-    // peak. Gating the peak rather than each phase keeps the gate
-    // meaningful under scheduler noise — a real serve-path regression
-    // drags every phase down, noise rarely drags down all three. (Cold
-    // is dominated by one-time preparation and is not gated.)
-    if let Some(path) = check_path {
-        let baseline = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("cannot read baseline {path}: {e}");
-            std::process::exit(1);
-        });
-        let base_rps = extract_f64_all(&baseline, "requests_per_sec");
-        // Index 0 is the cold phase; the warm phases follow.
-        if base_rps.len() != warm_conns.len() + 1 {
-            eprintln!(
-                "baseline {path} has {} requests_per_sec entries, expected {}",
-                base_rps.len(),
-                warm_conns.len() + 1
-            );
-            std::process::exit(1);
-        }
-        let base_peak = base_rps[1..].iter().cloned().fold(0.0f64, f64::max);
-        let ours_peak = warm
-            .iter()
-            .map(|(_, r)| r.requests_per_sec())
-            .fold(0.0f64, f64::max);
-        let floor = base_peak * (1.0 - tolerance);
-        if ours_peak < floor {
-            eprintln!(
-                "REGRESSION: peak warm requests/sec {ours_peak:.1} < {floor:.1} \
-                 ({base_peak:.1} - {:.0}%)",
-                tolerance * 100.0
-            );
-            std::process::exit(1);
-        }
-        eprintln!("ok: peak warm requests/sec {ours_peak:.1} >= {floor:.1}");
-    }
-    std::process::exit(0);
-}
-
-/// `bench-delta`: measure the online re-solve path — a speed-drift
-/// update stream answered incrementally (`PreparedInstance::apply_in`,
-/// carrying trajectories and the split memo across updates) against the
-/// same stream answered from scratch (a fresh `PreparedInstance` per
-/// update). Both paths must produce bit-identical answers — the bench
-/// asserts it — so the emitted `speedup` is pure reuse, not a different
-/// algorithm. `--check FILE` gates per-size speedups against a committed
-/// baseline (`BENCH_delta.json` by convention).
-fn run_bench_delta(mut args: impl Iterator<Item = String>) -> ! {
-    use pipeline_workflows::core::HeuristicKind;
-    use pipeline_workflows::model::scenario::{DriftFamily, DriftGenerator};
-    use std::time::Instant;
-
-    let mut out_path: Option<String> = None;
-    let mut check_path: Option<String> = None;
-    let mut tolerance = 0.75f64;
-    let mut quick = false;
-    while let Some(flag) = args.next() {
-        if flag == "--quick" {
-            quick = true;
-            continue;
-        }
-        let value = args.next().unwrap_or_else(|| {
-            eprintln!("missing value for {flag}");
-            usage();
-        });
-        match flag.as_str() {
-            "--out" => out_path = Some(value),
-            "--check" => check_path = Some(value),
-            "--tolerance" => tolerance = value.parse().unwrap_or_else(|_| usage()),
-            _ => usage(),
-        }
-    }
-    if !(0.0..1.0).contains(&tolerance) {
-        eprintln!("--tolerance must be in [0, 1)");
-        usage();
-    }
-    // Quick mode (CI) runs the one size the acceptance gate cares
-    // about; the full run adds a smaller and a larger platform. Same
-    // stream length, solve rotation, and JSON schema either way, so
-    // `--check` matches quick runs against the committed full baseline
-    // by `n`.
-    let sizes: Vec<usize> = if quick { vec![120] } else { vec![60, 120, 240] };
-    let reps = 3usize;
-    let n_updates = 20usize;
-    let bound_factors = [0.8f64, 0.55, 0.4];
-
-    // One update's worth of queries: period-bound latency minimization
-    // at a few fractions of the *current* single-processor period, by
-    // each trajectory-backed heuristic — exactly the memoized artifacts
-    // `apply_in` carries across updates. H4 stays out of the rotation on
-    // purpose: its binary search consults the bound and re-runs per
-    // query in *both* paths, so including it would measure the solver,
-    // not the reuse. Answers come back as bit patterns so the two paths
-    // can be compared exactly.
-    let kinds = [
-        HeuristicKind::SpMonoP,
-        HeuristicKind::ThreeExploMono,
-        HeuristicKind::ThreeExploBi,
-    ];
-    let solve_round = |inst: &PreparedInstance, ws: &mut SolveWorkspace| -> Vec<u64> {
-        let p0 = inst.single_proc_period();
-        let mut bits = Vec::new();
-        for f in bound_factors {
-            for kind in kinds {
-                let request = SolveRequest::new(Objective::MinLatencyForPeriod(f * p0))
-                    .strategy(Strategy::Heuristic(kind));
-                match inst.solve_in(&request, ws) {
-                    Ok(report) => {
-                        bits.push(report.result.period.to_bits());
-                        bits.push(report.result.latency.to_bits());
-                        bits.push(u64::from(report.result.feasible));
-                    }
-                    Err(_) => bits.push(u64::MAX),
-                }
-            }
-        }
-        bits
-    };
-
-    let mut size_entries: Vec<String> = Vec::new();
-    let mut ours: Vec<(usize, f64)> = Vec::new();
-    for &n in &sizes {
-        // A platform as wide as the pipeline: online platforms have
-        // spare capacity, and the drifting straggler (the slowest
-        // processor) mostly stays out of the speed-order prefix the
-        // recorded trajectories consulted — the reuse case the
-        // incremental path exists for. (Genuine order crossings still
-        // happen along the stream and are re-recorded, and the bench
-        // asserts the answers match scratch either way.)
-        let p = n;
-        let gen = DriftGenerator::new(DriftFamily::SpeedDrift, n, p);
-        let (app0, pf0) = gen.initial(2007);
-        let stream = gen.updates(2007, n_updates);
-
-        let mut delta_secs = f64::INFINITY;
-        let mut scratch_secs = f64::INFINITY;
-        let mut delta_bits: Vec<u64> = Vec::new();
-        let mut scratch_bits: Vec<u64> = Vec::new();
-        for rep in 0..reps {
-            // Incremental path: warm the base session (untimed — the
-            // steady-state update cost is what this measures), then
-            // chain every update through `apply_in` and one workspace.
-            let mut ws = SolveWorkspace::new();
-            let mut cur = PreparedInstance::new(app0.clone(), pf0.clone());
-            let _ = solve_round(&cur, &mut ws);
-            let t0 = Instant::now();
-            let mut bits = Vec::new();
-            for delta in &stream {
-                let next = cur.apply_in(delta, &mut ws).unwrap_or_else(|e| {
-                    eprintln!("drift stream delta rejected: {e}");
-                    std::process::exit(1);
-                });
-                bits.extend(solve_round(&next, &mut ws));
-                cur = next;
-            }
-            delta_secs = delta_secs.min(t0.elapsed().as_secs_f64());
-            if rep == 0 {
-                delta_bits = bits;
-            } else {
-                assert_eq!(bits, delta_bits, "delta path must be deterministic");
-            }
-
-            // Scratch path: the same stream and the same queries, but
-            // every update pays a full preparation (trajectory
-            // recording, cold split memo) on a fresh instance.
-            let mut ws = SolveWorkspace::new();
-            let (mut app, mut pf) = (app0.clone(), pf0.clone());
-            let base = PreparedInstance::new(app.clone(), pf.clone());
-            let _ = solve_round(&base, &mut ws);
-            let t0 = Instant::now();
-            let mut bits = Vec::new();
-            for delta in &stream {
-                let (next_app, next_pf) = delta.apply_to(&app, &pf).unwrap_or_else(|e| {
-                    eprintln!("drift stream delta rejected: {e}");
-                    std::process::exit(1);
-                });
-                app = next_app;
-                pf = next_pf;
-                let inst = PreparedInstance::new(app.clone(), pf.clone());
-                bits.extend(solve_round(&inst, &mut ws));
-            }
-            scratch_secs = scratch_secs.min(t0.elapsed().as_secs_f64());
-            if rep == 0 {
-                scratch_bits = bits;
-            } else {
-                assert_eq!(bits, scratch_bits, "scratch path must be deterministic");
-            }
-        }
-        assert_eq!(
-            delta_bits, scratch_bits,
-            "incremental answers must be bit-identical to scratch (n={n})"
-        );
-        let speedup = scratch_secs / delta_secs;
-        eprintln!(
-            "n={n:<4} p={p:<4} delta_ms={:<10.3} scratch_ms={:<10.3} speedup={speedup:.2}",
-            delta_secs * 1e3,
-            scratch_secs * 1e3
-        );
-        size_entries.push(format!(
-            "{{\"n\": {n}, \"p\": {p}, \"updates\": {n_updates}, \
-             \"delta_ms\": {:.3}, \"scratch_ms\": {:.3}, \"speedup\": {speedup:.2}}}",
-            delta_secs * 1e3,
-            scratch_secs * 1e3
-        ));
-        ours.push((n, speedup));
-    }
-
-    let mut json = String::from("{\n  \"bench\": \"delta\",\n");
-    json.push_str(&format!(
-        "  \"config\": {{\"quick\": {quick}, \"family\": \"speed-drift\", \
-         \"updates_per_stream\": {n_updates}, \"solves_per_update\": {}, \"reps\": {reps}}},\n",
-        bound_factors.len() * kinds.len()
-    ));
-    json.push_str("  \"sizes\": [");
-    json.push_str(&size_entries.join(", "));
-    json.push_str("]\n}\n");
-
-    match &out_path {
-        Some(path) => {
-            std::fs::write(path, &json).unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            });
-            eprintln!("wrote {path}");
-        }
-        None => print!("{json}"),
-    }
-
-    // Regression gate: for every size we ran, the speedup must stay
-    // within `tolerance` of the committed baseline's entry at the same
-    // `n`. The tolerance is generous by default because the delta path
-    // is sub-millisecond and the gated quantity is a ratio of two
-    // wall-clocks — but a hard floor backs it up: at `n >= 120` the
-    // incremental path must beat scratch at least 5x outright (the
-    // reuse story this benchmark exists to prove), and no size may be
-    // slower than scratch.
-    if let Some(path) = check_path {
-        let baseline = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("cannot read baseline {path}: {e}");
-            std::process::exit(1);
-        });
-        let base_n = extract_f64_all(&baseline, "n");
-        let base_speedup = extract_f64_all(&baseline, "speedup");
-        if base_speedup.is_empty() || base_n.len() != base_speedup.len() {
-            eprintln!(
-                "baseline {path} is malformed: {} n entries vs {} speedup entries",
-                base_n.len(),
-                base_speedup.len()
-            );
-            std::process::exit(1);
-        }
-        for (n, speedup) in &ours {
-            let Some(idx) = base_n.iter().position(|&bn| bn == *n as f64) else {
-                eprintln!("baseline {path} has no entry for n={n}");
-                std::process::exit(1);
-            };
-            let hard_floor = if *n >= 120 { 5.0 } else { 1.0 };
-            let floor = (base_speedup[idx] * (1.0 - tolerance)).max(hard_floor);
-            if *speedup < floor {
-                eprintln!(
-                    "REGRESSION: n={n} delta-vs-scratch speedup {speedup:.2} < {floor:.2} \
-                     (baseline {:.2} - {:.0}%)",
-                    base_speedup[idx],
-                    tolerance * 100.0
-                );
-                std::process::exit(1);
-            }
-            eprintln!("ok: n={n} delta-vs-scratch speedup {speedup:.2} >= {floor:.2}");
-        }
-    }
-    std::process::exit(0);
-}
-
 /// `chaos`: run the chaos study — zoo families × heuristics × named
 /// fault plans through the deterministic fault simulator, with the
 /// ride-it-out vs re-plan comparison on platform faults. Output is
@@ -885,58 +426,31 @@ fn run_chaos(mut args: impl Iterator<Item = String>) -> ! {
             verify_threads = true;
             continue;
         }
-        let value = args.next().unwrap_or_else(|| {
-            eprintln!("missing value for {flag}");
-            usage();
-        });
+        let value = flag_value(&flag, &mut args);
         match flag.as_str() {
-            "--families" => {
-                if value != "all" {
-                    params.families = value
-                        .split(',')
-                        .map(|l| {
-                            ScenarioFamily::from_label(l.trim()).unwrap_or_else(|| {
-                                eprintln!("unknown family {l}");
-                                usage();
-                            })
-                        })
-                        .collect();
-                }
+            "--families" if value != "all" => {
+                params.families = list(&value, |l| {
+                    ScenarioFamily::from_label(l).ok_or(format!("unknown family {l}"))
+                })
             }
+            "--heuristics" if value == "all" => params.heuristics = HeuristicKind::ALL.to_vec(),
             "--heuristics" => {
-                if value == "all" {
-                    params.heuristics = HeuristicKind::ALL.to_vec();
-                } else {
-                    params.heuristics = value
-                        .split(',')
-                        .map(|l| {
-                            l.trim().parse::<HeuristicKind>().unwrap_or_else(|e| {
-                                eprintln!("{e}");
-                                usage();
-                            })
-                        })
-                        .collect();
-                }
+                params.heuristics = list(&value, |l| l.parse().map_err(|e| format!("{e}")))
             }
-            "--plans" => {
-                if value != "all" {
-                    params.plans = value
-                        .split(',')
-                        .map(|l| {
-                            ChaosPlanKind::from_label(l.trim()).unwrap_or_else(|| {
-                                eprintln!("unknown plan {l} (speed-dip|fail-stop|jitter|burst)");
-                                usage();
-                            })
-                        })
-                        .collect();
-                }
+            "--plans" if value != "all" => {
+                params.plans = list(&value, |l| {
+                    ChaosPlanKind::from_label(l).ok_or(format!(
+                        "unknown plan {l} (speed-dip|fail-stop|jitter|burst)"
+                    ))
+                })
             }
-            "--stages" => params.n_stages = value.parse().unwrap_or_else(|_| usage()),
-            "--procs" => params.n_procs = value.parse().unwrap_or_else(|_| usage()),
-            "--instances" => params.n_instances = value.parse().unwrap_or_else(|_| usage()),
-            "--datasets" => params.n_datasets = value.parse().unwrap_or_else(|_| usage()),
-            "--seed" => params.seed = value.parse().unwrap_or_else(|_| usage()),
-            "--threads" => params.threads = value.parse().unwrap_or_else(|_| usage()),
+            "--families" | "--plans" => {}
+            "--stages" => params.n_stages = parsed(&value),
+            "--procs" => params.n_procs = parsed(&value),
+            "--instances" => params.n_instances = parsed(&value),
+            "--datasets" => params.n_datasets = parsed(&value),
+            "--seed" => params.seed = parsed(&value),
+            "--threads" => params.threads = parsed(&value),
             _ => usage(),
         }
     }
@@ -989,508 +503,6 @@ fn run_chaos(mut args: impl Iterator<Item = String>) -> ! {
     std::process::exit(0);
 }
 
-/// `bench-failover`: measure fault recovery — the warm-started replan
-/// (`core::replan` riding `PreparedInstance::apply_in`) against a full
-/// re-prepare-and-solve from scratch on the degraded platform, for a
-/// speed drift and a fail-stop at each size. The two paths are asserted
-/// bit-identical before any timing is trusted. Emits
-/// `BENCH_failover.json`; `--check` gates each case's warm-vs-scratch
-/// speedup against a committed baseline (with an outright `>= 1` floor:
-/// the warm path must never lose) and the deterministic post-fault
-/// period ratio exactly.
-fn run_bench_failover(mut args: impl Iterator<Item = String>) -> ! {
-    use pipeline_workflows::core::replan::{replan, DetectedFault};
-    use pipeline_workflows::model::scenario::{ScenarioGenerator, ScenarioParams};
-    use std::time::Instant;
-
-    let mut out_path: Option<String> = None;
-    let mut check_path: Option<String> = None;
-    let mut tolerance = 0.75f64;
-    let mut quick = false;
-    while let Some(flag) = args.next() {
-        if flag == "--quick" {
-            quick = true;
-            continue;
-        }
-        let value = args.next().unwrap_or_else(|| {
-            eprintln!("missing value for {flag}");
-            usage();
-        });
-        match flag.as_str() {
-            "--out" => out_path = Some(value),
-            "--check" => check_path = Some(value),
-            "--tolerance" => tolerance = value.parse().unwrap_or_else(|_| usage()),
-            _ => usage(),
-        }
-    }
-    if !(0.0..1.0).contains(&tolerance) {
-        eprintln!("--tolerance must be in [0, 1)");
-        usage();
-    }
-    // Quick mode (CI) runs the one size the acceptance gate cares about;
-    // the full run brackets it. Same per-size procedure and JSON schema,
-    // so `--check` matches quick runs against the committed full
-    // baseline by `n`.
-    let sizes: Vec<usize> = if quick { vec![120] } else { vec![60, 120, 240] };
-    let reps = 3usize;
-    let family = ScenarioFamily::from_label("heavy-tail").expect("registered family");
-    let request = SolveRequest::new(Objective::MinPeriod).strategy(Strategy::BestOfAll);
-
-    let mut case_entries: Vec<String> = Vec::new();
-    // (n, fault label, speedup, period_ratio) in emission order.
-    let mut ours: Vec<(usize, &'static str, f64, f64)> = Vec::new();
-    for &n in &sizes {
-        // Half as many processors as stages: spare capacity, so a lost
-        // processor is survivable and a re-plan has somewhere to go.
-        let p = (n / 2).max(2);
-        let gen = ScenarioGenerator::new(ScenarioParams::preset(family, n, p));
-        let (app, pf) = gen.instance(2007, 0);
-        let prepared = PreparedInstance::new(app.clone(), pf.clone());
-        let mut ws = SolveWorkspace::new();
-        let incumbent = prepared
-            .solve_in(&request, &mut ws)
-            .unwrap_or_else(|e| {
-                eprintln!("incumbent solve failed: {e}");
-                std::process::exit(1);
-            })
-            .result;
-        // Two victims, two stories. The *straggler* (slowest processor)
-        // drifting is the common fleet event: it sits outside the
-        // speed-order prefix the recorded trajectories consulted, so the
-        // warm path re-solves on carried artifacts while scratch
-        // re-records everything — the reuse case `apply_in` exists for.
-        // The *bottleneck* (processor owning the longest cycle)
-        // fail-stopping is the hard case: the artifacts consulted the
-        // lost processor, reuse is structurally impossible, and the warm
-        // path must merely not lose to scratch.
-        let bottleneck = {
-            let cm = prepared.cost_model();
-            let (mut best_j, mut best) = (0usize, f64::NEG_INFINITY);
-            for j in 0..incumbent.mapping.n_intervals() {
-                let c = cm.cycle_time(&incumbent.mapping, j);
-                if c > best {
-                    best = c;
-                    best_j = j;
-                }
-            }
-            incumbent.mapping.proc_of(best_j)
-        };
-        let straggler = *prepared
-            .platform()
-            .procs_by_speed_desc()
-            .last()
-            .expect("platform has processors");
-
-        for (label, fault) in [
-            (
-                "drift-straggler",
-                DetectedFault::SpeedDrift {
-                    proc: straggler,
-                    factor: 0.5,
-                },
-            ),
-            (
-                "loss-bottleneck",
-                DetectedFault::ProcessorLoss { proc: bottleneck },
-            ),
-        ] {
-            let mut warm_secs = f64::INFINITY;
-            let mut scratch_secs = f64::INFINITY;
-            let mut report = None;
-            let mut scratch_bits = None;
-            for _ in 0..reps {
-                // Warm path: the incumbent's prepared instance and
-                // workspace carry their artifacts through `apply_in`.
-                let t0 = Instant::now();
-                let (_, rep) = replan(&prepared, &incumbent.mapping, &fault, &request, &mut ws)
-                    .unwrap_or_else(|e| {
-                        eprintln!("replan failed: {e}");
-                        std::process::exit(1);
-                    });
-                warm_secs = warm_secs.min(t0.elapsed().as_secs_f64());
-
-                // Scratch path: same degraded instance, but a full
-                // preparation and a cold workspace.
-                let delta = fault.to_delta(prepared.platform()).expect("valid fault");
-                let t0 = Instant::now();
-                let (app2, pf2) = delta.apply_to(&app, &pf).unwrap_or_else(|e| {
-                    eprintln!("delta rejected: {e}");
-                    std::process::exit(1);
-                });
-                let cold = PreparedInstance::new(app2, pf2);
-                let mut cold_ws = SolveWorkspace::new();
-                let scratch = cold
-                    .solve_in(&request, &mut cold_ws)
-                    .unwrap_or_else(|e| {
-                        eprintln!("scratch solve failed: {e}");
-                        std::process::exit(1);
-                    })
-                    .result;
-                scratch_secs = scratch_secs.min(t0.elapsed().as_secs_f64());
-
-                assert_eq!(
-                    rep.resolved_period.to_bits(),
-                    scratch.period.to_bits(),
-                    "warm replan must match the scratch solve bit for bit (n={n}, {label})"
-                );
-                scratch_bits = Some(scratch.period.to_bits());
-                report = Some(rep);
-            }
-            let rep = report.expect("at least one rep ran");
-            let _ = scratch_bits;
-            let speedup = scratch_secs / warm_secs;
-            let period_ratio = rep.period_after / rep.period_nominal;
-            let rideout = rep.period_before / rep.period_nominal;
-            let rideout_cell = if rideout.is_finite() {
-                format!("{rideout:.6}")
-            } else {
-                "\"inf\"".to_string()
-            };
-            eprintln!(
-                "n={n:<4} p={p:<4} fault={label:<11} warm_ms={:<9.3} scratch_ms={:<9.3} \
-                 speedup={speedup:<7.2} period_ratio={period_ratio:.4} migration={}",
-                warm_secs * 1e3,
-                scratch_secs * 1e3,
-                rep.migration_distance
-            );
-            case_entries.push(format!(
-                "{{\"n\": {n}, \"p\": {p}, \"fault\": \"{label}\", \
-                 \"warm_ms\": {:.3}, \"scratch_ms\": {:.3}, \"speedup\": {speedup:.2}, \
-                 \"period_ratio\": {period_ratio:.6}, \"rideout_ratio\": {rideout_cell}, \
-                 \"migration\": {}, \"adopted\": {}}}",
-                warm_secs * 1e3,
-                scratch_secs * 1e3,
-                rep.migration_distance,
-                rep.adopted
-            ));
-            ours.push((n, label, speedup, period_ratio));
-        }
-    }
-
-    let mut json = String::from("{\n  \"bench\": \"failover\",\n");
-    json.push_str(&format!(
-        "  \"config\": {{\"quick\": {quick}, \"family\": \"heavy-tail\", \"reps\": {reps}, \
-         \"strategy\": \"best-of-all\"}},\n"
-    ));
-    json.push_str("  \"cases\": [");
-    json.push_str(&case_entries.join(", "));
-    json.push_str("]\n}\n");
-
-    match &out_path {
-        Some(path) => {
-            std::fs::write(path, &json).unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            });
-            eprintln!("wrote {path}");
-        }
-        None => print!("{json}"),
-    }
-
-    // Regression gate. Timing: each case's warm-vs-scratch speedup must
-    // stay within `tolerance` of the baseline's same-(n, position) case,
-    // and may never drop below 1.0 outright — the warm path losing to a
-    // cold re-prepare means the reuse story broke. Quality: the
-    // post-fault period ratio is deterministic, so it must match the
-    // baseline exactly (same binary, same arithmetic).
-    if let Some(path) = check_path {
-        let baseline = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("cannot read baseline {path}: {e}");
-            std::process::exit(1);
-        });
-        let base_n = extract_f64_all(&baseline, "n");
-        let base_speedup = extract_f64_all(&baseline, "speedup");
-        let base_ratio = extract_f64_all(&baseline, "period_ratio");
-        if base_n.len() != base_speedup.len() || base_n.len() != base_ratio.len() {
-            eprintln!("baseline {path} is malformed");
-            std::process::exit(1);
-        }
-        let mut used = vec![false; base_n.len()];
-        for (n, label, speedup, period_ratio) in &ours {
-            // Cases are emitted in a fixed (size × fault) order in both
-            // runs; match by first unused entry with the same n.
-            let Some(idx) = (0..base_n.len()).find(|&i| !used[i] && base_n[i] == *n as f64) else {
-                eprintln!("baseline {path} has no entry for n={n} ({label})");
-                std::process::exit(1);
-            };
-            used[idx] = true;
-            // The straggler-drift case is the reuse story: the warm path
-            // must beat scratch outright. The bottleneck-loss case
-            // cannot reuse trajectories (they consulted the lost
-            // processor), so it is held to "not meaningfully slower".
-            let hard_floor = if *label == "drift-straggler" {
-                1.0
-            } else {
-                0.7
-            };
-            let floor = (base_speedup[idx] * (1.0 - tolerance)).max(hard_floor);
-            if *speedup < floor {
-                eprintln!(
-                    "REGRESSION: n={n} {label} warm-vs-scratch speedup {speedup:.2} < {floor:.2} \
-                     (baseline {:.2} - {:.0}%)",
-                    base_speedup[idx],
-                    tolerance * 100.0
-                );
-                std::process::exit(1);
-            }
-            // Compare at the JSON's emitted precision: the quantity is
-            // deterministic, but the baseline only stores six decimals.
-            let emitted: f64 = format!("{period_ratio:.6}").parse().expect("formatted f64");
-            if emitted != base_ratio[idx] {
-                eprintln!(
-                    "REGRESSION: n={n} {label} post-fault period ratio {period_ratio:.6} != \
-                     baseline {:.6} (deterministic quantity drifted)",
-                    base_ratio[idx]
-                );
-                std::process::exit(1);
-            }
-            eprintln!("ok: n={n} {label} speedup {speedup:.2} >= {floor:.2}, period ratio matches");
-        }
-    }
-    std::process::exit(0);
-}
-
-/// `bench-tenant`: measure the multi-tenant co-scheduler. The quality
-/// section runs the heuristic partitioner and the exact oracle over a
-/// fixed grid of tenant-zoo cases (every family x every objective) and
-/// reports, per (family, objective), the mean exact-vs-heuristic score
-/// ratio — 1.0 means the heuristic found an optimal partition on every
-/// case. The grid is deterministic and identical in `--quick` and full
-/// runs, so `--check` compares like against like; only the throughput
-/// section (informational: `solve_tenant_batch` jobs/sec by thread
-/// count) shrinks under `--quick`. `--check FILE` gates every
-/// `mean_ratio` against a committed baseline (`BENCH_tenant.json` by
-/// convention): a drop of more than `--tolerance` (default 0.05) fails.
-fn run_bench_tenant(mut args: impl Iterator<Item = String>) -> ! {
-    use pipeline_workflows::core::tenancy::{
-        CoSchedOptions, PartitionObjective, Tenant, TenantSet,
-    };
-    use pipeline_workflows::experiments::{solve_tenant_batch, ShardOptions, TenantJob};
-    use pipeline_workflows::model::scenario::{TenantFamily, TenantScenarioGenerator};
-    use pipeline_workflows::model::util::{approx_eq, approx_le};
-    use std::time::Instant;
-
-    let mut out_path: Option<String> = None;
-    let mut check_path: Option<String> = None;
-    let mut tolerance = 0.05f64;
-    let mut quick = false;
-    while let Some(flag) = args.next() {
-        if flag == "--quick" {
-            quick = true;
-            continue;
-        }
-        let value = args.next().unwrap_or_else(|| {
-            eprintln!("missing value for {flag}");
-            usage();
-        });
-        match flag.as_str() {
-            "--out" => out_path = Some(value),
-            "--check" => check_path = Some(value),
-            "--tolerance" => tolerance = value.parse().unwrap_or_else(|_| usage()),
-            _ => usage(),
-        }
-    }
-    if !(0.0..1.0).contains(&tolerance) {
-        eprintln!("--tolerance must be in [0, 1)");
-        usage();
-    }
-
-    // Small enough for the exact oracle (K^p assignments), big enough
-    // that the heuristic has real choices to get wrong.
-    let cases = [(2usize, 5usize, 4usize), (3, 6, 5)]; // (K, n_base, p)
-    let build_set = |family: TenantFamily, tenants: usize, n_base: usize, p: usize| {
-        let gen = TenantScenarioGenerator::new(family, tenants, n_base, p);
-        let scenario = gen.scenario(2007, 0);
-        let ts = scenario
-            .tenants
-            .iter()
-            .map(|spec| {
-                let prepared = Arc::new(PreparedInstance::new(
-                    spec.app.clone(),
-                    scenario.platform.clone(),
-                ));
-                let mut tenant = Tenant::new(prepared).weight(spec.weight);
-                if let Some(slo) = spec.slo {
-                    tenant = tenant.slo(slo);
-                }
-                tenant
-            })
-            .collect();
-        Arc::new(TenantSet::new(ts).unwrap_or_else(|e| {
-            eprintln!("tenant zoo produced an invalid set: {e}");
-            std::process::exit(1);
-        }))
-    };
-
-    // Quality: heuristic vs exact on every (family, objective), mean
-    // score ratio over the case grid. The comparison mirrors the
-    // lexicographic (score, tiebreak) order the co-scheduler optimizes:
-    // equal scores fall through to the tiebreak ratio.
-    let opts = CoSchedOptions::default();
-    let mut ws = SolveWorkspace::new();
-    let mut quality_entries: Vec<String> = Vec::new();
-    let mut ours: Vec<(String, f64)> = Vec::new();
-    for family in TenantFamily::ALL {
-        for objective in PartitionObjective::ALL {
-            let mut ratio_sum = 0.0f64;
-            let mut front_hv_sum = 0.0f64;
-            for &(k, n_base, p) in &cases {
-                let set = build_set(family, k, n_base, p);
-                let heur = set
-                    .co_schedule(objective, &opts, &mut ws)
-                    .unwrap_or_else(|e| {
-                        eprintln!("heuristic co-schedule failed ({family}/{objective}): {e}");
-                        std::process::exit(1);
-                    });
-                let exact = set
-                    .co_schedule_exact(objective, &opts, &mut ws)
-                    .unwrap_or_else(|e| {
-                        eprintln!("exact co-schedule failed ({family}/{objective}): {e}");
-                        std::process::exit(1);
-                    });
-                let ratio = if approx_eq(heur.score, exact.score) {
-                    if approx_le(heur.tiebreak, exact.tiebreak) || heur.tiebreak == 0.0 {
-                        1.0
-                    } else {
-                        exact.tiebreak / heur.tiebreak
-                    }
-                } else {
-                    exact.score / heur.score
-                };
-                ratio_sum += ratio;
-                // Informational: mean per-tenant front hypervolume on the
-                // heuristic partition, referenced at twice each front's
-                // own extent (scale-free across heterogeneous tenants).
-                let partition: Vec<Vec<usize>> =
-                    heur.tenants.iter().map(|t| t.procs.clone()).collect();
-                let fronts = set
-                    .tenant_fronts(&partition, &opts, &mut ws)
-                    .unwrap_or_else(|e| {
-                        eprintln!("tenant_fronts failed ({family}/{objective}): {e}");
-                        std::process::exit(1);
-                    });
-                let mut hv = 0.0f64;
-                for front in &fronts {
-                    let ref_p = front.iter().map(|(p, _, _)| p).fold(0.0f64, f64::max) * 2.0;
-                    let ref_l = front.iter().map(|(_, l, _)| l).fold(0.0f64, f64::max) * 2.0;
-                    hv += front.hypervolume(ref_p, ref_l);
-                }
-                front_hv_sum += hv / fronts.len() as f64;
-            }
-            let mean_ratio = ratio_sum / cases.len() as f64;
-            let mean_front_hv = front_hv_sum / cases.len() as f64;
-            eprintln!(
-                "family={:<14} objective={:<12} mean_ratio={mean_ratio:.4} \
-                 mean_front_hv={mean_front_hv:.4}",
-                family.label(),
-                objective.label()
-            );
-            quality_entries.push(format!(
-                "{{\"family\": \"{}\", \"objective\": \"{}\", \"mean_ratio\": {mean_ratio:.4}, \
-                 \"mean_front_hv\": {mean_front_hv:.4}}}",
-                family.label(),
-                objective.label()
-            ));
-            ours.push((
-                format!("{}/{}", family.label(), objective.label()),
-                mean_ratio,
-            ));
-        }
-    }
-
-    // Throughput (informational, not gated): the same co-schedules as
-    // batch jobs through the sharded engine, repeated enough to time.
-    let reps = if quick { 2usize } else { 8 };
-    let make_jobs = || -> Vec<TenantJob> {
-        let mut jobs = Vec::new();
-        for _ in 0..reps {
-            for family in TenantFamily::ALL {
-                for &(k, n_base, p) in &cases {
-                    let set = build_set(family, k, n_base, p);
-                    for objective in PartitionObjective::ALL {
-                        jobs.push(TenantJob::new(Arc::clone(&set), objective));
-                    }
-                }
-            }
-        }
-        jobs
-    };
-    let mut throughput_entries: Vec<String> = Vec::new();
-    for threads in [1usize, 2, 4] {
-        let jobs = make_jobs();
-        let n_jobs = jobs.len();
-        let t0 = Instant::now();
-        let answers = solve_tenant_batch(jobs, ShardOptions::with_threads(threads));
-        let secs = t0.elapsed().as_secs_f64();
-        let failures = answers.iter().filter(|a| a.is_err()).count();
-        if failures > 0 {
-            eprintln!("{failures} tenant batch jobs failed");
-            std::process::exit(1);
-        }
-        let jps = n_jobs as f64 / secs;
-        eprintln!("threads={threads} jobs={n_jobs} jobs_per_sec={jps:.1}");
-        throughput_entries.push(format!(
-            "{{\"threads\": {threads}, \"jobs\": {n_jobs}, \"jobs_per_sec\": {jps:.1}}}"
-        ));
-    }
-
-    let mut json = String::from("{\n  \"bench\": \"tenant\",\n");
-    json.push_str(&format!(
-        "  \"config\": {{\"quick\": {quick}, \"families\": {}, \"objectives\": {}, \
-         \"cases\": {}, \"throughput_reps\": {reps}}},\n",
-        TenantFamily::ALL.len(),
-        PartitionObjective::ALL.len(),
-        cases.len()
-    ));
-    json.push_str("  \"quality\": [");
-    json.push_str(&quality_entries.join(", "));
-    json.push_str("],\n  \"throughput\": [");
-    json.push_str(&throughput_entries.join(", "));
-    json.push_str("]\n}\n");
-
-    match &out_path {
-        Some(path) => {
-            std::fs::write(path, &json).unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            });
-            eprintln!("wrote {path}");
-        }
-        None => print!("{json}"),
-    }
-
-    // Regression gate: every (family, objective) mean ratio must stay
-    // within `tolerance` of the committed baseline. The quality grid is
-    // identical in quick and full runs, so entries match by position.
-    if let Some(path) = check_path {
-        let baseline = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("cannot read baseline {path}: {e}");
-            std::process::exit(1);
-        });
-        let base_ratios = extract_f64_all(&baseline, "mean_ratio");
-        if base_ratios.len() != ours.len() {
-            eprintln!(
-                "baseline {path} is malformed: {} mean_ratio entries, expected {}",
-                base_ratios.len(),
-                ours.len()
-            );
-            std::process::exit(1);
-        }
-        for ((label, ratio), base) in ours.iter().zip(&base_ratios) {
-            let floor = base - tolerance;
-            if *ratio < floor {
-                eprintln!(
-                    "REGRESSION: {label} mean_ratio {ratio:.4} < {floor:.4} \
-                     (baseline {base:.4} - {tolerance})"
-                );
-                std::process::exit(1);
-            }
-            eprintln!("ok: {label} mean_ratio {ratio:.4} >= {floor:.4}");
-        }
-    }
-    std::process::exit(0);
-}
-
 fn run_sweep(mut args: impl Iterator<Item = String>) -> ! {
     let Some(which) = args.next() else { usage() };
     let mut stages: Option<usize> = None;
@@ -1500,17 +512,14 @@ fn run_sweep(mut args: impl Iterator<Item = String>) -> ! {
     let mut threads = 1usize;
     let mut seed = 2007u64;
     while let Some(flag) = args.next() {
-        let value = args.next().unwrap_or_else(|| {
-            eprintln!("missing value for {flag}");
-            usage();
-        });
+        let value = flag_value(&flag, &mut args);
         match flag.as_str() {
-            "--stages" => stages = Some(value.parse().unwrap_or_else(|_| usage())),
-            "--procs" => procs = Some(value.parse().unwrap_or_else(|_| usage())),
-            "--instances" => instances = value.parse().unwrap_or_else(|_| usage()),
-            "--grid" => grid = value.parse().unwrap_or_else(|_| usage()),
-            "--threads" => threads = value.parse().unwrap_or_else(|_| usage()),
-            "--seed" => seed = value.parse().unwrap_or_else(|_| usage()),
+            "--stages" => stages = Some(parsed(&value)),
+            "--procs" => procs = Some(parsed(&value)),
+            "--instances" => instances = parsed(&value),
+            "--grid" => grid = parsed(&value),
+            "--threads" => threads = parsed(&value),
+            "--seed" => seed = parsed(&value),
             _ => usage(),
         }
     }
@@ -1599,502 +608,48 @@ fn run_sweep(mut args: impl Iterator<Item = String>) -> ! {
     std::process::exit(0);
 }
 
-/// Peak resident set size in kB (`VmHWM` from `/proc/self/status`), or
-/// `None` where procfs is unavailable — the cheap RSS proxy
-/// `bench-sweep` reports.
-fn peak_rss_kb() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    line.split_whitespace().nth(1)?.parse().ok()
-}
-
-/// `bench-sweep`: record the sweep/batch-throughput baseline as one JSON
-/// object (see the module docs).
-fn run_bench_sweep(mut args: impl Iterator<Item = String>) -> ! {
-    use pipeline_workflows::core::Objective;
-    use pipeline_workflows::experiments::{solve_batch, BatchJob, ShardOptions};
-    use pipeline_workflows::model::scenario::ScenarioGenerator;
-    use std::time::Instant;
-
-    let mut out_path: Option<String> = None;
-    let mut check_path: Option<String> = None;
-    let mut tolerance = 0.05f64;
-    let mut sizes: Vec<usize> = vec![60, 120, 240];
-    let mut instances = 10usize;
-    let mut grid = 12usize;
-    let mut batch_jobs = 200usize;
-    while let Some(flag) = args.next() {
-        let value = args.next().unwrap_or_else(|| {
-            eprintln!("missing value for {flag}");
-            usage();
-        });
-        match flag.as_str() {
-            "--out" => out_path = Some(value),
-            "--check" => check_path = Some(value),
-            "--tolerance" => tolerance = value.parse().unwrap_or_else(|_| usage()),
-            "--sizes" => {
-                sizes = value
-                    .split(',')
-                    .map(|s| s.parse().unwrap_or_else(|_| usage()))
-                    .collect();
-            }
-            "--instances" => instances = value.parse().unwrap_or_else(|_| usage()),
-            "--grid" => grid = value.parse().unwrap_or_else(|_| usage()),
-            "--batch-jobs" => batch_jobs = value.parse().unwrap_or_else(|_| usage()),
-            _ => usage(),
-        }
-    }
-    if sizes.is_empty() || sizes.iter().any(|&n| n < 4) || instances < 1 || grid < 2 {
-        eprintln!("--sizes entries must be >= 4, --instances >= 1, --grid >= 2");
-        usage();
-    }
-    if !(0.0..1.0).contains(&tolerance) {
-        eprintln!("--tolerance must be in [0, 1)");
-        usage();
-    }
-
-    let mut json = String::from("{\n  \"bench\": \"sweep\",\n");
-    json.push_str(&format!(
-        "  \"config\": {{\"instances\": {instances}, \"grid\": {grid}, \"threads\": 1}},\n"
-    ));
-
-    // Full-zoo sweeps at each size: per-family wall time + skipped-solver
-    // counts, and the aggregate bound-query throughput (instances ×
-    // curves × grid points answered per second).
-    json.push_str("  \"zoo\": [");
-    for (si, &n) in sizes.iter().enumerate() {
-        let p = (n / 2).max(2);
-        let mut family_json = String::new();
-        let mut queries = 0usize;
-        let t_zoo = Instant::now();
-        for (i, spec) in scenario_zoo().iter().enumerate() {
-            let mut params = spec.params();
-            params.n_stages = n;
-            params.n_procs = p;
-            let t0 = Instant::now();
-            let fam = run_scenario(&params, 2007, instances, grid, 1);
-            let ms = t0.elapsed().as_secs_f64() * 1e3;
-            queries += instances * fam.series.len() * grid;
-            if i > 0 {
-                family_json.push_str(", ");
-            }
-            family_json.push_str(&format!(
-                "\"{}\": {{\"ms\": {ms:.3}, \"curves\": {}, \"skipped_solvers\": {}}}",
-                spec.family.label(),
-                fam.series.len(),
-                fam.skipped.len()
-            ));
-        }
-        let total = t_zoo.elapsed().as_secs_f64();
-        if si > 0 {
-            json.push_str(", ");
-        }
-        json.push_str(&format!(
-            "{{\"n\": {n}, \"p\": {p}, \"total_ms\": {:.3}, \
-             \"bound_queries_per_sec\": {:.0}, \"families\": {{{family_json}}}}}",
-            total * 1e3,
-            queries as f64 / total
-        ));
-    }
-    json.push_str("],\n");
-
-    // Front quality vs the exact Pareto front, at a size the exact
-    // solver answers interactively (n = 12): per comm-homogeneous
-    // family × heuristic, mean hypervolume ratio and mean relative
-    // distance to the exact front. Deterministic (exact fronts +
-    // instance-order merges) and computed at a **fixed** instance/grid
-    // config — independent of --instances/--grid — so `--check`
-    // compares like against like between smoke runs and the committed
-    // baseline.
-    let mut quality_scores: Vec<(String, f64, f64)> = Vec::new();
-    json.push_str("  \"front_quality\": [");
-    {
-        let (qn, qp, qinstances, qgrid) = (12usize, 8usize, 10usize, 12usize);
-        let mut first = true;
-        for spec in scenario_zoo() {
-            if !spec.family.comm_homogeneous() {
-                continue;
-            }
-            let mut params = spec.params();
-            params.n_stages = qn;
-            params.n_procs = qp;
-            let fam = run_scenario(&params, 2007, qinstances, qgrid, 1);
-            for q in &fam.quality {
-                if !first {
-                    json.push_str(", ");
-                }
-                first = false;
-                json.push_str(&format!(
-                    "{{\"family\": \"{}\", \"heuristic\": \"{}\", \
-                     \"hypervolume_ratio\": {:.4}, \"distance\": {:.4}, \"n_scored\": {}}}",
-                    spec.family.label(),
-                    q.kind.table_name(),
-                    q.hypervolume_ratio,
-                    q.distance,
-                    q.n_scored
-                ));
-                quality_scores.push((
-                    format!("{}/{}", spec.family.label(), q.kind.table_name()),
-                    q.hypervolume_ratio,
-                    q.distance,
-                ));
-            }
-        }
-    }
-    json.push_str("],\n");
-
-    // solve_batch throughput: the same job stream answered with a fresh
-    // workspace per item (the `solve()` path) vs one workspace reused
-    // across all items (`solve_batch` on one shard). Fresh prepared
-    // instances per variant keep both cold-cache.
-    {
-        // One fresh instance per job: every item pays its preparation
-        // (trajectory recording + H4 floor), which is exactly the work
-        // the reused workspace amortizes. Shared instances would answer
-        // from the session caches and hide the difference.
-        let make_jobs = || {
-            let gen = ScenarioGenerator::new(
-                pipeline_workflows::model::scenario::ScenarioFamily::E2.params(60, 30),
-            );
-            (0..batch_jobs)
-                .map(|j| {
-                    let (app, pf) = gen.instance(99, j as u64);
-                    let inst = Arc::new(PreparedInstance::new(app, pf));
-                    let bound = inst.single_proc_period()
-                        * (0.4 + 0.5 * (j as f64 / batch_jobs.max(1) as f64));
-                    BatchJob::new(
-                        inst,
-                        SolveRequest::new(Objective::MinLatencyForPeriod(bound)),
-                    )
-                })
-                .collect::<Vec<_>>()
-        };
-        let fresh_jobs = make_jobs();
-        let t0 = Instant::now();
-        let fresh_answers: usize = fresh_jobs
-            .iter()
-            .filter(|job| job.instance.solve(&job.request).is_ok())
-            .count();
-        let fresh_secs = t0.elapsed().as_secs_f64();
-        let reused_jobs = make_jobs();
-        let t0 = Instant::now();
-        let reused_answers = solve_batch(reused_jobs, ShardOptions::with_threads(1))
-            .into_iter()
-            .filter(Result::is_ok)
-            .count();
-        let reused_secs = t0.elapsed().as_secs_f64();
-        assert_eq!(fresh_answers, reused_answers, "variants must agree");
-        json.push_str(&format!(
-            "  \"solve_batch\": {{\"jobs\": {batch_jobs}, \"answered\": {fresh_answers}, \
-             \"fresh_workspace_items_per_sec\": {:.0}, \
-             \"reused_workspace_items_per_sec\": {:.0}}},\n",
-            batch_jobs as f64 / fresh_secs,
-            batch_jobs as f64 / reused_secs
-        ));
-    }
-
-    match peak_rss_kb() {
-        Some(kb) => json.push_str(&format!("  \"peak_rss_kb\": {kb}\n")),
-        None => json.push_str("  \"peak_rss_kb\": null\n"),
-    }
-    json.push_str("}\n");
-
-    match out_path {
-        Some(path) => {
-            std::fs::write(&path, &json).unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            });
-            eprintln!("wrote {path}");
-        }
-        None => print!("{json}"),
-    }
-
-    // Regression gate: per family × heuristic, the hypervolume ratio
-    // must not drop — and the distance must not grow — by more than
-    // `tolerance` relative to the committed baseline. The quality grid
-    // is size-independent, so entries match by position.
-    if let Some(path) = check_path {
-        let baseline = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("cannot read baseline {path}: {e}");
-            std::process::exit(1);
-        });
-        let base_hv = extract_f64_all(&baseline, "hypervolume_ratio");
-        let base_dist = extract_f64_all(&baseline, "distance");
-        if base_hv.len() != quality_scores.len() || base_dist.len() != quality_scores.len() {
-            eprintln!(
-                "baseline {path} is malformed: {}/{} quality entries, expected {}",
-                base_hv.len(),
-                base_dist.len(),
-                quality_scores.len()
-            );
-            std::process::exit(1);
-        }
-        for ((label, hv, dist), (bhv, bdist)) in
-            quality_scores.iter().zip(base_hv.iter().zip(&base_dist))
-        {
-            if *hv < bhv - tolerance {
-                eprintln!(
-                    "REGRESSION: {label} hypervolume_ratio {hv:.4} < {:.4} \
-                     (baseline {bhv:.4} - {tolerance})",
-                    bhv - tolerance
-                );
-                std::process::exit(1);
-            }
-            if *dist > bdist + tolerance {
-                eprintln!(
-                    "REGRESSION: {label} distance {dist:.4} > {:.4} \
-                     (baseline {bdist:.4} + {tolerance})",
-                    bdist + tolerance
-                );
-                std::process::exit(1);
-            }
-            eprintln!("ok: {label} hv {hv:.4} dist {dist:.4}");
-        }
-    }
-    std::process::exit(0);
-}
-
-/// `bench-kernel`: record the kernel perf baseline as one JSON object.
-fn run_bench_kernel(mut args: impl Iterator<Item = String>) -> ! {
-    use pipeline_workflows::core::exact;
-    use pipeline_workflows::core::trajectory::{fixed_period_trajectory, TrajectoryKind};
-    use pipeline_workflows::core::{sp_bi_p, SpBiPOptions};
-    use pipeline_workflows::experiments::{
-        exact_min_period_sharded, exact_pareto_front_sharded, ShardOptions,
+/// `bench <name|all>`: run the named bench (or every bench) through the
+/// shared harness in `experiments::bench`; `--check` gates each against
+/// the committed `BENCH_<name>.json` in the working directory.
+fn run_bench(mut args: impl Iterator<Item = String>) -> ! {
+    let Some(which) = args.next() else { usage() };
+    let mut opts = bench::Opts {
+        quick: false,
+        threads: 1,
     };
-    use pipeline_workflows::model::generator::{ExperimentKind, InstanceGenerator, InstanceParams};
-    use pipeline_workflows::model::{CostModel, Platform};
-    use std::time::Instant;
-
-    let mut out_path: Option<String> = None;
-    let mut check_path: Option<String> = None;
-    let mut exact_n_max = 14usize;
-    let mut instances = 3usize;
-    let mut threads = 1usize;
+    let mut out: Option<PathBuf> = None;
+    let mut check = false;
     while let Some(flag) = args.next() {
-        let value = args.next().unwrap_or_else(|| {
-            eprintln!("missing value for {flag}");
-            usage();
-        });
         match flag.as_str() {
-            "--out" => out_path = Some(value),
-            "--check" => check_path = Some(value),
-            "--exact-n" => exact_n_max = value.parse().unwrap_or_else(|_| usage()),
-            "--instances" => instances = value.parse().unwrap_or_else(|_| usage()),
-            "--threads" => threads = value.parse().unwrap_or_else(|_| usage()),
+            "--quick" => opts.quick = true,
+            "--check" => check = true,
+            "--out" => out = Some(flag_value(&flag, &mut args).into()),
+            "--threads" => opts.threads = parsed(&flag_value(&flag, &mut args)),
             _ => usage(),
         }
     }
-    if instances < 1 || threads < 1 {
-        eprintln!("--instances and --threads must be >= 1");
-        usage();
-    }
-    if !(2..=exact::MAX_STAGES).contains(&exact_n_max) {
-        eprintln!(
-            "--exact-n must be in 2..={} (the enumeration guard)",
-            exact::MAX_STAGES
-        );
-        usage();
-    }
-    let mut json = String::from("{\n  \"bench\": \"kernel\",\n");
-
-    // Sweep wall-time per scenario family (sharded engine, 1 thread —
-    // the per-item kernel cost is what this baseline tracks).
-    json.push_str("  \"sweep_ms\": {");
-    for (i, spec) in scenario_zoo().iter().enumerate() {
-        let params = spec.params();
-        let t0 = Instant::now();
-        let fam = run_scenario(&params, 2007, instances, 10, 1);
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-        if i > 0 {
-            json.push_str(", ");
-        }
-        json.push_str(&format!(
-            "\"{}\": {{\"ms\": {:.3}, \"curves\": {}}}",
-            spec.family.label(),
-            ms,
-            fam.series.len()
-        ));
-    }
-    json.push_str("},\n");
-
-    // Exact solver at growing n up to --exact-n: min-period and the
-    // full front, through the sharded entry points (bit-identical at
-    // every --threads value, so `--check` gates the same numbers
-    // regardless of parallelism). Sizes step by 2 from 10 (or measure
-    // just --exact-n when it is smaller), so raising the flag really
-    // measures more. Zoo rows keep the historical p = 6 shape up to
-    // n = 16; past that the frontier rows move to the paper's p = 16
-    // cluster scale.
-    let mut exact_sizes: Vec<usize> = if exact_n_max < 10 {
-        vec![exact_n_max]
+    let benches: Vec<&bench::Bench> = if which == "all" {
+        bench::BENCHES.iter().collect()
     } else {
-        (10..=exact_n_max).step_by(2).collect()
+        let Some(b) = bench::find(&which) else {
+            let names: Vec<_> = bench::BENCHES.iter().map(|b| b.name).collect();
+            eprintln!("unknown bench {which:?}; known: {}, all", names.join(", "));
+            std::process::exit(2);
+        };
+        vec![b]
     };
-    if exact_sizes.last() != Some(&exact_n_max) {
-        exact_sizes.push(exact_n_max); // odd --exact-n: measure it too
+    if opts.threads < 1 {
+        eprintln!("--threads must be >= 1");
+        usage();
     }
-    let shard_opts = ShardOptions::with_threads(threads);
-    // (row id, min_period bits) of every exact row, for the `--check`
-    // bit-wise gate.
-    let mut exact_rows: Vec<(String, String)> = Vec::new();
-    let emit_exact_row = |json: &mut String,
-                          rows: &mut Vec<(String, String)>,
-                          first: &mut bool,
-                          id: String,
-                          cm: &CostModel<'_>,
-                          n: usize,
-                          p: usize| {
-        let t0 = Instant::now();
-        let (p_opt, _) = exact_min_period_sharded(cm, shard_opts);
-        let min_period_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let t0 = Instant::now();
-        let front = exact_pareto_front_sharded(cm, shard_opts);
-        let front_ms = t0.elapsed().as_secs_f64() * 1e3;
-        if !*first {
-            json.push_str(", ");
-        }
-        *first = false;
-        let bits = format!("{:016x}", p_opt.to_bits());
-        json.push_str(&format!(
-            "{{\"id\": \"{id}\", \"n\": {n}, \"p\": {p}, \"min_period\": {p_opt:.6}, \
-             \"min_period_bits\": \"{bits}\", \"min_period_ms\": {min_period_ms:.3}, \
-             \"front_ms\": {front_ms:.3}, \"front_points\": {}}}",
-            front.len()
-        ));
-        rows.push((id, bits));
-    };
-    json.push_str("  \"exact\": [");
-    let mut first = true;
-    for &n in &exact_sizes {
-        let p = if n <= 16 { 6usize } else { 16 };
-        let gen = InstanceGenerator::new(InstanceParams::paper(ExperimentKind::E2, n, p));
-        let (app, pf) = gen.instance(1, 0);
-        let cm = CostModel::new(&app, &pf);
-        emit_exact_row(
-            &mut json,
-            &mut exact_rows,
-            &mut first,
-            format!("zoo-n{n}-p{p}"),
-            &cm,
-            n,
-            p,
-        );
-    }
-    json.push_str("],\n");
-
-    // The same frontier on a uniform-speed cluster (the paper's
-    // setting): identical speeds collapse the dominance DP's mask space
-    // to stage-count prefixes, which is what pushes the exact front to
-    // n = 24-30 at p = 16 in well under a second.
-    json.push_str("  \"exact_uniform\": [");
-    let mut first = true;
-    for n in [20usize, 24, 28, 30] {
-        if n > exact_n_max.max(16) {
-            continue;
-        }
-        let p = 16usize;
-        let gen = InstanceGenerator::new(InstanceParams::paper(ExperimentKind::E1, n, p));
-        let (app, _) = gen.instance(1, 0);
-        let pf = Platform::comm_homogeneous(vec![10.0; p], 10.0).expect("valid platform");
-        let cm = CostModel::new(&app, &pf);
-        emit_exact_row(
-            &mut json,
-            &mut exact_rows,
-            &mut first,
-            format!("uniform-n{n}-p{p}"),
-            &cm,
-            n,
-            p,
-        );
-    }
-    json.push_str("],\n");
-
-    // Split-step throughput: H1 trajectories on a large instance.
-    {
-        let (n, p) = (240usize, 120usize);
-        let gen = InstanceGenerator::new(InstanceParams::paper(ExperimentKind::E1, n, p));
-        let (app, pf) = gen.instance(3, 0);
-        let cm = CostModel::new(&app, &pf);
-        let steps = fixed_period_trajectory(&cm, TrajectoryKind::SplitMono).len() - 1;
-        let runs = 50usize;
-        let t0 = Instant::now();
-        for _ in 0..runs {
-            std::hint::black_box(fixed_period_trajectory(&cm, TrajectoryKind::SplitMono));
-        }
-        let secs = t0.elapsed().as_secs_f64();
-        json.push_str(&format!(
-            "  \"split_steps\": {{\"n\": {n}, \"p\": {p}, \"steps_per_run\": {steps}, \
-             \"runs\": {runs}, \"steps_per_sec\": {:.0}}},\n",
-            (steps * runs) as f64 / secs
-        ));
-    }
-
-    // H3's memoized binary search on a mid-size instance.
-    {
-        let (n, p) = (120usize, 60usize);
-        let gen = InstanceGenerator::new(InstanceParams::paper(ExperimentKind::E2, n, p));
-        let (app, pf) = gen.instance(5, 0);
-        let cm = CostModel::new(&app, &pf);
-        let target = 0.5 * cm.single_proc_period();
-        let t0 = Instant::now();
-        let runs = 20usize;
-        for _ in 0..runs {
-            std::hint::black_box(sp_bi_p(&cm, target, SpBiPOptions::default()));
-        }
-        let ms = t0.elapsed().as_secs_f64() * 1e3 / runs as f64;
-        json.push_str(&format!(
-            "  \"sp_bi_p\": {{\"n\": {n}, \"p\": {p}, \"ms_per_solve\": {ms:.3}}}\n"
-        ));
-    }
-    json.push_str("}\n");
-
-    match out_path {
-        Some(path) => {
-            std::fs::write(&path, &json).unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            });
-            eprintln!("wrote {path}");
-        }
-        None => print!("{json}"),
-    }
-
-    // Regression gate: every exact `min_period` this run produced must
-    // be **bit-identical** to the committed baseline's value for the
-    // same row id — optimality is not a tolerance question. Rows the
-    // baseline does not have (deeper --exact-n than it was recorded at)
-    // are reported but cannot fail; at least one row must match so the
-    // gate never passes vacuously.
-    if let Some(path) = check_path {
-        let baseline = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("cannot read baseline {path}: {e}");
-            std::process::exit(1);
-        });
-        let mut gated = 0usize;
-        for (id, bits) in &exact_rows {
-            match extract_row_bits(&baseline, id) {
-                Some(base_bits) if base_bits == *bits => {
-                    eprintln!("ok: {id} min_period bits {bits}");
-                    gated += 1;
-                }
-                Some(base_bits) => {
-                    eprintln!(
-                        "REGRESSION: {id} min_period bits {bits} != baseline {base_bits} \
-                         (exact values must be bit-identical)"
-                    );
-                    std::process::exit(1);
-                }
-                None => eprintln!("new row (not in baseline): {id}"),
-            }
-        }
-        if gated == 0 {
-            eprintln!("baseline {path} gated no rows — refusing a vacuous pass");
-            std::process::exit(1);
+    let mut failed = false;
+    for b in benches {
+        if let Err(e) = bench::run(b, &opts, out.as_deref(), check) {
+            eprintln!("bench {}: {e}", b.name);
+            failed = true;
         }
     }
-    std::process::exit(0);
+    std::process::exit(i32::from(failed));
 }
 
 fn main() {
@@ -2115,54 +670,26 @@ fn main() {
     if path == "load" {
         run_load_cmd(args);
     }
-    if path == "bench-serve" {
-        run_bench_serve(args);
-    }
-    if path == "bench-delta" {
-        run_bench_delta(args);
-    }
-    if path == "bench-tenant" {
-        run_bench_tenant(args);
-    }
-    if path == "bench-kernel" {
-        run_bench_kernel(args);
-    }
-    if path == "bench-sweep" {
-        run_bench_sweep(args);
+    if path == "bench" {
+        run_bench(args);
     }
     if path == "chaos" {
         run_chaos(args);
-    }
-    if path == "bench-failover" {
-        run_bench_failover(args);
     }
     let mut objective: Option<Objective> = None;
     let mut strategy = Strategy::Auto;
     let mut simulate: Option<usize> = None;
     let mut gantt = false;
     while let Some(flag) = args.next() {
-        let mut value = || {
-            args.next().unwrap_or_else(|| {
-                eprintln!("missing value for {flag}");
-                usage();
-            })
-        };
+        let mut value = || flag_value(&flag, &mut args);
         match flag.as_str() {
-            "--period" => {
-                objective = Some(Objective::MinLatencyForPeriod(
-                    value().parse().unwrap_or_else(|_| usage()),
-                ))
-            }
-            "--latency" => {
-                objective = Some(Objective::MinPeriodForLatency(
-                    value().parse().unwrap_or_else(|_| usage()),
-                ))
-            }
+            "--period" => objective = Some(Objective::MinLatencyForPeriod(parsed(&value()))),
+            "--latency" => objective = Some(Objective::MinPeriodForLatency(parsed(&value()))),
             "--min-period" => objective = Some(Objective::MinPeriod),
             "--min-latency" => objective = Some(Objective::MinLatency),
             "--pareto-front" => objective = Some(Objective::ParetoFront),
             "--heuristic" => strategy = parse_strategy(&value()),
-            "--simulate" => simulate = Some(value().parse().unwrap_or_else(|_| usage())),
+            "--simulate" => simulate = Some(parsed(&value())),
             "--gantt" => gantt = true,
             _ => usage(),
         }
