@@ -32,15 +32,9 @@ fn reset<T: Copy>(buf: &mut Vec<T>, len: usize, value: T) {
 ///
 /// The implementation maintains dual potentials `u` (rows) and `v`
 /// (columns) and augments one row at a time along a shortest path in the
-/// reduced-cost graph, the classical O(rows²·cols) scheme.
-pub fn hungarian(costs: &CostMatrix) -> Option<Assignment> {
-    hungarian_in(costs, &mut HungarianScratch::default())
-}
-
-/// [`hungarian`] with caller-owned scratch buffers: identical result
-/// (same arithmetic on the same values, buffers merely reused), no
-/// allocation beyond the returned [`Assignment`] once the scratch is
-/// warm.
+/// reduced-cost graph, the classical O(rows²·cols) scheme. The scratch
+/// buffers are caller-owned (`HungarianScratch::default()` for fresh
+/// ones): no allocation beyond the returned [`Assignment`] once warm.
 pub fn hungarian_in(costs: &CostMatrix, scratch: &mut HungarianScratch) -> Option<Assignment> {
     let n = costs.rows();
     let m = costs.cols();
@@ -135,7 +129,7 @@ pub fn hungarian_in(costs: &CostMatrix, scratch: &mut HungarianScratch) -> Optio
 }
 
 /// Brute-force reference solver enumerating every injective row→column
-/// map. Exponential; only for validating [`hungarian`] on tiny inputs.
+/// map. Exponential; only for validating [`hungarian_in`] on tiny inputs.
 pub fn brute_force_min_sum(costs: &CostMatrix) -> Option<Assignment> {
     let n = costs.rows();
     let m = costs.cols();
@@ -190,9 +184,14 @@ mod tests {
     #[test]
     fn trivial_sizes() {
         let empty = CostMatrix::from_rows(0, 0, vec![]);
-        assert_eq!(hungarian(&empty).unwrap().objective, 0.0);
+        assert_eq!(
+            hungarian_in(&empty, &mut HungarianScratch::default())
+                .unwrap()
+                .objective,
+            0.0
+        );
         let one = CostMatrix::from_rows(1, 1, vec![42.0]);
-        let a = hungarian(&one).unwrap();
+        let a = hungarian_in(&one, &mut HungarianScratch::default()).unwrap();
         assert_eq!(a.assigned, vec![0]);
         assert_eq!(a.objective, 42.0);
     }
@@ -201,7 +200,7 @@ mod tests {
     fn classic_3x3() {
         // Known optimum 5 via (0→1, 1→0, 2→2) for this matrix.
         let costs = CostMatrix::from_rows(3, 3, vec![4.0, 1.0, 3.0, 2.0, 0.0, 5.0, 3.0, 2.0, 2.0]);
-        let a = hungarian(&costs).unwrap();
+        let a = hungarian_in(&costs, &mut HungarianScratch::default()).unwrap();
         assert_valid(&a, 3);
         assert!(
             (a.objective - 5.0).abs() < 1e-12,
@@ -213,7 +212,7 @@ mod tests {
     #[test]
     fn rectangular_prefers_cheap_columns() {
         let costs = CostMatrix::from_rows(2, 4, vec![10.0, 1.0, 9.0, 8.0, 1.0, 10.0, 9.0, 8.0]);
-        let a = hungarian(&costs).unwrap();
+        let a = hungarian_in(&costs, &mut HungarianScratch::default()).unwrap();
         assert_valid(&a, 2);
         assert_eq!(a.assigned, vec![1, 0]);
         assert!((a.objective - 2.0).abs() < 1e-12);
@@ -223,7 +222,7 @@ mod tests {
     fn forbidden_pairs_respected() {
         let inf = f64::INFINITY;
         let costs = CostMatrix::from_rows(2, 2, vec![inf, 3.0, 2.0, inf]);
-        let a = hungarian(&costs).unwrap();
+        let a = hungarian_in(&costs, &mut HungarianScratch::default()).unwrap();
         assert_eq!(a.assigned, vec![1, 0]);
         assert!((a.objective - 5.0).abs() < 1e-12);
     }
@@ -233,7 +232,7 @@ mod tests {
         let inf = f64::INFINITY;
         // Both rows can only use column 0.
         let costs = CostMatrix::from_rows(2, 2, vec![1.0, inf, 1.0, inf]);
-        assert!(hungarian(&costs).is_none());
+        assert!(hungarian_in(&costs, &mut HungarianScratch::default()).is_none());
     }
 
     #[test]
@@ -248,7 +247,7 @@ mod tests {
         };
         for (rows, cols) in [(3, 3), (4, 5), (5, 5), (6, 7), (2, 6)] {
             let costs = CostMatrix::from_fn(rows, cols, |_, _| next());
-            let fast = hungarian(&costs).unwrap();
+            let fast = hungarian_in(&costs, &mut HungarianScratch::default()).unwrap();
             let slow = brute_force_min_sum(&costs).unwrap();
             assert_valid(&fast, rows);
             assert!(
@@ -263,7 +262,7 @@ mod tests {
     #[test]
     fn negative_costs_are_handled() {
         let costs = CostMatrix::from_rows(2, 2, vec![-5.0, 0.0, 0.0, -5.0]);
-        let a = hungarian(&costs).unwrap();
+        let a = hungarian_in(&costs, &mut HungarianScratch::default()).unwrap();
         assert!((a.objective + 10.0).abs() < 1e-12);
     }
 
@@ -271,6 +270,6 @@ mod tests {
     #[should_panic(expected = "rows")]
     fn more_rows_than_cols_panics() {
         let costs = CostMatrix::from_rows(2, 1, vec![1.0, 1.0]);
-        let _ = hungarian(&costs);
+        let _ = hungarian_in(&costs, &mut HungarianScratch::default());
     }
 }

@@ -23,7 +23,7 @@ pub mod hungarian;
 pub mod matching;
 
 pub use bottleneck::bottleneck_assignment;
-pub use hungarian::{hungarian, hungarian_in, HungarianScratch};
+pub use hungarian::{hungarian_in, HungarianScratch};
 pub use matching::max_bipartite_matching;
 
 /// A dense rectangular cost matrix.
@@ -124,7 +124,7 @@ impl CostMatrix {
 pub struct Assignment {
     /// `assigned[r]` is the column matched to row `r`.
     pub assigned: Vec<usize>,
-    /// Objective value: total cost for [`hungarian`], max cost for
+    /// Objective value: total cost for [`hungarian_in`], max cost for
     /// [`bottleneck_assignment`].
     pub objective: f64,
 }

@@ -1,11 +1,11 @@
-//! Ablation benches for the design choices documented in DESIGN.md:
-//! trajectory memoization, the H3 ratio denominator, the heterogeneous
-//! extension's candidate pool, and exact-solver scaling.
+//! Ablation benches for this reproduction's design choices: trajectory
+//! memoization, the H3 ratio denominator, the heterogeneous extension's
+//! candidate pool, and exact-solver scaling.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pipeline_core::hetero::{hetero_sp_mono_p, HeteroSplitOptions};
-use pipeline_core::trajectory::{fixed_period_trajectory, TrajectoryKind};
-use pipeline_core::{sp_bi_p, sp_mono_p, SpBiPOptions};
+use pipeline_core::hetero::{hetero_sp_mono_p_in, HeteroSplitOptions};
+use pipeline_core::trajectory::{fixed_period_trajectory_in, TrajectoryKind};
+use pipeline_core::{sp_bi_p_in, sp_mono_p_in, SolveWorkspace, SpBiPOptions};
 use pipeline_model::generator::{ExperimentKind, InstanceGenerator, InstanceParams};
 use pipeline_model::util::linspace;
 use pipeline_model::CostModel;
@@ -19,16 +19,17 @@ fn bench_trajectory_memoization(c: &mut Criterion) {
     let cm = CostModel::new(&app, &pf);
     let grid = linspace(0.2 * cm.single_proc_period(), cm.single_proc_period(), 20);
     let mut group = c.benchmark_group("ablation_trajectory_memoization");
+    let mut ws = SolveWorkspace::new();
     group.bench_function("direct_20_targets", |b| {
         b.iter(|| {
             for &t in &grid {
-                black_box(sp_mono_p(&cm, t));
+                black_box(sp_mono_p_in(&cm, t, &mut ws));
             }
         })
     });
     group.bench_function("trajectory_then_20_lookups", |b| {
         b.iter(|| {
-            let traj = fixed_period_trajectory(&cm, TrajectoryKind::SplitMono);
+            let traj = fixed_period_trajectory_in(&cm, TrajectoryKind::SplitMono, &mut ws);
             for &t in &grid {
                 black_box(traj.result_for_period(t));
             }
@@ -49,13 +50,14 @@ fn bench_ratio_denominator(c: &mut Criterion) {
             &over_i,
             |b, &over_i| {
                 b.iter(|| {
-                    black_box(sp_bi_p(
+                    black_box(sp_bi_p_in(
                         &cm,
                         target,
                         SpBiPOptions {
                             denominator_over_i: over_i,
                             ..SpBiPOptions::default()
                         },
+                        &mut SolveWorkspace::new(),
                     ))
                 })
             },
@@ -79,13 +81,15 @@ fn bench_hetero_candidate_pool(c: &mut Criterion) {
     let pf = Platform::fully_heterogeneous(speeds, matrix, 10.0).unwrap();
     let cm = CostModel::new(&app, &pf);
     let mut group = c.benchmark_group("ablation_hetero_candidate_pool");
+    let mut ws = SolveWorkspace::new();
     for k in [1usize, 3, 6] {
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, &k| {
             b.iter(|| {
-                black_box(hetero_sp_mono_p(
+                black_box(hetero_sp_mono_p_in(
                     &cm,
                     0.0,
                     HeteroSplitOptions { candidate_procs: k },
+                    &mut ws,
                 ))
             })
         });
@@ -96,12 +100,13 @@ fn bench_hetero_candidate_pool(c: &mut Criterion) {
 fn bench_exact_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_exact_scaling");
     group.sample_size(10);
+    let mut ws = SolveWorkspace::new();
     for n in [6usize, 8, 10] {
         let gen = InstanceGenerator::new(InstanceParams::paper(ExperimentKind::E2, n, 4));
         let (app, pf) = gen.instance(7, 0);
         let cm = CostModel::new(&app, &pf);
         group.bench_with_input(BenchmarkId::new("exact_min_period", n), &n, |b, _| {
-            b.iter(|| black_box(pipeline_core::exact::exact_min_period(&cm)))
+            b.iter(|| black_box(pipeline_core::exact::exact_min_period_in(&cm, &mut ws)))
         });
     }
     group.finish();

@@ -7,6 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pipeline_core::HeuristicKind;
+use pipeline_core::SolveWorkspace;
 use pipeline_model::generator::{ExperimentKind, InstanceGenerator, InstanceParams};
 use pipeline_model::CostModel;
 use std::hint::black_box;
@@ -29,7 +30,9 @@ fn bench_heuristics(c: &mut Criterion) {
                 BenchmarkId::new(kind.table_name(), format!("n{n}_p{p}")),
                 &target,
                 |b, &target| {
-                    b.iter(|| black_box(kind.run(&cm, black_box(target))));
+                    b.iter(|| {
+                        black_box(kind.run_in(&cm, black_box(target), &mut SolveWorkspace::new()))
+                    });
                 },
             );
         }
@@ -38,8 +41,9 @@ fn bench_heuristics(c: &mut Criterion) {
 }
 
 fn bench_trajectories(c: &mut Criterion) {
-    use pipeline_core::trajectory::{fixed_period_trajectory, TrajectoryKind};
+    use pipeline_core::trajectory::{fixed_period_trajectory_in, TrajectoryKind};
     let mut group = c.benchmark_group("trajectory");
+    let mut ws = SolveWorkspace::new();
     for (n, p) in [(40usize, 10usize), (40, 100)] {
         let gen = InstanceGenerator::new(InstanceParams::paper(ExperimentKind::E1, n, p));
         let (app, pf) = gen.instance(2, 0);
@@ -52,7 +56,7 @@ fn bench_trajectories(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(format!("{kind:?}"), format!("n{n}_p{p}")),
                 &kind,
-                |b, &kind| b.iter(|| black_box(fixed_period_trajectory(&cm, kind))),
+                |b, &kind| b.iter(|| black_box(fixed_period_trajectory_in(&cm, kind, &mut ws))),
             );
         }
     }
@@ -63,7 +67,7 @@ fn bench_cost_model(c: &mut Criterion) {
     let gen = InstanceGenerator::new(InstanceParams::paper(ExperimentKind::E2, 40, 100));
     let (app, pf) = gen.instance(3, 0);
     let cm = CostModel::new(&app, &pf);
-    let res = pipeline_core::sp_mono_p(&cm, 0.0);
+    let res = pipeline_core::sp_mono_p_in(&cm, 0.0, &mut SolveWorkspace::new());
     c.bench_function("cost_model/evaluate_n40", |b| {
         b.iter(|| black_box(cm.evaluate(black_box(&res.mapping))))
     });

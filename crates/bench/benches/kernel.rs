@@ -9,10 +9,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pipeline_core::exact;
-use pipeline_core::trajectory::{
-    fixed_period_trajectory, fixed_period_trajectory_in, TrajectoryKind,
-};
-use pipeline_core::{sp_bi_p, SolveWorkspace, SpBiPOptions};
+use pipeline_core::trajectory::{fixed_period_trajectory_in, TrajectoryKind};
+use pipeline_core::{sp_bi_p_in, SolveWorkspace, SpBiPOptions};
 use pipeline_model::generator::{ExperimentKind, InstanceGenerator, InstanceParams};
 use pipeline_model::{CostModel, Platform};
 use std::hint::black_box;
@@ -26,13 +24,20 @@ fn bench_split_steps(c: &mut Criterion) {
         let gen = InstanceGenerator::new(InstanceParams::paper(ExperimentKind::E1, n, p));
         let (app, pf) = gen.instance(3, 0);
         let cm = CostModel::new(&app, &pf);
-        let splits = fixed_period_trajectory(&cm, TrajectoryKind::SplitMono).len() - 1;
+        let mut ws = SolveWorkspace::new();
+        let splits = fixed_period_trajectory_in(&cm, TrajectoryKind::SplitMono, &mut ws).len() - 1;
         group.throughput(Throughput::Elements(splits.max(1) as u64));
         group.bench_with_input(
             BenchmarkId::new("h1-trajectory", format!("n{n}_p{p}")),
             &cm,
             |b, cm| {
-                b.iter(|| black_box(fixed_period_trajectory(cm, TrajectoryKind::SplitMono)));
+                b.iter(|| {
+                    black_box(fixed_period_trajectory_in(
+                        cm,
+                        TrajectoryKind::SplitMono,
+                        &mut SolveWorkspace::new(),
+                    ))
+                });
             },
         );
         // The workspace-reusing form: the difference against the line
@@ -67,7 +72,14 @@ fn bench_sp_bi_p(c: &mut Criterion) {
             BenchmarkId::new("h3", format!("n{n}_p{p}")),
             &target,
             |b, &target| {
-                b.iter(|| black_box(sp_bi_p(&cm, black_box(target), SpBiPOptions::default())));
+                b.iter(|| {
+                    black_box(sp_bi_p_in(
+                        &cm,
+                        black_box(target),
+                        SpBiPOptions::default(),
+                        &mut SolveWorkspace::new(),
+                    ))
+                });
             },
         );
     }
@@ -76,7 +88,8 @@ fn bench_sp_bi_p(c: &mut Criterion) {
 
 /// Exact solver generations at the old Auto cutoff: the routed public
 /// entry (v3 dominance DP where it applies), the v2 branch-and-bound,
-/// and the blind v1 enumeration.
+/// and the blind v1 enumeration. v3 and v2 run on one warm workspace,
+/// as the library's solve path does.
 fn bench_exact_generations(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernel/exact");
     let n = 12usize;
@@ -84,20 +97,21 @@ fn bench_exact_generations(c: &mut Criterion) {
     let gen = InstanceGenerator::new(InstanceParams::paper(ExperimentKind::E2, n, p));
     let (app, pf) = gen.instance(1, 0);
     let cm = CostModel::new(&app, &pf);
+    let mut ws = SolveWorkspace::new();
     group.bench_function(BenchmarkId::new("min-period-v3", format!("n{n}")), |b| {
-        b.iter(|| black_box(exact::exact_min_period(&cm)));
+        b.iter(|| black_box(exact::exact_min_period_in(&cm, &mut ws)));
     });
     group.bench_function(BenchmarkId::new("min-period-v2", format!("n{n}")), |b| {
-        b.iter(|| black_box(exact::exact_min_period_dfs(&cm)));
+        b.iter(|| black_box(exact::exact_min_period_dfs_in(&cm, &mut ws)));
     });
     group.bench_function(BenchmarkId::new("min-period-v1", format!("n{n}")), |b| {
         b.iter(|| black_box(exact::exact_min_period_blind(&cm)));
     });
     group.bench_function(BenchmarkId::new("front-v3", format!("n{n}")), |b| {
-        b.iter(|| black_box(exact::exact_pareto_front(&cm)));
+        b.iter(|| black_box(exact::exact_pareto_front_in(&cm, &mut ws)));
     });
     group.bench_function(BenchmarkId::new("front-v2", format!("n{n}")), |b| {
-        b.iter(|| black_box(exact::exact_pareto_front_dfs(&cm)));
+        b.iter(|| black_box(exact::exact_pareto_front_dfs_in(&cm, &mut ws)));
     });
     group.bench_function(BenchmarkId::new("front-v1", format!("n{n}")), |b| {
         b.iter(|| black_box(exact::exact_pareto_front_blind(&cm)));
@@ -119,20 +133,21 @@ fn bench_exact_dp_frontier(c: &mut Criterion) {
     let pf = Platform::comm_homogeneous(vec![10.0; p], 10.0).expect("valid platform");
     let cm = CostModel::new(&app, &pf);
     assert!(exact::supports_dominance_dp(&cm));
+    let mut ws = SolveWorkspace::new();
     group.bench_function(
         BenchmarkId::new("min-period-v3", format!("n{n}_p{p}")),
         |b| {
-            b.iter(|| black_box(exact::exact_min_period(&cm)));
+            b.iter(|| black_box(exact::exact_min_period_in(&cm, &mut ws)));
         },
     );
     group.bench_function(
         BenchmarkId::new("min-period-v2", format!("n{n}_p{p}")),
         |b| {
-            b.iter(|| black_box(exact::exact_min_period_dfs(&cm)));
+            b.iter(|| black_box(exact::exact_min_period_dfs_in(&cm, &mut ws)));
         },
     );
     group.bench_function(BenchmarkId::new("front-v3", format!("n{n}_p{p}")), |b| {
-        b.iter(|| black_box(exact::exact_pareto_front(&cm)));
+        b.iter(|| black_box(exact::exact_pareto_front_in(&cm, &mut ws)));
     });
     group.finish();
 }

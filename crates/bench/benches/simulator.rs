@@ -2,6 +2,7 @@
 //! sizes and input regimes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use pipeline_core::SolveWorkspace;
 use pipeline_model::generator::{ExperimentKind, InstanceGenerator, InstanceParams};
 use pipeline_model::CostModel;
 use pipeline_sim::{InputPolicy, PipelineSim, SimConfig};
@@ -13,7 +14,8 @@ fn bench_simulation(c: &mut Criterion) {
         let gen = InstanceGenerator::new(InstanceParams::paper(ExperimentKind::E2, n, p));
         let (app, pf) = gen.instance(5, 0);
         let cm = CostModel::new(&app, &pf);
-        let res = pipeline_core::sp_mono_p(&cm, 0.4 * cm.single_proc_period());
+        let target = 0.4 * cm.single_proc_period();
+        let res = pipeline_core::sp_mono_p_in(&cm, target, &mut SolveWorkspace::new());
         let datasets = 200usize;
         group.throughput(Throughput::Elements(datasets as u64));
         group.bench_with_input(
@@ -54,7 +56,8 @@ fn bench_trace_overhead(c: &mut Criterion) {
     let gen = InstanceGenerator::new(InstanceParams::paper(ExperimentKind::E1, 20, 10));
     let (app, pf) = gen.instance(9, 0);
     let cm = CostModel::new(&app, &pf);
-    let res = pipeline_core::sp_mono_p(&cm, 0.5 * cm.single_proc_period());
+    let target = 0.5 * cm.single_proc_period();
+    let res = pipeline_core::sp_mono_p_in(&cm, target, &mut SolveWorkspace::new());
     let mut group = c.benchmark_group("simulator_trace");
     for record in [false, true] {
         group.bench_with_input(

@@ -188,7 +188,8 @@ pub fn sv_pareto_front(cm: &CostModel<'_>) -> ParetoFront<IntervalMapping> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact::{exact_min_latency_for_period, exact_min_period};
+    use crate::exact::{exact_min_latency_for_period_in, exact_min_period_in};
+    use crate::SolveWorkspace;
     use pipeline_model::{Application, Platform};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -204,11 +205,12 @@ mod tests {
 
     #[test]
     fn matches_exhaustive_on_small_instances() {
+        let mut ws = SolveWorkspace::new();
         for seed in 0..5 {
             let (app, pf) = random_hom_instance(seed, 7, 3);
             let cm = CostModel::new(&app, &pf);
             let (sv_p, sv_map) = sv_min_period(&cm);
-            let (ex_p, _) = exact_min_period(&cm);
+            let (ex_p, _) = exact_min_period_in(&cm, &mut ws);
             assert!(
                 (sv_p - ex_p).abs() < 1e-9,
                 "seed {seed}: SV {sv_p} vs exact {ex_p}"
@@ -218,7 +220,7 @@ mod tests {
             for factor in [1.0, 1.3, 2.0] {
                 let bound = sv_p * factor;
                 let sv = sv_min_latency_for_period(&cm, bound).expect("feasible");
-                let ex = exact_min_latency_for_period(&cm, bound).expect("feasible");
+                let ex = exact_min_latency_for_period_in(&cm, bound, &mut ws).expect("feasible");
                 assert!(
                     (sv.0 - ex.0).abs() < 1e-9,
                     "seed {seed} ×{factor}: SV latency {} vs exact {}",
@@ -271,7 +273,7 @@ mod tests {
             let (app, pf) = random_hom_instance(seed + 10, 8, 4);
             let cm = CostModel::new(&app, &pf);
             let (p_opt, _) = sv_min_period(&cm);
-            let h1 = crate::sp_mono_p(&cm, 0.0);
+            let h1 = crate::sp_mono_p_in(&cm, 0.0, &mut SolveWorkspace::new());
             assert!(h1.period >= p_opt - 1e-9, "H1 beat the optimal period");
         }
     }

@@ -163,7 +163,8 @@ pub fn gap(achieved: f64, bound: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact::exact_min_period;
+    use crate::exact::exact_min_period_in;
+    use crate::SolveWorkspace;
     use pipeline_model::generator::{ExperimentKind, InstanceGenerator, InstanceParams};
 
     #[test]
@@ -173,7 +174,7 @@ mod tests {
                 let gen = InstanceGenerator::new(InstanceParams::paper(kind, 7, 4));
                 let (app, pf) = gen.instance(seed, 0);
                 let cm = CostModel::new(&app, &pf);
-                let (opt, _) = exact_min_period(&cm);
+                let (opt, _) = exact_min_period_in(&cm, &mut SolveWorkspace::new());
                 for budget in [0u64, 10_000_000] {
                     let b = period_lower_bound(&cm, budget);
                     assert!(
@@ -233,7 +234,7 @@ mod tests {
         for seed in 0..5 {
             let (app, pf) = gen.instance(seed, 0);
             let cm = CostModel::new(&app, &pf);
-            let floor = crate::sp_mono_p(&cm, 0.0).period;
+            let floor = crate::sp_mono_p_in(&cm, 0.0, &mut SolveWorkspace::new()).period;
             let bound = period_lower_bound(&cm, 10_000_000).value;
             assert!(
                 floor <= 2.0 * bound + 1e-9,

@@ -19,16 +19,15 @@
 //! | H7 hetero split | [`crate::hetero::HeteroPolicy`] |
 //!
 //! Trajectories are recorded **by the engine itself**
-//! ([`SplitEngine::trajectory`]): any policy can be run to exhaustion
+//! ([`SplitEngine::trajectory_in`]): any policy can be run to exhaustion
 //! with a snapshot per split, which is how the bound-independent
 //! H1/H2a/H2b/H7 trajectories that back the sweep harness and the
 //! service caches are produced. Snapshots go straight into the
 //! [`Trajectory`] arena — no per-point mapping clone.
 //!
-//! Every entry point exists in two forms: the plain one (fresh scratch)
-//! and a `*_in` form threading a [`SolveWorkspace`], whose recycled
-//! buffers make the steady-state loop allocation-free. Both are pinned
-//! bit-identical to the pre-refactor per-heuristic loops by
+//! Every entry point threads a caller-owned [`SolveWorkspace`], whose
+//! recycled buffers make the steady-state loop allocation-free; results
+//! are pinned bit-identical to the pre-refactor per-heuristic loops by
 //! `tests/kernel_identity.rs`.
 
 use crate::state::{BiCriteriaResult, SplitMemo, SplitState};
@@ -112,11 +111,6 @@ pub trait SplitPolicy {
 pub struct SplitEngine;
 
 impl SplitEngine {
-    /// Runs a policy to its verdict with fresh scratch buffers.
-    pub fn run<P: SplitPolicy>(policy: &mut P, cm: &CostModel<'_>) -> BiCriteriaResult {
-        SplitEngine::run_in(policy, cm, &mut SolveWorkspace::new())
-    }
-
     /// Runs a policy to its verdict: init, then alternate
     /// [`SplitPolicy::verdict`] and [`SplitPolicy::step`] until one of
     /// them ends the run. The workspace's recycled buffers make the loop
@@ -140,12 +134,6 @@ impl SplitEngine {
                 return result;
             }
         }
-    }
-
-    /// Runs a policy to exhaustion with fresh scratch buffers, recording
-    /// a snapshot per state.
-    pub fn trajectory<P: SplitPolicy>(policy: &mut P, cm: &CostModel<'_>) -> Trajectory {
-        SplitEngine::trajectory_in(policy, cm, &mut SolveWorkspace::new())
     }
 
     /// Runs a policy to exhaustion, ignoring its verdict, and records a
@@ -268,7 +256,7 @@ impl SplitPolicy for BudgetedPolicy {
 }
 
 /// H2a/H2b — three-way exploration of the bottleneck interval toward a
-/// period target, with the documented two-way fallback (DESIGN.md §4)
+/// period target, with the two-way fallback of [`crate::explore`]
 /// when the interval has fewer than three stages or a single processor
 /// remains.
 #[derive(Debug, Clone, Copy)]
@@ -394,11 +382,12 @@ mod tests {
     fn engine_run_matches_policy_free_functions() {
         // The public heuristic entry points are wrappers over the engine;
         // running the policies directly must agree with them bitwise.
+        let mut ws = SolveWorkspace::new();
         let (app, pf) = instance(7);
         let cm = CostModel::new(&app, &pf);
         let target = 0.6 * cm.single_proc_period();
-        let via_engine = SplitEngine::run(&mut MonoPeriodPolicy { target }, &cm);
-        let via_fn = crate::sp_mono_p(&cm, target);
+        let via_engine = SplitEngine::run_in(&mut MonoPeriodPolicy { target }, &cm, &mut ws);
+        let via_fn = crate::sp_mono_p_in(&cm, target, &mut ws);
         assert_eq!(via_engine.feasible, via_fn.feasible);
         assert_eq!(via_engine.period.to_bits(), via_fn.period.to_bits());
         assert_eq!(via_engine.latency.to_bits(), via_fn.latency.to_bits());
@@ -407,20 +396,22 @@ mod tests {
 
     #[test]
     fn engine_trajectory_is_prefix_consistent_with_runs() {
+        let mut ws = SolveWorkspace::new();
         let (app, pf) = instance(9);
         let cm = CostModel::new(&app, &pf);
-        let traj = SplitEngine::trajectory(
+        let traj = SplitEngine::trajectory_in(
             &mut ExplorePolicy {
                 target: 0.0,
                 bi: true,
             },
             &cm,
+            &mut ws,
         );
         assert!(traj.len() > 1, "must have split at least once");
         // Each point must be reachable as a direct run with its own
         // period as the target.
         for pt in traj.iter() {
-            let direct = crate::three_explo_bi(&cm, pt.period());
+            let direct = crate::three_explo_bi_in(&cm, pt.period(), &mut ws);
             assert!(direct.feasible);
             assert!(direct.period <= pt.period() + pipeline_model::util::EPS);
         }
@@ -428,22 +419,24 @@ mod tests {
 
     #[test]
     fn budgeted_policy_records_init_feasibility() {
+        let mut ws = SolveWorkspace::new();
         let (app, pf) = instance(11);
         let cm = CostModel::new(&app, &pf);
         let l_opt = cm.optimal_latency();
-        let ok = SplitEngine::run(&mut BudgetedPolicy::mono(l_opt), &cm);
+        let ok = SplitEngine::run_in(&mut BudgetedPolicy::mono(l_opt), &cm, &mut ws);
         assert!(ok.feasible);
-        let too_tight = SplitEngine::run(&mut BudgetedPolicy::mono(0.5 * l_opt), &cm);
+        let too_tight = SplitEngine::run_in(&mut BudgetedPolicy::mono(0.5 * l_opt), &cm, &mut ws);
         assert!(!too_tight.feasible);
     }
 
     #[test]
     fn bi_period_policy_shares_its_memo_across_runs() {
+        let mut ws = SolveWorkspace::new();
         let (app, pf) = instance(13);
         let cm = CostModel::new(&app, &pf);
         let target = 0.7 * cm.single_proc_period();
         let mut memo = SplitMemo::new();
-        let first = SplitEngine::run(
+        let first = SplitEngine::run_in(
             &mut BiPeriodPolicy {
                 target,
                 budget: None,
@@ -451,9 +444,10 @@ mod tests {
                 memo: &mut memo,
             },
             &cm,
+            &mut ws,
         );
         // A warm-memo replay of the same run must be bit-identical.
-        let second = SplitEngine::run(
+        let second = SplitEngine::run_in(
             &mut BiPeriodPolicy {
                 target,
                 budget: None,
@@ -461,6 +455,7 @@ mod tests {
                 memo: &mut memo,
             },
             &cm,
+            &mut ws,
         );
         assert_eq!(first.period.to_bits(), second.period.to_bits());
         assert_eq!(first.latency.to_bits(), second.latency.to_bits());

@@ -107,7 +107,7 @@
 
 use crate::pareto::ParetoFront;
 use crate::workspace::SolveWorkspace;
-use pipeline_assign::{bottleneck_assignment, hungarian, hungarian_in, CostMatrix};
+use pipeline_assign::{bottleneck_assignment, hungarian_in, CostMatrix, HungarianScratch};
 use pipeline_model::prelude::*;
 use pipeline_model::util::{approx_le, EPS};
 use std::collections::hash_map::Entry;
@@ -394,13 +394,8 @@ impl<'c, 'a> PartitionSearch<'c, 'a> {
 /// Routes through the v3 dominance DP when it applies (see
 /// [`supports_dominance_dp`]), falling back to the v2 partition search;
 /// bit-identical to [`exact_min_period_blind`] either way. Returns the
-/// optimal mapping.
-pub fn exact_min_period(cm: &CostModel<'_>) -> (f64, IntervalMapping) {
-    exact_min_period_in(cm, &mut SolveWorkspace::new())
-}
-
-/// [`exact_min_period`] reusing the workspace's assignment matrices and
-/// DP tables (bit-identical result).
+/// optimal mapping. The workspace lends its assignment matrices and DP
+/// tables.
 pub fn exact_min_period_in(cm: &CostModel<'_>, ws: &mut SolveWorkspace) -> (f64, IntervalMapping) {
     if !supports_dominance_dp(cm) {
         return exact_min_period_dfs_in(cm, ws);
@@ -419,12 +414,6 @@ pub fn exact_min_period_in(cm: &CostModel<'_>, ws: &mut SolveWorkspace) -> (f64,
 /// bottleneck assignment per surviving leaf. Kept as the mid-tier
 /// differential reference between the dominance DP and the blind
 /// enumeration.
-pub fn exact_min_period_dfs(cm: &CostModel<'_>) -> (f64, IntervalMapping) {
-    exact_min_period_dfs_in(cm, &mut SolveWorkspace::new())
-}
-
-/// [`exact_min_period_dfs`] reusing the workspace's assignment matrices
-/// (bit-identical result).
 pub fn exact_min_period_dfs_in(
     cm: &CostModel<'_>,
     ws: &mut SolveWorkspace,
@@ -451,15 +440,6 @@ pub fn exact_min_period_dfs_in(
 /// no interval mapping satisfies the bound. Routes through the v3
 /// dominance DP when it applies, falling back to the v2 search;
 /// bit-identical to [`exact_min_latency_for_period_blind`] either way.
-pub fn exact_min_latency_for_period(
-    cm: &CostModel<'_>,
-    period_bound: f64,
-) -> Option<(f64, IntervalMapping)> {
-    exact_min_latency_for_period_in(cm, period_bound, &mut SolveWorkspace::new())
-}
-
-/// [`exact_min_latency_for_period`] reusing the workspace's assignment
-/// matrices, Hungarian scratch and DP tables (bit-identical result).
 pub fn exact_min_latency_for_period_in(
     cm: &CostModel<'_>,
     period_bound: f64,
@@ -481,15 +461,6 @@ pub fn exact_min_latency_for_period_in(
 /// The v2 latency-under-period-bound solver: branch-and-bound over
 /// partitions, one Hungarian solve per surviving leaf. Kept as the
 /// mid-tier differential reference.
-pub fn exact_min_latency_for_period_dfs(
-    cm: &CostModel<'_>,
-    period_bound: f64,
-) -> Option<(f64, IntervalMapping)> {
-    exact_min_latency_for_period_dfs_in(cm, period_bound, &mut SolveWorkspace::new())
-}
-
-/// [`exact_min_latency_for_period_dfs`] reusing the workspace's
-/// assignment matrices and Hungarian scratch (bit-identical result).
 pub fn exact_min_latency_for_period_dfs_in(
     cm: &CostModel<'_>,
     period_bound: f64,
@@ -533,7 +504,7 @@ pub fn exact_min_period_for_latency(
     cm: &CostModel<'_>,
     latency_bound: f64,
 ) -> Option<(f64, IntervalMapping)> {
-    let front = exact_pareto_front(cm);
+    let front = exact_pareto_front_in(cm, &mut SolveWorkspace::new());
     let mut best: Option<(f64, IntervalMapping)> = None;
     for (period, latency, payload) in front.iter() {
         if approx_le(latency, latency_bound) && best.as_ref().is_none_or(|(v, _)| period < *v) {
@@ -551,13 +522,6 @@ pub fn exact_min_period_for_latency(
 /// then a v2 threshold sweep pruned against it — falling back to the
 /// plain v2 sweep; bit-identical to [`exact_pareto_front_blind`] either
 /// way.
-pub fn exact_pareto_front(cm: &CostModel<'_>) -> ParetoFront<IntervalMapping> {
-    exact_pareto_front_in(cm, &mut SolveWorkspace::new())
-}
-
-/// [`exact_pareto_front`] reusing the workspace's assignment matrices,
-/// Hungarian scratch, threshold-sweep buffers and DP tables
-/// (bit-identical result).
 pub fn exact_pareto_front_in(
     cm: &CostModel<'_>,
     ws: &mut SolveWorkspace,
@@ -582,13 +546,6 @@ pub fn exact_pareto_front_in(
 /// partition's bottleneck optimum, and reuses Hungarian sub-solves
 /// across thresholds that allow the same pair set — all
 /// output-preserving. Kept as the mid-tier differential reference.
-pub fn exact_pareto_front_dfs(cm: &CostModel<'_>) -> ParetoFront<IntervalMapping> {
-    exact_pareto_front_dfs_in(cm, &mut SolveWorkspace::new())
-}
-
-/// [`exact_pareto_front_dfs`] reusing the workspace's assignment
-/// matrices, Hungarian scratch and threshold-sweep buffers
-/// (bit-identical result).
 pub fn exact_pareto_front_dfs_in(
     cm: &CostModel<'_>,
     ws: &mut SolveWorkspace,
@@ -1498,7 +1455,7 @@ pub fn exact_min_latency_for_period_blind(
                 f64::INFINITY
             }
         });
-        if let Some(a) = hungarian(&costs) {
+        if let Some(a) = hungarian_in(&costs, &mut HungarianScratch::default()) {
             let latency = pc.latency_base + a.objective;
             if best.as_ref().is_none_or(|(v, _)| latency < *v) {
                 best = Some((latency, build_mapping(cm, &pc.intervals, &a.assigned)));
@@ -1534,7 +1491,9 @@ pub fn exact_pareto_front_blind(cm: &CostModel<'_>) -> ParetoFront<IntervalMappi
                     f64::INFINITY
                 }
             });
-            let Some(a) = hungarian(&costs) else { continue };
+            let Some(a) = hungarian_in(&costs, &mut HungarianScratch::default()) else {
+                continue;
+            };
             let latency = pc.latency_base + a.objective;
             let achieved = a
                 .assigned
@@ -1585,13 +1544,14 @@ mod tests {
 
     #[test]
     fn exact_min_period_is_a_lower_bound_for_heuristics() {
+        let mut ws = SolveWorkspace::new();
         for seed in 0..4 {
             let (app, pf) = small_instance(seed);
             let cm = CostModel::new(&app, &pf);
-            let (opt, mapping) = exact_min_period(&cm);
+            let (opt, mapping) = exact_min_period_in(&cm, &mut ws);
             assert!((cm.period(&mapping) - opt).abs() < 1e-9);
             // Every heuristic run to its floor stays above the optimum.
-            let h1 = crate::sp_mono_p(&cm, 0.0);
+            let h1 = crate::sp_mono_p_in(&cm, 0.0, &mut ws);
             assert!(
                 h1.period >= opt - 1e-9,
                 "H1 {} beat the optimum {opt}",
@@ -1606,7 +1566,8 @@ mod tests {
         let (app, pf) = small_instance(1);
         let cm = CostModel::new(&app, &pf);
         let (lat, mapping) =
-            exact_min_latency_for_period(&cm, f64::INFINITY).expect("always feasible");
+            exact_min_latency_for_period_in(&cm, f64::INFINITY, &mut SolveWorkspace::new())
+                .expect("always feasible");
         assert!((lat - cm.optimal_latency()).abs() < 1e-9);
         assert_eq!(mapping.n_intervals(), 1);
         assert_eq!(mapping.proc_of(0), pf.fastest());
@@ -1614,19 +1575,20 @@ mod tests {
 
     #[test]
     fn exact_latency_constrained_respects_period_bound() {
+        let mut ws = SolveWorkspace::new();
         let (app, pf) = small_instance(2);
         let cm = CostModel::new(&app, &pf);
-        let (p_opt, _) = exact_min_period(&cm);
+        let (p_opt, _) = exact_min_period_in(&cm, &mut ws);
         for factor in [1.0, 1.2, 1.5, 2.0] {
             let bound = p_opt * factor;
-            let (lat, mapping) =
-                exact_min_latency_for_period(&cm, bound).expect("bound ≥ optimal period");
+            let (lat, mapping) = exact_min_latency_for_period_in(&cm, bound, &mut ws)
+                .expect("bound ≥ optimal period");
             assert!(cm.period(&mapping) <= bound + 1e-9);
             assert!((cm.latency(&mapping) - lat).abs() < 1e-9);
             assert!(lat >= cm.optimal_latency() - 1e-9);
         }
         // Below the optimal period: infeasible.
-        assert!(exact_min_latency_for_period(&cm, p_opt * 0.99 - 1e-6).is_none());
+        assert!(exact_min_latency_for_period_in(&cm, p_opt * 0.99 - 1e-6, &mut ws).is_none());
     }
 
     #[test]
@@ -1639,15 +1601,16 @@ mod tests {
         assert!((p_at_lopt - cm.single_proc_period()).abs() < 1e-9);
         // Generous latency: the unconstrained optimal period.
         let (p_free, _) = exact_min_period_for_latency(&cm, l_opt * 100.0).unwrap();
-        let (p_opt, _) = exact_min_period(&cm);
+        let (p_opt, _) = exact_min_period_in(&cm, &mut SolveWorkspace::new());
         assert!((p_free - p_opt).abs() < 1e-9);
     }
 
     #[test]
     fn pareto_front_brackets_every_heuristic_result() {
+        let mut ws = SolveWorkspace::new();
         let (app, pf) = small_instance(4);
         let cm = CostModel::new(&app, &pf);
-        let front = exact_pareto_front(&cm);
+        let front = exact_pareto_front_in(&cm, &mut ws);
         assert!(!front.is_empty());
         // Front points are mutually non-dominated and self-consistent.
         for (period, latency, payload) in front.iter() {
@@ -1662,7 +1625,7 @@ mod tests {
             } else {
                 cm.optimal_latency() * 2.0
             };
-            let res = kind.run(&cm, target);
+            let res = kind.run_in(&cm, target, &mut ws);
             // Tolerance: the front and the heuristic compute the same
             // quantities along different floating-point paths.
             assert!(
@@ -1674,10 +1637,11 @@ mod tests {
 
     #[test]
     fn pareto_extremes_match_dedicated_solvers() {
+        let mut ws = SolveWorkspace::new();
         let (app, pf) = small_instance(5);
         let cm = CostModel::new(&app, &pf);
-        let front = exact_pareto_front(&cm);
-        let (p_opt, _) = exact_min_period(&cm);
+        let front = exact_pareto_front_in(&cm, &mut ws);
+        let (p_opt, _) = exact_min_period_in(&cm, &mut ws);
         let min_front_period = front.first().expect("non-empty").0;
         assert!((min_front_period - p_opt).abs() < 1e-9);
         let min_front_latency = front
@@ -1695,13 +1659,17 @@ mod tests {
     /// `tests/kernel_identity.rs`; this is the fast in-crate check.)
     #[test]
     fn v2_matches_blind_reference_bitwise() {
+        let mut ws = SolveWorkspace::new();
         for (n, p, seed) in [(6usize, 4usize, 0u64), (8, 5, 1), (9, 6, 2), (10, 4, 3)] {
             let gen = InstanceGenerator::new(InstanceParams::paper(ExperimentKind::E1, n, p));
             let (app, pf) = gen.instance(seed, 0);
             let cm = CostModel::new(&app, &pf);
 
             let (v1, m1) = exact_min_period_blind(&cm);
-            for (v, m) in [exact_min_period(&cm), exact_min_period_dfs(&cm)] {
+            for (v, m) in [
+                exact_min_period_in(&cm, &mut ws),
+                exact_min_period_dfs_in(&cm, &mut ws),
+            ] {
                 assert_eq!(v.to_bits(), v1.to_bits(), "n={n} p={p} seed={seed}");
                 assert_eq!(m, m1, "n={n} p={p} seed={seed}");
             }
@@ -1710,8 +1678,8 @@ mod tests {
                 let bound = v1 * factor;
                 let b = exact_min_latency_for_period_blind(&cm, bound);
                 for a in [
-                    exact_min_latency_for_period(&cm, bound),
-                    exact_min_latency_for_period_dfs(&cm, bound),
+                    exact_min_latency_for_period_in(&cm, bound, &mut ws),
+                    exact_min_latency_for_period_dfs_in(&cm, bound, &mut ws),
                 ] {
                     match (a, &b) {
                         (None, None) => {}
@@ -1725,7 +1693,10 @@ mod tests {
             }
 
             let f1 = exact_pareto_front_blind(&cm);
-            for f2 in [exact_pareto_front(&cm), exact_pareto_front_dfs(&cm)] {
+            for f2 in [
+                exact_pareto_front_in(&cm, &mut ws),
+                exact_pareto_front_dfs_in(&cm, &mut ws),
+            ] {
                 assert_eq!(f2.len(), f1.len(), "n={n} p={p} seed={seed}");
                 for (a, b) in f2.iter().zip(f1.iter()) {
                     assert_eq!(a.0.to_bits(), b.0.to_bits());
@@ -1744,7 +1715,7 @@ mod tests {
         let gen = InstanceGenerator::new(InstanceParams::paper(ExperimentKind::E2, 14, 6));
         let (app, pf) = gen.instance(0, 0);
         let cm = CostModel::new(&app, &pf);
-        let (p_opt, mapping) = exact_min_period(&cm);
+        let (p_opt, mapping) = exact_min_period_in(&cm, &mut SolveWorkspace::new());
         assert!((cm.period(&mapping) - p_opt).abs() < 1e-9);
         assert!(p_opt >= cm.period_lower_bound() - 1e-9);
     }
@@ -1761,6 +1732,6 @@ mod tests {
         let app = Application::uniform(MAX_STAGES + 1, 1.0, 1.0).unwrap();
         let pf = Platform::comm_homogeneous(vec![1.0, 2.0], 1.0).unwrap();
         let cm = CostModel::new(&app, &pf);
-        let _ = exact_min_period(&cm);
+        let _ = exact_min_period_in(&cm, &mut SolveWorkspace::new());
     }
 }

@@ -5,12 +5,11 @@
 //! parts, two of which go to the next pair of fastest unused processors —
 //! every cut pair and every part→processor permutation is tested.
 //!
-//! The paper leaves two corner cases unspecified, resolved here (and
-//! documented in DESIGN.md §4): when the interval has fewer than three
-//! stages, or when only one unused processor remains, the heuristics fall
-//! back to the corresponding two-way split (H1's move for the mono
-//! variant, H5's move for the bi variant). With no unused processor at
-//! all, no move exists.
+//! The paper leaves two corner cases unspecified, resolved here: when
+//! the interval has fewer than three stages, or when only one unused
+//! processor remains, the heuristics fall back to the corresponding
+//! two-way split (H1's move for the mono variant, H5's move for the bi
+//! variant). With no unused processor at all, no move exists.
 //!
 //! Both variants are [`crate::engine::ExplorePolicy`] instances over the
 //! shared [`crate::engine::SplitEngine`] drive loop.
@@ -23,17 +22,6 @@ use pipeline_model::prelude::*;
 /// H2a — *3-Exploration mono-criterion* (fixed period): split the
 /// bottleneck interval in three, choosing the cuts/permutation minimizing
 /// `max(period(j), period(j'), period(j''))`.
-pub fn three_explo_mono(cm: &CostModel<'_>, period_target: f64) -> BiCriteriaResult {
-    SplitEngine::run(
-        &mut ExplorePolicy {
-            target: period_target,
-            bi: false,
-        },
-        cm,
-    )
-}
-
-/// [`three_explo_mono`] reusing workspace buffers (bit-identical result).
 pub fn three_explo_mono_in(
     cm: &CostModel<'_>,
     period_target: f64,
@@ -51,17 +39,6 @@ pub fn three_explo_mono_in(
 
 /// H2b — *3-Exploration bi-criteria* (fixed period): same exploration,
 /// selecting by `min max_i Δlatency/Δperiod(i)`.
-pub fn three_explo_bi(cm: &CostModel<'_>, period_target: f64) -> BiCriteriaResult {
-    SplitEngine::run(
-        &mut ExplorePolicy {
-            target: period_target,
-            bi: true,
-        },
-        cm,
-    )
-}
-
-/// [`three_explo_bi`] reusing workspace buffers (bit-identical result).
 pub fn three_explo_bi_in(
     cm: &CostModel<'_>,
     period_target: f64,
@@ -93,7 +70,11 @@ mod tests {
     fn explo_mono_consumes_processors_in_pairs() {
         let (app, pf) = paper_instance(1, 12, 10);
         let cm = CostModel::new(&app, &pf);
-        let res = three_explo_mono(&cm, 0.5 * cm.single_proc_period());
+        let res = three_explo_mono_in(
+            &cm,
+            0.5 * cm.single_proc_period(),
+            &mut SolveWorkspace::new(),
+        );
         // Interval counts grow by 2 per 3-way step (1 → 3 → 5 → …) while
         // 3-way moves are possible, so odd counts are expected unless a
         // 2-way fallback fired.
@@ -107,8 +88,8 @@ mod tests {
     fn explo_trivial_target_is_lemma_1() {
         let (app, pf) = paper_instance(2, 10, 10);
         let cm = CostModel::new(&app, &pf);
-        for f in [three_explo_mono, three_explo_bi] {
-            let res = f(&cm, cm.single_proc_period());
+        for f in [three_explo_mono_in, three_explo_bi_in] {
+            let res = f(&cm, cm.single_proc_period(), &mut SolveWorkspace::new());
             assert!(res.feasible);
             assert_eq!(res.mapping.n_intervals(), 1);
         }
@@ -118,7 +99,7 @@ mod tests {
     fn explo_mono_improves_period_over_initial() {
         let (app, pf) = paper_instance(3, 20, 10);
         let cm = CostModel::new(&app, &pf);
-        let res = three_explo_mono(&cm, 0.0); // impossible → run to floor
+        let res = three_explo_mono_in(&cm, 0.0, &mut SolveWorkspace::new()); // impossible → run to floor
         assert!(!res.feasible);
         assert!(
             res.period < cm.single_proc_period() - EPS,
@@ -130,7 +111,7 @@ mod tests {
     fn explo_bi_improves_period_over_initial() {
         let (app, pf) = paper_instance(3, 20, 10);
         let cm = CostModel::new(&app, &pf);
-        let res = three_explo_bi(&cm, 0.0);
+        let res = three_explo_bi_in(&cm, 0.0, &mut SolveWorkspace::new());
         assert!(!res.feasible);
         assert!(res.period < cm.single_proc_period() - EPS);
     }
@@ -140,7 +121,7 @@ mod tests {
         let app = Application::new(vec![10.0, 10.0], vec![1.0, 1.0, 1.0]).unwrap();
         let pf = Platform::comm_homogeneous(vec![2.0, 2.0, 2.0], 10.0).unwrap();
         let cm = CostModel::new(&app, &pf);
-        let res = three_explo_mono(&cm, 6.0);
+        let res = three_explo_mono_in(&cm, 6.0, &mut SolveWorkspace::new());
         // Single proc period = 0.1 + 10 + 0.1 = 10.2; the only possible
         // move is the 2-way split into [10][10] → cycles 5.2 each.
         assert!(res.feasible);
@@ -155,7 +136,7 @@ mod tests {
         let cm = CostModel::new(&app, &pf);
         // p = 2 → after the initial mapping only one processor is unused,
         // so the first (and only) move must be a 2-way split.
-        let res = three_explo_mono(&cm, 7.0);
+        let res = three_explo_mono_in(&cm, 7.0, &mut SolveWorkspace::new());
         assert!(res.feasible);
         assert_eq!(res.mapping.n_intervals(), 2);
         // Best split of 30 work over two speed-3 processors: 20/10 → max
@@ -169,8 +150,8 @@ mod tests {
             let (app, pf) = paper_instance(seed, 10, 10);
             let cm = CostModel::new(&app, &pf);
             let target = 0.6 * cm.single_proc_period();
-            for f in [three_explo_mono, three_explo_bi] {
-                let res = f(&cm, target);
+            for f in [three_explo_mono_in, three_explo_bi_in] {
+                let res = f(&cm, target, &mut SolveWorkspace::new());
                 if res.feasible {
                     assert!(res.period <= target + EPS);
                 }
@@ -184,6 +165,7 @@ mod tests {
         // wildly larger latencies than mono for the same target. Checked
         // loosely over a few seeds to catch implementation inversions
         // (e.g. maximizing instead of minimizing the ratio).
+        let mut ws = SolveWorkspace::new();
         let mut mono_total = 0.0;
         let mut bi_total = 0.0;
         let mut counted = 0;
@@ -191,8 +173,8 @@ mod tests {
             let (app, pf) = paper_instance(seed, 20, 10);
             let cm = CostModel::new(&app, &pf);
             let target = 0.5 * cm.single_proc_period();
-            let m = three_explo_mono(&cm, target);
-            let b = three_explo_bi(&cm, target);
+            let m = three_explo_mono_in(&cm, target, &mut ws);
+            let b = three_explo_bi_in(&cm, target, &mut ws);
             if m.feasible && b.feasible {
                 mono_total += m.latency;
                 bi_total += b.latency;

@@ -196,7 +196,7 @@ struct ChosenSplit {
 /// matters), accepting only candidates strictly improving the
 /// bottleneck's old cycle. Ties break toward lower global period, then
 /// latency. The period target is never consulted — the split sequence is
-/// target-independent, which is what makes [`hetero_trajectory`] answer
+/// target-independent, which is what makes [`hetero_trajectory_in`] answer
 /// every target from one recorded run.
 fn best_split(
     cm: &CostModel<'_>,
@@ -380,21 +380,6 @@ impl SplitPolicy for HeteroPolicy {
 
 /// Splitting heuristic minimizing latency under a period bound on fully
 /// heterogeneous platforms (also accepts Communication Homogeneous ones).
-pub fn hetero_sp_mono_p(
-    cm: &CostModel<'_>,
-    period_target: f64,
-    opts: HeteroSplitOptions,
-) -> BiCriteriaResult {
-    SplitEngine::run(
-        &mut HeteroPolicy {
-            target: period_target,
-            opts,
-        },
-        cm,
-    )
-}
-
-/// [`hetero_sp_mono_p`] reusing workspace buffers (bit-identical result).
 pub fn hetero_sp_mono_p_in(
     cm: &CostModel<'_>,
     period_target: f64,
@@ -411,7 +396,8 @@ pub fn hetero_sp_mono_p_in(
     )
 }
 
-/// Records the full split path of [`hetero_sp_mono_p`] run to exhaustion.
+/// Records the full split path of [`hetero_sp_mono_p_in`] run to
+/// exhaustion.
 ///
 /// The split choices never consult the period target (see
 /// [`best_split`]), so — exactly like the H1/H2a/H2b trajectories of
@@ -419,12 +405,6 @@ pub fn hetero_sp_mono_p_in(
 /// via [`Trajectory::result_for_period`]. The sharded sweep engine relies
 /// on this to sweep heterogeneous-platform scenario families at the same
 /// O(run + grid) cost as the paper families.
-pub fn hetero_trajectory(cm: &CostModel<'_>, opts: HeteroSplitOptions) -> Trajectory {
-    SplitEngine::trajectory(&mut HeteroPolicy { target: 0.0, opts }, cm)
-}
-
-/// [`hetero_trajectory`] reusing workspace buffers (bit-identical
-/// result).
 pub fn hetero_trajectory_in(
     cm: &CostModel<'_>,
     opts: HeteroSplitOptions,
@@ -436,7 +416,7 @@ pub fn hetero_trajectory_in(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::split::sp_mono_p;
+    use crate::split::sp_mono_p_in;
     use pipeline_model::{Application, Platform};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -459,6 +439,7 @@ mod tests {
 
     #[test]
     fn reduces_to_h1_on_comm_homogeneous_platforms() {
+        let mut ws = SolveWorkspace::new();
         for seed in 0..6 {
             let app = random_app(seed, 12);
             let mut rng = StdRng::seed_from_u64(seed);
@@ -466,8 +447,13 @@ mod tests {
             let pf = Platform::comm_homogeneous(speeds, 10.0).unwrap();
             let cm = CostModel::new(&app, &pf);
             let target = 0.6 * cm.single_proc_period();
-            let h1 = sp_mono_p(&cm, target);
-            let ext = hetero_sp_mono_p(&cm, target, HeteroSplitOptions { candidate_procs: 1 });
+            let h1 = sp_mono_p_in(&cm, target, &mut ws);
+            let ext = hetero_sp_mono_p_in(
+                &cm,
+                target,
+                HeteroSplitOptions { candidate_procs: 1 },
+                &mut ws,
+            );
             assert_eq!(h1.feasible, ext.feasible, "seed {seed}");
             if h1.feasible {
                 assert!(
@@ -487,7 +473,12 @@ mod tests {
             let pf = random_het_platform(seed, 6);
             let cm = CostModel::new(&app, &pf);
             let initial = cm.period(&IntervalMapping::all_on_fastest(&app, &pf));
-            let res = hetero_sp_mono_p(&cm, 0.0, HeteroSplitOptions::default());
+            let res = hetero_sp_mono_p_in(
+                &cm,
+                0.0,
+                HeteroSplitOptions::default(),
+                &mut SolveWorkspace::new(),
+            );
             assert!(!res.feasible);
             assert!(
                 res.period <= initial + EPS,
@@ -504,14 +495,17 @@ mod tests {
         // Considering more candidate processors explores a superset of
         // moves at each greedy step; greedy being myopic this is not a
         // theorem, but a large regression would indicate a bug.
+        let mut ws = SolveWorkspace::new();
         let mut narrow_total = 0.0;
         let mut wide_total = 0.0;
         for seed in 0..8 {
             let app = random_app(seed, 10);
             let pf = random_het_platform(seed + 100, 8);
             let cm = CostModel::new(&app, &pf);
-            let narrow = hetero_sp_mono_p(&cm, 0.0, HeteroSplitOptions { candidate_procs: 1 });
-            let wide = hetero_sp_mono_p(&cm, 0.0, HeteroSplitOptions { candidate_procs: 4 });
+            let narrow =
+                hetero_sp_mono_p_in(&cm, 0.0, HeteroSplitOptions { candidate_procs: 1 }, &mut ws);
+            let wide =
+                hetero_sp_mono_p_in(&cm, 0.0, HeteroSplitOptions { candidate_procs: 4 }, &mut ws);
             narrow_total += narrow.period;
             wide_total += wide.period;
         }
@@ -523,11 +517,12 @@ mod tests {
 
     #[test]
     fn feasible_target_met_exactly() {
+        let mut ws = SolveWorkspace::new();
         let app = random_app(42, 8);
         let pf = random_het_platform(42, 6);
         let cm = CostModel::new(&app, &pf);
-        let floor = hetero_sp_mono_p(&cm, 0.0, HeteroSplitOptions::default()).period;
-        let res = hetero_sp_mono_p(&cm, floor * 1.2, HeteroSplitOptions::default());
+        let floor = hetero_sp_mono_p_in(&cm, 0.0, HeteroSplitOptions::default(), &mut ws).period;
+        let res = hetero_sp_mono_p_in(&cm, floor * 1.2, HeteroSplitOptions::default(), &mut ws);
         assert!(res.feasible);
         assert!(res.period <= floor * 1.2 + EPS);
     }
@@ -536,16 +531,17 @@ mod tests {
     fn trajectory_matches_direct_runs_at_every_target() {
         // The split sequence is target-independent, so one recorded
         // trajectory must answer any target exactly like a direct run.
+        let mut ws = SolveWorkspace::new();
         for seed in 0..4 {
             let app = random_app(seed, 10);
             let pf = random_het_platform(seed + 50, 6);
             let cm = CostModel::new(&app, &pf);
             let opts = HeteroSplitOptions::default();
-            let traj = hetero_trajectory(&cm, opts);
+            let traj = hetero_trajectory_in(&cm, opts, &mut ws);
             let p0 = cm.period(&IntervalMapping::all_on_fastest(&app, &pf));
             for target in [p0 * 1.5, p0 * 0.8, p0 * 0.5, traj.min_period(), 0.0] {
                 let via_traj = traj.result_for_period(target);
-                let direct = hetero_sp_mono_p(&cm, target, opts);
+                let direct = hetero_sp_mono_p_in(&cm, target, opts, &mut ws);
                 assert_eq!(via_traj.feasible, direct.feasible, "seed {seed}@{target}");
                 assert!(
                     (via_traj.period - direct.period).abs() < 1e-12,
@@ -568,7 +564,7 @@ mod tests {
             let pf = random_het_platform(seed + 7, 6);
             let cm = CostModel::new(&app, &pf);
             let opts = HeteroSplitOptions::default();
-            let fresh = hetero_sp_mono_p(&cm, 0.0, opts);
+            let fresh = hetero_sp_mono_p_in(&cm, 0.0, opts, &mut SolveWorkspace::new());
             let reused = hetero_sp_mono_p_in(&cm, 0.0, opts, &mut ws);
             assert_eq!(fresh.period.to_bits(), reused.period.to_bits());
             assert_eq!(fresh.latency.to_bits(), reused.latency.to_bits());
@@ -578,12 +574,14 @@ mod tests {
 
     #[test]
     fn trajectory_starts_at_lemma_1_and_reaches_the_floor() {
+        let mut ws = SolveWorkspace::new();
         let app = random_app(3, 9);
         let pf = random_het_platform(3, 5);
         let cm = CostModel::new(&app, &pf);
-        let traj = hetero_trajectory(&cm, HeteroSplitOptions::default());
+        let traj = hetero_trajectory_in(&cm, HeteroSplitOptions::default(), &mut ws);
         assert_eq!(traj.point(0).n_intervals(), 1);
-        let direct_floor = hetero_sp_mono_p(&cm, 0.0, HeteroSplitOptions::default()).period;
+        let direct_floor =
+            hetero_sp_mono_p_in(&cm, 0.0, HeteroSplitOptions::default(), &mut ws).period;
         assert!((traj.min_period() - direct_floor).abs() < 1e-12);
     }
 
@@ -592,7 +590,12 @@ mod tests {
         let app = Application::uniform(1, 10.0, 1.0).unwrap();
         let pf = random_het_platform(7, 4);
         let cm = CostModel::new(&app, &pf);
-        let res = hetero_sp_mono_p(&cm, 1e-9, HeteroSplitOptions::default());
+        let res = hetero_sp_mono_p_in(
+            &cm,
+            1e-9,
+            HeteroSplitOptions::default(),
+            &mut SolveWorkspace::new(),
+        );
         assert!(!res.feasible);
         assert_eq!(res.mapping.n_intervals(), 1);
     }

@@ -67,11 +67,8 @@ pub mod trajectory;
 pub mod workspace;
 
 pub use engine::{EngineState, SplitEngine, SplitPolicy};
-pub use explore::{three_explo_bi, three_explo_bi_in, three_explo_mono, three_explo_mono_in};
-pub use hetero::{
-    hetero_sp_mono_p, hetero_sp_mono_p_in, hetero_trajectory, hetero_trajectory_in,
-    HeteroSplitOptions,
-};
+pub use explore::{three_explo_bi_in, three_explo_mono_in};
+pub use hetero::{hetero_sp_mono_p_in, hetero_trajectory_in, HeteroSplitOptions};
 pub use pareto::ParetoFront;
 pub use replan::{replan, DetectedFault, ReplanError, ReplanReport};
 pub use serve::{
@@ -81,16 +78,13 @@ pub use serve::{
 pub use service::{
     BoundLookup, PreparedInstance, SolveError, SolveReport, SolveRequest, SolverId, UnknownSolver,
 };
-pub use solve::{Objective, Scheduler, Strategy};
-pub use split::{
-    sp_bi_l, sp_bi_l_in, sp_bi_p, sp_bi_p_in, sp_mono_l, sp_mono_l_in, sp_mono_p, sp_mono_p_in,
-    SpBiPOptions,
-};
+pub use solve::{Objective, Strategy};
+pub use split::{sp_bi_l_in, sp_bi_p_in, sp_mono_l_in, sp_mono_p_in, SpBiPOptions};
 pub use state::{BiCriteriaResult, SplitBuffers, SplitMemo, SplitState};
 pub use tenancy::{
     CoSchedOptions, CoSchedule, PartitionObjective, TenancyError, Tenant, TenantOutcome, TenantSet,
 };
-pub use trajectory::{fixed_period_trajectory, fixed_period_trajectory_in, Trajectory};
+pub use trajectory::{fixed_period_trajectory_in, Trajectory};
 pub use workspace::SolveWorkspace;
 
 use pipeline_model::prelude::*;
@@ -117,7 +111,7 @@ pub enum HeuristicKind {
     SpMonoL,
     /// H6 (paper H5) — "Sp bi L": bi-criteria splitting, fixed latency.
     SpBiL,
-    /// H7 — [`hetero::hetero_sp_mono_p`], the §7 extension: splitting with
+    /// H7 — [`hetero::hetero_sp_mono_p_in`], the §7 extension: splitting with
     /// per-link bandwidths, fixed period. The only heuristic applicable
     /// to fully heterogeneous platforms; excluded from [`Self::ALL`]
     /// because the paper's Table 1 covers H1..H6 only.
@@ -197,13 +191,7 @@ impl HeuristicKind {
 
     /// Runs the heuristic with its natural constraint (`target` is a
     /// period bound for the period-fixed heuristics, a latency bound
-    /// otherwise).
-    pub fn run(&self, cm: &CostModel<'_>, target: f64) -> BiCriteriaResult {
-        self.run_in(cm, target, &mut SolveWorkspace::new())
-    }
-
-    /// [`Self::run`] reusing a caller-owned workspace (bit-identical
-    /// result; the batch form for experiment loops).
+    /// otherwise), on the caller's workspace scratch.
     pub fn run_in(
         &self,
         cm: &CostModel<'_>,
@@ -288,7 +276,7 @@ mod tests {
             } else {
                 l_opt * 4.0
             };
-            let res = kind.run(&cm, target);
+            let res = kind.run_in(&cm, target, &mut SolveWorkspace::new());
             assert!(res.feasible, "{kind} infeasible at a trivial target");
             let (p, l) = cm.evaluate(&res.mapping);
             assert!((p - res.period).abs() < 1e-9);

@@ -19,7 +19,7 @@
 //! heuristics can be compared against — interval mappings always weakly
 //! dominate (tests verify both directions).
 
-use pipeline_assign::{bottleneck_assignment, hungarian, CostMatrix};
+use pipeline_assign::{bottleneck_assignment, hungarian_in, CostMatrix, HungarianScratch};
 use pipeline_model::prelude::*;
 use pipeline_model::util::approx_le;
 
@@ -72,7 +72,7 @@ pub fn one_to_one_min_latency_for_period(
             f64::INFINITY
         }
     });
-    let a = hungarian(&costs)?;
+    let a = hungarian_in(&costs, &mut HungarianScratch::default())?;
     let mapping = IntervalMapping::one_to_one(app, cm.platform(), a.assigned)
         .expect("assignment is injective");
     Some((cm.latency(&mapping), mapping))
@@ -103,7 +103,8 @@ pub fn one_to_one_greedy(cm: &CostModel<'_>) -> IntervalMapping {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact::{exact_min_latency_for_period, exact_min_period};
+    use crate::exact::{exact_min_latency_for_period_in, exact_min_period_in};
+    use crate::SolveWorkspace;
     use pipeline_model::generator::{ExperimentKind, InstanceGenerator, InstanceParams};
     use pipeline_model::{Application, Platform};
 
@@ -143,7 +144,7 @@ mod tests {
             let (app, pf) = instance(seed);
             let cm = CostModel::new(&app, &pf);
             let (p_121, _) = one_to_one_min_period(&cm);
-            let (p_iv, _) = exact_min_period(&cm);
+            let (p_iv, _) = exact_min_period_in(&cm, &mut SolveWorkspace::new());
             assert!(
                 p_iv <= p_121 + 1e-9,
                 "seed {seed}: interval optimum {p_iv} worse than one-to-one {p_121}"
@@ -163,7 +164,9 @@ mod tests {
             assert!(cm.period(&mapping) <= bound + 1e-9);
             assert!((cm.latency(&mapping) - lat).abs() < 1e-9);
             // The interval-mapping exact optimum can only be ≤.
-            let (lat_iv, _) = exact_min_latency_for_period(&cm, bound).expect("feasible");
+            let (lat_iv, _) =
+                exact_min_latency_for_period_in(&cm, bound, &mut SolveWorkspace::new())
+                    .expect("feasible");
             assert!(lat_iv <= lat + 1e-9);
         }
         assert!(one_to_one_min_latency_for_period(&cm, p_opt * 0.99).is_none());

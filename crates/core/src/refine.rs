@@ -151,8 +151,9 @@ pub fn refine_mapping(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact::exact_min_period;
-    use crate::sp_mono_p;
+    use crate::exact::exact_min_period_in;
+    use crate::sp_mono_p_in;
+    use crate::SolveWorkspace;
     use pipeline_model::generator::{ExperimentKind, InstanceGenerator, InstanceParams};
 
     #[test]
@@ -162,7 +163,7 @@ mod tests {
             for seed in 0..4 {
                 let (app, pf) = gen.instance(seed, 0);
                 let cm = CostModel::new(&app, &pf);
-                let base = sp_mono_p(&cm, 0.0);
+                let base = sp_mono_p_in(&cm, 0.0, &mut SolveWorkspace::new());
                 let budget = base.latency * 1.2;
                 let refined = refine_mapping(&cm, &base.mapping, budget);
                 assert!(
@@ -224,13 +225,14 @@ mod tests {
 
     #[test]
     fn refined_heuristics_stay_above_exact_optimum() {
+        let mut ws = SolveWorkspace::new();
         let gen = InstanceGenerator::new(InstanceParams::paper(ExperimentKind::E2, 7, 4));
         for seed in 0..4 {
             let (app, pf) = gen.instance(seed, 0);
             let cm = CostModel::new(&app, &pf);
-            let base = sp_mono_p(&cm, 0.0);
+            let base = sp_mono_p_in(&cm, 0.0, &mut ws);
             let refined = refine_mapping(&cm, &base.mapping, f64::INFINITY);
-            let (opt, _) = exact_min_period(&cm);
+            let (opt, _) = exact_min_period_in(&cm, &mut ws);
             assert!(refined.period >= opt - 1e-9);
         }
     }

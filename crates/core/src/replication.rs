@@ -221,7 +221,8 @@ pub fn replicate_bottlenecks(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::split::sp_mono_p;
+    use crate::split::sp_mono_p_in;
+    use crate::SolveWorkspace;
     use pipeline_model::{Application, Platform};
 
     fn fixture() -> (Application, Platform) {
@@ -273,7 +274,7 @@ mod tests {
         let (app, pf) = fixture();
         let cm = CostModel::new(&app, &pf);
         // Splitting alone bottoms out at the heaviest stage's cycle:
-        let floor = sp_mono_p(&cm, 0.0);
+        let floor = sp_mono_p_in(&cm, 0.0, &mut SolveWorkspace::new());
         let target = floor.period * 0.6;
         let rep = replicate_bottlenecks(&cm, &floor.mapping, target);
         assert!(
@@ -290,7 +291,7 @@ mod tests {
         let app = Application::uniform(2, 10.0, 1.0).unwrap();
         let pf = Platform::comm_homogeneous(vec![2.0, 2.0], 10.0).unwrap();
         let cm = CostModel::new(&app, &pf);
-        let base = sp_mono_p(&cm, 0.0);
+        let base = sp_mono_p_in(&cm, 0.0, &mut SolveWorkspace::new());
         let rep = replicate_bottlenecks(&cm, &base.mapping, 1e-12);
         assert!(!rep.feasible);
         assert_eq!(rep.mapping.n_procs_used(), 2);
@@ -312,7 +313,7 @@ mod tests {
             let speeds: Vec<f64> = (0..10).map(|_| rng.random_range(1..=20) as f64).collect();
             let pf = Platform::comm_homogeneous(speeds, 10.0).unwrap();
             let cm = CostModel::new(&app, &pf);
-            let base = sp_mono_p(&cm, 0.0);
+            let base = sp_mono_p_in(&cm, 0.0, &mut SolveWorkspace::new());
             let rep = replicate_bottlenecks(&cm, &base.mapping, 0.0);
             assert!(
                 rep.period <= base.period + EPS,

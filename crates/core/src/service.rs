@@ -5,10 +5,10 @@
 //! minimize latency under a period bound, minimize period under a latency
 //! bound, and the binary search over the authorized latency — and its
 //! journal extension frames the heuristics as answering a *continuum* of
-//! bound queries. The one-shot `Scheduler::solve → Option<Solution>`
-//! façade could answer exactly one (objective, bound) pair per call,
-//! recomputed every heuristic trajectory from scratch, and lost *why* a
-//! query failed. This module replaces it with a session model:
+//! bound queries. A one-shot solve call would answer exactly one
+//! (objective, bound) pair, recompute every heuristic trajectory from
+//! scratch, and lose *why* a query failed. This module is a session
+//! model instead:
 //!
 //! * [`PreparedInstance`] owns one (application, platform) pair and
 //!   lazily memoizes everything *bound-independent* about it — the
@@ -1358,7 +1358,7 @@ mod tests {
             .into_iter()
             .filter(|k| k.is_period_fixed())
         {
-            let r = kind.run(&cm, bound);
+            let r = kind.run_in(&cm, bound, &mut SolveWorkspace::new());
             if r.feasible {
                 assert!(
                     report.result.latency <= r.latency + 1e-9,
@@ -1461,7 +1461,8 @@ mod tests {
             .expect("Auto routes n=8 to exact");
         assert_eq!(report.solver, SolverId::Exact);
         let front = report.front.expect("front query materializes the front");
-        let reference = exact::exact_pareto_front(&session.cost_model());
+        let reference =
+            exact::exact_pareto_front_in(&session.cost_model(), &mut SolveWorkspace::new());
         assert_eq!(front.len(), reference.len());
         for (got, want) in front.iter().zip(reference.iter()) {
             assert_eq!(got.0.to_bits(), want.0.to_bits());
@@ -1499,9 +1500,10 @@ mod tests {
 
     #[test]
     fn exact_bound_queries_agree_with_the_dedicated_solvers() {
+        let mut ws = SolveWorkspace::new();
         let session = prepared(7, 5);
         let cm = session.cost_model();
-        let (p_opt, _) = exact::exact_min_period(&cm);
+        let (p_opt, _) = exact::exact_min_period_in(&cm, &mut ws);
         for factor in [1.0, 1.2, 1.7] {
             let bound = p_opt * factor;
             let report = session
@@ -1510,7 +1512,8 @@ mod tests {
                         .strategy(Strategy::Exact),
                 )
                 .expect("bound >= optimal period");
-            let (l_star, _) = exact::exact_min_latency_for_period(&cm, bound).expect("feasible");
+            let (l_star, _) =
+                exact::exact_min_latency_for_period_in(&cm, bound, &mut ws).expect("feasible");
             assert!(
                 (report.result.latency - l_star).abs() < 1e-9,
                 "factor {factor}"
@@ -1583,14 +1586,16 @@ mod tests {
             }
         }
         // The wire layer refuses NaN before it reaches the solver.
-        assert!(pipeline_model::io::parse_request(
-            "solve id=1 objective=min-latency-for-period bound=nan strategy=h1"
+        assert!(pipeline_model::io::parse_request_at(
+            "solve id=1 objective=min-latency-for-period bound=nan strategy=h1",
+            0
         )
         .is_err());
-        assert!(
-            pipeline_model::io::parse_request("solve id=1 objective=min-period tolerance=nan")
-                .is_err()
-        );
+        assert!(pipeline_model::io::parse_request_at(
+            "solve id=1 objective=min-period tolerance=nan",
+            0
+        )
+        .is_err());
     }
 
     #[test]
@@ -1749,16 +1754,18 @@ mod tests {
 
     #[test]
     fn request_from_wire_applies_strategy_and_tolerance() {
-        let wire = pipeline_model::io::parse_request(
+        let wire = pipeline_model::io::parse_request_at(
             "solve id=1 objective=min-latency-for-period bound=2.5 strategy=h4 tolerance=1e-6",
+            0,
         )
         .unwrap();
         let req = SolveRequest::from_wire(&wire).unwrap();
         assert_eq!(req.objective, Objective::MinLatencyForPeriod(2.5));
         assert_eq!(req.strategy, Strategy::Heuristic(HeuristicKind::SpBiP));
         assert_eq!(req.tolerance, 1e-6);
-        let bad = pipeline_model::io::parse_request("solve id=1 objective=min-period strategy=h9")
-            .unwrap();
+        let bad =
+            pipeline_model::io::parse_request_at("solve id=1 objective=min-period strategy=h9", 0)
+                .unwrap();
         assert!(SolveRequest::from_wire(&bad).is_err());
     }
 }

@@ -1,18 +1,12 @@
-//! Objective/strategy vocabulary and the [`Scheduler`] configuration
-//! façade.
+//! Objective/strategy vocabulary of the solver service.
 //!
 //! The solving engine itself lives in [`crate::service`]: prepare an
-//! instance once with [`PreparedInstance`], then answer any number of
-//! typed [`SolveRequest`]s from its memoized trajectories. [`Scheduler`]
-//! survives as a small configuration holder whose
-//! [`Scheduler::solve_report`] is a one-shot convenience over the service
-//! API. (The pre-v1 `Scheduler::solve -> Option<Solution>` shim is gone;
-//! every caller now reads `Result<SolveReport, SolveError>`.)
+//! instance once with [`crate::PreparedInstance`], then answer any number
+//! of typed [`crate::SolveRequest`]s (an [`Objective`] × [`Strategy`])
+//! from its memoized trajectories.
 
-use crate::exact;
-use crate::service::{PreparedInstance, SolveError, SolveReport, SolveRequest, UnknownSolver};
+use crate::service::UnknownSolver;
 use crate::HeuristicKind;
-use pipeline_model::prelude::*;
 
 /// What to optimize.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -71,97 +65,34 @@ impl std::str::FromStr for Strategy {
     }
 }
 
-/// The legacy façade: strategy + exact cutoff. Construct with
-/// [`Scheduler::new`], tweak, then [`Scheduler::solve_report`] — or skip
-/// it entirely and use [`PreparedInstance`] when the same instance
-/// answers more than one query.
-#[derive(Debug, Clone)]
-pub struct Scheduler {
-    strategy: Strategy,
-    /// Largest `n` for which `Auto` picks the exponential exact solver.
-    exact_cutoff: usize,
-}
-
-impl Default for Scheduler {
-    fn default() -> Self {
-        Scheduler::new()
-    }
-}
-
-impl Scheduler {
-    /// A scheduler with `Auto` strategy and the default exact cutoff
-    /// ([`SolveRequest::DEFAULT_EXACT_CUTOFF`] stages — instantaneous for
-    /// the branch-and-bound exact solver).
-    pub fn new() -> Self {
-        Scheduler {
-            strategy: Strategy::Auto,
-            exact_cutoff: SolveRequest::DEFAULT_EXACT_CUTOFF,
-        }
-    }
-
-    /// Sets the strategy.
-    pub fn strategy(mut self, s: Strategy) -> Self {
-        self.strategy = s;
-        self
-    }
-
-    /// Sets the `Auto` exact cutoff, clamped to the enumeration guard
-    /// ([`exact::MAX_STAGES`]): above that, the exact search space does
-    /// not fit the solvers' bitmask/partition machinery.
-    pub fn exact_cutoff(mut self, n: usize) -> Self {
-        self.exact_cutoff = n.min(exact::MAX_STAGES);
-        self
-    }
-
-    /// The [`SolveRequest`] this scheduler's configuration corresponds
-    /// to.
-    pub fn request(&self, objective: Objective) -> SolveRequest {
-        SolveRequest::new(objective)
-            .strategy(self.strategy)
-            .exact_cutoff(self.exact_cutoff)
-    }
-
-    /// One-shot solve with structured reporting: prepares the instance,
-    /// answers one request, discards the session. Callers with more than
-    /// one query per instance should hold a [`PreparedInstance`] and
-    /// reuse it.
-    pub fn solve_report(
-        &self,
-        app: &Application,
-        platform: &Platform,
-        objective: Objective,
-    ) -> Result<SolveReport, SolveError> {
-        PreparedInstance::new(app.clone(), platform.clone()).solve(&self.request(objective))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SolverId;
+    use crate::{exact, PreparedInstance, SolveRequest, SolveWorkspace, SolverId};
     use pipeline_model::generator::{ExperimentKind, InstanceGenerator, InstanceParams};
 
-    fn instance(n: usize, p: usize) -> (Application, Platform) {
-        InstanceGenerator::new(InstanceParams::paper(ExperimentKind::E2, n, p)).instance(3, 0)
+    fn instance(n: usize, p: usize) -> PreparedInstance {
+        let (app, pf) =
+            InstanceGenerator::new(InstanceParams::paper(ExperimentKind::E2, n, p)).instance(3, 0);
+        PreparedInstance::new(app, pf)
     }
 
     #[test]
     fn auto_uses_exact_on_small_instances() {
-        let (app, pf) = instance(6, 5);
-        let report = Scheduler::new()
-            .solve_report(&app, &pf, Objective::MinPeriod)
+        let prepared = instance(6, 5);
+        let report = prepared
+            .solve(&SolveRequest::new(Objective::MinPeriod))
             .expect("min period always solvable");
         assert_eq!(report.solver, SolverId::Exact);
-        let cm = CostModel::new(&app, &pf);
-        let (p_opt, _) = exact::exact_min_period(&cm);
+        let (p_opt, _) =
+            exact::exact_min_period_in(&prepared.cost_model(), &mut SolveWorkspace::new());
         assert!((report.result.period - p_opt).abs() < 1e-9);
     }
 
     #[test]
     fn auto_uses_heuristics_on_large_instances() {
-        let (app, pf) = instance(30, 10);
-        let report = Scheduler::new()
-            .solve_report(&app, &pf, Objective::MinPeriod)
+        let report = instance(30, 10)
+            .solve(&SolveRequest::new(Objective::MinPeriod))
             .expect("solvable");
         assert_ne!(report.solver, SolverId::Exact);
         assert!(report.result.period > 0.0);
@@ -169,16 +100,24 @@ mod tests {
 
     #[test]
     fn exact_cutoff_is_configurable() {
-        let (app, pf) = instance(10, 6);
-        let report = Scheduler::new()
-            .exact_cutoff(4)
-            .solve_report(&app, &pf, Objective::MinPeriod)
-            .unwrap();
+        let request = SolveRequest::new(Objective::MinPeriod).exact_cutoff(4);
+        let report = instance(10, 6).solve(&request).unwrap();
         assert_ne!(
             report.solver,
             SolverId::Exact,
             "cutoff 4 must route n=10 to heuristics"
         );
+    }
+
+    #[test]
+    fn auto_clamps_an_unbounded_cutoff_to_the_exact_guard() {
+        let prepared = instance(exact::MAX_STAGES + 1, 6);
+        assert!(prepared.platform().is_comm_homogeneous());
+        let request = SolveRequest::new(Objective::MinPeriod).exact_cutoff(usize::MAX);
+        let report = prepared
+            .solve(&request)
+            .expect("Auto above the exact guard must fall back to heuristics");
+        assert_ne!(report.solver, SolverId::Exact);
     }
 
     #[test]

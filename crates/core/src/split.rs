@@ -17,16 +17,6 @@ use pipeline_model::prelude::*;
 /// processor's interval choosing the cut/orientation minimizing
 /// `max(period(j), period(j'))`; stop when the target is reached or no
 /// split improves the bottleneck.
-pub fn sp_mono_p(cm: &CostModel<'_>, period_target: f64) -> BiCriteriaResult {
-    SplitEngine::run(
-        &mut MonoPeriodPolicy {
-            target: period_target,
-        },
-        cm,
-    )
-}
-
-/// [`sp_mono_p`] reusing workspace buffers (bit-identical result).
 pub fn sp_mono_p_in(
     cm: &CostModel<'_>,
     period_target: f64,
@@ -48,11 +38,6 @@ pub fn sp_mono_p_in(
 /// the period and keeps the global latency within `latency_target`.
 /// Infeasible only when even the initial mapping exceeds the budget
 /// (i.e. `latency_target < L_opt`).
-pub fn sp_mono_l(cm: &CostModel<'_>, latency_target: f64) -> BiCriteriaResult {
-    SplitEngine::run(&mut BudgetedPolicy::mono(latency_target), cm)
-}
-
-/// [`sp_mono_l`] reusing workspace buffers (bit-identical result).
 pub fn sp_mono_l_in(
     cm: &CostModel<'_>,
     latency_target: f64,
@@ -63,14 +48,9 @@ pub fn sp_mono_l_in(
 
 /// H5 — *Splitting bi-criteria, fixed latency*.
 ///
-/// Like [`sp_mono_l`] but each step picks the split minimizing
+/// Like [`sp_mono_l_in`] but each step picks the split minimizing
 /// `max_{i∈{j,j'}} Δlatency/Δperiod(i)` among those within the latency
 /// budget.
-pub fn sp_bi_l(cm: &CostModel<'_>, latency_target: f64) -> BiCriteriaResult {
-    SplitEngine::run(&mut BudgetedPolicy::bi(latency_target), cm)
-}
-
-/// [`sp_bi_l`] reusing workspace buffers (bit-identical result).
 pub fn sp_bi_l_in(
     cm: &CostModel<'_>,
     latency_target: f64,
@@ -79,7 +59,7 @@ pub fn sp_bi_l_in(
     SplitEngine::run_in(&mut BudgetedPolicy::bi(latency_target), cm, ws)
 }
 
-/// Knobs of [`sp_bi_p`].
+/// Knobs of [`sp_bi_p_in`].
 #[derive(Debug, Clone, Copy)]
 pub struct SpBiPOptions {
     /// Binary-search iterations over the authorized latency.
@@ -116,18 +96,13 @@ impl Default for SpBiPOptions {
 ///
 /// All probe runs share one [`SplitMemo`]: consecutive probes replay the
 /// same split prefix until their budgets diverge, and the memoized
-/// selections turn those replayed steps into cache hits.
-pub fn sp_bi_p(cm: &CostModel<'_>, period_target: f64, opts: SpBiPOptions) -> BiCriteriaResult {
-    sp_bi_p_in(cm, period_target, opts, &mut SolveWorkspace::new())
-}
-
-/// [`sp_bi_p`] reusing workspace buffers: the ~30 probe runs of the
-/// binary search share the workspace's split buffers *and* its selection
-/// memo. The memo is taken *warm* when the workspace last served this
-/// very instance (fingerprint match) — repeated solves and
-/// delta-rebound memos start from cached selections — and reset
-/// otherwise, so reuse across instances stays safe. Bit-identical to
-/// the fresh-memo run either way.
+/// selections turn those replayed steps into cache hits. The ~30 probe
+/// runs share the workspace's split buffers *and* its selection memo.
+/// The memo is taken *warm* when the workspace last served this very
+/// instance (fingerprint match) — repeated solves and delta-rebound
+/// memos start from cached selections — and reset otherwise, so reuse
+/// across instances stays safe. Bit-identical to the fresh-memo run
+/// either way.
 pub fn sp_bi_p_in(
     cm: &CostModel<'_>,
     period_target: f64,
@@ -220,7 +195,11 @@ mod tests {
     fn sp_mono_p_trivial_target_returns_lemma1() {
         let (app, pf) = paper_instance(3);
         let cm = CostModel::new(&app, &pf);
-        let res = sp_mono_p(&cm, cm.single_proc_period() + 1.0);
+        let res = sp_mono_p_in(
+            &cm,
+            cm.single_proc_period() + 1.0,
+            &mut SolveWorkspace::new(),
+        );
         assert!(res.feasible);
         assert_eq!(res.mapping.n_intervals(), 1);
         assert!((res.latency - cm.optimal_latency()).abs() < 1e-9);
@@ -231,7 +210,7 @@ mod tests {
         let (app, pf) = paper_instance(3);
         let cm = CostModel::new(&app, &pf);
         let p0 = cm.single_proc_period();
-        let res = sp_mono_p(&cm, 0.8 * p0);
+        let res = sp_mono_p_in(&cm, 0.8 * p0, &mut SolveWorkspace::new());
         if res.feasible {
             assert!(res.period <= 0.8 * p0 + EPS);
             assert!(
@@ -244,27 +223,29 @@ mod tests {
 
     #[test]
     fn sp_mono_p_impossible_target_fails_at_its_floor() {
+        let mut ws = SolveWorkspace::new();
         let (app, pf) = paper_instance(3);
         let cm = CostModel::new(&app, &pf);
-        let res = sp_mono_p(&cm, 0.0);
+        let res = sp_mono_p_in(&cm, 0.0, &mut ws);
         assert!(!res.feasible);
         // The returned mapping is the heuristic's best effort; its period
         // is the heuristic's failure threshold for this instance.
         assert!(res.period > 0.0);
         // No further mono split can improve it.
-        let res2 = sp_mono_p(&cm, res.period);
+        let res2 = sp_mono_p_in(&cm, res.period, &mut ws);
         assert!(res2.feasible);
         assert!((res2.period - res.period).abs() < 1e-9);
     }
 
     #[test]
     fn sp_mono_l_infeasible_below_optimal_latency() {
+        let mut ws = SolveWorkspace::new();
         let (app, pf) = paper_instance(5);
         let cm = CostModel::new(&app, &pf);
         let l_opt = cm.optimal_latency();
-        let res = sp_mono_l(&cm, l_opt * 0.99);
+        let res = sp_mono_l_in(&cm, l_opt * 0.99, &mut ws);
         assert!(!res.feasible);
-        let res_ok = sp_mono_l(&cm, l_opt);
+        let res_ok = sp_mono_l_in(&cm, l_opt, &mut ws);
         assert!(res_ok.feasible);
     }
 
@@ -274,7 +255,7 @@ mod tests {
         let cm = CostModel::new(&app, &pf);
         let l_opt = cm.optimal_latency();
         let p0 = cm.single_proc_period();
-        let res = sp_mono_l(&cm, 2.0 * l_opt);
+        let res = sp_mono_l_in(&cm, 2.0 * l_opt, &mut SolveWorkspace::new());
         assert!(res.feasible);
         assert!(res.latency <= 2.0 * l_opt + EPS);
         assert!(res.period <= p0 + EPS);
@@ -284,12 +265,13 @@ mod tests {
     fn sp_bi_l_same_feasibility_threshold_as_mono() {
         // The paper observes (Table 1) that H5 and H6 share failure
         // thresholds: both are feasible iff L ≥ L_opt.
+        let mut ws = SolveWorkspace::new();
         let (app, pf) = paper_instance(7);
         let cm = CostModel::new(&app, &pf);
         let l_opt = cm.optimal_latency();
         for budget in [0.9 * l_opt, l_opt, 1.5 * l_opt] {
-            let mono = sp_mono_l(&cm, budget);
-            let bi = sp_bi_l(&cm, budget);
+            let mono = sp_mono_l_in(&cm, budget, &mut ws);
+            let bi = sp_bi_l_in(&cm, budget, &mut ws);
             assert_eq!(
                 mono.feasible, bi.feasible,
                 "thresholds must coincide at {budget}"
@@ -304,7 +286,7 @@ mod tests {
         let l_opt = cm.optimal_latency();
         let mut last_period = f64::INFINITY;
         for factor in [1.0, 1.5, 2.0, 3.0, 5.0] {
-            let res = sp_mono_l(&cm, factor * l_opt);
+            let res = sp_mono_l_in(&cm, factor * l_opt, &mut SolveWorkspace::new());
             assert!(res.feasible);
             // Greedy is not strictly monotone in theory, but each larger
             // budget admits at least the smaller budget's split sequence;
@@ -325,7 +307,12 @@ mod tests {
         let cm = CostModel::new(&app, &pf);
         let p0 = cm.single_proc_period();
         let target = 0.7 * p0;
-        let bi = sp_bi_p(&cm, target, SpBiPOptions::default());
+        let bi = sp_bi_p_in(
+            &cm,
+            target,
+            SpBiPOptions::default(),
+            &mut SolveWorkspace::new(),
+        );
         if bi.feasible {
             assert!(bi.period <= target + EPS);
             // H3 aims at latency: it should not be (much) worse than the
@@ -338,7 +325,12 @@ mod tests {
     fn sp_bi_p_trivial_target() {
         let (app, pf) = paper_instance(13);
         let cm = CostModel::new(&app, &pf);
-        let res = sp_bi_p(&cm, cm.single_proc_period(), SpBiPOptions::default());
+        let res = sp_bi_p_in(
+            &cm,
+            cm.single_proc_period(),
+            SpBiPOptions::default(),
+            &mut SolveWorkspace::new(),
+        );
         assert!(res.feasible);
         assert!((res.latency - cm.optimal_latency()).abs() < 1e-9);
     }
@@ -347,23 +339,30 @@ mod tests {
     fn sp_bi_p_infeasible_when_unconstrained_run_fails() {
         let (app, pf) = paper_instance(17);
         let cm = CostModel::new(&app, &pf);
-        let res = sp_bi_p(&cm, 1e-6, SpBiPOptions::default());
+        let res = sp_bi_p_in(
+            &cm,
+            1e-6,
+            SpBiPOptions::default(),
+            &mut SolveWorkspace::new(),
+        );
         assert!(!res.feasible);
     }
 
     #[test]
     fn sp_bi_p_denominator_variants_both_work() {
+        let mut ws = SolveWorkspace::new();
         let (app, pf) = paper_instance(19);
         let cm = CostModel::new(&app, &pf);
         let target = 0.75 * cm.single_proc_period();
-        let over_i = sp_bi_p(&cm, target, SpBiPOptions::default());
-        let over_j = sp_bi_p(
+        let over_i = sp_bi_p_in(&cm, target, SpBiPOptions::default(), &mut ws);
+        let over_j = sp_bi_p_in(
             &cm,
             target,
             SpBiPOptions {
                 denominator_over_i: false,
                 ..SpBiPOptions::default()
             },
+            &mut ws,
         );
         if over_i.feasible {
             assert!(over_i.period <= target + EPS);
@@ -375,15 +374,16 @@ mod tests {
 
     #[test]
     fn results_always_self_consistent() {
+        let mut ws = SolveWorkspace::new();
         let (app, pf) = paper_instance(23);
         let cm = CostModel::new(&app, &pf);
         let p0 = cm.single_proc_period();
         let l_opt = cm.optimal_latency();
         let checks: Vec<BiCriteriaResult> = vec![
-            sp_mono_p(&cm, 0.6 * p0),
-            sp_bi_p(&cm, 0.6 * p0, SpBiPOptions::default()),
-            sp_mono_l(&cm, 2.5 * l_opt),
-            sp_bi_l(&cm, 2.5 * l_opt),
+            sp_mono_p_in(&cm, 0.6 * p0, &mut ws),
+            sp_bi_p_in(&cm, 0.6 * p0, SpBiPOptions::default(), &mut ws),
+            sp_mono_l_in(&cm, 2.5 * l_opt, &mut ws),
+            sp_bi_l_in(&cm, 2.5 * l_opt, &mut ws),
         ];
         for res in checks {
             let (p, l) = cm.evaluate(&res.mapping);
@@ -401,7 +401,7 @@ mod tests {
             Application::new(vec![10.0, 10.0, 10.0, 10.0], vec![1.0, 1.0, 1.0, 1.0, 1.0]).unwrap();
         let pf = Platform::comm_homogeneous(vec![2.0, 2.0], 10.0).unwrap();
         let cm = CostModel::new(&app, &pf);
-        let res = sp_mono_l(&cm, cm.optimal_latency() * 3.0);
+        let res = sp_mono_l_in(&cm, cm.optimal_latency() * 3.0, &mut SolveWorkspace::new());
         assert!(res.feasible);
         assert!(
             res.period < cm.single_proc_period() - EPS,
@@ -415,16 +415,17 @@ mod tests {
         // Tolerance regression (routed through `pipeline_model::util`):
         // a bound exactly equal to a reachable period/latency must be
         // feasible — the comparisons are `approx_le`, not strict.
+        let mut ws = SolveWorkspace::new();
         let (app, pf) = paper_instance(29);
         let cm = CostModel::new(&app, &pf);
-        let floor = sp_mono_p(&cm, 0.0);
-        let at_floor = sp_mono_p(&cm, floor.period);
+        let floor = sp_mono_p_in(&cm, 0.0, &mut ws);
+        let at_floor = sp_mono_p_in(&cm, floor.period, &mut ws);
         assert!(at_floor.feasible, "target == reachable period must pass");
         assert_eq!(at_floor.period.to_bits(), floor.period.to_bits());
         // Latency side: the Lemma-1 latency is reachable by definition.
-        let at_l_opt = sp_mono_l(&cm, cm.optimal_latency());
+        let at_l_opt = sp_mono_l_in(&cm, cm.optimal_latency(), &mut ws);
         assert!(at_l_opt.feasible, "budget == L_opt must pass");
-        let bi_at_l_opt = sp_bi_l(&cm, cm.optimal_latency());
+        let bi_at_l_opt = sp_bi_l_in(&cm, cm.optimal_latency(), &mut ws);
         assert!(bi_at_l_opt.feasible);
     }
 }

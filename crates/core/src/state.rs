@@ -318,17 +318,12 @@ pub struct SplitState<'a> {
 }
 
 impl<'a> SplitState<'a> {
-    /// Starts from the Lemma-1 mapping with fresh buffers. Panics on
-    /// non-Communication Homogeneous platforms (use [`crate::hetero`] for
-    /// those).
-    pub fn new(cm: &CostModel<'a>) -> Self {
-        SplitState::new_in(cm, SplitBuffers::default())
-    }
-
     /// Starts from the Lemma-1 mapping, adopting `buffers` (cleared, the
     /// capacity kept) so a recycled buffer set makes construction and the
-    /// whole split loop allocation-free. Return the buffers with
-    /// [`Self::into_buffers`] when done.
+    /// whole split loop allocation-free; pass `SplitBuffers::default()`
+    /// for fresh ones. Return the buffers with [`Self::into_buffers`]
+    /// when done. Panics on non-Communication Homogeneous platforms (use
+    /// [`crate::hetero`] for those).
     pub fn new_in(cm: &CostModel<'a>, buffers: SplitBuffers) -> Self {
         assert!(
             cm.platform().is_comm_homogeneous(),
@@ -973,7 +968,7 @@ mod tests {
     fn initial_state_is_lemma_1() {
         let (app, pf) = setup();
         let cm = CostModel::new(&app, &pf);
-        let st = SplitState::new(&cm);
+        let st = SplitState::new_in(&cm, SplitBuffers::default());
         assert_eq!(st.entries().len(), 1);
         assert_eq!(st.entries()[0].proc, 1); // fastest (speed 4)
         assert_eq!(st.n_used(), 1);
@@ -986,7 +981,7 @@ mod tests {
     fn candidates_cover_all_cuts_and_orientations() {
         let (app, pf) = setup();
         let cm = CostModel::new(&app, &pf);
-        let st = SplitState::new(&cm);
+        let st = SplitState::new_in(&cm, SplitBuffers::default());
         let cands = st.candidate_splits2(0);
         // 3 cuts × 2 orientations.
         assert_eq!(cands.len(), 6);
@@ -998,7 +993,7 @@ mod tests {
     fn apply_split_updates_caches_consistently() {
         let (app, pf) = setup();
         let cm = CostModel::new(&app, &pf);
-        let mut st = SplitState::new(&cm);
+        let mut st = SplitState::new_in(&cm, SplitBuffers::default());
         let split = st
             .best_split2_mono(0, None)
             .expect("an improving split exists");
@@ -1020,7 +1015,7 @@ mod tests {
     fn mono_choice_minimizes_local_max() {
         let (app, pf) = setup();
         let cm = CostModel::new(&app, &pf);
-        let st = SplitState::new(&cm);
+        let st = SplitState::new_in(&cm, SplitBuffers::default());
         let best = st.best_split2_mono(0, None).unwrap();
         for c in st.candidate_splits2(0) {
             if c.local_max() < st.entries()[0].cycle - EPS {
@@ -1033,7 +1028,7 @@ mod tests {
     fn bi_choice_minimizes_ratio() {
         let (app, pf) = setup();
         let cm = CostModel::new(&app, &pf);
-        let st = SplitState::new(&cm);
+        let st = SplitState::new_in(&cm, SplitBuffers::default());
         let old = st.entries()[0].cycle;
         let lat = st.latency();
         let ratio =
@@ -1051,7 +1046,7 @@ mod tests {
     fn memoized_bi_selection_matches_direct_selection() {
         let (app, pf) = setup();
         let cm = CostModel::new(&app, &pf);
-        let st = SplitState::new(&cm);
+        let st = SplitState::new_in(&cm, SplitBuffers::default());
         let mut memo = SplitMemo::new();
         let budgets = [None, Some(st.latency()), Some(st.latency() * 100.0)];
         for budget in budgets {
@@ -1086,14 +1081,14 @@ mod tests {
     fn memo_refuses_cross_instance_reuse() {
         let (app, pf) = setup();
         let cm = CostModel::new(&app, &pf);
-        let st = SplitState::new(&cm);
+        let st = SplitState::new_in(&cm, SplitBuffers::default());
         let mut memo = SplitMemo::new();
         let _ = st.best_split2_bi_memo(0, None, &mut memo);
         // A different instance must not be able to hit this memo.
         let app2 = Application::new(vec![1.0, 2.0, 3.0], vec![1.0; 4]).unwrap();
         let pf2 = Platform::comm_homogeneous(vec![1.0, 2.0], 1.0).unwrap();
         let cm2 = CostModel::new(&app2, &pf2);
-        let st2 = SplitState::new(&cm2);
+        let st2 = SplitState::new_in(&cm2, SplitBuffers::default());
         let _ = st2.best_split2_bi_memo(0, None, &mut memo);
     }
 
@@ -1104,13 +1099,13 @@ mod tests {
         // answer matches an unmemoized selection on the new instance.
         let (app, pf) = setup();
         let cm = CostModel::new(&app, &pf);
-        let st = SplitState::new(&cm);
+        let st = SplitState::new_in(&cm, SplitBuffers::default());
         let mut memo = SplitMemo::new();
         let _ = st.best_split2_bi_memo(0, None, &mut memo);
         let app2 = Application::new(vec![1.0, 2.0, 3.0], vec![1.0; 4]).unwrap();
         let pf2 = Platform::comm_homogeneous(vec![1.0, 2.0], 1.0).unwrap();
         let cm2 = CostModel::new(&app2, &pf2);
-        let st2 = SplitState::new(&cm2);
+        let st2 = SplitState::new_in(&cm2, SplitBuffers::default());
         let warm = st2.best_split2_bi_memo(0, None, &mut memo);
         let direct = st2.best_split2_bi(0, None);
         assert_eq!(
@@ -1123,7 +1118,7 @@ mod tests {
     fn memo_migrate_keeps_approved_entries_and_rebinds() {
         let (app, pf) = setup();
         let cm = CostModel::new(&app, &pf);
-        let st = SplitState::new(&cm);
+        let st = SplitState::new_in(&cm, SplitBuffers::default());
         let mut memo = SplitMemo::new();
         let _ = st.best_split2_bi_memo(0, None, &mut memo);
         let _ = st.best_split2_bi_denom_j_memo(0, None, &mut memo);
@@ -1152,7 +1147,7 @@ mod tests {
     fn latency_budget_filters_candidates() {
         let (app, pf) = setup();
         let cm = CostModel::new(&app, &pf);
-        let st = SplitState::new(&cm);
+        let st = SplitState::new_in(&cm, SplitBuffers::default());
         // Budget exactly the current latency: splits strictly increase
         // latency on comm-homogeneous platforms whenever the new processor
         // is slower; with a tight budget nothing qualifies.
@@ -1168,7 +1163,7 @@ mod tests {
     fn splits_exhaust_processors() {
         let (app, pf) = setup();
         let cm = CostModel::new(&app, &pf);
-        let mut st = SplitState::new(&cm);
+        let mut st = SplitState::new_in(&cm, SplitBuffers::default());
         let mut splits = 0;
         while let Some(s) = st.best_split2_mono(st.bottleneck(), None) {
             let j = st.bottleneck();
@@ -1185,7 +1180,7 @@ mod tests {
         let app = Application::uniform(1, 5.0, 1.0).unwrap();
         let pf = Platform::comm_homogeneous(vec![1.0, 2.0], 1.0).unwrap();
         let cm = CostModel::new(&app, &pf);
-        let st = SplitState::new(&cm);
+        let st = SplitState::new_in(&cm, SplitBuffers::default());
         assert!(st.candidate_splits2(0).is_empty());
         assert!(st.best_split2_mono(0, None).is_none());
     }
@@ -1195,7 +1190,7 @@ mod tests {
         let app = Application::uniform(4, 5.0, 1.0).unwrap();
         let pf = Platform::comm_homogeneous(vec![3.0], 1.0).unwrap();
         let cm = CostModel::new(&app, &pf);
-        let st = SplitState::new(&cm);
+        let st = SplitState::new_in(&cm, SplitBuffers::default());
         assert_eq!(st.n_unused(), 0);
         assert!(st.candidate_splits2(0).is_empty());
     }
@@ -1211,14 +1206,14 @@ mod tests {
         )
         .unwrap();
         let cm = CostModel::new(&app, &pf);
-        let _ = SplitState::new(&cm);
+        let _ = SplitState::new_in(&cm, SplitBuffers::default());
     }
 
     #[test]
     fn period_decreases_monotonically_under_mono_splitting() {
         let (app, pf) = setup();
         let cm = CostModel::new(&app, &pf);
-        let mut st = SplitState::new(&cm);
+        let mut st = SplitState::new_in(&cm, SplitBuffers::default());
         let mut last = st.period();
         while let Some(s) = st.best_split2_mono(st.bottleneck(), None) {
             let j = st.bottleneck();
@@ -1236,7 +1231,7 @@ mod tests {
         let app = Application::new(vec![6.0, 6.0, 6.0, 6.0], vec![0.0; 5]).unwrap();
         let pf = Platform::comm_homogeneous(vec![3.0, 3.0, 3.0, 3.0], 1.0).unwrap();
         let cm = CostModel::new(&app, &pf);
-        let mut st = SplitState::new(&cm);
+        let mut st = SplitState::new_in(&cm, SplitBuffers::default());
         loop {
             let linear = st
                 .entries()

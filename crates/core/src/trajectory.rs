@@ -26,7 +26,7 @@
 //! asks for one.
 //!
 //! Recording itself is the engine's job
-//! ([`crate::engine::SplitEngine::trajectory`]); this module holds the
+//! ([`crate::engine::SplitEngine::trajectory_in`]); this module holds the
 //! trajectory types and the policy dispatch.
 
 use crate::engine::{ExplorePolicy, MonoPeriodPolicy, SplitEngine};
@@ -229,13 +229,6 @@ impl Trajectory {
     }
 }
 
-/// Records the trajectory of one fixed-period heuristic on one instance
-/// (fresh scratch buffers; prefer [`fixed_period_trajectory_in`] in
-/// batch loops).
-pub fn fixed_period_trajectory(cm: &CostModel<'_>, kind: TrajectoryKind) -> Trajectory {
-    fixed_period_trajectory_in(cm, kind, &mut SolveWorkspace::new())
-}
-
 /// Records the trajectory of one fixed-period heuristic on one instance,
 /// reusing the workspace's solve buffers.
 pub fn fixed_period_trajectory_in(
@@ -272,7 +265,7 @@ pub fn fixed_period_trajectory_in(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{sp_mono_p, three_explo_bi, three_explo_mono};
+    use crate::{sp_mono_p_in, three_explo_bi_in, three_explo_mono_in};
     use pipeline_model::generator::{ExperimentKind, InstanceGenerator, InstanceParams};
     use pipeline_model::util::EPS;
 
@@ -283,9 +276,10 @@ mod tests {
 
     #[test]
     fn trajectory_matches_direct_h1_runs() {
+        let mut ws = SolveWorkspace::new();
         let (app, pf) = cm_fixture(5);
         let cm = CostModel::new(&app, &pf);
-        let traj = fixed_period_trajectory(&cm, TrajectoryKind::SplitMono);
+        let traj = fixed_period_trajectory_in(&cm, TrajectoryKind::SplitMono, &mut ws);
         let p0 = cm.single_proc_period();
         for target in [
             p0 * 1.1,
@@ -296,7 +290,7 @@ mod tests {
             0.0,
         ] {
             let via_traj = traj.result_for_period(target);
-            let direct = sp_mono_p(&cm, target);
+            let direct = sp_mono_p_in(&cm, target, &mut ws);
             assert_eq!(via_traj.feasible, direct.feasible, "target {target}");
             assert!(
                 (via_traj.period - direct.period).abs() < 1e-9,
@@ -311,18 +305,20 @@ mod tests {
 
     #[test]
     fn trajectory_matches_direct_explo_runs() {
+        let mut ws = SolveWorkspace::new();
         let (app, pf) = cm_fixture(6);
         let cm = CostModel::new(&app, &pf);
-        type DirectFn = for<'x, 'y> fn(&'x CostModel<'y>, f64) -> BiCriteriaResult;
+        type DirectFn =
+            for<'x, 'y, 'z> fn(&'x CostModel<'y>, f64, &'z mut SolveWorkspace) -> BiCriteriaResult;
         for (kind, direct_fn) in [
-            (TrajectoryKind::ExploMono, three_explo_mono as DirectFn),
-            (TrajectoryKind::ExploBi, three_explo_bi as DirectFn),
+            (TrajectoryKind::ExploMono, three_explo_mono_in as DirectFn),
+            (TrajectoryKind::ExploBi, three_explo_bi_in as DirectFn),
         ] {
-            let traj = fixed_period_trajectory(&cm, kind);
+            let traj = fixed_period_trajectory_in(&cm, kind, &mut ws);
             let p0 = cm.single_proc_period();
             for target in [p0, p0 * 0.6, traj.min_period(), 0.0] {
                 let via_traj = traj.result_for_period(target);
-                let direct = direct_fn(&cm, target);
+                let direct = direct_fn(&cm, target, &mut ws);
                 assert_eq!(via_traj.feasible, direct.feasible);
                 assert!((via_traj.period - direct.period).abs() < 1e-9);
                 assert!((via_traj.latency - direct.latency).abs() < 1e-9);
@@ -339,7 +335,7 @@ mod tests {
             TrajectoryKind::ExploMono,
             TrajectoryKind::ExploBi,
         ] {
-            let traj = fixed_period_trajectory(&cm, kind);
+            let traj = fixed_period_trajectory_in(&cm, kind, &mut SolveWorkspace::new());
             for w in traj.periods().windows(2) {
                 assert!(
                     w[1] <= w[0] + EPS,
@@ -354,7 +350,8 @@ mod tests {
     fn first_point_is_lemma_1() {
         let (app, pf) = cm_fixture(8);
         let cm = CostModel::new(&app, &pf);
-        let traj = fixed_period_trajectory(&cm, TrajectoryKind::SplitMono);
+        let traj =
+            fixed_period_trajectory_in(&cm, TrajectoryKind::SplitMono, &mut SolveWorkspace::new());
         assert_eq!(traj.point(0).n_intervals(), 1);
         assert!((traj.point(0).latency() - cm.optimal_latency()).abs() < 1e-12);
     }
@@ -363,7 +360,8 @@ mod tests {
     fn infeasible_target_returns_last_point() {
         let (app, pf) = cm_fixture(9);
         let cm = CostModel::new(&app, &pf);
-        let traj = fixed_period_trajectory(&cm, TrajectoryKind::SplitMono);
+        let traj =
+            fixed_period_trajectory_in(&cm, TrajectoryKind::SplitMono, &mut SolveWorkspace::new());
         let res = traj.result_for_period(traj.min_period() * 0.5);
         assert!(!res.feasible);
         assert!((res.period - traj.min_period()).abs() < 1e-12);
@@ -377,7 +375,8 @@ mod tests {
         // `pipeline_model::util`).
         let (app, pf) = cm_fixture(10);
         let cm = CostModel::new(&app, &pf);
-        let traj = fixed_period_trajectory(&cm, TrajectoryKind::SplitMono);
+        let traj =
+            fixed_period_trajectory_in(&cm, TrajectoryKind::SplitMono, &mut SolveWorkspace::new());
         for pt in traj.iter() {
             let res = traj.result_for_period(pt.period());
             assert!(res.feasible, "exact boundary target {} failed", pt.period());
@@ -391,7 +390,8 @@ mod tests {
         // under a fresh cost-model evaluation.
         let (app, pf) = cm_fixture(11);
         let cm = CostModel::new(&app, &pf);
-        let traj = fixed_period_trajectory(&cm, TrajectoryKind::ExploBi);
+        let traj =
+            fixed_period_trajectory_in(&cm, TrajectoryKind::ExploBi, &mut SolveWorkspace::new());
         assert!(!traj.is_empty());
         for pt in traj.iter() {
             let mapping = pt.mapping();
@@ -412,7 +412,7 @@ mod tests {
             TrajectoryKind::ExploMono,
             TrajectoryKind::ExploBi,
         ] {
-            let fresh = fixed_period_trajectory(&cm, kind);
+            let fresh = fixed_period_trajectory_in(&cm, kind, &mut SolveWorkspace::new());
             // Twice through the same workspace: warm buffers must not
             // change anything.
             for _ in 0..2 {

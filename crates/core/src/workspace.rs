@@ -16,10 +16,10 @@
 //! heterogeneous extension keeps its candidate loop allocation-free but
 //! still materializes one mapping per accepted split.
 //!
-//! Results are identical with or without a workspace — buffers only
-//! recycle capacity, never values — so every `*_in` entry point is
-//! bit-identical to its allocating counterpart (pinned by
-//! `tests/kernel_identity.rs`).
+//! Results do not depend on the workspace's history — buffers only
+//! recycle capacity, never values — so a reused workspace answers every
+//! `*_in` entry point bit-identically to a fresh one (pinned by this
+//! module's tests and `tests/kernel_identity.rs`).
 
 use crate::state::{SplitBuffers, SplitMemo};
 use pipeline_assign::{CostMatrix, HungarianScratch};
@@ -130,25 +130,114 @@ impl SolveWorkspace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{MonoPeriodPolicy, SplitEngine};
+    use crate::exact::{
+        exact_min_latency_for_period_in, exact_min_period_in, exact_pareto_front_in,
+    };
+    use crate::hetero::{hetero_trajectory_in, HeteroSplitOptions};
+    use crate::trajectory::{fixed_period_trajectory_in, Trajectory, TrajectoryKind};
+    use crate::HeuristicKind;
     use pipeline_model::generator::{ExperimentKind, InstanceGenerator, InstanceParams};
+
+    /// One solver outcome with its floats as bit patterns: equal keys
+    /// mean bit-identical outcomes.
+    fn key(period: f64, latency: f64, mapping: &IntervalMapping) -> String {
+        format!("{:x} {:x} {mapping:?}", period.to_bits(), latency.to_bits())
+    }
+
+    fn trajectory_key(traj: &Trajectory) -> Vec<String> {
+        traj.iter()
+            .map(|pt| key(pt.period(), pt.latency(), &pt.mapping()))
+            .collect()
+    }
+
+    fn heuristic(kind: HeuristicKind, cm: &CostModel<'_>, ws: &mut SolveWorkspace) -> Vec<String> {
+        let target = if kind.is_period_fixed() {
+            0.6 * cm.single_proc_period()
+        } else {
+            1.5 * cm.optimal_latency()
+        };
+        let r = kind.run_in(cm, target, ws);
+        vec![format!(
+            "{} {}",
+            r.feasible,
+            key(r.period, r.latency, &r.mapping)
+        )]
+    }
+
+    type EntryPoint = fn(&CostModel<'_>, &mut SolveWorkspace) -> Vec<String>;
+
+    /// Every public entry point that takes a workspace.
+    const ENTRY_POINTS: [(&str, EntryPoint); 14] = [
+        ("H1", |cm, ws| heuristic(HeuristicKind::SpMonoP, cm, ws)),
+        ("H2", |cm, ws| {
+            heuristic(HeuristicKind::ThreeExploMono, cm, ws)
+        }),
+        ("H3", |cm, ws| {
+            heuristic(HeuristicKind::ThreeExploBi, cm, ws)
+        }),
+        ("H4", |cm, ws| heuristic(HeuristicKind::SpBiP, cm, ws)),
+        ("H5", |cm, ws| heuristic(HeuristicKind::SpMonoL, cm, ws)),
+        ("H6", |cm, ws| heuristic(HeuristicKind::SpBiL, cm, ws)),
+        ("H7", |cm, ws| heuristic(HeuristicKind::HeteroSplit, cm, ws)),
+        ("split-mono trajectory", |cm, ws| {
+            trajectory_key(&fixed_period_trajectory_in(
+                cm,
+                TrajectoryKind::SplitMono,
+                ws,
+            ))
+        }),
+        ("explo-mono trajectory", |cm, ws| {
+            trajectory_key(&fixed_period_trajectory_in(
+                cm,
+                TrajectoryKind::ExploMono,
+                ws,
+            ))
+        }),
+        ("explo-bi trajectory", |cm, ws| {
+            trajectory_key(&fixed_period_trajectory_in(cm, TrajectoryKind::ExploBi, ws))
+        }),
+        ("hetero trajectory", |cm, ws| {
+            trajectory_key(&hetero_trajectory_in(cm, HeteroSplitOptions::default(), ws))
+        }),
+        ("exact min period", |cm, ws| {
+            let (period, mapping) = exact_min_period_in(cm, ws);
+            vec![key(period, cm.latency(&mapping), &mapping)]
+        }),
+        ("exact min latency", |cm, ws| {
+            let bound = 1.1 * exact_min_period_in(cm, ws).0;
+            let (latency, mapping) =
+                exact_min_latency_for_period_in(cm, bound, ws).expect("bound above the optimum");
+            vec![key(cm.period(&mapping), latency, &mapping)]
+        }),
+        ("exact front", |cm, ws| {
+            let front = exact_pareto_front_in(cm, ws);
+            front.iter().map(|(p, l, m)| key(p, l, m)).collect()
+        }),
+    ];
 
     #[test]
     fn workspace_reuse_is_bit_identical_across_solves() {
-        let gen = InstanceGenerator::new(InstanceParams::paper(ExperimentKind::E1, 14, 8));
+        // Buffers recycle capacity, never values: one workspace carried
+        // across instances of different shapes (buffers grown by larger
+        // ones, H4's memo bound to the previous instance) answers every
+        // entry point exactly like a fresh workspace.
+        let shapes = [
+            (ExperimentKind::E1, 10, 6),
+            (ExperimentKind::E2, 6, 10),
+            (ExperimentKind::E3, 12, 5),
+            (ExperimentKind::E1, 8, 8),
+        ];
         let mut ws = SolveWorkspace::new();
-        // Different instances through one workspace, interleaved with
-        // fresh-workspace reference solves.
-        for seed in 0..4 {
-            let (app, pf) = gen.instance(seed, 0);
+        for (seed, (kind, n, p)) in shapes.into_iter().enumerate() {
+            let gen = InstanceGenerator::new(InstanceParams::paper(kind, n, p));
+            let (app, pf) = gen.instance(seed as u64, 0);
             let cm = CostModel::new(&app, &pf);
-            let target = 0.6 * cm.single_proc_period();
-            let fresh = SplitEngine::run(&mut MonoPeriodPolicy { target }, &cm);
-            let reused = SplitEngine::run_in(&mut MonoPeriodPolicy { target }, &cm, &mut ws);
-            assert_eq!(fresh.feasible, reused.feasible, "seed {seed}");
-            assert_eq!(fresh.period.to_bits(), reused.period.to_bits());
-            assert_eq!(fresh.latency.to_bits(), reused.latency.to_bits());
-            assert_eq!(fresh.mapping, reused.mapping);
+            for (name, entry_point) in ENTRY_POINTS {
+                let fresh = entry_point(&cm, &mut SolveWorkspace::new());
+                let reused = entry_point(&cm, &mut ws);
+                assert!(!fresh.is_empty(), "{name}");
+                assert_eq!(fresh, reused, "{name} on {kind} n={n} p={p}");
+            }
         }
     }
 

@@ -2,7 +2,7 @@
 //! split sequences must preserve every state invariant, and the cached
 //! incremental quantities must track full recomputation exactly.
 
-use pipeline_core::state::SplitState;
+use pipeline_core::state::{SplitBuffers, SplitState};
 use pipeline_model::prelude::*;
 use proptest::prelude::*;
 
@@ -37,7 +37,7 @@ proptest! {
         choices in proptest::collection::vec((0u8..2, 0usize..64, 0usize..64), 1..12),
     ) {
         let cm = CostModel::new(&app, &pf);
-        let mut st = SplitState::new(&cm);
+        let mut st = SplitState::new_in(&cm, SplitBuffers::default());
         for (mode, pick, cut_pick) in choices {
             let j = pick % st.entries().len();
             match mode {
@@ -84,7 +84,7 @@ proptest! {
     ) {
         prop_assume!(app.n_stages() >= 2 && pf.n_procs() >= 2);
         let cm = CostModel::new(&app, &pf);
-        let st = SplitState::new(&cm);
+        let st = SplitState::new_in(&cm, SplitBuffers::default());
         let cands = st.candidate_splits2(0);
         prop_assume!(!cands.is_empty());
         let c = cands[cand_pick % cands.len()];
@@ -106,7 +106,7 @@ proptest! {
         (app, pf) in arb_instance(),
     ) {
         let cm = CostModel::new(&app, &pf);
-        let mut st = SplitState::new(&cm);
+        let mut st = SplitState::new_in(&cm, SplitBuffers::default());
         let mut prev = st.period();
         while let Some(s) = st.best_split2_mono(st.bottleneck(), None) {
             let j = st.bottleneck();

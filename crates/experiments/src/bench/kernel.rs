@@ -10,8 +10,8 @@
 
 use std::time::Instant;
 
-use pipeline_core::trajectory::{fixed_period_trajectory, TrajectoryKind};
-use pipeline_core::{sp_bi_p, SpBiPOptions};
+use pipeline_core::trajectory::{fixed_period_trajectory_in, TrajectoryKind};
+use pipeline_core::{sp_bi_p_in, SolveWorkspace, SpBiPOptions};
 use pipeline_model::generator::{ExperimentKind, InstanceGenerator, InstanceParams};
 use pipeline_model::{CostModel, Platform};
 
@@ -129,11 +129,15 @@ fn run(opts: &Opts) -> Result<Json, String> {
         let gen = InstanceGenerator::new(InstanceParams::paper(ExperimentKind::E1, n, p));
         let (app, pf) = gen.instance(3, 0);
         let cm = CostModel::new(&app, &pf);
-        let steps = fixed_period_trajectory(&cm, TrajectoryKind::SplitMono).len() - 1;
+        // Fresh scratch per run, as a one-off solve pays it.
+        let run = || {
+            fixed_period_trajectory_in(&cm, TrajectoryKind::SplitMono, &mut SolveWorkspace::new())
+        };
+        let steps = run().len() - 1;
         let runs = 50usize;
         let t0 = Instant::now();
         for _ in 0..runs {
-            std::hint::black_box(fixed_period_trajectory(&cm, TrajectoryKind::SplitMono));
+            std::hint::black_box(run());
         }
         let secs = t0.elapsed().as_secs_f64();
         Json::obj([
@@ -155,10 +159,11 @@ fn run(opts: &Opts) -> Result<Json, String> {
         let (app, pf) = gen.instance(5, 0);
         let cm = CostModel::new(&app, &pf);
         let target = 0.5 * cm.single_proc_period();
+        let opts = SpBiPOptions::default();
         let runs = 20usize;
         let t0 = Instant::now();
         for _ in 0..runs {
-            std::hint::black_box(sp_bi_p(&cm, target, SpBiPOptions::default()));
+            std::hint::black_box(sp_bi_p_in(&cm, target, opts, &mut SolveWorkspace::new()));
         }
         let ms = t0.elapsed().as_secs_f64() * 1e3 / runs as f64;
         Json::obj([

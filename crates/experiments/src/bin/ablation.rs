@@ -1,4 +1,5 @@
-//! Ablation studies for the design choices documented in DESIGN.md:
+//! Ablation studies for the design choices this reproduction makes where
+//! the paper is silent or ambiguous:
 //!
 //! 1. **H3 ratio denominator** — the paper's H3 formula prints
 //!    `Δperiod(j)` where H5 uses `Δperiod(i)`; we treat it as a typo and
@@ -15,9 +16,9 @@
 //! ```
 
 use pipeline_core::replication::replicate_bottlenecks;
-use pipeline_core::trajectory::{fixed_period_trajectory, TrajectoryKind};
-use pipeline_core::{sp_bi_p, sp_mono_p, SpBiPOptions};
-use pipeline_experiments::shard::{sharded_map_items, ShardOptions};
+use pipeline_core::trajectory::{fixed_period_trajectory_in, TrajectoryKind};
+use pipeline_core::{sp_bi_p_in, sp_mono_p_in, SolveWorkspace, SpBiPOptions};
+use pipeline_experiments::shard::{sharded_map_items_with, ShardOptions};
 use pipeline_model::generator::{ExperimentKind, InstanceGenerator, InstanceParams};
 use pipeline_model::prelude::*;
 use pipeline_model::util::mean;
@@ -62,12 +63,13 @@ fn refinement_ablation(seed: u64, instances: usize, threads: usize) {
         .into_iter()
         .filter(|k| k.is_period_fixed())
     {
-        let rows = sharded_map_items(
+        let rows = sharded_map_items_with(
             gen.batch(seed, instances),
             ShardOptions::with_threads(threads),
-            |(app, pf)| {
+            SolveWorkspace::new,
+            |ws, (app, pf)| {
                 let cm = CostModel::new(&app, &pf);
-                let base = kind.run(&cm, 0.0);
+                let base = kind.run_in(&cm, 0.0, ws);
                 let refined = refine_mapping(&cm, &base.mapping, base.latency * 1.2);
                 (base.period, refined.period, refined.moves as f64)
             },
@@ -94,20 +96,22 @@ fn ratio_denominator_ablation(seed: u64, instances: usize, threads: usize) {
     for kind in [ExperimentKind::E1, ExperimentKind::E2] {
         let params = InstanceParams::paper(kind, 20, 10);
         let gen = InstanceGenerator::new(params);
-        let outcomes = sharded_map_items(
+        let outcomes = sharded_map_items_with(
             gen.batch(seed, instances),
             ShardOptions::with_threads(threads),
-            |(app, pf)| {
+            SolveWorkspace::new,
+            |ws, (app, pf)| {
                 let cm = CostModel::new(&app, &pf);
                 let target = 0.7 * cm.single_proc_period();
-                let over_i = sp_bi_p(&cm, target, SpBiPOptions::default());
-                let over_j = sp_bi_p(
+                let over_i = sp_bi_p_in(&cm, target, SpBiPOptions::default(), ws);
+                let over_j = sp_bi_p_in(
                     &cm,
                     target,
                     SpBiPOptions {
                         denominator_over_i: false,
                         ..SpBiPOptions::default()
                     },
+                    ws,
                 );
                 (
                     over_i.feasible.then_some(over_i.latency),
@@ -133,15 +137,18 @@ fn explo_vs_split_ablation(seed: u64, instances: usize, threads: usize) {
     for procs in [10usize, 100] {
         let params = InstanceParams::paper(ExperimentKind::E1, 40, procs);
         let gen = InstanceGenerator::new(params);
-        let floors = sharded_map_items(
+        let floors = sharded_map_items_with(
             gen.batch(seed, instances),
             ShardOptions::with_threads(threads),
-            |(app, pf)| {
+            SolveWorkspace::new,
+            |ws, (app, pf)| {
                 let cm = CostModel::new(&app, &pf);
-                let f_split = fixed_period_trajectory(&cm, TrajectoryKind::SplitMono).min_period();
-                let f_explo = fixed_period_trajectory(&cm, TrajectoryKind::ExploMono).min_period();
-                let f_explo_bi = fixed_period_trajectory(&cm, TrajectoryKind::ExploBi).min_period();
-                (f_split, f_explo, f_explo_bi)
+                let mut floor = |kind| fixed_period_trajectory_in(&cm, kind, ws).min_period();
+                (
+                    floor(TrajectoryKind::SplitMono),
+                    floor(TrajectoryKind::ExploMono),
+                    floor(TrajectoryKind::ExploBi),
+                )
             },
         );
         let s: Vec<f64> = floors.iter().map(|f| f.0).collect();
@@ -161,12 +168,13 @@ fn replication_ablation(seed: u64, instances: usize, threads: usize) {
     println!("3. Deal-skeleton replication (paper §7): period floor after splitting vs after splitting + replication");
     let params = InstanceParams::paper(ExperimentKind::E3, 10, 10);
     let gen = InstanceGenerator::new(params);
-    let results = sharded_map_items(
+    let results = sharded_map_items_with(
         gen.batch(seed, instances),
         ShardOptions::with_threads(threads),
-        |(app, pf)| {
+        SolveWorkspace::new,
+        |ws, (app, pf)| {
             let cm = CostModel::new(&app, &pf);
-            let base = sp_mono_p(&cm, 0.0); // run to the splitting floor
+            let base = sp_mono_p_in(&cm, 0.0, ws); // run to the splitting floor
             let rep = replicate_bottlenecks(&cm, &base.mapping, 0.0); // replicate to the floor
             (base.period, rep.period, rep.latency / base.latency)
         },

@@ -93,7 +93,7 @@ fn main() {
         // The paper attributes the largest thresholds to 3-Explo mono; in
         // our reproduction the 3-Exploration *family* (H2 or H3) holds the
         // max — the two variants swap depending on the fallback rule the
-        // paper leaves unspecified (DESIGN.md §4).
+        // paper leaves unspecified (see `pipeline_core::explore`).
         if (r.thresholds[1] - max).abs() < 1e-9 || (r.thresholds[2] - max).abs() < 1e-9 {
             h2_max_count += 1;
         }

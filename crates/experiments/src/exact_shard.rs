@@ -36,7 +36,7 @@ use pipeline_core::{ParetoFront, SolveWorkspace};
 use pipeline_model::prelude::*;
 
 /// Exact minimum period with the DP roots fanned over `opts.threads`
-/// workers. Bit-identical to [`pipeline_core::exact::exact_min_period`]
+/// workers. Bit-identical to [`pipeline_core::exact::exact_min_period_in`]
 /// at any thread count.
 pub fn exact_min_period_sharded(cm: &CostModel<'_>, opts: ShardOptions) -> (f64, IntervalMapping) {
     let mut ws = SolveWorkspace::new();
@@ -53,7 +53,7 @@ pub fn exact_min_period_sharded(cm: &CostModel<'_>, opts: ShardOptions) -> (f64,
 
 /// Exact minimum latency under a period bound, sharded like
 /// [`exact_min_period_sharded`]. Bit-identical to
-/// [`pipeline_core::exact::exact_min_latency_for_period`].
+/// [`pipeline_core::exact::exact_min_latency_for_period_in`].
 pub fn exact_min_latency_for_period_sharded(
     cm: &CostModel<'_>,
     period_bound: f64,
@@ -75,7 +75,7 @@ pub fn exact_min_latency_for_period_sharded(
 /// collects a root-local coordinate front, the fronts merge in root
 /// order (the Pareto filter of a union is order-independent), and the
 /// sequential witness sweep reconstructs mappings. Bit-identical to
-/// [`pipeline_core::exact::exact_pareto_front`].
+/// [`pipeline_core::exact::exact_pareto_front_in`].
 pub fn exact_pareto_front_sharded(
     cm: &CostModel<'_>,
     opts: ShardOptions,
@@ -118,13 +118,15 @@ mod tests {
 
     #[test]
     fn sharded_solvers_match_sequential_bitwise() {
+        let mut ws = SolveWorkspace::new();
         for (n, p, seed) in [(12usize, 6usize, 0u64), (14, 8, 1)] {
             let (app, pf) = uniform_instance(n, p, seed);
             let cm = CostModel::new(&app, &pf);
-            let (v_seq, m_seq) = pipeline_core::exact::exact_min_period(&cm);
-            let front_seq = pipeline_core::exact::exact_pareto_front(&cm);
+            let (v_seq, m_seq) = pipeline_core::exact::exact_min_period_in(&cm, &mut ws);
+            let front_seq = pipeline_core::exact::exact_pareto_front_in(&cm, &mut ws);
             let bound = v_seq * 1.4;
-            let lat_seq = pipeline_core::exact::exact_min_latency_for_period(&cm, bound);
+            let lat_seq =
+                pipeline_core::exact::exact_min_latency_for_period_in(&cm, bound, &mut ws);
             for threads in [1usize, 2, 4] {
                 let opts = ShardOptions::with_threads(threads);
                 let (v, m) = exact_min_period_sharded(&cm, opts);
@@ -158,7 +160,8 @@ mod tests {
         let (app, pf) = gen.instance(0, 0);
         let cm = CostModel::new(&app, &pf);
         assert!(!supports_dominance_dp(&cm));
-        let (v_seq, m_seq) = pipeline_core::exact::exact_min_period(&cm);
+        let (v_seq, m_seq) =
+            pipeline_core::exact::exact_min_period_in(&cm, &mut SolveWorkspace::new());
         let (v, m) = exact_min_period_sharded(&cm, ShardOptions::with_threads(4));
         assert_eq!(v.to_bits(), v_seq.to_bits());
         assert_eq!(m, m_seq);

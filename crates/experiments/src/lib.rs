@@ -6,7 +6,6 @@
 //! * [`shard`] — the sharded parallel work-queue engine (chunked work
 //!   stealing, per-shard RNG streams, chunk-ordered mergeable
 //!   accumulators; bit-identical output for every thread count);
-//! * [`runner`] — per-instance evaluation on top of the sharded engine;
 //! * [`service`] — batched solving: (instance, request) pairs from the
 //!   solver-service API (`pipeline_core::service`) through the sharded
 //!   engine, bit-identical across thread counts;
@@ -36,7 +35,6 @@ pub mod exact_shard;
 pub mod loaded;
 pub mod loadgen;
 pub mod robustness;
-pub mod runner;
 pub mod service;
 pub mod shard;
 pub mod summary;
@@ -51,7 +49,6 @@ pub use exact_shard::{
     exact_min_latency_for_period_sharded, exact_min_period_sharded, exact_pareto_front_sharded,
 };
 pub use loadgen::{request_lines, run_load, write_zoo_instances, LoadReport};
-pub use runner::InstanceEval;
 pub use service::{
     solve_batch, solve_delta_batch, solve_tenant_batch, BatchJob, DeltaJob, DeltaSolveError,
     TenantJob,

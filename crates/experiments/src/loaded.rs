@@ -9,7 +9,7 @@
 //! mappings with one dominant bottleneck, even at identical periods.
 
 use crate::shard::{sharded_map_items, ShardOptions};
-use pipeline_core::HeuristicKind;
+use pipeline_core::{HeuristicKind, SolveWorkspace};
 use pipeline_model::generator::{InstanceGenerator, InstanceParams};
 use pipeline_model::prelude::*;
 use pipeline_model::util::mean;
@@ -58,6 +58,7 @@ pub fn loaded_latency_study(
         let cm = CostModel::new(&app, &pf);
         let p0 = cm.single_proc_period();
         let l0 = cm.optimal_latency();
+        let mut ws = SolveWorkspace::new();
         let mut rows = Vec::with_capacity(6);
         for kind in HeuristicKind::ALL {
             let target = if kind.is_period_fixed() {
@@ -65,7 +66,7 @@ pub fn loaded_latency_study(
             } else {
                 2.0 * l0
             };
-            let res = kind.run(&cm, target);
+            let res = kind.run_in(&cm, target, &mut ws);
             if !res.feasible {
                 rows.push(None);
                 continue;

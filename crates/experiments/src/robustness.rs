@@ -360,7 +360,11 @@ mod tests {
         let gen = InstanceGenerator::new(InstanceParams::paper(ExperimentKind::E2, 10, 8));
         let (app, pf) = gen.instance(1, 0);
         let cm = CostModel::new(&app, &pf);
-        let res = pipeline_core::sp_mono_p(&cm, 0.6 * cm.single_proc_period());
+        let res = pipeline_core::sp_mono_p_in(
+            &cm,
+            0.6 * cm.single_proc_period(),
+            &mut SolveWorkspace::new(),
+        );
         for &u in res.mapping.procs() {
             let d = degraded_period(&app, &pf, &res.mapping, u, 0.5);
             assert!(
@@ -379,7 +383,11 @@ mod tests {
             let gen = InstanceGenerator::new(InstanceParams::paper(ExperimentKind::E3, 9, 7));
             let (app, pf) = gen.instance(seed, 0);
             let cm = CostModel::new(&app, &pf);
-            let res = pipeline_core::sp_mono_p(&cm, 0.7 * cm.single_proc_period());
+            let res = pipeline_core::sp_mono_p_in(
+                &cm,
+                0.7 * cm.single_proc_period(),
+                &mut SolveWorkspace::new(),
+            );
             for &u in res.mapping.procs() {
                 for gamma in [0.3, 0.7, 1.0] {
                     let rebuilt = degraded_period(&app, &pf, &res.mapping, u, gamma);
@@ -452,7 +460,11 @@ mod tests {
             // requires it), then lift it into an explicit matrix so a
             // single entry can be rescaled.
             let cm0 = CostModel::new(&app, &pf0);
-            let res = pipeline_core::sp_mono_p(&cm0, 0.7 * cm0.single_proc_period());
+            let res = pipeline_core::sp_mono_p_in(
+                &cm0,
+                0.7 * cm0.single_proc_period(),
+                &mut SolveWorkspace::new(),
+            );
             let p = pf0.n_procs();
             let matrix: Vec<Vec<f64>> = (0..p)
                 .map(|u| (0..p).map(|v| pf0.bandwidth(u, v)).collect())
@@ -508,7 +520,11 @@ mod tests {
         let gen = InstanceGenerator::new(InstanceParams::paper(ExperimentKind::E2, 10, 8));
         let (app, pf) = gen.instance(3, 0);
         let cm = CostModel::new(&app, &pf);
-        let res = pipeline_core::sp_mono_p(&cm, 0.6 * cm.single_proc_period());
+        let res = pipeline_core::sp_mono_p_in(
+            &cm,
+            0.6 * cm.single_proc_period(),
+            &mut SolveWorkspace::new(),
+        );
         let m = res.mapping.n_intervals();
         // gamma = 1 must reproduce the nominal period bitwise on every
         // link, including both io boundaries.

@@ -1,8 +1,8 @@
 //! Qualitative "shape checks": does our reproduction exhibit the
 //! behaviours the paper reports?
 //!
-//! Absolute numbers cannot match (the authors' RNG is unknown), so
-//! EXPERIMENTS.md compares *shapes*: which heuristic achieves the lowest
+//! Absolute numbers cannot match (the authors' RNG is unknown), so the
+//! reproduction compares *shapes*: which heuristic achieves the lowest
 //! periods, which the lowest latencies, how the hierarchy flips between
 //! `p = 10` and `p = 100`. Each check returns a measured verdict that the
 //! figure binaries print next to the paper's claim.

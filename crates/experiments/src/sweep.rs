@@ -26,10 +26,9 @@
 //! accumulator merges make the output bit-identical for every thread
 //! count.
 
-use crate::runner::InstanceEval;
 use crate::shard::{sharded_fold, sharded_map_indices_with, ShardOptions, StatSums};
 use pipeline_core::exact::exact_pareto_front_in;
-use pipeline_core::service::SolveRequest;
+use pipeline_core::service::{PreparedInstance, SolveRequest};
 use pipeline_core::{
     sp_bi_l_in, sp_bi_p_in, sp_mono_l_in, HeuristicKind, ParetoFront, SolveWorkspace, SpBiPOptions,
 };
@@ -204,14 +203,16 @@ pub fn run_scenario(
     assert!(n_instances > 0 && n_grid >= 2);
     let gen = ScenarioGenerator::new(*params);
     let opts = ShardOptions::with_threads(threads);
-    // One SolveWorkspace per worker shard: every instance evaluation in
-    // a shard reuses the same solver scratch (trajectory recording, H4's
-    // ~30 probe runs), so the steady-state per-item cost is compute, not
-    // allocation.
-    let evals: Vec<InstanceEval> =
+    // Platform-class caches are forced eagerly inside the shards, with
+    // one SolveWorkspace per worker shard: every preparation in a shard
+    // reuses the same solver scratch (trajectory recording, H4's ~30
+    // probe runs), so the per-item cost is compute, not allocation.
+    let evals: Vec<PreparedInstance> =
         sharded_map_indices_with(n_instances, opts, SolveWorkspace::new, |ws, i| {
             let (app, pf) = gen.instance(seed, i as u64);
-            InstanceEval::new_in(app, pf, ws)
+            let prepared = PreparedInstance::new(app, pf);
+            prepared.prepare_in(ws);
+            prepared
         });
 
     // Landmark means via the engine's mergeable accumulator (chunk-order
@@ -219,7 +220,11 @@ pub fn run_scenario(
     let sums = sharded_fold(n_instances, opts, |range| {
         let mut acc = StatSums::default();
         for e in &evals[range] {
-            acc.absorb(e.p_init(), e.l_opt(), e.best_floor());
+            acc.absorb(
+                e.single_proc_period(),
+                e.optimal_latency(),
+                e.best_period_floor(),
+            );
         }
         acc
     })
@@ -296,7 +301,7 @@ pub fn run_scenario(
 /// use: trajectory heuristics answer from their recorded trajectory,
 /// H4/H5/H6 re-run.
 fn heuristic_outcome(
-    e: &InstanceEval,
+    e: &PreparedInstance,
     kind: HeuristicKind,
     target: f64,
     ws: &mut SolveWorkspace,
@@ -307,7 +312,7 @@ fn heuristic_outcome(
         | HeuristicKind::ThreeExploBi
         | HeuristicKind::HeteroSplit => {
             let hit = e
-                .cached_trajectory(kind)
+                .trajectory(kind)
                 .expect("trajectory recorded for this platform class")
                 .lookup(target);
             (hit.feasible, hit.period, hit.latency)
@@ -334,7 +339,7 @@ fn heuristic_outcome(
 /// order, so the final means are bit-identical for every thread count.
 fn score_front_quality(
     kinds: &[HeuristicKind],
-    evals: &[InstanceEval],
+    evals: &[PreparedInstance],
     period_grid: &[f64],
     latency_grid: &[f64],
     threads: usize,
@@ -348,7 +353,7 @@ fn score_front_quality(
             let exact = exact_pareto_front_in(&e.cost_model(), ws);
             // Reference point from the instance's own landmarks, with
             // the same slack factors that bound the sweep grids.
-            let (ref_p, ref_l) = (e.p_init() * 1.02, e.l_opt() * 3.0);
+            let (ref_p, ref_l) = (e.single_proc_period() * 1.02, e.optimal_latency() * 3.0);
             let exact_hv = exact.hypervolume(ref_p, ref_l);
             kinds
                 .iter()
@@ -446,7 +451,11 @@ impl PointAccumulator {
     }
 }
 
-fn sweep_trajectory(kind: HeuristicKind, evals: &[InstanceEval], grid: &[f64]) -> Vec<SweepPoint> {
+fn sweep_trajectory(
+    kind: HeuristicKind,
+    evals: &[PreparedInstance],
+    grid: &[f64],
+) -> Vec<SweepPoint> {
     grid.iter()
         .filter_map(|&target| {
             let mut acc = PointAccumulator::default();
@@ -454,7 +463,7 @@ fn sweep_trajectory(kind: HeuristicKind, evals: &[InstanceEval], grid: &[f64]) -
                 // Coordinate-only query: no mapping is materialized for
                 // any of the grid × instance lookups.
                 let hit = e
-                    .cached_trajectory(kind)
+                    .trajectory(kind)
                     .expect("trajectory recorded for this platform class")
                     .lookup(target);
                 acc.absorb(hit.feasible, hit.period, hit.latency);
@@ -464,7 +473,7 @@ fn sweep_trajectory(kind: HeuristicKind, evals: &[InstanceEval], grid: &[f64]) -
         .collect()
 }
 
-fn sweep_sp_bi_p(evals: &[InstanceEval], grid: &[f64], threads: usize) -> Vec<SweepPoint> {
+fn sweep_sp_bi_p(evals: &[PreparedInstance], grid: &[f64], threads: usize) -> Vec<SweepPoint> {
     // Each instance × target is an independent binary search; parallelize
     // over instances (the outer loop is the grid to keep aggregation
     // simple).
@@ -488,7 +497,7 @@ fn sweep_sp_bi_p(evals: &[InstanceEval], grid: &[f64], threads: usize) -> Vec<Sw
 
 fn sweep_latency_fixed(
     kind: HeuristicKind,
-    evals: &[InstanceEval],
+    evals: &[PreparedInstance],
     grid: &[f64],
     threads: usize,
 ) -> Vec<SweepPoint> {
@@ -517,7 +526,66 @@ fn sweep_latency_fixed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipeline_model::generator::ExperimentKind;
+    use crate::shard::sharded_map_items_with;
+    use pipeline_model::generator::{ExperimentKind, InstanceGenerator};
+    use pipeline_model::scenario::ScenarioFamily;
+
+    #[test]
+    fn parallel_matches_serial_on_prepared_instances() {
+        let gen = InstanceGenerator::new(InstanceParams::paper(ExperimentKind::E1, 10, 10));
+        let instances = gen.batch(3, 6);
+        let mut ws = SolveWorkspace::new();
+        let serial: Vec<f64> = instances
+            .iter()
+            .map(|(a, p)| {
+                let prepared = PreparedInstance::new(a.clone(), p.clone());
+                prepared.prepare_in(&mut ws).best_period_floor()
+            })
+            .collect();
+        let parallel: Vec<f64> = sharded_map_items_with(
+            instances,
+            ShardOptions::with_threads(4),
+            SolveWorkspace::new,
+            |ws, (a, p)| {
+                PreparedInstance::new(a, p)
+                    .prepare_in(ws)
+                    .best_period_floor()
+            },
+        );
+        assert_eq!(serial, parallel);
+    }
+
+    #[test]
+    fn prepared_instance_landmarks_are_consistent() {
+        let gen = InstanceGenerator::new(InstanceParams::paper(ExperimentKind::E2, 12, 10));
+        let (app, pf) = gen.instance(1, 0);
+        let ev = PreparedInstance::new(app, pf);
+        ev.prepare_in(&mut SolveWorkspace::new());
+        assert!(ev.best_period_floor() <= ev.single_proc_period() + 1e-9);
+        assert!(ev.optimal_latency() > 0.0);
+        // Trajectory floors are reachable results.
+        let h1 = ev
+            .trajectory(HeuristicKind::SpMonoP)
+            .expect("comm-homogeneous");
+        assert!(h1.min_period() > 0.0);
+        assert!(ev.sp_bi_p_floor().expect("comm-homogeneous") > 0.0);
+    }
+
+    #[test]
+    fn heterogeneous_instances_record_the_extension_trajectory() {
+        let gen = ScenarioGenerator::new(ScenarioFamily::TwoTier.params(8, 6));
+        let (app, pf) = gen.instance(4, 0);
+        assert!(!pf.is_comm_homogeneous());
+        let ev = PreparedInstance::new(app, pf);
+        ev.prepare_in(&mut SolveWorkspace::new());
+        assert!(ev.trajectory(HeuristicKind::SpMonoP).is_none());
+        assert!(ev.sp_bi_p_floor().is_none());
+        let het = ev
+            .trajectory(HeuristicKind::HeteroSplit)
+            .expect("hetero instances record the extension");
+        assert!(het.min_period() > 0.0);
+        assert!(ev.best_period_floor() <= ev.single_proc_period() + 1e-9);
+    }
 
     fn tiny_family() -> FamilyResult {
         run_family(InstanceParams::paper(ExperimentKind::E1, 8, 10), 7, 6, 8, 2)

@@ -13,9 +13,9 @@
 //!   is satisfiable and anything below is not. This *explains* the
 //!   paper's observation that the H5 and H6 rows of Table 1 coincide.
 
-use crate::runner::InstanceEval;
-use crate::shard::{sharded_map_items, ShardOptions};
-use pipeline_core::HeuristicKind;
+use crate::shard::{sharded_map_items_with, ShardOptions};
+use pipeline_core::service::PreparedInstance;
+use pipeline_core::{HeuristicKind, SolveWorkspace};
 use pipeline_model::generator::{ExperimentKind, InstanceGenerator, InstanceParams};
 use pipeline_model::util::mean;
 
@@ -42,9 +42,9 @@ pub struct ThresholdTable {
 }
 
 /// Per-instance thresholds in [`HeuristicKind::ALL`] order. Table 1 is
-/// defined on the paper's Communication Homogeneous setting, so the eval
-/// must carry the H1/H2a/H2b trajectories and the H4 floor.
-pub fn instance_thresholds(eval: &InstanceEval) -> [f64; 6] {
+/// defined on the paper's Communication Homogeneous setting, where the
+/// instance has the H1/H2a/H2b trajectories and the H4 floor.
+pub fn instance_thresholds(eval: &PreparedInstance) -> [f64; 6] {
     let floor = |kind: HeuristicKind| {
         eval.trajectory(kind)
             .expect("Table 1 needs a Communication Homogeneous eval")
@@ -56,8 +56,8 @@ pub fn instance_thresholds(eval: &InstanceEval) -> [f64; 6] {
         floor(HeuristicKind::ThreeExploBi),
         eval.sp_bi_p_floor()
             .expect("Table 1 needs a Communication Homogeneous eval"),
-        eval.l_opt(),
-        eval.l_opt(),
+        eval.optimal_latency(),
+        eval.optimal_latency(),
     ]
 }
 
@@ -70,13 +70,11 @@ pub fn failure_thresholds(
     threads: usize,
 ) -> [f64; 6] {
     let gen = InstanceGenerator::new(params);
-    let evals = sharded_map_items(
+    let evals = sharded_map_items_with(
         gen.batch(seed, n_instances),
         ShardOptions::with_threads(threads),
-        |(app, pf)| {
-            let e = InstanceEval::new(app, pf);
-            instance_thresholds(&e)
-        },
+        SolveWorkspace::new,
+        |ws, (app, pf)| instance_thresholds(PreparedInstance::new(app, pf).prepare_in(ws)),
     );
     let mut out = [0.0; 6];
     for (h, slot) in out.iter_mut().enumerate() {
@@ -202,18 +200,19 @@ mod tests {
 
     #[test]
     fn per_instance_thresholds_are_reachable_targets() {
+        let mut ws = SolveWorkspace::new();
         let gen = InstanceGenerator::new(InstanceParams::paper(ExperimentKind::E2, 10, 10));
         let (app, pf) = gen.instance(5, 0);
-        let eval = InstanceEval::new(app, pf);
+        let eval = PreparedInstance::new(app, pf);
         let t = instance_thresholds(&eval);
         let cm = eval.cost_model();
         // Running each heuristic AT its threshold must succeed.
-        let h1 = pipeline_core::sp_mono_p(&cm, t[0]);
+        let h1 = pipeline_core::sp_mono_p_in(&cm, t[0], &mut ws);
         assert!(h1.feasible);
-        let h5 = pipeline_core::sp_mono_l(&cm, t[4]);
+        let h5 = pipeline_core::sp_mono_l_in(&cm, t[4], &mut ws);
         assert!(h5.feasible);
         // And below it (slightly) must fail.
-        assert!(!pipeline_core::sp_mono_p(&cm, t[0] * 0.999).feasible);
-        assert!(!pipeline_core::sp_mono_l(&cm, t[4] * 0.999).feasible);
+        assert!(!pipeline_core::sp_mono_p_in(&cm, t[0] * 0.999, &mut ws).feasible);
+        assert!(!pipeline_core::sp_mono_l_in(&cm, t[4] * 0.999, &mut ws).feasible);
     }
 }

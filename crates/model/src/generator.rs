@@ -13,7 +13,8 @@
 //!
 //! The paper says values are "randomly chosen between" the bounds; only the
 //! processor speeds are stated to be integers, so `δ` and `w` are drawn
-//! from continuous uniforms here (documented substitution, DESIGN.md §5).
+//! from continuous uniforms here (a substitution: the paper gives no
+//! distribution beyond the bounds).
 //!
 //! Everything is seeded: the same [`InstanceParams`] plus the same seed
 //! always regenerate the same application/platform pair, which the

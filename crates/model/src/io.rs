@@ -628,15 +628,11 @@ impl WireFields {
     }
 }
 
-/// Parses one `solve …` request line.
-pub fn parse_request(line: &str) -> std::result::Result<WireRequest, ParseError> {
-    parse_request_at(line, 0)
-}
-
-/// [`parse_request`] with the request's 1-based position in its input
-/// stream: parse errors name that line (and the offending key, where one
-/// is known), so streamed services can answer malformed requests with a
-/// structured diagnosis instead of a generic `bad-request`.
+/// Parses one `solve …` request line at 1-based position `line_no` of
+/// its input stream (`0` when it has none): parse errors name that line
+/// (and the offending key, where one is known), so streamed services can
+/// answer malformed requests with a structured diagnosis instead of a
+/// generic `bad-request`.
 pub fn parse_request_at(
     line: &str,
     line_no: usize,
@@ -685,7 +681,7 @@ pub fn parse_request_at(
 }
 
 /// Formats one request as a `solve …` line (round-trips through
-/// [`parse_request`]).
+/// [`parse_request_at`]).
 pub fn format_request(req: &WireRequest) -> String {
     let mut out = format!("solve id={} objective={}", req.id, req.objective.token());
     if let Some(b) = req.objective.bound() {
@@ -711,13 +707,8 @@ pub struct WireUpdate {
     pub delta: InstanceDelta,
 }
 
-/// Parses one `update …` line.
-pub fn parse_update(line: &str) -> std::result::Result<WireUpdate, ParseError> {
-    parse_update_at(line, 0)
-}
-
-/// [`parse_update`] with the update's 1-based position in its input
-/// stream carried into parse errors, mirroring [`parse_request_at`].
+/// Parses one `update …` line, its position carried into parse errors
+/// as in [`parse_request_at`].
 pub fn parse_update_at(line: &str, line_no: usize) -> std::result::Result<WireUpdate, ParseError> {
     let mut fields = WireFields::new(wire_tokens(line, "update", line_no)?, line_no);
     let id = {
@@ -756,7 +747,7 @@ pub fn parse_update_at(line: &str, line_no: usize) -> std::result::Result<WireUp
 }
 
 /// Formats one update as an `update …` line (round-trips through
-/// [`parse_update`]).
+/// [`parse_update_at`]).
 pub fn format_update(upd: &WireUpdate) -> String {
     let mut out = format!("update id={} delta={}", upd.id, upd.delta.kind());
     match &upd.delta {
@@ -815,13 +806,8 @@ pub struct WireCosched {
     pub tolerance: Option<f64>,
 }
 
-/// Parses one `cosched …` line.
-pub fn parse_cosched(line: &str) -> std::result::Result<WireCosched, ParseError> {
-    parse_cosched_at(line, 0)
-}
-
-/// [`parse_cosched`] with the request's 1-based position in its input
-/// stream carried into parse errors, mirroring [`parse_request_at`].
+/// Parses one `cosched …` line, its position carried into parse errors
+/// as in [`parse_request_at`].
 pub fn parse_cosched_at(
     line: &str,
     line_no: usize,
@@ -899,7 +885,7 @@ pub fn parse_cosched_at(
 }
 
 /// Formats one cosched request as a `cosched …` line (round-trips
-/// through [`parse_cosched`]).
+/// through [`parse_cosched_at`]).
 pub fn format_cosched(req: &WireCosched) -> String {
     let tenants: Vec<&str> = req
         .tenants
@@ -938,13 +924,8 @@ pub struct WireStats {
     pub id: u64,
 }
 
-/// Parses one `stats …` line.
-pub fn parse_stats(line: &str) -> std::result::Result<WireStats, ParseError> {
-    parse_stats_at(line, 0)
-}
-
-/// [`parse_stats`] with the request's 1-based position in its input
-/// stream carried into parse errors, mirroring [`parse_request_at`].
+/// Parses one `stats …` line, its position carried into parse errors
+/// as in [`parse_request_at`].
 pub fn parse_stats_at(line: &str, line_no: usize) -> std::result::Result<WireStats, ParseError> {
     let mut fields = WireFields::new(wire_tokens(line, "stats", line_no)?, line_no);
     let id = {
@@ -957,7 +938,7 @@ pub fn parse_stats_at(line: &str, line_no: usize) -> std::result::Result<WireSta
 }
 
 /// Formats one stats request as a `stats …` line (round-trips through
-/// [`parse_stats`]).
+/// [`parse_stats_at`]).
 pub fn format_stats(req: &WireStats) -> String {
     format!("stats id={}", req.id)
 }
@@ -1324,43 +1305,55 @@ mod tests {
         ];
         for req in reqs {
             let line = format_request(&req);
-            assert_eq!(parse_request(&line).expect("round trip"), req, "{line}");
+            assert_eq!(
+                parse_request_at(&line, 0).expect("round trip"),
+                req,
+                "{line}"
+            );
         }
     }
 
     #[test]
     fn wire_request_defaults_and_errors() {
-        let req = parse_request("solve id=7 objective=min-latency").expect("minimal line");
+        let req = parse_request_at("solve id=7 objective=min-latency", 0).expect("minimal line");
         assert_eq!(req.strategy, "auto");
         assert_eq!(req.objective, WireObjective::MinLatency);
-        assert!(parse_request("solve objective=min-period").is_err()); // no id
-        assert!(parse_request("solve id=1 objective=min-latency-for-period").is_err()); // no bound
-        assert!(parse_request("solve id=1 objective=min-period bound=2").is_err()); // stray bound
-        assert!(parse_request("solve id=1 objective=nope").is_err());
-        assert!(parse_request("solve id=1 objective=min-period junk=1").is_err());
-        assert!(parse_request("report id=1 status=ok").is_err()); // wrong verb
+        assert!(parse_request_at("solve objective=min-period", 0).is_err()); // no id
+        assert!(parse_request_at("solve id=1 objective=min-latency-for-period", 0).is_err()); // no bound
+        assert!(parse_request_at("solve id=1 objective=min-period bound=2", 0).is_err()); // stray bound
+        assert!(parse_request_at("solve id=1 objective=nope", 0).is_err());
+        assert!(parse_request_at("solve id=1 objective=min-period junk=1", 0).is_err());
+        assert!(parse_request_at("report id=1 status=ok", 0).is_err()); // wrong verb
     }
 
     #[test]
     fn tolerance_must_be_finite_and_non_negative() {
         for bad in ["nan", "-5", "-0.001", "inf", "-inf"] {
-            let err = parse_request(&format!("solve id=1 objective=min-period tolerance={bad}"))
-                .unwrap_err();
+            let err = parse_request_at(
+                &format!("solve id=1 objective=min-period tolerance={bad}"),
+                0,
+            )
+            .unwrap_err();
             assert_eq!(err.key(), Some("tolerance"), "solve tolerance={bad}");
-            let err = parse_cosched(&format!(
-                "cosched id=1 objective=max-min tenants=- tolerance={bad}"
-            ))
+            let err = parse_cosched_at(
+                &format!("cosched id=1 objective=max-min tenants=- tolerance={bad}"),
+                0,
+            )
             .unwrap_err();
             assert_eq!(err.key(), Some("tolerance"), "cosched tolerance={bad}");
         }
         for ok in ["0", "0.001", "1e-9"] {
             let want = Some(ok.parse::<f64>().unwrap());
-            let req = parse_request(&format!("solve id=1 objective=min-period tolerance={ok}"))
-                .expect("valid tolerance");
+            let req = parse_request_at(
+                &format!("solve id=1 objective=min-period tolerance={ok}"),
+                0,
+            )
+            .expect("valid tolerance");
             assert_eq!(req.tolerance, want);
-            let req = parse_cosched(&format!(
-                "cosched id=1 objective=max-min tenants=- tolerance={ok}"
-            ))
+            let req = parse_cosched_at(
+                &format!("cosched id=1 objective=max-min tenants=- tolerance={ok}"),
+                0,
+            )
             .expect("valid tolerance");
             assert_eq!(req.tolerance, want);
         }
@@ -1406,7 +1399,11 @@ mod tests {
         ];
         for upd in updates {
             let line = format_update(&upd);
-            assert_eq!(parse_update(&line).expect("round trip"), upd, "{line}");
+            assert_eq!(
+                parse_update_at(&line, 0).expect("round trip"),
+                upd,
+                "{line}"
+            );
         }
     }
 
@@ -1519,7 +1516,7 @@ mod tests {
         let err = parse_request_at("frobnicate id=1", 8).unwrap_err();
         assert_eq!((err.line(), err.key()), (Some(8), None));
         // Line 0 means "unknown position": no line reported.
-        let err = parse_request("solve id=1 objective=nope").unwrap_err();
+        let err = parse_request_at("solve id=1 objective=nope", 0).unwrap_err();
         assert_eq!((err.line(), err.key()), (None, Some("objective")));
     }
 
@@ -1547,7 +1544,11 @@ mod tests {
         ];
         for req in reqs {
             let line = format_cosched(&req);
-            assert_eq!(parse_cosched(&line).expect("round trip"), req, "{line}");
+            assert_eq!(
+                parse_cosched_at(&line, 0).expect("round trip"),
+                req,
+                "{line}"
+            );
         }
     }
 
@@ -1573,7 +1574,7 @@ mod tests {
             parse_cosched_at("cosched id=1 objective=max-min tenants=- junk=1", 9).unwrap_err();
         assert_eq!((err.line(), err.key()), (Some(9), Some("junk")));
         // Defaults: no weights/slos/tolerance, auto strategy.
-        let req = parse_cosched("cosched id=1 objective=slo tenants=-").expect("minimal");
+        let req = parse_cosched_at("cosched id=1 objective=slo tenants=-", 0).expect("minimal");
         assert_eq!(req.strategy, "auto");
         assert_eq!((req.weights, req.slos, req.tolerance), (None, None, None));
     }
@@ -1582,7 +1583,7 @@ mod tests {
     fn wire_stats_round_trips_and_rejects_extras() {
         let req = WireStats { id: 42 };
         let line = format_stats(&req);
-        assert_eq!(parse_stats(&line).expect("round trip"), req, "{line}");
+        assert_eq!(parse_stats_at(&line, 0).expect("round trip"), req, "{line}");
         let err = parse_stats_at("stats", 2).unwrap_err();
         assert_eq!((err.line(), err.key()), (Some(2), Some("id")));
         let err = parse_stats_at("stats id=1 junk=2", 3).unwrap_err();

@@ -5,7 +5,7 @@
 //! rely on.
 
 use pipeline_model::io::{
-    format_cosched, format_report, format_stats, parse_cosched, parse_report, parse_stats,
+    format_cosched, format_report, format_stats, parse_cosched_at, parse_report, parse_stats_at,
     WireCosched, WireCoschedReport, WireReport, WireStats, WireStatsReport,
 };
 use proptest::prelude::*;
@@ -25,7 +25,7 @@ fn selector_from(draw: usize) -> Option<String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `format_cosched` → `parse_cosched` is the identity for every
+    /// `format_cosched` → `parse_cosched_at` is the identity for every
     /// combination of selectors and the optional index-aligned vectors.
     #[test]
     fn prop_cosched_wire_round_trips(
@@ -56,7 +56,7 @@ proptest! {
             tolerance: (with_tolerance == 1).then(|| tolerance[0]),
         };
         let line = format_cosched(&req);
-        prop_assert_eq!(parse_cosched(&line).expect("round trip"), req, "{}", line);
+        prop_assert_eq!(parse_cosched_at(&line, 0).expect("round trip"), req, "{}", line);
     }
 
     /// `stats` requests round-trip (the verb carries only the id).
@@ -64,7 +64,7 @@ proptest! {
     fn prop_stats_wire_round_trips(id in 0u64..u64::MAX) {
         let req = WireStats { id };
         let line = format_stats(&req);
-        prop_assert_eq!(parse_stats(&line).expect("round trip"), req, "{}", line);
+        prop_assert_eq!(parse_stats_at(&line, 0).expect("round trip"), req, "{}", line);
     }
 
     /// Cosched reports — partition groups, per-tenant periods, latencies

@@ -3,7 +3,7 @@
 //! deltas always yield valid instances, and reconstructing deltas
 //! restore the original instance bit-for-bit.
 
-use pipeline_model::io::{format_update, parse_update, WireUpdate};
+use pipeline_model::io::{format_update, parse_update_at, WireUpdate};
 use pipeline_model::scenario::{ScenarioFamily, ScenarioGenerator};
 use pipeline_model::InstanceDelta;
 use proptest::prelude::*;
@@ -29,7 +29,7 @@ fn delta_from(kind: usize, a: usize, b: usize, x: f64) -> InstanceDelta {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `format_update` → `parse_update` is the identity for every delta
+    /// `format_update` → `parse_update_at` is the identity for every delta
     /// kind with arbitrary (round-trippable) numeric payloads.
     #[test]
     fn prop_update_wire_round_trips(
@@ -41,7 +41,7 @@ proptest! {
     ) {
         let upd = WireUpdate { id, delta: delta_from(kind, a, b, x) };
         let line = format_update(&upd);
-        prop_assert_eq!(parse_update(&line).expect("round trip"), upd, "{}", line);
+        prop_assert_eq!(parse_update_at(&line, 0).expect("round trip"), upd, "{}", line);
     }
 
     /// Applying a random delta to a random zoo instance either fails with

@@ -193,6 +193,7 @@ impl SyncSchedule {
 mod tests {
     use super::*;
     use crate::workflow::{InputPolicy, PipelineSim, SimConfig};
+    use pipeline_core::SolveWorkspace;
     use pipeline_model::generator::{ExperimentKind, InstanceGenerator, InstanceParams};
     use pipeline_model::{Application, Platform};
 
@@ -265,7 +266,11 @@ mod tests {
             let gen = InstanceGenerator::new(InstanceParams::paper(ExperimentKind::E2, 10, 8));
             let (app, pf) = gen.instance(seed, 0);
             let cm = CostModel::new(&app, &pf);
-            let res = pipeline_core::sp_mono_p(&cm, 0.6 * cm.single_proc_period());
+            let res = pipeline_core::sp_mono_p_in(
+                &cm,
+                0.6 * cm.single_proc_period(),
+                &mut SolveWorkspace::new(),
+            );
             let t = cm.period(&res.mapping);
             for factor in [1.0, 1.25, 2.0] {
                 let sched = build_sync_schedule(&cm, &res.mapping, t * factor);

@@ -342,6 +342,7 @@ impl<'a> PipelineSim<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pipeline_core::SolveWorkspace;
     use pipeline_model::generator::{ExperimentKind, InstanceGenerator, InstanceParams};
     use pipeline_model::{Application, Platform};
 
@@ -531,7 +532,11 @@ mod tests {
             let gen = InstanceGenerator::new(InstanceParams::paper(ExperimentKind::E2, 12, 8));
             let (app, pf) = gen.instance(seed, 0);
             let cm = CostModel::new(&app, &pf);
-            let res = pipeline_core::sp_mono_p(&cm, 0.6 * cm.single_proc_period());
+            let res = pipeline_core::sp_mono_p_in(
+                &cm,
+                0.6 * cm.single_proc_period(),
+                &mut SolveWorkspace::new(),
+            );
             let mapping = res.mapping;
             let period = cm.period(&mapping);
             let latency = cm.latency(&mapping);

@@ -2,6 +2,7 @@
 //! schedule and the greedy discrete-event executor must agree *activity
 //! by activity* when the source is throttled at the schedule period.
 
+use pipeline_core::SolveWorkspace;
 use pipeline_model::generator::{ExperimentKind, InstanceGenerator, InstanceParams};
 use pipeline_model::prelude::*;
 use pipeline_sim::schedule::build_sync_schedule;
@@ -28,7 +29,11 @@ fn greedy_trace_matches_synchronous_schedule_exactly() {
         let gen = InstanceGenerator::new(InstanceParams::paper(ExperimentKind::E2, 12, 8));
         let (app, pf) = gen.instance(seed, 0);
         let cm = CostModel::new(&app, &pf);
-        let res = pipeline_core::sp_mono_p(&cm, 0.55 * cm.single_proc_period());
+        let res = pipeline_core::sp_mono_p_in(
+            &cm,
+            0.55 * cm.single_proc_period(),
+            &mut SolveWorkspace::new(),
+        );
         let mapping = res.mapping;
         let t = cm.period(&mapping);
         let n_data = 12;
@@ -73,7 +78,11 @@ fn schedule_latency_invariant_under_period_slack() {
     let gen = InstanceGenerator::new(InstanceParams::paper(ExperimentKind::E1, 10, 8));
     let (app, pf) = gen.instance(3, 0);
     let cm = CostModel::new(&app, &pf);
-    let res = pipeline_core::sp_mono_p(&cm, 0.6 * cm.single_proc_period());
+    let res = pipeline_core::sp_mono_p_in(
+        &cm,
+        0.6 * cm.single_proc_period(),
+        &mut SolveWorkspace::new(),
+    );
     let t = cm.period(&res.mapping);
     let base = build_sync_schedule(&cm, &res.mapping, t);
     for slack in [1.0, 1.1, 1.7, 3.0] {
@@ -100,7 +109,7 @@ proptest! {
         let gen = InstanceGenerator::new(InstanceParams::paper(kind, 9, 6));
         let (app, pf) = gen.instance(seed, 0);
         let cm = CostModel::new(&app, &pf);
-        let res = pipeline_core::sp_mono_p(&cm, 0.0);
+        let res = pipeline_core::sp_mono_p_in(&cm, 0.0, &mut SolveWorkspace::new());
         let t = cm.period(&res.mapping) * slack;
         let sched = build_sync_schedule(&cm, &res.mapping, t);
         sched.validate(10);

@@ -8,9 +8,9 @@
 //! cargo run --release --example datacutter_filters
 //! ```
 
-use pipeline_workflows::core::hetero::{hetero_sp_mono_p, HeteroSplitOptions};
+use pipeline_workflows::core::hetero::{hetero_sp_mono_p_in, HeteroSplitOptions};
 use pipeline_workflows::core::replication::replicate_bottlenecks;
-use pipeline_workflows::core::sp_mono_p;
+use pipeline_workflows::core::{sp_mono_p_in, SolveWorkspace};
 use pipeline_workflows::model::{Application, CostModel, Platform};
 
 fn main() {
@@ -26,13 +26,14 @@ fn main() {
     let flat = Platform::comm_homogeneous(vec![30.0, 22.0, 18.0, 14.0, 9.0, 9.0, 6.0, 5.0], 10.0)
         .expect("valid platform");
     let cm = CostModel::new(&app, &flat);
+    let mut ws = SolveWorkspace::new();
     println!(
         "single-proc: period {:.2}, latency {:.2}",
         cm.single_proc_period(),
         cm.optimal_latency()
     );
     // Comm-dominated pipelines split reluctantly: each cut pays δ/b twice.
-    let floor = sp_mono_p(&cm, 0.0);
+    let floor = sp_mono_p_in(&cm, 0.0, &mut ws);
     println!(
         "splitting floor: period {:.2} with {} intervals — {}",
         floor.period,
@@ -84,12 +85,13 @@ fn main() {
     ));
     println!("single-proc period: {single:.2}");
     for candidates in [1, 4] {
-        let res = hetero_sp_mono_p(
+        let res = hetero_sp_mono_p_in(
             &cmh,
             0.0,
             HeteroSplitOptions {
                 candidate_procs: candidates,
             },
+            &mut ws,
         );
         println!(
             "hetero splitting floor (candidate pool {candidates}): period {:.2}, latency {:.2} — {}",

@@ -13,7 +13,7 @@
 //! cargo run --release --example image_pipeline
 //! ```
 
-use pipeline_workflows::core::{exact, HeuristicKind};
+use pipeline_workflows::core::{exact, HeuristicKind, SolveWorkspace};
 use pipeline_workflows::model::{Application, CostModel, Platform};
 use pipeline_workflows::sim::{InputPolicy, PipelineSim, SimConfig};
 
@@ -69,11 +69,12 @@ fn main() {
         "heuristic", "feasible", "period", "latency", "procs"
     );
     let mut best: Option<(f64, HeuristicKind)> = None;
+    let mut ws = SolveWorkspace::new();
     for kind in HeuristicKind::ALL
         .into_iter()
         .filter(|k| k.is_period_fixed())
     {
-        let res = kind.run(&cm, target_period);
+        let res = kind.run_in(&cm, target_period, &mut ws);
         println!(
             "{:<16} {:>8} {:>9.2} {:>9.2} {:>6}",
             kind.label(),
@@ -87,7 +88,7 @@ fn main() {
         }
     }
     let (_, winner) = best.expect("some heuristic meets 25s on this cluster");
-    let chosen = winner.run(&cm, target_period);
+    let chosen = winner.run_in(&cm, target_period, &mut ws);
     println!(
         "\nchosen: {} → {} (period {:.2}s, latency {:.2}s)",
         winner.label(),
@@ -97,7 +98,7 @@ fn main() {
     );
 
     // How far from optimal? n = 6 is small enough for the exact solver.
-    let exact_lat = exact::exact_min_latency_for_period(&cm, target_period)
+    let exact_lat = exact::exact_min_latency_for_period_in(&cm, target_period, &mut ws)
         .expect("target feasible for the exact solver");
     println!(
         "exact optimum at this period: latency {:.2}s — heuristic overhead {:.1}%",
@@ -125,7 +126,7 @@ fn main() {
 
     // The whole exact trade-off curve, for the write-up.
     println!("\nexact Pareto front (period, latency):");
-    for (period, latency, mapping) in exact::exact_pareto_front(&cm).iter() {
+    for (period, latency, mapping) in exact::exact_pareto_front_in(&cm, &mut ws).iter() {
         println!("  {period:>8.2}s {latency:>8.2}s  {mapping}");
     }
 }

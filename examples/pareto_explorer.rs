@@ -6,7 +6,7 @@
 //! cargo run --release --example pareto_explorer [seed]
 //! ```
 
-use pipeline_workflows::core::{exact, HeuristicKind, ParetoFront};
+use pipeline_workflows::core::{exact, HeuristicKind, ParetoFront, SolveWorkspace};
 use pipeline_workflows::experiments::ascii::Chart;
 use pipeline_workflows::model::generator::{ExperimentKind, InstanceGenerator, InstanceParams};
 use pipeline_workflows::model::util::linspace;
@@ -39,6 +39,7 @@ fn main() {
     let period_grid = linspace(0.3 * p_single, 1.05 * p_single, 40);
     let latency_grid = linspace(l_opt, 3.0 * l_opt, 40);
     let mut series: Vec<(String, Vec<(f64, f64)>)> = Vec::new();
+    let mut ws = SolveWorkspace::new();
     for kind in HeuristicKind::ALL {
         let mut front: ParetoFront<()> = ParetoFront::new();
         let grid = if kind.is_period_fixed() {
@@ -47,7 +48,7 @@ fn main() {
             &latency_grid
         };
         for &target in grid {
-            let r = kind.run(&cm, target);
+            let r = kind.run_in(&cm, target, &mut ws);
             if r.feasible {
                 front.offer(r.period, r.latency, ());
             }
@@ -58,7 +59,7 @@ fn main() {
     }
 
     // The exact front (exponential enumeration — fine at n = 8, p = 6).
-    let exact_front = exact::exact_pareto_front(&cm);
+    let exact_front = exact::exact_pareto_front_in(&cm, &mut ws);
     let exact_pts: Vec<(f64, f64)> = exact_front.iter().map(|(p, l, _)| (p, l)).collect();
     println!(
         "exact            {:>2} non-dominated points",

@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use pipeline_workflows::core::{HeuristicKind, SpBiPOptions};
+use pipeline_workflows::core::{HeuristicKind, SolveWorkspace, SpBiPOptions};
 use pipeline_workflows::model::{Application, CostModel, Platform};
 
 fn main() {
@@ -48,13 +48,14 @@ fn main() {
         "\n{:<16} {:>9} {:>9} {:>9}  mapping",
         "heuristic", "feasible", "period", "latency"
     );
+    let mut ws = SolveWorkspace::new();
     for kind in HeuristicKind::ALL {
         let target = if kind.is_period_fixed() {
             0.5 * p_single
         } else {
             2.0 * l_opt
         };
-        let res = kind.run(&cm, target);
+        let res = kind.run_in(&cm, target, &mut ws);
         println!(
             "{:<16} {:>9} {:>9.3} {:>9.3}  {}",
             kind.label(),
@@ -66,13 +67,14 @@ fn main() {
     }
 
     // H3 exposes its binary-search knobs.
-    let custom = pipeline_workflows::core::sp_bi_p(
+    let custom = pipeline_workflows::core::sp_bi_p_in(
         &cm,
         0.5 * p_single,
         SpBiPOptions {
             search_iters: 50,
             ..SpBiPOptions::default()
         },
+        &mut ws,
     );
     println!(
         "\nSp bi P with 50 search iterations: period {:.3}, latency {:.3}",
@@ -80,6 +82,6 @@ fn main() {
     );
 
     // Exact optimum for reference (exponential — fine at n = 6).
-    let (p_exact, best) = pipeline_workflows::core::exact::exact_min_period(&cm);
+    let (p_exact, best) = pipeline_workflows::core::exact::exact_min_period_in(&cm, &mut ws);
     println!("exact minimal period: {p_exact:.3} via {best}");
 }

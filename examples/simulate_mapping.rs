@@ -6,7 +6,7 @@
 //! cargo run --example simulate_mapping
 //! ```
 
-use pipeline_workflows::core::sp_mono_p;
+use pipeline_workflows::core::{sp_mono_p_in, SolveWorkspace};
 use pipeline_workflows::model::{Application, CostModel, Platform};
 use pipeline_workflows::sim::{Gantt, InputPolicy, PipelineSim, SimConfig};
 
@@ -18,7 +18,8 @@ fn main() {
     let cm = CostModel::new(&app, &platform);
 
     // Schedule for twice the throughput of the single-processor mapping.
-    let res = sp_mono_p(&cm, 0.5 * cm.single_proc_period());
+    let mut ws = SolveWorkspace::new();
+    let res = sp_mono_p_in(&cm, 0.5 * cm.single_proc_period(), &mut ws);
     println!("mapping: {}", res.mapping);
     println!(
         "analytic: period {:.3}, latency {:.3}\n",

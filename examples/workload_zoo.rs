@@ -8,7 +8,7 @@
 use pipeline_workflows::core::bounds::{gap, period_lower_bound};
 use pipeline_workflows::core::refine::refine_mapping;
 use pipeline_workflows::core::service::{PreparedInstance, SolveRequest};
-use pipeline_workflows::core::{HeuristicKind, Objective, Strategy};
+use pipeline_workflows::core::{HeuristicKind, Objective, SolveWorkspace, Strategy};
 use pipeline_workflows::model::workload::WorkloadShape;
 use pipeline_workflows::model::{CostModel, Platform};
 
@@ -55,7 +55,8 @@ fn main() {
     println!("\nhotspot + deal skeleton:");
     let app = WorkloadShape::Hotspot.build(9, 12.0, 2.0);
     let cm = CostModel::new(&app, &platform);
-    let floor = pipeline_workflows::core::sp_mono_p(&cm, 0.0);
+    let mut ws = SolveWorkspace::new();
+    let floor = pipeline_workflows::core::sp_mono_p_in(&cm, 0.0, &mut ws);
     println!(
         "  splitting floor: {:.2} ({} intervals)",
         floor.period,
@@ -88,7 +89,7 @@ fn main() {
             .into_iter()
             .filter(|k| k.is_period_fixed())
         {
-            let floor = kind.run(&cm, 0.0);
+            let floor = kind.run_in(&cm, 0.0, &mut ws);
             print!("{:>16.2}", floor.period);
         }
         println!();

@@ -70,9 +70,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use pipeline_workflows::core::serve::{self, ServeConfig, ServeState};
-use pipeline_workflows::core::service::PreparedInstance;
+use pipeline_workflows::core::service::{PreparedInstance, SolveRequest};
 use pipeline_workflows::core::SolveWorkspace;
-use pipeline_workflows::core::{Objective, Scheduler, Strategy};
+use pipeline_workflows::core::{Objective, Strategy};
 use pipeline_workflows::experiments::{
     bench, request_lines, run_load, run_scenario, scenario_zoo, write_zoo_instances, LoadReport,
 };
@@ -710,8 +710,7 @@ fn main() {
         prepared.single_proc_period()
     );
 
-    let request = Scheduler::new().strategy(strategy).request(objective);
-    let report = match prepared.solve(&request) {
+    let report = match prepared.solve(&SolveRequest::new(objective).strategy(strategy)) {
         Ok(report) => report,
         Err(err) => {
             eprintln!("cannot answer {objective:?}: {err}");

@@ -68,20 +68,10 @@
 //! assert!(!front.is_empty());
 //! ```
 //!
-//! The low-level API is still there for single runs: `sp_mono_p(&cm,
-//! target)` and friends in [`core`], one call per (heuristic, bound)
-//! pair.
-//!
-//! ### Migrating from `Scheduler::solve`
-//!
-//! The pre-v1 entry point `Scheduler::solve(&app, &pf, objective) ->
-//! Option<Solution>` has been removed (it spent one release as a
-//! deprecated shim). `Scheduler::solve_report` is the drop-in
-//! replacement (`Ok(report)` where you matched `Some(sol)`, structured
-//! [`core::SolveError`]s where you got `None`); hold a
-//! [`core::PreparedInstance`] instead when the same instance answers more
-//! than one query. Provenance is the `Copy` enum [`core::SolverId`] —
-//! match on it or print `.label()` where you compared strings.
+//! The low-level API is there for single runs, one call per (heuristic,
+//! bound) pair: `sp_mono_p_in(&cm, target, &mut ws)` and friends in
+//! [`core`], each taking the caller's [`core::SolveWorkspace`] scratch
+//! (`SolveWorkspace::new()` for a one-off run; reuse one across a batch).
 //!
 //! ## Validating a mapping operationally
 //!
@@ -112,8 +102,9 @@
 //! | [`sim`] | `pipeline-sim` | one-port discrete-event simulator, traces, Gantt charts |
 //! | [`experiments`] | `pipeline-experiments` | figure/table regeneration harness, sharded sweep engine, batched solving (`solve_batch`) |
 //!
-//! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for
-//! paper-vs-measured results of every figure and table.
+//! The README has one section per subsystem and `PAPER.md` the source
+//! paper's abstract; the `figures` and `table1` binaries print the
+//! paper's claim next to the measured shape for every figure and table.
 
 pub use pipeline_assign as assign;
 pub use pipeline_chains as chains;

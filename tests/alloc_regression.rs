@@ -19,7 +19,7 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use pipeline_workflows::core::service::PreparedInstance;
-use pipeline_workflows::core::{HeuristicKind, SolveWorkspace, SplitState};
+use pipeline_workflows::core::{HeuristicKind, SolveWorkspace, SplitBuffers, SplitState};
 use pipeline_workflows::model::generator::{ExperimentKind, InstanceGenerator, InstanceParams};
 use pipeline_workflows::model::CostModel;
 
@@ -79,7 +79,7 @@ fn warm_solve_paths_do_not_allocate() {
     // --- (a) steady-state split loop -----------------------------------
     // Warm-up pass: grows every buffer to its high-water mark.
     let warm = {
-        let mut st = SplitState::new(&cm);
+        let mut st = SplitState::new_in(&cm, SplitBuffers::default());
         let mut splits = 0usize;
         while let Some(s) = st.best_split2_mono(st.bottleneck(), None) {
             let j = st.bottleneck();

@@ -10,6 +10,7 @@
 use proptest::prelude::*;
 
 use pipeline_workflows::core::HeuristicKind;
+use pipeline_workflows::core::SolveWorkspace;
 use pipeline_workflows::model::scenario::{ScenarioFamily, ScenarioGenerator};
 use pipeline_workflows::model::{Application, CostModel, IntervalMapping, Platform};
 use pipeline_workflows::sim::{
@@ -80,7 +81,7 @@ fn empty_fault_plan_is_bit_identical_on_every_zoo_family() {
                 } else {
                     2.0 * cm.optimal_latency()
                 };
-                let res = kind.run(&cm, target);
+                let res = kind.run_in(&cm, target, &mut SolveWorkspace::new());
                 let period = cm.period(&res.mapping);
                 for (policy_name, policy) in [
                     ("saturating", InputPolicy::Saturating),

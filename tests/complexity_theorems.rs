@@ -14,7 +14,8 @@ use pipeline_workflows::chains::nmwts::{
     decode_matching, reduce, solve_nmwts_brute, NmwtsInstance,
 };
 use pipeline_workflows::chains::{hetero_exact_bnb, ChainPartition};
-use pipeline_workflows::core::exact::exact_min_period;
+use pipeline_workflows::core::exact::exact_min_period_in;
+use pipeline_workflows::core::SolveWorkspace;
 use pipeline_workflows::model::{Application, CostModel, IntervalMapping, Platform};
 use proptest::prelude::*;
 
@@ -76,7 +77,7 @@ fn theorem2_zero_comm_pipeline_equals_hetero_partitioning() {
         let app = Application::new(works.clone(), vec![0.0; n + 1]).unwrap();
         let pf = Platform::comm_homogeneous(speeds.clone(), 1.0).unwrap();
         let cm = CostModel::new(&app, &pf);
-        let (pipeline_opt, _) = exact_min_period(&cm);
+        let (pipeline_opt, _) = exact_min_period_in(&cm, &mut SolveWorkspace::new());
         let chains_opt = hetero_exact_bnb(&works, &speeds, 100_000_000)
             .expect("within budget")
             .objective;
@@ -95,7 +96,8 @@ fn lemma1_fastest_processor_is_latency_optimal() {
     let lemma1 = IntervalMapping::all_on_fastest(&app, &pf);
     let l_star = cm.latency(&lemma1);
     // Exhaustive check over all interval mappings (n = 4, p = 3).
-    let front = pipeline_workflows::core::exact::exact_pareto_front(&cm);
+    let front =
+        pipeline_workflows::core::exact::exact_pareto_front_in(&cm, &mut SolveWorkspace::new());
     let best_front_latency = front
         .latencies()
         .iter()
@@ -121,7 +123,7 @@ proptest! {
         let app = Application::new(works.clone(), vec![0.0; n + 1]).unwrap();
         let pf = Platform::comm_homogeneous(speeds.clone(), 1.0).unwrap();
         let cm = CostModel::new(&app, &pf);
-        let (pipeline_opt, _) = exact_min_period(&cm);
+        let (pipeline_opt, _) = exact_min_period_in(&cm, &mut SolveWorkspace::new());
         let chains_opt = hetero_exact_bnb(&works, &speeds, 100_000_000)
             .expect("budget").objective;
         prop_assert!((pipeline_opt - chains_opt).abs() < 1e-6 * (1.0 + chains_opt));

@@ -2,6 +2,7 @@
 //! across every experiment regime of the paper.
 
 use pipeline_workflows::core::HeuristicKind;
+use pipeline_workflows::core::SolveWorkspace;
 use pipeline_workflows::model::generator::{ExperimentKind, InstanceGenerator, InstanceParams};
 use pipeline_workflows::model::CostModel;
 use pipeline_workflows::sim::{InputPolicy, PipelineSim, SimConfig};
@@ -13,7 +14,7 @@ fn every_regime_schedules_and_simulates() {
         let (app, pf) = gen.instance(0xE2E, 0);
         let cm = CostModel::new(&app, &pf);
         let target = 0.6 * cm.single_proc_period();
-        let res = pipeline_workflows::core::sp_mono_p(&cm, target);
+        let res = pipeline_workflows::core::sp_mono_p_in(&cm, target, &mut SolveWorkspace::new());
         // Whether or not the target was met, the mapping must simulate
         // consistently with the analytic model.
         let out = PipelineSim::new(&cm, &res.mapping, SimConfig::default()).run(40);
@@ -43,7 +44,7 @@ fn all_heuristics_round_trip_through_the_simulator() {
         } else {
             2.0 * l0
         };
-        let res = kind.run(&cm, target);
+        let res = kind.run_in(&cm, target, &mut SolveWorkspace::new());
         let out = PipelineSim::new(
             &cm,
             &res.mapping,
@@ -68,6 +69,7 @@ fn all_heuristics_round_trip_through_the_simulator() {
 fn throughput_scales_with_processors() {
     // More processors → the best reachable period shrinks (weakly), for
     // every regime. Statistical sanity over a few seeds.
+    let mut ws = SolveWorkspace::new();
     for kind in [ExperimentKind::E1, ExperimentKind::E3] {
         let mut mean_small = 0.0;
         let mut mean_large = 0.0;
@@ -79,8 +81,8 @@ fn throughput_scales_with_processors() {
                 InstanceGenerator::new(InstanceParams::paper(kind, 20, 40)).instance(seed, 0);
             let cm_s = CostModel::new(&app_s, &pf_s);
             let cm_l = CostModel::new(&app_l, &pf_l);
-            mean_small += pipeline_workflows::core::sp_mono_p(&cm_s, 0.0).period;
-            mean_large += pipeline_workflows::core::sp_mono_p(&cm_l, 0.0).period;
+            mean_small += pipeline_workflows::core::sp_mono_p_in(&cm_s, 0.0, &mut ws).period;
+            mean_large += pipeline_workflows::core::sp_mono_p_in(&cm_l, 0.0, &mut ws).period;
         }
         assert!(
             mean_large <= mean_small * 1.01,
@@ -97,7 +99,11 @@ fn mapping_survives_instance_clone_and_revalidation() {
     let (app1, pf1) = InstanceGenerator::new(params).instance(9, 3);
     let (app2, pf2) = InstanceGenerator::new(params).instance(9, 3);
     let cm1 = CostModel::new(&app1, &pf1);
-    let res = pipeline_workflows::core::sp_mono_l(&cm1, 2.0 * cm1.optimal_latency());
+    let res = pipeline_workflows::core::sp_mono_l_in(
+        &cm1,
+        2.0 * cm1.optimal_latency(),
+        &mut SolveWorkspace::new(),
+    );
     let cm2 = CostModel::new(&app2, &pf2);
     let rebuilt = pipeline_workflows::model::IntervalMapping::new(
         &app2,

@@ -60,12 +60,13 @@ fn zoo_instances(n: usize, p: usize, seed: u64) -> Vec<(ScenarioFamily, Applicat
 /// n = 10; the DP-vs-v2 comparison continues to n = 16 below.
 #[test]
 fn exact_solvers_agree_three_ways_on_every_zoo_family() {
+    let mut ws = SolveWorkspace::new();
     for (family, app, pf) in zoo_instances(8, 5, 3) {
         let cm = CostModel::new(&app, &pf);
         let label = family.label();
 
-        let (v_dp, m_dp) = exact::exact_min_period(&cm);
-        let (v_dfs, m_dfs) = exact::exact_min_period_dfs(&cm);
+        let (v_dp, m_dp) = exact::exact_min_period_in(&cm, &mut ws);
+        let (v_dfs, m_dfs) = exact::exact_min_period_dfs_in(&cm, &mut ws);
         let (v_blind, m_blind) = exact::exact_min_period_blind(&cm);
         assert_eq!(v_dp.to_bits(), v_dfs.to_bits(), "{label}: period dp/dfs");
         assert_eq!(
@@ -79,8 +80,8 @@ fn exact_solvers_agree_three_ways_on_every_zoo_family() {
         // Bounds from infeasible (below the optimum) to slack.
         for factor in [0.5f64, 1.0, 1.15, 1.4, 2.0] {
             let bound = v_dp * factor;
-            let dp = exact::exact_min_latency_for_period(&cm, bound);
-            let dfs = exact::exact_min_latency_for_period_dfs(&cm, bound);
+            let dp = exact::exact_min_latency_for_period_in(&cm, bound, &mut ws);
+            let dfs = exact::exact_min_latency_for_period_dfs_in(&cm, bound, &mut ws);
             let blind = exact::exact_min_latency_for_period_blind(&cm, bound);
             for (other, tag) in [(&dfs, "dfs"), (&blind, "blind")] {
                 match (&dp, other) {
@@ -94,8 +95,12 @@ fn exact_solvers_agree_three_ways_on_every_zoo_family() {
             }
         }
 
-        let f_dp = exact::exact_pareto_front(&cm);
-        assert_fronts_identical(&f_dp, &exact::exact_pareto_front_dfs(&cm), label);
+        let f_dp = exact::exact_pareto_front_in(&cm, &mut ws);
+        assert_fronts_identical(
+            &f_dp,
+            &exact::exact_pareto_front_dfs_in(&cm, &mut ws),
+            label,
+        );
         assert_fronts_identical(&f_dp, &exact::exact_pareto_front_blind(&cm), label);
     }
 }
@@ -105,20 +110,21 @@ fn exact_solvers_agree_three_ways_on_every_zoo_family() {
 /// Communication Homogeneous zoo family.
 #[test]
 fn dp_matches_partition_search_at_n16() {
+    let mut ws = SolveWorkspace::new();
     for (n, p, seed) in [(13usize, 6usize, 1u64), (16, 6, 2)] {
         for (family, app, pf) in zoo_instances(n, p, seed) {
             let cm = CostModel::new(&app, &pf);
             let label = format!("{} n={n}", family.label());
 
-            let (v_dp, m_dp) = exact::exact_min_period(&cm);
-            let (v_dfs, m_dfs) = exact::exact_min_period_dfs(&cm);
+            let (v_dp, m_dp) = exact::exact_min_period_in(&cm, &mut ws);
+            let (v_dfs, m_dfs) = exact::exact_min_period_dfs_in(&cm, &mut ws);
             assert_eq!(v_dp.to_bits(), v_dfs.to_bits(), "{label}: period");
             assert_eq!(m_dp, m_dfs, "{label}: period mapping");
 
             for factor in [1.0f64, 1.3, 1.8] {
                 let bound = v_dp * factor;
-                let dp = exact::exact_min_latency_for_period(&cm, bound);
-                let dfs = exact::exact_min_latency_for_period_dfs(&cm, bound);
+                let dp = exact::exact_min_latency_for_period_in(&cm, bound, &mut ws);
+                let dfs = exact::exact_min_latency_for_period_dfs_in(&cm, bound, &mut ws);
                 match (&dp, &dfs) {
                     (Some((la, ma)), Some((lb, mb))) => {
                         assert_eq!(la.to_bits(), lb.to_bits(), "{label}@{factor}");
@@ -130,8 +136,8 @@ fn dp_matches_partition_search_at_n16() {
             }
 
             assert_fronts_identical(
-                &exact::exact_pareto_front(&cm),
-                &exact::exact_pareto_front_dfs(&cm),
+                &exact::exact_pareto_front_in(&cm, &mut ws),
+                &exact::exact_pareto_front_dfs_in(&cm, &mut ws),
                 &label,
             );
         }
@@ -145,6 +151,7 @@ fn dp_matches_partition_search_at_n16() {
 #[test]
 fn sharded_solvers_are_bit_identical_at_1_2_4_threads() {
     // Uniform-speed cluster: the DP's home regime (root fan-out runs).
+    let mut ws = SolveWorkspace::new();
     let gen = InstanceGenerator::new(InstanceParams::paper(ExperimentKind::E1, 18, 16));
     let (app, _) = gen.instance(5, 0);
     let uniform = Platform::comm_homogeneous(vec![10.0; 16], 10.0).expect("valid platform");
@@ -154,10 +161,10 @@ fn sharded_solvers_are_bit_identical_at_1_2_4_threads() {
 
     for (app, pf, label) in [(&app, &uniform, "uniform"), (&zoo_app, &zoo_pf, "zoo")] {
         let cm = CostModel::new(app, pf);
-        let (v_seq, m_seq) = exact::exact_min_period(&cm);
-        let front_seq = exact::exact_pareto_front(&cm);
+        let (v_seq, m_seq) = exact::exact_min_period_in(&cm, &mut ws);
+        let front_seq = exact::exact_pareto_front_in(&cm, &mut ws);
         let bound = v_seq * 1.4;
-        let lat_seq = exact::exact_min_latency_for_period(&cm, bound);
+        let lat_seq = exact::exact_min_latency_for_period_in(&cm, bound, &mut ws);
         for threads in [1usize, 2, 4] {
             let opts = ShardOptions::with_threads(threads);
             let (v, m) = exact_min_period_sharded(&cm, opts);

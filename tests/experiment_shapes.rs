@@ -1,6 +1,7 @@
 //! Reduced-scale runs of the experiment harness asserting the paper's
-//! qualitative findings (Section 5.2). Full-scale numbers live in
-//! EXPERIMENTS.md; these tests pin the *shapes* under `cargo test`.
+//! qualitative findings (Section 5.2). The `figures` and `table1`
+//! binaries print the full-scale numbers; these tests pin the *shapes*
+//! under `cargo test`.
 
 use pipeline_workflows::core::HeuristicKind;
 use pipeline_workflows::experiments::sweep::run_family;

@@ -2,6 +2,7 @@
 //! beating the exact optimum, and property-based stress over random
 //! instances.
 
+use pipeline_workflows::core::SolveWorkspace;
 use pipeline_workflows::core::{exact, HeuristicKind};
 use pipeline_workflows::model::generator::{ExperimentKind, InstanceGenerator, InstanceParams};
 use pipeline_workflows::model::CostModel;
@@ -19,16 +20,17 @@ fn small_instance(
 
 #[test]
 fn heuristic_periods_bounded_below_by_exact_optimum() {
+    let mut ws = SolveWorkspace::new();
     for kind in ExperimentKind::ALL {
         for seed in 0..3 {
             let (app, pf) = small_instance(kind, seed);
             let cm = CostModel::new(&app, &pf);
-            let (p_opt, _) = exact::exact_min_period(&cm);
+            let (p_opt, _) = exact::exact_min_period_in(&cm, &mut ws);
             for h in HeuristicKind::ALL
                 .into_iter()
                 .filter(|h| h.is_period_fixed())
             {
-                let res = h.run(&cm, 0.0); // run to the floor
+                let res = h.run_in(&cm, 0.0, &mut ws); // run to the floor
                 assert!(
                     res.period >= p_opt - 1e-9,
                     "{kind}/{h} seed {seed}: floor {} beats optimum {p_opt}",
@@ -48,7 +50,7 @@ fn latency_fixed_heuristics_bounded_by_exact_counterpart() {
         let (p_star, _) =
             exact::exact_min_period_for_latency(&cm, l_budget).expect("budget ≥ L_opt");
         for h in [HeuristicKind::SpMonoL, HeuristicKind::SpBiL] {
-            let res = h.run(&cm, l_budget);
+            let res = h.run_in(&cm, l_budget, &mut SolveWorkspace::new());
             assert!(res.feasible);
             assert!(
                 res.latency <= l_budget + 1e-9,
@@ -77,7 +79,7 @@ fn feasible_results_respect_their_constraint_everywhere() {
                 } else {
                     factor.max(1.0) * l0
                 };
-                let res = h.run(&cm, target);
+                let res = h.run_in(&cm, target, &mut SolveWorkspace::new());
                 if res.feasible {
                     if h.is_period_fixed() {
                         assert!(res.period <= target + 1e-9, "{kind}/{h}@{factor}");
@@ -105,7 +107,7 @@ fn lemma_1_lower_bound_on_latency_holds_for_all_heuristics() {
         } else {
             3.0 * l_opt
         };
-        let res = h.run(&cm, target);
+        let res = h.run_in(&cm, target, &mut SolveWorkspace::new());
         assert!(
             res.latency >= l_opt - 1e-9,
             "{h} beat the Lemma-1 latency bound"
@@ -125,6 +127,7 @@ proptest! {
         deltas_seed in 0u64..1000,
         speeds in proptest::collection::vec(1.0_f64..20.0, 2..5),
     ) {
+        let mut ws = SolveWorkspace::new();
         use pipeline_workflows::model::{Application, Platform};
         let n = works.len();
         // Derive deltas deterministically from the seed to keep the
@@ -134,10 +137,10 @@ proptest! {
         let app = Application::new(works, deltas).unwrap();
         let pf = Platform::comm_homogeneous(speeds, 10.0).unwrap();
         let cm = CostModel::new(&app, &pf);
-        let (p_opt, opt_mapping) = exact::exact_min_period(&cm);
+        let (p_opt, opt_mapping) = exact::exact_min_period_in(&cm, &mut ws);
         prop_assert!((cm.period(&opt_mapping) - p_opt).abs() < 1e-9);
         for h in HeuristicKind::ALL.into_iter().filter(|h| h.is_period_fixed()) {
-            let res = h.run(&cm, 0.0);
+            let res = h.run_in(&cm, 0.0, &mut ws);
             prop_assert!(res.period >= p_opt - 1e-9,
                 "{} floor {} beats exact {}", h, res.period, p_opt);
         }
@@ -150,14 +153,15 @@ proptest! {
         seed in 0u64..500,
         factor in 0.3_f64..1.2,
     ) {
+        let mut ws = SolveWorkspace::new();
         let (app, pf) = small_instance(ExperimentKind::E2, seed);
         let cm = CostModel::new(&app, &pf);
-        let front = exact::exact_pareto_front(&cm);
+        let front = exact::exact_pareto_front_in(&cm, &mut ws);
         let p0 = cm.single_proc_period();
         let l0 = cm.optimal_latency();
         for h in HeuristicKind::ALL {
             let target = if h.is_period_fixed() { factor * p0 } else { (1.0 + factor) * l0 };
-            let res = h.run(&cm, target);
+            let res = h.run_in(&cm, target, &mut ws);
             prop_assert!(
                 front.dominated(res.period + 1e-9, res.latency + 1e-9),
                 "{} produced a point outside the exact front", h

@@ -22,8 +22,10 @@
 use pipeline_workflows::core::exact;
 use pipeline_workflows::core::service::encode_mapping;
 use pipeline_workflows::core::trajectory::TrajectoryKind;
+use pipeline_workflows::core::SolveWorkspace;
 use pipeline_workflows::core::{
-    fixed_period_trajectory, hetero_trajectory, BiCriteriaResult, HeteroSplitOptions, HeuristicKind,
+    fixed_period_trajectory_in, hetero_trajectory_in, BiCriteriaResult, HeteroSplitOptions,
+    HeuristicKind,
 };
 use pipeline_workflows::model::scenario::{ScenarioFamily, ScenarioGenerator};
 use pipeline_workflows::model::CostModel;
@@ -76,7 +78,7 @@ fn current_lines() -> Vec<String> {
                     LATENCY_FACTORS.iter().map(|f| f * l0).collect()
                 };
                 for (t, target) in targets.into_iter().enumerate() {
-                    let r = kind.run(&cm, target);
+                    let r = kind.run_in(&cm, target, &mut SolveWorkspace::new());
                     lines.push(result_line(
                         &format!("res {} {seed} {} {t}", family.label(), kind.slug()),
                         &r,
@@ -92,10 +94,20 @@ fn current_lines() -> Vec<String> {
                     ("h2a", TrajectoryKind::ExploMono),
                     ("h2b", TrajectoryKind::ExploBi),
                 ] {
-                    trajectories.push((name, fixed_period_trajectory(&cm, tk)));
+                    trajectories.push((
+                        name,
+                        fixed_period_trajectory_in(&cm, tk, &mut SolveWorkspace::new()),
+                    ));
                 }
             }
-            trajectories.push(("het", hetero_trajectory(&cm, HeteroSplitOptions::default())));
+            trajectories.push((
+                "het",
+                hetero_trajectory_in(
+                    &cm,
+                    HeteroSplitOptions::default(),
+                    &mut SolveWorkspace::new(),
+                ),
+            ));
             for (name, traj) in trajectories {
                 for (i, pt) in traj.iter().enumerate() {
                     lines.push(format!(
@@ -120,14 +132,14 @@ fn current_lines() -> Vec<String> {
             for &seed in seeds {
                 let (app, pf) = gen.instance(seed, 0);
                 let cm = CostModel::new(&app, &pf);
-                let (p_opt, mapping) = exact::exact_min_period(&cm);
+                let (p_opt, mapping) = exact::exact_min_period_in(&cm, &mut SolveWorkspace::new());
                 lines.push(format!(
                     "minper {} {n} {seed} {:016x} {}",
                     family.label(),
                     p_opt.to_bits(),
                     encode_mapping(&mapping)
                 ));
-                let front = exact::exact_pareto_front(&cm);
+                let front = exact::exact_pareto_front_in(&cm, &mut SolveWorkspace::new());
                 for (i, (period, latency, payload)) in front.iter().enumerate() {
                     lines.push(format!(
                         "front {} {n} {seed} {i} {:016x} {:016x} {}",

@@ -4,7 +4,8 @@
 //! exercises.
 
 use pipeline_workflows::core::service::{PreparedInstance, SolveRequest, SolverId};
-use pipeline_workflows::core::{bounds, refine::refine_mapping, Objective, Scheduler, Strategy};
+use pipeline_workflows::core::SolveWorkspace;
+use pipeline_workflows::core::{bounds, refine::refine_mapping, Objective, Strategy};
 use pipeline_workflows::model::generator::{ExperimentKind, InstanceGenerator, InstanceParams};
 use pipeline_workflows::model::io::{format_instance, parse_instance};
 use pipeline_workflows::model::workload::WorkloadShape;
@@ -38,11 +39,9 @@ fn workload_presets_schedule_end_to_end() {
         let app = shape.build(10, 20.0, 8.0);
         let cm = CostModel::new(&app, &pf);
         let bound = 0.7 * cm.single_proc_period();
-        let report = Scheduler::new().strategy(Strategy::BestOfAll).solve_report(
-            &app,
-            &pf,
-            Objective::MinLatencyForPeriod(bound),
-        );
+        let request =
+            SolveRequest::new(Objective::MinLatencyForPeriod(bound)).strategy(Strategy::BestOfAll);
+        let report = PreparedInstance::new(app.clone(), pf.clone()).solve(&request);
         if let Ok(report) = report {
             assert!(report.result.period <= bound + 1e-9, "{shape}");
             // Refinement under the same latency as budget can only help
@@ -56,13 +55,13 @@ fn workload_presets_schedule_end_to_end() {
 #[test]
 fn hotspot_workloads_benefit_from_replication() {
     use pipeline_workflows::core::replication::replicate_bottlenecks;
-    use pipeline_workflows::core::sp_mono_p;
+    use pipeline_workflows::core::sp_mono_p_in;
     // A dominant middle stage caps splitting; the deal skeleton breaks
     // the cap.
     let app = WorkloadShape::Hotspot.build(7, 10.0, 1.0);
     let pf = Platform::comm_homogeneous(vec![5.0; 10], 10.0).unwrap();
     let cm = CostModel::new(&app, &pf);
-    let floor = sp_mono_p(&cm, 0.0);
+    let floor = sp_mono_p_in(&cm, 0.0, &mut SolveWorkspace::new());
     let rep = replicate_bottlenecks(&cm, &floor.mapping, 0.6 * floor.period);
     assert!(
         rep.period < floor.period - 1e-9,
@@ -119,7 +118,7 @@ proptest! {
         let gen = InstanceGenerator::new(InstanceParams::paper(ExperimentKind::E2, 10, 8));
         let (app, pf) = gen.instance(seed, 0);
         let cm = CostModel::new(&app, &pf);
-        let base = pipeline_workflows::core::sp_mono_p(&cm, 0.0);
+        let base = pipeline_workflows::core::sp_mono_p_in(&cm, 0.0, &mut SolveWorkspace::new());
         let budget = base.latency * slack;
         let refined = refine_mapping(&cm, &base.mapping, budget);
         prop_assert!(refined.period <= base.period + 1e-9);

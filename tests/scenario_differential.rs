@@ -10,6 +10,7 @@
 //! what a one-port execution actually achieves.
 
 use pipeline_workflows::core::HeuristicKind;
+use pipeline_workflows::core::SolveWorkspace;
 use pipeline_workflows::model::scenario::{ScenarioFamily, ScenarioGenerator};
 use pipeline_workflows::model::{CostModel, IntervalMapping};
 use pipeline_workflows::sim::{InputPolicy, PipelineSim, SimConfig};
@@ -42,7 +43,7 @@ fn mappings_under_test(cm: &CostModel<'_>) -> Vec<(String, IntervalMapping)> {
         };
         for (t, target) in targets.into_iter().enumerate() {
             // The mapping is valid whether or not the target was met.
-            let res = kind.run(cm, target);
+            let res = kind.run_in(cm, target, &mut SolveWorkspace::new());
             out.push((format!("{kind}@t{t}"), res.mapping));
         }
     }

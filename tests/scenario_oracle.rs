@@ -7,8 +7,10 @@
 //!   optimal bottleneck value of the exact partition's cycle-time
 //!   matrix.
 
-use pipeline_workflows::assign::{bottleneck_assignment, hungarian, CostMatrix};
+use pipeline_workflows::assign::HungarianScratch;
+use pipeline_workflows::assign::{bottleneck_assignment, hungarian_in, CostMatrix};
 use pipeline_workflows::core::service::{PreparedInstance, SolveRequest};
+use pipeline_workflows::core::SolveWorkspace;
 use pipeline_workflows::core::{exact, Objective, Strategy};
 use pipeline_workflows::model::scenario::{ScenarioFamily, ScenarioGenerator};
 use pipeline_workflows::model::CostModel;
@@ -73,7 +75,7 @@ fn hungarian_and_bottleneck_agree_on_the_optimal_bottleneck_value() {
         for index in 0..3 {
             let (app, pf) = gen.instance(13, index);
             let cm = CostModel::new(&app, &pf);
-            let (p_opt, mapping) = exact::exact_min_period(&cm);
+            let (p_opt, mapping) = exact::exact_min_period_in(&cm, &mut SolveWorkspace::new());
 
             // Cycle-time matrix of the optimal partition: rows =
             // intervals, cols = processors. On Communication Homogeneous
@@ -102,7 +104,7 @@ fn hungarian_and_bottleneck_agree_on_the_optimal_bottleneck_value() {
 
             // No assignment can have max cost below the bottleneck
             // optimum — in particular not the min-sum (Hungarian) one.
-            let hg = hungarian(&m).expect("finite matrix");
+            let hg = hungarian_in(&m, &mut HungarianScratch::default()).expect("finite matrix");
             let hg_max = hg
                 .assigned
                 .iter()
@@ -126,8 +128,8 @@ fn hungarian_and_bottleneck_agree_on_the_optimal_bottleneck_value() {
                     v
                 }
             });
-            let hg_masked =
-                hungarian(&masked).expect("the bottleneck-optimal assignment survives the mask");
+            let hg_masked = hungarian_in(&masked, &mut HungarianScratch::default())
+                .expect("the bottleneck-optimal assignment survives the mask");
             let masked_max = hg_masked
                 .assigned
                 .iter()

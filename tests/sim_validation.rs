@@ -4,6 +4,7 @@
 //! run in silico.
 
 use pipeline_workflows::core::HeuristicKind;
+use pipeline_workflows::core::SolveWorkspace;
 use pipeline_workflows::model::generator::{ExperimentKind, InstanceGenerator, InstanceParams};
 use pipeline_workflows::model::CostModel;
 use pipeline_workflows::sim::{InputPolicy, PipelineSim, SimConfig};
@@ -18,7 +19,11 @@ fn analytic_period_is_operationally_achievable_everywhere() {
             let gen = InstanceGenerator::new(InstanceParams::paper(kind, n, p));
             let (app, pf) = gen.instance(0x51u64, 0);
             let cm = CostModel::new(&app, &pf);
-            let res = pipeline_workflows::core::three_explo_bi(&cm, 0.5 * cm.single_proc_period());
+            let res = pipeline_workflows::core::three_explo_bi_in(
+                &cm,
+                0.5 * cm.single_proc_period(),
+                &mut SolveWorkspace::new(),
+            );
             let out = PipelineSim::new(&cm, &res.mapping, SimConfig::default()).run(60);
             let steady = out.report.steady_period().unwrap();
             assert!(
@@ -46,7 +51,7 @@ fn one_port_serialization_holds_under_all_heuristics() {
         } else {
             2.0 * cm.optimal_latency()
         };
-        let res = kind.run(&cm, target);
+        let res = kind.run_in(&cm, target, &mut SolveWorkspace::new());
         let out = PipelineSim::new(
             &cm,
             &res.mapping,
@@ -82,7 +87,11 @@ fn busy_time_accounts_for_all_service_demand() {
     let gen = InstanceGenerator::new(InstanceParams::paper(ExperimentKind::E1, 8, 6));
     let (app, pf) = gen.instance(17, 0);
     let cm = CostModel::new(&app, &pf);
-    let res = pipeline_workflows::core::sp_mono_p(&cm, 0.7 * cm.single_proc_period());
+    let res = pipeline_workflows::core::sp_mono_p_in(
+        &cm,
+        0.7 * cm.single_proc_period(),
+        &mut SolveWorkspace::new(),
+    );
     let n_data = 12usize;
     let out = PipelineSim::new(&cm, &res.mapping, SimConfig::default()).run(n_data);
     for (j, (iv, u)) in res.mapping.assignments().enumerate() {
@@ -112,7 +121,7 @@ proptest! {
         let gen = InstanceGenerator::new(InstanceParams::paper(kind, 9, 6));
         let (app, pf) = gen.instance(seed, 0);
         let cm = CostModel::new(&app, &pf);
-        let res = pipeline_workflows::core::sp_mono_p(&cm, factor * cm.single_proc_period());
+        let res = pipeline_workflows::core::sp_mono_p_in(&cm, factor * cm.single_proc_period(), &mut SolveWorkspace::new());
         let out = PipelineSim::new(&cm, &res.mapping, SimConfig::default()).run(30);
         let steady = out.report.steady_period().unwrap();
         prop_assert!((steady - res.period).abs() < 1e-6 * res.period);
@@ -129,7 +138,7 @@ proptest! {
         let gen = InstanceGenerator::new(InstanceParams::paper(ExperimentKind::E2, 8, 6));
         let (app, pf) = gen.instance(seed, 0);
         let cm = CostModel::new(&app, &pf);
-        let res = pipeline_workflows::core::sp_mono_p(&cm, 0.6 * cm.single_proc_period());
+        let res = pipeline_workflows::core::sp_mono_p_in(&cm, 0.6 * cm.single_proc_period(), &mut SolveWorkspace::new());
         if res.mapping.n_intervals() < 2 {
             // Single station: no queueing distinction to observe.
             return Ok(());

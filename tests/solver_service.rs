@@ -8,6 +8,7 @@ use std::sync::Arc;
 use pipeline_workflows::core::service::{
     encode_mapping, PreparedInstance, SolveError, SolveRequest, SolverId,
 };
+use pipeline_workflows::core::SolveWorkspace;
 use pipeline_workflows::core::{exact, HeuristicKind, Objective, Strategy};
 use pipeline_workflows::experiments::{solve_batch, BatchJob, ShardOptions};
 use pipeline_workflows::model::io::format_report;
@@ -37,7 +38,8 @@ fn pareto_front_queries_match_the_exact_front_on_small_instances() {
                 .expect("auto routes n=8 to exact");
             assert_eq!(report.solver, SolverId::Exact, "{family} #{index}");
             let front = report.front.expect("front materialized");
-            let reference = exact::exact_pareto_front(&session.cost_model());
+            let reference =
+                exact::exact_pareto_front_in(&session.cost_model(), &mut SolveWorkspace::new());
             assert_eq!(front.len(), reference.len(), "{family} #{index}");
             for (got, want) in front.iter().zip(reference.iter()) {
                 assert_eq!(got.0.to_bits(), want.0.to_bits());
@@ -80,7 +82,8 @@ fn heuristic_fronts_never_dominate_the_exact_front() {
     let gen = ScenarioGenerator::new(ScenarioFamily::E2.params(8, 5));
     let (app, pf) = gen.instance(29, 0);
     let session = PreparedInstance::new(app, pf);
-    let exact_front = exact::exact_pareto_front(&session.cost_model());
+    let exact_front =
+        exact::exact_pareto_front_in(&session.cost_model(), &mut SolveWorkspace::new());
     let report = session
         .solve(&SolveRequest::new(Objective::ParetoFront).strategy(Strategy::BestOfAll))
         .expect("heuristic front");

@@ -4,7 +4,7 @@
 //! → assign/chains) and is meant to fail loudly if any re-export or
 //! cross-crate API drifts.
 
-use pipeline_workflows::core::{bounds, exact, HeuristicKind};
+use pipeline_workflows::core::{bounds, exact, HeuristicKind, SolveWorkspace};
 use pipeline_workflows::model::{Application, CostModel, Platform};
 
 const EPS: f64 = 1e-9;
@@ -22,12 +22,13 @@ fn shared_instance() -> (Application, Platform) {
 
 #[test]
 fn all_heuristics_and_exact_agree_on_invariants() {
+    let mut ws = SolveWorkspace::new();
     let (app, platform) = shared_instance();
     let cm = CostModel::new(&app, &platform);
 
     let l_bound = bounds::latency_lower_bound(&cm);
     let p_bound = bounds::period_lower_bound(&cm, 10_000).value;
-    let (p_exact, exact_mapping) = exact::exact_min_period(&cm);
+    let (p_exact, exact_mapping) = exact::exact_min_period_in(&cm, &mut ws);
     assert!(p_exact > 0.0 && p_exact.is_finite());
     assert!(
         p_exact >= p_bound - EPS,
@@ -48,7 +49,7 @@ fn all_heuristics_and_exact_agree_on_invariants() {
         } else {
             3.0 * l_bound
         };
-        let r = kind.run(&cm, target);
+        let r = kind.run_in(&cm, target, &mut ws);
         assert!(
             r.feasible,
             "{} infeasible under a loose budget",
