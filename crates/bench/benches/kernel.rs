@@ -1,7 +1,7 @@
 //! The incremental solver kernel: split-step throughput and the exact
-//! solver generations — the routed v3 dominance DP, the v2
-//! branch-and-bound, and the blind v1 reference — at the old cutoff and
-//! at the raised n = 24, p = 16 frontier.
+//! solver generations — the routed v3 dominance DP and the v2
+//! branch-and-bound (the witness walks with no known value) — at the old
+//! cutoff and at the raised n = 24, p = 16 frontier.
 //!
 //! Compiled (not run) in CI via `cargo bench --no-run`; run locally to
 //! compare kernel generations. `pwsched bench kernel` records the same
@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pipeline_core::exact;
 use pipeline_core::trajectory::{fixed_period_trajectory_in, TrajectoryKind};
-use pipeline_core::{sp_bi_p_in, SolveWorkspace, SpBiPOptions};
+use pipeline_core::{sp_bi_p_in, ParetoFront, SolveWorkspace, SpBiPOptions};
 use pipeline_model::generator::{ExperimentKind, InstanceGenerator, InstanceParams};
 use pipeline_model::{CostModel, Platform};
 use std::hint::black_box;
@@ -87,9 +87,9 @@ fn bench_sp_bi_p(c: &mut Criterion) {
 }
 
 /// Exact solver generations at the old Auto cutoff: the routed public
-/// entry (v3 dominance DP where it applies), the v2 branch-and-bound,
-/// and the blind v1 enumeration. v3 and v2 run on one warm workspace,
-/// as the library's solve path does.
+/// entry (v3 dominance DP where it applies) and the v2 branch-and-bound
+/// (the witness walk with no known value), on one warm workspace, as
+/// the library's solve path does.
 fn bench_exact_generations(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernel/exact");
     let n = 12usize;
@@ -102,19 +102,20 @@ fn bench_exact_generations(c: &mut Criterion) {
         b.iter(|| black_box(exact::exact_min_period_in(&cm, &mut ws)));
     });
     group.bench_function(BenchmarkId::new("min-period-v2", format!("n{n}")), |b| {
-        b.iter(|| black_box(exact::exact_min_period_dfs_in(&cm, &mut ws)));
-    });
-    group.bench_function(BenchmarkId::new("min-period-v1", format!("n{n}")), |b| {
-        b.iter(|| black_box(exact::exact_min_period_blind(&cm)));
+        b.iter(|| {
+            black_box(exact::exact_min_period_from_value(
+                &cm,
+                f64::INFINITY,
+                &mut ws,
+            ))
+        });
     });
     group.bench_function(BenchmarkId::new("front-v3", format!("n{n}")), |b| {
         b.iter(|| black_box(exact::exact_pareto_front_in(&cm, &mut ws)));
     });
+    let no_shadow = ParetoFront::new();
     group.bench_function(BenchmarkId::new("front-v2", format!("n{n}")), |b| {
-        b.iter(|| black_box(exact::exact_pareto_front_dfs_in(&cm, &mut ws)));
-    });
-    group.bench_function(BenchmarkId::new("front-v1", format!("n{n}")), |b| {
-        b.iter(|| black_box(exact::exact_pareto_front_blind(&cm)));
+        b.iter(|| black_box(exact::exact_front_from_shadow(&cm, &no_shadow, &mut ws)));
     });
     group.finish();
 }
@@ -143,7 +144,13 @@ fn bench_exact_dp_frontier(c: &mut Criterion) {
     group.bench_function(
         BenchmarkId::new("min-period-v2", format!("n{n}_p{p}")),
         |b| {
-            b.iter(|| black_box(exact::exact_min_period_dfs_in(&cm, &mut ws)));
+            b.iter(|| {
+                black_box(exact::exact_min_period_from_value(
+                    &cm,
+                    f64::INFINITY,
+                    &mut ws,
+                ))
+            });
         },
     );
     group.bench_function(BenchmarkId::new("front-v3", format!("n{n}_p{p}")), |b| {

@@ -1,6 +1,6 @@
 //! Nicol's exact parametric-search algorithm for the homogeneous
 //! chains-to-chains problem, plus Iqbal's ε-approximate bisection —
-//! the classical algorithms the paper cites ([10, 11, 13] / survey [14]).
+//! the classical algorithms the paper cites ([10, 11, 13] / survey \[14\]).
 //!
 //! Unlike the value-bisection of
 //! [`crate::homogeneous::min_bottleneck_probe_search`], Nicol's method
@@ -79,7 +79,7 @@ pub fn min_bottleneck_nicol(a: &[f64], p: usize) -> (f64, ChainPartition) {
     (partition.bottleneck(a), partition)
 }
 
-/// Iqbal's ε-approximate bisection (ref [11]): plain value bisection down
+/// Iqbal's ε-approximate bisection (ref \[11\]): plain value bisection down
 /// to an absolute tolerance `eps`, returning a feasible partition whose
 /// bottleneck is within `eps` of optimal. Kept as the historical baseline
 /// the exact methods improved on.

@@ -1,7 +1,7 @@
 //! The NP-hardness gadget of Theorem 1: reducing NUMERICAL MATCHING WITH
 //! TARGET SUMS (NMWTS) to `Hetero-1D-Partition`.
 //!
-//! NMWTS (Garey & Johnson, problem [SP17]): given `3m` numbers
+//! NMWTS (Garey & Johnson, problem \[SP17\]): given `3m` numbers
 //! `x_1..x_m`, `y_1..y_m`, `z_1..z_m`, do two permutations `σ1, σ2` of
 //! `{1..m}` exist with `x_i + y_{σ1(i)} = z_{σ2(i)}` for all `i`?
 //!

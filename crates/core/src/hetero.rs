@@ -400,7 +400,7 @@ pub fn hetero_sp_mono_p_in(
 /// exhaustion.
 ///
 /// The split choices never consult the period target (see
-/// [`best_split`]), so — exactly like the H1/H2a/H2b trajectories of
+/// `best_split`), so — exactly like the H1/H2a/H2b trajectories of
 /// [`crate::trajectory`] — one recorded run answers *every* period target
 /// via [`Trajectory::result_for_period`]. The sharded sweep engine relies
 /// on this to sweep heterogeneous-platform scenario families at the same

@@ -33,8 +33,9 @@
 //! # Exact solvers and baselines
 //!
 //! * [`exact`] — exact bi-criteria optimum for small instances
-//!   (branch-and-bound partition search + bottleneck/Hungarian
-//!   assignment, with the blind enumerations kept as references);
+//!   (a processor-subset dominance DP for values, then one
+//!   branch-and-bound partition walk per operation with
+//!   bottleneck/Hungarian assignments for the mapping);
 //! * [`baseline`] — the Subhlok–Vondran dynamic programs, optimal on
 //!   *homogeneous* platforms (the setting the paper extends);
 //! * [`pareto`] — Pareto-front utilities shared by tests and experiments.

@@ -37,7 +37,7 @@ use crate::tenancy::{CoSchedOptions, PartitionObjective, Tenant, TenantSet};
 use crate::workspace::SolveWorkspace;
 use pipeline_model::io::{
     format_report, parse_cosched_at, parse_instance, parse_request_at, parse_stats_at,
-    parse_update_at, WireFailure, WireReport, WireSolved, WireStatsReport,
+    parse_update_at, ParseError, WireFailure, WireReport, WireSolved, WireStatsReport,
 };
 use pipeline_model::IntervalMapping;
 use std::collections::HashMap;
@@ -470,12 +470,7 @@ impl ServeState {
         }
         let wire = match parse_request_at(line, line_no as usize) {
             Ok(wire) => wire,
-            Err(e) => {
-                let mut failure = WireFailure::new(0, "bad-request");
-                failure.line = e.line().map(|l| l as u64);
-                failure.key = e.key().map(str::to_string);
-                return WireReport::Failed(failure);
-            }
+            Err(e) => return bad_request(line, &e),
         };
         let request = match SolveRequest::from_wire(&wire) {
             Ok(request) => request,
@@ -509,12 +504,7 @@ impl ServeState {
     fn answer_update(&self, line: &str, line_no: u64, ws: &mut SolveWorkspace) -> WireReport {
         let upd = match parse_update_at(line, line_no as usize) {
             Ok(upd) => upd,
-            Err(e) => {
-                let mut failure = WireFailure::new(0, "bad-request");
-                failure.line = e.line().map(|l| l as u64);
-                failure.key = e.key().map(str::to_string);
-                return WireReport::Failed(failure);
-            }
+            Err(e) => return bad_request(line, &e),
         };
         let Some(path) = self.default_path.as_deref() else {
             return WireReport::Failed(WireFailure::new(upd.id, "no-default-instance"));
@@ -549,12 +539,7 @@ impl ServeState {
     fn answer_cosched(&self, line: &str, line_no: u64, ws: &mut SolveWorkspace) -> WireReport {
         let wire = match parse_cosched_at(line, line_no as usize) {
             Ok(wire) => wire,
-            Err(e) => {
-                let mut failure = WireFailure::new(0, "bad-request");
-                failure.line = e.line().map(|l| l as u64);
-                failure.key = e.key().map(str::to_string);
-                return WireReport::Failed(failure);
-            }
+            Err(e) => return bad_request(line, &e),
         };
         let Some(objective) = PartitionObjective::from_label(&wire.objective) else {
             return WireReport::Failed(
@@ -619,12 +604,7 @@ impl ServeState {
     fn answer_stats(&self, line: &str, line_no: u64) -> WireReport {
         let wire = match parse_stats_at(line, line_no as usize) {
             Ok(wire) => wire,
-            Err(e) => {
-                let mut failure = WireFailure::new(0, "bad-request");
-                failure.line = e.line().map(|l| l as u64);
-                failure.key = e.key().map(str::to_string);
-                return WireReport::Failed(failure);
-            }
+            Err(e) => return bad_request(line, &e),
         };
         let stats = self.stats();
         WireReport::Stats(WireStatsReport {
@@ -640,6 +620,21 @@ impl ServeState {
             uptime_s: stats.uptime_s,
         })
     }
+}
+
+/// The `bad-request` failure of a line that did not parse: the line and
+/// key diagnostics of `e`, and the line's id when its `id=` token parses
+/// (`0` when it is missing or malformed), so pipelined clients can match
+/// the failure to its request.
+fn bad_request(line: &str, e: &ParseError) -> WireReport {
+    let id = line
+        .split_whitespace()
+        .find_map(|t| t.strip_prefix("id="))
+        .and_then(|v| v.parse::<u64>().ok());
+    let mut failure = WireFailure::new(id.unwrap_or(0), "bad-request");
+    failure.line = e.line().map(|l| l as u64);
+    failure.key = e.key().map(str::to_string);
+    WireReport::Failed(failure)
 }
 
 /// Decrements the live-connection gauge when a connection thread exits,
@@ -1108,7 +1103,7 @@ mod tests {
             .expect("answered");
         assert_eq!(
             format_report(&report),
-            "report id=0 status=error code=bad-request line=6 key=speed"
+            "report id=6 status=error code=bad-request line=6 key=speed"
         );
         let _ = std::fs::remove_file(path);
     }
@@ -1117,31 +1112,56 @@ mod tests {
     fn malformed_requests_carry_line_and_key_diagnostics() {
         let state = ServeState::new(None, 2);
         let mut ws = SolveWorkspace::new();
-        let report = state
-            .answer_line("solve id=1 objective=take-a-guess", 29, &mut ws)
-            .expect("answered");
-        assert_eq!(
-            format_report(&report),
-            "report id=0 status=error code=bad-request line=29 key=objective"
-        );
-        let report = state
-            .answer_line("solve id=2 objective=min-period junk=1", 4, &mut ws)
-            .expect("answered");
-        assert_eq!(
-            format_report(&report),
-            "report id=0 status=error code=bad-request line=4 key=junk"
-        );
-        // No default instance configured and no instance= selector.
-        let report = state
-            .answer_line("solve id=3 objective=min-period", 5, &mut ws)
-            .expect("answered");
-        assert_eq!(
-            format_report(&report),
-            "report id=3 status=error code=bad-instance key=instance"
-        );
+        // Every verb echoes an id that parsed; a missing or malformed id
+        // is answered as id=0.
+        let checks = [
+            (
+                "solve id=1 objective=take-a-guess",
+                "report id=1 status=error code=bad-request line=1 key=objective",
+            ),
+            (
+                "solve id=2 objective=min-period junk=1",
+                "report id=2 status=error code=bad-request line=2 key=junk",
+            ),
+            (
+                "solve id=3 objective=min-period tolerance=nan",
+                "report id=3 status=error code=bad-request line=3 key=tolerance",
+            ),
+            (
+                "update id=4 delta=bogus",
+                "report id=4 status=error code=bad-request line=4 key=delta",
+            ),
+            (
+                "cosched id=5 objective=max-min tenants=-,- weights=1",
+                "report id=5 status=error code=bad-request line=5 key=weights",
+            ),
+            (
+                "stats id=6 junk=1",
+                "report id=6 status=error code=bad-request line=6 key=junk",
+            ),
+            (
+                "solve id=x7 objective=min-period",
+                "report id=0 status=error code=bad-request line=7 key=id",
+            ),
+            (
+                "stats junk=1",
+                "report id=0 status=error code=bad-request line=8 key=id",
+            ),
+            // No default instance configured and no instance= selector.
+            (
+                "solve id=9 objective=min-period",
+                "report id=9 status=error code=bad-instance key=instance",
+            ),
+        ];
+        for (line_no, (request, expected)) in (1u64..).zip(checks) {
+            let report = state
+                .answer_line(request, line_no, &mut ws)
+                .expect("answered");
+            assert_eq!(format_report(&report), expected, "{request}");
+        }
         let stats = state.stats();
-        assert_eq!(stats.requests, 3);
-        assert_eq!(stats.failures, 3);
+        assert_eq!(stats.requests, checks.len() as u64);
+        assert_eq!(stats.failures, checks.len() as u64);
     }
 
     #[test]
@@ -1196,7 +1216,7 @@ mod tests {
             .expect("answered");
         assert_eq!(
             format_report(&report),
-            "report id=0 status=error code=bad-request line=4 key=junk"
+            "report id=4 status=error code=bad-request line=4 key=junk"
         );
         let _ = std::fs::remove_file(path);
     }
@@ -1375,7 +1395,7 @@ mod tests {
             ),
             (
                 "cosched id=5 objective=max-min tenants=- weights=1:2",
-                "report id=0 status=error code=bad-request line=5 key=weights",
+                "report id=5 status=error code=bad-request line=5 key=weights",
             ),
         ];
         for (line_no, (request, expected)) in checks.iter().enumerate() {

@@ -472,14 +472,13 @@ impl PreparedInstance {
     ///   speeds up or slows down).
     /// * **Selection-memo warm start** — if the workspace's [`SplitMemo`]
     ///   is bound to this instance, it is rebound
-    ///   ([`SplitMemo::migrate`]) to the updated instance's fingerprint,
+    ///   (`SplitMemo::migrate`) to the updated instance's fingerprint,
     ///   keeping exactly the entries whose keys the delta cannot touch.
     ///   The next H4 run on the updated instance then starts from the
     ///   previous instance's cached split selections instead of a cold
     ///   memo.
     ///
     /// [`SplitMemo`]: crate::state::SplitMemo
-    /// [`SplitMemo::migrate`]: crate::state::SplitMemo::migrate
     pub fn apply_in(
         &self,
         delta: &InstanceDelta,

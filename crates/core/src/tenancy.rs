@@ -537,7 +537,7 @@ impl TenantSet {
     /// passes of local exchange (single-processor moves, then swaps when
     /// no move improves). Deterministic throughout: processors scan in
     /// speed-descending order, tenants in index order, and only
-    /// [`strictly_better`] improvements are taken.
+    /// `strictly_better` improvements are taken.
     pub fn co_schedule(
         &self,
         objective: PartitionObjective,

@@ -7,7 +7,7 @@
 //! ([`pipeline_sim::faults`]), measuring delivered throughput, tail
 //! latency and data-set loss. For plans that correspond to a detectable
 //! platform fault (a speed dip, a fail-stop) it additionally runs the
-//! warm-started re-planner ([`pipeline_core::replan`]) and reports the
+//! warm-started re-planner ([`pipeline_core::replan()`]) and reports the
 //! ride-it-out period against the re-planned period plus the migration
 //! distance — the operational answer to "should we move stages when a
 //! processor degrades?".

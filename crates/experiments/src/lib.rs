@@ -19,7 +19,7 @@
 //! * [`summary`] — qualitative "shape checks" comparing our results to
 //!   the paper's claims;
 //! * [`ascii`] — terminal line plots; [`csvout`] — CSV emission;
-//! * [`bench`] — the `pwsched bench` harness: a std-only JSON value,
+//! * [`bench`](mod@bench) — the `pwsched bench` harness: a std-only JSON value,
 //!   keyed regression gates, and the six committed `BENCH_*.json`
 //!   benches.
 //!

@@ -164,7 +164,7 @@ impl ClientConn {
 }
 
 /// Fires `lines` at `addr` over `connections` concurrent sockets — the
-/// shard engine with one lazily opened [`ClientConn`] per worker and
+/// shard engine with one lazily opened `ClientConn` per worker and
 /// chunk size 1, so every socket keeps pulling requests until the corpus
 /// is drained. Returns the latency distribution and wall-clock.
 pub fn run_load(addr: SocketAddr, lines: &[String], connections: usize) -> LoadReport {

@@ -289,7 +289,7 @@ pub type _Unused = Result<()>;
 // report id=6 status=ok solver=cosched objective=max-min score=3 tiebreak=5 feasible=true partition=0,2;1 periods=1.5;2 latencies=4;6 slo-met=true;true
 // report id=7 status=ok solver=stats live=1 connections=3 rejected=0 requests=9 failures=1 cache-hits=4 cache-misses=2 cache-evictions=0 uptime-s=12
 // report id=4 status=error code=bound-below-floor bound=0.5 floor=0.875
-// report id=0 status=error code=bad-request line=7 key=objective
+// report id=8 status=error code=bad-request line=7 key=objective
 // ```
 //
 // v1.1 adds the `update` verb: an [`InstanceDelta`] applied in place to
@@ -311,7 +311,8 @@ pub type _Unused = Result<()>;
 // 1-based input line number of the offending request (`line=`) and the
 // offending `key=value` key (`key=`). Services add transport-level codes
 // on top of the solver codes: `bad-request` (the request line did not
-// parse), `unknown-solver`, `bad-instance` (the referenced instance file
+// parse; it still echoes the line's `id=` when that parsed, else id=0),
+// `unknown-solver`, `bad-instance` (the referenced instance file
 // did not load), `bad-delta` (the update could not be applied),
 // `no-default-instance` (an update arrived but the service serves no
 // default instance), `unknown-objective` (a cosched named no registered

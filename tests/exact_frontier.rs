@@ -1,12 +1,20 @@
 //! The exact frontier, three ways: the v3 dominance DP (public entry
-//! points, routed per instance), the v2 branch-and-bound partition
-//! search (`*_dfs`), and the v1 blind enumeration (`*_blind`) must
+//! points, routed per instance), the v2 branch-and-bound partition walk
+//! (the witness entry points with no known value: `v_star = +∞`, a
+//! latency ceiling of `f64::MAX`, an empty shadow front), and the v1
+//! blind enumeration (the test oracle in `support/exact_oracle.rs`) must
 //! produce **bit-identical** results — values and mappings — on every
 //! Communication Homogeneous zoo family. The sharded entry points must
 //! match the sequential ones at any thread count. And dominance pruning
 //! must never drop a Pareto point (property-based, against the blind
 //! oracle).
 
+#[path = "support/exact_oracle.rs"]
+mod exact_oracle;
+
+use exact_oracle::{
+    exact_min_latency_for_period_blind, exact_min_period_blind, exact_pareto_front_blind,
+};
 use pipeline_workflows::core::exact;
 use pipeline_workflows::core::{ParetoFront, SolveWorkspace};
 use pipeline_workflows::experiments::{
@@ -40,6 +48,24 @@ fn assert_fronts_identical(
     }
 }
 
+/// The v2 walks: each operation's witness entry point with no known
+/// value.
+fn v2_min_period(cm: &CostModel<'_>, ws: &mut SolveWorkspace) -> (f64, IntervalMapping) {
+    exact::exact_min_period_from_value(cm, f64::INFINITY, ws)
+}
+
+fn v2_min_latency(
+    cm: &CostModel<'_>,
+    bound: f64,
+    ws: &mut SolveWorkspace,
+) -> Option<(f64, IntervalMapping)> {
+    exact::exact_min_latency_from_value(cm, bound, f64::MAX, ws)
+}
+
+fn v2_front(cm: &CostModel<'_>, ws: &mut SolveWorkspace) -> ParetoFront<IntervalMapping> {
+    exact::exact_front_from_shadow(cm, &ParetoFront::new(), ws)
+}
+
 /// One instance of every Communication Homogeneous zoo family at
 /// (n, p), generated from the family's registered stream.
 fn zoo_instances(n: usize, p: usize, seed: u64) -> Vec<(ScenarioFamily, Application, Platform)> {
@@ -53,7 +79,7 @@ fn zoo_instances(n: usize, p: usize, seed: u64) -> Vec<(ScenarioFamily, Applicat
         .collect()
 }
 
-/// DP-routed public entries vs the v2 partition search vs the v1 blind
+/// DP-routed public entries vs the v2 partition walk vs the v1 blind
 /// enumeration, bit-for-bit: minimum period, minimum latency under a
 /// spread of period bounds (including an infeasible one), and the full
 /// Pareto front with mappings. Blind enumeration caps the size at
@@ -66,24 +92,24 @@ fn exact_solvers_agree_three_ways_on_every_zoo_family() {
         let label = family.label();
 
         let (v_dp, m_dp) = exact::exact_min_period_in(&cm, &mut ws);
-        let (v_dfs, m_dfs) = exact::exact_min_period_dfs_in(&cm, &mut ws);
-        let (v_blind, m_blind) = exact::exact_min_period_blind(&cm);
-        assert_eq!(v_dp.to_bits(), v_dfs.to_bits(), "{label}: period dp/dfs");
+        let (v_v2, m_v2) = v2_min_period(&cm, &mut ws);
+        let (v_blind, m_blind) = exact_min_period_blind(&cm);
+        assert_eq!(v_dp.to_bits(), v_v2.to_bits(), "{label}: period dp/v2");
         assert_eq!(
             v_dp.to_bits(),
             v_blind.to_bits(),
             "{label}: period dp/blind"
         );
-        assert_eq!(m_dp, m_dfs, "{label}: period mapping dp/dfs");
+        assert_eq!(m_dp, m_v2, "{label}: period mapping dp/v2");
         assert_eq!(m_dp, m_blind, "{label}: period mapping dp/blind");
 
         // Bounds from infeasible (below the optimum) to slack.
         for factor in [0.5f64, 1.0, 1.15, 1.4, 2.0] {
             let bound = v_dp * factor;
             let dp = exact::exact_min_latency_for_period_in(&cm, bound, &mut ws);
-            let dfs = exact::exact_min_latency_for_period_dfs_in(&cm, bound, &mut ws);
-            let blind = exact::exact_min_latency_for_period_blind(&cm, bound);
-            for (other, tag) in [(&dfs, "dfs"), (&blind, "blind")] {
+            let v2 = v2_min_latency(&cm, bound, &mut ws);
+            let blind = exact_min_latency_for_period_blind(&cm, bound);
+            for (other, tag) in [(&v2, "v2"), (&blind, "blind")] {
                 match (&dp, other) {
                     (Some((la, ma)), Some((lb, mb))) => {
                         assert_eq!(la.to_bits(), lb.to_bits(), "{label}@{factor}: dp/{tag}");
@@ -96,16 +122,12 @@ fn exact_solvers_agree_three_ways_on_every_zoo_family() {
         }
 
         let f_dp = exact::exact_pareto_front_in(&cm, &mut ws);
-        assert_fronts_identical(
-            &f_dp,
-            &exact::exact_pareto_front_dfs_in(&cm, &mut ws),
-            label,
-        );
-        assert_fronts_identical(&f_dp, &exact::exact_pareto_front_blind(&cm), label);
+        assert_fronts_identical(&f_dp, &v2_front(&cm, &mut ws), label);
+        assert_fronts_identical(&f_dp, &exact_pareto_front_blind(&cm), label);
     }
 }
 
-/// DP-routed public entries vs the v2 partition search at the sizes the
+/// DP-routed public entries vs the v2 partition walk at the sizes the
 /// blind oracle can no longer reach: n = 13 and n = 16 over every
 /// Communication Homogeneous zoo family.
 #[test]
@@ -117,15 +139,15 @@ fn dp_matches_partition_search_at_n16() {
             let label = format!("{} n={n}", family.label());
 
             let (v_dp, m_dp) = exact::exact_min_period_in(&cm, &mut ws);
-            let (v_dfs, m_dfs) = exact::exact_min_period_dfs_in(&cm, &mut ws);
-            assert_eq!(v_dp.to_bits(), v_dfs.to_bits(), "{label}: period");
-            assert_eq!(m_dp, m_dfs, "{label}: period mapping");
+            let (v_v2, m_v2) = v2_min_period(&cm, &mut ws);
+            assert_eq!(v_dp.to_bits(), v_v2.to_bits(), "{label}: period");
+            assert_eq!(m_dp, m_v2, "{label}: period mapping");
 
             for factor in [1.0f64, 1.3, 1.8] {
                 let bound = v_dp * factor;
                 let dp = exact::exact_min_latency_for_period_in(&cm, bound, &mut ws);
-                let dfs = exact::exact_min_latency_for_period_dfs_in(&cm, bound, &mut ws);
-                match (&dp, &dfs) {
+                let v2 = v2_min_latency(&cm, bound, &mut ws);
+                match (&dp, &v2) {
                     (Some((la, ma)), Some((lb, mb))) => {
                         assert_eq!(la.to_bits(), lb.to_bits(), "{label}@{factor}");
                         assert_eq!(ma, mb, "{label}@{factor}: mapping");
@@ -137,7 +159,7 @@ fn dp_matches_partition_search_at_n16() {
 
             assert_fronts_identical(
                 &exact::exact_pareto_front_in(&cm, &mut ws),
-                &exact::exact_pareto_front_dfs_in(&cm, &mut ws),
+                &v2_front(&cm, &mut ws),
                 &label,
             );
         }
@@ -163,23 +185,30 @@ fn sharded_solvers_are_bit_identical_at_1_2_4_threads() {
         let cm = CostModel::new(app, pf);
         let (v_seq, m_seq) = exact::exact_min_period_in(&cm, &mut ws);
         let front_seq = exact::exact_pareto_front_in(&cm, &mut ws);
-        let bound = v_seq * 1.4;
-        let lat_seq = exact::exact_min_latency_for_period_in(&cm, bound, &mut ws);
+        // 0.5× is infeasible: the DP finds no value and the witness
+        // entry point answers `None` without walking.
+        let bounds = [0.5, 1.0, 1.4].map(|factor| v_seq * factor);
+        let lat_seq =
+            bounds.map(|bound| exact::exact_min_latency_for_period_in(&cm, bound, &mut ws));
+        assert!(
+            lat_seq[0].is_none(),
+            "{label}: 0.5x the optimum is infeasible"
+        );
+        assert!(lat_seq[1].is_some(), "{label}: the optimum is feasible");
         for threads in [1usize, 2, 4] {
             let opts = ShardOptions::with_threads(threads);
             let (v, m) = exact_min_period_sharded(&cm, opts);
             assert_eq!(v.to_bits(), v_seq.to_bits(), "{label} t={threads}: period");
             assert_eq!(m, m_seq, "{label} t={threads}: period mapping");
-            match (
-                exact_min_latency_for_period_sharded(&cm, bound, opts),
-                &lat_seq,
-            ) {
-                (Some((la, ma)), Some((lb, mb))) => {
-                    assert_eq!(la.to_bits(), lb.to_bits(), "{label} t={threads}: latency");
-                    assert_eq!(&ma, mb, "{label} t={threads}: latency mapping");
+            for (&bound, seq) in bounds.iter().zip(&lat_seq) {
+                match (exact_min_latency_for_period_sharded(&cm, bound, opts), seq) {
+                    (Some((la, ma)), Some((lb, mb))) => {
+                        assert_eq!(la.to_bits(), lb.to_bits(), "{label} t={threads}@{bound}");
+                        assert_eq!(&ma, mb, "{label} t={threads}@{bound}: mapping");
+                    }
+                    (None, None) => {}
+                    other => panic!("{label} t={threads}@{bound}: feasibility: {other:?}"),
                 }
-                (None, None) => {}
-                other => panic!("{label} t={threads}: feasibility: {other:?}"),
             }
             assert_fronts_identical(
                 &exact_pareto_front_sharded(&cm, opts),
@@ -219,7 +248,7 @@ proptest! {
 
         let mut ws = SolveWorkspace::new();
         let dp = exact::exact_pareto_front_in(&cm, &mut ws);
-        let blind = exact::exact_pareto_front_blind(&cm);
+        let blind = exact_pareto_front_blind(&cm);
         prop_assert_eq!(dp.len(), blind.len(), "front sizes differ");
         for ((pa, la, ma), (pb, lb, mb)) in dp.iter().zip(blind.iter()) {
             prop_assert_eq!(pa.to_bits(), pb.to_bits());

@@ -2,8 +2,10 @@
 //! beating the exact optimum, and property-based stress over random
 //! instances.
 
-use pipeline_workflows::core::SolveWorkspace;
 use pipeline_workflows::core::{exact, HeuristicKind};
+use pipeline_workflows::core::{
+    Objective, PreparedInstance, SolveRequest, SolveWorkspace, Strategy,
+};
 use pipeline_workflows::model::generator::{ExperimentKind, InstanceGenerator, InstanceParams};
 use pipeline_workflows::model::CostModel;
 use proptest::prelude::*;
@@ -47,8 +49,13 @@ fn latency_fixed_heuristics_bounded_by_exact_counterpart() {
         let (app, pf) = small_instance(ExperimentKind::E2, seed);
         let cm = CostModel::new(&app, &pf);
         let l_budget = 1.8 * cm.optimal_latency();
-        let (p_star, _) =
-            exact::exact_min_period_for_latency(&cm, l_budget).expect("budget ≥ L_opt");
+        let request =
+            SolveRequest::new(Objective::MinPeriodForLatency(l_budget)).strategy(Strategy::Exact);
+        let p_star = PreparedInstance::new(app.clone(), pf.clone())
+            .solve_in(&request, &mut SolveWorkspace::new())
+            .expect("budget ≥ L_opt")
+            .result
+            .period;
         for h in [HeuristicKind::SpMonoL, HeuristicKind::SpBiL] {
             let res = h.run_in(&cm, l_budget, &mut SolveWorkspace::new());
             assert!(res.feasible);

@@ -261,7 +261,7 @@ fn interleaved_requests_on_one_connection_answer_in_order() {
     assert!(replies[0].starts_with("report id=1 status=ok"));
     assert_eq!(
         replies[1],
-        "report id=0 status=error code=bad-request line=2 key=objective"
+        "report id=2 status=error code=bad-request line=2 key=objective"
     );
     assert!(replies[2].starts_with("report id=3 status=ok"));
     assert!(replies[3].starts_with("report id=4 status=ok"));
@@ -278,7 +278,7 @@ fn unknown_keys_and_solvers_yield_structured_failures() {
     send(&mut writer, "solve id=5 objective=min-period junk=1");
     assert_eq!(
         recv(&mut reader),
-        "report id=0 status=error code=bad-request line=1 key=junk"
+        "report id=5 status=error code=bad-request line=1 key=junk"
     );
     send(
         &mut writer,
@@ -291,7 +291,7 @@ fn unknown_keys_and_solvers_yield_structured_failures() {
     send(&mut writer, "solve id=7 objective=min-period bound=oops");
     assert_eq!(
         recv(&mut reader),
-        "report id=0 status=error code=bad-request line=3 key=bound"
+        "report id=7 status=error code=bad-request line=3 key=bound"
     );
     send(
         &mut writer,
@@ -408,7 +408,7 @@ fn diagnostics_count_physical_lines_including_comments_and_blanks() {
     send(&mut writer, "solve id=11 objective=take-a-guess");
     assert_eq!(
         recv(&mut reader),
-        "report id=0 status=error code=bad-request line=3 key=objective"
+        "report id=11 status=error code=bad-request line=3 key=objective"
     );
     handle.shutdown();
 }
