@@ -1,28 +1,33 @@
-//! Fault injection: deterministic degraded-mode execution of a mapping.
+//! The pipeline execution state machine, with deterministic fault
+//! injection.
 //!
-//! The steady-state simulator ([`crate::workflow`]) assumes a platform
-//! that never misbehaves. Production platforms do: processors slow down
-//! under background load, fail outright, links jitter, and the outside
-//! world offers work as an open-loop arrival process rather than a
-//! saturating feed. A [`FaultPlan`] scripts all of that — seeded and
-//! fully deterministic — and [`FaultedSim`] replays the pipeline state
-//! machine under the plan, producing a [`DegradedReport`]: sustained
-//! throughput, tail latency (p50/p99 over the data sets that made it),
-//! and the number of data sets dropped or stranded.
+//! This is the crate's one event loop. [`crate::PipelineSim`] is this
+//! machine with an empty [`FaultPlan`]: a platform that never
+//! misbehaves. Production platforms do: processors slow down under
+//! background load, fail outright, links jitter, and the outside world
+//! offers work as an open-loop arrival process rather than a saturating
+//! feed. A [`FaultPlan`] scripts all of that — seeded and fully
+//! deterministic — and [`FaultedSim`] runs the pipeline under the plan,
+//! producing a [`DegradedReport`]: sustained throughput, tail latency
+//! (p50/p99 over the data sets that made it), and the number of data
+//! sets dropped or stranded.
 //!
 //! Two execution modes share the fault hooks:
 //!
 //! * **Rendezvous** (`queue_capacity: None`) — exactly the paper's
 //!   machine: strictly serial stations, transfers occupying both
-//!   endpoints. With an *empty* plan this mode performs the same
-//!   arithmetic as [`PipelineSim::run`](crate::PipelineSim::run), event
-//!   for event, so its embedded [`SimReport`] is **bit-identical** to
-//!   the steady-state simulator's (pinned by
-//!   `tests/chaos_differential.rs` and a property test). Every fault
-//!   hook is structured so the no-fault path evaluates the original
-//!   expressions: a missing slowdown takes `t_comp` untouched, zero
-//!   jitter takes `t_xfer[k]` untouched, and no extra events enter the
-//!   queue.
+//!   endpoints, every enabled activity started as early as possible.
+//!   Its steady state matches the paper's synchronous mode: the
+//!   inter-completion time converges to `T_period` (eq. 1) — formally,
+//!   the execution is a deterministic timed marked graph whose maximum
+//!   cycle mean is the largest processor cycle time. Every fault hook
+//!   returns its nominal input when the plan is empty: a missing
+//!   slowdown takes `t_comp` untouched, zero jitter takes `t_xfer[k]`
+//!   untouched, a fail-stop is a station phase no transfer predicate
+//!   accepts, and no extra events enter the queue. With an empty plan
+//!   the run is bit-identical to the fault-free reference loop kept in
+//!   `tests/support/clean_sim.rs` (pinned by
+//!   `tests/chaos_differential.rs`).
 //! * **Queued** (`queue_capacity: Some(c)`) — a production-fidelity
 //!   relaxation: each station owns bounded input/output buffers of
 //!   capacity `c`, its network port and its CPU run concurrently (the
@@ -96,8 +101,8 @@ pub struct FailStop {
 }
 
 /// A deterministic, seeded script of platform misbehaviour. The empty
-/// plan ([`FaultPlan::default`]) injects nothing and leaves the
-/// simulator bit-identical to [`crate::PipelineSim`].
+/// plan ([`FaultPlan::default`]) injects nothing: it is the plan
+/// [`crate::PipelineSim`] runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed of every stochastic ingredient (arrival gaps, link jitter).
@@ -197,7 +202,7 @@ pub struct DegradedReport {
     /// Raw per-data-set measurements. For data sets that never entered
     /// (`start`) or never left (`completion`) the pipeline the entry is
     /// `NaN`; with an empty [`FaultPlan`] every entry is finite and the
-    /// whole report is bit-identical to the steady-state simulator's.
+    /// report is the one [`crate::PipelineSim`] returns.
     pub report: SimReport,
     /// Data sets offered to the pipeline.
     pub offered: usize,
@@ -292,9 +297,8 @@ fn exp_draw(seed: u64, stream: u64, index: u64) -> f64 {
 const ARRIVAL_STREAM: u64 = 0x4152_5256; // "ARRV"
 const JITTER_STREAM: u64 = 0x4A49_5454; // "JITT"
 
-/// A configured degraded-mode simulation: the steady-state machine of
-/// [`crate::PipelineSim`] plus a [`FaultPlan`]. Construct with
-/// [`FaultedSim::new`], execute with [`FaultedSim::run`].
+/// A configured simulation of one mapping under a [`FaultPlan`].
+/// Construct with [`FaultedSim::new`], execute with [`FaultedSim::run`].
 pub struct FaultedSim<'a> {
     cm: &'a CostModel<'a>,
     mapping: &'a IntervalMapping,
@@ -310,13 +314,20 @@ enum Phase {
     WaitSend,
     Sending,
     Finished,
+    /// Fail-stopped: matches no transfer predicate, so a dead station
+    /// starts nothing and the no-fault path tests only the other phases.
+    Dead,
 }
 
 #[derive(Debug, Clone, Copy)]
 enum Ev {
+    /// Transfer on link `link` for `dataset` completed.
     TransferDone { link: usize, dataset: usize },
+    /// Station `station` finished computing `dataset`.
     ComputeDone { station: usize, dataset: usize },
+    /// The source's next release time has passed.
     SourceReady,
+    /// Scripted fail-stop of `proc`.
     Fault { proc: ProcId },
 }
 
@@ -324,7 +335,86 @@ struct Station {
     proc: ProcId,
     t_comp: f64,
     phase: Phase,
+    /// Data set currently being handled / awaited.
     current: usize,
+}
+
+/// Measurements of one run, shared by both execution modes: start and
+/// completion instants, per-processor busy time, the optional trace and
+/// the dropped-data-set tally.
+struct Ledger {
+    start: Vec<f64>,
+    completion: Vec<f64>,
+    busy: BTreeMap<usize, f64>,
+    record_trace: bool,
+    trace: Vec<TraceEvent>,
+    completed: usize,
+    is_dropped: Vec<bool>,
+    dropped: usize,
+}
+
+impl Ledger {
+    fn new(n_datasets: usize, record_trace: bool) -> Self {
+        Ledger {
+            start: vec![f64::NAN; n_datasets],
+            completion: vec![f64::NAN; n_datasets],
+            busy: BTreeMap::new(),
+            record_trace,
+            trace: Vec::new(),
+            completed: 0,
+            is_dropped: vec![false; n_datasets],
+            dropped: 0,
+        }
+    }
+
+    /// Credits `proc` with the span `[from, to)` of activity `kind` on
+    /// data set `d` (traced when requested).
+    #[inline]
+    fn record(&mut self, proc: ProcId, kind: TraceKind, d: usize, from: f64, to: f64) {
+        *self.busy.entry(proc).or_insert(0.0) += to - from;
+        if self.record_trace {
+            self.trace.push(TraceEvent {
+                proc,
+                kind,
+                dataset: d,
+                start: from,
+                end: to,
+            });
+        }
+    }
+
+    /// Counts data set `d` as lost (idempotent).
+    fn drop(&mut self, d: usize) {
+        if !self.is_dropped[d] {
+            self.is_dropped[d] = true;
+            self.dropped += 1;
+        }
+    }
+
+    /// Data set `d` left the pipeline at `now`.
+    #[inline]
+    fn complete(&mut self, d: usize, now: f64) {
+        self.completion[d] = now;
+        self.completed += 1;
+    }
+
+    fn finish(self) -> DegradedOutput {
+        let makespan = self.completion.iter().copied().fold(0.0_f64, f64::max);
+        DegradedOutput {
+            degraded: DegradedReport {
+                offered: self.start.len(),
+                completed: self.completed,
+                dropped: self.dropped,
+                report: SimReport {
+                    start: self.start,
+                    completion: self.completion,
+                    busy: self.busy,
+                    makespan,
+                },
+            },
+            trace: self.trace,
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -371,8 +461,8 @@ impl<'a> FaultedSim<'a> {
         }
     }
 
-    /// Transfer durations for links `0..=m`, exactly as the steady-state
-    /// simulator precomputes them.
+    /// Nominal transfer durations for links `0..=m`: source input, the
+    /// `m - 1` inter-station links, sink output.
     fn transfer_times(&self) -> Vec<f64> {
         let app = self.cm.app();
         let pf = self.cm.platform();
@@ -389,8 +479,8 @@ impl<'a> FaultedSim<'a> {
     }
 
     /// Release times for `n` data sets: the plan's arrival process when
-    /// set, else the config input policy (the steady-state simulator's
-    /// exact bookkeeping).
+    /// set, else the config input policy (validated here, before anything
+    /// is scheduled).
     fn release_times(&self, n: usize) -> Vec<f64> {
         if let Some(arrivals) = self.plan.arrivals {
             let mut ts = Vec::with_capacity(n);
@@ -423,8 +513,9 @@ impl<'a> FaultedSim<'a> {
             InputPolicy::ReleaseTimes(ts) => {
                 assert!(ts.len() >= n, "not enough release times");
                 assert!(
-                    ts.windows(2).all(|w| w[0] <= w[1]),
-                    "release times must be non-decreasing"
+                    ts.iter().all(|t| t.is_finite() && *t >= 0.0)
+                        && ts.windows(2).all(|w| w[0] <= w[1]),
+                    "invalid ReleaseTimes: times must be finite, non-negative and non-decreasing"
                 );
                 ts[..n].to_vec()
             }
@@ -433,6 +524,7 @@ impl<'a> FaultedSim<'a> {
 
     /// The slowdown factor in force on `proc` at `now`, if any (worst
     /// wins when windows overlap).
+    #[inline]
     fn slow_factor(&self, proc: ProcId, now: f64) -> Option<f64> {
         let mut factor: Option<f64> = None;
         for s in &self.plan.slowdowns {
@@ -446,6 +538,7 @@ impl<'a> FaultedSim<'a> {
     /// Compute time of station work `t_comp` started at `now` on `proc`:
     /// the untouched value when no slowdown is in force (the bit-identity
     /// path), else `t_comp / factor`.
+    #[inline]
     fn comp_time(&self, proc: ProcId, t_comp: f64, now: f64) -> f64 {
         match self.slow_factor(proc, now) {
             Some(g) => t_comp / g,
@@ -455,6 +548,7 @@ impl<'a> FaultedSim<'a> {
 
     /// Duration of the transfer of data set `d` on link `k`: the
     /// untouched `t_xfer[k]` when jitter is off (the bit-identity path).
+    #[inline]
     fn xfer_time(&self, t_xfer: &[f64], k: usize, d: usize) -> f64 {
         if self.plan.jitter > 0.0 {
             t_xfer[k]
@@ -475,9 +569,9 @@ impl<'a> FaultedSim<'a> {
         }
     }
 
-    /// The rendezvous machine: [`crate::PipelineSim::run`] with fault
-    /// hooks. With an empty plan every expression evaluates identically,
-    /// in the same event order.
+    /// The rendezvous machine (station semantics in [`crate::workflow`]).
+    /// With an empty plan every hook returns its nominal input and no
+    /// station reaches `Phase::Dead`: the run is the fault-free schedule.
     fn run_rendezvous(&self, n_datasets: usize) -> DegradedOutput {
         let app = self.cm.app();
         let pf = self.cm.platform();
@@ -494,12 +588,11 @@ impl<'a> FaultedSim<'a> {
                 current: 0,
             })
             .collect();
-        let mut dead = vec![false; m];
 
         let releases = self.release_times(n_datasets);
         let mut source_busy = false;
-        let mut source_next = 0usize;
-        let mut released = 0usize;
+        let mut source_next = 0usize; // next data set the source will send
+        let mut released = 0usize; // how many release times have passed
 
         let mut queue: EventQueue<Ev> = EventQueue::new();
         for &t in &releases {
@@ -509,124 +602,12 @@ impl<'a> FaultedSim<'a> {
             queue.schedule(f.at, Ev::Fault { proc: f.proc });
         }
 
-        let mut start = vec![f64::NAN; n_datasets];
-        let mut completion = vec![f64::NAN; n_datasets];
-        let mut busy: BTreeMap<usize, f64> = BTreeMap::new();
-        let mut trace: Vec<TraceEvent> = Vec::new();
-        let mut completed = 0usize;
-        let mut is_dropped = vec![false; n_datasets];
-        let mut dropped = 0usize;
+        let mut ledger = Ledger::new(n_datasets, self.config.record_trace);
 
-        macro_rules! record {
-            ($proc:expr, $kind:expr, $d:expr, $from:expr, $to:expr) => {{
-                *busy.entry($proc).or_insert(0.0) += $to - $from;
-                if self.config.record_trace {
-                    trace.push(TraceEvent {
-                        proc: $proc,
-                        kind: $kind,
-                        dataset: $d,
-                        start: $from,
-                        end: $to,
-                    });
-                }
-            }};
-        }
-
-        macro_rules! drop_ds {
-            ($d:expr) => {{
-                let d = $d;
-                if !is_dropped[d] {
-                    is_dropped[d] = true;
-                    dropped += 1;
-                }
-            }};
-        }
-
-        macro_rules! try_start {
-            ($k:expr, $now:expr) => {{
-                let k = $k;
-                let now = $now;
-                let mut started = false;
-                if k == 0 {
-                    if !dead[0]
-                        && !source_busy
-                        && source_next < n_datasets
-                        && source_next < released
-                        && stations[0].phase == Phase::WaitRecv
-                        && stations[0].current == source_next
-                    {
-                        let d = source_next;
-                        source_busy = true;
-                        stations[0].phase = Phase::Receiving;
-                        start[d] = now;
-                        let dt = self.xfer_time(&t_xfer, 0, d);
-                        record!(stations[0].proc, TraceKind::Receive, d, now, now + dt);
-                        queue.schedule(
-                            now + dt,
-                            Ev::TransferDone {
-                                link: 0,
-                                dataset: d,
-                            },
-                        );
-                        started = true;
-                    }
-                } else if k < m {
-                    if !dead[k - 1]
-                        && !dead[k]
-                        && stations[k - 1].phase == Phase::WaitSend
-                        && stations[k].phase == Phase::WaitRecv
-                        && stations[k].current == stations[k - 1].current
-                    {
-                        let d = stations[k - 1].current;
-                        stations[k - 1].phase = Phase::Sending;
-                        stations[k].phase = Phase::Receiving;
-                        let dt = self.xfer_time(&t_xfer, k, d);
-                        record!(stations[k - 1].proc, TraceKind::Send, d, now, now + dt);
-                        record!(stations[k].proc, TraceKind::Receive, d, now, now + dt);
-                        queue.schedule(
-                            now + dt,
-                            Ev::TransferDone {
-                                link: k,
-                                dataset: d,
-                            },
-                        );
-                        started = true;
-                    }
-                } else if !dead[m - 1] && stations[m - 1].phase == Phase::WaitSend {
-                    let d = stations[m - 1].current;
-                    stations[m - 1].phase = Phase::Sending;
-                    let dt = self.xfer_time(&t_xfer, m, d);
-                    record!(stations[m - 1].proc, TraceKind::Send, d, now, now + dt);
-                    queue.schedule(
-                        now + dt,
-                        Ev::TransferDone {
-                            link: m,
-                            dataset: d,
-                        },
-                    );
-                    started = true;
-                }
-                started
-            }};
-        }
-
-        macro_rules! advance_sender {
-            ($j:expr, $d:expr) => {{
-                let j = $j;
-                stations[j].current = $d + 1;
-                stations[j].phase = if $d + 1 == n_datasets {
-                    Phase::Finished
-                } else {
-                    Phase::WaitRecv
-                };
-            }};
-        }
-
-        while completed < n_datasets {
-            // A drained queue under faults means the pipeline stalled
-            // behind a dead stage: report the partial run (the
-            // steady-state machine would have deadlocked — impossible
-            // with an empty plan).
+        while ledger.completed < n_datasets {
+            // A drained queue means the pipeline stalled behind a dead
+            // stage: report the partial run. Without fail-stops the queue
+            // cannot drain early.
             let Some((now, ev)) = queue.pop() else {
                 break;
             };
@@ -635,53 +616,56 @@ impl<'a> FaultedSim<'a> {
                     released += 1;
                 }
                 Ev::Fault { proc } => {
-                    for j in 0..m {
-                        if stations[j].proc == proc && !dead[j] {
-                            dead[j] = true;
-                            if matches!(
-                                stations[j].phase,
-                                Phase::Receiving
-                                    | Phase::Computing
-                                    | Phase::WaitSend
-                                    | Phase::Sending
-                            ) {
-                                drop_ds!(stations[j].current);
-                            }
+                    for st in stations.iter_mut().filter(|st| st.proc == proc) {
+                        if matches!(
+                            st.phase,
+                            Phase::Receiving | Phase::Computing | Phase::WaitSend | Phase::Sending
+                        ) {
+                            ledger.drop(st.current);
                         }
+                        st.phase = Phase::Dead;
                     }
                 }
                 Ev::ComputeDone { station, dataset } => {
-                    if !dead[station] {
+                    // A dead station's compute produced nothing; the data
+                    // set was counted dropped at the failure instant.
+                    if stations[station].phase != Phase::Dead {
                         debug_assert_eq!(stations[station].phase, Phase::Computing);
                         debug_assert_eq!(stations[station].current, dataset);
                         stations[station].phase = Phase::WaitSend;
                     }
-                    // A dead station's compute produced nothing; the data
-                    // set was counted dropped at the failure instant.
                 }
                 Ev::TransferDone { link, dataset } => {
                     if link == 0 {
                         source_busy = false;
                         source_next += 1;
-                    } else if !dead[link - 1] {
-                        advance_sender!(link - 1, dataset);
+                    } else if stations[link - 1].phase != Phase::Dead {
+                        // Advance the sender past data set `dataset`.
+                        let st = &mut stations[link - 1];
+                        st.current = dataset + 1;
+                        st.phase = if dataset + 1 == n_datasets {
+                            Phase::Finished
+                        } else {
+                            Phase::WaitRecv
+                        };
                     }
                     if link < m {
-                        if dead[link] {
+                        if stations[link].phase == Phase::Dead {
                             // Delivered into a dead station: lost
                             // (counted at the failure instant).
-                        } else if link > 0 && dead[link - 1] {
+                        } else if link > 0 && stations[link - 1].phase == Phase::Dead {
                             // The sender died mid-transfer: the data is
                             // incomplete. The receiver frees up but the
                             // data set is gone.
-                            drop_ds!(dataset);
+                            ledger.drop(dataset);
                             stations[link].phase = Phase::WaitRecv;
                         } else {
+                            // Receiver starts computing immediately.
                             let st = &mut stations[link];
                             debug_assert_eq!(st.phase, Phase::Receiving);
                             st.phase = Phase::Computing;
                             let t_done = now + self.comp_time(st.proc, st.t_comp, now);
-                            record!(st.proc, TraceKind::Compute, dataset, now, t_done);
+                            ledger.record(st.proc, TraceKind::Compute, dataset, now, t_done);
                             queue.schedule(
                                 t_done,
                                 Ev::ComputeDone {
@@ -690,38 +674,72 @@ impl<'a> FaultedSim<'a> {
                                 },
                             );
                         }
-                    } else if !dead[m - 1] {
-                        completion[dataset] = now;
-                        completed += 1;
+                    } else if stations[m - 1].phase != Phase::Dead {
+                        ledger.complete(dataset, now);
                     }
                     // A final transfer whose sender died mid-send
                     // delivered nothing (counted at the failure instant).
                 }
             }
+            // Greedy: start every enabled transfer. A dead station is in
+            // neither `WaitRecv` nor `WaitSend`, so it starts nothing.
             for k in 0..=m {
-                let _ = try_start!(k, now);
+                if k == 0 {
+                    if !source_busy
+                        && source_next < n_datasets
+                        && source_next < released
+                        && stations[0].phase == Phase::WaitRecv
+                        && stations[0].current == source_next
+                    {
+                        let d = source_next;
+                        source_busy = true;
+                        stations[0].phase = Phase::Receiving;
+                        ledger.start[d] = now;
+                        let dt = self.xfer_time(&t_xfer, 0, d);
+                        ledger.record(stations[0].proc, TraceKind::Receive, d, now, now + dt);
+                        queue.schedule(
+                            now + dt,
+                            Ev::TransferDone {
+                                link: 0,
+                                dataset: d,
+                            },
+                        );
+                    }
+                } else if k < m {
+                    if stations[k - 1].phase == Phase::WaitSend
+                        && stations[k].phase == Phase::WaitRecv
+                        && stations[k].current == stations[k - 1].current
+                    {
+                        let d = stations[k - 1].current;
+                        stations[k - 1].phase = Phase::Sending;
+                        stations[k].phase = Phase::Receiving;
+                        let dt = self.xfer_time(&t_xfer, k, d);
+                        ledger.record(stations[k - 1].proc, TraceKind::Send, d, now, now + dt);
+                        ledger.record(stations[k].proc, TraceKind::Receive, d, now, now + dt);
+                        queue.schedule(
+                            now + dt,
+                            Ev::TransferDone {
+                                link: k,
+                                dataset: d,
+                            },
+                        );
+                    }
+                } else if stations[m - 1].phase == Phase::WaitSend {
+                    let d = stations[m - 1].current;
+                    stations[m - 1].phase = Phase::Sending;
+                    let dt = self.xfer_time(&t_xfer, m, d);
+                    ledger.record(stations[m - 1].proc, TraceKind::Send, d, now, now + dt);
+                    queue.schedule(
+                        now + dt,
+                        Ev::TransferDone {
+                            link: m,
+                            dataset: d,
+                        },
+                    );
+                }
             }
         }
-
-        let makespan = completion.iter().copied().fold(0.0_f64, f64::max);
-        if self.plan.is_empty() {
-            debug_assert!(start.iter().all(|t| t.is_finite()));
-            debug_assert!(completion.iter().all(|t| t.is_finite()));
-        }
-        DegradedOutput {
-            degraded: DegradedReport {
-                report: SimReport {
-                    start,
-                    completion,
-                    busy,
-                    makespan,
-                },
-                offered: n_datasets,
-                completed,
-                dropped,
-            },
-            trace,
-        }
+        ledger.finish()
     }
 
     /// The bounded-buffer machine: per-station FIFO buffers of capacity
@@ -761,38 +779,7 @@ impl<'a> FaultedSim<'a> {
             queue.schedule(f.at, QEv::Fault { proc: f.proc });
         }
 
-        let mut start = vec![f64::NAN; n_datasets];
-        let mut completion = vec![f64::NAN; n_datasets];
-        let mut busy: BTreeMap<usize, f64> = BTreeMap::new();
-        let mut trace: Vec<TraceEvent> = Vec::new();
-        let mut completed = 0usize;
-        let mut is_dropped = vec![false; n_datasets];
-        let mut dropped = 0usize;
-
-        macro_rules! record {
-            ($proc:expr, $kind:expr, $d:expr, $from:expr, $to:expr) => {{
-                *busy.entry($proc).or_insert(0.0) += $to - $from;
-                if self.config.record_trace {
-                    trace.push(TraceEvent {
-                        proc: $proc,
-                        kind: $kind,
-                        dataset: $d,
-                        start: $from,
-                        end: $to,
-                    });
-                }
-            }};
-        }
-
-        macro_rules! drop_ds {
-            ($d:expr) => {{
-                let d = $d;
-                if !is_dropped[d] {
-                    is_dropped[d] = true;
-                    dropped += 1;
-                }
-            }};
-        }
+        let mut ledger = Ledger::new(n_datasets, self.config.record_trace);
 
         // Moves a blocked computed data set into freed output-buffer
         // space, releasing the CPU.
@@ -822,9 +809,9 @@ impl<'a> FaultedSim<'a> {
                         let d = source_q.pop_front().expect("checked non-empty");
                         source_busy = true;
                         stations[0].port_busy = true;
-                        start[d] = now;
+                        ledger.start[d] = now;
                         let dt = self.xfer_time(&t_xfer, 0, d);
-                        record!(stations[0].proc, TraceKind::Receive, d, now, now + dt);
+                        ledger.record(stations[0].proc, TraceKind::Receive, d, now, now + dt);
                         queue.schedule(
                             now + dt,
                             QEv::TransferDone {
@@ -847,8 +834,8 @@ impl<'a> FaultedSim<'a> {
                         stations[k - 1].port_busy = true;
                         stations[k].port_busy = true;
                         let dt = self.xfer_time(&t_xfer, k, d);
-                        record!(stations[k - 1].proc, TraceKind::Send, d, now, now + dt);
-                        record!(stations[k].proc, TraceKind::Receive, d, now, now + dt);
+                        ledger.record(stations[k - 1].proc, TraceKind::Send, d, now, now + dt);
+                        ledger.record(stations[k].proc, TraceKind::Receive, d, now, now + dt);
                         queue.schedule(
                             now + dt,
                             QEv::TransferDone {
@@ -866,7 +853,7 @@ impl<'a> FaultedSim<'a> {
                     unblock!(m - 1);
                     stations[m - 1].port_busy = true;
                     let dt = self.xfer_time(&t_xfer, m, d);
-                    record!(stations[m - 1].proc, TraceKind::Send, d, now, now + dt);
+                    ledger.record(stations[m - 1].proc, TraceKind::Send, d, now, now + dt);
                     queue.schedule(
                         now + dt,
                         QEv::TransferDone {
@@ -891,7 +878,7 @@ impl<'a> FaultedSim<'a> {
                     stations[j].cpu_busy = true;
                     stations[j].computing = Some(d);
                     let t_done = now + self.comp_time(stations[j].proc, stations[j].t_comp, now);
-                    record!(stations[j].proc, TraceKind::Compute, d, now, t_done);
+                    ledger.record(stations[j].proc, TraceKind::Compute, d, now, t_done);
                     queue.schedule(
                         t_done,
                         QEv::ComputeDone {
@@ -905,7 +892,7 @@ impl<'a> FaultedSim<'a> {
             }};
         }
 
-        while completed < n_datasets {
+        while ledger.completed < n_datasets {
             let Some((now, ev)) = queue.pop() else {
                 break;
             };
@@ -915,7 +902,7 @@ impl<'a> FaultedSim<'a> {
                         source_q.push_back(dataset);
                     } else {
                         // Bounded source buffer full: shed the arrival.
-                        drop_ds!(dataset);
+                        ledger.drop(dataset);
                     }
                 }
                 QEv::Fault { proc } => {
@@ -923,13 +910,13 @@ impl<'a> FaultedSim<'a> {
                         if st.proc == proc && !st.dead {
                             st.dead = true;
                             for &d in st.inbuf.iter().chain(st.outbuf.iter()) {
-                                drop_ds!(d);
+                                ledger.drop(d);
                             }
                             if let Some(d) = st.computing {
-                                drop_ds!(d);
+                                ledger.drop(d);
                             }
                             if let Some(d) = st.blocked {
-                                drop_ds!(d);
+                                ledger.drop(d);
                             }
                         }
                     }
@@ -951,7 +938,7 @@ impl<'a> FaultedSim<'a> {
                     if link == 0 {
                         source_busy = false;
                         if stations[0].dead {
-                            drop_ds!(dataset);
+                            ledger.drop(dataset);
                         } else {
                             stations[0].port_busy = false;
                             stations[0].inbuf.push_back(dataset);
@@ -966,16 +953,15 @@ impl<'a> FaultedSim<'a> {
                             stations[link].port_busy = false;
                         }
                         if s_dead || r_dead {
-                            drop_ds!(dataset);
+                            ledger.drop(dataset);
                         } else {
                             stations[link].inbuf.push_back(dataset);
                         }
                     } else if stations[m - 1].dead {
-                        drop_ds!(dataset);
+                        ledger.drop(dataset);
                     } else {
                         stations[m - 1].port_busy = false;
-                        completion[dataset] = now;
-                        completed += 1;
+                        ledger.complete(dataset, now);
                     }
                 }
             }
@@ -995,21 +981,7 @@ impl<'a> FaultedSim<'a> {
             }
         }
 
-        let makespan = completion.iter().copied().fold(0.0_f64, f64::max);
-        DegradedOutput {
-            degraded: DegradedReport {
-                report: SimReport {
-                    start,
-                    completion,
-                    busy,
-                    makespan,
-                },
-                offered: n_datasets,
-                completed,
-                dropped,
-            },
-            trace,
-        }
+        ledger.finish()
     }
 }
 
@@ -1027,40 +999,6 @@ mod tests {
         let ivs = vec![Interval::new(0, 2), Interval::new(2, 3)];
         let procs = vec![1, 0];
         (app, pf, ivs, procs)
-    }
-
-    fn sim_pair<'a>(
-        cm: &'a CostModel<'a>,
-        mapping: &'a IntervalMapping,
-        plan: FaultPlan,
-    ) -> (PipelineSim<'a>, FaultedSim<'a>) {
-        (
-            PipelineSim::new(cm, mapping, SimConfig::default()),
-            FaultedSim::new(cm, mapping, SimConfig::default(), plan),
-        )
-    }
-
-    #[test]
-    fn empty_plan_is_bit_identical_to_the_steady_state_machine() {
-        let (app, pf, ivs, procs) = two_interval_fixture();
-        let mapping = IntervalMapping::new(&app, &pf, ivs, procs).unwrap();
-        let cm = CostModel::new(&app, &pf);
-        let (base, faulted) = sim_pair(&cm, &mapping, FaultPlan::empty());
-        let a = base.run(40).report;
-        let out = faulted.run(40);
-        let b = &out.degraded.report;
-        assert_eq!(out.degraded.completed, 40);
-        assert_eq!(out.degraded.dropped, 0);
-        assert_eq!(a.makespan.to_bits(), b.makespan.to_bits());
-        for d in 0..40 {
-            assert_eq!(a.start[d].to_bits(), b.start[d].to_bits());
-            assert_eq!(a.completion[d].to_bits(), b.completion[d].to_bits());
-        }
-        assert_eq!(a.busy.len(), b.busy.len());
-        for ((ka, va), (kb, vb)) in a.busy.iter().zip(b.busy.iter()) {
-            assert_eq!(ka, kb);
-            assert_eq!(va.to_bits(), vb.to_bits());
-        }
     }
 
     #[test]

@@ -22,11 +22,13 @@
 //! random instances — an executable proof that the analytic cost model
 //! describes a realizable schedule.
 //!
-//! Modules: [`engine`] (generic event queue), [`workflow`] (the pipeline
-//! state machine), [`faults`] (deterministic fault injection: scripted
-//! slowdowns/fail-stops, link jitter, bounded buffers, open-loop
-//! arrivals), [`trace`] (event traces and ASCII Gantt charts),
-//! [`metrics`] (report extraction).
+//! Modules: [`engine`] (generic event queue), [`faults`] (the pipeline
+//! state machine — the crate's one event loop — with deterministic fault
+//! injection: scripted slowdowns/fail-stops, link jitter, bounded
+//! buffers, open-loop arrivals), [`workflow`] (input policies and
+//! [`PipelineSim`], the loop with an empty fault plan), [`schedule`]
+//! (the synchronous schedule in closed form), [`trace`] (event traces
+//! and ASCII Gantt charts), [`metrics`] (report extraction).
 
 pub mod engine;
 pub mod faults;

@@ -55,7 +55,9 @@ impl Default for Gantt {
 
 impl Gantt {
     /// Renders `events` (any order) over `[0, horizon]` for the given
-    /// processors (row order preserved). Returns a multi-line string.
+    /// processors (row order preserved); spans starting at or after the
+    /// horizon are left out and spans crossing it are clipped. Returns a
+    /// multi-line string.
     pub fn render(&self, events: &[TraceEvent], procs: &[usize], horizon: f64) -> String {
         assert!(horizon > 0.0, "empty horizon");
         assert!(self.width >= 10, "Gantt needs at least 10 columns");
@@ -63,7 +65,7 @@ impl Gantt {
         let mut out = String::new();
         for &p in procs {
             let mut row = vec!['.'; self.width];
-            for e in events.iter().filter(|e| e.proc == p) {
+            for e in events.iter().filter(|e| e.proc == p && e.start < horizon) {
                 let from = ((e.start * scale) as usize).min(self.width - 1);
                 let to = ((e.end * scale).ceil() as usize).clamp(from + 1, self.width);
                 for cell in &mut row[from..to] {
@@ -123,6 +125,18 @@ mod tests {
         assert!(row.contains('#'));
         assert!(row.contains('s'));
         assert!(!row.contains("............"), "row should be mostly busy");
+    }
+
+    #[test]
+    fn render_skips_spans_past_the_horizon() {
+        let gantt = Gantt { width: 10 };
+        let events = vec![ev(0, TraceKind::Compute, 20.0, 25.0)];
+        let s = gantt.render(&events, &[0], 10.0);
+        assert_eq!(s.lines().next().unwrap(), "P0   |..........|");
+        // A span crossing the horizon is clipped to the last columns.
+        let events = vec![ev(0, TraceKind::Send, 8.0, 12.0)];
+        let s = gantt.render(&events, &[0], 10.0);
+        assert_eq!(s.lines().next().unwrap(), "P0   |........ss|");
     }
 
     #[test]

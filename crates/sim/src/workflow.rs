@@ -1,5 +1,6 @@
-//! The pipeline execution state machine: stations, rendezvous transfers,
-//! and the greedy (ASAP) schedule.
+//! The fault-free pipeline simulator: [`PipelineSim`] runs a mapping
+//! through the crate's one event loop ([`crate::faults`]) with an empty
+//! [`FaultPlan`].
 //!
 //! Station `j` executes interval `j` of the mapping on its processor. Per
 //! data set it runs three serial activities — receive, compute, send —
@@ -10,15 +11,14 @@
 //!
 //! The greedy schedule starts every enabled activity as early as
 //! possible. Its steady-state behaviour matches the paper's synchronous
-//! mode: the inter-completion time converges to `T_period` (eq. 1) —
-//! formally, the execution is a deterministic timed marked graph whose
-//! maximum cycle mean is the largest processor cycle time.
+//! mode: the inter-completion time converges to `T_period` (eq. 1), and
+//! with the source throttled to the period every data set sees
+//! `T_latency` (eq. 2).
 
-use crate::engine::EventQueue;
+use crate::faults::{FaultPlan, FaultedSim};
 use crate::metrics::SimReport;
-use crate::trace::{TraceEvent, TraceKind};
+use crate::trace::TraceEvent;
 use pipeline_model::prelude::*;
-use std::collections::BTreeMap;
 
 /// How the source releases data sets.
 #[derive(Debug, Clone)]
@@ -29,7 +29,7 @@ pub enum InputPolicy {
     /// One data set every `period` time units (throttled input; with
     /// `period = T_period` every data set sees the eq. 2 latency).
     Periodic(f64),
-    /// Explicit release times (must be non-decreasing).
+    /// Explicit release times (finite, non-negative and non-decreasing).
     ReleaseTimes(Vec<f64>),
 }
 
@@ -51,40 +51,10 @@ impl Default for SimConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    WaitRecv,
-    Receiving,
-    Computing,
-    WaitSend,
-    Sending,
-    Finished,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Ev {
-    /// Transfer on link `link` for `dataset` completed.
-    TransferDone { link: usize, dataset: usize },
-    /// Station `station` finished computing `dataset`.
-    ComputeDone { station: usize, dataset: usize },
-    /// The source's `dataset` release time has passed.
-    SourceReady,
-}
-
-struct Station {
-    proc: ProcId,
-    t_comp: f64,
-    phase: Phase,
-    /// Data set currently being handled / awaited.
-    current: usize,
-}
-
 /// A configured simulation of one mapping. Construct with
 /// [`PipelineSim::new`], execute with [`PipelineSim::run`].
 pub struct PipelineSim<'a> {
-    cm: &'a CostModel<'a>,
-    mapping: &'a IntervalMapping,
-    config: SimConfig,
+    sim: FaultedSim<'a>,
 }
 
 /// Result pair: the metrics report and (when requested) the trace.
@@ -99,242 +69,20 @@ impl<'a> PipelineSim<'a> {
     /// Binds a cost model (application + platform) and a mapping.
     pub fn new(cm: &'a CostModel<'a>, mapping: &'a IntervalMapping, config: SimConfig) -> Self {
         PipelineSim {
-            cm,
-            mapping,
-            config,
+            sim: FaultedSim::new(cm, mapping, config, FaultPlan::empty()),
         }
     }
 
     /// Runs `n_datasets` data sets through the pipeline and reports.
     pub fn run(&self, n_datasets: usize) -> SimOutput {
-        assert!(n_datasets > 0, "need at least one data set");
-        let app = self.cm.app();
-        let pf = self.cm.platform();
-        let m = self.mapping.n_intervals();
-        let ivs = self.mapping.intervals();
-        let procs = self.mapping.procs();
-
-        // Transfer durations for links 0..=m.
-        let mut t_xfer = Vec::with_capacity(m + 1);
-        t_xfer.push(app.input_volume(ivs[0].start) / pf.io_bandwidth_of(procs[0]));
-        for k in 1..m {
-            t_xfer.push(app.delta(ivs[k].start) / pf.bandwidth(procs[k - 1], procs[k]));
-        }
-        t_xfer.push(app.delta(app.n_stages()) / pf.io_bandwidth_of(procs[m - 1]));
-
-        let mut stations: Vec<Station> = (0..m)
-            .map(|j| Station {
-                proc: procs[j],
-                t_comp: app.interval_work(ivs[j].start, ivs[j].end) / pf.speed(procs[j]),
-                phase: Phase::WaitRecv,
-                current: 0,
-            })
-            .collect();
-
-        // Source bookkeeping.
-        let releases: Vec<f64> = match &self.config.input {
-            InputPolicy::Saturating => vec![0.0; n_datasets],
-            InputPolicy::Periodic(p) => {
-                assert!(*p >= 0.0 && p.is_finite(), "invalid input period");
-                (0..n_datasets).map(|d| *p * d as f64).collect()
-            }
-            InputPolicy::ReleaseTimes(ts) => {
-                assert!(ts.len() >= n_datasets, "not enough release times");
-                assert!(
-                    ts.windows(2).all(|w| w[0] <= w[1]),
-                    "release times must be non-decreasing"
-                );
-                ts[..n_datasets].to_vec()
-            }
-        };
-        let mut source_busy = false;
-        let mut source_next = 0usize; // next data set the source will send
-        let mut released = 0usize; // how many release times have passed
-
-        let mut queue: EventQueue<Ev> = EventQueue::new();
-        for &t in &releases {
-            queue.schedule(t, Ev::SourceReady);
-        }
-
-        let mut start = vec![f64::NAN; n_datasets];
-        let mut completion = vec![f64::NAN; n_datasets];
-        let mut busy: BTreeMap<usize, f64> = BTreeMap::new();
-        let mut trace: Vec<TraceEvent> = Vec::new();
-        let mut completed = 0usize;
-
-        macro_rules! record {
-            ($proc:expr, $kind:expr, $d:expr, $from:expr, $to:expr) => {{
-                *busy.entry($proc).or_insert(0.0) += $to - $from;
-                if self.config.record_trace {
-                    trace.push(TraceEvent {
-                        proc: $proc,
-                        kind: $kind,
-                        dataset: $d,
-                        start: $from,
-                        end: $to,
-                    });
-                }
-            }};
-        }
-
-        // Tries to start transfer `k` at time `now`; returns true when it
-        // started.
-        macro_rules! try_start {
-            ($k:expr, $now:expr) => {{
-                let k = $k;
-                let now = $now;
-                let mut started = false;
-                if k == 0 {
-                    if !source_busy
-                        && source_next < n_datasets
-                        && source_next < released
-                        && stations[0].phase == Phase::WaitRecv
-                        && stations[0].current == source_next
-                    {
-                        let d = source_next;
-                        source_busy = true;
-                        stations[0].phase = Phase::Receiving;
-                        start[d] = now;
-                        record!(
-                            stations[0].proc,
-                            TraceKind::Receive,
-                            d,
-                            now,
-                            now + t_xfer[0]
-                        );
-                        queue.schedule(
-                            now + t_xfer[0],
-                            Ev::TransferDone {
-                                link: 0,
-                                dataset: d,
-                            },
-                        );
-                        started = true;
-                    }
-                } else if k < m {
-                    if stations[k - 1].phase == Phase::WaitSend
-                        && stations[k].phase == Phase::WaitRecv
-                        && stations[k].current == stations[k - 1].current
-                    {
-                        let d = stations[k - 1].current;
-                        stations[k - 1].phase = Phase::Sending;
-                        stations[k].phase = Phase::Receiving;
-                        record!(
-                            stations[k - 1].proc,
-                            TraceKind::Send,
-                            d,
-                            now,
-                            now + t_xfer[k]
-                        );
-                        record!(
-                            stations[k].proc,
-                            TraceKind::Receive,
-                            d,
-                            now,
-                            now + t_xfer[k]
-                        );
-                        queue.schedule(
-                            now + t_xfer[k],
-                            Ev::TransferDone {
-                                link: k,
-                                dataset: d,
-                            },
-                        );
-                        started = true;
-                    }
-                } else if stations[m - 1].phase == Phase::WaitSend {
-                    let d = stations[m - 1].current;
-                    stations[m - 1].phase = Phase::Sending;
-                    record!(
-                        stations[m - 1].proc,
-                        TraceKind::Send,
-                        d,
-                        now,
-                        now + t_xfer[m]
-                    );
-                    queue.schedule(
-                        now + t_xfer[m],
-                        Ev::TransferDone {
-                            link: m,
-                            dataset: d,
-                        },
-                    );
-                    started = true;
-                }
-                started
-            }};
-        }
-
-        // Advance a station past its send of data set `d`.
-        macro_rules! advance_sender {
-            ($j:expr, $d:expr) => {{
-                let j = $j;
-                stations[j].current = $d + 1;
-                stations[j].phase = if $d + 1 == n_datasets {
-                    Phase::Finished
-                } else {
-                    Phase::WaitRecv
-                };
-            }};
-        }
-
-        while completed < n_datasets {
-            let (now, ev) = queue
-                .pop()
-                .expect("simulation deadlocked: event queue drained before completion");
-            match ev {
-                Ev::SourceReady => {
-                    released += 1;
-                }
-                Ev::ComputeDone { station, dataset } => {
-                    debug_assert_eq!(stations[station].phase, Phase::Computing);
-                    debug_assert_eq!(stations[station].current, dataset);
-                    stations[station].phase = Phase::WaitSend;
-                }
-                Ev::TransferDone { link, dataset } => {
-                    if link == 0 {
-                        source_busy = false;
-                        source_next += 1;
-                    } else {
-                        advance_sender!(link - 1, dataset);
-                    }
-                    if link < m {
-                        // Receiver starts computing immediately.
-                        let st = &mut stations[link];
-                        debug_assert_eq!(st.phase, Phase::Receiving);
-                        st.phase = Phase::Computing;
-                        let t_done = now + st.t_comp;
-                        record!(st.proc, TraceKind::Compute, dataset, now, t_done);
-                        queue.schedule(
-                            t_done,
-                            Ev::ComputeDone {
-                                station: link,
-                                dataset,
-                            },
-                        );
-                    } else {
-                        completion[dataset] = now;
-                        completed += 1;
-                    }
-                }
-            }
-            // Greedy: start every enabled transfer.
-            for k in 0..=m {
-                let _ = try_start!(k, now);
-            }
-        }
-
-        let makespan = completion.iter().copied().fold(0.0_f64, f64::max);
-        debug_assert!(start.iter().all(|t| t.is_finite()));
-        debug_assert!(completion.iter().all(|t| t.is_finite()));
+        let out = self.sim.run(n_datasets);
+        assert_eq!(
+            out.degraded.completed, n_datasets,
+            "simulation deadlocked: event queue drained before completion"
+        );
         SimOutput {
-            report: SimReport {
-                start,
-                completion,
-                busy,
-                makespan,
-            },
-            trace,
+            report: out.degraded.report,
+            trace: out.trace,
         }
     }
 }
@@ -549,6 +297,35 @@ mod tests {
             );
             assert!((out.report.latency(0) - latency).abs() < 1e-6 * latency.max(1.0));
         }
+    }
+
+    fn run_with_releases(releases: Vec<f64>) {
+        let (app, pf, ivs, procs) = two_interval_fixture();
+        let mapping = IntervalMapping::new(&app, &pf, ivs, procs).unwrap();
+        let cm = CostModel::new(&app, &pf);
+        let config = SimConfig {
+            input: InputPolicy::ReleaseTimes(releases),
+            record_trace: false,
+        };
+        let _ = PipelineSim::new(&cm, &mapping, config).run(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid ReleaseTimes")]
+    fn negative_release_time_panics() {
+        run_with_releases(vec![-1.0, 5.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid ReleaseTimes")]
+    fn nan_release_time_panics() {
+        run_with_releases(vec![f64::NAN, 5.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid ReleaseTimes")]
+    fn infinite_release_time_panics() {
+        run_with_releases(vec![0.0, f64::INFINITY]);
     }
 
     #[test]

@@ -81,14 +81,11 @@ fn main() {
     // bottleneck processor stay solid while others breathe.
     let horizon = sat.report.completion[8.min(sat.report.n_datasets() - 1)];
     let procs: Vec<usize> = res.mapping.procs().to_vec();
-    let visible: Vec<_> = sat
-        .trace
-        .iter()
-        .copied()
-        .filter(|e| e.start < horizon)
-        .collect();
     println!("\nGantt (saturating, first ~9 data sets):");
-    print!("{}", Gantt { width: 96 }.render(&visible, &procs, horizon));
+    print!(
+        "{}",
+        Gantt { width: 96 }.render(&sat.trace, &procs, horizon)
+    );
 
     // Utilization: the bottleneck processor should be near 100% busy.
     println!("\nutilization under saturation:");

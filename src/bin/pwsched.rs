@@ -755,15 +755,9 @@ fn main() {
         }
         if gantt {
             let horizon = out.report.makespan.min(report.result.period * 8.0);
-            let visible: Vec<_> = out
-                .trace
-                .iter()
-                .copied()
-                .filter(|e| e.start < horizon)
-                .collect();
             println!(
                 "\n{}",
-                Gantt::default().render(&visible, report.result.mapping.procs(), horizon)
+                Gantt::default().render(&out.trace, report.result.mapping.procs(), horizon)
             );
         }
     }

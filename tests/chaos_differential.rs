@@ -1,20 +1,26 @@
-//! Differential tests for the fault simulator (`pipeline_sim::faults`):
-//! with an **empty fault plan** it must be a bit-for-bit drop-in for the
-//! steady-state one-port simulator — same starts, completions, busy
-//! times and makespan, on every registered scenario family, under both
-//! source policies. The fault hooks are structured so the no-fault
-//! branch evaluates exactly the original expressions in the original
-//! event order; these tests pin that claim operationally, first on the
-//! zoo, then on proptest-generated instances.
+//! Differential tests for the simulator's one event loop
+//! (`pipeline_sim::faults`). With an **empty fault plan** it must
+//! reproduce the fault-free reference loop (`support/clean_sim.rs`) bit
+//! for bit — same starts, completions, busy times, makespan and trace —
+//! through both entry points: `PipelineSim` and an empty-plan
+//! `FaultedSim`. The fault hooks return their nominal inputs when the
+//! plan is empty; these tests pin that claim operationally on every
+//! registered scenario family under saturating, periodic and explicit
+//! release-time sources, on the hand-computed two-interval fixture, and
+//! on proptest-generated instances.
 
+#[path = "support/clean_sim.rs"]
+mod clean_sim;
+
+use clean_sim::clean_sim;
 use proptest::prelude::*;
 
 use pipeline_workflows::core::HeuristicKind;
 use pipeline_workflows::core::SolveWorkspace;
 use pipeline_workflows::model::scenario::{ScenarioFamily, ScenarioGenerator};
-use pipeline_workflows::model::{Application, CostModel, IntervalMapping, Platform};
+use pipeline_workflows::model::{Application, CostModel, Interval, IntervalMapping, Platform};
 use pipeline_workflows::sim::{
-    FaultPlan, FaultedSim, InputPolicy, PipelineSim, SimConfig, SimReport,
+    FaultPlan, FaultedSim, InputPolicy, PipelineSim, SimConfig, SimReport, TraceEvent,
 };
 
 /// Bitwise equality of two simulation reports.
@@ -50,16 +56,56 @@ fn assert_reports_identical(a: &SimReport, b: &SimReport, ctx: &str) {
     );
 }
 
-/// Runs both simulators on `mapping` and asserts bitwise identity.
-fn check_identity(cm: &CostModel<'_>, mapping: &IntervalMapping, config: SimConfig, ctx: &str) {
-    let base = PipelineSim::new(cm, mapping, config.clone()).run(40).report;
-    let faulted = FaultedSim::new(cm, mapping, config, FaultPlan::empty())
-        .run(40)
-        .degraded;
-    assert_eq!(faulted.offered, 40, "{ctx}: offered");
-    assert_eq!(faulted.completed, 40, "{ctx}: completed");
-    assert_eq!(faulted.dropped, 0, "{ctx}: dropped");
-    assert_reports_identical(&base, &faulted.report, ctx);
+/// Bitwise equality of two traces.
+fn assert_traces_identical(a: &[TraceEvent], b: &[TraceEvent], ctx: &str) {
+    assert_eq!(a.len(), b.len(), "{ctx}: trace length");
+    for (i, (x, y)) in a.iter().zip(b).enumerate() {
+        assert!(
+            x.proc == y.proc
+                && x.kind == y.kind
+                && x.dataset == y.dataset
+                && x.start.to_bits() == y.start.to_bits()
+                && x.end.to_bits() == y.end.to_bits(),
+            "{ctx}: trace[{i}]: {x:?} vs {y:?}"
+        );
+    }
+}
+
+/// Runs the reference loop, `PipelineSim` and an empty-plan `FaultedSim`
+/// on `mapping` with tracing on, and asserts bitwise identity.
+fn check_identity(cm: &CostModel<'_>, mapping: &IntervalMapping, input: InputPolicy, ctx: &str) {
+    const N: usize = 40;
+    let config = SimConfig {
+        input,
+        record_trace: true,
+    };
+    let (oracle, oracle_trace) = clean_sim(cm, mapping, &config, N);
+    assert!(!oracle_trace.is_empty(), "{ctx}: trace recorded");
+
+    let base = PipelineSim::new(cm, mapping, config.clone()).run(N);
+    let ctx_base = format!("{ctx} [PipelineSim]");
+    assert_reports_identical(&oracle, &base.report, &ctx_base);
+    assert_traces_identical(&oracle_trace, &base.trace, &ctx_base);
+
+    let faulted = FaultedSim::new(cm, mapping, config, FaultPlan::empty()).run(N);
+    let ctx_faulted = format!("{ctx} [FaultedSim]");
+    assert_eq!(faulted.degraded.offered, N, "{ctx_faulted}: offered");
+    assert_eq!(faulted.degraded.completed, N, "{ctx_faulted}: completed");
+    assert_eq!(faulted.degraded.dropped, 0, "{ctx_faulted}: dropped");
+    assert_reports_identical(&oracle, &faulted.degraded.report, &ctx_faulted);
+    assert_traces_identical(&oracle_trace, &faulted.trace, &ctx_faulted);
+}
+
+/// The three source policies at `period`: saturating, periodic, and
+/// explicit release times in bursts of three every two periods (so the
+/// pipeline alternates between queueing and idling).
+fn policies(period: f64) -> [(&'static str, InputPolicy); 3] {
+    let releases = (0..40).map(|d| (d / 3) as f64 * 2.0 * period).collect();
+    [
+        ("saturating", InputPolicy::Saturating),
+        ("periodic", InputPolicy::Periodic(period)),
+        ("release-times", InputPolicy::ReleaseTimes(releases)),
+    ]
 }
 
 #[test]
@@ -83,23 +129,35 @@ fn empty_fault_plan_is_bit_identical_on_every_zoo_family() {
                 };
                 let res = kind.run_in(&cm, target, &mut SolveWorkspace::new());
                 let period = cm.period(&res.mapping);
-                for (policy_name, policy) in [
-                    ("saturating", InputPolicy::Saturating),
-                    ("periodic", InputPolicy::Periodic(period)),
-                ] {
-                    let config = SimConfig {
-                        input: policy,
-                        record_trace: false,
-                    };
+                for (policy_name, policy) in policies(period) {
                     check_identity(
                         &cm,
                         &res.mapping,
-                        config,
+                        policy,
                         &format!("{family} #{index} {kind} {policy_name}"),
                     );
                 }
             }
         }
+    }
+}
+
+/// The hand-computed two-interval instance of the simulator's unit
+/// tests: interval 1 cycle = 6, interval 2 cycle = 8, latency = 12.
+#[test]
+fn empty_fault_plan_is_bit_identical_on_the_two_interval_fixture() {
+    let app = Application::new(vec![4.0, 8.0, 2.0], vec![2.0, 6.0, 4.0, 10.0]).unwrap();
+    let pf = Platform::comm_homogeneous(vec![2.0, 4.0], 2.0).unwrap();
+    let mapping = IntervalMapping::new(
+        &app,
+        &pf,
+        vec![Interval::new(0, 2), Interval::new(2, 3)],
+        vec![1, 0],
+    )
+    .unwrap();
+    let cm = CostModel::new(&app, &pf);
+    for (policy_name, policy) in policies(cm.period(&mapping)) {
+        check_identity(&cm, &mapping, policy, &format!("fixture {policy_name}"));
     }
 }
 
@@ -120,8 +178,7 @@ proptest! {
         let (app, pf) = gen.instance(seed, index);
         let cm = CostModel::new(&app, &pf);
         let mapping = IntervalMapping::all_on_fastest(&app, &pf);
-        let config = SimConfig { input: InputPolicy::Saturating, record_trace: false };
-        check_identity(&cm, &mapping, config, &format!("{family} seed {seed} #{index}"));
+        check_identity(&cm, &mapping, InputPolicy::Saturating, &format!("{family} seed {seed} #{index}"));
     }
 
     /// Hand-rolled instances (not via the zoo generator) with a
@@ -143,14 +200,13 @@ proptest! {
             &app,
             &pf,
             vec![
-                pipeline_workflows::model::Interval::new(0, cut),
-                pipeline_workflows::model::Interval::new(cut, n),
+                Interval::new(0, cut),
+                Interval::new(cut, n),
             ],
             vec![0, 1],
         )
         .unwrap();
         let cm = CostModel::new(&app, &pf);
-        let config = SimConfig { input: InputPolicy::Saturating, record_trace: false };
-        check_identity(&cm, &mapping, config, "two-interval");
+        check_identity(&cm, &mapping, InputPolicy::Saturating, "two-interval");
     }
 }
