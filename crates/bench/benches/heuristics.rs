@@ -42,10 +42,17 @@ fn bench_heuristics(c: &mut Criterion) {
 
 fn bench_trajectories(c: &mut Criterion) {
     use pipeline_core::trajectory::{fixed_period_trajectory_in, TrajectoryKind};
+    use pipeline_core::{hetero_trajectory_in, HeteroSplitOptions};
     let mut group = c.benchmark_group("trajectory");
     let mut ws = SolveWorkspace::new();
-    for (n, p) in [(40usize, 10usize), (40, 100)] {
-        let gen = InstanceGenerator::new(InstanceParams::paper(ExperimentKind::E1, n, p));
+    // (240, 120) on E2 is the largest heuristic size perfbench's
+    // solve-cold workload records.
+    for (exp, n, p) in [
+        (ExperimentKind::E1, 40usize, 10usize),
+        (ExperimentKind::E1, 40, 100),
+        (ExperimentKind::E2, 240, 120),
+    ] {
+        let gen = InstanceGenerator::new(InstanceParams::paper(exp, n, p));
         let (app, pf) = gen.instance(2, 0);
         let cm = CostModel::new(&app, &pf);
         for kind in [
@@ -59,6 +66,15 @@ fn bench_trajectories(c: &mut Criterion) {
                 |b, &kind| b.iter(|| black_box(fixed_period_trajectory_in(&cm, kind, &mut ws))),
             );
         }
+        group.bench_function(BenchmarkId::new("HeteroSplit", format!("n{n}_p{p}")), |b| {
+            b.iter(|| {
+                black_box(hetero_trajectory_in(
+                    &cm,
+                    HeteroSplitOptions::default(),
+                    &mut ws,
+                ))
+            })
+        });
     }
     group.finish();
 }

@@ -3,7 +3,9 @@
 //!
 //! At each step the bottleneck processor's interval is split into three
 //! parts, two of which go to the next pair of fastest unused processors —
-//! every cut pair and every part→processor permutation is tested.
+//! every cut pair and every part→processor permutation is evaluated
+//! unless provably losing (see [`crate::state`]: candidates the selection
+//! rule would reject anyway are skipped, with bit-identical results).
 //!
 //! The paper leaves two corner cases unspecified, resolved here: when
 //! the interval has fewer than three stages, or when only one unused

@@ -8,7 +8,11 @@
 //! intervals too, and the identity of the enrolled processor matters
 //! beyond its speed. The greedy here therefore:
 //!
-//! * evaluates candidates against the full mapping (O(m) per candidate);
+//! * tests each candidate in O(1) from the two local cycle times of its
+//!   pieces (computed with their real neighbours), and evaluates the full
+//!   mapping (O(m)) only for a contender — a candidate that improves the
+//!   bottleneck and does not lose to the incumbent on the local max, the
+//!   only ones whose period and latency can decide the selection;
 //! * considers the `candidate_procs` fastest unused processors for each
 //!   split instead of only the next one;
 //! * selects by global period improvement (mono) — the natural lift of
@@ -234,9 +238,31 @@ fn best_split(
     let mut best: Option<(f64, f64, f64, ChosenSplit)> = None;
     let ivs = &mut st.cand_intervals;
     let ps = &mut st.cand_procs;
+    // The split pieces' neighbours, as `slice_cycle` sees them on the
+    // assembled candidate.
+    let pred = (j > 0).then(|| st.procs[j - 1]);
+    let succ = st.procs.get(j + 1).copied();
     for &new_proc in &st.candidates {
         for cut in iv.start + 1..iv.end {
             for keep_left in [true, false] {
+                let (lp, rp) = if keep_left {
+                    (st.procs[j], new_proc)
+                } else {
+                    (new_proc, st.procs[j])
+                };
+                let left = cm.interval_cost(Interval::new(iv.start, cut), lp, pred, Some(rp));
+                let right = cm.interval_cost(Interval::new(cut, iv.end), rp, Some(lp), succ);
+                let local = left.cycle_time().max(right.cycle_time());
+                // Only a contender can become the incumbent: for any other
+                // candidate `better` is false whatever its (period,
+                // latency), so the O(m) evaluation is skipped.
+                let contender = definitely_lt(local, old_cycle)
+                    && best.as_ref().is_none_or(|(bl_local, ..)| {
+                        definitely_lt(local, *bl_local) || approx_eq(local, *bl_local)
+                    });
+                if !contender {
+                    continue;
+                }
                 // Assemble the candidate in the reused scratch vectors.
                 ivs.clear();
                 ivs.extend_from_slice(&st.intervals);
@@ -244,17 +270,8 @@ fn best_split(
                 ps.extend_from_slice(&st.procs);
                 ivs[j] = Interval::new(iv.start, cut);
                 ivs.insert(j + 1, Interval::new(cut, iv.end));
-                let (lp, rp) = if keep_left {
-                    (st.procs[j], new_proc)
-                } else {
-                    (new_proc, st.procs[j])
-                };
                 ps[j] = lp;
                 ps.insert(j + 1, rp);
-                let local = slice_cycle(cm, ivs, ps, j).max(slice_cycle(cm, ivs, ps, j + 1));
-                if !definitely_lt(local, old_cycle) {
-                    continue;
-                }
                 let (p, l) = slice_evaluate(cm, ivs, ps);
                 let better = match &best {
                     None => true,

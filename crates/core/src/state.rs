@@ -21,7 +21,13 @@
 //!   on), so repeated walks over the same split prefix — H3's binary
 //!   search replays its probe runs dozens of times — skip the candidate
 //!   scan entirely. A changed interval simply misses the memo; no
-//!   explicit invalidation exists or is needed.
+//!   explicit invalidation exists or is needed;
+//! * the three-way search of H2a/H2b skips every candidate that provably
+//!   cannot win: the selector passes a bound (the validity threshold,
+//!   and for H2a also the incumbent's local max), and since a piece's
+//!   computation time only grows with the piece and bounds every cycle
+//!   time, whole runs of cut pairs are left without being costed. The
+//!   exactness argument is on the private `for_each_split3`.
 //!
 //! All of this is bit-identical to the original direct evaluation: the
 //! same cost-model expressions run in the same association order, only
@@ -35,7 +41,7 @@
 //! [`crate::hetero`].
 
 use pipeline_model::prelude::*;
-use pipeline_model::util::{approx_le, definitely_lt};
+use pipeline_model::util::{approx_le, definitely_lt, EPS};
 use std::cell::OnceCell;
 use std::cmp::Reverse;
 use std::collections::HashMap;
@@ -711,18 +717,31 @@ impl<'a> SplitState<'a> {
         best.map(|(_, s)| s)
     }
 
-    /// Delta-evaluates every three-way split of entry `j` using the next
-    /// two unused processors, in deterministic order.
+    /// Delta-evaluates the three-way splits of entry `j` using the next
+    /// two unused processors, in deterministic (cut1, cut2, permutation)
+    /// order, handing `visit` only the candidates whose `local_max` is
+    /// below `bound`. `visit` returns the bound for the rest of the
+    /// enumeration, which must never rise; a selector passes the value
+    /// at or above which it would reject a candidate anyway.
     ///
-    /// The enumeration is O(len²) cut pairs; the naive form recomputes
-    /// nine piece costs per pair. Here the first piece's costs are hoisted
-    /// out of the `cut2` loop and the third piece's costs are precomputed
-    /// once per call (into the recycled `split3_c` buffer — hence
-    /// `&mut self`), leaving one fresh piece per pair. Every cost is the
-    /// same [`CostModel::interval_cost`] value the naive form produced
-    /// and the latency sum keeps its association order, so results are
-    /// bit-identical — only redundant recomputation is gone.
-    fn for_each_split3(&mut self, j: usize, mut visit: impl FnMut(Split3)) {
+    /// The skipping is exact. Works are non-negative, prefix sums are
+    /// non-decreasing and IEEE rounding is monotone, so a piece's
+    /// `t_comp` never falls as the piece grows: A's as `cut1` grows, B's
+    /// as `cut2` grows for a fixed `cut1`, while C's never rises as
+    /// `cut2` grows. Every cycle time `fl(fl(t_in + t_comp) + t_out)` is
+    /// `≥ t_comp`. So the loop leaves `cut1` once all three A pieces reach
+    /// the bound, leaves `cut2` once all three B pieces do, and starts
+    /// `cut2` past the prefix where all three C pieces do (a pointer that
+    /// only moves forward, since the bound never rises). A permutation
+    /// with any piece at or above the bound is skipped.
+    ///
+    /// C's costs are computed once per call (into the recycled
+    /// `split3_c` buffer — hence `&mut self`), A's once per `cut1`, and
+    /// B's work and transfer times once per pair: every processor sees
+    /// the same bandwidth on a Communication Homogeneous platform. Every
+    /// cost is the [`CostModel::interval_cost`] value bit for bit and the
+    /// latency sum keeps its association order.
+    fn for_each_split3(&mut self, j: usize, mut bound: f64, mut visit: impl FnMut(Split3) -> f64) {
         let e = self.entries[j];
         let (Some(p1), Some(p2)) = (self.peek_unused(0), self.peek_unused(1)) else {
             return;
@@ -742,33 +761,63 @@ impl<'a> SplitState<'a> {
         ];
         let base_latency = self.latency - e.lat_term;
         let cm = self.cm;
+        let (app, pf) = (cm.app(), cm.platform());
+        let bw = pf.io_bandwidth_of(e.proc);
         let pc =
             |s: usize, t: usize, u: ProcId| cm.interval_cost(Interval::new(s, t), u, None, None);
+        let reach = |piece: &[IntervalCost; 3], bound: f64| piece.iter().all(|c| c.t_comp >= bound);
         // Third-piece costs for every cut2, computed once per call.
+        let first_cut2 = e.start + 2;
         let c_costs = &mut self.split3_c;
         c_costs.clear();
-        c_costs.extend((e.start + 2..e.end).map(|cut2| pool.map(|u| pc(cut2, e.end, u))));
+        c_costs.extend((first_cut2..e.end).map(|cut2| pool.map(|u| pc(cut2, e.end, u))));
+        let mut c_from = first_cut2;
         for cut1 in e.start + 1..e.end - 1 {
             // First-piece costs, hoisted out of the cut2 loop.
             let a_costs = pool.map(|u| pc(e.start, cut1, u));
-            for cut2 in cut1 + 1..e.end {
-                let costs: [[IntervalCost; 3]; 3] = [
-                    a_costs,
-                    pool.map(|u| pc(cut1, cut2, u)),
-                    c_costs[cut2 - (e.start + 2)],
+            if reach(&a_costs, bound) {
+                break;
+            }
+            while c_from < e.end && reach(&c_costs[c_from - first_cut2], bound) {
+                c_from += 1;
+            }
+            let a_cycles = a_costs.map(|c| c.cycle_time());
+            let t_in = app.input_volume(cut1) / bw;
+            for cut2 in c_from.max(cut1 + 1)..e.end {
+                let work = app.interval_work(cut1, cut2);
+                let t_out = app.output_volume(cut2) / bw;
+                let b_costs = pool.map(|u| IntervalCost {
+                    t_in,
+                    t_comp: work / pf.speed(u),
+                    t_out,
+                });
+                if reach(&b_costs, bound) {
+                    break;
+                }
+                let costs = [a_costs, b_costs, c_costs[cut2 - first_cut2]];
+                let piece_cycles = [
+                    a_cycles,
+                    b_costs.map(|c| c.cycle_time()),
+                    costs[2].map(|c| c.cycle_time()),
                 ];
                 for perm in PERMS {
-                    let procs = [pool[perm[0]], pool[perm[1]], pool[perm[2]]];
+                    let cycles = [
+                        piece_cycles[0][perm[0]],
+                        piece_cycles[1][perm[1]],
+                        piece_cycles[2][perm[2]],
+                    ];
+                    if cycles.iter().any(|&c| c >= bound) {
+                        continue;
+                    }
                     let parts = [costs[0][perm[0]], costs[1][perm[1]], costs[2][perm[2]]];
-                    let cycles = parts.map(|c| c.cycle_time());
                     let new_latency = base_latency
                         + parts[0].latency_term()
                         + parts[1].latency_term()
                         + parts[2].latency_term();
-                    visit(Split3 {
+                    bound = visit(Split3 {
                         cut1,
                         cut2,
-                        procs,
+                        procs: [pool[perm[0]], pool[perm[1]], pool[perm[2]]],
                         cycles,
                         new_latency,
                     });
@@ -789,7 +838,10 @@ impl<'a> SplitState<'a> {
         } else {
             6 * (len - 1) * (len - 2) / 2
         });
-        self.for_each_split3(j, |s| out.push(s));
+        self.for_each_split3(j, f64::INFINITY, |s| {
+            out.push(s);
+            f64::INFINITY
+        });
         out
     }
 
@@ -830,25 +882,18 @@ impl<'a> SplitState<'a> {
 
     /// Mono-criterion selection among three-way splits (H2a): minimize the
     /// max of the three cycle times, requiring strict improvement over
-    /// entry `j`'s current cycle.
+    /// entry `j`'s current cycle; ties keep the first candidate in
+    /// (cut1, cut2) order.
     pub fn best_split3_mono(&mut self, j: usize) -> Option<Split3> {
-        let old = self.entries[j].cycle;
-        let mut best: Option<Split3> = None;
-        self.for_each_split3(j, |s| {
-            if !definitely_lt(s.local_max(), old) {
-                return;
-            }
-            let better = best.as_ref().is_none_or(|b| {
-                s.local_max()
-                    .partial_cmp(&b.local_max())
-                    .expect("finite")
-                    .then(s.cut1.cmp(&b.cut1))
-                    .then(s.cut2.cmp(&b.cut2))
-                    .is_lt()
-            });
-            if better {
-                best = Some(s);
-            }
+        // A candidate qualifies below `old − EPS` (`definitely_lt`) and
+        // beats the incumbent only with a strictly smaller `local_max`,
+        // since the incumbent comes first in (cut1, cut2) order. So every
+        // candidate handed over below the running bound is the new
+        // incumbent, and its `local_max` is the next bound.
+        let mut best = None;
+        self.for_each_split3(j, self.entries[j].cycle - EPS, |s| {
+            best = Some(s);
+            s.local_max()
         });
         best
     }
@@ -870,10 +915,10 @@ impl<'a> SplitState<'a> {
             d_lat / d_per
         };
         let mut best: Option<(f64, Split3)> = None;
-        self.for_each_split3(j, |s| {
-            if !definitely_lt(s.local_max(), old) {
-                return;
-            }
+        // Only candidates that qualify (`definitely_lt(local_max, old)`)
+        // are handed over.
+        let qualify = old - EPS;
+        self.for_each_split3(j, qualify, |s| {
             let r = ratio(&s);
             let better = best.as_ref().is_none_or(|(br, b)| {
                 r.partial_cmp(br)
@@ -886,6 +931,7 @@ impl<'a> SplitState<'a> {
             if better {
                 best = Some((r, s));
             }
+            qualify
         });
         best.map(|(_, s)| s)
     }
@@ -953,7 +999,7 @@ enum RatioRule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipeline_model::util::EPS;
+    use pipeline_model::generator::{ExperimentKind, InstanceGenerator, InstanceParams};
     use pipeline_model::Application;
     use pipeline_model::Platform;
 
@@ -1207,6 +1253,33 @@ mod tests {
         .unwrap();
         let cm = CostModel::new(&app, &pf);
         let _ = SplitState::new_in(&cm, SplitBuffers::default());
+    }
+
+    #[test]
+    fn h2a_bound_hands_over_few_of_the_three_way_candidates() {
+        // The first H2a step on an E2 instance at n = 120, p = 60. A
+        // pruning regression shows up here as a count, not as a timing.
+        let gen = InstanceGenerator::new(InstanceParams::paper(ExperimentKind::E2, 120, 60));
+        let (app, pf) = gen.instance(1, 0);
+        let cm = CostModel::new(&app, &pf);
+        let mut st = SplitState::new_in(&cm, SplitBuffers::default());
+        let full = 6 * 119 * 118 / 2;
+        assert_eq!(st.candidate_splits3(0).len(), full);
+        let mut handed = 0;
+        let mut best = None;
+        let old = st.entries()[0].cycle;
+        st.for_each_split3(0, old - EPS, |s| {
+            handed += 1;
+            best = Some(s);
+            s.local_max()
+        });
+        // 38 of 42126 today; fail above 0.2%.
+        assert!(
+            handed > 0 && handed * 500 < full,
+            "{handed} of {full} handed over"
+        );
+        let winner = |s: Option<Split3>| s.map(|s| (s.cut1, s.cut2, s.procs));
+        assert_eq!(winner(best), winner(st.best_split3_mono(0)));
     }
 
     #[test]

@@ -74,9 +74,9 @@ proptest! {
         }
     }
 
-    /// The candidate enumeration is complete and consistent: every
-    /// 2-way candidate's predicted cycles/latency match a from-scratch
-    /// evaluation of the corresponding mapping.
+    /// The candidate enumeration is complete and consistent: a 2-way
+    /// candidate's and every 3-way candidate's predicted cycles/latency
+    /// match a from-scratch evaluation of the corresponding mapping.
     #[test]
     fn candidate_predictions_match_reality(
         (app, pf) in arb_instance(),
@@ -84,7 +84,25 @@ proptest! {
     ) {
         prop_assume!(app.n_stages() >= 2 && pf.n_procs() >= 2);
         let cm = CostModel::new(&app, &pf);
-        let st = SplitState::new_in(&cm, SplitBuffers::default());
+        let mut st = SplitState::new_in(&cm, SplitBuffers::default());
+        let cands3 = st.candidate_splits3(0);
+        let len = app.n_stages();
+        if len >= 3 && pf.n_procs() >= 3 {
+            prop_assert_eq!(cands3.len(), 6 * (len - 1) * (len - 2) / 2);
+        }
+        for c in cands3 {
+            let mut st3 = st.clone();
+            st3.apply_split3(0, c);
+            let mapping = st3.to_mapping();
+            for (k, &cycle) in c.cycles.iter().enumerate() {
+                prop_assert_eq!(cycle.to_bits(), cm.cycle_time(&mapping, k).to_bits(),
+                    "3-way cycle {} of cuts ({}, {}) off", k, c.cut1, c.cut2);
+            }
+            let (p, l) = cm.evaluate(&mapping);
+            prop_assert_eq!(p.to_bits(), c.local_max().to_bits());
+            prop_assert!((l - c.new_latency).abs() < 1e-9,
+                "3-way latency prediction off: {} vs {}", c.new_latency, l);
+        }
         let cands = st.candidate_splits2(0);
         prop_assume!(!cands.is_empty());
         let c = cands[cand_pick % cands.len()];
