@@ -27,8 +27,9 @@
 //!   front through the existing [`ParetoFront`] type — exact on small
 //!   instances, the union of the memoized trajectories otherwise.
 //!
-//! Batched solving over the sharded work-queue engine lives in
-//! `pipeline_experiments::service::solve_batch`; the line-oriented wire
+//! Batched solving maps [`PreparedInstance::solve_in`] over the sharded
+//! work-queue engine (`pipeline_experiments::shard::sharded_map_items_with`,
+//! one workspace per worker); the line-oriented wire
 //! format the `pwsched solve --stdin` service speaks lives in
 //! [`pipeline_model::io`] (this module provides the conversions).
 
@@ -736,7 +737,7 @@ impl PreparedInstance {
     }
 
     /// [`Self::solve`] reusing a caller-owned [`SolveWorkspace`] — the
-    /// batch entry point (`pipeline_experiments::service::solve_batch`
+    /// batch entry point (`pipeline_experiments::shard::sharded_map_items_with`
     /// threads one workspace per worker shard through here). Bit-identical
     /// to [`Self::solve`]: the workspace recycles buffer capacity, never
     /// values.

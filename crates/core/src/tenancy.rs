@@ -28,8 +28,9 @@
 //! Everything is deterministic: tie-breaks are index-ordered, scores
 //! compare through the model's epsilon helpers, and the same
 //! `(TenantSet, objective, options)` triple always returns the same
-//! partition — which is what lets `experiments::solve_tenant_batch` run
-//! bit-identical across thread counts.
+//! partition — which is what lets batched co-schedules on the
+//! experiments crate's sharded engine run bit-identical across thread
+//! counts.
 
 use crate::pareto::ParetoFront;
 use crate::service::{PreparedInstance, SolveError, SolveRequest, SolverId};

@@ -9,8 +9,8 @@
 //! invisible for one query and dominant for the paper's experimental
 //! campaign (thousands of heuristic solves per scenario family). A
 //! `SolveWorkspace` owns all of it: thread one workspace through a batch
-//! (`PreparedInstance::solve_in`, `solve_batch`, the sweep shards — one
-//! workspace per worker shard) and the steady-state split loop of the
+//! (`PreparedInstance::solve_in`, batched solves and the sweep shards —
+//! one workspace per worker shard) and the steady-state split loop of the
 //! comm-homogeneous kernel performs **zero heap allocations** once the
 //! buffers are warm (pinned by `tests/alloc_regression.rs`). The §7
 //! heterogeneous extension keeps its candidate loop allocation-free but

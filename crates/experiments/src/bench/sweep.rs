@@ -2,18 +2,17 @@
 //! workspaces optimize — full-zoo sweeps per size (per-family wall time,
 //! skipped-solver counts, bound-query throughput), per-family ×
 //! heuristic front quality against the exact Pareto front,
-//! `solve_batch` items/sec with per-item fresh workspaces vs one reused
+//! batched-solve items/sec with per-item fresh workspaces vs one reused
 //! workspace, and a peak-RSS proxy (`VmHWM` on Linux).
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use pipeline_core::service::{PreparedInstance, SolveRequest};
-use pipeline_core::Objective;
+use pipeline_core::{Objective, SolveWorkspace};
 use pipeline_model::scenario::{ScenarioFamily, ScenarioGenerator};
 
 use super::{Bench, Gate, Json, Opts, Rule};
-use crate::{run_scenario, scenario_zoo, solve_batch, BatchJob, ShardOptions};
+use crate::{run_scenario, scenario_zoo, sharded_map_items_with, ShardOptions};
 
 /// Per family × heuristic, the hypervolume ratio may not drop, and the
 /// distance may not grow, by more than 0.05 against the baseline.
@@ -118,9 +117,10 @@ fn run(opts: &Opts) -> Result<Json, String> {
         }
     }
 
-    // solve_batch throughput: the same job stream answered with a fresh
-    // workspace per item (the `solve()` path) vs one workspace reused
-    // across all items (`solve_batch` on one shard). One fresh instance
+    // Batched-solve throughput (the `solve_batch` object): the same job
+    // stream answered with a fresh workspace per item (the `solve()`
+    // path) vs one workspace reused across all items (`solve_in` through
+    // `sharded_map_items_with` on one shard). One fresh instance
     // per job: every item pays its preparation (trajectory recording +
     // H4 floor), which is exactly the work the reused workspace
     // amortizes; shared instances would answer from the session caches
@@ -130,10 +130,10 @@ fn run(opts: &Opts) -> Result<Json, String> {
         (0..batch_jobs)
             .map(|j| {
                 let (app, pf) = gen.instance(99, j as u64);
-                let inst = Arc::new(PreparedInstance::new(app, pf));
+                let inst = PreparedInstance::new(app, pf);
                 let bound =
                     inst.single_proc_period() * (0.4 + 0.5 * (j as f64 / batch_jobs as f64));
-                BatchJob::new(
+                (
                     inst,
                     SolveRequest::new(Objective::MinLatencyForPeriod(bound)),
                 )
@@ -144,15 +144,20 @@ fn run(opts: &Opts) -> Result<Json, String> {
     let t0 = Instant::now();
     let fresh_answers = fresh_jobs
         .iter()
-        .filter(|job| job.instance.solve(&job.request).is_ok())
+        .filter(|(instance, request)| instance.solve(request).is_ok())
         .count();
     let fresh_secs = t0.elapsed().as_secs_f64();
     let reused_jobs = make_jobs();
     let t0 = Instant::now();
-    let reused_answers = solve_batch(reused_jobs, ShardOptions::with_threads(1))
-        .into_iter()
-        .filter(Result::is_ok)
-        .count();
+    let reused_answers = sharded_map_items_with(
+        reused_jobs,
+        ShardOptions::with_threads(1),
+        SolveWorkspace::new,
+        |ws, (instance, request)| instance.solve_in(&request, ws),
+    )
+    .into_iter()
+    .filter(Result::is_ok)
+    .count();
     let reused_secs = t0.elapsed().as_secs_f64();
     assert_eq!(fresh_answers, reused_answers, "variants must agree");
 

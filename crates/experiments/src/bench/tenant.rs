@@ -5,7 +5,7 @@
 //! exact-vs-heuristic score ratio — 1.0 means the heuristic found an
 //! optimal partition on every case. The grid is deterministic and the
 //! same in quick and full runs; only the informational throughput
-//! section (`solve_tenant_batch` jobs/sec by thread count) shrinks under
+//! section (batched `co_schedule` jobs/sec by thread count) shrinks under
 //! `--quick`.
 
 use std::sync::Arc;
@@ -18,7 +18,7 @@ use pipeline_model::scenario::{TenantFamily, TenantScenarioGenerator};
 use pipeline_model::util::{approx_eq, approx_le};
 
 use super::{Bench, Gate, Json, Opts, Rule};
-use crate::{solve_tenant_batch, ShardOptions, TenantJob};
+use crate::{sharded_map_items_with, ShardOptions};
 
 /// Every (family, objective) mean ratio may drop at most 0.05 below the
 /// baseline.
@@ -124,14 +124,19 @@ fn run(opts: &Opts) -> Result<Json, String> {
                 for case in cases {
                     let set = build_set(family, case)?;
                     for objective in PartitionObjective::ALL {
-                        jobs.push(TenantJob::new(Arc::clone(&set), objective));
+                        jobs.push((Arc::clone(&set), objective));
                     }
                 }
             }
         }
         let n_jobs = jobs.len();
         let t0 = Instant::now();
-        let answers = solve_tenant_batch(jobs, ShardOptions::with_threads(threads));
+        let answers = sharded_map_items_with(
+            jobs,
+            ShardOptions::with_threads(threads),
+            SolveWorkspace::new,
+            |ws, (set, objective)| set.co_schedule(objective, &CoSchedOptions::default(), ws),
+        );
         let secs = t0.elapsed().as_secs_f64();
         let failures = answers.iter().filter(|a| a.is_err()).count();
         if failures > 0 {

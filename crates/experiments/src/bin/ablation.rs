@@ -18,6 +18,7 @@
 use pipeline_core::replication::replicate_bottlenecks;
 use pipeline_core::trajectory::{fixed_period_trajectory_in, TrajectoryKind};
 use pipeline_core::{sp_bi_p_in, sp_mono_p_in, SolveWorkspace, SpBiPOptions};
+use pipeline_experiments::config::flag_value;
 use pipeline_experiments::shard::{sharded_map_items_with, ShardOptions};
 use pipeline_model::generator::{ExperimentKind, InstanceGenerator, InstanceParams};
 use pipeline_model::prelude::*;
@@ -31,11 +32,12 @@ fn main() {
         .unwrap_or(4);
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = || it.next().expect("flag value");
+        let mut value = || it.next();
+        let positive = |n: &usize| *n > 0;
         match flag.as_str() {
-            "--instances" => instances = value().parse().expect("--instances N"),
-            "--seed" => seed = value().parse().expect("--seed N"),
-            "--threads" => threads = value().parse().expect("--threads N"),
+            "--instances" => instances = flag_value(&flag, value(), "a positive integer", positive),
+            "--seed" => seed = flag_value(&flag, value(), "a non-negative integer", |_| true),
+            "--threads" => threads = flag_value(&flag, value(), "a positive integer", positive),
             other => {
                 eprintln!("unknown flag {other}");
                 std::process::exit(2);

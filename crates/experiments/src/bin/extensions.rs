@@ -1,13 +1,17 @@
 //! Extension studies beyond the paper's evaluation: loaded latency under
-//! saturation and robustness to single-processor slowdown.
+//! saturation and robustness to a single-processor or single-link
+//! slowdown.
 //!
 //! ```text
 //! extensions [--instances K] [--seed S] [--threads T] [--datasets D] [--gamma G]
 //! ```
+//!
+//! Counts must be positive and `G` in (0, 1]; any other value exits 2.
 
+use pipeline_experiments::config::flag_value;
 use pipeline_experiments::loaded::{loaded_latency_study, render_loaded};
 use pipeline_experiments::robustness::{
-    link_robustness_study, render_link_robustness, render_robustness, robustness_study,
+    link_robustness_study, render_robustness, robustness_study,
 };
 use pipeline_model::generator::{ExperimentKind, InstanceParams};
 
@@ -21,13 +25,18 @@ fn main() {
     let mut gamma = 0.7f64;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = || it.next().expect("flag value");
+        let mut value = || it.next();
+        let positive = |n: &usize| *n > 0;
         match flag.as_str() {
-            "--instances" => instances = value().parse().expect("--instances N"),
-            "--seed" => seed = value().parse().expect("--seed N"),
-            "--threads" => threads = value().parse().expect("--threads N"),
-            "--datasets" => datasets = value().parse().expect("--datasets N"),
-            "--gamma" => gamma = value().parse().expect("--gamma F"),
+            "--instances" => instances = flag_value(&flag, value(), "a positive integer", positive),
+            "--seed" => seed = flag_value(&flag, value(), "a non-negative integer", |_| true),
+            "--threads" => threads = flag_value(&flag, value(), "a positive integer", positive),
+            "--datasets" => datasets = flag_value(&flag, value(), "a positive integer", positive),
+            "--gamma" => {
+                gamma = flag_value(&flag, value(), "a number in (0, 1]", |g: &f64| {
+                    *g > 0.0 && *g <= 1.0
+                })
+            }
             other => {
                 eprintln!("unknown flag {other}");
                 std::process::exit(2);
@@ -60,6 +69,7 @@ fn main() {
         println!();
     }
 
+    let pct = gamma * 100.0;
     println!("B. Robustness: worst-case period when one enrolled processor slows down\n");
     for (kind, n, p) in [(ExperimentKind::E1, 20, 10), (ExperimentKind::E3, 10, 10)] {
         println!("-- {} (n = {n}, p = {p}, target 0.6·P_init)", kind.label());
@@ -71,7 +81,8 @@ fn main() {
             gamma,
             threads,
         );
-        print!("{}", render_robustness(&rows, gamma));
+        let header = format!("single-processor slowdown to {pct:.0}% of nominal speed");
+        print!("{}", render_robustness(&rows, &header));
         println!();
     }
 
@@ -86,7 +97,8 @@ fn main() {
             gamma,
             threads,
         );
-        print!("{}", render_link_robustness(&rows, gamma));
+        let header = format!("single-link slowdown to {pct:.0}% of nominal bandwidth");
+        print!("{}", render_robustness(&rows, &header));
         println!();
     }
 }

@@ -10,7 +10,7 @@
 //! prints an ASCII rendition plus the paper-shape checks.
 
 use pipeline_experiments::ascii::Chart;
-use pipeline_experiments::config::figures_of;
+use pipeline_experiments::config::{figures_of, flag_value};
 use pipeline_experiments::csvout::{fmt, write_csv};
 use pipeline_experiments::summary::{checks_p10, checks_p100, render_checks};
 use pipeline_experiments::sweep::run_family;
@@ -38,27 +38,28 @@ fn parse_args() -> Args {
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next().unwrap_or_else(|| {
-                eprintln!("missing value for {flag}");
-                std::process::exit(2);
-            })
-        };
+        let mut value = || it.next();
+        let positive = |n: &usize| *n > 0;
         match flag.as_str() {
             "--fig" => {
                 let v = value();
-                if v != "all" {
-                    args.figs = vec![v.parse().unwrap_or_else(|_| {
-                        eprintln!("--fig wants a number 2..7 or 'all'");
-                        std::process::exit(2);
+                if v.as_deref() != Some("all") {
+                    args.figs = vec![flag_value(&flag, v, "a number 2..7 or 'all'", |n| {
+                        (2..=7).contains(n)
                     })];
                 }
             }
-            "--instances" => args.instances = value().parse().expect("--instances N"),
-            "--grid" => args.grid = value().parse().expect("--grid N"),
-            "--seed" => args.seed = value().parse().expect("--seed N"),
-            "--threads" => args.threads = value().parse().expect("--threads N"),
-            "--out" => args.out = PathBuf::from(value()),
+            "--instances" => {
+                args.instances = flag_value(&flag, value(), "a positive integer", positive)
+            }
+            "--grid" => {
+                args.grid = flag_value(&flag, value(), "an integer of at least 2", |n| *n >= 2)
+            }
+            "--seed" => args.seed = flag_value(&flag, value(), "a non-negative integer", |_| true),
+            "--threads" => {
+                args.threads = flag_value(&flag, value(), "a positive integer", positive)
+            }
+            "--out" => args.out = flag_value(&flag, value(), "a directory", |_| true),
             "--help" | "-h" => {
                 eprintln!(
                     "usage: figures [--fig N|all] [--instances K] [--grid G] \

@@ -5,7 +5,7 @@
 //! table1 [--instances K] [--seed S] [--threads T] [--out DIR] [--procs P]
 //! ```
 
-use pipeline_experiments::config::TABLE1_STAGE_COUNTS;
+use pipeline_experiments::config::{flag_value, TABLE1_STAGE_COUNTS};
 use pipeline_experiments::csvout::{fmt, write_csv};
 use pipeline_experiments::table::table1;
 use std::path::PathBuf;
@@ -21,18 +21,14 @@ fn main() {
 
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next().unwrap_or_else(|| {
-                eprintln!("missing value for {flag}");
-                std::process::exit(2);
-            })
-        };
+        let mut value = || it.next();
+        let positive = |n: &usize| *n > 0;
         match flag.as_str() {
-            "--instances" => instances = value().parse().expect("--instances N"),
-            "--seed" => seed = value().parse().expect("--seed N"),
-            "--threads" => threads = value().parse().expect("--threads N"),
-            "--out" => out = PathBuf::from(value()),
-            "--procs" => procs = value().parse().expect("--procs N"),
+            "--instances" => instances = flag_value(&flag, value(), "a positive integer", positive),
+            "--seed" => seed = flag_value(&flag, value(), "a non-negative integer", |_| true),
+            "--threads" => threads = flag_value(&flag, value(), "a positive integer", positive),
+            "--out" => out = flag_value(&flag, value(), "a directory", |_| true),
+            "--procs" => procs = flag_value(&flag, value(), "a positive integer", positive),
             "--help" | "-h" => {
                 eprintln!(
                     "usage: table1 [--instances K] [--seed S] [--threads T] \

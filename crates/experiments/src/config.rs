@@ -1,8 +1,30 @@
-//! The paper's figure and table specifications, plus the scenario-zoo
-//! default sweep sizes.
+//! The paper's figure and table specifications, the scenario-zoo
+//! default sweep sizes, and the flag-value parser the experiment
+//! binaries share.
 
 use pipeline_model::generator::{ExperimentKind, InstanceParams};
 use pipeline_model::scenario::{ScenarioFamily, ScenarioParams};
+use std::str::FromStr;
+
+/// Parses the `value` given to command-line `flag`. A missing value, one
+/// that does not parse as `T`, or one that fails `valid` ends the
+/// process with exit status 2 (the unknown-flag status) and a message
+/// naming the flag and the `expected` kind of value — bad input is
+/// refused before any study runs.
+pub fn flag_value<T: FromStr>(
+    flag: &str,
+    value: Option<String>,
+    expected: &str,
+    valid: impl Fn(&T) -> bool,
+) -> T {
+    match value.as_deref().map(str::parse::<T>) {
+        Some(Ok(v)) if valid(&v) => v,
+        _ => {
+            eprintln!("{flag} wants {expected}");
+            std::process::exit(2);
+        }
+    }
+}
 
 /// One sub-figure of the paper: an instance family plotted as
 /// latency-vs-period curves.

@@ -5,10 +5,11 @@
 //!   `p`) exactly as in the paper, plus the scenario-zoo default sizes;
 //! * [`shard`] — the sharded parallel work-queue engine (chunked work
 //!   stealing, per-shard RNG streams, chunk-ordered mergeable
-//!   accumulators; bit-identical output for every thread count);
-//! * [`service`] — batched solving: (instance, request) pairs from the
-//!   solver-service API (`pipeline_core::service`) through the sharded
-//!   engine, bit-identical across thread counts;
+//!   accumulators; bit-identical output for every thread count) — also
+//!   the batch-solving entry point: [`shard::sharded_map_items_with`]
+//!   with one `SolveWorkspace` per worker answers many
+//!   `PreparedInstance::solve_in`, `apply_in` or `TenantSet::co_schedule`
+//!   jobs in job order;
 //! * [`loadgen`] — TCP load generator for `pwsched serve`: per-worker
 //!   connections over the shard engine, scenario-zoo request corpora,
 //!   and latency/throughput reports;
@@ -35,7 +36,6 @@ pub mod exact_shard;
 pub mod loaded;
 pub mod loadgen;
 pub mod robustness;
-pub mod service;
 pub mod shard;
 pub mod summary;
 pub mod sweep;
@@ -49,12 +49,18 @@ pub use exact_shard::{
     exact_min_latency_for_period_sharded, exact_min_period_sharded, exact_pareto_front_sharded,
 };
 pub use loadgen::{request_lines, run_load, write_zoo_instances, LoadReport};
-pub use service::{
-    solve_batch, solve_delta_batch, solve_tenant_batch, BatchJob, DeltaJob, DeltaSolveError,
-    TenantJob,
+pub use shard::{
+    sharded_fold, sharded_map_indices_with, sharded_map_items_with, Mergeable, ShardOptions,
 };
-pub use shard::{sharded_fold, sharded_map_indices, sharded_map_items, Mergeable, ShardOptions};
 pub use sweep::{
     run_family, run_scenario, FamilyResult, FrontQuality, HeuristicSeries, SweepPoint,
 };
 pub use table::{failure_thresholds, ThresholdTable};
+
+#[cfg(test)]
+mod service {
+    //! Batch determinism of [`crate::shard::sharded_map_items_with`] over
+    //! the solver service's job kinds: solve, apply-then-solve and
+    //! co-schedule.
+    mod tests;
+}

@@ -8,11 +8,9 @@
 //! heuristic: mappings that spread cycle times evenly queue less than
 //! mappings with one dominant bottleneck, even at identical periods.
 
-use crate::shard::{sharded_map_items, ShardOptions};
-use pipeline_core::{HeuristicKind, SolveWorkspace};
-use pipeline_model::generator::{InstanceGenerator, InstanceParams};
-use pipeline_model::prelude::*;
-use pipeline_model::util::mean;
+use crate::robustness::heuristic_study;
+use pipeline_core::HeuristicKind;
+use pipeline_model::generator::InstanceParams;
 use pipeline_sim::{InputPolicy, PipelineSim, SimConfig};
 
 /// Loaded-vs-analytic latency of one heuristic on one instance family.
@@ -51,29 +49,16 @@ pub fn loaded_latency_study(
     datasets: usize,
     threads: usize,
 ) -> Vec<LoadedLatencyRow> {
-    let gen = InstanceGenerator::new(params);
-    let instances = gen.batch(seed, n_instances);
-    let opts = ShardOptions::with_threads(threads);
-    let per_instance = sharded_map_items(instances, opts, |(app, pf)| {
-        let cm = CostModel::new(&app, &pf);
-        let p0 = cm.single_proc_period();
-        let l0 = cm.optimal_latency();
-        let mut ws = SolveWorkspace::new();
-        let mut rows = Vec::with_capacity(6);
-        for kind in HeuristicKind::ALL {
-            let target = if kind.is_period_fixed() {
-                target_factor * p0
-            } else {
-                2.0 * l0
-            };
-            let res = kind.run_in(&cm, target, &mut ws);
-            if !res.feasible {
-                rows.push(None);
-                continue;
-            }
-            let saturated = PipelineSim::new(&cm, &res.mapping, SimConfig::default()).run(datasets);
+    heuristic_study(
+        params,
+        seed,
+        n_instances,
+        target_factor,
+        threads,
+        |cm, res| {
+            let saturated = PipelineSim::new(cm, &res.mapping, SimConfig::default()).run(datasets);
             let throttled = PipelineSim::new(
-                &cm,
+                cm,
                 &res.mapping,
                 SimConfig {
                     input: InputPolicy::Periodic(res.period),
@@ -81,33 +66,24 @@ pub fn loaded_latency_study(
                 },
             )
             .run(datasets);
-            rows.push(Some((
+            [
                 res.latency,
                 saturated.report.max_latency(),
                 throttled.report.max_latency(),
-            )));
-        }
-        rows
-    });
-
-    HeuristicKind::ALL
-        .into_iter()
-        .enumerate()
-        .map(|(h, kind)| {
-            let vals: Vec<(f64, f64, f64)> =
-                per_instance.iter().filter_map(|rows| rows[h]).collect();
-            let col = |f: fn(&(f64, f64, f64)) -> f64| {
-                mean(&vals.iter().map(f).collect::<Vec<_>>()).unwrap_or(f64::NAN)
-            };
-            LoadedLatencyRow {
-                kind,
-                mean_analytic: col(|v| v.0),
-                mean_loaded: col(|v| v.1),
-                mean_throttled: col(|v| v.2),
-                n_feasible: vals.len(),
-            }
-        })
-        .collect()
+            ]
+        },
+    )
+    .into_iter()
+    .map(
+        |(kind, [mean_analytic, mean_loaded, mean_throttled], n_feasible)| LoadedLatencyRow {
+            kind,
+            mean_analytic,
+            mean_loaded,
+            mean_throttled,
+            n_feasible,
+        },
+    )
+    .collect()
 }
 
 /// Renders the study as an aligned table.

@@ -9,10 +9,16 @@
 //! re-evaluate eq. 1 on the *same* mapping, reporting the worst-case
 //! relative period increase. Mappings that enroll fewer processors put
 //! more eggs in each basket; mappings with slack under the bottleneck
-//! absorb slowdowns for free — the study quantifies both effects.
+//! absorb slowdowns for free — the study quantifies both effects. The
+//! link study does the same for each boundary link's bandwidth.
+//!
+//! Both studies, and the loaded-latency study ([`crate::loaded`]), run
+//! on one driver (`heuristic_study`): the same sharded instance ×
+//! heuristic × natural-target loop with per-heuristic means, differing
+//! only in what they measure on each feasible mapping.
 
 use crate::shard::{sharded_map_items_with, ShardOptions};
-use pipeline_core::{HeuristicKind, SolveWorkspace};
+use pipeline_core::{BiCriteriaResult, HeuristicKind, SolveWorkspace};
 use pipeline_model::generator::{InstanceGenerator, InstanceParams};
 use pipeline_model::prelude::*;
 use pipeline_model::util::mean;
@@ -41,51 +47,13 @@ impl RobustnessRow {
     }
 }
 
-/// Re-evaluates `mapping` with processor `victim` slowed to
-/// `gamma × speed`. Returns the new period.
-///
-/// Builds the degraded platform explicitly — fine for one-off queries;
-/// the study's inner loop uses [`degraded_period_inline`], which computes
-/// the same value (same expressions, same fold order) without cloning
-/// the platform or the mapping per victim.
-pub fn degraded_period(
-    app: &Application,
-    platform: &Platform,
-    mapping: &IntervalMapping,
-    victim: ProcId,
-    gamma: f64,
-) -> f64 {
-    assert!(gamma > 0.0 && gamma <= 1.0, "gamma must be in (0, 1]");
-    let mut speeds = platform.speeds().to_vec();
-    speeds[victim] *= gamma;
-    let degraded = match platform.links() {
-        LinkModel::Homogeneous(b) => {
-            Platform::comm_homogeneous(speeds, *b).expect("degraded platform is valid")
-        }
-        LinkModel::Heterogeneous {
-            matrix,
-            io_bandwidth,
-        } => Platform::fully_heterogeneous(speeds, matrix.clone(), *io_bandwidth)
-            .expect("degraded platform is valid"),
-    };
-    // The mapping structure is reused verbatim; only cycle times change.
-    let remapped = IntervalMapping::new(
-        app,
-        &degraded,
-        mapping.intervals().to_vec(),
-        mapping.procs().to_vec(),
-    )
-    .expect("same shape remains valid");
-    CostModel::new(app, &degraded).period(&remapped)
-}
-
-/// [`degraded_period`] without the platform/mapping rebuild: the period
-/// of `mapping` when `victim` runs at `gamma × speed`, computed directly
-/// from the nominal cost model. Each interval's cycle time keeps the
-/// nominal transfer terms (bandwidths are untouched by a speed
-/// degradation) and rescales only the victim's computation time — the
-/// same arithmetic `degraded_period` performs after its clones, so both
-/// return identical values (asserted by tests).
+/// The period of `mapping` when `victim` runs at `gamma × speed`,
+/// computed directly from the nominal cost model without rebuilding the
+/// platform or the mapping. Each interval's cycle time keeps the nominal
+/// transfer terms (bandwidths are untouched by a speed degradation) and
+/// rescales only the victim's computation time, associated as a rebuilt
+/// platform would compute it — so the value is bitwise equal to
+/// re-evaluating eq. 1 on a degraded copy (asserted by tests).
 pub fn degraded_period_inline(
     cm: &CostModel<'_>,
     mapping: &IntervalMapping,
@@ -168,7 +136,77 @@ pub fn degraded_period_link_inline(
     period
 }
 
-/// Runs the robustness study for every heuristic on one family.
+/// The driver behind every per-heuristic study: shards the family's
+/// instances with one workspace per worker, runs each paper heuristic at
+/// its natural target (`target_factor × P_init` when period-fixed,
+/// `2 × L_opt` otherwise), applies `measure` to each feasible result,
+/// and returns per heuristic (in [`HeuristicKind::ALL`] order) the mean
+/// of each measured column over the feasible instances (NaN when there
+/// is none) and their count.
+pub(crate) fn heuristic_study<F>(
+    params: InstanceParams,
+    seed: u64,
+    n_instances: usize,
+    target_factor: f64,
+    threads: usize,
+    measure: F,
+) -> Vec<(HeuristicKind, [f64; 3], usize)>
+where
+    F: Fn(&CostModel<'_>, &BiCriteriaResult) -> [f64; 3] + Sync,
+{
+    let gen = InstanceGenerator::new(params);
+    let per_instance = sharded_map_items_with(
+        gen.batch(seed, n_instances),
+        ShardOptions::with_threads(threads),
+        SolveWorkspace::new,
+        |ws, (app, pf)| {
+            let cm = CostModel::new(&app, &pf);
+            let p0 = cm.single_proc_period();
+            let l0 = cm.optimal_latency();
+            HeuristicKind::ALL.map(|kind| {
+                let target = if kind.is_period_fixed() {
+                    target_factor * p0
+                } else {
+                    2.0 * l0
+                };
+                let res = kind.run_in(&cm, target, ws);
+                res.feasible.then(|| measure(&cm, &res))
+            })
+        },
+    );
+    HeuristicKind::ALL
+        .into_iter()
+        .enumerate()
+        .map(|(h, kind)| {
+            let vals: Vec<[f64; 3]> = per_instance.iter().filter_map(|rows| rows[h]).collect();
+            let means = [0, 1, 2]
+                .map(|c| mean(&vals.iter().map(|v| v[c]).collect::<Vec<_>>()).unwrap_or(f64::NAN));
+            (kind, means, vals.len())
+        })
+        .collect()
+}
+
+/// Robustness rows from [`heuristic_study`] means measured as
+/// `[period, worst degraded period, interval count]`.
+fn robustness_rows(means: Vec<(HeuristicKind, [f64; 3], usize)>) -> Vec<RobustnessRow> {
+    means
+        .into_iter()
+        .map(
+            |(kind, [mean_period, mean_worst_degraded, mean_procs], n_feasible)| RobustnessRow {
+                kind,
+                mean_period,
+                mean_worst_degraded,
+                mean_procs,
+                n_feasible,
+            },
+        )
+        .collect()
+}
+
+/// Runs the robustness study for every heuristic on one family: schedule
+/// at nominal speeds, then slow each enrolled processor in turn to
+/// `gamma × speed` and re-evaluate eq. 1 on the same mapping, reporting
+/// the worst case.
 pub fn robustness_study(
     params: InstanceParams,
     seed: u64,
@@ -177,60 +215,26 @@ pub fn robustness_study(
     gamma: f64,
     threads: usize,
 ) -> Vec<RobustnessRow> {
-    let gen = InstanceGenerator::new(params);
-    let opts = ShardOptions::with_threads(threads);
-    // One workspace per worker shard; degraded periods are computed
-    // inline (no per-victim platform/mapping clones).
-    let per_instance = sharded_map_items_with(
-        gen.batch(seed, n_instances),
-        opts,
-        SolveWorkspace::new,
-        |ws, (app, pf)| {
-            let cm = CostModel::new(&app, &pf);
-            let p0 = cm.single_proc_period();
-            let l0 = cm.optimal_latency();
-            let mut rows = Vec::with_capacity(6);
-            for kind in HeuristicKind::ALL {
-                let target = if kind.is_period_fixed() {
-                    target_factor * p0
-                } else {
-                    2.0 * l0
-                };
-                let res = kind.run_in(&cm, target, ws);
-                if !res.feasible {
-                    rows.push(None);
-                    continue;
-                }
-                let worst = res
-                    .mapping
-                    .procs()
-                    .iter()
-                    .map(|&u| degraded_period_inline(&cm, &res.mapping, u, gamma))
-                    .fold(f64::NEG_INFINITY, f64::max);
-                rows.push(Some((res.period, worst, res.mapping.n_intervals() as f64)));
-            }
-            rows
+    let study = heuristic_study(
+        params,
+        seed,
+        n_instances,
+        target_factor,
+        threads,
+        |cm, res| {
+            let m = &res.mapping;
+            let degraded = m
+                .procs()
+                .iter()
+                .map(|&u| degraded_period_inline(cm, m, u, gamma));
+            [
+                res.period,
+                degraded.fold(f64::NEG_INFINITY, f64::max),
+                m.n_intervals() as f64,
+            ]
         },
     );
-
-    HeuristicKind::ALL
-        .into_iter()
-        .enumerate()
-        .map(|(h, kind)| {
-            let vals: Vec<(f64, f64, f64)> =
-                per_instance.iter().filter_map(|rows| rows[h]).collect();
-            let col = |f: fn(&(f64, f64, f64)) -> f64| {
-                mean(&vals.iter().map(f).collect::<Vec<_>>()).unwrap_or(f64::NAN)
-            };
-            RobustnessRow {
-                kind,
-                mean_period: col(|v| v.0),
-                mean_worst_degraded: col(|v| v.1),
-                mean_procs: col(|v| v.2),
-                n_feasible: vals.len(),
-            }
-        })
-        .collect()
+    robustness_rows(study)
 }
 
 /// Runs the *link* robustness study for every heuristic on one family:
@@ -247,83 +251,30 @@ pub fn link_robustness_study(
     gamma: f64,
     threads: usize,
 ) -> Vec<RobustnessRow> {
-    let gen = InstanceGenerator::new(params);
-    let opts = ShardOptions::with_threads(threads);
-    let per_instance = sharded_map_items_with(
-        gen.batch(seed, n_instances),
-        opts,
-        SolveWorkspace::new,
-        |ws, (app, pf)| {
-            let cm = CostModel::new(&app, &pf);
-            let p0 = cm.single_proc_period();
-            let l0 = cm.optimal_latency();
-            let mut rows = Vec::with_capacity(6);
-            for kind in HeuristicKind::ALL {
-                let target = if kind.is_period_fixed() {
-                    target_factor * p0
-                } else {
-                    2.0 * l0
-                };
-                let res = kind.run_in(&cm, target, ws);
-                if !res.feasible {
-                    rows.push(None);
-                    continue;
-                }
-                let worst = (0..=res.mapping.n_intervals())
-                    .map(|k| degraded_period_link_inline(&cm, &res.mapping, k, gamma))
-                    .fold(f64::NEG_INFINITY, f64::max);
-                rows.push(Some((res.period, worst, res.mapping.n_intervals() as f64)));
-            }
-            rows
+    let study = heuristic_study(
+        params,
+        seed,
+        n_instances,
+        target_factor,
+        threads,
+        |cm, res| {
+            let m = &res.mapping;
+            let degraded =
+                (0..=m.n_intervals()).map(|k| degraded_period_link_inline(cm, m, k, gamma));
+            [
+                res.period,
+                degraded.fold(f64::NEG_INFINITY, f64::max),
+                m.n_intervals() as f64,
+            ]
         },
     );
-
-    HeuristicKind::ALL
-        .into_iter()
-        .enumerate()
-        .map(|(h, kind)| {
-            let vals: Vec<(f64, f64, f64)> =
-                per_instance.iter().filter_map(|rows| rows[h]).collect();
-            let col = |f: fn(&(f64, f64, f64)) -> f64| {
-                mean(&vals.iter().map(f).collect::<Vec<_>>()).unwrap_or(f64::NAN)
-            };
-            RobustnessRow {
-                kind,
-                mean_period: col(|v| v.0),
-                mean_worst_degraded: col(|v| v.1),
-                mean_procs: col(|v| v.2),
-                n_feasible: vals.len(),
-            }
-        })
-        .collect()
+    robustness_rows(study)
 }
 
-/// Renders the link study with its own header, same columns as
-/// [`render_robustness`].
-pub fn render_link_robustness(rows: &[RobustnessRow], gamma: f64) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "single-link slowdown to {:.0}% of nominal bandwidth\n",
-        gamma * 100.0
-    ));
-    out.push_str(&render_rows(rows));
-    out
-}
-
-/// Renders the study as an aligned table.
-pub fn render_robustness(rows: &[RobustnessRow], gamma: f64) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "single-processor slowdown to {:.0}% of nominal speed\n",
-        gamma * 100.0
-    ));
-    out.push_str(&render_rows(rows));
-    out
-}
-
-/// Shared column layout for both robustness tables.
-fn render_rows(rows: &[RobustnessRow]) -> String {
-    let mut out = String::new();
+/// Renders a robustness study as an aligned table under `header` (one
+/// line, e.g. the slowdown being studied).
+pub fn render_robustness(rows: &[RobustnessRow], header: &str) -> String {
+    let mut out = format!("{header}\n");
     out.push_str(&format!(
         "{:<16} {:>6} {:>10} {:>12} {:>7} {:>12}\n",
         "heuristic", "feas", "period", "worst-degr.", "procs", "degradation"
@@ -354,6 +305,40 @@ fn render_rows(rows: &[RobustnessRow]) -> String {
 mod tests {
     use super::*;
     use pipeline_model::generator::ExperimentKind;
+
+    /// Re-evaluates `mapping` with processor `victim` slowed to
+    /// `gamma × speed` by rebuilding the degraded platform and mapping: the
+    /// reference [`degraded_period_inline`] is checked against bitwise.
+    fn degraded_period(
+        app: &Application,
+        platform: &Platform,
+        mapping: &IntervalMapping,
+        victim: ProcId,
+        gamma: f64,
+    ) -> f64 {
+        assert!(gamma > 0.0 && gamma <= 1.0, "gamma must be in (0, 1]");
+        let mut speeds = platform.speeds().to_vec();
+        speeds[victim] *= gamma;
+        let degraded = match platform.links() {
+            LinkModel::Homogeneous(b) => {
+                Platform::comm_homogeneous(speeds, *b).expect("degraded platform is valid")
+            }
+            LinkModel::Heterogeneous {
+                matrix,
+                io_bandwidth,
+            } => Platform::fully_heterogeneous(speeds, matrix.clone(), *io_bandwidth)
+                .expect("degraded platform is valid"),
+        };
+        // The mapping structure is reused verbatim; only cycle times change.
+        let remapped = IntervalMapping::new(
+            app,
+            &degraded,
+            mapping.intervals().to_vec(),
+            mapping.procs().to_vec(),
+        )
+        .expect("same shape remains valid");
+        CostModel::new(app, &degraded).period(&remapped)
+    }
 
     #[test]
     fn degraded_period_never_improves() {
@@ -444,7 +429,8 @@ mod tests {
                 assert!(r.mean_procs >= 1.0);
             }
         }
-        let s = render_robustness(&rows, 0.7);
+        let s = render_robustness(&rows, "single-processor slowdown");
+        assert!(s.starts_with("single-processor slowdown\n"));
         assert!(s.contains("degradation"));
     }
 
@@ -555,33 +541,54 @@ mod tests {
                 assert!(r.degradation() >= 1.0 - 1e-12, "{}", r.kind);
             }
         }
-        let s = render_link_robustness(&rows, 0.5);
-        assert!(s.contains("single-link slowdown"));
+        let s = render_robustness(&rows, "single-link slowdown");
+        assert!(s.starts_with("single-link slowdown\n"));
         assert!(s.contains("degradation"));
     }
 
     #[test]
-    fn link_study_is_thread_count_invariant() {
-        let run = |threads| {
-            link_robustness_study(
-                InstanceParams::paper(ExperimentKind::E1, 8, 6),
-                5,
-                4,
-                0.6,
-                0.7,
-                threads,
-            )
+    fn every_study_is_thread_count_invariant() {
+        use crate::loaded::loaded_latency_study;
+        // Each per-heuristic study as (kind, [means], n_feasible) rows.
+        type Study<'a> = &'a dyn Fn(usize) -> Vec<(HeuristicKind, [f64; 3], usize)>;
+        let params = InstanceParams::paper(ExperimentKind::E1, 8, 6);
+        let robustness = |rows: Vec<RobustnessRow>| -> Vec<_> {
+            rows.into_iter()
+                .map(|r| {
+                    let means = [r.mean_period, r.mean_worst_degraded, r.mean_procs];
+                    (r.kind, means, r.n_feasible)
+                })
+                .collect()
         };
-        let one = run(1);
-        for t in [2, 4] {
-            let other = run(t);
-            for (a, b) in one.iter().zip(&other) {
-                assert_eq!(a.mean_period.to_bits(), b.mean_period.to_bits());
-                assert_eq!(
-                    a.mean_worst_degraded.to_bits(),
-                    b.mean_worst_degraded.to_bits()
-                );
-                assert_eq!(a.n_feasible, b.n_feasible);
+        let studies: [(&str, Study); 3] = [
+            ("processor robustness", &|threads| {
+                robustness(robustness_study(params, 5, 4, 0.6, 0.7, threads))
+            }),
+            ("link robustness", &|threads| {
+                robustness(link_robustness_study(params, 5, 4, 0.6, 0.7, threads))
+            }),
+            ("loaded latency", &|threads| {
+                loaded_latency_study(params, 5, 4, 0.6, 20, threads)
+                    .into_iter()
+                    .map(|r| {
+                        let means = [r.mean_analytic, r.mean_loaded, r.mean_throttled];
+                        (r.kind, means, r.n_feasible)
+                    })
+                    .collect()
+            }),
+        ];
+        for (name, study) in studies {
+            let bits = |threads| {
+                study(threads)
+                    .into_iter()
+                    .map(|(kind, means, n)| (kind, means.map(f64::to_bits), n))
+                    .collect::<Vec<_>>()
+            };
+            let one = bits(1);
+            assert_eq!(one.len(), 6, "{name}");
+            assert!(one.iter().any(|row| row.2 > 0), "{name}: nothing feasible");
+            for threads in [2, 4] {
+                assert_eq!(bits(threads), one, "{name}: threads={threads}");
             }
         }
     }

@@ -11,7 +11,7 @@
 //!   on `chunk_size` (never on `threads`), every chunk is computed
 //!   independently, and per-chunk results/accumulators are merged in
 //!   chunk order. A sweep therefore produces *bit-identical* output on
-//!   1, 2 or 64 threads — verified by
+//!   1, 2 or 64 threads — verified by the experiments crate's
 //!   `tests/sharded_determinism.rs`.
 //! * **Per-shard RNG streams.** Workers generate instances *inside* the
 //!   shard from `(seed, index)` via
@@ -136,20 +136,11 @@ where
 }
 
 /// Applies `f` to every index in `0..n` with chunked work stealing,
-/// returning results in index order. Output is identical for every
+/// returning results in index order. `make_ctx` runs once per worker
+/// thread and the context is handed to every call that worker makes;
+/// pass `|| ()` when there is none. Contexts must not influence results
+/// (they are reusable *scratch*) — output stays identical for every
 /// thread count.
-pub fn sharded_map_indices<R, F>(n: usize, opts: ShardOptions, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    sharded_map_indices_with(n, opts, || (), |(), i| f(i))
-}
-
-/// [`sharded_map_indices`] with a per-worker context: `make_ctx` runs
-/// once per worker thread and the context is handed to every call that
-/// worker makes. Contexts must not influence results (they are reusable
-/// *scratch*) — output stays identical for every thread count.
 pub fn sharded_map_indices_with<R, C, M, F>(
     n: usize,
     opts: ShardOptions,
@@ -177,20 +168,11 @@ where
 }
 
 /// Moves `items` through `f` with chunked work stealing, preserving
-/// order. The drop-in replacement for the old one-`Mutex`-per-item
-/// parallel map.
-pub fn sharded_map_items<T, R, F>(items: Vec<T>, opts: ShardOptions, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    sharded_map_items_with(items, opts, || (), |(), item| f(item))
-}
-
-/// [`sharded_map_items`] with a per-worker context (see
-/// [`sharded_map_indices_with`]): the batch-solving entry point —
-/// `solve_batch` threads one `SolveWorkspace` per worker through here.
+/// order, with a per-worker context (see [`sharded_map_indices_with`]).
+/// This is the batch-solving entry point: with `SolveWorkspace::new` as
+/// the context, each worker reuses one workspace across every
+/// `PreparedInstance::solve_in`, `apply_in` or `TenantSet::co_schedule`
+/// job it claims, and the answers come back in job order.
 pub fn sharded_map_items_with<T, R, C, M, F>(
     items: Vec<T>,
     opts: ShardOptions,
@@ -311,10 +293,13 @@ mod tests {
                 threads,
                 chunk_size: 4,
             };
-            assert_eq!(sharded_map_indices(53, opts, |i| i * i), expected);
+            assert_eq!(
+                sharded_map_indices_with(53, opts, || (), |(), i| i * i),
+                expected
+            );
         }
         assert_eq!(
-            sharded_map_indices(0, ShardOptions::default(), |i| i),
+            sharded_map_indices_with(0, ShardOptions::default(), || (), |(), i| i),
             Vec::<usize>::new()
         );
     }
@@ -323,13 +308,14 @@ mod tests {
     fn map_items_preserves_order_and_moves_values() {
         let items: Vec<String> = (0..37).map(|i| format!("x{i}")).collect();
         for threads in [1, 3, 8] {
-            let out = sharded_map_items(
+            let out = sharded_map_items_with(
                 items.clone(),
                 ShardOptions {
                     threads,
                     chunk_size: 5,
                 },
-                |s| s + "!",
+                || (),
+                |(), s| s + "!",
             );
             assert_eq!(out.len(), 37);
             assert_eq!(out[0], "x0!");
@@ -398,10 +384,15 @@ mod tests {
     #[test]
     fn worker_panics_propagate() {
         let result = std::panic::catch_unwind(|| {
-            sharded_map_indices(20, ShardOptions::with_threads(4), |i| {
-                assert!(i != 13, "boom");
-                i
-            })
+            sharded_map_indices_with(
+                20,
+                ShardOptions::with_threads(4),
+                || (),
+                |(), i| {
+                    assert!(i != 13, "boom");
+                    i
+                },
+            )
         });
         assert!(result.is_err());
     }

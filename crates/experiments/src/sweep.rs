@@ -34,7 +34,7 @@ use pipeline_core::{
 };
 use pipeline_model::generator::InstanceParams;
 use pipeline_model::scenario::{ScenarioGenerator, ScenarioParams};
-use pipeline_model::util::linspace;
+use pipeline_model::util::{linspace, mean};
 
 /// One averaged grid point of one heuristic's sweep.
 #[derive(Debug, Clone, Copy)]
@@ -239,38 +239,28 @@ pub fn run_scenario(
     let period_grid = linspace(mean_best_floor * 0.9, mean_p_init * 1.02, n_grid);
     let latency_grid = linspace(mean_l_opt, mean_l_opt * 3.0, n_grid);
 
-    // Period-fixed heuristics answered from trajectories (H1, H2a, H2b —
-    // or the §7 extension on heterogeneous platforms) or re-run per
-    // target (H3). Parallelism is over instances already exploited
-    // above; the sweep itself is cheap except H3/H5/H6, which
-    // re-parallelize over instances.
     let comm_homogeneous = params.family().comm_homogeneous();
-    let kinds: &[HeuristicKind] = if comm_homogeneous {
-        &HeuristicKind::ALL
+    // `applicable_to` rejections are recorded rather than silently
+    // dropped: hetero families run only the §7 extension.
+    let (kinds, skipped): (&[HeuristicKind], Vec<HeuristicKind>) = if comm_homogeneous {
+        (&HeuristicKind::ALL, Vec::new())
     } else {
-        &[HeuristicKind::HeteroSplit]
+        (&[HeuristicKind::HeteroSplit], HeuristicKind::ALL.to_vec())
     };
-    // `applicable_to` rejections, recorded rather than silently dropped:
-    // hetero families run only the §7 extension.
-    let skipped: Vec<HeuristicKind> = if comm_homogeneous {
-        Vec::new()
-    } else {
-        HeuristicKind::ALL.to_vec()
-    };
-    let mut series = Vec::with_capacity(kinds.len());
-    for &kind in kinds {
-        let points = match kind {
-            HeuristicKind::SpMonoP
-            | HeuristicKind::ThreeExploMono
-            | HeuristicKind::ThreeExploBi
-            | HeuristicKind::HeteroSplit => sweep_trajectory(kind, &evals, &period_grid),
-            HeuristicKind::SpBiP => sweep_sp_bi_p(&evals, &period_grid, threads),
-            HeuristicKind::SpMonoL | HeuristicKind::SpBiL => {
-                sweep_latency_fixed(kind, &evals, &latency_grid, threads)
+    let series = kinds
+        .iter()
+        .map(|&kind| {
+            let grid = if kind.is_period_fixed() {
+                &period_grid
+            } else {
+                &latency_grid
+            };
+            HeuristicSeries {
+                kind,
+                points: sweep_grid(kind, &evals, grid, threads),
             }
-        };
-        series.push(HeuristicSeries { kind, points });
-    }
+        })
+        .collect();
 
     // Exact ground-truth scoring: only where the exact solver is both
     // applicable (Communication Homogeneous) and interactive (n at most
@@ -297,16 +287,17 @@ pub fn run_scenario(
     }
 }
 
-/// One heuristic outcome at one target, the same dispatch the sweeps
-/// use: trajectory heuristics answer from their recorded trajectory,
+/// One heuristic's `(period, latency)` at one target, `None` when it
+/// misses the target: trajectory heuristics answer from their recorded
+/// trajectory (a coordinate-only query, no mapping materialized),
 /// H4/H5/H6 re-run.
 fn heuristic_outcome(
     e: &PreparedInstance,
     kind: HeuristicKind,
     target: f64,
     ws: &mut SolveWorkspace,
-) -> (bool, f64, f64) {
-    match kind {
+) -> Option<(f64, f64)> {
+    let (feasible, period, latency) = match kind {
         HeuristicKind::SpMonoP
         | HeuristicKind::ThreeExploMono
         | HeuristicKind::ThreeExploBi
@@ -329,7 +320,8 @@ fn heuristic_outcome(
             let r = sp_bi_l_in(&e.cost_model(), target, ws);
             (r.feasible, r.period, r.latency)
         }
-    }
+    };
+    feasible.then_some((period, latency))
 }
 
 /// Scores every heuristic's achieved front against the exact Pareto
@@ -365,8 +357,7 @@ fn score_front_quality(
                     };
                     let mut achieved: ParetoFront<()> = ParetoFront::new();
                     for &target in grid {
-                        let (feasible, period, latency) = heuristic_outcome(e, kind, target, ws);
-                        if feasible {
+                        if let Some((period, latency)) = heuristic_outcome(e, kind, target, ws) {
                             achieved.offer(period, latency, ());
                         }
                     }
@@ -390,135 +381,50 @@ fn score_front_quality(
         .iter()
         .enumerate()
         .map(|(k, &kind)| {
-            let mut hv_sum = 0.0;
-            let mut dist_sum = 0.0;
-            let mut n_scored = 0usize;
-            for scores in &per_instance {
-                if let Some((hv, dist)) = scores[k] {
-                    hv_sum += hv;
-                    dist_sum += dist;
-                    n_scored += 1;
-                }
-            }
+            let scored: Vec<(f64, f64)> = per_instance.iter().filter_map(|s| s[k]).collect();
             FrontQuality {
                 kind,
-                hypervolume_ratio: if n_scored > 0 {
-                    hv_sum / n_scored as f64
-                } else {
-                    0.0
-                },
-                distance: if n_scored > 0 {
-                    dist_sum / n_scored as f64
-                } else {
-                    0.0
-                },
-                n_scored,
+                hypervolume_ratio: column_mean(&scored, |s| s.0).unwrap_or(0.0),
+                distance: column_mean(&scored, |s| s.1).unwrap_or(0.0),
+                n_scored: scored.len(),
             }
         })
         .collect()
 }
 
-/// Single-pass mean aggregation over per-instance `(feasible, period,
-/// latency)` outcomes. Sums accumulate in instance order — the exact
-/// association `util::mean` applied to the collected vectors, without
-/// the vectors.
-#[derive(Default)]
-struct PointAccumulator {
-    period_sum: f64,
-    latency_sum: f64,
-    n_feasible: usize,
-    n_total: usize,
+/// Mean of one column of `pairs`, summed in order; `None` when empty.
+fn column_mean(pairs: &[(f64, f64)], column: fn(&(f64, f64)) -> f64) -> Option<f64> {
+    mean(&pairs.iter().map(column).collect::<Vec<_>>())
 }
 
-impl PointAccumulator {
-    fn absorb(&mut self, feasible: bool, period: f64, latency: f64) {
-        self.n_total += 1;
-        if feasible {
-            self.period_sum += period;
-            self.latency_sum += latency;
-            self.n_feasible += 1;
-        }
-    }
-
-    fn finish(self, target: f64) -> Option<SweepPoint> {
-        (self.n_feasible > 0).then(|| SweepPoint {
-            target,
-            mean_period: self.period_sum / self.n_feasible as f64,
-            mean_latency: self.latency_sum / self.n_feasible as f64,
-            n_feasible: self.n_feasible,
-            n_total: self.n_total,
-        })
-    }
-}
-
-fn sweep_trajectory(
-    kind: HeuristicKind,
-    evals: &[PreparedInstance],
-    grid: &[f64],
-) -> Vec<SweepPoint> {
-    grid.iter()
-        .filter_map(|&target| {
-            let mut acc = PointAccumulator::default();
-            for e in evals {
-                // Coordinate-only query: no mapping is materialized for
-                // any of the grid × instance lookups.
-                let hit = e
-                    .trajectory(kind)
-                    .expect("trajectory recorded for this platform class")
-                    .lookup(target);
-                acc.absorb(hit.feasible, hit.period, hit.latency);
-            }
-            acc.finish(target)
-        })
-        .collect()
-}
-
-fn sweep_sp_bi_p(evals: &[PreparedInstance], grid: &[f64], threads: usize) -> Vec<SweepPoint> {
-    // Each instance × target is an independent binary search; parallelize
-    // over instances (the outer loop is the grid to keep aggregation
-    // simple).
-    let opts = ShardOptions::with_threads(threads);
-    grid.iter()
-        .filter_map(|&target| {
-            let outcomes: Vec<(bool, f64, f64)> =
-                sharded_map_indices_with(evals.len(), opts, SolveWorkspace::new, |ws, i| {
-                    let cm = evals[i].cost_model();
-                    let r = sp_bi_p_in(&cm, target, SpBiPOptions::default(), ws);
-                    (r.feasible, r.period, r.latency)
-                });
-            let mut acc = PointAccumulator::default();
-            for (ok, p, l) in outcomes {
-                acc.absorb(ok, p, l);
-            }
-            acc.finish(target)
-        })
-        .collect()
-}
-
-fn sweep_latency_fixed(
+/// One heuristic's curve: [`heuristic_outcome`] at every grid target
+/// on every instance, sharded over instances with one workspace per
+/// worker, then one mean per target over the feasible instances, in
+/// instance order.
+fn sweep_grid(
     kind: HeuristicKind,
     evals: &[PreparedInstance],
     grid: &[f64],
     threads: usize,
 ) -> Vec<SweepPoint> {
     let opts = ShardOptions::with_threads(threads);
+    let outcomes: Vec<Vec<Option<(f64, f64)>>> =
+        sharded_map_indices_with(evals.len(), opts, SolveWorkspace::new, |ws, i| {
+            grid.iter()
+                .map(|&target| heuristic_outcome(&evals[i], kind, target, ws))
+                .collect()
+        });
     grid.iter()
-        .filter_map(|&target| {
-            let outcomes: Vec<(bool, f64, f64)> =
-                sharded_map_indices_with(evals.len(), opts, SolveWorkspace::new, |ws, i| {
-                    let cm = evals[i].cost_model();
-                    let r = match kind {
-                        HeuristicKind::SpMonoL => sp_mono_l_in(&cm, target, ws),
-                        HeuristicKind::SpBiL => sp_bi_l_in(&cm, target, ws),
-                        _ => unreachable!("not a latency-fixed heuristic"),
-                    };
-                    (r.feasible, r.period, r.latency)
-                });
-            let mut acc = PointAccumulator::default();
-            for (ok, p, l) in outcomes {
-                acc.absorb(ok, p, l);
-            }
-            acc.finish(target)
+        .enumerate()
+        .filter_map(|(g, &target)| {
+            let hits: Vec<(f64, f64)> = outcomes.iter().filter_map(|o| o[g]).collect();
+            Some(SweepPoint {
+                target,
+                mean_period: column_mean(&hits, |h| h.0)?,
+                mean_latency: column_mean(&hits, |h| h.1)?,
+                n_feasible: hits.len(),
+                n_total: outcomes.len(),
+            })
         })
         .collect()
 }

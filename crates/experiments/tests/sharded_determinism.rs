@@ -1,8 +1,10 @@
-//! Parallel-engine correctness: the sharded sweep must be **bit
-//! identical** to the serial run (`threads == 1`) for a fixed seed,
-//! regardless of thread count.
+//! Parallel-engine correctness: the sharded sweep and the engine
+//! primitives must be **bit identical** to the serial run
+//! (`threads == 1`) for a fixed seed, regardless of thread count.
+//! Batched solves through the engine are checked by the crate's
+//! `service::tests` unit tests.
 
-use pipeline_experiments::shard::{sharded_fold, sharded_map_indices, ShardOptions};
+use pipeline_experiments::shard::{sharded_fold, sharded_map_indices_with, ShardOptions};
 use pipeline_experiments::sweep::{run_scenario, FamilyResult};
 use pipeline_model::scenario::ScenarioFamily;
 
@@ -63,7 +65,7 @@ fn engine_primitives_are_thread_count_invariant() {
             threads,
             chunk_size: 8,
         };
-        let got = sharded_map_indices(100, opts, |i| (i as f64).sqrt());
+        let got = sharded_map_indices_with(100, opts, || (), |(), i| (i as f64).sqrt());
         assert_eq!(got, reference);
     }
 

@@ -40,8 +40,8 @@
 //!   gates every per-(family, objective) mean score ratio;
 //! * `failover` — warm-started replan vs scratch after a fault; gates the
 //!   per-(n, fault) speedup and the exact post-fault period ratio;
-//! * `sweep` — full-zoo sweep throughput, `solve_batch` items/sec and
-//!   peak RSS; gates per-family × heuristic front quality;
+//! * `sweep` — full-zoo sweep throughput, batched-solve items/sec with
+//!   fresh vs reused workspaces, and peak RSS; gates per-family × heuristic front quality;
 //! * `kernel` — sweep wall-times, exact frontier latencies to n = 30
 //!   (24 under `--quick`), split-step throughput; gates every exact
 //!   `min_period` bit for bit.

@@ -100,7 +100,7 @@
 //! | [`chains`] | `pipeline-chains` | chains-to-chains algorithms and the NMWTS NP-hardness gadget (Theorem 1) |
 //! | [`assign`] | `pipeline-assign` | Hungarian / bottleneck assignment used by the exact solvers |
 //! | [`sim`] | `pipeline-sim` | one-port discrete-event simulator, traces, Gantt charts |
-//! | [`experiments`] | `pipeline-experiments` | figure/table regeneration harness, sharded sweep engine, batched solving (`solve_batch`) |
+//! | [`experiments`] | `pipeline-experiments` | figure/table regeneration harness, sharded work-queue engine for sweeps and batched solving (`sharded_map_items_with`) |
 //!
 //! The README has one section per subsystem and `PAPER.md` the source
 //! paper's abstract; the `figures` and `table1` binaries print the

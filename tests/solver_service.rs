@@ -10,7 +10,7 @@ use pipeline_workflows::core::service::{
 };
 use pipeline_workflows::core::SolveWorkspace;
 use pipeline_workflows::core::{exact, HeuristicKind, Objective, Strategy};
-use pipeline_workflows::experiments::{solve_batch, BatchJob, ShardOptions};
+use pipeline_workflows::experiments::{sharded_map_items_with, ShardOptions};
 use pipeline_workflows::model::io::format_report;
 use pipeline_workflows::model::scenario::{ScenarioFamily, ScenarioGenerator};
 use proptest::prelude::*;
@@ -146,28 +146,32 @@ fn solve_batch_is_bit_identical_across_thread_counts() {
                         .strategy(Strategy::BestOfAll),
                     SolveRequest::new(Objective::ParetoFront).strategy(Strategy::BestOfAll),
                 ] {
-                    jobs.push(BatchJob::new(Arc::clone(&prepared), request));
+                    jobs.push((Arc::clone(&prepared), request));
                 }
             }
         }
         jobs
     };
-    let canon =
-        |answers: Vec<Result<pipeline_workflows::core::SolveReport, SolveError>>| -> Vec<String> {
-            answers
-                .iter()
-                .enumerate()
-                .map(|(i, a)| match a {
-                    Ok(report) => format_report(&report.to_wire(i as u64)),
-                    Err(err) => format_report(&err.to_wire(i as u64)),
-                })
-                .collect()
-        };
-    let reference = canon(solve_batch(jobs(), ShardOptions::with_threads(1)));
+    let batch = |threads: usize| -> Vec<String> {
+        let answers = sharded_map_items_with(
+            jobs(),
+            ShardOptions::with_threads(threads),
+            SolveWorkspace::new,
+            |ws, (instance, request)| instance.solve_in(&request, ws),
+        );
+        answers
+            .iter()
+            .enumerate()
+            .map(|(i, a)| match a {
+                Ok(report) => format_report(&report.to_wire(i as u64)),
+                Err(err) => format_report(&err.to_wire(i as u64)),
+            })
+            .collect()
+    };
+    let reference = batch(1);
     assert_eq!(reference.len(), 18);
     for threads in [2, 4] {
-        let got = canon(solve_batch(jobs(), ShardOptions::with_threads(threads)));
-        assert_eq!(got, reference, "threads={threads}");
+        assert_eq!(batch(threads), reference, "threads={threads}");
     }
 }
 
