@@ -26,8 +26,11 @@
 //!   cannot win: the selector passes a bound (the validity threshold,
 //!   and for H2a also the incumbent's local max), and since a piece's
 //!   computation time only grows with the piece and bounds every cycle
-//!   time, whole runs of cut pairs are left without being costed. The
-//!   exactness argument is on the private `for_each_split3`.
+//!   time, whole runs of cut pairs are left without being costed. H2b
+//!   also hands over its incumbent ratio, and a Dinkelbach-style bound
+//!   on `Δlatency/Δperiod` skips the cut pairs and `cut1` rows whose
+//!   ratio is provably worse. The exactness arguments are on the private
+//!   `for_each_split3`.
 //!
 //! All of this is bit-identical to the original direct evaluation: the
 //! same cost-model expressions run in the same association order, only
@@ -42,7 +45,7 @@
 
 use pipeline_model::prelude::*;
 use pipeline_model::util::{approx_le, definitely_lt, EPS};
-use std::cell::OnceCell;
+use std::cell::{Cell, OnceCell};
 use std::cmp::Reverse;
 use std::collections::HashMap;
 
@@ -126,6 +129,13 @@ impl Split3 {
             .fold(f64::NEG_INFINITY, f64::max)
     }
 }
+
+/// Relative slack of H2b's ratio bound (see `SplitState::for_each_split3`):
+/// the bound and the candidate's `Δlatency` round differently, by a few
+/// ulps of the latencies, works and transfer times involved. 1e-12 is
+/// ~3 orders of magnitude above that noise, like the exact solver's
+/// lower-bound slack, and skips only candidates that are strictly worse.
+const RATIO_SLACK: f64 = 1e-12;
 
 /// Total-ordered cycle-time key of the bottleneck index. Cycle times are
 /// finite and non-negative, so `total_cmp` agrees with the `>` scan the
@@ -263,7 +273,7 @@ impl SplitMemo {
 
 /// The recyclable heap storage of a [`SplitState`]: the processor order,
 /// the entry list, the ordered bottleneck index and the three-way-split
-/// cost cache. [`SplitState::new_in`] adopts a set of buffers (clearing
+/// caches. [`SplitState::new_in`] adopts a set of buffers (clearing
 /// them, keeping their capacity) and [`SplitState::into_buffers`] returns
 /// them, so a warm buffer set makes every subsequent solve on similarly
 /// sized instances allocation-free — the core of the zero-allocation
@@ -274,6 +284,7 @@ pub struct SplitBuffers {
     entries: Vec<Entry>,
     by_cycle: Vec<(CycleKey, Reverse<usize>)>,
     split3_c: Vec<[IntervalCost; 3]>,
+    split3_t_min: Vec<f64>,
 }
 
 /// Hash of the full instance profile — every work, communication volume,
@@ -318,6 +329,9 @@ pub struct SplitState<'a> {
     /// Cached costs of the third piece of three-way splits, hoisted out
     /// of the (cut1, cut2) enumeration (see [`Self::for_each_split3`]).
     split3_c: Vec<[IntervalCost; 3]>,
+    /// Suffix minima of the transfer times `δ_c/b` over the second-cut
+    /// positions, for H2b's row bound (see [`Self::for_each_split3`]).
+    split3_t_min: Vec<f64>,
     /// Hash of the instance profile, for [`SplitMemo`] binding — only
     /// the memoized selectors pay for it, lazily on first use.
     instance_fp: OnceCell<u64>,
@@ -340,6 +354,7 @@ impl<'a> SplitState<'a> {
             mut entries,
             mut by_cycle,
             mut split3_c,
+            split3_t_min,
         } = buffers;
         order.clear();
         order.extend_from_slice(cm.platform().procs_by_speed_desc());
@@ -368,6 +383,7 @@ impl<'a> SplitState<'a> {
             latency,
             by_cycle,
             split3_c,
+            split3_t_min,
             instance_fp: OnceCell::new(),
         }
     }
@@ -379,6 +395,7 @@ impl<'a> SplitState<'a> {
             entries: self.entries,
             by_cycle: self.by_cycle,
             split3_c: self.split3_c,
+            split3_t_min: self.split3_t_min,
         }
     }
 
@@ -735,13 +752,56 @@ impl<'a> SplitState<'a> {
     /// only moves forward, since the bound never rises). A permutation
     /// with any piece at or above the bound is skipped.
     ///
+    /// `ratio` is H2b's hook: the incumbent ratio `r*` of a selector
+    /// minimizing `Δlatency / (old − local_max)` (`+∞` before the first
+    /// candidate), which the selector updates as it goes and which must
+    /// never rise. With it, the loop also skips every cut pair, and every
+    /// `cut1` row, whose candidates provably have a strictly larger
+    /// ratio — the Dinkelbach form of the test: a candidate can win only
+    /// if `Δlatency − r*·Δperiod ≤ 0`. Processors enrol by non-increasing
+    /// speed, so the entry's own processor is the fastest of the pool;
+    /// let `s₁ ≥ s₂` be the two fastest pool speeds, `k = 1/s₂ − 1/s₁`,
+    /// `b` the bandwidth and `W` the entry's work.
+    ///
+    /// * `Δlatency ≥ lb`. Two new transfers `δ_cut1/b + δ_cut2/b` appear,
+    ///   and at most one piece runs at `s₁` while the entry ran all of `W`
+    ///   there, so the work term grows by at least `(W − W_max)·k`, where
+    ///   `W_max` is the largest piece. For a whole row, `δ_cut2` is at
+    ///   least the suffix minimum of `δ` (kept in `split3_t_min`) and
+    ///   `W − W_max ≥ min(W_A, W − W_A)`; δ is not monotone, so a row
+    ///   that fails is skipped (`continue`), never ended.
+    /// * `Δperiod ≤ ub = old − max_piece cycle_fast(piece)`, the piece's
+    ///   cycle on the fastest processor (only A's in the row test). A
+    ///   piece's `t_comp = fl(W/s)` never falls as `s` drops, so this holds
+    ///   bit for bit, and `min_i (old − cycle_i)` is at most `ub`.
+    /// * `Δlatency` is a small difference of large sums, so `lb` carries a
+    ///   slack `σ = RATIO_SLACK·(max(L, old, 1) + W·k + lb)`, `L` the
+    ///   current latency: about 4500 ulps of every magnitude the two
+    ///   computations round. A pair (or row) is skipped only when
+    ///   `lb − σ > max(r*, 0)·(ub + σ)`. That makes every skipped
+    ///   candidate's float ratio exceed `r*` by a relative margin of at
+    ///   least `~σ/(2·old)`, far above one rounding of the final division,
+    ///   so it is strictly worse: candidates that tie `r*` are never
+    ///   skipped and still reach the selector's (ratio, `local_max`,
+    ///   `cut1`, `cut2`) comparator, and the winner is bit-identical to the
+    ///   unpruned search. Clamping `r*` at zero keeps the test sound when
+    ///   rounding makes ratios negative: it then skips only pairs whose
+    ///   every ratio is positive. A pair with `ub + σ < 0` has no
+    ///   qualifying candidate at all.
+    ///
     /// C's costs are computed once per call (into the recycled
     /// `split3_c` buffer — hence `&mut self`), A's once per `cut1`, and
     /// B's work and transfer times once per pair: every processor sees
     /// the same bandwidth on a Communication Homogeneous platform. Every
     /// cost is the [`CostModel::interval_cost`] value bit for bit and the
     /// latency sum keeps its association order.
-    fn for_each_split3(&mut self, j: usize, mut bound: f64, mut visit: impl FnMut(Split3) -> f64) {
+    fn for_each_split3(
+        &mut self,
+        j: usize,
+        mut bound: f64,
+        ratio: Option<&Cell<f64>>,
+        mut visit: impl FnMut(Split3) -> f64,
+    ) {
         let e = self.entries[j];
         let (Some(p1), Some(p2)) = (self.peek_unused(0), self.peek_unused(1)) else {
             return;
@@ -771,6 +831,27 @@ impl<'a> SplitState<'a> {
         let c_costs = &mut self.split3_c;
         c_costs.clear();
         c_costs.extend((first_cut2..e.end).map(|cut2| pool.map(|u| pc(cut2, e.end, u))));
+        // The ratio bound's constants; `t_min[i]` is the least `δ_c/b`
+        // over `c ≥ first_cut2 + i`.
+        let (s1, s2) = (pf.speed(e.proc), pf.speed(p1));
+        debug_assert!(s1 >= s2 && s2 >= pf.speed(p2), "pool not by speed");
+        let k = 1.0 / s2 - 1.0 / s1;
+        let w = app.interval_work(e.start, e.end);
+        let scale = self.latency.max(e.cycle).max(1.0) + w * k;
+        let beaten = |lb: f64, ub: f64, incumbent: f64| {
+            let slack = RATIO_SLACK * (scale + lb);
+            lb - slack > incumbent.max(0.0) * (ub + slack)
+        };
+        let t_min = &mut self.split3_t_min;
+        t_min.clear();
+        if ratio.is_some() {
+            t_min.resize(e.end - first_cut2, f64::INFINITY);
+            let mut least = f64::INFINITY;
+            for cut2 in (first_cut2..e.end).rev() {
+                least = least.min(app.input_volume(cut2) / bw);
+                t_min[cut2 - first_cut2] = least;
+            }
+        }
         let mut c_from = first_cut2;
         for cut1 in e.start + 1..e.end - 1 {
             // First-piece costs, hoisted out of the cut2 loop.
@@ -778,11 +859,18 @@ impl<'a> SplitState<'a> {
             if reach(&a_costs, bound) {
                 break;
             }
+            let a_cycles = a_costs.map(|c| c.cycle_time());
+            let t_in = app.input_volume(cut1) / bw;
+            let w_a = app.interval_work(e.start, cut1);
+            if let Some(r) = ratio {
+                let lb = t_in + t_min[cut1 + 1 - first_cut2] + w_a.min(w - w_a) * k;
+                if beaten(lb, e.cycle - a_cycles[0], r.get()) {
+                    continue;
+                }
+            }
             while c_from < e.end && reach(&c_costs[c_from - first_cut2], bound) {
                 c_from += 1;
             }
-            let a_cycles = a_costs.map(|c| c.cycle_time());
-            let t_in = app.input_volume(cut1) / bw;
             for cut2 in c_from.max(cut1 + 1)..e.end {
                 let work = app.interval_work(cut1, cut2);
                 let t_out = app.output_volume(cut2) / bw;
@@ -794,11 +882,22 @@ impl<'a> SplitState<'a> {
                 if reach(&b_costs, bound) {
                     break;
                 }
-                let costs = [a_costs, b_costs, c_costs[cut2 - first_cut2]];
+                let c = c_costs[cut2 - first_cut2];
+                if let Some(r) = ratio {
+                    let w_c = app.interval_work(cut2, e.end);
+                    let lb = t_in + t_out + (w - w_a.max(work).max(w_c)) * k;
+                    let fast = a_cycles[0]
+                        .max(b_costs[0].cycle_time())
+                        .max(c[0].cycle_time());
+                    if beaten(lb, e.cycle - fast, r.get()) {
+                        continue;
+                    }
+                }
+                let costs = [a_costs, b_costs, c];
                 let piece_cycles = [
                     a_cycles,
                     b_costs.map(|c| c.cycle_time()),
-                    costs[2].map(|c| c.cycle_time()),
+                    c.map(|c| c.cycle_time()),
                 ];
                 for perm in PERMS {
                     let cycles = [
@@ -838,7 +937,7 @@ impl<'a> SplitState<'a> {
         } else {
             6 * (len - 1) * (len - 2) / 2
         });
-        self.for_each_split3(j, f64::INFINITY, |s| {
+        self.for_each_split3(j, f64::INFINITY, None, |s| {
             out.push(s);
             f64::INFINITY
         });
@@ -891,7 +990,7 @@ impl<'a> SplitState<'a> {
         // candidate handed over below the running bound is the new
         // incumbent, and its `local_max` is the next bound.
         let mut best = None;
-        self.for_each_split3(j, self.entries[j].cycle - EPS, |s| {
+        self.for_each_split3(j, self.entries[j].cycle - EPS, None, |s| {
             best = Some(s);
             s.local_max()
         });
@@ -901,7 +1000,18 @@ impl<'a> SplitState<'a> {
     /// Bi-criteria selection among three-way splits (H2b): minimize
     /// `max_{i∈{j,j',j''}} Δlatency/Δperiod(i)` =
     /// `Δlatency / min_i Δperiod(i)`, requiring every piece to improve on
-    /// entry `j`'s current cycle.
+    /// entry `j`'s current cycle; ties go to the smaller `local_max`, then
+    /// to the first candidate in (cut1, cut2) order.
+    ///
+    /// The search hands its incumbent ratio to the enumeration, which
+    /// skips every cut pair and `cut1` row whose ratio is provably
+    /// strictly worse: `Δlatency ≥ lb` (the two new transfers plus the
+    /// work that must leave the fastest processor) and `Δperiod ≤ ub`
+    /// (`old` minus the pieces' cycles on the fastest processor), and a
+    /// pair goes only when `lb − σ > max(r*, 0)·(ub + σ)` with a
+    /// relative slack `σ` of 1e-12. A tie with the incumbent never passes that test, so
+    /// the result is the unpruned search's bit for bit (the bound and
+    /// its exactness argument are on the private `for_each_split3`).
     pub fn best_split3_bi(&mut self, j: usize) -> Option<Split3> {
         let old = self.entries[j].cycle;
         let current_latency = self.latency;
@@ -915,10 +1025,11 @@ impl<'a> SplitState<'a> {
             d_lat / d_per
         };
         let mut best: Option<(f64, Split3)> = None;
+        let incumbent = Cell::new(f64::INFINITY);
         // Only candidates that qualify (`definitely_lt(local_max, old)`)
         // are handed over.
         let qualify = old - EPS;
-        self.for_each_split3(j, qualify, |s| {
+        self.for_each_split3(j, qualify, Some(&incumbent), |s| {
             let r = ratio(&s);
             let better = best.as_ref().is_none_or(|(br, b)| {
                 r.partial_cmp(br)
@@ -930,6 +1041,7 @@ impl<'a> SplitState<'a> {
             });
             if better {
                 best = Some((r, s));
+                incumbent.set(r);
             }
             qualify
         });
@@ -1268,7 +1380,7 @@ mod tests {
         let mut handed = 0;
         let mut best = None;
         let old = st.entries()[0].cycle;
-        st.for_each_split3(0, old - EPS, |s| {
+        st.for_each_split3(0, old - EPS, None, |s| {
             handed += 1;
             best = Some(s);
             s.local_max()
@@ -1280,6 +1392,54 @@ mod tests {
         );
         let winner = |s: Option<Split3>| s.map(|s| (s.cut1, s.cut2, s.procs));
         assert_eq!(winner(best), winner(st.best_split3_mono(0)));
+    }
+
+    #[test]
+    fn h2b_bound_costs_few_of_the_three_way_pairs() {
+        // The first H2b step on the instance of the H2a test above. A
+        // pruning regression shows up here as a count, not as a timing.
+        let gen = InstanceGenerator::new(InstanceParams::paper(ExperimentKind::E2, 120, 60));
+        let (app, pf) = gen.instance(1, 0);
+        let cm = CostModel::new(&app, &pf);
+        let mut st = SplitState::new_in(&cm, SplitBuffers::default());
+        let (old, lat) = (st.entries()[0].cycle, st.latency());
+        let ratio = |s: &Split3| (s.new_latency - lat) / (old - s.local_max());
+        let key = |s: &Split3| (ratio(s), s.local_max(), s.cut1, s.cut2);
+        let beats = |s: &Split3, b: &Split3| key(s).partial_cmp(&key(b)).expect("finite").is_lt();
+        // The unpruned argmin, and the cut pairs with a qualifying
+        // candidate: the ones an unpruned search costs to the end.
+        let mut oracle: Option<Split3> = None;
+        let mut qualifying = std::collections::BTreeSet::new();
+        for s in st.candidate_splits3(0) {
+            if definitely_lt(s.local_max(), old) {
+                qualifying.insert((s.cut1, s.cut2));
+                if oracle.as_ref().is_none_or(|b| beats(&s, b)) {
+                    oracle = Some(s);
+                }
+            }
+        }
+        // The same selection through the ratio hook, counting the pairs
+        // whose candidates get handed over.
+        let incumbent = Cell::new(f64::INFINITY);
+        let mut costed = std::collections::BTreeSet::new();
+        let mut best: Option<Split3> = None;
+        st.for_each_split3(0, old - EPS, Some(&incumbent), |s| {
+            costed.insert((s.cut1, s.cut2));
+            if best.as_ref().is_none_or(|b| beats(&s, b)) {
+                incumbent.set(ratio(&s));
+                best = Some(s);
+            }
+            old - EPS
+        });
+        // 27 of 7001 today; fail above 1%.
+        let (costed, qualifying) = (costed.len(), qualifying.len());
+        assert!(
+            costed > 0 && costed * 100 < qualifying,
+            "{costed} of {qualifying} qualifying pairs costed"
+        );
+        let winner = |s: Option<Split3>| s.map(|s| (s.cut1, s.cut2, s.procs));
+        assert_eq!(winner(best), winner(oracle));
+        assert_eq!(winner(st.best_split3_bi(0)), winner(oracle));
     }
 
     #[test]

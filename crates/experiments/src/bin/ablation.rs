@@ -19,6 +19,7 @@ use pipeline_core::replication::replicate_bottlenecks;
 use pipeline_core::trajectory::{fixed_period_trajectory_in, TrajectoryKind};
 use pipeline_core::{sp_bi_p_in, sp_mono_p_in, SolveWorkspace, SpBiPOptions};
 use pipeline_experiments::config::flag_value;
+use pipeline_experiments::outln;
 use pipeline_experiments::shard::{sharded_map_items_with, ShardOptions};
 use pipeline_model::generator::{ExperimentKind, InstanceGenerator, InstanceParams};
 use pipeline_model::prelude::*;
@@ -45,7 +46,7 @@ fn main() {
         }
     }
 
-    println!("Ablations — {instances} instances per point, seed {seed}\n");
+    outln!("Ablations — {instances} instances per point, seed {seed}\n");
     ratio_denominator_ablation(seed, instances, threads);
     explo_vs_split_ablation(seed, instances, threads);
     replication_ablation(seed, instances, threads);
@@ -55,7 +56,7 @@ fn main() {
 fn refinement_ablation(seed: u64, instances: usize, threads: usize) {
     use pipeline_core::refine::refine_mapping;
     use pipeline_core::HeuristicKind;
-    println!(
+    outln!(
         "4. Local-search refinement on top of each heuristic \
          (period floor, E2 n=20 p=10, latency budget 1.2×)"
     );
@@ -79,7 +80,7 @@ fn refinement_ablation(seed: u64, instances: usize, threads: usize) {
         let before: Vec<f64> = rows.iter().map(|r| r.0).collect();
         let after: Vec<f64> = rows.iter().map(|r| r.1).collect();
         let mv: Vec<f64> = rows.iter().map(|r| r.2).collect();
-        println!(
+        outln!(
             "   {:<16} floor {:.3} → {:.3} ({:+.1}%), {:.1} moves avg",
             kind.label(),
             mean(&before).unwrap(),
@@ -88,13 +89,11 @@ fn refinement_ablation(seed: u64, instances: usize, threads: usize) {
             mean(&mv).unwrap()
         );
     }
-    println!();
+    outln!();
 }
 
 fn ratio_denominator_ablation(seed: u64, instances: usize, threads: usize) {
-    println!(
-        "1. H3 (Sp bi P) ratio denominator: Δperiod(i) [default] vs Δperiod(j) [paper literal]"
-    );
+    outln!("1. H3 (Sp bi P) ratio denominator: Δperiod(i) [default] vs Δperiod(j) [paper literal]");
     for kind in [ExperimentKind::E1, ExperimentKind::E2] {
         let params = InstanceParams::paper(kind, 20, 10);
         let gen = InstanceGenerator::new(params);
@@ -123,7 +122,7 @@ fn ratio_denominator_ablation(seed: u64, instances: usize, threads: usize) {
         );
         let li: Vec<f64> = outcomes.iter().filter_map(|(a, _)| *a).collect();
         let lj: Vec<f64> = outcomes.iter().filter_map(|(_, b)| *b).collect();
-        println!(
+        outln!(
             "   {kind}: mean latency over-i {:.3} ({} feas) vs over-j {:.3} ({} feas)",
             mean(&li).unwrap_or(f64::NAN),
             li.len(),
@@ -131,11 +130,11 @@ fn ratio_denominator_ablation(seed: u64, instances: usize, threads: usize) {
             lj.len()
         );
     }
-    println!();
+    outln!();
 }
 
 fn explo_vs_split_ablation(seed: u64, instances: usize, threads: usize) {
-    println!("2. Period floors: 2-way splitting vs 3-way exploration (p = 10 / p = 100)");
+    outln!("2. Period floors: 2-way splitting vs 3-way exploration (p = 10 / p = 100)");
     for procs in [10usize, 100] {
         let params = InstanceParams::paper(ExperimentKind::E1, 40, procs);
         let gen = InstanceGenerator::new(params);
@@ -156,18 +155,18 @@ fn explo_vs_split_ablation(seed: u64, instances: usize, threads: usize) {
         let s: Vec<f64> = floors.iter().map(|f| f.0).collect();
         let e: Vec<f64> = floors.iter().map(|f| f.1).collect();
         let eb: Vec<f64> = floors.iter().map(|f| f.2).collect();
-        println!(
+        outln!(
             "   p = {procs:>3}: Sp mono {:.3} | 3-Explo mono {:.3} | 3-Explo bi {:.3}",
             mean(&s).unwrap(),
             mean(&e).unwrap(),
             mean(&eb).unwrap()
         );
     }
-    println!();
+    outln!();
 }
 
 fn replication_ablation(seed: u64, instances: usize, threads: usize) {
-    println!("3. Deal-skeleton replication (paper §7): period floor after splitting vs after splitting + replication");
+    outln!("3. Deal-skeleton replication (paper §7): period floor after splitting vs after splitting + replication");
     let params = InstanceParams::paper(ExperimentKind::E3, 10, 10);
     let gen = InstanceGenerator::new(params);
     let results = sharded_map_items_with(
@@ -184,7 +183,7 @@ fn replication_ablation(seed: u64, instances: usize, threads: usize) {
     let split_floor: Vec<f64> = results.iter().map(|r| r.0).collect();
     let rep_floor: Vec<f64> = results.iter().map(|r| r.1).collect();
     let lat_ratio: Vec<f64> = results.iter().map(|r| r.2).collect();
-    println!(
+    outln!(
         "   E3 n=10 p=10: splitting floor {:.3} → with replication {:.3} \
          (×{:.2} better), latency ratio {:.3}",
         mean(&split_floor).unwrap(),

@@ -13,6 +13,7 @@ use pipeline_experiments::loaded::{loaded_latency_study, render_loaded};
 use pipeline_experiments::robustness::{
     link_robustness_study, render_robustness, robustness_study,
 };
+use pipeline_experiments::{out, outln};
 use pipeline_model::generator::{ExperimentKind, InstanceParams};
 
 fn main() {
@@ -44,16 +45,16 @@ fn main() {
         }
     }
 
-    println!("Extension studies — {instances} instances, seed {seed}\n");
+    outln!("Extension studies — {instances} instances, seed {seed}\n");
 
-    println!("A. Loaded latency: simulated max response time under saturating input");
-    println!("   (eq. 2 is the throttled value; saturation queues in front of the bottleneck)\n");
+    outln!("A. Loaded latency: simulated max response time under saturating input");
+    outln!("   (eq. 2 is the throttled value; saturation queues in front of the bottleneck)\n");
     for (kind, n, p) in [
         (ExperimentKind::E1, 20, 10),
         (ExperimentKind::E3, 10, 10),
         (ExperimentKind::E4, 20, 10),
     ] {
-        println!(
+        outln!(
             "-- {} (n = {n}, p = {p}, target 0.6·P_init, {datasets} data sets)",
             kind.label()
         );
@@ -65,14 +66,14 @@ fn main() {
             datasets,
             threads,
         );
-        print!("{}", render_loaded(&rows));
-        println!();
+        out!("{}", render_loaded(&rows));
+        outln!();
     }
 
     let pct = gamma * 100.0;
-    println!("B. Robustness: worst-case period when one enrolled processor slows down\n");
+    outln!("B. Robustness: worst-case period when one enrolled processor slows down\n");
     for (kind, n, p) in [(ExperimentKind::E1, 20, 10), (ExperimentKind::E3, 10, 10)] {
-        println!("-- {} (n = {n}, p = {p}, target 0.6·P_init)", kind.label());
+        outln!("-- {} (n = {n}, p = {p}, target 0.6·P_init)", kind.label());
         let rows = robustness_study(
             InstanceParams::paper(kind, n, p),
             seed,
@@ -82,13 +83,13 @@ fn main() {
             threads,
         );
         let header = format!("single-processor slowdown to {pct:.0}% of nominal speed");
-        print!("{}", render_robustness(&rows, &header));
-        println!();
+        out!("{}", render_robustness(&rows, &header));
+        outln!();
     }
 
-    println!("C. Link robustness: worst-case period when one boundary link degrades\n");
+    outln!("C. Link robustness: worst-case period when one boundary link degrades\n");
     for (kind, n, p) in [(ExperimentKind::E1, 20, 10), (ExperimentKind::E4, 20, 10)] {
-        println!("-- {} (n = {n}, p = {p}, target 0.6·P_init)", kind.label());
+        outln!("-- {} (n = {n}, p = {p}, target 0.6·P_init)", kind.label());
         let rows = link_robustness_study(
             InstanceParams::paper(kind, n, p),
             seed,
@@ -98,7 +99,7 @@ fn main() {
             threads,
         );
         let header = format!("single-link slowdown to {pct:.0}% of nominal bandwidth");
-        print!("{}", render_robustness(&rows, &header));
-        println!();
+        out!("{}", render_robustness(&rows, &header));
+        outln!();
     }
 }

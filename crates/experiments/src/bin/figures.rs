@@ -14,6 +14,7 @@ use pipeline_experiments::config::{figures_of, flag_value};
 use pipeline_experiments::csvout::{fmt, write_csv};
 use pipeline_experiments::summary::{checks_p10, checks_p100, render_checks};
 use pipeline_experiments::sweep::run_family;
+use pipeline_experiments::{out, outln};
 use std::path::PathBuf;
 
 struct Args {
@@ -78,9 +79,12 @@ fn parse_args() -> Args {
 
 fn main() {
     let args = parse_args();
-    println!(
+    outln!(
         "Regenerating figures {:?} — {} instances/family, grid {}, seed {}",
-        args.figs, args.instances, args.grid, args.seed
+        args.figs,
+        args.instances,
+        args.grid,
+        args.seed
     );
     for fig_no in &args.figs {
         for spec in figures_of(*fig_no) {
@@ -92,15 +96,17 @@ fn main() {
                 args.grid,
                 args.threads,
             );
-            println!(
+            outln!(
                 "\n=== {} — {} [{:.1}s] ===",
                 spec.id,
                 spec.caption,
                 t0.elapsed().as_secs_f64()
             );
-            println!(
+            outln!(
                 "    landmarks: mean P_init {:.3}, mean L_opt {:.3}, mean best floor {:.3}",
-                fam.stats.mean_p_init, fam.stats.mean_l_opt, fam.stats.mean_best_floor
+                fam.stats.mean_p_init,
+                fam.stats.mean_l_opt,
+                fam.stats.mean_best_floor
             );
 
             // CSV: one row per (heuristic, grid point).
@@ -133,7 +139,7 @@ fn main() {
                 &rows,
             )
             .expect("CSV write failed");
-            println!("    wrote {}", path.display());
+            outln!("    wrote {}", path.display());
 
             // ASCII plot.
             let chart = Chart::default();
@@ -142,7 +148,7 @@ fn main() {
                 .iter()
                 .map(|s| (s.kind.label().to_string(), s.xy()))
                 .collect();
-            println!("{}", chart.render(&series));
+            outln!("{}", chart.render(&series));
 
             // Shape checks vs the paper.
             let checks = if spec.n_procs >= 100 {
@@ -151,8 +157,8 @@ fn main() {
                 checks_p10(&fam)
             };
             if !checks.is_empty() {
-                println!("  paper-shape checks:");
-                print!("{}", render_checks(&checks));
+                outln!("  paper-shape checks:");
+                out!("{}", render_checks(&checks));
             }
         }
     }

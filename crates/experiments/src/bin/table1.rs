@@ -8,6 +8,7 @@
 use pipeline_experiments::config::{flag_value, TABLE1_STAGE_COUNTS};
 use pipeline_experiments::csvout::{fmt, write_csv};
 use pipeline_experiments::table::table1;
+use pipeline_experiments::{out, outln};
 use std::path::PathBuf;
 
 fn main() {
@@ -43,11 +44,11 @@ fn main() {
         }
     }
 
-    println!("Table 1 — failure thresholds (p = {procs}, {instances} instances/cell, seed {seed})");
+    outln!("Table 1 — failure thresholds (p = {procs}, {instances} instances/cell, seed {seed})");
     let t0 = std::time::Instant::now();
     let table = table1(seed, instances, procs, &TABLE1_STAGE_COUNTS, threads);
-    println!("computed in {:.1}s\n", t0.elapsed().as_secs_f64());
-    print!("{}", table.render());
+    outln!("computed in {:.1}s\n", t0.elapsed().as_secs_f64());
+    out!("{}", table.render());
 
     let mut rows = Vec::new();
     for r in &table.rows {
@@ -67,7 +68,7 @@ fn main() {
         &rows,
     )
     .expect("CSV write failed");
-    println!("wrote {}", path.display());
+    outln!("wrote {}", path.display());
 
     // The paper's headline observations about Table 1, verified live.
     let mut h5_eq_h6 = true;
@@ -94,12 +95,12 @@ fn main() {
             h2_max_count += 1;
         }
     }
-    println!("\npaper-shape checks:");
-    println!(
+    outln!("\npaper-shape checks:");
+    outln!(
         "  [{}] H5 == H6 in every cell (paper: \"surprisingly ... the same\")",
         if h5_eq_h6 { "OK " } else { "DIFF" }
     );
-    println!(
+    outln!(
         "  [{}] H1 (Sp mono P) has the smallest period-fixed threshold in {}/{} cells",
         if h1_min_count * 2 >= table.rows.len() {
             "OK "
@@ -109,7 +110,7 @@ fn main() {
         h1_min_count,
         table.rows.len()
     );
-    println!(
+    outln!(
         "  [{}] a 3-Exploration heuristic (H2/H3) has the largest period-fixed threshold in {}/{} cells",
         if h2_max_count * 2 >= table.rows.len() { "OK " } else { "DIFF" },
         h2_max_count,

@@ -1,6 +1,6 @@
 //! The paper's figure and table specifications, the scenario-zoo
-//! default sweep sizes, and the flag-value parser the experiment
-//! binaries share.
+//! default sweep sizes, and the flag-value parser and stdout writer the
+//! experiment binaries share.
 
 use pipeline_model::generator::{ExperimentKind, InstanceParams};
 use pipeline_model::scenario::{ScenarioFamily, ScenarioParams};
@@ -24,6 +24,45 @@ pub fn flag_value<T: FromStr>(
             std::process::exit(2);
         }
     }
+}
+
+/// Writes `args` to stdout: the body of the [`out!`](crate::out) and
+/// [`outln!`](crate::outln) macros the experiment binaries print with. A
+/// reader that closes stdout early (`… | head`) ends the process quietly
+/// with exit status 0, as `pwsched solve --stdin` does for a consumer
+/// that disconnects; any other write failure exits 1 with a message.
+pub fn emit(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    let written = std::io::stdout().lock().write_fmt(args);
+    match written {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => {
+            eprintln!("cannot write to stdout: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// `print!` through [`config::emit`](crate::config::emit): a closed
+/// stdout ends the process quietly instead of panicking.
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::config::emit(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`config::emit`](crate::config::emit): a closed
+/// stdout ends the process quietly instead of panicking.
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::config::emit(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::config::emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
 }
 
 /// One sub-figure of the paper: an instance family plotted as

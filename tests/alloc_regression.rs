@@ -2,17 +2,18 @@
 //!
 //! A counting global allocator wraps the system allocator; the test warms
 //! a [`SolveWorkspace`]'s buffers, then counts heap allocations during
-//! (a) the steady-state split loop of a warm-buffer solve and (b) a
-//! re-queried `PreparedInstance` bound lookup. Both must be **zero** —
+//! (a) the steady-state split loops of a warm-buffer solve — two-way,
+//! and the three-way loops of H2a and H2b — and (b) a re-queried
+//! `PreparedInstance` bound lookup. All must be **zero** —
 //! that is the contract the workspace/arena refactor establishes, and
 //! any future `clone()`/`Vec::new()` sneaking into those paths fails
 //! this test loudly.
 //!
 //! The strict zero assertions run in release builds (CI runs
 //! `cargo test --release --test alloc_regression`): debug builds keep
-//! the `debug_assert!` state invariants of `SplitState::apply_split2`,
-//! which rebuild a mapping per split on purpose, so there the test only
-//! checks the lookup path and that the loop runs.
+//! the `debug_assert!` state invariants of `SplitState::apply_split2`
+//! and `apply_split3`, which rebuild a mapping per split on purpose, so
+//! there the test only checks the lookup path and that the loops run.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -70,6 +71,23 @@ fn count_allocations(f: impl FnOnce()) -> u64 {
     ALLOCATIONS.load(Ordering::SeqCst)
 }
 
+/// The zero-allocation contract of a steady-state split loop, enforced
+/// in release builds only (see the module docs).
+fn assert_no_loop_allocations(what: &str, allocs: u64) {
+    if cfg!(debug_assertions) {
+        // Debug builds re-validate the whole state per split
+        // (debug_assert invariants), which allocates by design.
+        eprintln!(
+            "debug build: {what} split loop performed {allocs} allocations (invariant checks)"
+        );
+    } else {
+        assert_eq!(
+            allocs, 0,
+            "steady-state {what} split loop allocated {allocs} times on warm buffers"
+        );
+    }
+}
+
 #[test]
 fn warm_solve_paths_do_not_allocate() {
     let gen = InstanceGenerator::new(InstanceParams::paper(ExperimentKind::E1, 60, 30));
@@ -101,17 +119,37 @@ fn warm_solve_paths_do_not_allocate() {
         }
     });
     assert!(splits > 10, "steady-state loop must actually split");
-    if cfg!(debug_assertions) {
-        // Debug builds re-validate the whole state per split
-        // (debug_assert invariants), which allocates by design.
-        eprintln!("debug build: split loop performed {allocs} allocations (invariant checks)");
-    } else {
-        assert_eq!(
-            allocs, 0,
-            "steady-state split loop allocated {allocs} times on warm buffers"
-        );
+    assert_no_loop_allocations("two-way", allocs);
+
+    // The three-way loops of H2a and H2b on the same buffers, once to
+    // warm them (H2b's row-bound buffer grows on its first call) and
+    // once counted.
+    let mut buffers = st.into_buffers();
+    for (what, bi) in [("H2a three-way", false), ("H2b three-way", true)] {
+        for counted in [false, true] {
+            let mut st = SplitState::new_in(&cm, buffers);
+            let mut splits = 0usize;
+            let mut run = || loop {
+                let j = st.bottleneck();
+                let split = if bi {
+                    st.best_split3_bi(j)
+                } else {
+                    st.best_split3_mono(j)
+                };
+                let Some(s) = split else { break };
+                st.apply_split3(j, s);
+                splits += 1;
+            };
+            if counted {
+                let allocs = count_allocations(run);
+                assert_no_loop_allocations(what, allocs);
+            } else {
+                run();
+            }
+            assert!(splits > 3, "{what}: the loop must actually split");
+            buffers = st.into_buffers();
+        }
     }
-    drop(st);
 
     // --- (b) re-queried PreparedInstance bound lookup ------------------
     let prepared = PreparedInstance::new(app.clone(), pf.clone());
