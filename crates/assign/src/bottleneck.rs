@@ -10,7 +10,8 @@ use crate::{Assignment, CostMatrix};
 /// Binary searches the sorted distinct finite costs; each candidate
 /// threshold `T` is checked by building the bipartite graph of pairs with
 /// cost ≤ `T` and testing for a row-perfect matching. O(n² log n) matching
-/// calls in the worst case, each O(V·E).
+/// calls in the worst case, each O(V·E). The answer is
+/// [`bottleneck_assignment_at`] the smallest feasible threshold.
 ///
 /// Returns `None` when even the full finite graph admits no row-perfect
 /// matching. Requires `rows ≤ cols`.
@@ -19,10 +20,7 @@ pub fn bottleneck_assignment(costs: &CostMatrix) -> Option<Assignment> {
     let m = costs.cols();
     assert!(n <= m, "bottleneck requires rows ({n}) <= cols ({m})");
     if n == 0 {
-        return Some(Assignment {
-            assigned: vec![],
-            objective: f64::NEG_INFINITY,
-        });
+        return bottleneck_assignment_at(costs, f64::NEG_INFINITY);
     }
 
     let mut values = costs.finite_values();
@@ -31,14 +29,6 @@ pub fn bottleneck_assignment(costs: &CostMatrix) -> Option<Assignment> {
     if values.is_empty() {
         return None;
     }
-
-    let feasible = |threshold: f64| -> Option<Vec<Option<usize>>> {
-        let adj: Vec<Vec<usize>> = (0..n)
-            .map(|r| (0..m).filter(|&c| costs.at(r, c) <= threshold).collect())
-            .collect();
-        let (size, ml) = crate::matching::max_bipartite_matching(&adj, m);
-        (size == n).then_some(ml)
-    };
 
     // Quick reject: even the most permissive threshold may be infeasible.
     if !{
@@ -54,14 +44,30 @@ pub fn bottleneck_assignment(costs: &CostMatrix) -> Option<Assignment> {
     let (mut lo, mut hi) = (0usize, values.len() - 1);
     while lo < hi {
         let mid = (lo + hi) / 2;
-        if feasible(values[mid]).is_some() {
+        if bottleneck_assignment_at(costs, values[mid]).is_some() {
             hi = mid;
         } else {
             lo = mid + 1;
         }
     }
-    let threshold = values[lo];
-    let ml = feasible(threshold).expect("threshold verified feasible");
+    Some(bottleneck_assignment_at(costs, values[lo]).expect("threshold verified feasible"))
+}
+
+/// The row-perfect matching over the pairs with cost ≤ `threshold`, or
+/// `None` when there is none. At the bottleneck optimum this is exactly
+/// what [`bottleneck_assignment`] returns, so a caller that already
+/// knows the optimum skips the threshold search. The objective is the
+/// largest selected cost (`-∞` for an empty matrix).
+pub fn bottleneck_assignment_at(costs: &CostMatrix, threshold: f64) -> Option<Assignment> {
+    let n = costs.rows();
+    let m = costs.cols();
+    let adj: Vec<Vec<usize>> = (0..n)
+        .map(|r| (0..m).filter(|&c| costs.at(r, c) <= threshold).collect())
+        .collect();
+    let (size, ml) = crate::matching::max_bipartite_matching(&adj, m);
+    if size < n {
+        return None;
+    }
     let assigned: Vec<usize> = ml
         .into_iter()
         .map(|c| c.expect("perfect on rows"))
@@ -168,6 +174,28 @@ mod tests {
                 "{rows}x{cols}: bottleneck {} != brute force {slow}",
                 fast.objective,
             );
+        }
+    }
+
+    #[test]
+    fn the_known_optimum_gives_the_searched_assignment() {
+        // Few distinct costs, so ties between matchings abound.
+        let mut state = 0x0123_4567_u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) % 4) as f64
+        };
+        for (rows, cols) in [(0, 2), (1, 1), (3, 3), (4, 6), (6, 6), (5, 8)] {
+            let costs = CostMatrix::from_fn(rows, cols, |_, _| next());
+            let searched = bottleneck_assignment(&costs).unwrap();
+            let at = bottleneck_assignment_at(&costs, searched.objective);
+            assert_eq!(at.as_ref(), Some(&searched), "{rows}x{cols}");
+            if rows > 0 {
+                let below = searched.objective - 0.5;
+                assert!(bottleneck_assignment_at(&costs, below).is_none());
+            }
         }
     }
 

@@ -22,7 +22,7 @@ pub mod bottleneck;
 pub mod hungarian;
 pub mod matching;
 
-pub use bottleneck::bottleneck_assignment;
+pub use bottleneck::{bottleneck_assignment, bottleneck_assignment_at};
 pub use hungarian::{hungarian_in, HungarianScratch};
 pub use matching::max_bipartite_matching;
 

@@ -1,7 +1,8 @@
 //! The incremental solver kernel: split-step throughput and the exact
 //! solver generations — the routed v3 dominance DP and the v2
-//! branch-and-bound (the witness walks with no known value) — at the old
-//! cutoff and at the raised n = 24, p = 16 frontier.
+//! branch-and-bound (the witness entry points with no known value) — at
+//! the old cutoff and at the raised n = 24, p = 16 frontier, plus the
+//! DP's min-period witness pass on its own.
 //!
 //! Compiled (not run) in CI via `cargo bench --no-run`; run locally to
 //! compare kernel generations. `pwsched bench kernel` records the same
@@ -156,6 +157,33 @@ fn bench_exact_dp_frontier(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("front-v3", format!("n{n}_p{p}")), |b| {
         b.iter(|| black_box(exact::exact_pareto_front_in(&cm, &mut ws)));
     });
+    // The min-period witness pass alone, at the DP's value, on a
+    // three-speed E3 instance where many partitions' bounds admit the
+    // optimum but their assignments miss it: the v2 witness walk spent
+    // ~60 ms of bottleneck solves here before reaching it (2-vCPU VM).
+    let gen = InstanceGenerator::new(InstanceParams {
+        n_stages: n,
+        n_procs: p,
+        kind: ExperimentKind::E3,
+        bandwidth: 10.0,
+        speed_range: (1, 3),
+    });
+    let (app, pf) = gen.instance(37, 0);
+    let cm = CostModel::new(&app, &pf);
+    assert!(exact::supports_dominance_dp(&cm));
+    let (v_star, _) = exact::exact_min_period_in(&cm, &mut ws);
+    group.bench_function(
+        BenchmarkId::new("min-period-witness", format!("n{n}_p{p}")),
+        |b| {
+            b.iter(|| {
+                black_box(exact::exact_min_period_from_value(
+                    &cm,
+                    black_box(v_star),
+                    &mut ws,
+                ))
+            });
+        },
+    );
     group.finish();
 }
 

@@ -43,11 +43,12 @@
 //!   thresholds that allow the *same* pair set reuse the previous
 //!   Hungarian solve instead of re-solving an identical matrix.
 //!
-//! Each operation has exactly one partition walk, and it is also the
-//! DP's witness pass below: [`exact_min_period_from_value`] with
-//! `v_star = +∞`, [`exact_front_from_shadow`] with an empty shadow, and
-//! the latency walk with a ceiling of `+∞` are the plain v2 searches. The
-//! blind v1 enumeration lives on only as the test oracle
+//! Each operation has exactly one partition walk:
+//! [`exact_min_period_from_value`] with `v_star = +∞`,
+//! [`exact_front_from_shadow`] with an empty shadow, and the latency walk
+//! with a ceiling of `+∞` are the plain v2 searches. The latency and
+//! front walks are also the DP's witness passes below. The blind v1
+//! enumeration lives on only as the test oracle
 //! `tests/support/exact_oracle.rs`.
 //!
 //! # Exact solver v3: processor-subset dominance DP
@@ -88,13 +89,17 @@
 //! The DP answers *values* (and, for the front, coordinates). The
 //! reported **witness** — the mapping, and which partition wins a tie —
 //! is pinned to the blind enumeration's leftmost-winner semantics by a
-//! second, value-guided pass: the v2 partition walk, additionally pruned
-//! against the now-known optimum, which stops at the first partition
-//! that achieves it (for the front, the v2 threshold sweep, additionally
+//! second pass. For the minimum period it is one forward pass over the
+//! DP's own `(pos, mask)` states: a memoized "can this state still
+//! complete with every cycle within the optimum" test picks, position by
+//! position, the shortest next interval that keeps a completion open,
+//! which yields the lexicographically first partition achieving the
+//! optimum, and the v2 leaf's bottleneck assignment then maps it. For
+//! the latency and the front the witness pass is the v2 walk, pruned
+//! against the DP's value (the latency ceiling) or, for the front,
 //! pruning partitions whose optimistic point falls a safety margin below
-//! the DP's coordinate front). The walk is cheap once the optimum is
-//! known; results stay bit-identical to v1/v2, pinned by
-//! `tests/exact_frontier.rs` and `tests/kernel_identity.rs`.
+//! the DP's coordinate front. Results stay bit-identical to v1/v2,
+//! pinned by `tests/exact_frontier.rs` and `tests/kernel_identity.rs`.
 //!
 //! The DP phases are also the **sharding seam**: the first-interval
 //! choices `[0, end)` are independent search roots, so
@@ -111,7 +116,7 @@
 
 use crate::pareto::ParetoFront;
 use crate::workspace::SolveWorkspace;
-use pipeline_assign::{bottleneck_assignment, hungarian_in, CostMatrix};
+use pipeline_assign::{bottleneck_assignment, bottleneck_assignment_at, hungarian_in, CostMatrix};
 use pipeline_model::prelude::*;
 use pipeline_model::util::{approx_le, EPS};
 use std::collections::hash_map::Entry;
@@ -335,7 +340,7 @@ impl<'c, 'a> PartitionSearch<'c, 'a> {
 
 /// Exact minimum period over every interval mapping (NP-hard in general),
 /// with the optimal mapping. Runs the v3 dominance DP's value phase when
-/// [`supports_dominance_dp`] holds, then the witness walk
+/// [`supports_dominance_dp`] holds, then the witness pass
 /// [`exact_min_period_from_value`] with the value found — or with `+∞`
 /// (no known value, the plain v2 search) when it does not. The workspace
 /// lends its assignment matrices and DP tables.
@@ -474,6 +479,13 @@ pub(crate) struct DpScratch {
     /// Shadow-front DP: Pareto list of `(cycle_max, latency_base, Σ w/s)`
     /// accumulator triples per state.
     front: Vec<DpLevel<FrontAccs>>,
+    /// Min-period witness: whether a state still completes with every
+    /// cycle within the optimum (memoized on first visit).
+    completes: Vec<DpLevel<bool>>,
+    /// Min-period witness: the masks the committed prefix reaches.
+    reach: Vec<u32>,
+    /// Min-period witness: the masks the candidate next interval reaches.
+    grown: Vec<u32>,
 }
 
 /// Resizes `levels` to `n + 1` maps and clears each, keeping capacity.
@@ -485,10 +497,11 @@ fn reset_levels<T>(levels: &mut Vec<HashMap<u32, T, DomBuild>>, n: usize) {
 }
 
 /// A cross-shard incumbent: the best objective value observed by any
-/// worker, stored as the `f64` bit pattern in an atomic. For positive
-/// finite values (every period and latency here) the IEEE-754 bit
-/// pattern orders exactly like the value, so a lock-free `fetch_min` on
-/// the bits is a CAS-free atomic min on the values.
+/// worker, stored as the `f64` bit pattern in an atomic. For
+/// non-negative values with a clear sign bit (every period and latency
+/// here, zero included once `-0.0` is folded into `+0.0`) the IEEE-754
+/// bit pattern orders exactly like the value, so a lock-free `fetch_min`
+/// on the bits is a CAS-free atomic min on the values.
 #[derive(Debug)]
 pub struct SharedIncumbent {
     bits: AtomicU64,
@@ -508,11 +521,14 @@ impl SharedIncumbent {
         }
     }
 
-    /// Records an achieved objective value (must be positive).
+    /// Records an achieved objective value (must be non-negative; an
+    /// all-zero instance has optimum zero).
     #[inline]
     pub fn observe(&self, value: f64) {
-        debug_assert!(value > 0.0, "incumbent values are positive");
-        self.bits.fetch_min(value.to_bits(), Ordering::Relaxed);
+        debug_assert!(value >= 0.0, "incumbent values are non-negative");
+        // `-0.0 + 0.0` is `+0.0`: the sign bit would order it above +∞.
+        self.bits
+            .fetch_min((value + 0.0).to_bits(), Ordering::Relaxed);
     }
 
     /// The best value observed so far (`+∞` when none).
@@ -635,15 +651,13 @@ impl<'c, 'a> DominanceDp<'c, 'a> {
         }
     }
 
-    /// Calls `step` for the first free member of every speed group —
-    /// the canonical representative assignment choices at a state.
+    /// The first free member of every speed group — the canonical
+    /// representative assignment choices at a state.
     #[inline]
-    fn for_free_procs(&self, mask: u32, mut step: impl FnMut(usize)) {
-        for group in &self.speed_groups {
-            if let Some(&u) = group.iter().find(|&&u| mask & (1u32 << u) == 0) {
-                step(u);
-            }
-        }
+    fn free_procs(&self, mask: u32) -> impl Iterator<Item = usize> + '_ {
+        self.speed_groups
+            .iter()
+            .filter_map(move |group| group.iter().copied().find(|&u| mask & (1u32 << u) == 0))
     }
 
     /// Bit-wise admissible period lower bound at `(pos, cycle_max)`.
@@ -707,10 +721,10 @@ impl<'c, 'a> DominanceDp<'c, 'a> {
         let app = self.cm.app();
         let comm = app.input_volume(0) / self.b + app.output_volume(end) / self.b;
         let work = app.interval_work(0, end);
-        self.for_free_procs(0, |u| {
+        for u in self.free_procs(0) {
             let cycle = comm + work / self.speeds[u];
             self.period_relax(levels, end, 1u32 << u, f64::NEG_INFINITY.max(cycle), inc);
-        });
+        }
     }
 
     /// Level-order sweep of the min-period DP: processes each position
@@ -729,7 +743,7 @@ impl<'c, 'a> DominanceDp<'c, 'a> {
                 for end in pos + 1..=self.n {
                     let comm = t_in + app.output_volume(end) / self.b;
                     let work = app.interval_work(pos, end);
-                    self.for_free_procs(mask, |u| {
+                    for u in self.free_procs(mask) {
                         let cycle = comm + work / self.speeds[u];
                         self.period_relax(
                             levels,
@@ -738,12 +752,45 @@ impl<'c, 'a> DominanceDp<'c, 'a> {
                             cycle_max.max(cycle),
                             inc,
                         );
-                    });
+                    }
                 }
             }
             level.clear();
             levels[pos] = level; // recycle capacity
         }
+    }
+
+    /// Whether `(pos, mask)` completes to a full mapping whose every
+    /// interval's cycle is at most `v_star`, memoized in `memo`. An edge
+    /// is allowed on the cycle expression of
+    /// `PartitionSearch::fill_cycle_matrix`, so it admits exactly the
+    /// pairs a bottleneck threshold of `v_star` admits.
+    fn completes(&self, memo: &mut [DpLevel<bool>], pos: usize, mask: u32, v_star: f64) -> bool {
+        if pos == self.n {
+            return true;
+        }
+        if let Some(&known) = memo[pos].get(&mask) {
+            return known;
+        }
+        let Some(fastest) = self.free_procs(mask).next() else {
+            return false;
+        };
+        let app = self.cm.app();
+        let t_in = app.input_volume(pos) / self.b;
+        // Prefix-sum works grow with `end` and IEEE rounding is
+        // monotone, so once `t_in + work / s_fastest` exceeds `v_star`
+        // every longer interval on every free processor does too.
+        let fits = |end: usize| t_in + app.interval_work(pos, end) / self.speeds[fastest] <= v_star;
+        let found = (pos + 1..=self.n).take_while(|&end| fits(end)).any(|end| {
+            let comm = t_in + app.output_volume(end) / self.b;
+            let work = app.interval_work(pos, end);
+            self.free_procs(mask).any(|u| {
+                comm + work / self.speeds[u] <= v_star
+                    && self.completes(memo, end, mask | (1u32 << u), v_star)
+            })
+        });
+        memo[pos].insert(mask, found);
+        found
     }
 
     /// One arrival of the latency-under-period-bound DP: per-state
@@ -788,7 +835,7 @@ impl<'c, 'a> DominanceDp<'c, 'a> {
         let comm = app.input_volume(0) / self.b + app.output_volume(end) / self.b;
         let work = app.interval_work(0, end);
         let base = app.delta(self.n) / self.b + app.input_volume(0) / self.b;
-        self.for_free_procs(0, |u| {
+        for u in self.free_procs(0) {
             let cycle = comm + work / self.speeds[u];
             if approx_le(cycle, bound) {
                 self.latency_relax(
@@ -800,7 +847,7 @@ impl<'c, 'a> DominanceDp<'c, 'a> {
                     inc,
                 );
             }
-        });
+        }
     }
 
     /// Level-order sweep of the latency DP: expands each state's final
@@ -824,7 +871,7 @@ impl<'c, 'a> DominanceDp<'c, 'a> {
                     for end in pos + 1..=self.n {
                         let comm = t_in + app.output_volume(end) / self.b;
                         let work = app.interval_work(pos, end);
-                        self.for_free_procs(mask, |u| {
+                        for u in self.free_procs(mask) {
                             let cycle = comm + work / self.speeds[u];
                             if approx_le(cycle, bound) {
                                 self.latency_relax(
@@ -836,7 +883,7 @@ impl<'c, 'a> DominanceDp<'c, 'a> {
                                     inc,
                                 );
                             }
-                        });
+                        }
                     }
                 }
             }
@@ -897,7 +944,7 @@ impl<'c, 'a> DominanceDp<'c, 'a> {
         let comm = app.input_volume(0) / self.b + app.output_volume(end) / self.b;
         let work = app.interval_work(0, end);
         let base = app.delta(self.n) / self.b + app.input_volume(0) / self.b;
-        self.for_free_procs(0, |u| {
+        for u in self.free_procs(0) {
             let cycle = comm + work / self.speeds[u];
             self.shadow_relax(
                 levels,
@@ -908,7 +955,7 @@ impl<'c, 'a> DominanceDp<'c, 'a> {
                 0.0 + work / self.speeds[u],
                 shadow,
             );
-        });
+        }
     }
 
     /// Level-order sweep of the shadow-front DP. Leaves arrive (and
@@ -932,7 +979,7 @@ impl<'c, 'a> DominanceDp<'c, 'a> {
                     for end in pos + 1..=self.n {
                         let comm = t_in + app.output_volume(end) / self.b;
                         let work = app.interval_work(pos, end);
-                        self.for_free_procs(mask, |u| {
+                        for u in self.free_procs(mask) {
                             let cycle = comm + work / self.speeds[u];
                             self.shadow_relax(
                                 levels,
@@ -943,7 +990,7 @@ impl<'c, 'a> DominanceDp<'c, 'a> {
                                 wsum + work / self.speeds[u],
                                 shadow,
                             );
-                        });
+                        }
                     }
                 }
             }
@@ -969,37 +1016,40 @@ pub fn exact_min_period_value_root(
     dp.period_sweep(&mut ws.dp.period, inc);
 }
 
-/// Witness pass of the min-period DP, and the v2 search: the
-/// branch-and-bound over partitions with a bottleneck assignment per
-/// surviving leaf, keeping strict
-/// improvements, so the result is the blind enumeration's leftmost
-/// winner. `v_star` is a known optimum (the DP's value): prefixes bounded
-/// above it are pruned, and the walk stops once the best leaf equals it
-/// bit for bit. `v_star = +∞` is the plain v2 search.
+/// Witness pass of the min-period DP, or the v2 search when no value is
+/// known: the blind enumeration's leftmost winner, i.e. the first
+/// partition in DFS order whose bottleneck assignment reaches the
+/// optimum, with that assignment. `v_star` must be the optimum (the DP's
+/// value, bit for bit) or `+∞`.
 ///
-/// The `lb ≥ best` prune cannot skip the leftmost leaf reaching `v_star`:
-/// until it is found every kept leaf is worse, so `best > v_star`, and
-/// every prefix on its path has a bit-wise admissible bound `≤ v_star`.
+/// On DP-routed instances ([`supports_dominance_dp`]) a finite `v_star`
+/// builds the witness in one forward pass over the DP's `(pos, mask)`
+/// states: every leaf the walk visits before the winner has a bottleneck
+/// above `v_star`, so the winner is the lexicographically first
+/// partition with an assignment whose cycles are all `≤ v_star`. The
+/// pass commits, position by position, the shortest next interval after
+/// which some reachable mask can still complete within `v_star`, then
+/// takes the matching the walk's bottleneck assignment ends on for that
+/// partition: the one at threshold `v_star`.
+///
+/// Otherwise it walks v2: the branch-and-bound over partitions with a
+/// bottleneck assignment per surviving leaf, keeping strict
+/// improvements and pruning prefixes whose bit-wise admissible bound
+/// reaches the best leaf so far.
 pub fn exact_min_period_from_value(
     cm: &CostModel<'_>,
     v_star: f64,
     ws: &mut SolveWorkspace,
 ) -> (f64, IntervalMapping) {
+    if v_star.is_finite() && supports_dominance_dp(cm) {
+        return min_period_witness(cm, v_star, ws);
+    }
     let scratch = &mut ws.exact;
     let mut search = PartitionSearch::new(cm);
     let mut best: Option<(f64, IntervalMapping)> = None;
     search.dfs(&mut |s, is_leaf| {
-        if best
-            .as_ref()
-            .is_some_and(|(v, _)| v.to_bits() == v_star.to_bits())
-        {
-            return true;
-        }
         if !is_leaf {
-            // Strict on `v_star`: a prefix whose bound *equals* the
-            // optimum may still complete to it.
-            let lb = s.lb_period();
-            return lb > v_star || best.as_ref().is_some_and(|(v, _)| lb >= *v);
+            return best.as_ref().is_some_and(|(v, _)| s.lb_period() >= *v);
         }
         s.fill_cycle_matrix(&mut scratch.matrix);
         if let Some(a) = bottleneck_assignment(&scratch.matrix) {
@@ -1010,6 +1060,70 @@ pub fn exact_min_period_from_value(
         false
     });
     best.expect("the single-interval partition is always assignable")
+}
+
+/// The forward pass of [`exact_min_period_from_value`] at the DP's
+/// optimum `v_star`. `reach` holds the canonical masks the committed
+/// prefix reaches within `v_star` and from which the rest still
+/// completes; it is never empty, because `v_star` is achieved.
+fn min_period_witness(
+    cm: &CostModel<'_>,
+    v_star: f64,
+    ws: &mut SolveWorkspace,
+) -> (f64, IntervalMapping) {
+    let dp = DominanceDp::new(cm);
+    let app = cm.app();
+    let DpScratch {
+        completes,
+        reach,
+        grown,
+        ..
+    } = &mut ws.dp;
+    reset_levels(completes, dp.n);
+    reach.clear();
+    reach.push(0);
+    let mut search = PartitionSearch::new(cm);
+    while search.pos() < dp.n {
+        let pos = search.pos();
+        let t_in = app.input_volume(pos) / dp.b;
+        let end = (pos + 1..=dp.n)
+            .find(|&end| {
+                let comm = t_in + app.output_volume(end) / dp.b;
+                let work = app.interval_work(pos, end);
+                grown.clear();
+                for &mask in reach.iter() {
+                    for u in dp.free_procs(mask) {
+                        let next = mask | (1u32 << u);
+                        if comm + work / dp.speeds[u] <= v_star
+                            && dp.completes(completes, end, next, v_star)
+                        {
+                            grown.push(next);
+                        }
+                    }
+                }
+                !grown.is_empty()
+            })
+            .expect("v_star must be the optimum: no mapping achieves it");
+        grown.sort_unstable();
+        grown.dedup();
+        std::mem::swap(reach, grown);
+        search.push(pos, end);
+    }
+    // The partition's bottleneck optimum is `v_star`, so the v2 leaf's
+    // threshold search would end at `v_star`: take its matching directly.
+    search.fill_cycle_matrix(&mut ws.exact.matrix);
+    let a = bottleneck_assignment_at(&ws.exact.matrix, v_star)
+        .expect("the committed partition has an assignment within v_star");
+    debug_assert_eq!(
+        a.objective.to_bits(),
+        v_star.to_bits(),
+        "v_star must be the optimum"
+    );
+    debug_assert_eq!(bottleneck_assignment(&ws.exact.matrix).as_ref(), Some(&a));
+    (
+        a.objective,
+        build_mapping(cm, &search.intervals, &a.assigned),
+    )
 }
 
 /// Runs the latency DP subtree rooted at first interval `[0, end)`
@@ -1374,6 +1488,40 @@ mod tests {
         let (p_opt, mapping) = exact_min_period_in(&cm, &mut SolveWorkspace::new());
         assert!((cm.period(&mapping) - p_opt).abs() < 1e-9);
         assert!(p_opt >= cm.period_lower_bound() - 1e-9);
+    }
+
+    #[test]
+    fn zero_valued_optima_solve_on_every_exact_objective() {
+        // All-zero works and δ make a valid application whose every
+        // exact optimum is 0; the DP's incumbent must accept it. Two
+        // speed classes, so the DP routes.
+        let app = Application::new(vec![0.0; 5], vec![0.0; 6]).unwrap();
+        let pf = Platform::comm_homogeneous(vec![1.0, 2.0, 2.0], 1.0).unwrap();
+        assert!(supports_dominance_dp(&CostModel::new(&app, &pf)));
+        let prepared = crate::PreparedInstance::new(app, pf);
+        let mut ws = SolveWorkspace::new();
+        for objective in [
+            crate::Objective::MinPeriod,
+            crate::Objective::MinLatencyForPeriod(0.0),
+            crate::Objective::MinPeriodForLatency(0.0),
+            crate::Objective::ParetoFront,
+        ] {
+            let request = crate::SolveRequest::new(objective).strategy(crate::Strategy::Exact);
+            let report = prepared
+                .solve_in(&request, &mut ws)
+                .unwrap_or_else(|e| panic!("{objective:?}: {e}"));
+            assert_eq!(report.result.period.to_bits(), 0.0f64.to_bits());
+            assert_eq!(report.result.latency.to_bits(), 0.0f64.to_bits());
+        }
+    }
+
+    #[test]
+    fn the_incumbent_orders_negative_zero_as_zero() {
+        let inc = SharedIncumbent::new();
+        inc.observe(-0.0);
+        assert_eq!(inc.current().to_bits(), 0.0f64.to_bits());
+        inc.observe(1.0);
+        assert_eq!(inc.current().to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

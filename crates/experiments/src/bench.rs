@@ -618,14 +618,14 @@ mod tests {
         };
         assert!(at(0.0739).is_ok());
         assert!(at(0.0741).is_err());
-        // delta: speedup >= max(0.25 * base, hard) (n=120: 302.33).
+        // delta: speedup >= max(0.25 * base, hard) (n=120: 22.59).
         let at = |v: f64| {
             check_edited("delta", |j| {
                 *field_mut(j, "sizes", 1, "speedup") = Json::fixed(v, 2)
             })
         };
-        assert!(at(75.59).is_ok());
-        assert!(at(75.58).is_err());
+        assert!(at(5.65).is_ok());
+        assert!(at(5.64).is_err());
         // delta's hard floor: 5x at n >= 120 even against a slow baseline.
         let base = {
             let mut b = baseline("delta");

@@ -15,11 +15,12 @@
 //! **Determinism.** The DP phase computes *values*, and those are exact
 //! under any schedule: incumbent pruning only discards non-improving
 //! leaves, and per-root dominance never crosses shards. The mapping (and
-//! every tie-break) comes from the sequential value-guided witness pass,
-//! which re-walks the v2 partition search pruned against the now-known
-//! optimum. Results are therefore **bit-identical** to the sequential
-//! entry points at any thread count — pinned at 1/2/4 threads by
-//! `tests/exact_frontier.rs`.
+//! every tie-break) comes from the sequential witness pass: for the
+//! minimum period one forward pass over the DP's states at the known
+//! optimum, for the latency and the front a re-walk of the v2 partition
+//! search pruned against the value. Results are therefore
+//! **bit-identical** to the sequential entry points at any thread count
+//! — pinned at 1/2/4 threads by `tests/exact_frontier.rs`.
 //!
 //! Instances the DP does not support
 //! ([`pipeline_core::exact::supports_dominance_dp`]) fall back to the

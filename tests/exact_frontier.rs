@@ -219,8 +219,80 @@ fn sharded_solvers_are_bit_identical_at_1_2_4_threads() {
     }
 }
 
+/// The DP-routed min-period witness (the forward pass over the DP's
+/// states at the DP's value) against the plain v2 walk, bit for bit, on
+/// the generator's E2/E3/E4 instances at p = 16 with speeds 1–3: three
+/// speed classes, so the DP routes, and ties between equal-speed
+/// processors everywhere. Sizes run to n = 24, where plain v2 still
+/// finishes within ~0.5 s per instance in a debug build. The sharded
+/// entry point runs the same witness pass after a parallel value phase.
+#[test]
+fn dp_min_period_witness_matches_v2_on_three_speed_platforms() {
+    let mut ws = SolveWorkspace::new();
+    for kind in [ExperimentKind::E2, ExperimentKind::E3, ExperimentKind::E4] {
+        for (n, seed) in [(12usize, 1u64), (16, 2), (20, 5), (24, 1), (24, 2)] {
+            let gen = InstanceGenerator::new(InstanceParams {
+                n_stages: n,
+                n_procs: 16,
+                kind,
+                bandwidth: 10.0,
+                speed_range: (1, 3),
+            });
+            let (app, pf) = gen.instance(seed, 0);
+            let cm = CostModel::new(&app, &pf);
+            let label = format!("{kind:?} n={n} seed={seed}");
+            assert!(exact::supports_dominance_dp(&cm), "{label}: routes");
+
+            let (v_dp, m_dp) = exact::exact_min_period_in(&cm, &mut ws);
+            let (v_v2, m_v2) = v2_min_period(&cm, &mut ws);
+            assert_eq!(v_dp.to_bits(), v_v2.to_bits(), "{label}: period");
+            assert_eq!(m_dp, m_v2, "{label}: mapping");
+            let (v_sh, m_sh) = exact_min_period_sharded(&cm, ShardOptions::with_threads(2));
+            assert_eq!(v_sh.to_bits(), v_v2.to_bits(), "{label}: sharded period");
+            assert_eq!(m_sh, m_v2, "{label}: sharded mapping");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Tie-heavy instances for the min-period witness: small integer
+    /// works with zeros, a constant δ and two speed classes give many
+    /// partitions (and assignments) at the optimum, so the witness must
+    /// pick the blind enumeration's leftmost winner among them. Both the
+    /// routed entry point and the witness pass handed the oracle's value
+    /// must return the oracle's period bits and mapping.
+    #[test]
+    fn min_period_witness_keeps_the_leftmost_winner_under_ties(
+        works in proptest::collection::vec(0u32..=3, 2..=10),
+        delta in 0u32..=3,
+        p in 2usize..=6,
+        speed_a in 1u32..=3,
+        speed_b in 1u32..=3,
+    ) {
+        let n = works.len();
+        let app = Application::new(
+            works.iter().map(|&w| w as f64).collect(),
+            vec![delta as f64; n + 1],
+        )
+        .expect("valid application");
+        let speeds: Vec<f64> = (0..p)
+            .map(|u| if u % 2 == 0 { speed_a as f64 } else { speed_b as f64 })
+            .collect();
+        let pf = Platform::comm_homogeneous(speeds, 2.0).expect("valid platform");
+        let cm = CostModel::new(&app, &pf);
+        prop_assert!(exact::supports_dominance_dp(&cm));
+
+        let (v_blind, m_blind) = exact_min_period_blind(&cm);
+        let mut ws = SolveWorkspace::new();
+        let (v_dp, m_dp) = exact::exact_min_period_in(&cm, &mut ws);
+        prop_assert_eq!(v_dp.to_bits(), v_blind.to_bits());
+        prop_assert_eq!(&m_dp, &m_blind);
+        let (v_w, m_w) = exact::exact_min_period_from_value(&cm, v_blind, &mut ws);
+        prop_assert_eq!(v_w.to_bits(), v_blind.to_bits());
+        prop_assert_eq!(&m_w, &m_blind);
+    }
 
     /// Dominance pruning never drops a Pareto point: on random
     /// comm-homogeneous instances with few speed classes (so the DP
