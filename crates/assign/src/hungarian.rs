@@ -130,7 +130,8 @@ pub fn hungarian_in(costs: &CostMatrix, scratch: &mut HungarianScratch) -> Optio
 
 /// Brute-force reference solver enumerating every injective row→column
 /// map. Exponential; only for validating [`hungarian_in`] on tiny inputs.
-pub fn brute_force_min_sum(costs: &CostMatrix) -> Option<Assignment> {
+#[cfg(test)]
+pub(crate) fn brute_force_min_sum(costs: &CostMatrix) -> Option<Assignment> {
     let n = costs.rows();
     let m = costs.cols();
     assert!(n <= m);

@@ -5,26 +5,25 @@
 //! remains is matching intervals to processors. Three classical tools cover
 //! the cases that arise:
 //!
-//! * [`hungarian`] — minimum-**sum** assignment (O(n³) shortest augmenting
+//! * [`hungarian_in`] — minimum-**sum** assignment (O(n³) shortest augmenting
 //!   paths with potentials). Used to minimize latency, which is additive
 //!   over intervals (paper eq. 2).
 //! * [`bottleneck_assignment`] — minimum-**max** assignment, by binary
 //!   searching the sorted cost values with a feasibility matching. Used to
 //!   minimize the period, which is a max over intervals (paper eq. 1).
-//! * [`max_bipartite_matching`] — Kuhn's augmenting-path bipartite maximum
-//!   matching, the feasibility oracle behind the bottleneck search.
+//! * Kuhn's augmenting-path bipartite maximum matching, the feasibility
+//!   oracle behind the bottleneck search.
 //!
 //! Cost matrices are rectangular `rows × cols` with `rows ≤ cols` (every
 //! row must be assigned, columns may stay free). `f64::INFINITY` marks a
 //! forbidden pair.
 
-pub mod bottleneck;
-pub mod hungarian;
-pub mod matching;
+mod bottleneck;
+mod hungarian;
+mod matching;
 
 pub use bottleneck::{bottleneck_assignment, bottleneck_assignment_at};
 pub use hungarian::{hungarian_in, HungarianScratch};
-pub use matching::max_bipartite_matching;
 
 /// A dense rectangular cost matrix.
 ///
@@ -110,7 +109,7 @@ impl CostMatrix {
     }
 
     /// All finite cost values, unsorted.
-    pub fn finite_values(&self) -> Vec<f64> {
+    pub(crate) fn finite_values(&self) -> Vec<f64> {
         self.data
             .iter()
             .copied()

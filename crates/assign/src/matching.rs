@@ -6,7 +6,10 @@
 /// Returns `(size, match_left)` with `match_left[l] = Some(r)` when left
 /// vertex `l` is matched to right vertex `r`. Runs in O(V·E) — ample for
 /// the ≤ 100-processor platforms of this workspace.
-pub fn max_bipartite_matching(adj: &[Vec<usize>], n_right: usize) -> (usize, Vec<Option<usize>>) {
+pub(crate) fn max_bipartite_matching(
+    adj: &[Vec<usize>],
+    n_right: usize,
+) -> (usize, Vec<Option<usize>>) {
     let n_left = adj.len();
     // match_right[r] = left vertex currently matched to r.
     let mut match_right: Vec<Option<usize>> = vec![None; n_right];
@@ -49,7 +52,7 @@ fn try_augment(
 
 /// True when every left vertex can be matched (perfect matching on the
 /// left side).
-pub fn has_perfect_matching(adj: &[Vec<usize>], n_right: usize) -> bool {
+pub(crate) fn has_perfect_matching(adj: &[Vec<usize>], n_right: usize) -> bool {
     max_bipartite_matching(adj, n_right).0 == adj.len()
 }
 

@@ -54,7 +54,7 @@ impl HeteroSolution {
 /// prefix. Processors whose maximal prefix is empty simply receive no
 /// interval (the final mapping uses fewer intervals). Returns the interval
 /// bounds *and* which order positions received work.
-pub fn probe_fixed_order(
+fn probe_fixed_order(
     ps: &PrefixSums,
     speeds_order: &[f64],
     bound: f64,
@@ -88,7 +88,11 @@ pub fn probe_fixed_order(
 ///
 /// `order` maps position → index into `speeds`. The returned solution's
 /// `proc_of` refers to the original speed indices.
-pub fn min_bottleneck_fixed_order(a: &[f64], speeds: &[f64], order: &[usize]) -> HeteroSolution {
+pub(crate) fn min_bottleneck_fixed_order(
+    a: &[f64],
+    speeds: &[f64],
+    order: &[usize],
+) -> HeteroSolution {
     let n = a.len();
     assert!(n > 0, "empty array");
     assert!(!order.is_empty(), "empty processor order");
@@ -327,7 +331,8 @@ pub fn hetero_exact_bnb(a: &[f64], speeds: &[f64], node_limit: u64) -> Option<He
 /// Brute force over every partition and every injective processor
 /// assignment. Super-exponential; only for cross-checking the
 /// branch-and-bound on tiny cases.
-pub fn brute_force_hetero(a: &[f64], speeds: &[f64]) -> f64 {
+#[cfg(test)]
+fn brute_force_hetero(a: &[f64], speeds: &[f64]) -> f64 {
     let n = a.len();
     let p = speeds.len();
     assert!(n > 0 && p > 0);

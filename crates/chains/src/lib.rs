@@ -13,23 +13,24 @@
 //! reduction from NUMERICAL MATCHING WITH TARGET SUMS; the reduction is
 //! implemented — and executable in both directions — in [`nmwts`].
 //!
-//! Modules:
+//! Contents:
 //!
-//! * [`homogeneous`] — exact DP, probe-based search and the recursive
-//!   bisection heuristic for identical processors;
-//! * [`hetero`] — fixed-processor-order exact solver (greedy probe +
-//!   threshold search), ordering heuristics, and an exact branch-and-bound
-//!   for small instances;
+//! * identical processors — the exact DP [`min_bottleneck_dp`], the
+//!   probe-based searches ([`min_bottleneck_probe_search`],
+//!   [`min_bottleneck_nicol`], [`min_bottleneck_iqbal`]) and the
+//!   [`recursive_bisection`] heuristic;
+//! * heterogeneous processors — the ordering heuristic
+//!   [`hetero_best_order_heuristic`] over a fixed-processor-order exact
+//!   solver (greedy probe + threshold search), and the exact
+//!   branch-and-bound [`hetero_exact_bnb`] for small instances;
 //! * [`nmwts`] — the NP-hardness gadget of Theorem 1.
 
-pub mod hetero;
-pub mod homogeneous;
-pub mod nicol;
+mod hetero;
+mod homogeneous;
+mod nicol;
 pub mod nmwts;
 
-pub use hetero::{
-    hetero_best_order_heuristic, hetero_exact_bnb, min_bottleneck_fixed_order, HeteroSolution,
-};
+pub use hetero::{hetero_best_order_heuristic, hetero_exact_bnb, HeteroSolution};
 pub use homogeneous::{min_bottleneck_dp, min_bottleneck_probe_search, probe, recursive_bisection};
 pub use nicol::{min_bottleneck_iqbal, min_bottleneck_nicol};
 
@@ -81,7 +82,7 @@ impl ChainPartition {
     }
 
     /// Per-interval sums of `a`.
-    pub fn part_sums(&self, a: &[f64]) -> Vec<f64> {
+    pub(crate) fn part_sums(&self, a: &[f64]) -> Vec<f64> {
         self.intervals()
             .map(|(s, e)| a[s..e].iter().sum())
             .collect()

@@ -113,7 +113,8 @@ pub fn min_bottleneck_iqbal(a: &[f64], p: usize, eps: f64) -> (f64, ChainPartiti
 /// `dp[k][j]` = best bottleneck placing the first `j` elements on the
 /// first `k` order positions (empty intervals allowed — a position may be
 /// skipped).
-pub fn hetero_fixed_order_dp(a: &[f64], speeds_order: &[f64]) -> f64 {
+#[cfg(test)]
+fn hetero_fixed_order_dp(a: &[f64], speeds_order: &[f64]) -> f64 {
     let n = a.len();
     let p = speeds_order.len();
     assert!(n > 0 && p > 0);

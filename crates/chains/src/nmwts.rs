@@ -47,7 +47,7 @@ impl NmwtsInstance {
     }
 
     /// `M = max_i {x_i, y_i, z_i}`.
-    pub fn max_value(&self) -> u64 {
+    fn max_value(&self) -> u64 {
         self.xs
             .iter()
             .chain(&self.ys)

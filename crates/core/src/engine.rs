@@ -36,12 +36,9 @@ use crate::workspace::SolveWorkspace;
 use pipeline_model::prelude::*;
 use pipeline_model::util::approx_le;
 
-/// What the engine needs from a policy's mutable state: the current
-/// period (for progress checks) and the ability to freeze the state into
-/// results and trajectory points.
-pub trait EngineState {
-    /// Current period of the state.
-    fn period(&self) -> f64;
+/// What the engine needs from a policy's mutable state: the ability to
+/// freeze the state into results and trajectory points.
+pub(crate) trait EngineState {
     /// Records the current state as one trajectory point (into the
     /// trajectory's arena — implementations must not allocate beyond the
     /// arena pushes).
@@ -59,10 +56,6 @@ pub trait EngineState {
 }
 
 impl EngineState for SplitState<'_> {
-    fn period(&self) -> f64 {
-        SplitState::period(self)
-    }
-
     fn record(&self, traj: &mut Trajectory) {
         traj.push_point(
             self.period(),
@@ -85,7 +78,7 @@ impl EngineState for SplitState<'_> {
 /// Policies take `&mut self` so they can carry per-run context (the
 /// init-time feasibility verdict of the latency-budget heuristics, the
 /// shared [`SplitMemo`] of H3's probe runs).
-pub trait SplitPolicy {
+pub(crate) trait SplitPolicy {
     /// The mutable state the policy drives (borrows the cost model).
     type State<'a>: EngineState;
 
@@ -108,7 +101,7 @@ pub trait SplitPolicy {
 }
 
 /// The drive loop shared by every heuristic (see the module docs).
-pub struct SplitEngine;
+pub(crate) struct SplitEngine;
 
 impl SplitEngine {
     /// Runs a policy to its verdict: init, then alternate
@@ -159,7 +152,7 @@ impl SplitEngine {
 
 /// H1 — mono-criterion two-way splitting toward a period target.
 #[derive(Debug, Clone, Copy)]
-pub struct MonoPeriodPolicy {
+pub(crate) struct MonoPeriodPolicy {
     /// The period bound to reach.
     pub target: f64,
 }
@@ -195,7 +188,7 @@ impl SplitPolicy for MonoPeriodPolicy {
 /// bi-criteria selection). Feasibility is decided at init: the budget is
 /// satisfiable iff it admits the Lemma-1 latency.
 #[derive(Debug, Clone, Copy)]
-pub struct BudgetedPolicy {
+pub(crate) struct BudgetedPolicy {
     budget: f64,
     bi: bool,
     feasible_at_init: bool,
@@ -260,7 +253,7 @@ impl SplitPolicy for BudgetedPolicy {
 /// when the interval has fewer than three stages or a single processor
 /// remains.
 #[derive(Debug, Clone, Copy)]
-pub struct ExplorePolicy {
+pub(crate) struct ExplorePolicy {
     /// The period bound to reach.
     pub target: f64,
     /// Bi-criteria (`Δlatency/Δperiod`) selection instead of
@@ -323,7 +316,7 @@ impl SplitPolicy for ExplorePolicy {
 /// all probe runs of one binary search, so replayed split prefixes are
 /// selected from cache (see [`SplitMemo`]).
 #[derive(Debug)]
-pub struct BiPeriodPolicy<'m> {
+pub(crate) struct BiPeriodPolicy<'m> {
     /// The period bound to reach.
     pub target: f64,
     /// The authorized latency (`None` on the exploratory unconstrained
@@ -435,7 +428,7 @@ mod tests {
         let (app, pf) = instance(13);
         let cm = CostModel::new(&app, &pf);
         let target = 0.7 * cm.single_proc_period();
-        let mut memo = SplitMemo::new();
+        let mut memo = SplitMemo::default();
         let first = SplitEngine::run_in(
             &mut BiPeriodPolicy {
                 target,

@@ -13,8 +13,8 @@
 //! two-way split (H1's move for the mono variant, H5's move for the bi
 //! variant). With no unused processor at all, no move exists.
 //!
-//! Both variants are [`crate::engine::ExplorePolicy`] instances over the
-//! shared [`crate::engine::SplitEngine`] drive loop.
+//! Both variants are `ExplorePolicy` instances over the shared
+//! `SplitEngine` drive loop.
 
 use crate::engine::{ExplorePolicy, SplitEngine};
 use crate::state::BiCriteriaResult;
@@ -24,7 +24,7 @@ use pipeline_model::prelude::*;
 /// H2a — *3-Exploration mono-criterion* (fixed period): split the
 /// bottleneck interval in three, choosing the cuts/permutation minimizing
 /// `max(period(j), period(j'), period(j''))`.
-pub fn three_explo_mono_in(
+pub(crate) fn three_explo_mono_in(
     cm: &CostModel<'_>,
     period_target: f64,
     ws: &mut SolveWorkspace,

@@ -31,8 +31,8 @@
 //! `candidate_procs == 1` (verified by tests), so the extension is
 //! conservative.
 //!
-//! The drive loop is the shared [`crate::engine::SplitEngine`]; this
-//! module contributes [`HeteroPolicy`] (and its state, which caches the
+//! The drive loop is the shared `SplitEngine`; this module contributes
+//! `HeteroPolicy` (and its state, which caches the
 //! current mapping/period/latency so each step evaluates the mapping
 //! once).
 
@@ -304,7 +304,7 @@ fn best_split(
 /// The §7 extension as an engine policy: H1's rule lifted to per-link
 /// bandwidths, driven by [`SplitEngine`].
 #[derive(Debug, Clone, Copy)]
-pub struct HeteroPolicy {
+pub(crate) struct HeteroPolicy {
     /// The period bound to reach.
     pub target: f64,
     /// Candidate-pool width per split.
@@ -313,7 +313,7 @@ pub struct HeteroPolicy {
 
 /// [`HeteroPolicy`]'s state: the evolving interval/processor vectors plus
 /// the current mapping and its metrics, evaluated once per step.
-pub struct HeteroEngineState<'a> {
+pub(crate) struct HeteroEngineState<'a> {
     cm: CostModel<'a>,
     st: HetState,
     mapping: IntervalMapping,
@@ -330,10 +330,6 @@ impl HeteroEngineState<'_> {
 }
 
 impl EngineState for HeteroEngineState<'_> {
-    fn period(&self) -> f64 {
-        self.period
-    }
-
     fn record(&self, traj: &mut Trajectory) {
         traj.push_point(
             self.period,

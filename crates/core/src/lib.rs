@@ -24,21 +24,27 @@
 //! All six share the *splitting engine*: [`state::SplitState`] is the
 //! incrementally maintained interval mapping (ordered bottleneck index,
 //! delta-evaluated candidate cuts, memoized best-cut selections), and
-//! [`engine::SplitEngine`] is the one drive loop every heuristic plugs
-//! into as a thin [`engine::SplitPolicy`] — sort processors by
+//! `SplitEngine` is the one drive loop every heuristic plugs into as a
+//! thin `SplitPolicy` — sort processors by
 //! non-increasing speed, map the whole pipeline on the fastest, then
 //! repeatedly split the bottleneck processor's interval, enrolling the
 //! next-fastest unused processor(s).
 //!
-//! # Exact solvers and baselines
+//! # Exact solvers and oracles
 //!
 //! * [`exact`] — exact bi-criteria optimum for small instances
 //!   (a processor-subset dominance DP for values, then one
 //!   branch-and-bound partition walk per operation with
 //!   bottleneck/Hungarian assignments for the mapping);
-//! * [`baseline`] — the Subhlok–Vondran dynamic programs, optimal on
-//!   *homogeneous* platforms (the setting the paper extends);
-//! * [`pareto`] — Pareto-front utilities shared by tests and experiments.
+//! * [`ParetoFront`] — the Pareto-front container shared by the exact
+//!   solver, the service, tests and experiments.
+//!
+//! The polynomial special cases are test oracles for [`exact`], not
+//! library code: the Subhlok–Vondran dynamic programs, optimal on
+//! *homogeneous* platforms (the setting the paper extends), and the
+//! one-to-one assignment solvers (`n ≤ p`, paper Section 2) live in
+//! `tests/support/{baseline,one_to_one}.rs` with their differential
+//! tests, next to the blind-enumeration oracle `exact_oracle.rs`.
 //!
 //! # Extensions (paper Section 7, "future work")
 //!
@@ -47,41 +53,37 @@
 //! * [`replication`] — deal-skeleton stage replication for bottleneck
 //!   intervals.
 
-pub mod baseline;
 pub mod bounds;
-pub mod engine;
+mod engine;
 pub mod exact;
 pub mod explore;
 pub mod hetero;
-pub mod one_to_one;
-pub mod pareto;
+mod pareto;
 pub mod refine;
 pub mod replan;
 pub mod replication;
 pub mod serve;
 pub mod service;
-pub mod solve;
-pub mod split;
+mod solve;
+mod split;
 pub mod state;
 pub mod tenancy;
 pub mod trajectory;
-pub mod workspace;
+mod workspace;
 
-pub use engine::{EngineState, SplitEngine, SplitPolicy};
-pub use explore::{three_explo_bi_in, three_explo_mono_in};
+pub use explore::three_explo_bi_in;
 pub use hetero::{hetero_sp_mono_p_in, hetero_trajectory_in, HeteroSplitOptions};
 pub use pareto::ParetoFront;
 pub use replan::{replan, DetectedFault, ReplanError, ReplanReport};
 pub use serve::{
-    BudgetedAnswer, ConnBudget, InstanceCache, InstanceLoadError, ServeConfig, ServeHandle,
-    ServeState, ServeStats,
+    InstanceCache, InstanceLoadError, ServeConfig, ServeHandle, ServeState, ServeStats,
 };
 pub use service::{
     BoundLookup, PreparedInstance, SolveError, SolveReport, SolveRequest, SolverId, UnknownSolver,
 };
 pub use solve::{Objective, Strategy};
 pub use split::{sp_bi_l_in, sp_bi_p_in, sp_mono_l_in, sp_mono_p_in, SpBiPOptions};
-pub use state::{BiCriteriaResult, SplitBuffers, SplitMemo, SplitState};
+pub use state::{BiCriteriaResult, SplitBuffers, SplitState};
 pub use tenancy::{
     CoSchedOptions, CoSchedule, PartitionObjective, TenancyError, Tenant, TenantOutcome, TenantSet,
 };
@@ -201,7 +203,7 @@ impl HeuristicKind {
     ) -> BiCriteriaResult {
         match self {
             HeuristicKind::SpMonoP => sp_mono_p_in(cm, target, ws),
-            HeuristicKind::ThreeExploMono => three_explo_mono_in(cm, target, ws),
+            HeuristicKind::ThreeExploMono => explore::three_explo_mono_in(cm, target, ws),
             HeuristicKind::ThreeExploBi => three_explo_bi_in(cm, target, ws),
             HeuristicKind::SpBiP => sp_bi_p_in(cm, target, SpBiPOptions::default(), ws),
             HeuristicKind::SpMonoL => sp_mono_l_in(cm, target, ws),

@@ -124,7 +124,7 @@ impl<T> ParetoFront<T> {
     /// Maps every payload, preserving the points and their order — used
     /// by the service layer to strip mappings down to provenance ids for
     /// wire-friendly fronts.
-    pub fn map_payloads<U>(self, f: impl FnMut(T) -> U) -> ParetoFront<U> {
+    pub(crate) fn map_payloads<U>(self, f: impl FnMut(T) -> U) -> ParetoFront<U> {
         ParetoFront {
             periods: self.periods,
             latencies: self.latencies,
@@ -140,16 +140,6 @@ impl<T> ParetoFront<T> {
             .filter(|(&p, _)| p <= bound)
             .map(|(_, &l)| l)
             .fold(None, |acc, l| Some(acc.map_or(l, |a: f64| a.min(l))))
-    }
-
-    /// Smallest period on the front among points with latency ≤ `bound`.
-    pub fn min_period_for_latency(&self, bound: f64) -> Option<f64> {
-        self.periods
-            .iter()
-            .zip(&self.latencies)
-            .filter(|(_, &l)| l <= bound)
-            .map(|(&p, _)| p)
-            .fold(None, |acc, p| Some(acc.map_or(p, |a: f64| a.min(p))))
     }
 
     /// The 2-D hypervolume dominated by this front w.r.t. the reference
@@ -250,9 +240,6 @@ mod tests {
         f.offer(4.0, 3.0, ());
         assert_eq!(f.min_latency_for_period(2.5), Some(6.0));
         assert_eq!(f.min_latency_for_period(0.5), None);
-        assert_eq!(f.min_period_for_latency(6.0), Some(2.0));
-        assert_eq!(f.min_period_for_latency(100.0), Some(1.0));
-        assert_eq!(f.min_period_for_latency(1.0), None);
     }
 
     #[test]

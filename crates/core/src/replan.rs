@@ -16,8 +16,8 @@
 //! the report says so (`adopted == false`) and keeps the incumbent.
 //! This makes "re-plan is at least as good as ride-it-out" a structural
 //! guarantee (property-tested in `tests/replan.rs`), so the interesting
-//! outputs are *how much* re-planning wins ([`ReplanReport::recovery_gain`])
-//! and what it costs in migrated stages
+//! outputs are *how much* re-planning wins (`period_before / period_after`
+//! in the [`ReplanReport`]) and what it costs in migrated stages
 //! ([`ReplanReport::migration_distance`]).
 
 use crate::service::{PreparedInstance, SolveError, SolveRequest};
@@ -147,13 +147,6 @@ impl ReplanReport {
     /// period_nominal` (≥ 1 up to solver tie-breaks).
     pub fn period_ratio(&self) -> f64 {
         self.period_after / self.period_nominal
-    }
-
-    /// How much re-planning beats riding the fault out:
-    /// `period_before / period_after` (≥ 1 by construction;
-    /// `f64::INFINITY` when riding out was infeasible).
-    pub fn recovery_gain(&self) -> f64 {
-        self.period_before / self.period_after
     }
 }
 
@@ -312,7 +305,6 @@ mod tests {
                 report.period_after <= report.period_before + 1e-12,
                 "seed {seed}: replan must not trail ride-out"
             );
-            assert!(report.recovery_gain() >= 1.0 - 1e-12);
             assert!(report.period_ratio() >= 1.0 - 1e-9, "degradation is real");
             if !report.adopted {
                 assert_eq!(report.migration_distance, 0);

@@ -35,7 +35,7 @@ pub struct ReplicatedMapping {
 
 impl ReplicatedMapping {
     /// Wraps a plain interval mapping (every interval has one replica).
-    pub fn from_mapping(mapping: &IntervalMapping) -> Self {
+    fn from_mapping(mapping: &IntervalMapping) -> Self {
         ReplicatedMapping {
             intervals: mapping.intervals().to_vec(),
             replicas: mapping.procs().iter().map(|&u| vec![u]).collect(),

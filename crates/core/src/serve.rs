@@ -105,7 +105,7 @@ impl Default for ServeConfig {
 /// quota machinery; TCP connections derive theirs from [`ServeConfig`]
 /// at accept time.
 #[derive(Debug, Clone, Copy)]
-pub struct ConnBudget {
+struct ConnBudget {
     quota: Option<u64>,
     deadline: Option<Instant>,
     answered: u64,
@@ -113,7 +113,7 @@ pub struct ConnBudget {
 
 impl ConnBudget {
     /// No quota, no deadline (the stdin transport's budget).
-    pub fn unlimited() -> Self {
+    fn unlimited() -> Self {
         ConnBudget {
             quota: None,
             deadline: None,
@@ -122,17 +122,12 @@ impl ConnBudget {
     }
 
     /// The budget `config` grants a connection opened at `opened`.
-    pub fn from_config(config: &ServeConfig, opened: Instant) -> Self {
+    fn from_config(config: &ServeConfig, opened: Instant) -> Self {
         ConnBudget {
             quota: config.request_quota,
             deadline: config.conn_deadline.map(|d| opened + d),
             answered: 0,
         }
-    }
-
-    /// Requests answered under this budget so far.
-    pub fn answered(&self) -> u64 {
-        self.answered
     }
 
     /// The failure code refusing the *next* request, if the budget is
@@ -150,7 +145,7 @@ impl ConnBudget {
 
 /// What [`ServeState::answer_line_budgeted`] decided about one line.
 #[derive(Debug)]
-pub enum BudgetedAnswer {
+enum BudgetedAnswer {
     /// Blank/comment line: nothing to send (consumes no budget).
     Skip,
     /// An ordinary answer; the connection stays open.
@@ -433,7 +428,7 @@ impl ServeState {
     /// stats; blank and comment lines consume no budget. This is still
     /// the single request path — [`Self::answer_line`] is exactly this
     /// method with an unlimited budget.
-    pub fn answer_line_budgeted(
+    fn answer_line_budgeted(
         &self,
         raw: &str,
         line_no: u64,
@@ -660,12 +655,6 @@ impl ServeHandle {
     /// The address the listener actually bound (resolves `:0` ports).
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The shared stop flag; setting it initiates graceful shutdown
-    /// (e.g. from a signal handler).
-    pub fn stop_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.stop)
     }
 
     /// Initiates graceful shutdown and waits for the accept loop and
@@ -1250,7 +1239,7 @@ mod tests {
                 BudgetedAnswer::Answer(_)
             ));
         }
-        assert_eq!(budget.answered(), 2);
+        assert_eq!(budget.answered, 2);
         let refusal = state.answer_line_budgeted(
             "solve id=9 objective=min-period",
             4,
@@ -1314,7 +1303,7 @@ mod tests {
                 BudgetedAnswer::Answer(_)
             ));
         }
-        assert_eq!(budget.answered(), 50);
+        assert_eq!(budget.answered, 50);
     }
 
     #[test]

@@ -45,8 +45,6 @@ use pipeline_model::prelude::*;
 use pipeline_model::util::{approx_le, definitely_lt};
 use std::sync::OnceLock;
 
-pub use crate::serve::{InstanceCache, InstanceLoadError, ServeConfig, ServeState, ServeStats};
-
 /// Identifies what produced a result. `Copy`, so provenance costs nothing
 /// in the best-of-all hot loop (the old `Solution.solver: String`
 /// allocated per heuristic per instance).
@@ -237,12 +235,6 @@ impl SolveRequest {
     /// Sets the bound-search tolerance.
     pub fn tolerance(mut self, tolerance: f64) -> Self {
         self.tolerance = tolerance;
-        self
-    }
-
-    /// Sets the `Auto` exact cutoff.
-    pub fn exact_cutoff(mut self, n: usize) -> Self {
-        self.exact_cutoff = n;
         self
     }
 }
@@ -471,15 +463,13 @@ impl PreparedInstance {
     ///   trajectory is kept; anything else about the platform may change
     ///   freely (the typical drift: a processor outside the working set
     ///   speeds up or slows down).
-    /// * **Selection-memo warm start** — if the workspace's [`SplitMemo`]
+    /// * **Selection-memo warm start** — if the workspace's `SplitMemo`
     ///   is bound to this instance, it is rebound
     ///   (`SplitMemo::migrate`) to the updated instance's fingerprint,
     ///   keeping exactly the entries whose keys the delta cannot touch.
     ///   The next H4 run on the updated instance then starts from the
     ///   previous instance's cached split selections instead of a cold
     ///   memo.
-    ///
-    /// [`SplitMemo`]: crate::state::SplitMemo
     pub fn apply_in(
         &self,
         delta: &InstanceDelta,
@@ -651,7 +641,7 @@ impl PreparedInstance {
     }
 
     /// [`Self::best_period_floor`] reusing a caller-owned workspace.
-    pub fn best_period_floor_in(&self, ws: &mut SolveWorkspace) -> f64 {
+    fn best_period_floor_in(&self, ws: &mut SolveWorkspace) -> f64 {
         let kinds: &[HeuristicKind] = if self.comm_homogeneous {
             &[
                 HeuristicKind::SpMonoP,

@@ -100,7 +100,10 @@ mod tests {
 
     #[test]
     fn exact_cutoff_is_configurable() {
-        let request = SolveRequest::new(Objective::MinPeriod).exact_cutoff(4);
+        let request = SolveRequest {
+            exact_cutoff: 4,
+            ..SolveRequest::new(Objective::MinPeriod)
+        };
         let report = instance(10, 6).solve(&request).unwrap();
         assert_ne!(
             report.solver,
@@ -113,7 +116,10 @@ mod tests {
     fn auto_clamps_an_unbounded_cutoff_to_the_exact_guard() {
         let prepared = instance(exact::MAX_STAGES + 1, 6);
         assert!(prepared.platform().is_comm_homogeneous());
-        let request = SolveRequest::new(Objective::MinPeriod).exact_cutoff(usize::MAX);
+        let request = SolveRequest {
+            exact_cutoff: usize::MAX,
+            ..SolveRequest::new(Objective::MinPeriod)
+        };
         let report = prepared
             .solve(&request)
             .expect("Auto above the exact guard must fall back to heuristics");

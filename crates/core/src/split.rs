@@ -94,7 +94,7 @@ impl Default for SpBiPOptions {
 /// fails). While a probe is feasible the authorized increase shrinks,
 /// minimizing the final latency.
 ///
-/// All probe runs share one [`SplitMemo`]: consecutive probes replay the
+/// All probe runs share one `SplitMemo`: consecutive probes replay the
 /// same split prefix until their budgets diverge, and the memoized
 /// selections turn those replayed steps into cache hits. The ~30 probe
 /// runs share the workspace's split buffers *and* its selection memo.

@@ -4,7 +4,7 @@
 //! State = an interval mapping under construction. It starts as the
 //! Lemma-1 mapping (everything on the fastest processor) and evolves by
 //! *splits*: the interval of the current bottleneck processor is cut in
-//! two (or three, see [`crate::engine::ExplorePolicy`]) pieces, the new
+//! two (or three, see [`SplitState::apply_split3`]) pieces, the new
 //! pieces going to the next-fastest processors not yet enrolled.
 //!
 //! The state is maintained **incrementally**:
@@ -16,7 +16,7 @@
 //!   [`SplitState::bottleneck`]/[`SplitState::period`] O(log m) per
 //!   query and O(log m) to maintain per split, instead of the O(m)
 //!   rescan of every entry the pre-incremental kernel did;
-//! * [`SplitMemo`] memoizes per-interval best-cut selections keyed by
+//! * `SplitMemo` memoizes per-interval best-cut selections keyed by
 //!   the interval's identity (plus everything else the choice depends
 //!   on), so repeated walks over the same split prefix — H3's binary
 //!   search replays its probe runs dozens of times — skip the candidate
@@ -194,9 +194,9 @@ struct MemoKey {
 /// instance fingerprint — a hash of every work, volume, speed and
 /// bandwidth bit, computed lazily once per [`SplitState`] so the
 /// non-memoized heuristics never pay for it — to refuse such reuse;
-/// pass a fresh [`SplitMemo::new`] per instance.
+/// pass a fresh `SplitMemo::default()` per instance.
 #[derive(Debug, Clone, Default)]
-pub struct SplitMemo {
+pub(crate) struct SplitMemo {
     /// `min max_i Δlatency/Δperiod(i)` winners (H5's rule, H3's default).
     over_i: HashMap<MemoKey, Option<Split2>>,
     /// `Δlatency/Δperiod(j)` winners (the literal paper H3 formula).
@@ -206,11 +206,6 @@ pub struct SplitMemo {
 }
 
 impl SplitMemo {
-    /// An empty memo.
-    pub fn new() -> Self {
-        SplitMemo::default()
-    }
-
     /// Binds the memo to an instance on first use. Offering a bound memo
     /// a *different* instance is a caller bug — the keys cannot tell
     /// instances apart — so debug builds panic. Release builds recover
@@ -289,7 +284,7 @@ pub struct SplitBuffers {
 
 /// Hash of the full instance profile — every work, communication volume,
 /// processor speed and the link bandwidth, as raw bits — used to pin a
-/// [`SplitMemo`] to one instance.
+/// `SplitMemo` to one instance.
 pub(crate) fn instance_fingerprint(cm: &CostModel<'_>) -> u64 {
     use std::hash::{Hash, Hasher};
     let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -332,7 +327,7 @@ pub struct SplitState<'a> {
     /// Suffix minima of the transfer times `δ_c/b` over the second-cut
     /// positions, for H2b's row bound (see [`Self::for_each_split3`]).
     split3_t_min: Vec<f64>,
-    /// Hash of the instance profile, for [`SplitMemo`] binding — only
+    /// Hash of the instance profile, for `SplitMemo` binding — only
     /// the memoized selectors pay for it, lazily on first use.
     instance_fp: OnceCell<u64>,
 }
@@ -431,22 +426,10 @@ impl<'a> SplitState<'a> {
             .interval_cost(Interval::new(start, end), u, None, None)
     }
 
-    /// Cycle time of `[start, end)` on processor `u`.
-    #[inline]
-    pub fn cycle_of(&self, start: usize, end: usize, u: ProcId) -> f64 {
-        self.piece_cost(start, end, u).cycle_time()
-    }
-
     /// Current entries, left to right.
     #[inline]
     pub fn entries(&self) -> &[Entry] {
         &self.entries
-    }
-
-    /// Number of processors already enrolled.
-    #[inline]
-    pub fn n_used(&self) -> usize {
-        self.next_unused
     }
 
     /// Number of processors still available for enrolment.
@@ -618,16 +601,10 @@ impl<'a> SplitState<'a> {
         self.select_bi(j, latency_budget, RatioRule::OverI)
     }
 
-    /// Variant selection rule using `Δperiod(j)` (the literal H3 formula)
-    /// in the denominator instead of `min_i Δperiod(i)`.
-    pub fn best_split2_bi_denom_j(&self, j: usize, latency_budget: Option<f64>) -> Option<Split2> {
-        self.select_bi(j, latency_budget, RatioRule::OverJ)
-    }
-
     /// Memoized [`Self::best_split2_bi`]: identical result, answered from
     /// `memo` when this exact selection was made before (same interval,
     /// same next processor speed, same global latency).
-    pub fn best_split2_bi_memo(
+    pub(crate) fn best_split2_bi_memo(
         &self,
         j: usize,
         latency_budget: Option<f64>,
@@ -636,8 +613,9 @@ impl<'a> SplitState<'a> {
         self.select_bi_memo(j, latency_budget, RatioRule::OverI, memo)
     }
 
-    /// Memoized [`Self::best_split2_bi_denom_j`].
-    pub fn best_split2_bi_denom_j_memo(
+    /// Memoized variant selection rule using `Δperiod(j)` (the literal H3
+    /// formula) in the denominator instead of `min_i Δperiod(i)`.
+    pub(crate) fn best_split2_bi_denom_j_memo(
         &self,
         j: usize,
         latency_budget: Option<f64>,
@@ -1061,7 +1039,7 @@ impl<'a> SplitState<'a> {
     }
 
     /// Packages the current state as a heuristic result.
-    pub fn to_result(&self, feasible: bool) -> BiCriteriaResult {
+    pub(crate) fn to_result(&self, feasible: bool) -> BiCriteriaResult {
         BiCriteriaResult {
             mapping: self.to_mapping(),
             period: self.period(),
@@ -1129,7 +1107,7 @@ mod tests {
         let st = SplitState::new_in(&cm, SplitBuffers::default());
         assert_eq!(st.entries().len(), 1);
         assert_eq!(st.entries()[0].proc, 1); // fastest (speed 4)
-        assert_eq!(st.n_used(), 1);
+        assert_eq!(st.next_unused, 1);
         assert_eq!(st.n_unused(), 2);
         assert!((st.latency() - cm.optimal_latency()).abs() < 1e-12);
         assert!((st.period() - cm.single_proc_period()).abs() < 1e-12);
@@ -1158,7 +1136,7 @@ mod tests {
         let predicted_latency = split.new_latency;
         st.apply_split2(0, split);
         assert_eq!(st.entries().len(), 2);
-        assert_eq!(st.n_used(), 2);
+        assert_eq!(st.next_unused, 2);
         // Cached latency equals the predicted and the recomputed one.
         assert!((st.latency() - predicted_latency).abs() < 1e-12);
         let mapping = st.to_mapping();
@@ -1205,7 +1183,7 @@ mod tests {
         let (app, pf) = setup();
         let cm = CostModel::new(&app, &pf);
         let st = SplitState::new_in(&cm, SplitBuffers::default());
-        let mut memo = SplitMemo::new();
+        let mut memo = SplitMemo::default();
         let budgets = [None, Some(st.latency()), Some(st.latency() * 100.0)];
         for budget in budgets {
             // Twice each: the second query must come from the memo.
@@ -1222,7 +1200,7 @@ mod tests {
                     }
                     other => panic!("memo disagreed with direct selection: {other:?}"),
                 }
-                let direct_j = st.best_split2_bi_denom_j(0, budget);
+                let direct_j = st.select_bi(0, budget, RatioRule::OverJ);
                 let memo_j = st.best_split2_bi_denom_j_memo(0, budget, &mut memo);
                 assert_eq!(
                     direct_j.map(|s| (s.cut, s.keep_left)),
@@ -1240,7 +1218,7 @@ mod tests {
         let (app, pf) = setup();
         let cm = CostModel::new(&app, &pf);
         let st = SplitState::new_in(&cm, SplitBuffers::default());
-        let mut memo = SplitMemo::new();
+        let mut memo = SplitMemo::default();
         let _ = st.best_split2_bi_memo(0, None, &mut memo);
         // A different instance must not be able to hit this memo.
         let app2 = Application::new(vec![1.0, 2.0, 3.0], vec![1.0; 4]).unwrap();
@@ -1258,7 +1236,7 @@ mod tests {
         let (app, pf) = setup();
         let cm = CostModel::new(&app, &pf);
         let st = SplitState::new_in(&cm, SplitBuffers::default());
-        let mut memo = SplitMemo::new();
+        let mut memo = SplitMemo::default();
         let _ = st.best_split2_bi_memo(0, None, &mut memo);
         let app2 = Application::new(vec![1.0, 2.0, 3.0], vec![1.0; 4]).unwrap();
         let pf2 = Platform::comm_homogeneous(vec![1.0, 2.0], 1.0).unwrap();
@@ -1277,7 +1255,7 @@ mod tests {
         let (app, pf) = setup();
         let cm = CostModel::new(&app, &pf);
         let st = SplitState::new_in(&cm, SplitBuffers::default());
-        let mut memo = SplitMemo::new();
+        let mut memo = SplitMemo::default();
         let _ = st.best_split2_bi_memo(0, None, &mut memo);
         let _ = st.best_split2_bi_denom_j_memo(0, None, &mut memo);
         assert!(!memo.over_i.is_empty() && !memo.over_j.is_empty());
@@ -1329,7 +1307,7 @@ mod tests {
             splits += 1;
             assert!(splits <= pf.n_procs(), "more splits than processors");
         }
-        assert!(st.n_used() <= pf.n_procs());
+        assert!(st.next_unused <= pf.n_procs());
         assert!(st.entries().len() <= app.n_stages());
     }
 

@@ -241,14 +241,14 @@ pub enum TenancyError {
         /// Tenants to serve.
         tenants: usize,
     },
-    /// A partition handed to [`TenantSet::evaluate_partition`] was not a
-    /// disjoint family of valid, non-empty processor groups.
+    /// A partition to score was not a disjoint family of valid,
+    /// non-empty processor groups.
     BadPartition {
         /// Human-readable description of the defect.
         detail: String,
     },
-    /// The exact oracle refuses: `K^p` exceeds
-    /// [`TenantSet::MAX_EXACT_ASSIGNMENTS`].
+    /// The exact oracle refuses: `K^p` exceeds its cap of 2¹⁶
+    /// processor-to-tenant assignments.
     TooLargeForExact {
         /// Enrolled processors.
         procs: usize,
@@ -347,7 +347,7 @@ pub struct TenantSet {
 impl TenantSet {
     /// Hard cap on the `K^p` processor-to-tenant assignments the exact
     /// oracle will enumerate.
-    pub const MAX_EXACT_ASSIGNMENTS: u64 = 1 << 16;
+    const MAX_EXACT_ASSIGNMENTS: u64 = 1 << 16;
 
     /// Builds a tenant set, validating every entry.
     pub fn new(tenants: Vec<Tenant>) -> Result<TenantSet, TenancyError> {
@@ -401,7 +401,7 @@ impl TenantSet {
     /// Each tenant's demand proxy `w_i · P_single(i)`: the weighted
     /// period of running the whole pipeline on the fastest processor —
     /// what largest-demand-first seeding orders by.
-    pub fn demands(&self) -> Vec<f64> {
+    fn demands(&self) -> Vec<f64> {
         self.tenants
             .iter()
             .map(|t| t.weight * t.instance.single_proc_period())
@@ -496,7 +496,7 @@ impl TenantSet {
     /// processors in original numbering; groups must be non-empty and
     /// disjoint (they need not cover every processor — the partitioners
     /// always do).
-    pub fn evaluate_partition(
+    fn evaluate_partition(
         &self,
         partition: &[Vec<usize>],
         objective: PartitionObjective,
@@ -652,9 +652,9 @@ impl TenantSet {
 
     /// The exact oracle: enumerates every processor-to-tenant assignment
     /// (skipping those that leave a tenant empty) and returns the best
-    /// partition under `objective`. Refuses when `K^p` exceeds
-    /// [`Self::MAX_EXACT_ASSIGNMENTS`] — this is a differential-test
-    /// reference, not a production path.
+    /// partition under `objective`. Refuses when `K^p` exceeds 2¹⁶
+    /// assignments — this is a differential-test reference, not a
+    /// production path.
     pub fn co_schedule_exact(
         &self,
         objective: PartitionObjective,

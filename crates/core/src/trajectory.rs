@@ -25,9 +25,8 @@
 //! [`IntervalMapping::from_validated_parts`]) only when a caller actually
 //! asks for one.
 //!
-//! Recording itself is the engine's job
-//! ([`crate::engine::SplitEngine::trajectory_in`]); this module holds the
-//! trajectory types and the policy dispatch.
+//! Recording itself is the engine's job (`SplitEngine::trajectory_in`);
+//! this module holds the trajectory types and the policy dispatch.
 
 use crate::engine::{ExplorePolicy, MonoPeriodPolicy, SplitEngine};
 use crate::state::BiCriteriaResult;
@@ -265,7 +264,8 @@ pub fn fixed_period_trajectory_in(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{sp_mono_p_in, three_explo_bi_in, three_explo_mono_in};
+    use crate::explore::three_explo_mono_in;
+    use crate::{sp_mono_p_in, three_explo_bi_in};
     use pipeline_model::generator::{ExperimentKind, InstanceGenerator, InstanceParams};
     use pipeline_model::util::EPS;
 

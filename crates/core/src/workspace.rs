@@ -29,7 +29,7 @@ use pipeline_model::prelude::*;
 /// matrices, Hungarian buffers and the per-leaf threshold sweep state of
 /// the Pareto-front search.
 #[derive(Debug, Clone, Default)]
-pub struct ExactScratch {
+pub(crate) struct ExactScratch {
     /// Cycle-time / latency cost matrices, refilled per leaf.
     pub(crate) matrix: CostMatrix,
     /// Shortest-augmenting-path buffers of [`pipeline_assign::hungarian_in`].
@@ -55,7 +55,7 @@ impl ExactScratch {
 /// ([`crate::hetero`]): the evolving interval/processor vectors plus the
 /// candidate-evaluation buffers.
 #[derive(Debug, Clone, Default)]
-pub struct HeteroScratch {
+pub(crate) struct HeteroScratch {
     pub(crate) order: Vec<ProcId>,
     pub(crate) used: Vec<bool>,
     pub(crate) intervals: Vec<Interval>,

@@ -25,7 +25,7 @@ impl Default for Chart {
 }
 
 /// Series markers, one per heuristic in Table-1 order.
-pub const MARKERS: [char; 6] = ['1', '2', '3', '4', '5', '6'];
+const MARKERS: [char; 6] = ['1', '2', '3', '4', '5', '6'];
 
 impl Chart {
     /// Renders `series` (label, points) into a plot with axes and legend.

@@ -67,13 +67,6 @@ impl ChaosPlanKind {
         ChaosPlanKind::ALL.into_iter().find(|k| k.label() == label)
     }
 
-    /// Whether the plan corresponds to a detectable *platform* fault the
-    /// re-planner can act on (jitter and bursts leave speeds and the
-    /// processor set untouched — there is nothing to re-plan).
-    pub fn has_platform_fault(&self) -> bool {
-        matches!(self, ChaosPlanKind::SpeedDip | ChaosPlanKind::FailStop)
-    }
-
     /// The concrete fault plan for a mapping whose nominal period is
     /// `period`, over a run of `n_datasets`, targeting `victim`.
     pub fn build(&self, victim: ProcId, period: f64, n_datasets: usize, seed: u64) -> FaultPlan {

@@ -88,7 +88,7 @@ impl FigureSpec {
     }
 
     /// The figure number this sub-figure belongs to (2–7).
-    pub fn figure_number(&self) -> u32 {
+    fn figure_number(&self) -> u32 {
         self.id.as_bytes()[3] as u32 - b'0' as u32
     }
 }
@@ -226,11 +226,6 @@ pub fn scenario_zoo() -> Vec<ScenarioSpec> {
         .collect()
 }
 
-/// Looks a figure spec up by id (`"fig2a"` … `"fig7b"`).
-pub fn figure_by_id(id: &str) -> Option<&'static FigureSpec> {
-    PAPER_FIGURES.iter().find(|f| f.id == id)
-}
-
 /// All sub-figures of a numbered figure (2–7).
 pub fn figures_of(number: u32) -> Vec<&'static FigureSpec> {
     PAPER_FIGURES
@@ -242,6 +237,11 @@ pub fn figures_of(number: u32) -> Vec<&'static FigureSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Looks a figure spec up by id (`"fig2a"` … `"fig7b"`).
+    fn figure_by_id(id: &str) -> Option<&'static FigureSpec> {
+        PAPER_FIGURES.iter().find(|f| f.id == id)
+    }
 
     #[test]
     fn twelve_subfigures_cover_figures_2_to_7() {

@@ -10,7 +10,7 @@
 //!   with one `SolveWorkspace` per worker answers many
 //!   `PreparedInstance::solve_in`, `apply_in` or `TenantSet::co_schedule`
 //!   jobs in job order;
-//! * [`loadgen`] — TCP load generator for `pwsched serve`: per-worker
+//! * [`run_load`] — TCP load generator for `pwsched serve`: per-worker
 //!   connections over the shard engine, scenario-zoo request corpora,
 //!   and latency/throughput reports;
 //! * [`sweep`] — latency-vs-period series, one per heuristic, averaged
@@ -32,9 +32,9 @@ pub mod bench;
 pub mod chaos;
 pub mod config;
 pub mod csvout;
-pub mod exact_shard;
+mod exact_shard;
 pub mod loaded;
-pub mod loadgen;
+mod loadgen;
 pub mod robustness;
 pub mod shard;
 pub mod summary;

@@ -45,7 +45,7 @@ impl LoadReport {
     /// the maximum, a single sample answers every quantile). `None` when
     /// nothing was answered — an all-errors run must not masquerade as
     /// "every request returned in 0 µs".
-    pub fn quantile_us(&self, q: f64) -> Option<u64> {
+    fn quantile_us(&self, q: f64) -> Option<u64> {
         if self.latencies_us.is_empty() {
             return None;
         }

@@ -54,7 +54,7 @@ impl RobustnessRow {
 /// rescales only the victim's computation time, associated as a rebuilt
 /// platform would compute it — so the value is bitwise equal to
 /// re-evaluating eq. 1 on a degraded copy (asserted by tests).
-pub fn degraded_period_inline(
+fn degraded_period_inline(
     cm: &CostModel<'_>,
     mapping: &IntervalMapping,
     victim: ProcId,
@@ -95,7 +95,7 @@ pub fn degraded_period_inline(
 /// (`volume / (b × gamma)`), the association a rebuilt platform would
 /// use, so the internal-link case is bitwise comparable to rebuilding
 /// a heterogeneous platform with that one matrix entry scaled.
-pub fn degraded_period_link_inline(
+fn degraded_period_link_inline(
     cm: &CostModel<'_>,
     mapping: &IntervalMapping,
     link: usize,

@@ -35,7 +35,7 @@ use std::sync::Mutex;
 /// Every engine workload amortizes the per-chunk cost (one `fetch_add`
 /// plus one uncontended lock) over at least microseconds of instance
 /// evaluation, so small chunks are safe.
-pub const DEFAULT_CHUNK_SIZE: usize = 2;
+const DEFAULT_CHUNK_SIZE: usize = 2;
 
 /// Knobs of the sharded engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -239,7 +239,7 @@ where
 /// Sums of the per-instance landmark statistics a sweep reports —
 /// the canonical [`Mergeable`] accumulator of the harness.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct StatSums {
+pub(crate) struct StatSums {
     /// Σ single-processor periods.
     pub p_init: f64,
     /// Σ optimal latencies.
@@ -252,7 +252,7 @@ pub struct StatSums {
 
 impl StatSums {
     /// Absorbs one instance's landmarks.
-    pub fn absorb(&mut self, p_init: f64, l_opt: f64, best_floor: f64) {
+    pub(crate) fn absorb(&mut self, p_init: f64, l_opt: f64, best_floor: f64) {
         self.p_init += p_init;
         self.l_opt += l_opt;
         self.best_floor += best_floor;

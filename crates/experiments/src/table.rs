@@ -44,7 +44,7 @@ pub struct ThresholdTable {
 /// Per-instance thresholds in [`HeuristicKind::ALL`] order. Table 1 is
 /// defined on the paper's Communication Homogeneous setting, where the
 /// instance has the H1/H2a/H2b trajectories and the H4 floor.
-pub fn instance_thresholds(eval: &PreparedInstance) -> [f64; 6] {
+fn instance_thresholds(eval: &PreparedInstance) -> [f64; 6] {
     let floor = |kind: HeuristicKind| {
         eval.trajectory(kind)
             .expect("Table 1 needs a Communication Homogeneous eval")

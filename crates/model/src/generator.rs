@@ -152,7 +152,7 @@ impl InstanceGenerator {
     }
 
     /// Generates an instance from a caller-provided RNG.
-    pub fn instance_with_rng<R: Rng + ?Sized>(&self, rng: &mut R) -> (Application, Platform) {
+    fn instance_with_rng<R: Rng + ?Sized>(&self, rng: &mut R) -> (Application, Platform) {
         let p = &self.params;
         let (dlo, dhi) = p.kind.delta_range();
         let (wlo, whi) = p.kind.work_range();

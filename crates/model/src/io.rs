@@ -30,7 +30,7 @@
 use crate::application::Application;
 use crate::delta::InstanceDelta;
 use crate::platform::{LinkModel, Platform};
-use crate::{ModelError, Result};
+use crate::ModelError;
 
 /// Errors raised while parsing the text format.
 #[derive(Debug, Clone, PartialEq)]
@@ -144,7 +144,7 @@ fn format_f64(v: f64) -> String {
 }
 
 /// Parses the v1 text format back into an instance.
-pub fn parse_instance(text: &str) -> std::result::Result<(Application, Platform), ParseError> {
+pub fn parse_instance(text: &str) -> Result<(Application, Platform), ParseError> {
     let mut works: Option<Vec<f64>> = None;
     let mut deltas: Option<Vec<f64>> = None;
     let mut speeds: Option<Vec<f64>> = None;
@@ -169,7 +169,7 @@ pub fn parse_instance(text: &str) -> std::result::Result<(Application, Platform)
         let mut tokens = line.split_whitespace();
         let key = tokens.next().expect("non-empty line");
         let rest: Vec<&str> = tokens.collect();
-        let parse_vec = |rest: &[&str]| -> std::result::Result<Vec<f64>, ParseError> {
+        let parse_vec = |rest: &[&str]| -> Result<Vec<f64>, ParseError> {
             rest.iter()
                 .map(|t| {
                     t.parse::<f64>().map_err(|_| ParseError::BadLine {
@@ -179,7 +179,7 @@ pub fn parse_instance(text: &str) -> std::result::Result<(Application, Platform)
                 })
                 .collect()
         };
-        let parse_one = |rest: &[&str]| -> std::result::Result<f64, ParseError> {
+        let parse_one = |rest: &[&str]| -> Result<f64, ParseError> {
             if rest.len() != 1 {
                 return Err(ParseError::BadLine {
                     line: line_no,
@@ -262,9 +262,6 @@ pub fn parse_instance(text: &str) -> std::result::Result<(Application, Platform)
     };
     Ok((app, platform))
 }
-
-/// Convenience alias keeping the crate-level [`Result`] usable here.
-pub type _Unused = Result<()>;
 
 // ---------------------------------------------------------------------------
 // Solver-service wire format v1.2.
@@ -530,7 +527,7 @@ fn wire_tokens(
     line: &str,
     verb: &str,
     line_no: usize,
-) -> std::result::Result<Vec<(String, String)>, ParseError> {
+) -> Result<Vec<(String, String)>, ParseError> {
     let mut tokens = line.split_whitespace();
     match tokens.next() {
         Some(v) if v == verb => {}
@@ -577,7 +574,7 @@ impl WireFields {
         Some(self.fields.remove(pos).1)
     }
 
-    fn take_f64(&mut self, key: &str) -> std::result::Result<Option<f64>, ParseError> {
+    fn take_f64(&mut self, key: &str) -> Result<Option<f64>, ParseError> {
         self.take(key)
             .map(|v| {
                 v.parse::<f64>()
@@ -588,7 +585,7 @@ impl WireFields {
 
     /// The optional relative `tolerance=`: finite and non-negative (0
     /// asks for an exact search).
-    fn take_tolerance(&mut self) -> std::result::Result<Option<f64>, ParseError> {
+    fn take_tolerance(&mut self) -> Result<Option<f64>, ParseError> {
         let tolerance = self.take_f64("tolerance")?;
         match tolerance {
             Some(t) if !(t.is_finite() && t >= 0.0) => Err(self.field_err(
@@ -599,29 +596,29 @@ impl WireFields {
         }
     }
 
-    fn require(&mut self, key: &str) -> std::result::Result<String, ParseError> {
+    fn require(&mut self, key: &str) -> Result<String, ParseError> {
         self.take(key)
             .ok_or_else(|| self.field_err(key, format!("missing {key}=")))
     }
 
-    fn require_f64(&mut self, key: &str) -> std::result::Result<f64, ParseError> {
+    fn require_f64(&mut self, key: &str) -> Result<f64, ParseError> {
         self.take_f64(key)?
             .ok_or_else(|| self.field_err(key, format!("missing {key}=")))
     }
 
-    fn require_usize(&mut self, key: &str) -> std::result::Result<usize, ParseError> {
+    fn require_usize(&mut self, key: &str) -> Result<usize, ParseError> {
         let v = self.require(key)?;
         v.parse::<usize>()
             .map_err(|_| self.field_err(key, format!("bad index {v:?}")))
     }
 
-    fn require_u64(&mut self, key: &str) -> std::result::Result<u64, ParseError> {
+    fn require_u64(&mut self, key: &str) -> Result<u64, ParseError> {
         let v = self.require(key)?;
         v.parse::<u64>()
             .map_err(|_| self.field_err(key, format!("bad count {v:?}")))
     }
 
-    fn finish(mut self) -> std::result::Result<(), ParseError> {
+    fn finish(mut self) -> Result<(), ParseError> {
         match self.fields.pop() {
             None => Ok(()),
             Some((k, _)) => Err(self.field_err(&k, "unknown key".into())),
@@ -634,10 +631,7 @@ impl WireFields {
 /// (and the offending key, where one is known), so streamed services can
 /// answer malformed requests with a structured diagnosis instead of a
 /// generic `bad-request`.
-pub fn parse_request_at(
-    line: &str,
-    line_no: usize,
-) -> std::result::Result<WireRequest, ParseError> {
+pub fn parse_request_at(line: &str, line_no: usize) -> Result<WireRequest, ParseError> {
     let mut fields = WireFields::new(wire_tokens(line, "solve", line_no)?, line_no);
     let id = {
         let v = fields.require("id")?;
@@ -710,7 +704,7 @@ pub struct WireUpdate {
 
 /// Parses one `update …` line, its position carried into parse errors
 /// as in [`parse_request_at`].
-pub fn parse_update_at(line: &str, line_no: usize) -> std::result::Result<WireUpdate, ParseError> {
+pub fn parse_update_at(line: &str, line_no: usize) -> Result<WireUpdate, ParseError> {
     let mut fields = WireFields::new(wire_tokens(line, "update", line_no)?, line_no);
     let id = {
         let v = fields.require("id")?;
@@ -809,10 +803,7 @@ pub struct WireCosched {
 
 /// Parses one `cosched …` line, its position carried into parse errors
 /// as in [`parse_request_at`].
-pub fn parse_cosched_at(
-    line: &str,
-    line_no: usize,
-) -> std::result::Result<WireCosched, ParseError> {
+pub fn parse_cosched_at(line: &str, line_no: usize) -> Result<WireCosched, ParseError> {
     let mut fields = WireFields::new(wire_tokens(line, "cosched", line_no)?, line_no);
     let id = {
         let v = fields.require("id")?;
@@ -828,7 +819,7 @@ pub fn parse_cosched_at(
                 "-" => Ok(None),
                 path => Ok(Some(path.to_string())),
             })
-            .collect::<std::result::Result<_, _>>()?
+            .collect::<Result<_, _>>()?
     };
     let weights = fields
         .take("weights")
@@ -839,7 +830,7 @@ pub fn parse_cosched_at(
                     w.parse::<f64>()
                         .map_err(|_| fields.field_err("weights", format!("bad weight {w:?}")))
                 })
-                .collect::<std::result::Result<Vec<f64>, _>>()?;
+                .collect::<Result<Vec<f64>, _>>()?;
             if ws.len() != tenants.len() {
                 return Err(fields.field_err(
                     "weights",
@@ -861,7 +852,7 @@ pub fn parse_cosched_at(
                         .map(Some)
                         .map_err(|_| fields.field_err("slos", format!("bad slo {other:?}"))),
                 })
-                .collect::<std::result::Result<Vec<Option<f64>>, _>>()?;
+                .collect::<Result<Vec<Option<f64>>, _>>()?;
             if ss.len() != tenants.len() {
                 return Err(fields.field_err(
                     "slos",
@@ -927,7 +918,7 @@ pub struct WireStats {
 
 /// Parses one `stats …` line, its position carried into parse errors
 /// as in [`parse_request_at`].
-pub fn parse_stats_at(line: &str, line_no: usize) -> std::result::Result<WireStats, ParseError> {
+pub fn parse_stats_at(line: &str, line_no: usize) -> Result<WireStats, ParseError> {
     let mut fields = WireFields::new(wire_tokens(line, "stats", line_no)?, line_no);
     let id = {
         let v = fields.require("id")?;
@@ -945,7 +936,7 @@ pub fn format_stats(req: &WireStats) -> String {
 }
 
 /// Parses one `report …` line.
-pub fn parse_report(line: &str) -> std::result::Result<WireReport, ParseError> {
+pub fn parse_report(line: &str) -> Result<WireReport, ParseError> {
     let mut fields = WireFields::new(wire_tokens(line, "report", 0)?, 0);
     let id = {
         let v = fields.require("id")?;
@@ -978,16 +969,16 @@ pub fn parse_report(line: &str) -> std::result::Result<WireReport, ParseError> {
                             t.parse::<usize>()
                                 .map_err(|_| wire_err(format!("bad partition entry {t:?}")))
                         })
-                        .collect::<std::result::Result<Vec<usize>, ParseError>>()
+                        .collect::<Result<Vec<usize>, ParseError>>()
                 })
-                .collect::<std::result::Result<_, _>>()?;
+                .collect::<Result<_, _>>()?;
             let parse_f64s = |v: String, what: &str| {
                 v.split(';')
                     .map(|t| {
                         t.parse::<f64>()
                             .map_err(|_| wire_err(format!("bad {what} entry {t:?}")))
                     })
-                    .collect::<std::result::Result<Vec<f64>, ParseError>>()
+                    .collect::<Result<Vec<f64>, ParseError>>()
             };
             let periods = parse_f64s(fields.require("periods")?, "periods")?;
             let latencies = parse_f64s(fields.require("latencies")?, "latencies")?;
@@ -999,7 +990,7 @@ pub fn parse_report(line: &str) -> std::result::Result<WireReport, ParseError> {
                     "false" => Ok(false),
                     other => Err(wire_err(format!("bad slo-met entry {other:?}"))),
                 })
-                .collect::<std::result::Result<Vec<bool>, ParseError>>()?;
+                .collect::<Result<Vec<bool>, ParseError>>()?;
             let k = partition.len();
             if periods.len() != k || latencies.len() != k || slo_met.len() != k {
                 return Err(wire_err(format!(
@@ -1068,7 +1059,7 @@ pub fn parse_report(line: &str) -> std::result::Result<WireReport, ParseError> {
                             };
                             Ok((parse(p)?, parse(l)?))
                         })
-                        .collect::<std::result::Result<Vec<_>, ParseError>>()
+                        .collect::<Result<Vec<_>, ParseError>>()
                 })
                 .transpose()?;
             WireReport::Solved(WireSolved {

@@ -15,7 +15,7 @@
 //!   §7) carries a bandwidth matrix.
 //! * [`IntervalMapping`] — a partition of the stages into intervals of
 //!   consecutive stages, each interval placed on a distinct processor.
-//! * [`cost`] — the analytic cost model: period (eq. 1) and latency
+//! * [`CostModel`] — the analytic cost model: period (eq. 1) and latency
 //!   (eq. 2).
 //! * [`generator`] — random instances matching the experimental setting of
 //!   the paper's Section 5 (experiments E1–E4).
@@ -34,13 +34,13 @@
 //! output). All quantities are `f64`; speeds and bandwidths must be finite
 //! and strictly positive, works and volumes finite and non-negative.
 
-pub mod application;
-pub mod cost;
+mod application;
+mod cost;
 pub mod delta;
 pub mod generator;
 pub mod io;
-pub mod mapping;
-pub mod platform;
+mod mapping;
+mod platform;
 pub mod scenario;
 pub mod util;
 pub mod workload;

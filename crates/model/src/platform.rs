@@ -35,7 +35,7 @@ pub enum LinkModel {
 /// Processor `P_u` has speed `s_u`: executing `X` operations takes `X/s_u`
 /// time units; sending `X` data units across `link_{u,v}` takes
 /// `X / b_{u,v}` time units (linear cost model). Contention is handled by
-/// the one-port model, which the analytic cost model of [`crate::cost`]
+/// the one-port model, which the analytic cost model of [`crate::CostModel`]
 /// encodes by serializing each processor's receive/compute/send phases and
 /// which `pipeline-sim` enforces operationally.
 #[derive(Debug, Clone, PartialEq)]
@@ -214,16 +214,6 @@ impl Platform {
         self.speeds[self.fastest()]
     }
 
-    /// Smallest speed on the platform.
-    #[inline]
-    pub fn min_speed(&self) -> f64 {
-        *self
-            .speed_order
-            .last()
-            .map(|&u| &self.speeds[u])
-            .expect("non-empty")
-    }
-
     /// Sum of every processor speed — a crude aggregate capacity used for
     /// lower bounds.
     #[inline]
@@ -243,7 +233,6 @@ mod tests {
         assert_eq!(pf.procs_by_speed_desc(), &[1, 2, 4, 0, 3]);
         assert_eq!(pf.fastest(), 1);
         assert!(approx_eq(pf.max_speed(), 9.0));
-        assert!(approx_eq(pf.min_speed(), 1.0));
         assert!(approx_eq(pf.total_speed(), 27.0));
     }
 

@@ -1005,7 +1005,7 @@ fn sample_vec<R: Rng + ?Sized>(rng: &mut R, count: usize, range: (f64, f64)) -> 
 /// (smaller `alpha`) push more mass toward `hi`-sized rare events while
 /// most draws stay near `lo` — the standard model for Zipf-like speed and
 /// work distributions.
-pub fn bounded_pareto<R: Rng + ?Sized>(rng: &mut R, alpha: f64, lo: f64, hi: f64) -> f64 {
+fn bounded_pareto<R: Rng + ?Sized>(rng: &mut R, alpha: f64, lo: f64, hi: f64) -> f64 {
     assert!(
         alpha > 0.0 && lo > 0.0 && lo <= hi,
         "invalid Pareto support"

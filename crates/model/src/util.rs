@@ -4,8 +4,7 @@
 /// Absolute tolerance used by the tolerant float comparisons.
 ///
 /// The cost model only adds/divides a handful of values per interval, so a
-/// tight absolute epsilon is appropriate; callers comparing quantities that
-/// can grow large should prefer [`approx_le_rel`].
+/// tight absolute epsilon is appropriate.
 pub const EPS: f64 = 1e-9;
 
 /// `a ≤ b` up to [`EPS`].
@@ -26,16 +25,9 @@ pub fn approx_eq(a: f64, b: f64) -> bool {
     (a - b).abs() <= EPS
 }
 
-/// `a ≤ b` up to a relative tolerance scaled by the magnitudes involved.
-#[inline]
-pub fn approx_le_rel(a: f64, b: f64) -> bool {
-    let scale = 1.0_f64.max(a.abs()).max(b.abs());
-    a <= b + EPS * scale
-}
-
 /// `a == b` up to a relative tolerance scaled by the magnitudes involved.
-#[inline]
-pub fn approx_eq_rel(a: f64, b: f64) -> bool {
+#[cfg(test)]
+pub(crate) fn approx_eq_rel(a: f64, b: f64) -> bool {
     let scale = 1.0_f64.max(a.abs()).max(b.abs());
     (a - b).abs() <= EPS * scale
 }
@@ -138,16 +130,6 @@ pub fn mean(values: &[f64]) -> Option<f64> {
     }
 }
 
-/// Sample standard deviation; `None` for fewer than two values.
-pub fn std_dev(values: &[f64]) -> Option<f64> {
-    if values.len() < 2 {
-        return None;
-    }
-    let m = mean(values)?;
-    let var = values.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / (values.len() - 1) as f64;
-    Some(var.sqrt())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,12 +192,6 @@ mod tests {
     fn stats_helpers() {
         assert_eq!(mean(&[]), None);
         assert!(approx_eq(mean(&[1.0, 2.0, 3.0]).unwrap(), 2.0));
-        assert_eq!(std_dev(&[1.0]), None);
-        assert!(approx_eq(std_dev(&[1.0, 1.0, 1.0]).unwrap(), 0.0));
-        assert!(approx_eq(
-            std_dev(&[2.0, 4.0]).unwrap(),
-            std::f64::consts::SQRT_2
-        ));
     }
 
     #[test]
@@ -227,6 +203,5 @@ mod tests {
         assert!(!definitely_lt(1.0 - EPS / 2.0, 1.0));
         assert!(approx_eq_rel(1e12, 1e12 + 1e2));
         assert!(!approx_eq_rel(1e12, 1e12 + 1e6));
-        assert!(approx_le_rel(1e12 + 1e2, 1e12));
     }
 }

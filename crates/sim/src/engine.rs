@@ -8,7 +8,7 @@ use std::collections::BinaryHeap;
 /// timestamp. Construction panics on NaN (infinities are allowed so
 /// sentinel deadlines can be queued).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Time(f64);
+struct Time(f64);
 
 impl Time {
     /// Wraps a non-NaN timestamp.

@@ -25,17 +25,17 @@
 //! Modules: [`engine`] (generic event queue), [`faults`] (the pipeline
 //! state machine — the crate's one event loop — with deterministic fault
 //! injection: scripted slowdowns/fail-stops, link jitter, bounded
-//! buffers, open-loop arrivals), [`workflow`] (input policies and
-//! [`PipelineSim`], the loop with an empty fault plan), [`schedule`]
-//! (the synchronous schedule in closed form), [`trace`] (event traces
-//! and ASCII Gantt charts), [`metrics`] (report extraction).
+//! buffers, open-loop arrivals), [`schedule`] (the synchronous schedule
+//! in closed form). At the crate root: [`PipelineSim`] with its
+//! [`InputPolicy`], the loop with an empty fault plan; [`TraceEvent`]
+//! traces and the ASCII [`Gantt`] chart; the [`SimReport`] measurements.
 
 pub mod engine;
 pub mod faults;
-pub mod metrics;
+mod metrics;
 pub mod schedule;
-pub mod trace;
-pub mod workflow;
+mod trace;
+mod workflow;
 
 pub use faults::{
     ArrivalProcess, DegradedOutput, DegradedReport, FailStop, FaultPlan, FaultedSim, Slowdown,

@@ -42,7 +42,7 @@ impl SimReport {
     }
 
     /// Inter-completion times `c_{d+1} − c_d`.
-    pub fn inter_completion_times(&self) -> Vec<f64> {
+    fn inter_completion_times(&self) -> Vec<f64> {
         self.completion.windows(2).map(|w| w[1] - w[0]).collect()
     }
 

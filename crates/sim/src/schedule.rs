@@ -23,7 +23,6 @@
 //! this numerically, and tests cross-validate against the greedy
 //! discrete-event executor.
 
-use crate::trace::{TraceEvent, TraceKind};
 use pipeline_model::prelude::*;
 use pipeline_model::util::{approx_le, definitely_lt, EPS};
 
@@ -96,7 +95,7 @@ pub fn build_sync_schedule(
 
 impl SyncSchedule {
     /// Number of stations.
-    pub fn n_stations(&self) -> usize {
+    fn n_stations(&self) -> usize {
         self.procs.len()
     }
 
@@ -162,30 +161,6 @@ impl SyncSchedule {
                 self.latency
             );
         }
-    }
-
-    /// Renders the schedule as trace events for Gantt display.
-    pub fn to_trace(&self, n_datasets: usize) -> Vec<TraceEvent> {
-        let mut out = Vec::new();
-        for j in 0..self.n_stations() {
-            for d in 0..n_datasets {
-                let [r, c, s] = self.spans(j, d);
-                for (kind, (start, end)) in [
-                    (TraceKind::Receive, r),
-                    (TraceKind::Compute, c),
-                    (TraceKind::Send, s),
-                ] {
-                    out.push(TraceEvent {
-                        proc: self.procs[j],
-                        kind,
-                        dataset: d,
-                        start,
-                        end,
-                    });
-                }
-            }
-        }
-        out
     }
 }
 
@@ -286,9 +261,13 @@ mod tests {
         let (app, pf, mapping) = fixture();
         let cm = CostModel::new(&app, &pf);
         let sched = build_sync_schedule(&cm, &mapping, cm.period(&mapping));
-        let trace = sched.to_trace(4);
-        assert_eq!(trace.len(), 2 * 4 * 3);
-        // All spans positive.
-        assert!(trace.iter().all(|e| e.end > e.start));
+        assert_eq!(sched.n_stations(), 2);
+        // Receive, compute and send of every station and data set are
+        // all positive spans.
+        for j in 0..2 {
+            for d in 0..4 {
+                assert!(sched.spans(j, d).iter().all(|&(start, end)| end > start));
+            }
+        }
     }
 }

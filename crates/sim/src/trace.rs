@@ -13,7 +13,7 @@ pub enum TraceKind {
 
 impl TraceKind {
     /// One-character glyph used by the Gantt renderer.
-    pub fn glyph(&self) -> char {
+    fn glyph(&self) -> char {
         match self {
             TraceKind::Receive => 'r',
             TraceKind::Compute => '#',

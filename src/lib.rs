@@ -113,6 +113,17 @@ pub use pipeline_experiments as experiments;
 pub use pipeline_model as model;
 pub use pipeline_sim as sim;
 
+// The polynomial special cases of the paper's problem, kept as test
+// oracles for the exact solver. They live with the other oracles in
+// `tests/support/` and run, with their differential tests, among the
+// facade's unit tests.
+#[cfg(test)]
+#[path = "../tests/support/baseline.rs"]
+mod baseline;
+#[cfg(test)]
+#[path = "../tests/support/one_to_one.rs"]
+mod one_to_one;
+
 /// Workspace version, for binaries that report it.
 pub const VERSION: &str = env!("CARGO_PKG_VERSION");
 

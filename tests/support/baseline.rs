@@ -1,6 +1,6 @@
-//! The Subhlok–Vondran baseline: optimal interval mapping on
-//! **homogeneous** platforms (identical speeds and links), the setting the
-//! paper extends (PPoPP'95 / SPAA'96, refs [19, 20]).
+//! The Subhlok–Vondran baseline, kept as a test oracle: optimal interval
+//! mapping on **homogeneous** platforms (identical speeds and links), the
+//! setting the paper extends (PPoPP'95 / SPAA'96, refs \[19, 20\]).
 //!
 //! With identical processors the interval→processor assignment is
 //! irrelevant, and dynamic programming over (stage prefix, interval
@@ -12,10 +12,15 @@
 //! * the full Pareto front — one latency DP per candidate period.
 //!
 //! On heterogeneous platforms these functions panic: the paper's Theorem 2
-//! shows period minimization becomes NP-hard there (use [`crate::exact`]
-//! for ground truth or the heuristics for scale).
+//! shows period minimization becomes NP-hard there. Being polynomial and
+//! independent of `pipeline_core::exact`, they are its oracle on the
+//! homogeneous sub-class at every `n` the exact solver accepts (the
+//! differential tests below).
+//!
+//! Compiled with the facade's unit tests (`src/lib.rs`), so it is
+//! written against the member crates' public APIs only.
 
-use crate::pareto::ParetoFront;
+use pipeline_core::ParetoFront;
 use pipeline_model::prelude::*;
 use pipeline_model::util::EPS;
 
@@ -188,9 +193,10 @@ pub fn sv_pareto_front(cm: &CostModel<'_>) -> ParetoFront<IntervalMapping> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact::{exact_min_latency_for_period_in, exact_min_period_in};
-    use crate::SolveWorkspace;
-    use pipeline_model::{Application, Platform};
+    use pipeline_core::exact::{
+        exact_min_latency_for_period_in, exact_min_period_in, exact_pareto_front_in,
+    };
+    use pipeline_core::SolveWorkspace;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -203,31 +209,60 @@ mod tests {
         (app, pf)
     }
 
+    /// The exact solver against Subhlok–Vondran on one random homogeneous
+    /// instance: the optimal period, the optimal latency at three period
+    /// bounds, and every front coordinate agree.
+    fn assert_exact_matches_sv(seed: u64, n: usize, p: usize, ws: &mut SolveWorkspace) {
+        let (app, pf) = random_hom_instance(seed, n, p);
+        let cm = CostModel::new(&app, &pf);
+        let (sv_p, sv_map) = sv_min_period(&cm);
+        let (ex_p, _) = exact_min_period_in(&cm, ws);
+        assert!(
+            (sv_p - ex_p).abs() < 1e-9,
+            "seed {seed} n={n} p={p}: SV {sv_p} vs exact {ex_p}"
+        );
+        assert!((cm.period(&sv_map) - sv_p).abs() < 1e-9);
+
+        for factor in [1.0, 1.3, 2.0] {
+            let bound = sv_p * factor;
+            let sv = sv_min_latency_for_period(&cm, bound).expect("feasible");
+            let ex = exact_min_latency_for_period_in(&cm, bound, ws).expect("feasible");
+            assert!(
+                (sv.0 - ex.0).abs() < 1e-9,
+                "seed {seed} n={n} p={p} ×{factor}: SV latency {} vs exact {}",
+                sv.0,
+                ex.0
+            );
+            assert!(cm.period(&sv.1) <= bound + 1e-9);
+        }
+
+        let sv_front = sv_pareto_front(&cm);
+        let ex_front = exact_pareto_front_in(&cm, ws);
+        assert_eq!(sv_front.len(), ex_front.len(), "seed {seed} n={n} p={p}");
+        for ((sp, sl, _), (ep, el, _)) in sv_front.iter().zip(ex_front.iter()) {
+            assert!(
+                (sp - ep).abs() < 1e-9 && (sl - el).abs() < 1e-9,
+                "seed {seed} n={n} p={p}: SV point ({sp}, {sl}) vs exact ({ep}, {el})"
+            );
+        }
+    }
+
     #[test]
     fn matches_exhaustive_on_small_instances() {
         let mut ws = SolveWorkspace::new();
         for seed in 0..5 {
-            let (app, pf) = random_hom_instance(seed, 7, 3);
-            let cm = CostModel::new(&app, &pf);
-            let (sv_p, sv_map) = sv_min_period(&cm);
-            let (ex_p, _) = exact_min_period_in(&cm, &mut ws);
-            assert!(
-                (sv_p - ex_p).abs() < 1e-9,
-                "seed {seed}: SV {sv_p} vs exact {ex_p}"
-            );
-            assert!((cm.period(&sv_map) - sv_p).abs() < 1e-9);
+            assert_exact_matches_sv(seed, 7, 3, &mut ws);
+        }
+    }
 
-            for factor in [1.0, 1.3, 2.0] {
-                let bound = sv_p * factor;
-                let sv = sv_min_latency_for_period(&cm, bound).expect("feasible");
-                let ex = exact_min_latency_for_period_in(&cm, bound, &mut ws).expect("feasible");
-                assert!(
-                    (sv.0 - ex.0).abs() < 1e-9,
-                    "seed {seed} ×{factor}: SV latency {} vs exact {}",
-                    sv.0,
-                    ex.0
-                );
-                assert!(cm.period(&sv.1) <= bound + 1e-9);
+    /// Up to the exact solver's `n = 30` limit: one speed class, so the
+    /// dominance DP routes every size.
+    #[test]
+    fn exact_solver_matches_sv_up_to_thirty_stages() {
+        let mut ws = SolveWorkspace::new();
+        for n in [8, 16, 24, 30] {
+            for p in [4, 8, 16] {
+                assert_exact_matches_sv((100 * n + p) as u64, n, p, &mut ws);
             }
         }
     }
@@ -273,7 +308,7 @@ mod tests {
             let (app, pf) = random_hom_instance(seed + 10, 8, 4);
             let cm = CostModel::new(&app, &pf);
             let (p_opt, _) = sv_min_period(&cm);
-            let h1 = crate::sp_mono_p_in(&cm, 0.0, &mut SolveWorkspace::new());
+            let h1 = pipeline_core::sp_mono_p_in(&cm, 0.0, &mut SolveWorkspace::new());
             assert!(h1.period >= p_opt - 1e-9, "H1 beat the optimal period");
         }
     }

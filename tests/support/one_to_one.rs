@@ -15,13 +15,16 @@
 //!   (the communication part of the latency is the same constant
 //!   `Σ_k δ_k/b` for every one-to-one mapping).
 //!
-//! This gives an exact polynomial solver for a sub-class the interval
-//! heuristics can be compared against — interval mappings always weakly
-//! dominate (tests verify both directions).
+//! This gives an exact polynomial solver for a sub-class, kept as a test
+//! oracle: every one-to-one mapping is an interval mapping, so the exact
+//! interval optimum of `pipeline_core::exact` must weakly dominate it
+//! (the differential tests below).
+//!
+//! Compiled with the facade's unit tests (`src/lib.rs`), so it is
+//! written against the member crates' public APIs only.
 
 use pipeline_assign::{bottleneck_assignment, hungarian_in, CostMatrix, HungarianScratch};
 use pipeline_model::prelude::*;
-use pipeline_model::util::approx_le;
 
 fn require_shape(cm: &CostModel<'_>) {
     assert!(
@@ -80,8 +83,8 @@ pub fn one_to_one_min_latency_for_period(
 
 /// Greedy one-to-one heuristic for comparison: fastest processors to
 /// heaviest stages. Optimal for the *computation part* by the
-/// rearrangement argument, but blind to the communication terms — a
-/// useful straw-man baseline in the benches.
+/// rearrangement argument, but blind to the communication terms — the
+/// straw man the exact bottleneck solver must never lose to.
 pub fn one_to_one_greedy(cm: &CostModel<'_>) -> IntervalMapping {
     require_shape(cm);
     let app = cm.app();
@@ -103,10 +106,8 @@ pub fn one_to_one_greedy(cm: &CostModel<'_>) -> IntervalMapping {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact::{exact_min_latency_for_period_in, exact_min_period_in};
-    use crate::SolveWorkspace;
-    use pipeline_model::generator::{ExperimentKind, InstanceGenerator, InstanceParams};
-    use pipeline_model::{Application, Platform};
+    use pipeline_core::exact::{exact_min_latency_for_period_in, exact_min_period_in};
+    use pipeline_core::SolveWorkspace;
 
     fn instance(seed: u64) -> (Application, Platform) {
         InstanceGenerator::new(InstanceParams::paper(ExperimentKind::E2, 6, 9)).instance(seed, 0)
@@ -138,17 +139,43 @@ mod tests {
         );
     }
 
+    /// Every one-to-one mapping is an interval mapping, so over every
+    /// paper experiment family with `n ≤ p` the exact interval optimum is
+    /// no worse in period, nor in latency at the one-to-one period bounds.
     #[test]
     fn interval_mappings_weakly_dominate_one_to_one() {
-        for seed in 0..4 {
-            let (app, pf) = instance(seed);
-            let cm = CostModel::new(&app, &pf);
-            let (p_121, _) = one_to_one_min_period(&cm);
-            let (p_iv, _) = exact_min_period_in(&cm, &mut SolveWorkspace::new());
-            assert!(
-                p_iv <= p_121 + 1e-9,
-                "seed {seed}: interval optimum {p_iv} worse than one-to-one {p_121}"
-            );
+        let mut ws = SolveWorkspace::new();
+        for kind in [
+            ExperimentKind::E1,
+            ExperimentKind::E2,
+            ExperimentKind::E3,
+            ExperimentKind::E4,
+        ] {
+            for (n, p) in [(3, 10), (6, 9), (10, 10)] {
+                let gen = InstanceGenerator::new(InstanceParams::paper(kind, n, p));
+                for seed in 0..4 {
+                    let (app, pf) = gen.instance(seed, 0);
+                    let cm = CostModel::new(&app, &pf);
+                    let at = format!("{kind:?} n={n} p={p} seed {seed}");
+                    let (p_121, _) = one_to_one_min_period(&cm);
+                    let (p_iv, _) = exact_min_period_in(&cm, &mut ws);
+                    assert!(
+                        p_iv <= p_121 + 1e-9,
+                        "{at}: interval period {p_iv} worse than one-to-one {p_121}"
+                    );
+                    for factor in [1.0, 1.3, 2.0] {
+                        let bound = p_121 * factor;
+                        let (l_121, _) =
+                            one_to_one_min_latency_for_period(&cm, bound).expect("bound ≥ optimum");
+                        let (l_iv, _) = exact_min_latency_for_period_in(&cm, bound, &mut ws)
+                            .expect("a one-to-one mapping meets the bound");
+                        assert!(
+                            l_iv <= l_121 + 1e-9,
+                            "{at} ×{factor}: interval latency {l_iv} worse than one-to-one {l_121}"
+                        );
+                    }
+                }
+            }
         }
     }
 
