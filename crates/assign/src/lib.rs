@@ -11,8 +11,11 @@
 //! * [`bottleneck_assignment`] — minimum-**max** assignment, by binary
 //!   searching the sorted cost values with a feasibility matching. Used to
 //!   minimize the period, which is a max over intervals (paper eq. 1).
-//! * Kuhn's augmenting-path bipartite maximum matching, the feasibility
-//!   oracle behind the bottleneck search.
+//!   [`bottleneck_below`] is its one-probe decision form ("is the optimum
+//!   below this bound?").
+//! * Kuhn's augmenting-path bipartite matching on row bitsets, the
+//!   feasibility oracle behind the bottleneck search. Its buffers are
+//!   caller-owned ([`BottleneckScratch`]), like [`HungarianScratch`].
 //!
 //! Cost matrices are rectangular `rows × cols` with `rows ≤ cols` (every
 //! row must be assigned, columns may stay free). `f64::INFINITY` marks a
@@ -20,9 +23,12 @@
 
 mod bottleneck;
 mod hungarian;
+#[cfg(test)]
 mod matching;
 
-pub use bottleneck::{bottleneck_assignment, bottleneck_assignment_at};
+pub use bottleneck::{
+    bottleneck_assignment, bottleneck_assignment_at, bottleneck_below, BottleneckScratch,
+};
 pub use hungarian::{hungarian_in, HungarianScratch};
 
 /// A dense rectangular cost matrix.
@@ -108,7 +114,14 @@ impl CostMatrix {
         self.data[r * self.cols + c]
     }
 
+    /// Row `r`'s costs, by column.
+    #[inline]
+    pub(crate) fn row(&self, r: usize) -> &[f64] {
+        &self.data[r * self.cols..(r + 1) * self.cols]
+    }
+
     /// All finite cost values, unsorted.
+    #[cfg(test)]
     pub(crate) fn finite_values(&self) -> Vec<f64> {
         self.data
             .iter()

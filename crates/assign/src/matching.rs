@@ -1,4 +1,6 @@
-//! Kuhn's augmenting-path algorithm for maximum bipartite matching.
+//! Kuhn's augmenting-path algorithm for maximum bipartite matching on
+//! adjacency lists: the reference formulation the bitset kernel of
+//! [`crate::bottleneck`] is checked against (test builds only).
 
 /// Computes a maximum matching of the bipartite graph `adj`, where
 /// `adj[l]` lists the right-side vertices adjacent to left vertex `l`.

@@ -2,18 +2,20 @@
 //! solver generations — the routed v3 dominance DP and the v2
 //! branch-and-bound (the witness entry points with no known value) — at
 //! the old cutoff and at the raised n = 24, p = 16 frontier, plus the
-//! DP's min-period witness pass on its own.
+//! DP's min-period witness pass on its own and the bottleneck assignment
+//! kernel under every v2 min-period and front leaf.
 //!
 //! Compiled (not run) in CI via `cargo bench --no-run`; run locally to
 //! compare kernel generations. `pwsched bench kernel` records the same
 //! quantities into `BENCH_kernel.json` for the cross-PR perf trajectory.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use pipeline_assign::{bottleneck_assignment, bottleneck_below, BottleneckScratch, CostMatrix};
 use pipeline_core::exact;
 use pipeline_core::trajectory::{fixed_period_trajectory_in, TrajectoryKind};
 use pipeline_core::{sp_bi_p_in, ParetoFront, SolveWorkspace, SpBiPOptions};
 use pipeline_model::generator::{ExperimentKind, InstanceGenerator, InstanceParams};
-use pipeline_model::{CostModel, Platform};
+use pipeline_model::{CostModel, LinkModel, Platform};
 use std::hint::black_box;
 
 /// Raw split-step throughput: one full H1 trajectory per iteration. The
@@ -187,11 +189,50 @@ fn bench_exact_dp_frontier(c: &mut Criterion) {
     group.finish();
 }
 
+/// The bottleneck assignment kernel on the cycle matrix of an E2
+/// instance's all-singleton partition (`n` intervals × `p` processors):
+/// the full threshold search, as every v2 front leaf and every improving
+/// min-period leaf runs it, and the one strict-below probe at the
+/// optimum, as every non-improving min-period leaf runs it.
+fn bench_assign(c: &mut Criterion) {
+    let mut group = c.benchmark_group("kernel/assign");
+    for (n, p) in [(14usize, 16usize), (30, 32)] {
+        let gen = InstanceGenerator::new(InstanceParams::paper(ExperimentKind::E2, n, p));
+        let (app, pf) = gen.instance(3, 0);
+        let &LinkModel::Homogeneous(bw) = pf.links() else {
+            unreachable!("the paper's platforms are Communication Homogeneous")
+        };
+        let costs = CostMatrix::from_fn(n, p, |k, u| {
+            app.input_volume(k) / bw
+                + app.output_volume(k + 1) / bw
+                + app.interval_work(k, k + 1) / pf.speeds()[u]
+        });
+        let mut scratch = BottleneckScratch::default();
+        let optimum = bottleneck_assignment(&costs, &mut scratch)
+            .expect("finite costs always match")
+            .objective;
+        group.bench_function(BenchmarkId::new("bottleneck", format!("{n}x{p}")), |b| {
+            b.iter(|| black_box(bottleneck_assignment(black_box(&costs), &mut scratch)));
+        });
+        group.bench_function(BenchmarkId::new("below-probe", format!("{n}x{p}")), |b| {
+            b.iter(|| {
+                black_box(bottleneck_below(
+                    black_box(&costs),
+                    black_box(optimum),
+                    &mut scratch,
+                ))
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     kernel,
     bench_split_steps,
     bench_sp_bi_p,
     bench_exact_generations,
-    bench_exact_dp_frontier
+    bench_exact_dp_frontier,
+    bench_assign
 );
 criterion_main!(kernel);

@@ -36,12 +36,17 @@
 //!   [`ParetoFront::offer`] anyway, and front points are only ever
 //!   evicted by points that dominate them, so the check is conservative
 //!   for the rest of the search too;
-//! * **memoized assignment sub-solves** — within one partition the front
-//!   sweep walks period thresholds in ascending order; thresholds below
-//!   the partition's bottleneck optimum are skipped outright (the
-//!   Hungarian solve is infeasible by construction), and consecutive
-//!   thresholds that allow the *same* pair set reuse the previous
-//!   Hungarian solve instead of re-solving an identical matrix.
+//! * **one-probe leaves** — once the min-period walk holds an incumbent
+//!   `v`, a leaf can win only if its bottleneck optimum is `< v`, which
+//!   holds exactly when some row-perfect matching uses only cycles
+//!   `< v`. One bitset feasibility probe ([`bottleneck_below`]) decides
+//!   that; the threshold search and the mapping are paid only on a real
+//!   improvement. Within one partition the front sweep skips the
+//!   thresholds below the partition's bottleneck optimum outright (the
+//!   Hungarian solve is infeasible by construction) and solves each
+//!   remaining threshold once: thresholds are deduplicated more than
+//!   [`EPS`] apart and each admits its own pair, so no two allow the same
+//!   pair set.
 //!
 //! Each operation has exactly one partition walk:
 //! [`exact_min_period_from_value`] with `v_star = +∞`,
@@ -72,7 +77,13 @@
 //! of every speed class (canonical masks = per-class prefixes), and
 //! states whose optimistic bound cannot beat the shared incumbent (fed
 //! by every complete extension as it arrives) are dropped at insert and
-//! again at expansion. The accumulators mirror the blind arithmetic
+//! again at expansion. An expansion computes its state's free processors
+//! once, and stops growing the next interval `[pos, end)` once even the
+//! fastest free processor `s` has `t_in + W/s` at or above the incumbent
+//! period (min-period DP) or beyond the period bound (latency DP): works
+//! grow with `end`, every cycle pays at least `t_in`, and rounding is
+//! monotone, so every longer interval on every free processor would be
+//! dropped anyway. The accumulators mirror the blind arithmetic
 //! expression by expression (`max` of the exact cycle values for the
 //! period; the `δ/b`-seeded input-volume fold plus the interval-order
 //! `w/s` fold for the latency), so every leaf value is bit-identical to
@@ -116,7 +127,9 @@
 
 use crate::pareto::ParetoFront;
 use crate::workspace::SolveWorkspace;
-use pipeline_assign::{bottleneck_assignment, bottleneck_assignment_at, hungarian_in, CostMatrix};
+use pipeline_assign::{
+    bottleneck_assignment, bottleneck_assignment_at, bottleneck_below, hungarian_in, CostMatrix,
+};
 use pipeline_model::prelude::*;
 use pipeline_model::util::{approx_le, EPS};
 use std::collections::hash_map::Entry;
@@ -592,6 +605,20 @@ pub fn exact_root_order(cm: &CostModel<'_>) -> Vec<usize> {
     roots.into_iter().map(|(_, end)| end).collect()
 }
 
+/// The free processors of a DP state ([`DominanceDp::free_procs`]): at
+/// most one per speed group, so at most 32.
+struct FreeProcs {
+    len: usize,
+    procs: [usize; 32],
+}
+
+impl std::ops::Deref for FreeProcs {
+    type Target = [usize];
+    fn deref(&self) -> &[usize] {
+        &self.procs[..self.len]
+    }
+}
+
 /// The combined partition × assignment DFS of the v3 DP. Holds the
 /// instance views and the precomputed bounds; the per-state accumulator
 /// values travel as recursion arguments, and the dominance tables live
@@ -623,6 +650,12 @@ impl<'c, 'a> DominanceDp<'c, 'a> {
             "refusing to enumerate 2^{} partitions",
             n - 1
         );
+        assert!(
+            pf.n_procs() <= 32,
+            "the dominance DP's processor masks hold at most 32 processors \
+             ({} here): route through supports_dominance_dp",
+            pf.n_procs()
+        );
         let b = homogeneous_bandwidth(cm);
         let s_max = pf.max_speed();
         let speeds = pf.speeds();
@@ -651,13 +684,21 @@ impl<'c, 'a> DominanceDp<'c, 'a> {
         }
     }
 
-    /// The first free member of every speed group — the canonical
-    /// representative assignment choices at a state.
+    /// The first free member of every speed group, fastest group first —
+    /// the canonical representative assignment choices at a state.
     #[inline]
-    fn free_procs(&self, mask: u32) -> impl Iterator<Item = usize> + '_ {
-        self.speed_groups
-            .iter()
-            .filter_map(move |group| group.iter().copied().find(|&u| mask & (1u32 << u) == 0))
+    fn free_procs(&self, mask: u32) -> FreeProcs {
+        let mut free = FreeProcs {
+            len: 0,
+            procs: [0; 32],
+        };
+        for group in &self.speed_groups {
+            if let Some(u) = group.iter().copied().find(|&u| mask & (1u32 << u) == 0) {
+                free.procs[free.len] = u;
+                free.len += 1;
+            }
+        }
+        free
     }
 
     /// Bit-wise admissible period lower bound at `(pos, cycle_max)`.
@@ -721,7 +762,7 @@ impl<'c, 'a> DominanceDp<'c, 'a> {
         let app = self.cm.app();
         let comm = app.input_volume(0) / self.b + app.output_volume(end) / self.b;
         let work = app.interval_work(0, end);
-        for u in self.free_procs(0) {
+        for &u in self.free_procs(0).iter() {
             let cycle = comm + work / self.speeds[u];
             self.period_relax(levels, end, 1u32 << u, f64::NEG_INFINITY.max(cycle), inc);
         }
@@ -740,10 +781,19 @@ impl<'c, 'a> DominanceDp<'c, 'a> {
                 if self.lb_period(pos, cycle_max) >= inc.current() {
                     continue;
                 }
+                let free = self.free_procs(mask);
+                let Some(&fastest) = free.first() else {
+                    continue;
+                };
                 for end in pos + 1..=self.n {
-                    let comm = t_in + app.output_volume(end) / self.b;
                     let work = app.interval_work(pos, end);
-                    for u in self.free_procs(mask) {
+                    // Every cycle from here on is at least this (see
+                    // `completes`), so `period_relax` would drop it.
+                    if t_in + work / self.speeds[fastest] >= inc.current() {
+                        break;
+                    }
+                    let comm = t_in + app.output_volume(end) / self.b;
+                    for &u in free.iter() {
                         let cycle = comm + work / self.speeds[u];
                         self.period_relax(
                             levels,
@@ -772,7 +822,8 @@ impl<'c, 'a> DominanceDp<'c, 'a> {
         if let Some(&known) = memo[pos].get(&mask) {
             return known;
         }
-        let Some(fastest) = self.free_procs(mask).next() else {
+        let free = self.free_procs(mask);
+        let Some(&fastest) = free.first() else {
             return false;
         };
         let app = self.cm.app();
@@ -784,7 +835,7 @@ impl<'c, 'a> DominanceDp<'c, 'a> {
         let found = (pos + 1..=self.n).take_while(|&end| fits(end)).any(|end| {
             let comm = t_in + app.output_volume(end) / self.b;
             let work = app.interval_work(pos, end);
-            self.free_procs(mask).any(|u| {
+            free.iter().any(|&u| {
                 comm + work / self.speeds[u] <= v_star
                     && self.completes(memo, end, mask | (1u32 << u), v_star)
             })
@@ -835,7 +886,7 @@ impl<'c, 'a> DominanceDp<'c, 'a> {
         let comm = app.input_volume(0) / self.b + app.output_volume(end) / self.b;
         let work = app.interval_work(0, end);
         let base = app.delta(self.n) / self.b + app.input_volume(0) / self.b;
-        for u in self.free_procs(0) {
+        for &u in self.free_procs(0).iter() {
             let cycle = comm + work / self.speeds[u];
             if approx_le(cycle, bound) {
                 self.latency_relax(
@@ -863,15 +914,24 @@ impl<'c, 'a> DominanceDp<'c, 'a> {
             let mut level = std::mem::take(&mut levels[pos]);
             let t_in = app.input_volume(pos) / self.b;
             for (&mask, list) in level.iter() {
+                let free = self.free_procs(mask);
+                let Some(&fastest) = free.first() else {
+                    continue;
+                };
                 for &(base, wsum) in list {
                     if self.lb_latency(pos, base, wsum) >= inc.current() {
                         continue;
                     }
                     let next_base = base + t_in;
                     for end in pos + 1..=self.n {
-                        let comm = t_in + app.output_volume(end) / self.b;
                         let work = app.interval_work(pos, end);
-                        for u in self.free_procs(mask) {
+                        // No free processor runs this or any longer
+                        // interval within the bound (see `completes`).
+                        if !approx_le(t_in + work / self.speeds[fastest], bound) {
+                            break;
+                        }
+                        let comm = t_in + app.output_volume(end) / self.b;
+                        for &u in free.iter() {
                             let cycle = comm + work / self.speeds[u];
                             if approx_le(cycle, bound) {
                                 self.latency_relax(
@@ -944,7 +1004,7 @@ impl<'c, 'a> DominanceDp<'c, 'a> {
         let comm = app.input_volume(0) / self.b + app.output_volume(end) / self.b;
         let work = app.interval_work(0, end);
         let base = app.delta(self.n) / self.b + app.input_volume(0) / self.b;
-        for u in self.free_procs(0) {
+        for &u in self.free_procs(0).iter() {
             let cycle = comm + work / self.speeds[u];
             self.shadow_relax(
                 levels,
@@ -968,6 +1028,7 @@ impl<'c, 'a> DominanceDp<'c, 'a> {
             let mut level = std::mem::take(&mut levels[pos]);
             let t_in = app.input_volume(pos) / self.b;
             for (&mask, list) in level.iter() {
+                let free = self.free_procs(mask);
                 for &(cycle_max, base, wsum) in list {
                     if shadow.dominated(
                         self.lb_period(pos, cycle_max),
@@ -979,7 +1040,7 @@ impl<'c, 'a> DominanceDp<'c, 'a> {
                     for end in pos + 1..=self.n {
                         let comm = t_in + app.output_volume(end) / self.b;
                         let work = app.interval_work(pos, end);
-                        for u in self.free_procs(mask) {
+                        for &u in free.iter() {
                             let cycle = comm + work / self.speeds[u];
                             self.shadow_relax(
                                 levels,
@@ -1052,7 +1113,14 @@ pub fn exact_min_period_from_value(
             return best.as_ref().is_some_and(|(v, _)| s.lb_period() >= *v);
         }
         s.fill_cycle_matrix(&mut scratch.matrix);
-        if let Some(a) = bottleneck_assignment(&scratch.matrix) {
+        // Only a bottleneck optimum below the incumbent improves on it:
+        // one probe decides that before the threshold search runs.
+        if let Some((v, _)) = &best {
+            if !bottleneck_below(&scratch.matrix, *v, &mut scratch.bottleneck) {
+                return false;
+            }
+        }
+        if let Some(a) = bottleneck_assignment(&scratch.matrix, &mut scratch.bottleneck) {
             if best.as_ref().is_none_or(|(v, _)| a.objective < *v) {
                 best = Some((a.objective, build_mapping(s.cm, &s.intervals, &a.assigned)));
             }
@@ -1092,7 +1160,7 @@ fn min_period_witness(
                 let work = app.interval_work(pos, end);
                 grown.clear();
                 for &mask in reach.iter() {
-                    for u in dp.free_procs(mask) {
+                    for &u in dp.free_procs(mask).iter() {
                         let next = mask | (1u32 << u);
                         if comm + work / dp.speeds[u] <= v_star
                             && dp.completes(completes, end, next, v_star)
@@ -1111,15 +1179,19 @@ fn min_period_witness(
     }
     // The partition's bottleneck optimum is `v_star`, so the v2 leaf's
     // threshold search would end at `v_star`: take its matching directly.
-    search.fill_cycle_matrix(&mut ws.exact.matrix);
-    let a = bottleneck_assignment_at(&ws.exact.matrix, v_star)
+    let scratch = &mut ws.exact;
+    search.fill_cycle_matrix(&mut scratch.matrix);
+    let a = bottleneck_assignment_at(&scratch.matrix, v_star, &mut scratch.bottleneck)
         .expect("the committed partition has an assignment within v_star");
     debug_assert_eq!(
         a.objective.to_bits(),
         v_star.to_bits(),
         "v_star must be the optimum"
     );
-    debug_assert_eq!(bottleneck_assignment(&ws.exact.matrix).as_ref(), Some(&a));
+    debug_assert_eq!(
+        bottleneck_assignment(&scratch.matrix, &mut scratch.bottleneck).as_ref(),
+        Some(&a)
+    );
     (
         a.objective,
         build_mapping(cm, &search.intervals, &a.assigned),
@@ -1237,10 +1309,9 @@ pub fn exact_front_shadow_root(
 /// The front's partition walk: for each surviving partition, sweeps the
 /// distinct cycle values as period thresholds and records the
 /// Hungarian-optimal latency at each; globally Pareto-filters across
-/// partitions. Prunes prefixes dominated by the front so far, skips
-/// thresholds below the partition's bottleneck optimum, and reuses
-/// Hungarian sub-solves across thresholds that allow the same pair set —
-/// all output-preserving.
+/// partitions. Prunes prefixes dominated by the front so far and skips
+/// thresholds below the partition's bottleneck optimum — both
+/// output-preserving.
 ///
 /// As the witness pass of the front DP it also skips prefixes (and
 /// partitions) whose optimistic point the DP's coordinate front `shadow`
@@ -1268,7 +1339,8 @@ pub fn exact_front_from_shadow(
         // The partition's feasibility floor: thresholds below it have no
         // perfect assignment, so the Hungarian solve would return `None`
         // — skip them without solving.
-        let Some(bottleneck) = bottleneck_assignment(&scratch.matrix) else {
+        let Some(bottleneck) = bottleneck_assignment(&scratch.matrix, &mut scratch.bottleneck)
+        else {
             return false;
         };
         let latency_base = *s.latency_base.last().expect("seeded");
@@ -1292,40 +1364,20 @@ pub fn exact_front_from_shadow(
         }
         thresholds.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         thresholds.dedup_by(|a, b| (*a - *b).abs() <= EPS);
-        // Memoized assignment sub-solve: thresholds allowing the same
-        // pair set share one Hungarian result.
-        let mut last_solved: Option<Option<pipeline_assign::Assignment>> = None;
-        scratch.last_allowed.clear();
         for &t in thresholds.iter() {
             if !approx_le(bottleneck.objective, t) {
                 continue; // no perfect assignment fits this threshold
             }
-            let allowed = &mut scratch.allowed;
-            allowed.clear();
-            allowed.resize(m * s.p, false);
-            for j in 0..m {
-                for (u, &speed) in s.speeds.iter().take(s.p).enumerate() {
-                    allowed[j * s.p + u] = approx_le(s.comm[j] + s.work[j] / speed, t);
+            scratch.matrix.refill(m, s.p, |j, u| {
+                if approx_le(s.comm[j] + s.work[j] / s.speeds[u], t) {
+                    s.work[j] / s.speeds[u]
+                } else {
+                    f64::INFINITY
                 }
-            }
-            let solved = match &last_solved {
-                Some(cached) if scratch.last_allowed == *allowed => cached.clone(),
-                _ => {
-                    scratch.matrix.refill(m, s.p, |j, u| {
-                        if allowed[j * s.p + u] {
-                            s.work[j] / s.speeds[u]
-                        } else {
-                            f64::INFINITY
-                        }
-                    });
-                    let solved = hungarian_in(&scratch.matrix, &mut scratch.hungarian);
-                    scratch.last_allowed.clear();
-                    scratch.last_allowed.extend_from_slice(allowed);
-                    last_solved = Some(solved.clone());
-                    solved
-                }
+            });
+            let Some(a) = hungarian_in(&scratch.matrix, &mut scratch.hungarian) else {
+                continue;
             };
-            let Some(a) = solved else { continue };
             let latency = latency_base + a.objective;
             // Recompute the achieved period (≤ t, can be smaller).
             let achieved = a
@@ -1522,6 +1574,26 @@ mod tests {
         assert_eq!(inc.current().to_bits(), 0.0f64.to_bits());
         inc.observe(1.0);
         assert_eq!(inc.current().to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
+    #[should_panic(expected = "route through supports_dominance_dp")]
+    fn the_dp_roots_refuse_more_than_32_processors() {
+        // `1u32 << 32` wraps to processor 0's mask bit in release builds,
+        // so unguarded roots report 20 (both intervals at speed 10)
+        // where the optimum is 100/9.
+        let app = Application::uniform(2, 100.0, 0.0).unwrap();
+        let mut speeds = vec![1.0; 33];
+        speeds[0] = 10.0;
+        speeds[32] = 9.0;
+        let pf = Platform::comm_homogeneous(speeds, 10.0).unwrap();
+        let cm = CostModel::new(&app, &pf);
+        assert!(!supports_dominance_dp(&cm));
+        let mut ws = SolveWorkspace::new();
+        let (period, _) = exact_min_period_in(&cm, &mut ws);
+        assert_eq!(period.to_bits(), (100.0f64 / 9.0).to_bits());
+        let inc = SharedIncumbent::new();
+        exact_min_period_value_root(&cm, 1, &inc, &mut ws);
     }
 
     #[test]

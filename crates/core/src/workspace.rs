@@ -22,24 +22,22 @@
 //! module's tests and `tests/kernel_identity.rs`).
 
 use crate::state::{SplitBuffers, SplitMemo};
-use pipeline_assign::{CostMatrix, HungarianScratch};
+use pipeline_assign::{BottleneckScratch, CostMatrix, HungarianScratch};
 use pipeline_model::prelude::*;
 
 /// Reusable scratch of the exact branch-and-bound solvers: assignment
-/// matrices, Hungarian buffers and the per-leaf threshold sweep state of
-/// the Pareto-front search.
+/// matrices, Hungarian and bottleneck buffers and the per-leaf threshold
+/// list of the Pareto-front search.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ExactScratch {
     /// Cycle-time / latency cost matrices, refilled per leaf.
     pub(crate) matrix: CostMatrix,
     /// Shortest-augmenting-path buffers of [`pipeline_assign::hungarian_in`].
     pub(crate) hungarian: HungarianScratch,
+    /// Bitset matching buffers of [`pipeline_assign::bottleneck_assignment`].
+    pub(crate) bottleneck: BottleneckScratch,
     /// Distinct cycle values of one partition (period thresholds).
     pub(crate) thresholds: Vec<f64>,
-    /// Allowed-pair mask of the current threshold.
-    pub(crate) allowed: Vec<bool>,
-    /// Allowed-pair mask of the previous threshold (memoized sub-solve).
-    pub(crate) last_allowed: Vec<bool>,
 }
 
 impl ExactScratch {

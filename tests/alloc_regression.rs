@@ -4,7 +4,8 @@
 //! a [`SolveWorkspace`]'s buffers, then counts heap allocations during
 //! (a) the steady-state split loops of a warm-buffer solve — two-way,
 //! and the three-way loops of H2a and H2b — and (b) a re-queried
-//! `PreparedInstance` bound lookup. All must be **zero** —
+//! `PreparedInstance` bound lookup, and (c) the bottleneck kernel's
+//! threshold probes on a warm scratch. All must be **zero** —
 //! that is the contract the workspace/arena refactor establishes, and
 //! any future `clone()`/`Vec::new()` sneaking into those paths fails
 //! this test loudly.
@@ -19,6 +20,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
+use pipeline_workflows::assign::{
+    bottleneck_assignment, bottleneck_below, BottleneckScratch, CostMatrix,
+};
 use pipeline_workflows::core::service::PreparedInstance;
 use pipeline_workflows::core::{HeuristicKind, SolveWorkspace, SplitBuffers, SplitState};
 use pipeline_workflows::model::generator::{ExperimentKind, InstanceGenerator, InstanceParams};
@@ -181,4 +185,32 @@ fn warm_solve_paths_do_not_allocate() {
         assert_eq!(hit.latency.to_bits(), full.latency.to_bits());
         assert_eq!(hit.feasible, full.feasible);
     }
+
+    // --- (c) warm bottleneck threshold probes --------------------------
+    // A 14-interval × 16-processor cycle matrix, the shape of a min-period
+    // leaf at p = 16.
+    let costs = CostMatrix::from_fn(14, 16, |j, u| {
+        3.0 + (j * 7 % 5) as f64 + 10.0 / (1 + u) as f64
+    });
+    let mut scratch = BottleneckScratch::default();
+    let optimum = bottleneck_assignment(&costs, &mut scratch)
+        .expect("finite costs always match")
+        .objective;
+    let bounds = [optimum * 0.9, optimum, optimum * 1.1, f64::INFINITY];
+    let mut below = [false; 4];
+    let allocs = count_allocations(|| {
+        for (hit, &bound) in below.iter_mut().zip(&bounds) {
+            *hit = black_box(bottleneck_below(&costs, bound, &mut scratch));
+        }
+    });
+    assert_eq!(allocs, 0, "warm bottleneck probes allocated {allocs} times");
+    assert_eq!(below, [false, false, true, true]);
+    // The full search allocates only the returned assignment.
+    let allocs = count_allocations(|| {
+        black_box(bottleneck_assignment(&costs, &mut scratch));
+    });
+    assert_eq!(
+        allocs, 1,
+        "a warm bottleneck search allocated {allocs} times"
+    );
 }

@@ -254,6 +254,40 @@ fn dp_min_period_witness_matches_v2_on_three_speed_platforms() {
     }
 }
 
+/// v2-routed instances against the blind oracle, bit for bit: twenty
+/// pairwise-distinct speeds in scrambled column order put the platform
+/// far past the DP's state budget, so the public min-period and front
+/// entries walk v2 — its one-probe min-period leaves and the bitset
+/// bottleneck search of every front leaf — while the oracle runs the
+/// full search on every partition. E1's constant volumes make ties
+/// between partitions common; E3 and E4 put computation, then
+/// communication, in charge of the cycle times.
+#[test]
+fn v2_routed_twenty_speed_platforms_match_the_blind_oracle() {
+    let speeds: Vec<f64> = (0..20).map(|u| 1.0 + ((u * 7) % 20) as f64 / 4.0).collect();
+    let pf = Platform::comm_homogeneous(speeds, 10.0).expect("valid platform");
+    let mut ws = SolveWorkspace::new();
+    for kind in [ExperimentKind::E1, ExperimentKind::E3, ExperimentKind::E4] {
+        for (n, seed) in [(3usize, 0u64), (5, 1), (7, 2), (9, 3)] {
+            let gen = InstanceGenerator::new(InstanceParams::paper(kind, n, 20));
+            let (app, _) = gen.instance(seed, 0);
+            let cm = CostModel::new(&app, &pf);
+            let label = format!("{kind:?} n={n} seed={seed}");
+            assert!(!exact::supports_dominance_dp(&cm), "{label}: v2-routed");
+
+            let (v, m) = exact::exact_min_period_in(&cm, &mut ws);
+            let (v_blind, m_blind) = exact_min_period_blind(&cm);
+            assert_eq!(v.to_bits(), v_blind.to_bits(), "{label}: period");
+            assert_eq!(m, m_blind, "{label}: mapping");
+            assert_fronts_identical(
+                &exact::exact_pareto_front_in(&cm, &mut ws),
+                &exact_pareto_front_blind(&cm),
+                &label,
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

@@ -7,8 +7,9 @@
 //!   optimal bottleneck value of the exact partition's cycle-time
 //!   matrix.
 
-use pipeline_workflows::assign::HungarianScratch;
-use pipeline_workflows::assign::{bottleneck_assignment, hungarian_in, CostMatrix};
+use pipeline_workflows::assign::{
+    bottleneck_assignment, hungarian_in, BottleneckScratch, CostMatrix, HungarianScratch,
+};
 use pipeline_workflows::core::service::{PreparedInstance, SolveRequest};
 use pipeline_workflows::core::SolveWorkspace;
 use pipeline_workflows::core::{exact, Objective, Strategy};
@@ -87,7 +88,8 @@ fn hungarian_and_bottleneck_agree_on_the_optimal_bottleneck_value() {
 
             // The bottleneck optimum of the optimal partition IS the
             // optimal period.
-            let bn = bottleneck_assignment(&m).expect("feasible matrix");
+            let bn = bottleneck_assignment(&m, &mut BottleneckScratch::default())
+                .expect("feasible matrix");
             assert!(
                 (bn.objective - p_opt).abs() <= EPS * p_opt.max(1.0),
                 "{family} #{index}: bottleneck {} vs exact period {p_opt}",

@@ -12,7 +12,7 @@
 //! `#[path = "support/exact_oracle.rs"] mod exact_oracle;`.
 
 use pipeline_workflows::assign::{
-    bottleneck_assignment, hungarian_in, CostMatrix, HungarianScratch,
+    bottleneck_assignment, hungarian_in, BottleneckScratch, CostMatrix, HungarianScratch,
 };
 use pipeline_workflows::core::exact::{self, MAX_STAGES};
 use pipeline_workflows::core::{ParetoFront, SolveWorkspace};
@@ -109,7 +109,7 @@ pub fn exact_min_period_blind(cm: &CostModel<'_>) -> (f64, IntervalMapping) {
         let pc = partition_costs(cm, bounds);
         let m = pc.intervals.len();
         let costs = CostMatrix::from_fn(m, p, |j, u| pc.comm[j] + pc.work[j] / speeds[u]);
-        if let Some(a) = bottleneck_assignment(&costs) {
+        if let Some(a) = bottleneck_assignment(&costs, &mut BottleneckScratch::default()) {
             if best.as_ref().is_none_or(|(v, _)| a.objective < *v) {
                 best = Some((a.objective, build_mapping(cm, &pc.intervals, &a.assigned)));
             }

@@ -23,7 +23,9 @@
 //! Compiled with the facade's unit tests (`src/lib.rs`), so it is
 //! written against the member crates' public APIs only.
 
-use pipeline_assign::{bottleneck_assignment, hungarian_in, CostMatrix, HungarianScratch};
+use pipeline_assign::{
+    bottleneck_assignment, hungarian_in, BottleneckScratch, CostMatrix, HungarianScratch,
+};
 use pipeline_model::prelude::*;
 
 fn require_shape(cm: &CostModel<'_>) {
@@ -50,7 +52,8 @@ pub fn one_to_one_min_period(cm: &CostModel<'_>) -> (f64, IntervalMapping) {
     let n = cm.app().n_stages();
     let p = cm.platform().n_procs();
     let costs = CostMatrix::from_fn(n, p, |k, u| stage_cycle(cm, k, u));
-    let a = bottleneck_assignment(&costs).expect("finite costs always match");
+    let a = bottleneck_assignment(&costs, &mut BottleneckScratch::default())
+        .expect("finite costs always match");
     let mapping = IntervalMapping::one_to_one(cm.app(), cm.platform(), a.assigned)
         .expect("assignment is injective");
     (cm.period(&mapping), mapping)
