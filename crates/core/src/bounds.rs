@@ -96,30 +96,41 @@ pub fn latency_lower_bound(cm: &CostModel<'_>) -> f64 {
     cm.optimal_latency()
 }
 
+/// Relative slack applied to latency-side lower bounds before pruning:
+/// the bounds re-associate floating-point sums, so they can exceed their
+/// real value by a few ulps. 1e-12 is ~3 orders of magnitude above the
+/// worst association noise of these short sums and ~3 below the
+/// `EPS`-level differences the exact solvers distinguish.
+const LB_SLACK: f64 = 1e-12;
+
 /// Precomputed per-instance admissible bounds shared by the exact
 /// searches ([`crate::exact`]): both the interval-prefix DFS
 /// (`PartitionSearch`) and the processor-subset dominance DP walk
 /// prefixes of the stage line and need the same "what must the open
-/// suffix still pay" quantities. All period-side entries are bit-wise
-/// admissible — each is a monotone-rounded under-approximation of a real
-/// cycle value (same prefix-sum `interval_work` expressions the cycle
-/// matrices use) — so period pruning against them needs no tolerance;
-/// the latency-side suffix sum re-associates additions and is deflated
-/// by the caller before use.
+/// suffix still pay" quantities, which [`ExactBounds::period`] and
+/// [`ExactBounds::latency`] add to a prefix's own bound. All period-side
+/// entries are bit-wise admissible — each is a monotone-rounded
+/// under-approximation of a real cycle value (same prefix-sum
+/// `interval_work` expressions the cycle matrices use) — so period
+/// pruning against them needs no tolerance; the latency-side suffix sum
+/// re-associates additions, so the latency bound is deflated by
+/// `LB_SLACK`.
 #[derive(Debug, Clone)]
 pub(crate) struct ExactBounds {
     /// Platform speeds sorted non-increasing (for the `k`-th-fastest
     /// counting bound of the interval-prefix DFS).
     pub(crate) speeds_desc: Vec<f64>,
+    /// `δ_pos/b`: the input transfer of the interval opening at `pos`.
+    input_time: Vec<f64>,
     /// `max_{i ≥ pos} interval_work(i, i+1)/s_max`; index `n` is 0.
-    pub(crate) suffix_singleton_max: Vec<f64>,
+    suffix_singleton_max: Vec<f64>,
     /// `Σ_{i ≥ pos} interval_work(i, i+1)/s_max` (latency side).
-    pub(crate) suffix_singleton_sum: Vec<f64>,
+    suffix_singleton_sum: Vec<f64>,
     /// `δ_pos/b + singleton_opt[pos]`: what the interval opening at
     /// `pos` must at least pay.
-    pub(crate) head_bound: Vec<f64>,
+    head_bound: Vec<f64>,
     /// `δ_n/b + singleton_opt[n-1]`: what the closing interval must pay.
-    pub(crate) tail_bound: f64,
+    tail_bound: f64,
 }
 
 impl ExactBounds {
@@ -130,6 +141,7 @@ impl ExactBounds {
         let n = app.n_stages();
         let mut speeds_desc: Vec<f64> = cm.platform().speeds().to_vec();
         speeds_desc.sort_by(|x, y| y.partial_cmp(x).expect("speeds are finite"));
+        let input_time: Vec<f64> = (0..n).map(|i| app.input_volume(i) / b).collect();
         let singleton_opt: Vec<f64> = (0..n)
             .map(|i| app.interval_work(i, i + 1) / s_max)
             .collect();
@@ -139,17 +151,43 @@ impl ExactBounds {
             suffix_singleton_max[i] = suffix_singleton_max[i + 1].max(singleton_opt[i]);
             suffix_singleton_sum[i] = suffix_singleton_sum[i + 1] + singleton_opt[i];
         }
-        let head_bound: Vec<f64> = (0..n)
-            .map(|i| app.input_volume(i) / b + singleton_opt[i])
-            .collect();
+        let head_bound: Vec<f64> = (0..n).map(|i| input_time[i] + singleton_opt[i]).collect();
         let tail_bound = app.output_volume(n) / b + singleton_opt[n - 1];
         ExactBounds {
             speeds_desc,
+            input_time,
             suffix_singleton_max,
             suffix_singleton_sum,
             head_bound,
             tail_bound,
         }
+    }
+
+    /// Bit-wise admissible period bound of every completion of a prefix
+    /// that covers `[0, pos)` and bounds the period by `lb` itself: the
+    /// open suffix `[pos, n)` adds its head, its heaviest stage and the
+    /// closing interval's tail.
+    #[inline]
+    pub(crate) fn period(&self, pos: usize, lb: f64) -> f64 {
+        match self.head_bound.get(pos) {
+            Some(&head) => lb
+                .max(head)
+                .max(self.suffix_singleton_max[pos])
+                .max(self.tail_bound),
+            None => lb,
+        }
+    }
+
+    /// Slack-deflated latency bound of every completion of a prefix that
+    /// covers `[0, pos)` and pays at least `lb` itself: the open suffix
+    /// adds its per-stage work and its own input transfer.
+    #[inline]
+    pub(crate) fn latency(&self, pos: usize, mut lb: f64) -> f64 {
+        if let Some(&t_in) = self.input_time.get(pos) {
+            lb += self.suffix_singleton_sum[pos];
+            lb += t_in;
+        }
+        lb * (1.0 - LB_SLACK)
     }
 }
 

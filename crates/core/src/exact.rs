@@ -67,27 +67,46 @@
 //! residual subproblem (same open stages, same free processors), so only
 //! the componentwise-Pareto-minimal accumulator vectors at each state
 //! need expanding: every completion of a dominated vector is matched,
-//! coordinate for coordinate, by the dominator's completions. Because
-//! all transitions go strictly forward in `pos`, the state graph is
-//! leveled — the DP runs as one **level-order sweep** (all arrivals at a
-//! level precede its expansion), so each surviving state expands exactly
-//! once with its final value, never speculatively. Two symmetry/pruning
-//! levers keep the state space small: processors with bit-equal speeds
-//! are interchangeable, so each state enrolls only the first free member
-//! of every speed class (canonical masks = per-class prefixes), and
-//! states whose optimistic bound cannot beat the shared incumbent (fed
-//! by every complete extension as it arrives) are dropped at insert and
-//! again at expansion. An expansion computes its state's free processors
-//! once, and stops growing the next interval `[pos, end)` once even the
-//! fastest free processor `s` has `t_in + W/s` at or above the incumbent
-//! period (min-period DP) or beyond the period bound (latency DP): works
-//! grow with `end`, every cycle pays at least `t_in`, and rounding is
-//! monotone, so every longer interval on every free processor would be
-//! dropped anyway. The accumulators mirror the blind arithmetic
-//! expression by expression (`max` of the exact cycle values for the
-//! period; the `δ/b`-seeded input-volume fold plus the interval-order
-//! `w/s` fold for the latency), so every leaf value is bit-identical to
-//! a blind leaf and dominance never rounds.
+//! coordinate for coordinate, by the dominator's completions.
+//!
+//! **One sweep.** All transitions go strictly forward in `pos`, so the
+//! state graph is leveled and the DP runs as one **level-order sweep**
+//! (all arrivals at a level precede its expansion): each surviving state
+//! expands exactly once with its final accumulators, never
+//! speculatively. The sweep starts from the virtual state `(pos 0,
+//! mask 0)` holding the initial accumulator (`cycle_max = −∞`,
+//! `base = δ_n/b`, `Σ w/s = 0`); its expansion places the first
+//! intervals `[0, end)` — every `end` for a whole solve, a single one for
+//! a sharded root. Two levers keep the state space small: processors
+//! with bit-equal speeds are interchangeable, so each state enrolls only
+//! the first free member of every speed class (canonical masks =
+//! per-class prefixes), and a state whose optimistic bound (the same
+//! admissible suffix bounds as v2) shows it cannot contribute is dropped
+//! at insert and again at expansion. An expansion computes its state's
+//! free processors once, and stops growing the next interval `[pos, end)`
+//! once even the fastest free processor `s` has a `t_in + W/s` the phase
+//! refuses: works grow with `end`, every cycle pays at least `t_in`, and
+//! rounding is monotone, so every longer interval on every free
+//! processor would be refused anyway.
+//!
+//! **Three phases.** The three exact objectives run the same sweep and
+//! differ in five places only:
+//!
+//! | | min period | min latency, `period ≤ P` | shadow front |
+//! |---|---|---|---|
+//! | accumulator | `cycle_max` | `(base, Σ w/s)` | `(cycle_max, base, Σ w/s)` |
+//! | per-state dominance | the smaller `f64` | 2-D Pareto list | 3-D Pareto list |
+//! | edge filter | cycle `<` incumbent | cycle `≤ P` (`approx_le`) | none |
+//! | `end`-loop cut | the filter on `t_in + W/s` | the filter on `t_in + W/s` | none |
+//! | complete prefix | feeds the incumbent | feeds the incumbent | offers its point |
+//!
+//! States are bounded out against the incumbent (min period, min
+//! latency) or against the coordinate front found so far (shadow). The
+//! accumulators mirror the blind arithmetic expression by expression
+//! (`max` of the exact cycle values for the period; the `δ/b`-seeded
+//! input-volume fold plus the interval-order `w/s` fold for the
+//! latency), so every leaf value is bit-identical to a blind leaf and
+//! dominance never rounds.
 //!
 //! The DP pays off exactly when speed classes collapse the mask space —
 //! on the paper's fully homogeneous platforms the canonical states are
@@ -113,7 +132,8 @@
 //! pinned by `tests/exact_frontier.rs` and `tests/kernel_identity.rs`.
 //!
 //! The DP phases are also the **sharding seam**: the first-interval
-//! choices `[0, end)` are independent search roots, so
+//! choices `[0, end)` are independent search roots — a root call is the
+//! same sweep with the start state expanded over its one `end` — so
 //! `pipeline-experiments` fans them out over its work-queue engine with
 //! a shared atomic incumbent ([`SharedIncumbent`]) for cross-shard
 //! pruning. Values are exact regardless of visit order, and the
@@ -125,6 +145,7 @@
 //! production scheduling. The period minimization problem is NP-hard
 //! (paper Theorem 2), so no polynomial exact solver exists unless P = NP.
 
+use crate::bounds::ExactBounds;
 use crate::pareto::ParetoFront;
 use crate::workspace::SolveWorkspace;
 use pipeline_assign::{
@@ -132,9 +153,9 @@ use pipeline_assign::{
 };
 use pipeline_model::prelude::*;
 use pipeline_model::util::{approx_le, EPS};
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
+use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Practical guard: partitions beyond this would hang tests. Raised from
@@ -144,13 +165,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// not. The service layer turns requests beyond it into a structured
 /// `SolveError::InstanceTooLarge` instead of tripping the assert.
 pub const MAX_STAGES: usize = 30;
-
-/// Relative slack applied to latency-side lower bounds before pruning:
-/// the bounds re-associate floating-point sums, so they can exceed their
-/// real value by a few ulps. 1e-12 is ~3 orders of magnitude above the
-/// worst association noise of these short sums and ~3 below [`EPS`]-level
-/// differences the solvers distinguish.
-const LB_SLACK: f64 = 1e-12;
 
 /// The homogeneous bandwidth, or a panic — every exact search requires
 /// Communication Homogeneous links.
@@ -208,8 +222,8 @@ struct PartitionSearch<'c, 'a> {
     /// Placed interval works, sorted non-increasing.
     works_sorted: Vec<f64>,
     /// Precomputed suffix/head/tail bounds shared with the dominance DP
-    /// (see [`crate::bounds::ExactBounds`]).
-    eb: crate::bounds::ExactBounds,
+    /// (see [`ExactBounds`]).
+    eb: ExactBounds,
 }
 
 impl<'c, 'a> PartitionSearch<'c, 'a> {
@@ -225,7 +239,7 @@ impl<'c, 'a> PartitionSearch<'c, 'a> {
         );
         let b = homogeneous_bandwidth(cm);
         let s_max = pf.max_speed();
-        let eb = crate::bounds::ExactBounds::new(cm, b, s_max);
+        let eb = ExactBounds::new(cm, b, s_max);
         PartitionSearch {
             cm,
             n,
@@ -287,14 +301,7 @@ impl<'c, 'a> PartitionSearch<'c, 'a> {
         for (k, &w) in self.works_sorted.iter().enumerate() {
             lb = lb.max(w / self.eb.speeds_desc[k]);
         }
-        let pos = self.pos();
-        if pos < self.n {
-            lb = lb
-                .max(self.eb.head_bound[pos])
-                .max(self.eb.suffix_singleton_max[pos])
-                .max(self.eb.tail_bound);
-        }
-        lb
+        self.eb.period(self.pos(), lb)
     }
 
     /// Slack-deflated lower bound on the latency of every completion of
@@ -304,12 +311,7 @@ impl<'c, 'a> PartitionSearch<'c, 'a> {
         for (k, &w) in self.works_sorted.iter().enumerate() {
             lb += w / self.eb.speeds_desc[k];
         }
-        let pos = self.pos();
-        if pos < self.n {
-            lb += self.eb.suffix_singleton_sum[pos];
-            lb += self.cm.app().input_volume(pos) / self.b;
-        }
-        lb * (1.0 - LB_SLACK)
+        self.eb.latency(self.pos(), lb)
     }
 
     /// DFS over every extension of the current prefix, in lexicographic
@@ -358,18 +360,12 @@ impl<'c, 'a> PartitionSearch<'c, 'a> {
 /// (no known value, the plain v2 search) when it does not. The workspace
 /// lends its assignment matrices and DP tables.
 pub fn exact_min_period_in(cm: &CostModel<'_>, ws: &mut SolveWorkspace) -> (f64, IntervalMapping) {
-    let mut v_star = f64::INFINITY;
+    let inc = SharedIncumbent::new();
     if supports_dominance_dp(cm) {
-        let dp = DominanceDp::new(cm);
-        let inc = SharedIncumbent::new();
-        reset_levels(&mut ws.dp.period, dp.n);
-        for end in 1..=dp.n {
-            dp.period_seed(&mut ws.dp.period, end, &inc);
-        }
-        dp.period_sweep(&mut ws.dp.period, &inc);
-        v_star = inc.current();
+        let n = cm.app().n_stages();
+        run_phase(cm, &mut MinPeriod(&inc), 1..=n, &mut ws.dp.period);
     }
-    exact_min_period_from_value(cm, v_star, ws)
+    exact_min_period_from_value(cm, inc.current(), ws)
 }
 
 /// Exact minimum latency subject to `period ≤ period_bound`. `None` when
@@ -385,13 +381,9 @@ pub fn exact_min_latency_for_period_in(
     if !supports_dominance_dp(cm) {
         return min_latency_walk(cm, period_bound, f64::INFINITY, ws);
     }
-    let dp = DominanceDp::new(cm);
     let inc = SharedIncumbent::new();
-    reset_levels(&mut ws.dp.latency, dp.n);
-    for end in 1..=dp.n {
-        dp.latency_seed(&mut ws.dp.latency, end, period_bound, &inc);
-    }
-    dp.latency_sweep(&mut ws.dp.latency, period_bound, &inc);
+    let mut phase = MinLatency(&inc, period_bound);
+    run_phase(cm, &mut phase, 1..=cm.app().n_stages(), &mut ws.dp.latency);
     exact_min_latency_from_value(cm, period_bound, inc.current(), ws)
 }
 
@@ -406,12 +398,8 @@ pub fn exact_pareto_front_in(
 ) -> ParetoFront<IntervalMapping> {
     let mut shadow: ParetoFront<()> = ParetoFront::new();
     if supports_dominance_dp(cm) {
-        let dp = DominanceDp::new(cm);
-        reset_levels(&mut ws.dp.front, dp.n);
-        for end in 1..=dp.n {
-            dp.shadow_seed(&mut ws.dp.front, end, &mut shadow);
-        }
-        dp.shadow_sweep(&mut ws.dp.front, &mut shadow);
+        let n = cm.app().n_stages();
+        run_phase(cm, &mut Shadow(&mut shadow), 1..=n, &mut ws.dp.front);
     }
     exact_front_from_shadow(cm, &shadow, ws)
 }
@@ -472,13 +460,6 @@ type DomBuild = BuildHasherDefault<DomHasher>;
 /// keyed by enrolled-processor mask.
 type DpLevel<T> = HashMap<u32, T, DomBuild>;
 
-/// Latency-DP accumulator pairs: `(latency_base, Σ w/s)`.
-type LatencyAccs = Vec<(f64, f64)>;
-
-/// Shadow-front-DP accumulator triples:
-/// `(cycle_max, latency_base, Σ w/s)`.
-type FrontAccs = Vec<(f64, f64, f64)>;
-
 /// Reusable level tables of the v3 DP, one map per stage position `pos`
 /// keyed by processor mask. Owned by [`SolveWorkspace`]; each solve (or
 /// each sharded root call) resets them, recycling capacity.
@@ -488,10 +469,10 @@ pub(crate) struct DpScratch {
     period: Vec<DpLevel<f64>>,
     /// Latency-under-bound DP: Pareto list of `(latency_base, Σ w/s)`
     /// accumulator pairs per state.
-    latency: Vec<DpLevel<LatencyAccs>>,
+    latency: Vec<DpLevel<Vec<(f64, f64)>>>,
     /// Shadow-front DP: Pareto list of `(cycle_max, latency_base, Σ w/s)`
     /// accumulator triples per state.
-    front: Vec<DpLevel<FrontAccs>>,
+    front: Vec<DpLevel<Vec<(f64, f64, f64)>>>,
     /// Min-period witness: whether a state still completes with every
     /// cycle within the optimum (memoized on first visit).
     completes: Vec<DpLevel<bool>>,
@@ -591,14 +572,7 @@ pub fn exact_root_order(cm: &CostModel<'_>) -> Vec<usize> {
         .map(|end| {
             let comm = app.input_volume(0) / dp.b + app.output_volume(end) / dp.b;
             let opt_cycle = comm + app.interval_work(0, end) / dp.s_max;
-            let mut lb = opt_cycle;
-            if end < dp.n {
-                lb = lb
-                    .max(dp.eb.head_bound[end])
-                    .max(dp.eb.suffix_singleton_max[end])
-                    .max(dp.eb.tail_bound);
-            }
-            (lb, end)
+            (dp.eb.period(end, opt_cycle), end)
         })
         .collect();
     roots.sort_by(|a, b| a.partial_cmp(b).expect("bounds are finite"));
@@ -636,7 +610,7 @@ struct DominanceDp<'c, 'a> {
     /// assignment branching on (partially) homogeneous platforms
     /// without affecting any objective value.
     speed_groups: Vec<Vec<usize>>,
-    eb: crate::bounds::ExactBounds,
+    eb: ExactBounds,
 }
 
 impl<'c, 'a> DominanceDp<'c, 'a> {
@@ -680,7 +654,7 @@ impl<'c, 'a> DominanceDp<'c, 'a> {
             s_max,
             speeds,
             speed_groups,
-            eb: crate::bounds::ExactBounds::new(cm, b, s_max),
+            eb: ExactBounds::new(cm, b, s_max),
         }
     }
 
@@ -701,107 +675,62 @@ impl<'c, 'a> DominanceDp<'c, 'a> {
         free
     }
 
-    /// Bit-wise admissible period lower bound at `(pos, cycle_max)`.
-    #[inline]
-    fn lb_period(&self, pos: usize, cycle_max: f64) -> f64 {
-        if pos < self.n {
-            cycle_max
-                .max(self.eb.head_bound[pos])
-                .max(self.eb.suffix_singleton_max[pos])
-                .max(self.eb.tail_bound)
-        } else {
-            cycle_max
-        }
-    }
-
-    /// Slack-deflated latency lower bound at `(pos, base, wsum)`.
-    #[inline]
-    fn lb_latency(&self, pos: usize, base: f64, wsum: f64) -> f64 {
-        let mut lb = base + wsum;
-        if pos < self.n {
-            lb += self.eb.suffix_singleton_sum[pos];
-            lb += self.cm.app().input_volume(pos) / self.b;
-        }
-        lb * (1.0 - LB_SLACK)
-    }
-
-    /// One arrival of the min-period DP: a prefix reaching `(end, mask)`
-    /// with cycle maximum `cycle_max`. Complete prefixes feed `inc`;
-    /// others are dropped when bounded below the incumbent or dominated
-    /// at their state, else recorded for the level sweep.
-    #[inline]
-    fn period_relax(
+    /// The level-order sweep shared by the three DP phases. Level 0
+    /// holds the virtual start state `(pos 0, mask 0)` with the phase's
+    /// initial accumulator, expanded over the first intervals `[0, end)`
+    /// for `end` in `first`; every later level expands over all its
+    /// intervals. Positions are processed ascending, so every state
+    /// already holds its final accumulators when expanded — no
+    /// re-expansion, each transition taken at most once.
+    fn sweep<P: Phase>(
         &self,
-        levels: &mut [DpLevel<f64>],
-        end: usize,
-        mask: u32,
-        cycle_max: f64,
-        inc: &SharedIncumbent,
+        phase: &mut P,
+        levels: &mut [DpLevel<P::Slot>],
+        first: RangeInclusive<usize>,
     ) {
-        if end == self.n {
-            inc.observe(cycle_max);
-            return;
-        }
-        if self.lb_period(end, cycle_max) >= inc.current() {
-            return;
-        }
-        match levels[end].entry(mask) {
-            Entry::Occupied(mut e) => {
-                if *e.get() > cycle_max {
-                    e.insert(cycle_max);
-                }
-            }
-            Entry::Vacant(e) => {
-                e.insert(cycle_max);
-            }
-        }
-    }
-
-    /// Seeds the min-period DP with the root `[0, end)` branches.
-    fn period_seed(&self, levels: &mut [DpLevel<f64>], end: usize, inc: &SharedIncumbent) {
         let app = self.cm.app();
-        let comm = app.input_volume(0) / self.b + app.output_volume(end) / self.b;
-        let work = app.interval_work(0, end);
-        for &u in self.free_procs(0).iter() {
-            let cycle = comm + work / self.speeds[u];
-            self.period_relax(levels, end, 1u32 << u, f64::NEG_INFINITY.max(cycle), inc);
-        }
-    }
-
-    /// Level-order sweep of the min-period DP: processes each position
-    /// ascending, so every state already holds its final (minimal) cycle
-    /// maximum when expanded — no re-expansion, each transition taken at
-    /// most once.
-    fn period_sweep(&self, levels: &mut [DpLevel<f64>], inc: &SharedIncumbent) {
-        let app = self.cm.app();
-        for pos in 1..self.n {
+        P::keep(&mut levels[0], 0, P::start(app.delta(self.n) / self.b));
+        for pos in 0..self.n {
             let mut level = std::mem::take(&mut levels[pos]);
+            let ends = if pos == 0 {
+                first.clone()
+            } else {
+                pos + 1..=self.n
+            };
             let t_in = app.input_volume(pos) / self.b;
-            for (&mask, &cycle_max) in level.iter() {
-                if self.lb_period(pos, cycle_max) >= inc.current() {
-                    continue;
-                }
+            for (&mask, slot) in level.iter() {
                 let free = self.free_procs(mask);
                 let Some(&fastest) = free.first() else {
                     continue;
                 };
-                for end in pos + 1..=self.n {
-                    let work = app.interval_work(pos, end);
-                    // Every cycle from here on is at least this (see
-                    // `completes`), so `period_relax` would drop it.
-                    if t_in + work / self.speeds[fastest] >= inc.current() {
-                        break;
+                for &acc in P::accs(slot) {
+                    if phase.bounded(&self.eb, pos, acc) {
+                        continue;
                     }
-                    let comm = t_in + app.output_volume(end) / self.b;
-                    for &u in free.iter() {
-                        let cycle = comm + work / self.speeds[u];
-                        self.period_relax(
-                            levels,
-                            end,
-                            mask | (1u32 << u),
-                            cycle_max.max(cycle),
-                            inc,
-                        );
+                    for end in ends.clone() {
+                        let work = app.interval_work(pos, end);
+                        // Works grow with `end` and rounding is monotone,
+                        // so no free processor fits this or any longer
+                        // interval: every cycle is at least this.
+                        if !phase.fits(t_in + work / self.speeds[fastest]) {
+                            break;
+                        }
+                        let comm = t_in + app.output_volume(end) / self.b;
+                        for &u in free.iter() {
+                            let wos = work / self.speeds[u];
+                            let cycle = comm + wos;
+                            if !phase.fits(cycle) {
+                                continue;
+                            }
+                            // One arrival: a complete prefix goes to the
+                            // phase, others are kept unless bounded out.
+                            let next = P::extend(acc, t_in, cycle, wos);
+                            if end == self.n {
+                                phase.complete(next);
+                            } else if !phase.bounded(&self.eb, end, next) {
+                                P::keep(&mut levels[end], mask | (1u32 << u), next);
+                            }
+                        }
                     }
                 }
             }
@@ -843,238 +772,180 @@ impl<'c, 'a> DominanceDp<'c, 'a> {
         memo[pos].insert(mask, found);
         found
     }
+}
 
-    /// One arrival of the latency-under-period-bound DP: per-state
-    /// dominance is the 2-D Pareto test on the `(latency_base, Σ w/s)`
-    /// accumulators — completions extend both components monotonically,
-    /// so a dominated arrival cannot reach a smaller final sum.
-    #[inline]
-    fn latency_relax(
-        &self,
-        levels: &mut [DpLevel<LatencyAccs>],
-        end: usize,
-        mask: u32,
-        base: f64,
-        wsum: f64,
-        inc: &SharedIncumbent,
-    ) {
-        if end == self.n {
-            inc.observe(base + wsum);
-            return;
-        }
-        if self.lb_latency(end, base, wsum) >= inc.current() {
-            return;
-        }
-        let list = levels[end].entry(mask).or_default();
-        if list.iter().any(|&(b0, w0)| b0 <= base && w0 <= wsum) {
-            return;
-        }
-        list.retain(|&(b0, w0)| !(base <= b0 && wsum <= w0));
-        list.push((base, wsum));
+/// What one objective contributes to [`DominanceDp::sweep`]: the five
+/// places where the three DP phases differ (see the module docs).
+/// Monomorphized per phase.
+trait Phase {
+    /// The per-prefix accumulator.
+    type Acc: Copy;
+    /// What a `(pos, mask)` state keeps of its arrivals.
+    type Slot;
+    /// The start state's accumulator, given the latency base `δ_n/b`.
+    fn start(base: f64) -> Self::Acc;
+    /// `acc` grown by an interval with input transfer `t_in`, cycle
+    /// `cycle` on its processor and computation time `wos` there.
+    fn extend(acc: Self::Acc, t_in: f64, cycle: f64, wos: f64) -> Self::Acc;
+    /// The per-state dominance rule: records `acc` at `mask` unless a
+    /// kept accumulator makes it redundant.
+    fn keep(level: &mut DpLevel<Self::Slot>, mask: u32, acc: Self::Acc);
+    /// The accumulators a state keeps.
+    fn accs(slot: &Self::Slot) -> &[Self::Acc];
+    /// The edge filter, and with the fastest free processor's cycle
+    /// bound the `end`-loop cut: whether an interval with this cycle can
+    /// still contribute.
+    fn fits(&self, cycle: f64) -> bool;
+    /// Whether no completion of `acc` at `pos` can contribute.
+    fn bounded(&self, eb: &ExactBounds, pos: usize, acc: Self::Acc) -> bool;
+    /// What a complete prefix does.
+    fn complete(&mut self, acc: Self::Acc);
+}
+
+/// Keeps `acc` at `mask` unless a kept accumulator is componentwise `le`
+/// it, evicting those `acc` is `le` of: completions extend every
+/// component monotonically, so a dominated arrival cannot finish better.
+fn keep_pareto<A: Copy>(level: &mut DpLevel<Vec<A>>, mask: u32, acc: A, le: fn(A, A) -> bool) {
+    let list = level.entry(mask).or_default();
+    if list.iter().any(|&old| le(old, acc)) {
+        return;
     }
+    list.retain(|&old| !le(acc, old));
+    list.push(acc);
+}
 
-    /// Seeds the latency DP with the root `[0, end)` branches whose
-    /// cycle fits `bound` (the blind solver's allowed-pair criterion).
-    fn latency_seed(
-        &self,
-        levels: &mut [DpLevel<LatencyAccs>],
-        end: usize,
-        bound: f64,
-        inc: &SharedIncumbent,
-    ) {
-        let app = self.cm.app();
-        let comm = app.input_volume(0) / self.b + app.output_volume(end) / self.b;
-        let work = app.interval_work(0, end);
-        let base = app.delta(self.n) / self.b + app.input_volume(0) / self.b;
-        for &u in self.free_procs(0).iter() {
-            let cycle = comm + work / self.speeds[u];
-            if approx_le(cycle, bound) {
-                self.latency_relax(
-                    levels,
-                    end,
-                    1u32 << u,
-                    base,
-                    0.0 + work / self.speeds[u],
-                    inc,
-                );
-            }
-        }
+/// The min-period phase: the prefix cycle maximum, one `f64` per state
+/// (the smallest), complete prefixes feeding the incumbent.
+struct MinPeriod<'i>(&'i SharedIncumbent);
+
+impl Phase for MinPeriod<'_> {
+    type Acc = f64;
+    type Slot = f64;
+    fn start(_base: f64) -> f64 {
+        f64::NEG_INFINITY
     }
-
-    /// Level-order sweep of the latency DP: expands each state's final
-    /// Pareto list once, taking only edges whose cycle fits `bound`.
-    fn latency_sweep(
-        &self,
-        levels: &mut [DpLevel<LatencyAccs>],
-        bound: f64,
-        inc: &SharedIncumbent,
-    ) {
-        let app = self.cm.app();
-        for pos in 1..self.n {
-            let mut level = std::mem::take(&mut levels[pos]);
-            let t_in = app.input_volume(pos) / self.b;
-            for (&mask, list) in level.iter() {
-                let free = self.free_procs(mask);
-                let Some(&fastest) = free.first() else {
-                    continue;
-                };
-                for &(base, wsum) in list {
-                    if self.lb_latency(pos, base, wsum) >= inc.current() {
-                        continue;
-                    }
-                    let next_base = base + t_in;
-                    for end in pos + 1..=self.n {
-                        let work = app.interval_work(pos, end);
-                        // No free processor runs this or any longer
-                        // interval within the bound (see `completes`).
-                        if !approx_le(t_in + work / self.speeds[fastest], bound) {
-                            break;
-                        }
-                        let comm = t_in + app.output_volume(end) / self.b;
-                        for &u in free.iter() {
-                            let cycle = comm + work / self.speeds[u];
-                            if approx_le(cycle, bound) {
-                                self.latency_relax(
-                                    levels,
-                                    end,
-                                    mask | (1u32 << u),
-                                    next_base,
-                                    wsum + work / self.speeds[u],
-                                    inc,
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-            level.clear();
-            levels[pos] = level;
+    fn extend(cycle_max: f64, _t_in: f64, cycle: f64, _wos: f64) -> f64 {
+        cycle_max.max(cycle)
+    }
+    fn keep(level: &mut DpLevel<f64>, mask: u32, cycle_max: f64) {
+        let kept = level.entry(mask).or_insert(cycle_max);
+        if *kept > cycle_max {
+            *kept = cycle_max;
         }
     }
-
-    /// One arrival of the shadow-front DP: complete prefixes offer their
-    /// coordinate-only point into `shadow`; others are dropped when
-    /// their optimistic point is already dominated by the shadow (every
-    /// completion would be weakly dominated too) or by the 3-D Pareto
-    /// test on their state's accumulator list.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn shadow_relax(
-        &self,
-        levels: &mut [DpLevel<FrontAccs>],
-        end: usize,
-        mask: u32,
-        cycle_max: f64,
-        base: f64,
-        wsum: f64,
-        shadow: &mut ParetoFront<()>,
-    ) {
-        if end == self.n {
-            let latency = base + wsum;
-            if !shadow.dominated(cycle_max, latency) {
-                shadow.offer(cycle_max, latency, ());
-            }
-            return;
-        }
-        if shadow.dominated(
-            self.lb_period(end, cycle_max),
-            self.lb_latency(end, base, wsum),
-        ) {
-            return;
-        }
-        let list = levels[end].entry(mask).or_default();
-        if list
-            .iter()
-            .any(|&(c0, b0, w0)| c0 <= cycle_max && b0 <= base && w0 <= wsum)
-        {
-            return;
-        }
-        list.retain(|&(c0, b0, w0)| !(cycle_max <= c0 && base <= b0 && wsum <= w0));
-        list.push((cycle_max, base, wsum));
+    fn accs(slot: &f64) -> &[f64] {
+        std::slice::from_ref(slot)
     }
-
-    /// Seeds the shadow-front DP with the root `[0, end)` branches.
-    fn shadow_seed(
-        &self,
-        levels: &mut [DpLevel<FrontAccs>],
-        end: usize,
-        shadow: &mut ParetoFront<()>,
-    ) {
-        let app = self.cm.app();
-        let comm = app.input_volume(0) / self.b + app.output_volume(end) / self.b;
-        let work = app.interval_work(0, end);
-        let base = app.delta(self.n) / self.b + app.input_volume(0) / self.b;
-        for &u in self.free_procs(0).iter() {
-            let cycle = comm + work / self.speeds[u];
-            self.shadow_relax(
-                levels,
-                end,
-                1u32 << u,
-                f64::NEG_INFINITY.max(cycle),
-                base,
-                0.0 + work / self.speeds[u],
-                shadow,
-            );
-        }
+    fn fits(&self, cycle: f64) -> bool {
+        cycle < self.0.current()
     }
+    fn bounded(&self, eb: &ExactBounds, pos: usize, cycle_max: f64) -> bool {
+        eb.period(pos, cycle_max) >= self.0.current()
+    }
+    fn complete(&mut self, cycle_max: f64) {
+        self.0.observe(cycle_max);
+    }
+}
 
-    /// Level-order sweep of the shadow-front DP. Leaves arrive (and
-    /// tighten `shadow`) throughout the sweep, so later levels prune
-    /// against an ever-better front; the final coordinate set is the
-    /// Pareto front of all pairs regardless of arrival order.
-    fn shadow_sweep(&self, levels: &mut [DpLevel<FrontAccs>], shadow: &mut ParetoFront<()>) {
-        let app = self.cm.app();
-        for pos in 1..self.n {
-            let mut level = std::mem::take(&mut levels[pos]);
-            let t_in = app.input_volume(pos) / self.b;
-            for (&mask, list) in level.iter() {
-                let free = self.free_procs(mask);
-                for &(cycle_max, base, wsum) in list {
-                    if shadow.dominated(
-                        self.lb_period(pos, cycle_max),
-                        self.lb_latency(pos, base, wsum),
-                    ) {
-                        continue;
-                    }
-                    let next_base = base + t_in;
-                    for end in pos + 1..=self.n {
-                        let comm = t_in + app.output_volume(end) / self.b;
-                        let work = app.interval_work(pos, end);
-                        for &u in free.iter() {
-                            let cycle = comm + work / self.speeds[u];
-                            self.shadow_relax(
-                                levels,
-                                end,
-                                mask | (1u32 << u),
-                                cycle_max.max(cycle),
-                                next_base,
-                                wsum + work / self.speeds[u],
-                                shadow,
-                            );
-                        }
-                    }
-                }
-            }
-            level.clear();
-            levels[pos] = level;
+/// The latency-under-period-bound phase: `(latency_base, Σ w/s)` pairs
+/// under the 2-D Pareto rule, only edges whose cycle fits `bound` (the
+/// blind solver's allowed-pair criterion), complete prefixes feeding the
+/// incumbent.
+struct MinLatency<'i>(&'i SharedIncumbent, f64);
+
+impl Phase for MinLatency<'_> {
+    type Acc = (f64, f64);
+    type Slot = Vec<(f64, f64)>;
+    fn start(base: f64) -> (f64, f64) {
+        (base, 0.0)
+    }
+    fn extend((base, wsum): (f64, f64), t_in: f64, _cycle: f64, wos: f64) -> (f64, f64) {
+        (base + t_in, wsum + wos)
+    }
+    fn keep(level: &mut DpLevel<Self::Slot>, mask: u32, acc: (f64, f64)) {
+        keep_pareto(level, mask, acc, |(b0, w0), (b1, w1)| b0 <= b1 && w0 <= w1);
+    }
+    fn accs(slot: &Self::Slot) -> &[(f64, f64)] {
+        slot
+    }
+    fn fits(&self, cycle: f64) -> bool {
+        approx_le(cycle, self.1)
+    }
+    fn bounded(&self, eb: &ExactBounds, pos: usize, (base, wsum): (f64, f64)) -> bool {
+        eb.latency(pos, base + wsum) >= self.0.current()
+    }
+    fn complete(&mut self, (base, wsum): (f64, f64)) {
+        self.0.observe(base + wsum);
+    }
+}
+
+/// The shadow-front phase: `(cycle_max, latency_base, Σ w/s)` triples
+/// under the 3-D Pareto rule, every edge, complete prefixes offering
+/// their coordinate-only point. Leaves arrive (and tighten the front)
+/// throughout the sweep, so later levels prune against an ever-better
+/// front; the final coordinate set is the Pareto front of all pairs
+/// regardless of arrival order.
+struct Shadow<'s>(&'s mut ParetoFront<()>);
+
+impl Phase for Shadow<'_> {
+    type Acc = (f64, f64, f64);
+    type Slot = Vec<(f64, f64, f64)>;
+    fn start(base: f64) -> (f64, f64, f64) {
+        (f64::NEG_INFINITY, base, 0.0)
+    }
+    fn extend(acc: Self::Acc, t_in: f64, cycle: f64, wos: f64) -> Self::Acc {
+        (acc.0.max(cycle), acc.1 + t_in, acc.2 + wos)
+    }
+    fn keep(level: &mut DpLevel<Self::Slot>, mask: u32, acc: (f64, f64, f64)) {
+        keep_pareto(level, mask, acc, |(c0, b0, w0), (c1, b1, w1)| {
+            c0 <= c1 && b0 <= b1 && w0 <= w1
+        });
+    }
+    fn accs(slot: &Self::Slot) -> &[(f64, f64, f64)] {
+        slot
+    }
+    fn fits(&self, _cycle: f64) -> bool {
+        true
+    }
+    /// Every completion's point would be weakly dominated by the front.
+    fn bounded(&self, eb: &ExactBounds, pos: usize, (cycle_max, base, wsum): Self::Acc) -> bool {
+        self.0
+            .dominated(eb.period(pos, cycle_max), eb.latency(pos, base + wsum))
+    }
+    fn complete(&mut self, (cycle_max, base, wsum): (f64, f64, f64)) {
+        let latency = base + wsum;
+        if !self.0.dominated(cycle_max, latency) {
+            self.0.offer(cycle_max, latency, ());
         }
     }
 }
 
+/// Runs `phase` in `levels` (the workspace's tables of its slot type)
+/// from the start state, over the first intervals `[0, end)` for `end` in `first`: all of
+/// them for a whole solve, one for a sharded root.
+fn run_phase<P: Phase>(
+    cm: &CostModel<'_>,
+    phase: &mut P,
+    first: RangeInclusive<usize>,
+    levels: &mut Vec<DpLevel<P::Slot>>,
+) {
+    let dp = DominanceDp::new(cm);
+    reset_levels(levels, dp.n);
+    dp.sweep(phase, levels, first);
+}
+
 /// Runs the min-period DP subtree rooted at first interval `[0, end)`,
 /// feeding achieved values into `inc`. Self-contained: resets the
-/// workspace's level tables, seeds the root, sweeps. Thread-safe across
-/// roots when each worker has its own workspace and shares one `inc`.
+/// workspace's level tables, expands the start state over this one first
+/// interval, sweeps. Thread-safe across roots when each worker has its
+/// own workspace and shares one `inc`.
 pub fn exact_min_period_value_root(
     cm: &CostModel<'_>,
     end: usize,
     inc: &SharedIncumbent,
     ws: &mut SolveWorkspace,
 ) {
-    let dp = DominanceDp::new(cm);
-    reset_levels(&mut ws.dp.period, dp.n);
-    dp.period_seed(&mut ws.dp.period, end, inc);
-    dp.period_sweep(&mut ws.dp.period, inc);
+    run_phase(cm, &mut MinPeriod(inc), end..=end, &mut ws.dp.period);
 }
 
 /// Witness pass of the min-period DP, or the v2 search when no value is
@@ -1208,10 +1079,8 @@ pub fn exact_min_latency_value_root(
     inc: &SharedIncumbent,
     ws: &mut SolveWorkspace,
 ) {
-    let dp = DominanceDp::new(cm);
-    reset_levels(&mut ws.dp.latency, dp.n);
-    dp.latency_seed(&mut ws.dp.latency, end, period_bound, inc);
-    dp.latency_sweep(&mut ws.dp.latency, period_bound, inc);
+    let mut phase = MinLatency(inc, period_bound);
+    run_phase(cm, &mut phase, end..=end, &mut ws.dp.latency);
 }
 
 /// Witness pass of the latency DP: the min-latency partition walk under
@@ -1300,10 +1169,7 @@ pub fn exact_front_shadow_root(
     shadow: &mut ParetoFront<()>,
     ws: &mut SolveWorkspace,
 ) {
-    let dp = DominanceDp::new(cm);
-    reset_levels(&mut ws.dp.front, dp.n);
-    dp.shadow_seed(&mut ws.dp.front, end, shadow);
-    dp.shadow_sweep(&mut ws.dp.front, shadow);
+    run_phase(cm, &mut Shadow(shadow), end..=end, &mut ws.dp.front);
 }
 
 /// The front's partition walk: for each surviving partition, sweeps the

@@ -22,34 +22,51 @@
 //! **bit-identical** to the sequential entry points at any thread count
 //! — pinned at 1/2/4 threads by `tests/exact_frontier.rs`.
 //!
-//! Instances the DP does not support
-//! ([`pipeline_core::exact::supports_dominance_dp`]) fall back to the
-//! sequential v2 solvers — same results, no parallel speedup.
+//! The three operations share one root fan-out; instances the DP does
+//! not support ([`pipeline_core::exact::supports_dominance_dp`]) run no
+//! roots and fall back to the sequential v2 solvers — same results, no
+//! parallel speedup.
 
 use crate::shard::{sharded_map_indices_with, ShardOptions};
 use pipeline_core::exact::{
-    exact_front_shadow_root, exact_min_latency_for_period_in, exact_min_latency_from_value,
-    exact_min_latency_value_root, exact_min_period_from_value, exact_min_period_in,
-    exact_min_period_value_root, exact_pareto_front_in, exact_root_order, supports_dominance_dp,
-    SharedIncumbent,
+    exact_front_from_shadow, exact_front_shadow_root, exact_min_latency_for_period_in,
+    exact_min_latency_from_value, exact_min_latency_value_root, exact_min_period_from_value,
+    exact_min_period_value_root, exact_root_order, supports_dominance_dp, SharedIncumbent,
 };
 use pipeline_core::{ParetoFront, SolveWorkspace};
 use pipeline_model::prelude::*;
 
-/// Exact minimum period with the DP roots fanned over `opts.threads`
-/// workers. Bit-identical to [`pipeline_core::exact::exact_min_period_in`]
-/// at any thread count.
-pub fn exact_min_period_sharded(cm: &CostModel<'_>, opts: ShardOptions) -> (f64, IntervalMapping) {
-    let mut ws = SolveWorkspace::new();
+/// The root fan-out: runs `root` once per DP root `[0, end)`, in
+/// [`exact_root_order`], over `opts.threads` workers with one
+/// [`SolveWorkspace`] each, and returns the results in root order —
+/// or runs nothing and returns `None` when the DP does not apply.
+fn fan_out<R: Send>(
+    cm: &CostModel<'_>,
+    opts: ShardOptions,
+    root: impl Fn(usize, &mut SolveWorkspace) -> R + Sync,
+) -> Option<Vec<R>> {
     if !supports_dominance_dp(cm) {
-        return exact_min_period_in(cm, &mut ws);
+        return None;
     }
     let roots = exact_root_order(cm);
+    Some(sharded_map_indices_with(
+        roots.len(),
+        opts,
+        SolveWorkspace::new,
+        |ws, i| root(roots[i], ws),
+    ))
+}
+
+/// Exact minimum period with the DP roots fanned over `opts.threads`
+/// workers. Bit-identical to [`pipeline_core::exact::exact_min_period_in`]
+/// at any thread count: without the DP the incumbent stays `+∞`, which
+/// is the plain v2 walk there too.
+pub fn exact_min_period_sharded(cm: &CostModel<'_>, opts: ShardOptions) -> (f64, IntervalMapping) {
     let inc = SharedIncumbent::new();
-    sharded_map_indices_with(roots.len(), opts, SolveWorkspace::new, |ws, i| {
-        exact_min_period_value_root(cm, roots[i], &inc, ws);
+    fan_out(cm, opts, |end, ws| {
+        exact_min_period_value_root(cm, end, &inc, ws)
     });
-    exact_min_period_from_value(cm, inc.current(), &mut ws)
+    exact_min_period_from_value(cm, inc.current(), &mut SolveWorkspace::new())
 }
 
 /// Exact minimum latency under a period bound, sharded like
@@ -61,14 +78,13 @@ pub fn exact_min_latency_for_period_sharded(
     opts: ShardOptions,
 ) -> Option<(f64, IntervalMapping)> {
     let mut ws = SolveWorkspace::new();
-    if !supports_dominance_dp(cm) {
+    let inc = SharedIncumbent::new();
+    let ran = fan_out(cm, opts, |end, ws| {
+        exact_min_latency_value_root(cm, period_bound, end, &inc, ws)
+    });
+    if ran.is_none() {
         return exact_min_latency_for_period_in(cm, period_bound, &mut ws);
     }
-    let roots = exact_root_order(cm);
-    let inc = SharedIncumbent::new();
-    sharded_map_indices_with(roots.len(), opts, SolveWorkspace::new, |ws, i| {
-        exact_min_latency_value_root(cm, period_bound, roots[i], &inc, ws);
-    });
     exact_min_latency_from_value(cm, period_bound, inc.current(), &mut ws)
 }
 
@@ -76,31 +92,24 @@ pub fn exact_min_latency_for_period_sharded(
 /// collects a root-local coordinate front, the fronts merge in root
 /// order (the Pareto filter of a union is order-independent), and the
 /// sequential witness sweep reconstructs mappings. Bit-identical to
-/// [`pipeline_core::exact::exact_pareto_front_in`].
+/// [`pipeline_core::exact::exact_pareto_front_in`]: without the DP the
+/// shadow stays empty, which is the plain v2 sweep there too.
 pub fn exact_pareto_front_sharded(
     cm: &CostModel<'_>,
     opts: ShardOptions,
 ) -> ParetoFront<IntervalMapping> {
-    let mut ws = SolveWorkspace::new();
-    if !supports_dominance_dp(cm) {
-        return exact_pareto_front_in(cm, &mut ws);
-    }
-    let roots = exact_root_order(cm);
-    let locals: Vec<ParetoFront<()>> =
-        sharded_map_indices_with(roots.len(), opts, SolveWorkspace::new, |ws, i| {
-            let mut local: ParetoFront<()> = ParetoFront::new();
-            exact_front_shadow_root(cm, roots[i], &mut local, ws);
-            local
-        });
+    let locals = fan_out(cm, opts, |end, ws| {
+        let mut local: ParetoFront<()> = ParetoFront::new();
+        exact_front_shadow_root(cm, end, &mut local, ws);
+        local
+    });
     let mut shadow: ParetoFront<()> = ParetoFront::new();
-    for local in &locals {
-        for (period, latency, ()) in local.iter() {
-            if !shadow.dominated(period, latency) {
-                shadow.offer(period, latency, ());
-            }
+    for (period, latency, ()) in locals.iter().flatten().flat_map(ParetoFront::iter) {
+        if !shadow.dominated(period, latency) {
+            shadow.offer(period, latency, ());
         }
     }
-    pipeline_core::exact::exact_front_from_shadow(cm, &shadow, &mut ws)
+    exact_front_from_shadow(cm, &shadow, &mut SolveWorkspace::new())
 }
 
 #[cfg(test)]

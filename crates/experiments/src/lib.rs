@@ -49,9 +49,7 @@ pub use exact_shard::{
     exact_min_latency_for_period_sharded, exact_min_period_sharded, exact_pareto_front_sharded,
 };
 pub use loadgen::{request_lines, run_load, write_zoo_instances, LoadReport};
-pub use shard::{
-    sharded_fold, sharded_map_indices_with, sharded_map_items_with, Mergeable, ShardOptions,
-};
+pub use shard::{sharded_map_indices_with, sharded_map_items_with, ShardOptions};
 pub use sweep::{
     run_family, run_scenario, FamilyResult, FrontQuality, HeuristicSeries, SweepPoint,
 };

@@ -5,12 +5,12 @@
 //! **chunked work stealing**: the index space `0..n` is cut into
 //! fixed-size chunks, worker threads claim whole chunks from an atomic
 //! cursor (one uncontended lock *per chunk*, not per item), and each
-//! chunk's results land in their own slot. Three properties matter:
+//! chunk's results land in their own slot. Two properties matter:
 //!
 //! * **Determinism across thread counts.** Chunk boundaries depend only
 //!   on `chunk_size` (never on `threads`), every chunk is computed
-//!   independently, and per-chunk results/accumulators are merged in
-//!   chunk order. A sweep therefore produces *bit-identical* output on
+//!   independently, and per-chunk results are concatenated in chunk
+//!   order. A sweep therefore produces *bit-identical* output on
 //!   1, 2 or 64 threads — verified by the experiments crate's
 //!   `tests/sharded_determinism.rs`.
 //! * **Per-shard RNG streams.** Workers generate instances *inside* the
@@ -18,10 +18,6 @@
 //!   [`pipeline_model::generator::stream_seed`]-derived streams, so no
 //!   serial pre-generation pass is needed and the draw order inside a
 //!   chunk never depends on what other shards do.
-//! * **Mergeable accumulators.** [`sharded_fold`] reduces each chunk to
-//!   one [`Mergeable`] value and merges the per-chunk values left to
-//!   right — the floating-point merge order is fixed by the chunking,
-//!   not by thread scheduling.
 //!
 //! Worker panics propagate (scoped threads), matching the old engine.
 
@@ -45,8 +41,8 @@ pub struct ShardOptions {
     /// serial path the bit-exact reference for the parallel one.
     pub threads: usize,
     /// Indices per chunk. Part of the *result* for floating-point folds
-    /// (it fixes the merge tree), so it deliberately does not default to
-    /// anything thread-dependent.
+    /// per chunk (`run_scenario`'s landmark sums merge chunk by chunk),
+    /// so it deliberately does not default to anything thread-dependent.
     pub chunk_size: usize,
 }
 
@@ -63,20 +59,6 @@ impl ShardOptions {
 impl Default for ShardOptions {
     fn default() -> Self {
         ShardOptions::with_threads(1)
-    }
-}
-
-/// Values that can be merged pairwise — per-chunk accumulators of
-/// [`sharded_fold`]. Merging is performed in chunk order, left to right.
-pub trait Mergeable: Sized {
-    /// Absorbs `other` (the accumulator of the *next* chunk) into `self`.
-    fn merge(self, other: Self) -> Self;
-}
-
-impl<T> Mergeable for Vec<T> {
-    fn merge(mut self, mut other: Self) -> Self {
-        self.append(&mut other);
-        self
     }
 }
 
@@ -163,8 +145,8 @@ where
         |ctx, range| range.map(|i| f(ctx, i)).collect::<Vec<R>>(),
     )
     .into_iter()
-    .reduce(Mergeable::merge)
-    .unwrap_or_default()
+    .flatten()
+    .collect()
 }
 
 /// Moves `items` through `f` with chunked work stealing, preserving
@@ -208,67 +190,7 @@ where
             .map(|item| f(ctx, item))
             .collect::<Vec<R>>()
     });
-    per_chunk
-        .into_iter()
-        .reduce(Mergeable::merge)
-        .unwrap_or_default()
-}
-
-/// Reduces each chunk of `0..n` to one [`Mergeable`] accumulator via
-/// `shard`, then merges the accumulators in chunk order. `None` when
-/// `n == 0`. The merge tree depends only on `chunk_size`, so
-/// floating-point folds are reproducible across thread counts.
-pub fn sharded_fold<A, F>(n: usize, opts: ShardOptions, shard: F) -> Option<A>
-where
-    A: Mergeable + Send,
-    F: Fn(Range<usize>) -> A + Sync,
-{
-    if n == 0 {
-        return None;
-    }
-    run_chunks_with(
-        chunk_ranges(n, opts.chunk_size),
-        opts.threads,
-        || (),
-        |(), r| shard(r),
-    )
-    .into_iter()
-    .reduce(Mergeable::merge)
-}
-
-/// Sums of the per-instance landmark statistics a sweep reports —
-/// the canonical [`Mergeable`] accumulator of the harness.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub(crate) struct StatSums {
-    /// Σ single-processor periods.
-    pub p_init: f64,
-    /// Σ optimal latencies.
-    pub l_opt: f64,
-    /// Σ best trajectory floors.
-    pub best_floor: f64,
-    /// Instances absorbed.
-    pub count: usize,
-}
-
-impl StatSums {
-    /// Absorbs one instance's landmarks.
-    pub(crate) fn absorb(&mut self, p_init: f64, l_opt: f64, best_floor: f64) {
-        self.p_init += p_init;
-        self.l_opt += l_opt;
-        self.best_floor += best_floor;
-        self.count += 1;
-    }
-}
-
-impl Mergeable for StatSums {
-    fn merge(self, other: Self) -> Self {
-        StatSums {
-            p_init: self.p_init + other.p_init,
-            l_opt: self.l_opt + other.l_opt,
-            best_floor: self.best_floor + other.best_floor,
-            count: self.count + other.count,
-        }
-    }
+    per_chunk.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
@@ -320,64 +242,6 @@ mod tests {
             assert_eq!(out.len(), 37);
             assert_eq!(out[0], "x0!");
             assert_eq!(out[36], "x36!");
-        }
-    }
-
-    #[test]
-    fn fold_is_bit_identical_across_thread_counts() {
-        // Floating-point sums whose value depends on association order:
-        // identical chunking must give identical bits.
-        let f = |i: usize| 1.0 / (i as f64 + 1.0);
-        let reference = sharded_fold(
-            101,
-            ShardOptions {
-                threads: 1,
-                chunk_size: 7,
-            },
-            |r| r.map(f).sum::<f64>(),
-        )
-        .unwrap();
-        for threads in [2, 4, 13] {
-            let got = sharded_fold(
-                101,
-                ShardOptions {
-                    threads,
-                    chunk_size: 7,
-                },
-                |r| r.map(f).sum::<f64>(),
-            )
-            .unwrap();
-            assert_eq!(got.to_bits(), reference.to_bits(), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn fold_empty_is_none() {
-        assert_eq!(sharded_fold(0, ShardOptions::default(), |r| r.len()), None);
-    }
-
-    #[test]
-    fn stat_sums_merge_and_absorb() {
-        let mut a = StatSums::default();
-        a.absorb(1.0, 2.0, 0.5);
-        let mut b = StatSums::default();
-        b.absorb(3.0, 4.0, 1.5);
-        let m = a.merge(b);
-        assert_eq!(m.count, 2);
-        assert_eq!(m.p_init, 4.0);
-        assert_eq!(m.l_opt, 6.0);
-        assert_eq!(m.best_floor, 2.0);
-    }
-
-    impl Mergeable for usize {
-        fn merge(self, other: Self) -> Self {
-            self + other
-        }
-    }
-
-    impl Mergeable for f64 {
-        fn merge(self, other: Self) -> Self {
-            self + other
         }
     }
 

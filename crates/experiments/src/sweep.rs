@@ -26,7 +26,7 @@
 //! accumulator merges make the output bit-identical for every thread
 //! count.
 
-use crate::shard::{sharded_fold, sharded_map_indices_with, ShardOptions, StatSums};
+use crate::shard::{sharded_map_indices_with, ShardOptions};
 use pipeline_core::exact::exact_pareto_front_in;
 use pipeline_core::service::{PreparedInstance, SolveRequest};
 use pipeline_core::{
@@ -187,12 +187,46 @@ pub fn run_family(
     run_scenario(&scenario, seed, n_instances, n_grid, threads)
 }
 
+/// Sums of the per-instance landmark statistics a sweep reports, one
+/// per chunk of instances.
+#[derive(Debug, Clone, Copy, Default)]
+struct StatSums {
+    /// Σ single-processor periods.
+    p_init: f64,
+    /// Σ optimal latencies.
+    l_opt: f64,
+    /// Σ best trajectory floors.
+    best_floor: f64,
+    /// Instances absorbed.
+    count: usize,
+}
+
+impl StatSums {
+    /// Absorbs one instance's landmarks.
+    fn absorb(&mut self, p_init: f64, l_opt: f64, best_floor: f64) {
+        self.p_init += p_init;
+        self.l_opt += l_opt;
+        self.best_floor += best_floor;
+        self.count += 1;
+    }
+
+    /// Absorbs the sums of the next chunk.
+    fn merge(self, other: Self) -> Self {
+        StatSums {
+            p_init: self.p_init + other.p_init,
+            l_opt: self.l_opt + other.l_opt,
+            best_floor: self.best_floor + other.best_floor,
+            count: self.count + other.count,
+        }
+    }
+}
+
 /// Sweeps **any registered scenario family** with the sharded engine.
 ///
 /// Instances are generated inside worker shards from their per-index RNG
 /// streams (`gen.instance(seed, i)`), evaluated, and aggregated with
-/// chunk-ordered mergeable accumulators — so the result is bit-identical
-/// for every `threads` value (the serial run is `threads == 1`).
+/// chunk-ordered accumulators — so the result is bit-identical for every
+/// `threads` value (the serial run is `threads == 1`).
 pub fn run_scenario(
     params: &ScenarioParams,
     seed: u64,
@@ -215,20 +249,24 @@ pub fn run_scenario(
             prepared
         });
 
-    // Landmark means via the engine's mergeable accumulator (chunk-order
-    // merge keeps the floating-point sums reproducible).
-    let sums = sharded_fold(n_instances, opts, |range| {
-        let mut acc = StatSums::default();
-        for e in &evals[range] {
-            acc.absorb(
-                e.single_proc_period(),
-                e.optimal_latency(),
-                e.best_period_floor(),
-            );
-        }
-        acc
-    })
-    .expect("n_instances > 0");
+    // Landmark means: three cached values per instance, summed per chunk
+    // and merged in chunk order — the association the grids have always
+    // used, so they stay bit-identical.
+    let sums = evals
+        .chunks(opts.chunk_size)
+        .map(|chunk| {
+            let mut acc = StatSums::default();
+            for e in chunk {
+                acc.absorb(
+                    e.single_proc_period(),
+                    e.optimal_latency(),
+                    e.best_period_floor(),
+                );
+            }
+            acc
+        })
+        .reduce(StatSums::merge)
+        .expect("n_instances > 0");
     let mean_p_init = sums.p_init / sums.count as f64;
     let mean_l_opt = sums.l_opt / sums.count as f64;
     let mean_best_floor = sums.best_floor / sums.count as f64;
@@ -435,6 +473,19 @@ mod tests {
     use crate::shard::sharded_map_items_with;
     use pipeline_model::generator::{ExperimentKind, InstanceGenerator};
     use pipeline_model::scenario::ScenarioFamily;
+
+    #[test]
+    fn stat_sums_merge_and_absorb() {
+        let mut a = StatSums::default();
+        a.absorb(1.0, 2.0, 0.5);
+        let mut b = StatSums::default();
+        b.absorb(3.0, 4.0, 1.5);
+        let m = a.merge(b);
+        assert_eq!(m.count, 2);
+        assert_eq!(m.p_init, 4.0);
+        assert_eq!(m.l_opt, 6.0);
+        assert_eq!(m.best_floor, 2.0);
+    }
 
     #[test]
     fn parallel_matches_serial_on_prepared_instances() {

@@ -15,7 +15,7 @@ mod exact_oracle;
 use exact_oracle::{
     exact_min_latency_for_period_blind, exact_min_period_blind, exact_pareto_front_blind,
 };
-use pipeline_workflows::core::exact;
+use pipeline_workflows::core::exact::{self, SharedIncumbent};
 use pipeline_workflows::core::{ParetoFront, SolveWorkspace};
 use pipeline_workflows::experiments::{
     exact_min_latency_for_period_sharded, exact_min_period_sharded, exact_pareto_front_sharded,
@@ -23,8 +23,10 @@ use pipeline_workflows::experiments::{
 };
 use pipeline_workflows::model::generator::{ExperimentKind, InstanceGenerator, InstanceParams};
 use pipeline_workflows::model::scenario::{ScenarioFamily, ScenarioGenerator};
+use pipeline_workflows::model::util::EPS;
 use pipeline_workflows::model::{Application, CostModel, IntervalMapping, Platform};
 use proptest::prelude::*;
+use std::cell::RefCell;
 
 /// Bit-level equality of two fronts, mappings included.
 fn assert_fronts_identical(
@@ -250,6 +252,133 @@ fn dp_min_period_witness_matches_v2_on_three_speed_platforms() {
             let (v_sh, m_sh) = exact_min_period_sharded(&cm, ShardOptions::with_threads(2));
             assert_eq!(v_sh.to_bits(), v_v2.to_bits(), "{label}: sharded period");
             assert_eq!(m_sh, m_v2, "{label}: sharded mapping");
+        }
+    }
+}
+
+/// The DP roots three ways: in [`exact::exact_root_order`] sharing one
+/// incumbent (or shadow front), in reverse order sharing one, and each
+/// root alone with its own, combined afterwards (the minimum, or the
+/// merged front). Values are exact in any order, so all three agree.
+fn dp_values_three_ways<S>(
+    cm: &CostModel<'_>,
+    fresh: impl Fn() -> S,
+    run_root: impl Fn(usize, &S, &mut SolveWorkspace),
+    combine: impl Fn(&S, &S),
+) -> [S; 3] {
+    let mut ws = SolveWorkspace::new();
+    let roots = exact::exact_root_order(cm);
+    let (forward, reverse, alone) = (fresh(), fresh(), fresh());
+    for &end in &roots {
+        run_root(end, &forward, &mut ws);
+    }
+    for &end in roots.iter().rev() {
+        run_root(end, &reverse, &mut ws);
+    }
+    for &end in &roots {
+        let one = fresh();
+        run_root(end, &one, &mut ws);
+        combine(&alone, &one);
+    }
+    [forward, reverse, alone]
+}
+
+/// The DP value phase pinned directly, not through the witness walks
+/// (which hide a DP value that is too high: a loose latency ceiling or
+/// shadow prune only loses pruning). E2/E3/E4 at p = 16 with speeds 1–3,
+/// so the DP routes, and its roots run three ways
+/// ([`dp_values_three_ways`]). The min-period value must have the v2
+/// period's exact bits; the latency value must sit within 1e-12
+/// relative of the v2 latency (the DP folds the sum the v2 leaf's
+/// Hungarian solve reports) and agree on feasibility at 0.5×, 1.0× and
+/// 1.4× the optimum; the merged shadow front must match the v2 front's
+/// coordinates point for point within 4·EPS.
+#[test]
+fn dp_value_phase_matches_v2_values_three_ways() {
+    let mut ws = SolveWorkspace::new();
+    for kind in [ExperimentKind::E2, ExperimentKind::E3, ExperimentKind::E4] {
+        for (n, seed) in [(12usize, 3u64), (16, 4), (20, 6)] {
+            let gen = InstanceGenerator::new(InstanceParams {
+                n_stages: n,
+                n_procs: 16,
+                kind,
+                bandwidth: 10.0,
+                speed_range: (1, 3),
+            });
+            let (app, pf) = gen.instance(seed, 0);
+            let cm = CostModel::new(&app, &pf);
+            let label = format!("{kind:?} n={n} seed={seed}");
+            assert!(exact::supports_dominance_dp(&cm), "{label}: routes");
+
+            let incumbent_min = |all: &SharedIncumbent, one: &SharedIncumbent| {
+                all.observe(one.current());
+            };
+            let (v_v2, _) = v2_min_period(&cm, &mut ws);
+            let periods = dp_values_three_ways(
+                &cm,
+                SharedIncumbent::new,
+                |end, inc, ws| exact::exact_min_period_value_root(&cm, end, inc, ws),
+                incumbent_min,
+            );
+            for (way, inc) in periods.iter().enumerate() {
+                assert_eq!(
+                    inc.current().to_bits(),
+                    v_v2.to_bits(),
+                    "{label} way {way}: period"
+                );
+            }
+
+            for factor in [0.5f64, 1.0, 1.4] {
+                let bound = v_v2 * factor;
+                let v2 = v2_min_latency(&cm, bound, &mut ws);
+                let latencies = dp_values_three_ways(
+                    &cm,
+                    SharedIncumbent::new,
+                    |end, inc, ws| exact::exact_min_latency_value_root(&cm, bound, end, inc, ws),
+                    incumbent_min,
+                );
+                for (way, inc) in latencies.iter().enumerate() {
+                    let dp = inc.current();
+                    match &v2 {
+                        Some((l_v2, _)) => assert!(
+                            (dp - l_v2).abs() <= 1e-12 * l_v2,
+                            "{label}@{factor} way {way}: DP latency {dp} vs v2 {l_v2}"
+                        ),
+                        None => assert!(
+                            dp.is_infinite(),
+                            "{label}@{factor} way {way}: DP found {dp}, v2 infeasible"
+                        ),
+                    }
+                }
+                assert_eq!(v2.is_none(), factor < 1.0, "{label}@{factor}: feasibility");
+            }
+
+            let v2 = v2_front(&cm, &mut ws);
+            let shadows = dp_values_three_ways(
+                &cm,
+                || RefCell::new(ParetoFront::<()>::new()),
+                |end, shadow, ws| {
+                    exact::exact_front_shadow_root(&cm, end, &mut shadow.borrow_mut(), ws)
+                },
+                |all, one| {
+                    let mut all = all.borrow_mut();
+                    for (period, latency, ()) in one.borrow().iter() {
+                        if !all.dominated(period, latency) {
+                            all.offer(period, latency, ());
+                        }
+                    }
+                },
+            );
+            for (way, shadow) in shadows.iter().enumerate() {
+                let shadow = shadow.borrow();
+                assert_eq!(shadow.len(), v2.len(), "{label} way {way}: front size");
+                for (i, ((ps, ls, ()), (pv, lv, _))) in shadow.iter().zip(v2.iter()).enumerate() {
+                    assert!(
+                        (ps - pv).abs() <= 4.0 * EPS && (ls - lv).abs() <= 4.0 * EPS,
+                        "{label} way {way} point {i}: shadow ({ps}, {ls}) vs v2 ({pv}, {lv})"
+                    );
+                }
+            }
         }
     }
 }
