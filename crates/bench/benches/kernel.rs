@@ -6,8 +6,8 @@
 //! kernel under every v2 min-period and front leaf.
 //!
 //! Compiled (not run) in CI via `cargo bench --no-run`; run locally to
-//! compare kernel generations. `pwsched bench kernel` records the same
-//! quantities into `BENCH_kernel.json` for the cross-PR perf trajectory.
+//! compare kernel generations. `tests/bench_identity.rs` pins the exact
+//! minimum periods these groups time.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pipeline_assign::{bottleneck_assignment, bottleneck_below, BottleneckScratch, CostMatrix};

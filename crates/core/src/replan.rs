@@ -176,8 +176,8 @@ fn stage_procs(mapping: &IntervalMapping, n_stages: usize, lost: Option<ProcId>)
 /// (ready to serve further requests) and the recovery report.
 ///
 /// Wall-clock recovery time is deliberately *not* part of the report —
-/// it would poison deterministic studies; `pwsched bench failover`
-/// times this function externally against a from-scratch baseline.
+/// it would poison deterministic studies; perfbench's chaos-replan
+/// workload times it externally (`replan.apply_us`, `replan.resolve_us`).
 pub fn replan(
     prev: &PreparedInstance,
     incumbent: &IntervalMapping,

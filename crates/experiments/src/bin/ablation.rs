@@ -53,6 +53,15 @@ fn main() {
     refinement_ablation(seed, instances, threads);
 }
 
+/// Per column of `rows`: the mean of its present values (NaN when there
+/// are none) and how many there are.
+fn column_means<T: Copy + Into<Option<f64>>, const N: usize>(rows: &[[T; N]]) -> [(f64, usize); N] {
+    std::array::from_fn(|k| {
+        let column: Vec<f64> = rows.iter().filter_map(|r| r[k].into()).collect();
+        (mean(&column).unwrap_or(f64::NAN), column.len())
+    })
+}
+
 fn refinement_ablation(seed: u64, instances: usize, threads: usize) {
     use pipeline_core::refine::refine_mapping;
     use pipeline_core::HeuristicKind;
@@ -74,19 +83,14 @@ fn refinement_ablation(seed: u64, instances: usize, threads: usize) {
                 let cm = CostModel::new(&app, &pf);
                 let base = kind.run_in(&cm, 0.0, ws);
                 let refined = refine_mapping(&cm, &base.mapping, base.latency * 1.2);
-                (base.period, refined.period, refined.moves as f64)
+                [base.period, refined.period, refined.moves as f64]
             },
         );
-        let before: Vec<f64> = rows.iter().map(|r| r.0).collect();
-        let after: Vec<f64> = rows.iter().map(|r| r.1).collect();
-        let mv: Vec<f64> = rows.iter().map(|r| r.2).collect();
+        let [(before, _), (after, _), (moves, _)] = column_means(&rows);
         outln!(
-            "   {:<16} floor {:.3} → {:.3} ({:+.1}%), {:.1} moves avg",
+            "   {:<16} floor {before:.3} → {after:.3} ({:+.1}%), {moves:.1} moves avg",
             kind.label(),
-            mean(&before).unwrap(),
-            mean(&after).unwrap(),
-            100.0 * (mean(&after).unwrap() / mean(&before).unwrap() - 1.0),
-            mean(&mv).unwrap()
+            100.0 * (after / before - 1.0),
         );
     }
     outln!();
@@ -114,21 +118,14 @@ fn ratio_denominator_ablation(seed: u64, instances: usize, threads: usize) {
                     },
                     ws,
                 );
-                (
+                [
                     over_i.feasible.then_some(over_i.latency),
                     over_j.feasible.then_some(over_j.latency),
-                )
+                ]
             },
         );
-        let li: Vec<f64> = outcomes.iter().filter_map(|(a, _)| *a).collect();
-        let lj: Vec<f64> = outcomes.iter().filter_map(|(_, b)| *b).collect();
-        outln!(
-            "   {kind}: mean latency over-i {:.3} ({} feas) vs over-j {:.3} ({} feas)",
-            mean(&li).unwrap_or(f64::NAN),
-            li.len(),
-            mean(&lj).unwrap_or(f64::NAN),
-            lj.len()
-        );
+        let [(li, ni), (lj, nj)] = column_means(&outcomes);
+        outln!("   {kind}: mean latency over-i {li:.3} ({ni} feas) vs over-j {lj:.3} ({nj} feas)");
     }
     outln!();
 }
@@ -145,22 +142,15 @@ fn explo_vs_split_ablation(seed: u64, instances: usize, threads: usize) {
             |ws, (app, pf)| {
                 let cm = CostModel::new(&app, &pf);
                 let mut floor = |kind| fixed_period_trajectory_in(&cm, kind, ws).min_period();
-                (
+                [
                     floor(TrajectoryKind::SplitMono),
                     floor(TrajectoryKind::ExploMono),
                     floor(TrajectoryKind::ExploBi),
-                )
+                ]
             },
         );
-        let s: Vec<f64> = floors.iter().map(|f| f.0).collect();
-        let e: Vec<f64> = floors.iter().map(|f| f.1).collect();
-        let eb: Vec<f64> = floors.iter().map(|f| f.2).collect();
-        outln!(
-            "   p = {procs:>3}: Sp mono {:.3} | 3-Explo mono {:.3} | 3-Explo bi {:.3}",
-            mean(&s).unwrap(),
-            mean(&e).unwrap(),
-            mean(&eb).unwrap()
-        );
+        let [(s, _), (e, _), (eb, _)] = column_means(&floors);
+        outln!("   p = {procs:>3}: Sp mono {s:.3} | 3-Explo mono {e:.3} | 3-Explo bi {eb:.3}");
     }
     outln!();
 }
@@ -177,18 +167,13 @@ fn replication_ablation(seed: u64, instances: usize, threads: usize) {
             let cm = CostModel::new(&app, &pf);
             let base = sp_mono_p_in(&cm, 0.0, ws); // run to the splitting floor
             let rep = replicate_bottlenecks(&cm, &base.mapping, 0.0); // replicate to the floor
-            (base.period, rep.period, rep.latency / base.latency)
+            [base.period, rep.period, rep.latency / base.latency]
         },
     );
-    let split_floor: Vec<f64> = results.iter().map(|r| r.0).collect();
-    let rep_floor: Vec<f64> = results.iter().map(|r| r.1).collect();
-    let lat_ratio: Vec<f64> = results.iter().map(|r| r.2).collect();
+    let [(split_floor, _), (rep_floor, _), (lat_ratio, _)] = column_means(&results);
     outln!(
-        "   E3 n=10 p=10: splitting floor {:.3} → with replication {:.3} \
-         (×{:.2} better), latency ratio {:.3}",
-        mean(&split_floor).unwrap(),
-        mean(&rep_floor).unwrap(),
-        mean(&split_floor).unwrap() / mean(&rep_floor).unwrap(),
-        mean(&lat_ratio).unwrap()
+        "   E3 n=10 p=10: splitting floor {split_floor:.3} → with replication {rep_floor:.3} \
+         (×{:.2} better), latency ratio {lat_ratio:.3}",
+        split_floor / rep_floor,
     );
 }

@@ -19,16 +19,12 @@
 //! * [`table`] — failure thresholds (Table 1);
 //! * [`summary`] — qualitative "shape checks" comparing our results to
 //!   the paper's claims;
-//! * [`ascii`] — terminal line plots; [`csvout`] — CSV emission;
-//! * [`bench`](mod@bench) — the `pwsched bench` harness: a std-only JSON value,
-//!   keyed regression gates, and the six committed `BENCH_*.json`
-//!   benches.
+//! * [`ascii`] — terminal line plots; [`csvout`] — CSV emission.
 //!
 //! Binaries: `figures` (figs 2–7), `table1`, `ablation` (design-choice
 //! ablations), `extensions` (loaded-latency and robustness studies).
 
 pub mod ascii;
-pub mod bench;
 pub mod chaos;
 pub mod config;
 pub mod csvout;

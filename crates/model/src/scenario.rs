@@ -625,8 +625,8 @@ impl ScenarioGenerator {
 // so the full heuristic/exact stack applies) with a seeded stream of
 // `InstanceDelta`s that stays valid when applied in order — every prefix
 // of the stream is a valid instance. The session layer's incremental
-// re-solve (`PreparedInstance::apply`) and `pwsched bench delta` replay
-// these streams.
+// re-solve (`PreparedInstance::apply`) replays these streams, checked
+// against scratch preparation in `tests/delta_differential.rs`.
 // ---------------------------------------------------------------------------
 
 /// Stable identifier of a registered drift family.

@@ -1,6 +1,6 @@
 //! `pwsched` — schedule a pipeline instance from a file, serve solve
-//! requests over stdin or TCP, sweep the scenario zoo, run the chaos
-//! study, or run the committed benches.
+//! requests over stdin or TCP, sweep the scenario zoo, or run the chaos
+//! study.
 //!
 //! ```text
 //! pwsched <instance-file> [--period BOUND | --latency BOUND | --min-period
@@ -14,8 +14,6 @@
 //! pwsched --sweep <family|all> [--stages N] [--procs P] [--instances K]
 //!         [--grid G] [--threads T] [--seed S]
 //! pwsched chaos [--families F1,F2|all] [--heuristics H1,H2|all] ...
-//! pwsched bench <serve|delta|tenant|failover|sweep|kernel|all>
-//!         [--quick] [--out DIR] [--check] [--threads T]
 //! ```
 //!
 //! `serve` is the persistent TCP front: the same line-oriented wire
@@ -23,28 +21,6 @@
 //! shared LRU cache of prepared instances (`core::serve`). `load` is the
 //! matching client — a replay mode for CI smoke diffs and a generated
 //! scenario-zoo corpus for load testing.
-//!
-//! `bench <name>` runs one of the six committed benches through the
-//! shared harness in `experiments::bench` and emits `BENCH_<name>.json`
-//! (to stdout, or into `--out DIR`); `all` runs every one. `--quick` is
-//! the CI-sized run, `--threads` shards the kernel's exact rows, and
-//! `--check` gates the result against the committed `BENCH_<name>.json`
-//! in the working directory, matching rows by key:
-//!
-//! * `serve` — in-process TCP server, cold and warm phases at 1/2/4
-//!   connections; gates peak warm requests/sec;
-//! * `delta` — a speed-drift update stream through
-//!   `PreparedInstance::apply_in` vs from scratch, answers asserted
-//!   bit-identical; gates the per-`n` speedup;
-//! * `tenant` — heuristic vs exact co-scheduling over the tenant zoo;
-//!   gates every per-(family, objective) mean score ratio;
-//! * `failover` — warm-started replan vs scratch after a fault; gates the
-//!   per-(n, fault) speedup and the exact post-fault period ratio;
-//! * `sweep` — full-zoo sweep throughput, batched-solve items/sec with
-//!   fresh vs reused workspaces, and peak RSS; gates per-family × heuristic front quality;
-//! * `kernel` — sweep wall-times, exact frontier latencies to n = 30
-//!   (24 under `--quick`), split-step throughput; gates every exact
-//!   `min_period` bit for bit.
 //!
 //! The instance file uses the `pipeline-instance v1` text format, and the
 //! service mode speaks the line-oriented request/report wire format —
@@ -64,7 +40,6 @@
 
 use std::io::{BufRead, Write};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -74,7 +49,7 @@ use pipeline_workflows::core::service::{PreparedInstance, SolveRequest};
 use pipeline_workflows::core::SolveWorkspace;
 use pipeline_workflows::core::{Objective, Strategy};
 use pipeline_workflows::experiments::{
-    bench, request_lines, run_load, run_scenario, scenario_zoo, write_zoo_instances, LoadReport,
+    request_lines, run_load, run_scenario, scenario_zoo, write_zoo_instances, LoadReport,
 };
 use pipeline_workflows::model::io::{format_report, parse_instance};
 use pipeline_workflows::model::scenario::ScenarioFamily;
@@ -95,9 +70,7 @@ fn usage() -> ! {
          \t[--plans P1,P2|all] [--stages N] [--procs P] [--instances K]\n\
          \t[--datasets D] [--seed S] [--threads T] [--verify-threads]\n\
          \tpwsched load <addr> [--replay FILE | --connections N --requests M\n\
-         \t[--stages n] [--procs p]]\n\
-         \tpwsched bench <serve|delta|tenant|failover|sweep|kernel|all>\n\
-         \t[--quick] [--out DIR] [--check] [--threads T]"
+         \t[--stages n] [--procs p]]"
     );
     std::process::exit(2);
 }
@@ -608,50 +581,6 @@ fn run_sweep(mut args: impl Iterator<Item = String>) -> ! {
     std::process::exit(0);
 }
 
-/// `bench <name|all>`: run the named bench (or every bench) through the
-/// shared harness in `experiments::bench`; `--check` gates each against
-/// the committed `BENCH_<name>.json` in the working directory.
-fn run_bench(mut args: impl Iterator<Item = String>) -> ! {
-    let Some(which) = args.next() else { usage() };
-    let mut opts = bench::Opts {
-        quick: false,
-        threads: 1,
-    };
-    let mut out: Option<PathBuf> = None;
-    let mut check = false;
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--quick" => opts.quick = true,
-            "--check" => check = true,
-            "--out" => out = Some(flag_value(&flag, &mut args).into()),
-            "--threads" => opts.threads = parsed(&flag_value(&flag, &mut args)),
-            _ => usage(),
-        }
-    }
-    let benches: Vec<&bench::Bench> = if which == "all" {
-        bench::BENCHES.iter().collect()
-    } else {
-        let Some(b) = bench::find(&which) else {
-            let names: Vec<_> = bench::BENCHES.iter().map(|b| b.name).collect();
-            eprintln!("unknown bench {which:?}; known: {}, all", names.join(", "));
-            std::process::exit(2);
-        };
-        vec![b]
-    };
-    if opts.threads < 1 {
-        eprintln!("--threads must be >= 1");
-        usage();
-    }
-    let mut failed = false;
-    for b in benches {
-        if let Err(e) = bench::run(b, &opts, out.as_deref(), check) {
-            eprintln!("bench {}: {e}", b.name);
-            failed = true;
-        }
-    }
-    std::process::exit(i32::from(failed));
-}
-
 fn main() {
     let mut args = std::env::args().skip(1);
     let Some(path) = args.next() else { usage() };
@@ -669,9 +598,6 @@ fn main() {
     }
     if path == "load" {
         run_load_cmd(args);
-    }
-    if path == "bench" {
-        run_bench(args);
     }
     if path == "chaos" {
         run_chaos(args);

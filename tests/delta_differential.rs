@@ -4,11 +4,15 @@
 //! instance from scratch, for every scenario-zoo family crossed with
 //! every delta kind. An identity delta must reproduce the original
 //! session's answers byte for byte (the carried caches answer verbatim).
+//! A chained update stream, each edit applied to the previous edit's
+//! session, must keep answering as scratch does at every step.
 
 use pipeline_workflows::core::service::{PreparedInstance, SolveRequest};
-use pipeline_workflows::core::{Objective, SolveWorkspace, Strategy};
+use pipeline_workflows::core::{HeuristicKind, Objective, SolveWorkspace, Strategy};
 use pipeline_workflows::model::io::format_report;
-use pipeline_workflows::model::scenario::{ScenarioFamily, ScenarioGenerator};
+use pipeline_workflows::model::scenario::{
+    DriftFamily, DriftGenerator, ScenarioFamily, ScenarioGenerator,
+};
 use pipeline_workflows::model::{InstanceDelta, LinkModel};
 
 /// The wire lines of a fixed query battery — solver choice, coordinates,
@@ -25,6 +29,15 @@ fn observations(inst: &PreparedInstance, ws: &mut SolveWorkspace) -> Vec<String>
         SolveRequest::new(Objective::MinPeriodForLatency(2.0 * l0)).strategy(Strategy::BestOfAll),
         SolveRequest::new(Objective::ParetoFront),
     ];
+    wire(inst, &requests, ws)
+}
+
+/// The wire lines of `requests` answered on `inst`.
+fn wire(
+    inst: &PreparedInstance,
+    requests: &[SolveRequest],
+    ws: &mut SolveWorkspace,
+) -> Vec<String> {
     requests
         .iter()
         .enumerate()
@@ -142,6 +155,50 @@ fn identity_deltas_preserve_answers_byte_for_byte() {
             observations(&same, &mut ws),
             before,
             "{family}: identity delta changed an answer"
+        );
+    }
+}
+
+/// A speed-drift stream of 20 updates at n = p = 120, chained through
+/// `apply_in` on one workspace, answers the trajectory-backed
+/// heuristics (H1, H2a, H2b) at 0.8, 0.55 and 0.4 of the current
+/// single-processor period exactly as a fresh preparation of each
+/// update does. On this wide platform the drift never reaches the
+/// speed-order prefix the trajectories consulted, so every step answers
+/// from trajectories carried through the whole chain.
+#[test]
+fn a_chained_speed_drift_stream_answers_like_scratch_at_every_update() {
+    let queries = |inst: &PreparedInstance| -> Vec<SolveRequest> {
+        let p0 = inst.single_proc_period();
+        let mut requests = Vec::new();
+        for f in [0.8, 0.55, 0.4] {
+            for kind in [
+                HeuristicKind::SpMonoP,
+                HeuristicKind::ThreeExploMono,
+                HeuristicKind::ThreeExploBi,
+            ] {
+                requests.push(
+                    SolveRequest::new(Objective::MinLatencyForPeriod(f * p0))
+                        .strategy(Strategy::Heuristic(kind)),
+                );
+            }
+        }
+        requests
+    };
+    let gen = DriftGenerator::new(DriftFamily::SpeedDrift, 120, 120);
+    let (mut app, mut pf) = gen.initial(2007);
+    let mut ws = SolveWorkspace::new();
+    let mut cur = PreparedInstance::new(app.clone(), pf.clone());
+    // Warm the base session so the first update has caches to carry.
+    wire(&cur, &queries(&cur), &mut ws);
+    for (step, delta) in gen.updates(2007, 20).iter().enumerate() {
+        cur = cur.apply_in(delta, &mut ws).expect("drift update applies");
+        (app, pf) = delta.apply_to(&app, &pf).expect("drift update applies");
+        let fresh = PreparedInstance::new(app.clone(), pf.clone());
+        assert_eq!(
+            wire(&cur, &queries(&cur), &mut ws),
+            wire(&fresh, &queries(&fresh), &mut SolveWorkspace::new()),
+            "update {step}: incremental answers drifted from scratch for {delta:?}"
         );
     }
 }

@@ -3,7 +3,12 @@
 //! keeping the incumbent mapping on the degraded platform. The property
 //! is structural — `replan` adopts `min(ride-out, re-solve)` — so these
 //! tests pin it against the full pipeline (delta application, warm
-//! start, solver) on randomized instances and faults.
+//! start, solver) on randomized instances and faults. The warm replan
+//! also re-solves exactly as a scratch solve of the degraded instance
+//! does, at the sizes of the failover cases.
+
+#[path = "support/failover.rs"]
+mod failover;
 
 use proptest::prelude::*;
 
@@ -85,5 +90,33 @@ proptest! {
         for &u in rep.mapping.procs() {
             prop_assert!(u < next.platform().n_procs());
         }
+    }
+}
+
+/// The warm-started re-solve (carried trajectories, split memo and
+/// workspace) finds the period a cold preparation of the degraded
+/// instance finds, bit for bit, at n = 60, 120 and 240 for both faults.
+#[test]
+fn warm_replan_resolves_like_a_scratch_solve_bit_for_bit() {
+    let mut ws = SolveWorkspace::new();
+    for case in failover::failover_cases() {
+        let rep = case.replan(&mut ws);
+        let (app, pf) = rep
+            .delta
+            .apply_to(case.prepared.app(), case.prepared.platform())
+            .expect("the fault's delta applies");
+        let scratch = PreparedInstance::new(app, pf)
+            .solve_in(&failover::request(), &mut SolveWorkspace::new())
+            .expect("scratch solve")
+            .result;
+        assert_eq!(
+            rep.resolved_period.to_bits(),
+            scratch.period.to_bits(),
+            "n={} {}: warm replan {} vs scratch {}",
+            case.n,
+            case.label,
+            rep.resolved_period,
+            scratch.period
+        );
     }
 }
