@@ -131,6 +131,8 @@ pub(crate) struct ExactBounds {
     head_bound: Vec<f64>,
     /// `δ_n/b + singleton_opt[n-1]`: what the closing interval must pay.
     tail_bound: f64,
+    /// `δ_n/b`: the closing interval's output transfer, eq. 2's last term.
+    pub(crate) t_out: f64,
 }
 
 impl ExactBounds {
@@ -152,7 +154,8 @@ impl ExactBounds {
             suffix_singleton_sum[i] = suffix_singleton_sum[i + 1] + singleton_opt[i];
         }
         let head_bound: Vec<f64> = (0..n).map(|i| input_time[i] + singleton_opt[i]).collect();
-        let tail_bound = app.output_volume(n) / b + singleton_opt[n - 1];
+        let t_out = app.output_volume(n) / b;
+        let tail_bound = t_out + singleton_opt[n - 1];
         ExactBounds {
             speeds_desc,
             input_time,
@@ -160,6 +163,7 @@ impl ExactBounds {
             suffix_singleton_sum,
             head_bound,
             tail_bound,
+            t_out,
         }
     }
 

@@ -19,8 +19,8 @@
 //! contain no improvement:
 //!
 //! * **optimistic lower bounds** — every placed interval costs at least
-//!   its communication plus its work on the fastest processor
-//!   (`comm + W/s_max`, the fastest-free-processor relaxation), the
+//!   its cycle on the fastest processor (its transfers plus `W/s_max`,
+//!   the fastest-free-processor relaxation), the
 //!   `k`-th largest placed work needs at least the `k`-th fastest
 //!   processor (a counting argument on distinct processors), and the open
 //!   suffix `[pos, n)` must still pay its own input transfer and
@@ -74,10 +74,9 @@
 //! (all arrivals at a level precede its expansion): each surviving state
 //! expands exactly once with its final accumulators, never
 //! speculatively. The sweep starts from the virtual state `(pos 0,
-//! mask 0)` holding the initial accumulator (`cycle_max = −∞`,
-//! `base = δ_n/b`, `Σ w/s = 0`); its expansion places the first
-//! intervals `[0, end)` — every `end` for a whole solve, a single one for
-//! a sharded root. Two levers keep the state space small: processors
+//! mask 0)` holding the initial accumulator (`cycle_max = −∞`, a latency
+//! sum of `0`); its expansion places the first intervals `[0, end)` —
+//! every `end` for a whole solve, a single one for a sharded root. Two levers keep the state space small: processors
 //! with bit-equal speeds are interchangeable, so each state enrolls only
 //! the first free member of every speed class (canonical masks =
 //! per-class prefixes), and a state whose optimistic bound (the same
@@ -85,8 +84,8 @@
 //! at insert and again at expansion. An expansion computes its state's
 //! free processors once, and stops growing the next interval `[pos, end)`
 //! once even the fastest free processor `s` has a `t_in + W/s` the phase
-//! refuses: works grow with `end`, every cycle pays at least `t_in`, and
-//! rounding is monotone, so every longer interval on every free
+//! refuses: works grow with `end`, every cycle adds `t_out ≥ 0` to that,
+//! and rounding is monotone, so every longer interval on every free
 //! processor would be refused anyway.
 //!
 //! **Three phases.** The three exact objectives run the same sweep and
@@ -94,19 +93,25 @@
 //!
 //! | | min period | min latency, `period ≤ P` | shadow front |
 //! |---|---|---|---|
-//! | accumulator | `cycle_max` | `(base, Σ w/s)` | `(cycle_max, base, Σ w/s)` |
-//! | per-state dominance | the smaller `f64` | 2-D Pareto list | 3-D Pareto list |
+//! | accumulator | `cycle_max` | `Σ (t_in + t_comp)` | `(cycle_max, Σ (t_in + t_comp))` |
+//! | per-state dominance | the smaller `f64` | the smaller `f64` | 2-D Pareto list |
 //! | edge filter | cycle `<` incumbent | cycle `≤ P` (`approx_le`) | none |
 //! | `end`-loop cut | the filter on `t_in + W/s` | the filter on `t_in + W/s` | none |
-//! | complete prefix | feeds the incumbent | feeds the incumbent | offers its point |
+//! | complete prefix | feeds the incumbent | adds `δ_n/b`, feeds the incumbent | adds `δ_n/b`, offers its point |
 //!
 //! States are bounded out against the incumbent (min period, min
-//! latency) or against the coordinate front found so far (shadow). The
-//! accumulators mirror the blind arithmetic expression by expression
-//! (`max` of the exact cycle values for the period; the `δ/b`-seeded
-//! input-volume fold plus the interval-order `w/s` fold for the
-//! latency), so every leaf value is bit-identical to a blind leaf and
-//! dominance never rounds.
+//! latency) or against the coordinate front found so far (shadow). Every
+//! cycle is `cycle_time`, the expression the v2 cycle matrices use, so
+//! the period accumulator (`max` of exact cycle values) is bit-identical
+//! to a blind leaf's bottleneck. The latency accumulator is eq. 2 in its
+//! own order, as `CostModel::latency` sums it: `t_in + t_comp` interval
+//! by interval, then `δ_n/b` once the prefix completes. Every completion
+//! of a state adds the same terms in the same order and IEEE addition is
+//! monotone, so the smallest sum per state is exact and dominance never
+//! rounds. The walks report `δ_n/b + Σ t_in` plus the Hungarian sum
+//! instead, which may differ from eq. 2 by a few ulps; the DP's latencies
+//! serve only as the latency walk's ceiling and the front walk's shadow,
+//! which tolerate that gap (`LB_SLACK`, `SHADOW_MARGIN`).
 //!
 //! The DP pays off exactly when speed classes collapse the mask space —
 //! on the paper's fully homogeneous platforms the canonical states are
@@ -177,6 +182,15 @@ fn homogeneous_bandwidth(cm: &CostModel<'_>) -> f64 {
     }
 }
 
+/// An interval's cycle time, the `max` argument of eq. 1, from its input
+/// transfer, computation and output transfer times. Every cycle of the
+/// exact searches (matrices, DP edges, thresholds and bounds) is this one
+/// expression, so they all agree bit for bit.
+#[inline]
+fn cycle_time(t_in: f64, t_comp: f64, t_out: f64) -> f64 {
+    (t_in + t_out) + t_comp
+}
+
 fn build_mapping(
     cm: &CostModel<'_>,
     intervals: &[Interval],
@@ -196,7 +210,7 @@ fn build_mapping(
 // ---------------------------------------------------------------------------
 
 /// Incremental DFS over partition prefixes, maintaining per interval its
-/// fixed communication time (`t_in + t_out`) and work, the latency base
+/// transfer times `t_in`, `t_out` and its work, the latency base
 /// `δ_n/b + Σ t_in`, and the optimistic bounds of the module docs. The
 /// expressions and their association order are those of a from-scratch
 /// evaluation of the complete partition, so leaves evaluate
@@ -205,19 +219,19 @@ struct PartitionSearch<'c, 'a> {
     cm: &'c CostModel<'a>,
     n: usize,
     p: usize,
-    max_parts: usize,
     b: f64,
     s_max: f64,
     /// Platform speeds in raw processor order (matrix columns).
     speeds: &'a [f64],
     // --- incremental prefix state ---
     intervals: Vec<Interval>,
-    comm: Vec<f64>,
+    t_in: Vec<f64>,
+    t_out: Vec<f64>,
     work: Vec<f64>,
     /// Stack of latency-base values; `last()` is the current prefix's.
     latency_base: Vec<f64>,
-    /// Stack of running maxima of per-interval optimistic cycles
-    /// (`comm + W/s_max`).
+    /// Stack of running maxima of per-interval optimistic cycles (each
+    /// interval on a processor of speed `s_max`).
     opt_cycle_max: Vec<f64>,
     /// Placed interval works, sorted non-increasing.
     works_sorted: Vec<f64>,
@@ -244,14 +258,14 @@ impl<'c, 'a> PartitionSearch<'c, 'a> {
             cm,
             n,
             p: pf.n_procs(),
-            max_parts: pf.n_procs(),
             b,
             s_max,
             speeds: pf.speeds(),
             intervals: Vec::new(),
-            comm: Vec::new(),
+            t_in: Vec::new(),
+            t_out: Vec::new(),
             work: Vec::new(),
-            latency_base: vec![app.delta(n) / b],
+            latency_base: vec![eb.t_out],
             opt_cycle_max: vec![f64::NEG_INFINITY],
             works_sorted: Vec::new(),
             eb,
@@ -267,25 +281,27 @@ impl<'c, 'a> PartitionSearch<'c, 'a> {
     /// Places interval `[start, end)` on the prefix.
     fn push(&mut self, start: usize, end: usize) {
         let app = self.cm.app();
-        let iv = Interval::new(start, end);
-        let comm = app.input_volume(start) / self.b + app.output_volume(end) / self.b;
+        let t_in = app.input_volume(start) / self.b;
+        let t_out = app.output_volume(end) / self.b;
         let work = app.interval_work(start, end);
         self.latency_base
-            .push(self.latency_base.last().expect("seeded") + app.input_volume(start) / self.b);
-        let opt_cycle = comm + work / self.s_max;
+            .push(self.latency_base.last().expect("seeded") + t_in);
+        let opt_cycle = cycle_time(t_in, work / self.s_max, t_out);
         self.opt_cycle_max
             .push(self.opt_cycle_max.last().expect("seeded").max(opt_cycle));
         let at = self.works_sorted.partition_point(|&w| w > work);
         self.works_sorted.insert(at, work);
-        self.intervals.push(iv);
-        self.comm.push(comm);
+        self.intervals.push(Interval::new(start, end));
+        self.t_in.push(t_in);
+        self.t_out.push(t_out);
         self.work.push(work);
     }
 
     fn pop(&mut self) {
         let work = self.work.pop().expect("push/pop balanced");
         self.intervals.pop();
-        self.comm.pop();
+        self.t_in.pop();
+        self.t_out.pop();
         self.latency_base.pop();
         self.opt_cycle_max.pop();
         let at = self.works_sorted.partition_point(|&w| w > work);
@@ -326,7 +342,7 @@ impl<'c, 'a> PartitionSearch<'c, 'a> {
             let _ = visit(self, true);
             return;
         }
-        if self.intervals.len() == self.max_parts {
+        if self.intervals.len() == self.p {
             return;
         }
         for end in pos + 1..=self.n {
@@ -338,13 +354,29 @@ impl<'c, 'a> PartitionSearch<'c, 'a> {
         }
     }
 
+    /// The cycle time of placed interval `j` on processor `u`.
+    #[inline]
+    fn cycle(&self, j: usize, u: usize) -> f64 {
+        cycle_time(self.t_in[j], self.work[j] / self.speeds[u], self.t_out[j])
+    }
+
     /// Refills `matrix` with the cycle-time matrix of the complete
     /// partition (the bottleneck objective's input) — identical values to
     /// a fresh `CostMatrix::from_fn`, buffer reused.
     fn fill_cycle_matrix(&self, matrix: &mut CostMatrix) {
-        let m = self.intervals.len();
-        matrix.refill(m, self.p, |j, u| {
-            self.comm[j] + self.work[j] / self.speeds[u]
+        matrix.refill(self.intervals.len(), self.p, |j, u| self.cycle(j, u));
+    }
+
+    /// Refills `matrix` with the computation-time matrix of the complete
+    /// partition (the min-sum objective's input), every pair whose cycle
+    /// exceeds `bound` (beyond `approx_le`) forbidden.
+    fn fill_latency_matrix(&self, matrix: &mut CostMatrix, bound: f64) {
+        matrix.refill(self.intervals.len(), self.p, |j, u| {
+            if approx_le(self.cycle(j, u), bound) {
+                self.work[j] / self.speeds[u]
+            } else {
+                f64::INFINITY
+            }
         });
     }
 }
@@ -363,7 +395,7 @@ pub fn exact_min_period_in(cm: &CostModel<'_>, ws: &mut SolveWorkspace) -> (f64,
     let inc = SharedIncumbent::new();
     if supports_dominance_dp(cm) {
         let n = cm.app().n_stages();
-        run_phase(cm, &mut MinPeriod(&inc), 1..=n, &mut ws.dp.period);
+        run_phase(cm, &mut MinPeriod(&inc), 1..=n, &mut ws.dp.scalar);
     }
     exact_min_period_from_value(cm, inc.current(), ws)
 }
@@ -383,7 +415,7 @@ pub fn exact_min_latency_for_period_in(
     }
     let inc = SharedIncumbent::new();
     let mut phase = MinLatency(&inc, period_bound);
-    run_phase(cm, &mut phase, 1..=cm.app().n_stages(), &mut ws.dp.latency);
+    run_phase(cm, &mut phase, 1..=cm.app().n_stages(), &mut ws.dp.scalar);
     exact_min_latency_from_value(cm, period_bound, inc.current(), ws)
 }
 
@@ -465,14 +497,12 @@ type DpLevel<T> = HashMap<u32, T, DomBuild>;
 /// each sharded root call) resets them, recycling capacity.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DpScratch {
-    /// Min-period DP: smallest prefix cycle maximum per state.
-    period: Vec<DpLevel<f64>>,
-    /// Latency-under-bound DP: Pareto list of `(latency_base, Σ w/s)`
+    /// Min-period and latency-under-bound DPs: the smallest prefix cycle
+    /// maximum, or the smallest prefix latency sum, per state.
+    scalar: Vec<DpLevel<f64>>,
+    /// Shadow-front DP: Pareto list of `(cycle_max, latency sum)`
     /// accumulator pairs per state.
-    latency: Vec<DpLevel<Vec<(f64, f64)>>>,
-    /// Shadow-front DP: Pareto list of `(cycle_max, latency_base, Σ w/s)`
-    /// accumulator triples per state.
-    front: Vec<DpLevel<Vec<(f64, f64, f64)>>>,
+    front: Vec<DpLevel<Vec<(f64, f64)>>>,
     /// Min-period witness: whether a state still completes with every
     /// cycle within the optimum (memoized on first visit).
     completes: Vec<DpLevel<bool>>,
@@ -567,13 +597,8 @@ pub fn supports_dominance_dp(cm: &CostModel<'_>) -> bool {
 /// a scheduling hint only — DP values are exact in any order.
 pub fn exact_root_order(cm: &CostModel<'_>) -> Vec<usize> {
     let dp = DominanceDp::new(cm);
-    let app = cm.app();
     let mut roots: Vec<(f64, usize)> = (1..=dp.n)
-        .map(|end| {
-            let comm = app.input_volume(0) / dp.b + app.output_volume(end) / dp.b;
-            let opt_cycle = comm + app.interval_work(0, end) / dp.s_max;
-            (dp.eb.period(end, opt_cycle), end)
-        })
+        .map(|end| (dp.eb.period(end, dp.cycle(0, end, dp.s_max)), end))
         .collect();
     roots.sort_by(|a, b| a.partial_cmp(b).expect("bounds are finite"));
     roots.into_iter().map(|(_, end)| end).collect()
@@ -658,6 +683,17 @@ impl<'c, 'a> DominanceDp<'c, 'a> {
         }
     }
 
+    /// The cycle time of interval `[pos, end)` on a processor of speed
+    /// `speed`.
+    fn cycle(&self, pos: usize, end: usize, speed: f64) -> f64 {
+        let app = self.cm.app();
+        cycle_time(
+            app.input_volume(pos) / self.b,
+            app.interval_work(pos, end) / speed,
+            app.output_volume(end) / self.b,
+        )
+    }
+
     /// The first free member of every speed group, fastest group first —
     /// the canonical representative assignment choices at a state.
     #[inline]
@@ -685,11 +721,11 @@ impl<'c, 'a> DominanceDp<'c, 'a> {
     fn sweep<P: Phase>(
         &self,
         phase: &mut P,
-        levels: &mut [DpLevel<P::Slot>],
+        levels: &mut [DpLevel<SlotOf<P>>],
         first: RangeInclusive<usize>,
     ) {
         let app = self.cm.app();
-        P::keep(&mut levels[0], 0, P::start(app.delta(self.n) / self.b));
+        P::Acc::keep(&mut levels[0], 0, P::start());
         for pos in 0..self.n {
             let mut level = std::mem::take(&mut levels[pos]);
             let ends = if pos == 0 {
@@ -703,32 +739,33 @@ impl<'c, 'a> DominanceDp<'c, 'a> {
                 let Some(&fastest) = free.first() else {
                     continue;
                 };
-                for &acc in P::accs(slot) {
+                for &acc in P::Acc::kept(slot) {
                     if phase.bounded(&self.eb, pos, acc) {
                         continue;
                     }
                     for end in ends.clone() {
                         let work = app.interval_work(pos, end);
-                        // Works grow with `end` and rounding is monotone,
-                        // so no free processor fits this or any longer
-                        // interval: every cycle is at least this.
-                        if !phase.fits(t_in + work / self.speeds[fastest]) {
+                        // Works grow with `end`, `t_out ≥ 0` and rounding
+                        // is monotone, so no free processor fits this or
+                        // any longer interval: every cycle is at least
+                        // this.
+                        if !phase.fits(cycle_time(t_in, work / self.speeds[fastest], 0.0)) {
                             break;
                         }
-                        let comm = t_in + app.output_volume(end) / self.b;
+                        let t_out = app.output_volume(end) / self.b;
                         for &u in free.iter() {
-                            let wos = work / self.speeds[u];
-                            let cycle = comm + wos;
+                            let t_comp = work / self.speeds[u];
+                            let cycle = cycle_time(t_in, t_comp, t_out);
                             if !phase.fits(cycle) {
                                 continue;
                             }
                             // One arrival: a complete prefix goes to the
                             // phase, others are kept unless bounded out.
-                            let next = P::extend(acc, t_in, cycle, wos);
+                            let next = P::extend(acc, t_in, t_comp, cycle);
                             if end == self.n {
-                                phase.complete(next);
+                                phase.complete(&self.eb, next);
                             } else if !phase.bounded(&self.eb, end, next) {
-                                P::keep(&mut levels[end], mask | (1u32 << u), next);
+                                P::Acc::keep(&mut levels[end], mask | (1u32 << u), next);
                             }
                         }
                     }
@@ -741,9 +778,9 @@ impl<'c, 'a> DominanceDp<'c, 'a> {
 
     /// Whether `(pos, mask)` completes to a full mapping whose every
     /// interval's cycle is at most `v_star`, memoized in `memo`. An edge
-    /// is allowed on the cycle expression of
-    /// `PartitionSearch::fill_cycle_matrix`, so it admits exactly the
-    /// pairs a bottleneck threshold of `v_star` admits.
+    /// is allowed on the cycle of `PartitionSearch::fill_cycle_matrix`
+    /// (`cycle_time`), so it admits exactly the pairs a bottleneck
+    /// threshold of `v_star` admits.
     fn completes(&self, memo: &mut [DpLevel<bool>], pos: usize, mask: u32, v_star: f64) -> bool {
         if pos == self.n {
             return true;
@@ -758,14 +795,16 @@ impl<'c, 'a> DominanceDp<'c, 'a> {
         let app = self.cm.app();
         let t_in = app.input_volume(pos) / self.b;
         // Prefix-sum works grow with `end` and IEEE rounding is
-        // monotone, so once `t_in + work / s_fastest` exceeds `v_star`
-        // every longer interval on every free processor does too.
-        let fits = |end: usize| t_in + app.interval_work(pos, end) / self.speeds[fastest] <= v_star;
+        // monotone, so once the fastest free processor's cycle without
+        // its output transfer exceeds `v_star`, every longer interval's
+        // cycle on every free processor does too.
+        let fits = |end: usize| {
+            let t_comp = app.interval_work(pos, end) / self.speeds[fastest];
+            cycle_time(t_in, t_comp, 0.0) <= v_star
+        };
         let found = (pos + 1..=self.n).take_while(|&end| fits(end)).any(|end| {
-            let comm = t_in + app.output_volume(end) / self.b;
-            let work = app.interval_work(pos, end);
             free.iter().any(|&u| {
-                comm + work / self.speeds[u] <= v_star
+                self.cycle(pos, end, self.speeds[u]) <= v_star
                     && self.completes(memo, end, mask | (1u32 << u), v_star)
             })
         });
@@ -774,24 +813,60 @@ impl<'c, 'a> DominanceDp<'c, 'a> {
     }
 }
 
-/// What one objective contributes to [`DominanceDp::sweep`]: the five
-/// places where the three DP phases differ (see the module docs).
+/// A DP accumulator, and what a `(pos, mask)` state keeps of its
+/// arrivals: completions grow every component monotonically, so an
+/// arrival that a kept one is componentwise `≤` of cannot finish better.
+trait Accumulator: Copy {
+    /// What a state keeps.
+    type Slot;
+    /// Records `acc` at `mask` unless a kept accumulator is `≤` it,
+    /// evicting those it is `≤` of.
+    fn keep(level: &mut DpLevel<Self::Slot>, mask: u32, acc: Self);
+    /// The accumulators a state keeps.
+    fn kept(slot: &Self::Slot) -> &[Self];
+}
+
+/// A scalar: a state keeps the smallest.
+impl Accumulator for f64 {
+    type Slot = f64;
+    fn keep(level: &mut DpLevel<f64>, mask: u32, acc: f64) {
+        let kept = level.entry(mask).or_insert(acc);
+        if *kept > acc {
+            *kept = acc;
+        }
+    }
+    fn kept(slot: &f64) -> &[f64] {
+        std::slice::from_ref(slot)
+    }
+}
+
+/// A pair: a state keeps a 2-D Pareto list.
+impl Accumulator for (f64, f64) {
+    type Slot = Vec<(f64, f64)>;
+    fn keep(level: &mut DpLevel<Self::Slot>, mask: u32, (x, y): (f64, f64)) {
+        let list = level.entry(mask).or_default();
+        if list.iter().any(|&(x0, y0)| x0 <= x && y0 <= y) {
+            return;
+        }
+        list.retain(|&(x0, y0)| !(x <= x0 && y <= y0));
+        list.push((x, y));
+    }
+    fn kept(slot: &Self::Slot) -> &[(f64, f64)] {
+        slot
+    }
+}
+
+/// What one objective contributes to [`DominanceDp::sweep`]: the places
+/// where the three DP phases differ (see the module docs).
 /// Monomorphized per phase.
 trait Phase {
     /// The per-prefix accumulator.
-    type Acc: Copy;
-    /// What a `(pos, mask)` state keeps of its arrivals.
-    type Slot;
-    /// The start state's accumulator, given the latency base `δ_n/b`.
-    fn start(base: f64) -> Self::Acc;
-    /// `acc` grown by an interval with input transfer `t_in`, cycle
-    /// `cycle` on its processor and computation time `wos` there.
-    fn extend(acc: Self::Acc, t_in: f64, cycle: f64, wos: f64) -> Self::Acc;
-    /// The per-state dominance rule: records `acc` at `mask` unless a
-    /// kept accumulator makes it redundant.
-    fn keep(level: &mut DpLevel<Self::Slot>, mask: u32, acc: Self::Acc);
-    /// The accumulators a state keeps.
-    fn accs(slot: &Self::Slot) -> &[Self::Acc];
+    type Acc: Accumulator;
+    /// The start state's accumulator.
+    fn start() -> Self::Acc;
+    /// `acc` grown by an interval with input transfer `t_in`, computation
+    /// time `t_comp` on its processor and cycle `cycle` there.
+    fn extend(acc: Self::Acc, t_in: f64, t_comp: f64, cycle: f64) -> Self::Acc;
     /// The edge filter, and with the fastest free processor's cycle
     /// bound the `end`-loop cut: whether an interval with this cycle can
     /// still contribute.
@@ -799,42 +874,23 @@ trait Phase {
     /// Whether no completion of `acc` at `pos` can contribute.
     fn bounded(&self, eb: &ExactBounds, pos: usize, acc: Self::Acc) -> bool;
     /// What a complete prefix does.
-    fn complete(&mut self, acc: Self::Acc);
+    fn complete(&mut self, eb: &ExactBounds, acc: Self::Acc);
 }
 
-/// Keeps `acc` at `mask` unless a kept accumulator is componentwise `le`
-/// it, evicting those `acc` is `le` of: completions extend every
-/// component monotonically, so a dominated arrival cannot finish better.
-fn keep_pareto<A: Copy>(level: &mut DpLevel<Vec<A>>, mask: u32, acc: A, le: fn(A, A) -> bool) {
-    let list = level.entry(mask).or_default();
-    if list.iter().any(|&old| le(old, acc)) {
-        return;
-    }
-    list.retain(|&old| !le(acc, old));
-    list.push(acc);
-}
+/// The slot a phase's states keep.
+type SlotOf<P> = <<P as Phase>::Acc as Accumulator>::Slot;
 
-/// The min-period phase: the prefix cycle maximum, one `f64` per state
-/// (the smallest), complete prefixes feeding the incumbent.
+/// The min-period phase: the prefix cycle maximum, complete prefixes
+/// feeding the incumbent.
 struct MinPeriod<'i>(&'i SharedIncumbent);
 
 impl Phase for MinPeriod<'_> {
     type Acc = f64;
-    type Slot = f64;
-    fn start(_base: f64) -> f64 {
+    fn start() -> f64 {
         f64::NEG_INFINITY
     }
-    fn extend(cycle_max: f64, _t_in: f64, cycle: f64, _wos: f64) -> f64 {
+    fn extend(cycle_max: f64, _t_in: f64, _t_comp: f64, cycle: f64) -> f64 {
         cycle_max.max(cycle)
-    }
-    fn keep(level: &mut DpLevel<f64>, mask: u32, cycle_max: f64) {
-        let kept = level.entry(mask).or_insert(cycle_max);
-        if *kept > cycle_max {
-            *kept = cycle_max;
-        }
-    }
-    fn accs(slot: &f64) -> &[f64] {
-        std::slice::from_ref(slot)
     }
     fn fits(&self, cycle: f64) -> bool {
         cycle < self.0.current()
@@ -842,78 +898,64 @@ impl Phase for MinPeriod<'_> {
     fn bounded(&self, eb: &ExactBounds, pos: usize, cycle_max: f64) -> bool {
         eb.period(pos, cycle_max) >= self.0.current()
     }
-    fn complete(&mut self, cycle_max: f64) {
+    fn complete(&mut self, _eb: &ExactBounds, cycle_max: f64) {
         self.0.observe(cycle_max);
     }
 }
 
-/// The latency-under-period-bound phase: `(latency_base, Σ w/s)` pairs
-/// under the 2-D Pareto rule, only edges whose cycle fits `bound` (the
-/// blind solver's allowed-pair criterion), complete prefixes feeding the
-/// incumbent.
+/// The latency-under-period-bound phase: the prefix's eq. 2 sum
+/// `Σ (t_in + t_comp)`, only edges whose cycle fits `bound` (the blind
+/// solver's allowed-pair criterion), complete prefixes adding `δ_n/b`
+/// and feeding the incumbent.
 struct MinLatency<'i>(&'i SharedIncumbent, f64);
 
 impl Phase for MinLatency<'_> {
-    type Acc = (f64, f64);
-    type Slot = Vec<(f64, f64)>;
-    fn start(base: f64) -> (f64, f64) {
-        (base, 0.0)
+    type Acc = f64;
+    fn start() -> f64 {
+        0.0
     }
-    fn extend((base, wsum): (f64, f64), t_in: f64, _cycle: f64, wos: f64) -> (f64, f64) {
-        (base + t_in, wsum + wos)
-    }
-    fn keep(level: &mut DpLevel<Self::Slot>, mask: u32, acc: (f64, f64)) {
-        keep_pareto(level, mask, acc, |(b0, w0), (b1, w1)| b0 <= b1 && w0 <= w1);
-    }
-    fn accs(slot: &Self::Slot) -> &[(f64, f64)] {
-        slot
+    fn extend(latency: f64, t_in: f64, t_comp: f64, _cycle: f64) -> f64 {
+        latency + (t_in + t_comp)
     }
     fn fits(&self, cycle: f64) -> bool {
         approx_le(cycle, self.1)
     }
-    fn bounded(&self, eb: &ExactBounds, pos: usize, (base, wsum): (f64, f64)) -> bool {
-        eb.latency(pos, base + wsum) >= self.0.current()
+    fn bounded(&self, eb: &ExactBounds, pos: usize, latency: f64) -> bool {
+        eb.latency(pos, latency + eb.t_out) >= self.0.current()
     }
-    fn complete(&mut self, (base, wsum): (f64, f64)) {
-        self.0.observe(base + wsum);
+    fn complete(&mut self, eb: &ExactBounds, latency: f64) {
+        self.0.observe(latency + eb.t_out);
     }
 }
 
-/// The shadow-front phase: `(cycle_max, latency_base, Σ w/s)` triples
-/// under the 3-D Pareto rule, every edge, complete prefixes offering
-/// their coordinate-only point. Leaves arrive (and tighten the front)
+/// The shadow-front phase: `(cycle_max, eq. 2 sum)` pairs under the 2-D
+/// Pareto rule, every edge, complete prefixes offering their
+/// coordinate-only point. Leaves arrive (and tighten the front)
 /// throughout the sweep, so later levels prune against an ever-better
 /// front; the final coordinate set is the Pareto front of all pairs
 /// regardless of arrival order.
 struct Shadow<'s>(&'s mut ParetoFront<()>);
 
 impl Phase for Shadow<'_> {
-    type Acc = (f64, f64, f64);
-    type Slot = Vec<(f64, f64, f64)>;
-    fn start(base: f64) -> (f64, f64, f64) {
-        (f64::NEG_INFINITY, base, 0.0)
+    type Acc = (f64, f64);
+    fn start() -> (f64, f64) {
+        (f64::NEG_INFINITY, 0.0)
     }
-    fn extend(acc: Self::Acc, t_in: f64, cycle: f64, wos: f64) -> Self::Acc {
-        (acc.0.max(cycle), acc.1 + t_in, acc.2 + wos)
-    }
-    fn keep(level: &mut DpLevel<Self::Slot>, mask: u32, acc: (f64, f64, f64)) {
-        keep_pareto(level, mask, acc, |(c0, b0, w0), (c1, b1, w1)| {
-            c0 <= c1 && b0 <= b1 && w0 <= w1
-        });
-    }
-    fn accs(slot: &Self::Slot) -> &[(f64, f64, f64)] {
-        slot
+    fn extend((cycle_max, latency): Self::Acc, t_in: f64, t_comp: f64, cycle: f64) -> Self::Acc {
+        (cycle_max.max(cycle), latency + (t_in + t_comp))
     }
     fn fits(&self, _cycle: f64) -> bool {
         true
     }
     /// Every completion's point would be weakly dominated by the front.
-    fn bounded(&self, eb: &ExactBounds, pos: usize, (cycle_max, base, wsum): Self::Acc) -> bool {
-        self.0
-            .dominated(eb.period(pos, cycle_max), eb.latency(pos, base + wsum))
+    fn bounded(&self, eb: &ExactBounds, pos: usize, (cycle_max, latency): Self::Acc) -> bool {
+        self.0.dominated(
+            eb.period(pos, cycle_max),
+            eb.latency(pos, latency + eb.t_out),
+        )
     }
-    fn complete(&mut self, (cycle_max, base, wsum): (f64, f64, f64)) {
-        let latency = base + wsum;
+    fn complete(&mut self, eb: &ExactBounds, (cycle_max, latency): Self::Acc) {
+        let latency = latency + eb.t_out;
         if !self.0.dominated(cycle_max, latency) {
             self.0.offer(cycle_max, latency, ());
         }
@@ -927,7 +969,7 @@ fn run_phase<P: Phase>(
     cm: &CostModel<'_>,
     phase: &mut P,
     first: RangeInclusive<usize>,
-    levels: &mut Vec<DpLevel<P::Slot>>,
+    levels: &mut Vec<DpLevel<SlotOf<P>>>,
 ) {
     let dp = DominanceDp::new(cm);
     reset_levels(levels, dp.n);
@@ -945,7 +987,7 @@ pub fn exact_min_period_value_root(
     inc: &SharedIncumbent,
     ws: &mut SolveWorkspace,
 ) {
-    run_phase(cm, &mut MinPeriod(inc), end..=end, &mut ws.dp.period);
+    run_phase(cm, &mut MinPeriod(inc), end..=end, &mut ws.dp.scalar);
 }
 
 /// Witness pass of the min-period DP, or the v2 search when no value is
@@ -1011,7 +1053,6 @@ fn min_period_witness(
     ws: &mut SolveWorkspace,
 ) -> (f64, IntervalMapping) {
     let dp = DominanceDp::new(cm);
-    let app = cm.app();
     let DpScratch {
         completes,
         reach,
@@ -1024,16 +1065,13 @@ fn min_period_witness(
     let mut search = PartitionSearch::new(cm);
     while search.pos() < dp.n {
         let pos = search.pos();
-        let t_in = app.input_volume(pos) / dp.b;
         let end = (pos + 1..=dp.n)
             .find(|&end| {
-                let comm = t_in + app.output_volume(end) / dp.b;
-                let work = app.interval_work(pos, end);
                 grown.clear();
                 for &mask in reach.iter() {
                     for &u in dp.free_procs(mask).iter() {
                         let next = mask | (1u32 << u);
-                        if comm + work / dp.speeds[u] <= v_star
+                        if dp.cycle(pos, end, dp.speeds[u]) <= v_star
                             && dp.completes(completes, end, next, v_star)
                         {
                             grown.push(next);
@@ -1080,13 +1118,14 @@ pub fn exact_min_latency_value_root(
     ws: &mut SolveWorkspace,
 ) {
     let mut phase = MinLatency(inc, period_bound);
-    run_phase(cm, &mut phase, end..=end, &mut ws.dp.latency);
+    run_phase(cm, &mut phase, end..=end, &mut ws.dp.scalar);
 }
 
 /// Witness pass of the latency DP: the min-latency partition walk under
-/// the ceiling `l_a`, the DP's assignment-level optimum (a bit-wise lower
-/// bound on the Hungarian-reported optimum, so no achieving partition is
-/// pruned). Returns the blind enumeration's leftmost winner. `l_a = +∞`
+/// the ceiling `l_a`, the DP's eq. 2 optimum (within a few ulps of the
+/// walk's `base + Hungarian` optimum, far inside the latency bound's
+/// slack, so no achieving partition is pruned). Returns the blind
+/// enumeration's leftmost winner. `l_a = +∞`
 /// means the DP found no feasible pair — exactly the blind solver's
 /// infeasibility condition — and answers `None` without walking.
 ///
@@ -1132,21 +1171,15 @@ fn min_latency_walk(
                 return true;
             }
             // `lb_latency` is deflated by LB_SLACK (1e-12 relative),
-            // three orders of magnitude above the ulp-level gap between
-            // the DP's pairwise minimum and the Hungarian optimum — so
-            // the strict tests keep every achieving partition.
+            // three orders of magnitude above the few-ulp gap between
+            // the DP's eq. 2 minimum and this walk's `base + Hungarian`
+            // sum of the same mapping (the two associate the same terms
+            // differently) — so the strict tests keep every achieving
+            // partition.
             let lb = s.lb_latency();
             return lb > ceiling || best.as_ref().is_some_and(|(v, _)| lb > *v);
         }
-        let m = s.intervals.len();
-        scratch.matrix.refill(m, s.p, |j, u| {
-            let cycle = s.comm[j] + s.work[j] / s.speeds[u];
-            if approx_le(cycle, period_bound) {
-                s.work[j] / s.speeds[u]
-            } else {
-                f64::INFINITY
-            }
-        });
+        s.fill_latency_matrix(&mut scratch.matrix, period_bound);
         if let Some(a) = hungarian_in(&scratch.matrix, &mut scratch.hungarian) {
             let latency = s.latency_base.last().expect("seeded") + a.objective;
             if best.as_ref().is_none_or(|(v, _)| latency < *v) {
@@ -1200,7 +1233,6 @@ pub fn exact_front_from_shadow(
             return front.dominated(lb_p, lb_l)
                 || shadow.dominated(lb_p - SHADOW_MARGIN, lb_l - SHADOW_MARGIN);
         }
-        let m = s.intervals.len();
         s.fill_cycle_matrix(&mut scratch.matrix);
         // The partition's feasibility floor: thresholds below it have no
         // perfect assignment, so the Hungarian solve would return `None`
@@ -1223,10 +1255,8 @@ pub fn exact_front_from_shadow(
         // partition.
         let thresholds = &mut scratch.thresholds;
         thresholds.clear();
-        for j in 0..m {
-            for &speed in s.speeds.iter().take(s.p) {
-                thresholds.push(s.comm[j] + s.work[j] / speed);
-            }
+        for j in 0..s.intervals.len() {
+            thresholds.extend((0..s.p).map(|u| s.cycle(j, u)));
         }
         thresholds.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         thresholds.dedup_by(|a, b| (*a - *b).abs() <= EPS);
@@ -1234,13 +1264,7 @@ pub fn exact_front_from_shadow(
             if !approx_le(bottleneck.objective, t) {
                 continue; // no perfect assignment fits this threshold
             }
-            scratch.matrix.refill(m, s.p, |j, u| {
-                if approx_le(s.comm[j] + s.work[j] / s.speeds[u], t) {
-                    s.work[j] / s.speeds[u]
-                } else {
-                    f64::INFINITY
-                }
-            });
+            s.fill_latency_matrix(&mut scratch.matrix, t);
             let Some(a) = hungarian_in(&scratch.matrix, &mut scratch.hungarian) else {
                 continue;
             };
@@ -1250,7 +1274,7 @@ pub fn exact_front_from_shadow(
                 .assigned
                 .iter()
                 .enumerate()
-                .map(|(j, &u)| s.comm[j] + s.work[j] / s.speeds[u])
+                .map(|(j, &u)| s.cycle(j, u))
                 .fold(f64::NEG_INFINITY, f64::max);
             if !front.dominated(achieved, latency) {
                 let mapping = build_mapping(s.cm, &s.intervals, &a.assigned);

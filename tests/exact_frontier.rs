@@ -289,8 +289,9 @@ fn dp_values_three_ways<S>(
 /// so the DP routes, and its roots run three ways
 /// ([`dp_values_three_ways`]). The min-period value must have the v2
 /// period's exact bits; the latency value must sit within 1e-12
-/// relative of the v2 latency (the DP folds the sum the v2 leaf's
-/// Hungarian solve reports) and agree on feasibility at 0.5×, 1.0× and
+/// relative of the v2 latency (the DP sums eq. 2, the v2 leaf its base
+/// plus the Hungarian sum), must not exceed eq. 2 of the v2 witness (it
+/// is eq. 2's minimum), and must agree on feasibility at 0.5×, 1.0× and
 /// 1.4× the optimum; the merged shadow front must match the v2 front's
 /// coordinates point for point within 4·EPS.
 #[test]
@@ -340,10 +341,17 @@ fn dp_value_phase_matches_v2_values_three_ways() {
                 for (way, inc) in latencies.iter().enumerate() {
                     let dp = inc.current();
                     match &v2 {
-                        Some((l_v2, _)) => assert!(
-                            (dp - l_v2).abs() <= 1e-12 * l_v2,
-                            "{label}@{factor} way {way}: DP latency {dp} vs v2 {l_v2}"
-                        ),
+                        Some((l_v2, witness)) => {
+                            assert!(
+                                (dp - l_v2).abs() <= 1e-12 * l_v2,
+                                "{label}@{factor} way {way}: DP latency {dp} vs v2 {l_v2}"
+                            );
+                            let l_eq2 = cm.latency(witness);
+                            assert!(
+                                dp <= l_eq2,
+                                "{label}@{factor} way {way}: DP latency {dp} above eq. 2 {l_eq2}"
+                            );
+                        }
                         None => assert!(
                             dp.is_infinite(),
                             "{label}@{factor} way {way}: DP found {dp}, v2 infeasible"
