@@ -183,12 +183,14 @@ fn homogeneous_bandwidth(cm: &CostModel<'_>) -> f64 {
 }
 
 /// An interval's cycle time, the `max` argument of eq. 1, from its input
-/// transfer, computation and output transfer times. Every cycle of the
-/// exact searches (matrices, DP edges, thresholds and bounds) is this one
-/// expression, so they all agree bit for bit.
+/// transfer, computation and output transfer times, associated as
+/// `IntervalCost::cycle_time` does. Every cycle of the exact searches
+/// (matrices, DP edges, thresholds and bounds) is this one expression, so
+/// they all agree bit for bit, and every exact period is eq. 1 of its
+/// own mapping.
 #[inline]
 fn cycle_time(t_in: f64, t_comp: f64, t_out: f64) -> f64 {
-    (t_in + t_out) + t_comp
+    t_in + t_comp + t_out
 }
 
 fn build_mapping(

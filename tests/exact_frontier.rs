@@ -168,6 +168,32 @@ fn dp_matches_partition_search_at_n16() {
     }
 }
 
+/// Exact periods are eq. 1 of their own mapping: every exact min-period
+/// answer and every exact front point reports the period
+/// `CostModel::period` computes for its mapping, bit for bit, over every
+/// Communication Homogeneous zoo family at n ∈ {8, 12, 16} and
+/// p ∈ {4, 8, 16} (DP-routed and v2-routed instances alike).
+#[test]
+fn exact_periods_are_eq_1_of_their_own_mapping() {
+    let mut ws = SolveWorkspace::new();
+    for n in [8usize, 12, 16] {
+        for p in [4usize, 8, 16] {
+            for (family, app, pf) in zoo_instances(n, p, 1) {
+                let cm = CostModel::new(&app, &pf);
+                let label = format!("{} n={n} p={p}", family.label());
+                let (period, mapping) = exact::exact_min_period_in(&cm, &mut ws);
+                let eq1 = cm.period(&mapping);
+                assert_eq!(period.to_bits(), eq1.to_bits(), "{label}: min period");
+                let front = exact::exact_pareto_front_in(&cm, &mut ws);
+                for (i, (period, _, mapping)) in front.iter().enumerate() {
+                    let eq1 = cm.period(mapping);
+                    assert_eq!(period.to_bits(), eq1.to_bits(), "{label}: front point {i}");
+                }
+            }
+        }
+    }
+}
+
 /// The sharded branch-and-bound must be bit-identical to the sequential
 /// entry points at 1, 2 and 4 threads — on a uniform-speed cluster
 /// where the DP fans its roots out, and on a zoo instance that falls

@@ -3,8 +3,9 @@
 //! (and per period threshold for the front). No pruning, no memoization,
 //! no DP. It is the slow, obviously-correct reference that the pruned
 //! partition walks and the dominance DP of `pipeline_core::exact` are
-//! checked against. Every leaf is evaluated with the production walks'
-//! expressions in the same association order, so results agree **bit
+//! checked against. Every cycle is eq. 1's, straight from
+//! `CostModel::interval_cost`, and latencies use the production walks'
+//! expression in the same association order, so results agree **bit
 //! for bit**, mappings and tie-breaks included (strict improvements
 //! only: the leftmost winner in enumeration order is kept).
 //!
@@ -18,7 +19,7 @@ use pipeline_workflows::core::exact::{self, MAX_STAGES};
 use pipeline_workflows::core::{ParetoFront, SolveWorkspace};
 use pipeline_workflows::model::generator::{ExperimentKind, InstanceGenerator, InstanceParams};
 use pipeline_workflows::model::util::{approx_le, EPS};
-use pipeline_workflows::model::{CostModel, Interval, IntervalMapping, LinkModel};
+use pipeline_workflows::model::{CostModel, Interval, IntervalCost, IntervalMapping, LinkModel};
 
 /// Calls `visit` with the boundary vector (`0 = b_0 < … < b_m = n`) of
 /// every partition of `[0, n)` into at most `max_parts` intervals, in
@@ -51,37 +52,37 @@ pub fn enumerate_partitions(n: usize, max_parts: usize, mut visit: impl FnMut(&[
 }
 
 /// Per-partition interval descriptors used to build assignment matrices.
-struct PartitionCosts {
+struct PartitionCosts<'c, 'a> {
+    cm: &'c CostModel<'a>,
     intervals: Vec<Interval>,
-    /// Fixed communication part of each interval's cycle time
-    /// (`t_in + t_out`).
-    comm: Vec<f64>,
-    /// Work of each interval.
-    work: Vec<f64>,
     /// Constant latency part: `δ_n/b + Σ t_in`.
     latency_base: f64,
 }
 
-fn partition_costs(cm: &CostModel<'_>, bounds: &[usize]) -> PartitionCosts {
+impl PartitionCosts<'_, '_> {
+    /// Interval `j` on processor `u`: eq. 1's cycle time and its parts.
+    /// Homogeneous links make the neighbours irrelevant.
+    fn cost(&self, j: usize, u: usize) -> IntervalCost {
+        self.cm.interval_cost(self.intervals[j], u, None, None)
+    }
+}
+
+fn partition_costs<'c, 'a>(cm: &'c CostModel<'a>, bounds: &[usize]) -> PartitionCosts<'c, 'a> {
     let app = cm.app();
     let &LinkModel::Homogeneous(b) = cm.platform().links() else {
         panic!("exact solver requires a Communication Homogeneous platform")
     };
-    let mut intervals = Vec::with_capacity(bounds.len() - 1);
-    let mut comm = Vec::with_capacity(bounds.len() - 1);
-    let mut work = Vec::with_capacity(bounds.len() - 1);
+    let intervals: Vec<Interval> = bounds
+        .windows(2)
+        .map(|w| Interval::new(w[0], w[1]))
+        .collect();
     let mut latency_base = app.delta(app.n_stages()) / b;
-    for w in bounds.windows(2) {
-        let iv = Interval::new(w[0], w[1]);
-        intervals.push(iv);
-        comm.push(app.input_volume(iv.start) / b + app.output_volume(iv.end) / b);
-        work.push(app.interval_work(iv.start, iv.end));
+    for iv in &intervals {
         latency_base += app.input_volume(iv.start) / b;
     }
     PartitionCosts {
+        cm,
         intervals,
-        comm,
-        work,
         latency_base,
     }
 }
@@ -103,12 +104,11 @@ fn build_mapping(
 /// Exact minimum period: a bottleneck assignment per partition.
 pub fn exact_min_period_blind(cm: &CostModel<'_>) -> (f64, IntervalMapping) {
     let p = cm.platform().n_procs();
-    let speeds = cm.platform().speeds();
     let mut best: Option<(f64, IntervalMapping)> = None;
     enumerate_partitions(cm.app().n_stages(), p, |bounds| {
         let pc = partition_costs(cm, bounds);
         let m = pc.intervals.len();
-        let costs = CostMatrix::from_fn(m, p, |j, u| pc.comm[j] + pc.work[j] / speeds[u]);
+        let costs = CostMatrix::from_fn(m, p, |j, u| pc.cost(j, u).cycle_time());
         if let Some(a) = bottleneck_assignment(&costs, &mut BottleneckScratch::default()) {
             if best.as_ref().is_none_or(|(v, _)| a.objective < *v) {
                 best = Some((a.objective, build_mapping(cm, &pc.intervals, &a.assigned)));
@@ -126,15 +126,14 @@ pub fn exact_min_latency_for_period_blind(
     period_bound: f64,
 ) -> Option<(f64, IntervalMapping)> {
     let p = cm.platform().n_procs();
-    let speeds = cm.platform().speeds();
     let mut best: Option<(f64, IntervalMapping)> = None;
     enumerate_partitions(cm.app().n_stages(), p, |bounds| {
         let pc = partition_costs(cm, bounds);
         let m = pc.intervals.len();
         let costs = CostMatrix::from_fn(m, p, |j, u| {
-            let cycle = pc.comm[j] + pc.work[j] / speeds[u];
-            if approx_le(cycle, period_bound) {
-                pc.work[j] / speeds[u]
+            let c = pc.cost(j, u);
+            if approx_le(c.cycle_time(), period_bound) {
+                c.t_comp
             } else {
                 f64::INFINITY
             }
@@ -153,24 +152,21 @@ pub fn exact_min_latency_for_period_blind(
 /// cycle-value threshold) pair.
 pub fn exact_pareto_front_blind(cm: &CostModel<'_>) -> ParetoFront<IntervalMapping> {
     let p = cm.platform().n_procs();
-    let speeds = cm.platform().speeds();
     let mut front: ParetoFront<IntervalMapping> = ParetoFront::new();
     enumerate_partitions(cm.app().n_stages(), p, |bounds| {
         let pc = partition_costs(cm, bounds);
         let m = pc.intervals.len();
         let mut thresholds: Vec<f64> = Vec::with_capacity(m * p);
         for j in 0..m {
-            for &speed in speeds.iter().take(p) {
-                thresholds.push(pc.comm[j] + pc.work[j] / speed);
-            }
+            thresholds.extend((0..p).map(|u| pc.cost(j, u).cycle_time()));
         }
         thresholds.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         thresholds.dedup_by(|a, b| (*a - *b).abs() <= EPS);
         for &t in &thresholds {
             let costs = CostMatrix::from_fn(m, p, |j, u| {
-                let cycle = pc.comm[j] + pc.work[j] / speeds[u];
-                if approx_le(cycle, t) {
-                    pc.work[j] / speeds[u]
+                let c = pc.cost(j, u);
+                if approx_le(c.cycle_time(), t) {
+                    c.t_comp
                 } else {
                     f64::INFINITY
                 }
@@ -183,7 +179,7 @@ pub fn exact_pareto_front_blind(cm: &CostModel<'_>) -> ParetoFront<IntervalMappi
                 .assigned
                 .iter()
                 .enumerate()
-                .map(|(j, &u)| pc.comm[j] + pc.work[j] / speeds[u])
+                .map(|(j, &u)| pc.cost(j, u).cycle_time())
                 .fold(f64::NEG_INFINITY, f64::max);
             if !front.dominated(achieved, latency) {
                 let mapping = build_mapping(cm, &pc.intervals, &a.assigned);
