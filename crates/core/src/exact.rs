@@ -76,7 +76,8 @@
 //! speculatively. The sweep starts from the virtual state `(pos 0,
 //! mask 0)` holding the initial accumulator (`cycle_max = −∞`, a latency
 //! sum of `0`); its expansion places the first intervals `[0, end)` —
-//! every `end` for a whole solve, a single one for a sharded root. Two levers keep the state space small: processors
+//! every `end` for a whole solve, a single one for a sharded root. Two
+//! levers keep the state space small: processors
 //! with bit-equal speeds are interchangeable, so each state enrolls only
 //! the first free member of every speed class (canonical masks =
 //! per-class prefixes), and a state whose optimistic bound (the same
@@ -97,21 +98,18 @@
 //! | per-state dominance | the smaller `f64` | the smaller `f64` | 2-D Pareto list |
 //! | edge filter | cycle `<` incumbent | cycle `≤ P` (`approx_le`) | none |
 //! | `end`-loop cut | the filter on `t_in + W/s` | the filter on `t_in + W/s` | none |
-//! | complete prefix | feeds the incumbent | adds `δ_n/b`, feeds the incumbent | adds `δ_n/b`, offers its point |
+//! | complete prefix | feeds the incumbent | adds `δ_n/b`, feeds it | adds `δ_n/b`, offers it |
 //!
 //! States are bounded out against the incumbent (min period, min
 //! latency) or against the coordinate front found so far (shadow). Every
-//! cycle is `cycle_time`, the expression the v2 cycle matrices use, so
-//! the period accumulator (`max` of exact cycle values) is bit-identical
-//! to a blind leaf's bottleneck. The latency accumulator is eq. 2 in its
-//! own order, as `CostModel::latency` sums it: `t_in + t_comp` interval
-//! by interval, then `δ_n/b` once the prefix completes. Every completion
+//! cycle, here and in v2, is one helper's eq. 1, so the period
+//! accumulator is bit-identical to a blind leaf's bottleneck. The latency
+//! accumulator is eq. 2 as `CostModel::latency` sums it; every completion
 //! of a state adds the same terms in the same order and IEEE addition is
-//! monotone, so the smallest sum per state is exact and dominance never
-//! rounds. The walks report `δ_n/b + Σ t_in` plus the Hungarian sum
-//! instead, which may differ from eq. 2 by a few ulps; the DP's latencies
-//! serve only as the latency walk's ceiling and the front walk's shadow,
-//! which tolerate that gap (`LB_SLACK`, `SHADOW_MARGIN`).
+//! monotone, so the smallest sum per state is exact. The walks report
+//! `δ_n/b + Σ t_in` plus the Hungarian sum, a few ulps from eq. 2; the
+//! DP's latencies serve only as the latency walk's ceiling and the front
+//! walk's shadow, which tolerate that (`LB_SLACK`, `SHADOW_MARGIN`).
 //!
 //! The DP pays off exactly when speed classes collapse the mask space —
 //! on the paper's fully homogeneous platforms the canonical states are
@@ -182,12 +180,9 @@ fn homogeneous_bandwidth(cm: &CostModel<'_>) -> f64 {
     }
 }
 
-/// An interval's cycle time, the `max` argument of eq. 1, from its input
-/// transfer, computation and output transfer times, associated as
-/// `IntervalCost::cycle_time` does. Every cycle of the exact searches
-/// (matrices, DP edges, thresholds and bounds) is this one expression, so
-/// they all agree bit for bit, and every exact period is eq. 1 of its
-/// own mapping.
+/// An interval's cycle time (eq. 1, associated as
+/// `IntervalCost::cycle_time`). Every cycle of the exact searches is this
+/// expression, so they agree bit for bit and report eq. 1's periods.
 #[inline]
 fn cycle_time(t_in: f64, t_comp: f64, t_out: f64) -> f64 {
     t_in + t_comp + t_out
@@ -212,7 +207,7 @@ fn build_mapping(
 // ---------------------------------------------------------------------------
 
 /// Incremental DFS over partition prefixes, maintaining per interval its
-/// transfer times `t_in`, `t_out` and its work, the latency base
+/// transfer times and work, the latency base
 /// `δ_n/b + Σ t_in`, and the optimistic bounds of the module docs. The
 /// expressions and their association order are those of a from-scratch
 /// evaluation of the complete partition, so leaves evaluate
@@ -227,13 +222,11 @@ struct PartitionSearch<'c, 'a> {
     speeds: &'a [f64],
     // --- incremental prefix state ---
     intervals: Vec<Interval>,
-    t_in: Vec<f64>,
-    t_out: Vec<f64>,
-    work: Vec<f64>,
+    /// `(t_in, work, t_out)` of each placed interval.
+    placed: Vec<(f64, f64, f64)>,
     /// Stack of latency-base values; `last()` is the current prefix's.
     latency_base: Vec<f64>,
-    /// Stack of running maxima of per-interval optimistic cycles (each
-    /// interval on a processor of speed `s_max`).
+    /// Stack of running maxima of per-interval cycles at speed `s_max`.
     opt_cycle_max: Vec<f64>,
     /// Placed interval works, sorted non-increasing.
     works_sorted: Vec<f64>,
@@ -264,9 +257,7 @@ impl<'c, 'a> PartitionSearch<'c, 'a> {
             s_max,
             speeds: pf.speeds(),
             intervals: Vec::new(),
-            t_in: Vec::new(),
-            t_out: Vec::new(),
-            work: Vec::new(),
+            placed: Vec::new(),
             latency_base: vec![eb.t_out],
             opt_cycle_max: vec![f64::NEG_INFINITY],
             works_sorted: Vec::new(),
@@ -294,16 +285,12 @@ impl<'c, 'a> PartitionSearch<'c, 'a> {
         let at = self.works_sorted.partition_point(|&w| w > work);
         self.works_sorted.insert(at, work);
         self.intervals.push(Interval::new(start, end));
-        self.t_in.push(t_in);
-        self.t_out.push(t_out);
-        self.work.push(work);
+        self.placed.push((t_in, work, t_out));
     }
 
     fn pop(&mut self) {
-        let work = self.work.pop().expect("push/pop balanced");
+        let (_, work, _) = self.placed.pop().expect("push/pop balanced");
         self.intervals.pop();
-        self.t_in.pop();
-        self.t_out.pop();
         self.latency_base.pop();
         self.opt_cycle_max.pop();
         let at = self.works_sorted.partition_point(|&w| w > work);
@@ -359,7 +346,8 @@ impl<'c, 'a> PartitionSearch<'c, 'a> {
     /// The cycle time of placed interval `j` on processor `u`.
     #[inline]
     fn cycle(&self, j: usize, u: usize) -> f64 {
-        cycle_time(self.t_in[j], self.work[j] / self.speeds[u], self.t_out[j])
+        let (t_in, work, t_out) = self.placed[j];
+        cycle_time(t_in, work / self.speeds[u], t_out)
     }
 
     /// Refills `matrix` with the cycle-time matrix of the complete
@@ -375,7 +363,7 @@ impl<'c, 'a> PartitionSearch<'c, 'a> {
     fn fill_latency_matrix(&self, matrix: &mut CostMatrix, bound: f64) {
         matrix.refill(self.intervals.len(), self.p, |j, u| {
             if approx_le(self.cycle(j, u), bound) {
-                self.work[j] / self.speeds[u]
+                self.placed[j].1 / self.speeds[u]
             } else {
                 f64::INFINITY
             }
@@ -416,8 +404,8 @@ pub fn exact_min_latency_for_period_in(
         return min_latency_walk(cm, period_bound, f64::INFINITY, ws);
     }
     let inc = SharedIncumbent::new();
-    let mut phase = MinLatency(&inc, period_bound);
-    run_phase(cm, &mut phase, 1..=cm.app().n_stages(), &mut ws.dp.scalar);
+    let phase = &mut MinLatency(&inc, period_bound);
+    run_phase(cm, phase, 1..=cm.app().n_stages(), &mut ws.dp.scalar);
     exact_min_latency_from_value(cm, period_bound, inc.current(), ws)
 }
 
@@ -499,8 +487,7 @@ type DpLevel<T> = HashMap<u32, T, DomBuild>;
 /// each sharded root call) resets them, recycling capacity.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DpScratch {
-    /// Min-period and latency-under-bound DPs: the smallest prefix cycle
-    /// maximum, or the smallest prefix latency sum, per state.
+    /// Min-period and latency-under-bound DPs: the smallest accumulator.
     scalar: Vec<DpLevel<f64>>,
     /// Shadow-front DP: Pareto list of `(cycle_max, latency sum)`
     /// accumulator pairs per state.
@@ -685,8 +672,7 @@ impl<'c, 'a> DominanceDp<'c, 'a> {
         }
     }
 
-    /// The cycle time of interval `[pos, end)` on a processor of speed
-    /// `speed`.
+    /// The cycle time of interval `[pos, end)` at speed `speed`.
     fn cycle(&self, pos: usize, end: usize, speed: f64) -> f64 {
         let app = self.cm.app();
         cycle_time(
@@ -749,9 +735,8 @@ impl<'c, 'a> DominanceDp<'c, 'a> {
                         let work = app.interval_work(pos, end);
                         // Works grow with `end`, `t_out ≥ 0` and rounding
                         // is monotone, so no free processor fits this or
-                        // any longer interval: every cycle is at least
-                        // this.
-                        if !phase.fits(cycle_time(t_in, work / self.speeds[fastest], 0.0)) {
+                        // any longer interval: every cycle is at least this.
+                        if !phase.fits(t_in + work / self.speeds[fastest]) {
                             break;
                         }
                         let t_out = app.output_volume(end) / self.b;
@@ -796,14 +781,10 @@ impl<'c, 'a> DominanceDp<'c, 'a> {
         };
         let app = self.cm.app();
         let t_in = app.input_volume(pos) / self.b;
-        // Prefix-sum works grow with `end` and IEEE rounding is
-        // monotone, so once the fastest free processor's cycle without
-        // its output transfer exceeds `v_star`, every longer interval's
-        // cycle on every free processor does too.
-        let fits = |end: usize| {
-            let t_comp = app.interval_work(pos, end) / self.speeds[fastest];
-            cycle_time(t_in, t_comp, 0.0) <= v_star
-        };
+        // Prefix-sum works grow with `end`, `t_out ≥ 0` and IEEE rounding
+        // is monotone, so once `t_in + work / s_fastest` exceeds `v_star`
+        // every longer interval's cycle on every free processor does too.
+        let fits = |end: usize| t_in + app.interval_work(pos, end) / self.speeds[fastest] <= v_star;
         let found = (pos + 1..=self.n).take_while(|&end| fits(end)).any(|end| {
             free.iter().any(|&u| {
                 self.cycle(pos, end, self.speeds[u]) <= v_star
@@ -815,9 +796,9 @@ impl<'c, 'a> DominanceDp<'c, 'a> {
     }
 }
 
-/// A DP accumulator, and what a `(pos, mask)` state keeps of its
-/// arrivals: completions grow every component monotonically, so an
-/// arrival that a kept one is componentwise `≤` of cannot finish better.
+/// A DP accumulator and what a `(pos, mask)` state keeps of it:
+/// completions grow every component monotonically, so an arrival that a
+/// kept one is componentwise `≤` of cannot finish better.
 trait Accumulator: Copy {
     /// What a state keeps.
     type Slot;
@@ -1119,8 +1100,12 @@ pub fn exact_min_latency_value_root(
     inc: &SharedIncumbent,
     ws: &mut SolveWorkspace,
 ) {
-    let mut phase = MinLatency(inc, period_bound);
-    run_phase(cm, &mut phase, end..=end, &mut ws.dp.scalar);
+    run_phase(
+        cm,
+        &mut MinLatency(inc, period_bound),
+        end..=end,
+        &mut ws.dp.scalar,
+    );
 }
 
 /// Witness pass of the latency DP: the min-latency partition walk under
