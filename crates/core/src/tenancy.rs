@@ -20,10 +20,7 @@
 //!   improvement, deterministic scan order);
 //! * [`TenantSet::co_schedule_exact`] — the small-case exact oracle:
 //!   enumerates every processor-to-tenant assignment (differential
-//!   tests pin the heuristic to within the exact optimum on the zoo);
-//! * [`TenantSet::tenant_fronts`] — per-tenant period/latency trade-off
-//!   curves on a fixed partition, materialized through the shared SoA
-//!   [`ParetoFront`] machinery.
+//!   tests pin the heuristic to within the exact optimum on the zoo).
 //!
 //! Everything is deterministic: tie-breaks are index-ordered, scores
 //! compare through the model's epsilon helpers, and the same
@@ -32,7 +29,6 @@
 //! experiments crate's sharded engine run bit-identical across thread
 //! counts.
 
-use crate::pareto::ParetoFront;
 use crate::service::{PreparedInstance, SolveError, SolveRequest, SolverId};
 use crate::solve::{Objective, Strategy};
 use crate::workspace::SolveWorkspace;
@@ -701,32 +697,6 @@ impl TenantSet {
         }
         Ok(best.expect("p >= k guarantees at least one full assignment"))
     }
-
-    /// Per-tenant period/latency trade-off curves on a fixed partition:
-    /// each tenant's full Pareto front on its processor share, through
-    /// the shared SoA [`ParetoFront`] machinery. Fronts come back in
-    /// tenant order, payloads naming the contributing solver.
-    pub fn tenant_fronts(
-        &self,
-        partition: &[Vec<usize>],
-        opts: &CoSchedOptions,
-        ws: &mut SolveWorkspace,
-    ) -> Result<Vec<ParetoFront<SolverId>>, TenancyError> {
-        self.validate_partition(partition)?;
-        let mut fronts = Vec::with_capacity(partition.len());
-        for (i, group) in partition.iter().enumerate() {
-            let mut sorted = group.clone();
-            sorted.sort_unstable();
-            let sub = sub_platform(&self.platform, &sorted);
-            let inst = PreparedInstance::new(self.tenants[i].instance.app().clone(), sub);
-            let request = SolveRequest::new(Objective::ParetoFront)
-                .strategy(opts.strategy)
-                .tolerance(opts.tolerance);
-            let report = inst.solve_in(&request, ws).map_err(TenancyError::Solve)?;
-            fronts.push(report.front.expect("front requests materialize a front"));
-        }
-        Ok(fronts)
-    }
 }
 
 #[cfg(test)]
@@ -935,31 +905,6 @@ mod tests {
         assert!(set
             .evaluate_partition(&[vec![0, 2], vec![1, 3, 4]], obj, &opts, &mut ws)
             .is_ok());
-    }
-
-    #[test]
-    fn tenant_fronts_are_materialized_per_tenant() {
-        let set = set2();
-        let mut ws = SolveWorkspace::new();
-        let sched = set
-            .co_schedule(
-                PartitionObjective::WeightedSumPeriod,
-                &CoSchedOptions::default(),
-                &mut ws,
-            )
-            .unwrap();
-        let partition: Vec<Vec<usize>> = sched.tenants.iter().map(|t| t.procs.clone()).collect();
-        let fronts = set
-            .tenant_fronts(&partition, &CoSchedOptions::default(), &mut ws)
-            .expect("fronts");
-        assert_eq!(fronts.len(), 2);
-        for (front, outcome) in fronts.iter().zip(&sched.tenants) {
-            assert!(!front.is_empty());
-            // The min-period front point cannot beat the co-schedule's
-            // min-period solve on the same share.
-            let (min_period, _, _) = front.first().unwrap();
-            assert!(min_period <= outcome.period + 1e-9);
-        }
     }
 
     #[test]
