@@ -886,6 +886,7 @@ fn handle_connection(
     let mut reader = BufReader::new(stream);
     let mut ws = SolveWorkspace::new();
     let mut acc = Vec::with_capacity(256);
+    let mut buf = String::with_capacity(256);
     let mut line_no: u64 = 0;
     let mut budget = ConnBudget::from_config(&config, Instant::now());
     loop {
@@ -908,12 +909,12 @@ fn handle_connection(
                 ) {
                     BudgetedAnswer::Skip => continue,
                     BudgetedAnswer::Answer(report) => {
-                        if write_report(&mut writer, &report).is_err() {
+                        if write_report(&mut writer, &mut buf, &report).is_err() {
                             return;
                         }
                     }
                     BudgetedAnswer::Refuse(report) => {
-                        let _ = write_report(&mut writer, &report);
+                        let _ = write_report(&mut writer, &mut buf, &report);
                         return;
                     }
                 }
@@ -924,7 +925,7 @@ fn handle_connection(
                 state.failures.fetch_add(1, Ordering::Relaxed);
                 let report =
                     WireReport::Failed(WireFailure::new(0, "line-too-long").at_line(line_no));
-                if write_report(&mut writer, &report).is_err() {
+                if write_report(&mut writer, &mut buf, &report).is_err() {
                     return;
                 }
             }
@@ -933,9 +934,14 @@ fn handle_connection(
     }
 }
 
-fn write_report(writer: &mut TcpStream, report: &WireReport) -> std::io::Result<()> {
-    writeln!(writer, "{}", format_report(report))?;
-    writer.flush()
+/// Writes `report` and its newline, formatted into the connection's
+/// buffer `buf`, with one `write_all`: one segment on a nodelay stream.
+fn write_report<W: Write>(w: &mut W, buf: &mut String, report: &WireReport) -> std::io::Result<()> {
+    buf.clear();
+    buf.push_str(&format_report(report));
+    buf.push('\n');
+    w.write_all(buf.as_bytes())?;
+    w.flush()
 }
 
 #[cfg(test)]
@@ -1304,6 +1310,39 @@ mod tests {
             ));
         }
         assert_eq!(budget.answered, 50);
+    }
+
+    #[test]
+    fn a_report_is_one_write() {
+        /// Counts `write` calls and keeps the bytes.
+        #[derive(Default)]
+        struct Counting {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let reports = [
+            WireReport::Failed(WireFailure::new(3, "unknown-solver")),
+            WireReport::Failed(WireFailure::new(0, "line-too-long").at_line(7)),
+        ];
+        let (mut writer, mut buf) = (Counting::default(), String::new());
+        let mut expected = String::new();
+        for (i, report) in reports.iter().enumerate() {
+            write_report(&mut writer, &mut buf, report).expect("writes");
+            assert_eq!(writer.writes, i + 1, "one write per report");
+            expected.push_str(&format_report(report));
+            expected.push('\n');
+        }
+        assert_eq!(String::from_utf8(writer.bytes).unwrap(), expected);
     }
 
     #[test]
