@@ -159,15 +159,12 @@ fn identity_deltas_preserve_answers_byte_for_byte() {
     }
 }
 
-/// A speed-drift stream of 20 updates at n = p = 120, chained through
-/// `apply_in` on one workspace, answers the trajectory-backed
-/// heuristics (H1, H2a, H2b) at 0.8, 0.55 and 0.4 of the current
-/// single-processor period exactly as a fresh preparation of each
-/// update does. On this wide platform the drift never reaches the
-/// speed-order prefix the trajectories consulted, so every step answers
-/// from trajectories carried through the whole chain.
-#[test]
-fn a_chained_speed_drift_stream_answers_like_scratch_at_every_update() {
+/// Chains `count` updates of the speed-drift stream at `n` stages and
+/// `p` processors (seed 2007) through `apply_in` on one workspace, and
+/// checks that every step answers the trajectory-backed heuristics (H1,
+/// H2a, H2b) at 0.8, 0.55 and 0.4 of the current single-processor
+/// period exactly as a fresh preparation of that update does.
+fn assert_drift_chain_answers_like_scratch(n: usize, p: usize, count: usize) {
     let queries = |inst: &PreparedInstance| -> Vec<SolveRequest> {
         let p0 = inst.single_proc_period();
         let mut requests = Vec::new();
@@ -185,20 +182,39 @@ fn a_chained_speed_drift_stream_answers_like_scratch_at_every_update() {
         }
         requests
     };
-    let gen = DriftGenerator::new(DriftFamily::SpeedDrift, 120, 120);
+    let gen = DriftGenerator::new(DriftFamily::SpeedDrift, n, p);
     let (mut app, mut pf) = gen.initial(2007);
     let mut ws = SolveWorkspace::new();
     let mut cur = PreparedInstance::new(app.clone(), pf.clone());
     // Warm the base session so the first update has caches to carry.
     wire(&cur, &queries(&cur), &mut ws);
-    for (step, delta) in gen.updates(2007, 20).iter().enumerate() {
+    for (step, delta) in gen.updates(2007, count).iter().enumerate() {
         cur = cur.apply_in(delta, &mut ws).expect("drift update applies");
         (app, pf) = delta.apply_to(&app, &pf).expect("drift update applies");
         let fresh = PreparedInstance::new(app.clone(), pf.clone());
         assert_eq!(
             wire(&cur, &queries(&cur), &mut ws),
             wire(&fresh, &queries(&fresh), &mut SolveWorkspace::new()),
-            "update {step}: incremental answers drifted from scratch for {delta:?}"
+            "n={n} p={p} update {step}: incremental answers drifted from scratch for {delta:?}"
         );
     }
+}
+
+/// 20 updates at n = p = 120. On this wide platform the drift never
+/// reaches the speed-order prefix the trajectories consulted, so every
+/// step answers from trajectories carried through the whole chain.
+#[test]
+fn a_chained_speed_drift_stream_answers_like_scratch_at_every_update() {
+    assert_drift_chain_answers_like_scratch(120, 120, 20);
+}
+
+/// 20 updates at n = 30, p = 8, where the drifting processor sits in
+/// and around the speed-order prefix the trajectories consulted: of the
+/// 60 trajectory checks in `apply_in` along the chain, 42 re-record and
+/// 18 carry. Carrying a trajectory that must be re-recorded changes an
+/// answer at the first update already, so this stream fails if
+/// `apply_in` carries unconditionally.
+#[test]
+fn a_speed_drift_stream_crossing_the_consulted_prefix_answers_like_scratch() {
+    assert_drift_chain_answers_like_scratch(30, 8, 20);
 }
