@@ -17,7 +17,15 @@
 //!   the fixture;
 //! * `sweep <family> <heuristic> hypervolume_ratio` / `distance` — each
 //!   heuristic's front against the exact front at n = 12, p = 8, at most
-//!   0.05 worse than the fixture.
+//!   0.05 worse than the fixture;
+//! * `chaos <instance> <plan> makespan_bits` / `completed` / `dropped` /
+//!   `report_hash` — the fault simulator's run of a best-of-all incumbent
+//!   (heavy-tail and E2 at n = 60 and 120, p = n/2, 100 data sets) under
+//!   every named chaos plan and the empty plan, exactly: the makespan
+//!   bits, the counts, and an FNV hash of the start, completion, busy and
+//!   trace bits;
+//! * `chaos study fingerprint` — `chaos_fingerprint` of one fixed
+//!   `chaos_study`, exactly.
 //!
 //! Every key must be in both the fixture and the current run.
 
@@ -30,13 +38,18 @@ use std::sync::Arc;
 use pipeline_workflows::core::service::PreparedInstance;
 use pipeline_workflows::core::tenancy::{CoSchedOptions, PartitionObjective, Tenant, TenantSet};
 use pipeline_workflows::core::SolveWorkspace;
+use pipeline_workflows::core::{Objective, SolveRequest, Strategy};
 use pipeline_workflows::experiments::{
-    exact_min_period_sharded, exact_pareto_front_sharded, run_scenario, ShardOptions,
+    chaos_fingerprint, chaos_study, exact_min_period_sharded, exact_pareto_front_sharded,
+    run_scenario, ChaosParams, ChaosPlanKind, ShardOptions,
 };
 use pipeline_workflows::model::generator::{ExperimentKind, InstanceGenerator, InstanceParams};
-use pipeline_workflows::model::scenario::{ScenarioFamily, TenantFamily, TenantScenarioGenerator};
+use pipeline_workflows::model::scenario::{
+    ScenarioFamily, ScenarioGenerator, ScenarioParams, TenantFamily, TenantScenarioGenerator,
+};
 use pipeline_workflows::model::util::{approx_eq, approx_le};
 use pipeline_workflows::model::{CostModel, Platform};
+use pipeline_workflows::sim::{FaultPlan, FaultedSim, SimConfig};
 
 const FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -152,6 +165,97 @@ fn sweep_lines(lines: &mut Vec<String>) {
     }
 }
 
+/// Data sets per pinned fault-simulator run.
+const CHAOS_DATASETS: usize = 100;
+
+/// FNV-1a over 64-bit words.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The fault simulator on best-of-all incumbents at the chaos-replan
+/// sizes, under every named plan (built against the bottleneck
+/// processor) and the empty plan; then one fixed chaos study.
+fn chaos_lines(lines: &mut Vec<String>) {
+    let request = SolveRequest::new(Objective::MinPeriod).strategy(Strategy::BestOfAll);
+    let mut ws = SolveWorkspace::new();
+    for family in [ScenarioFamily::HeavyTail, ScenarioFamily::E2] {
+        for n in [60, 120] {
+            let gen = ScenarioGenerator::new(ScenarioParams::preset(family, n, n / 2));
+            let (app, pf) = gen.instance(2007, 0);
+            let prepared = PreparedInstance::new(app, pf);
+            let incumbent = prepared
+                .solve_in(&request, &mut ws)
+                .expect("best-of-all always maps")
+                .result
+                .mapping;
+            let cm = prepared.cost_model();
+            let period = cm.period(&incumbent);
+            let bottleneck = (0..incumbent.n_intervals())
+                .max_by(|&a, &b| {
+                    cm.cycle_time(&incumbent, a)
+                        .total_cmp(&cm.cycle_time(&incumbent, b))
+                })
+                .expect("a mapping has intervals");
+            let victim = incumbent.proc_of(bottleneck);
+            let plans = ChaosPlanKind::ALL.map(|kind| {
+                (
+                    kind.label(),
+                    kind.build(victim, period, CHAOS_DATASETS, 2007),
+                )
+            });
+            for (label, plan) in [("empty", FaultPlan::empty())].into_iter().chain(plans) {
+                let config = SimConfig {
+                    record_trace: true,
+                    ..SimConfig::default()
+                };
+                let out = FaultedSim::new(&cm, &incumbent, config, plan).run(CHAOS_DATASETS);
+                let deg = &out.degraded;
+                let report = &deg.report;
+                let hash = fnv(report
+                    .start
+                    .iter()
+                    .chain(&report.completion)
+                    .map(|v| v.to_bits())
+                    .chain(
+                        report
+                            .busy
+                            .iter()
+                            .flat_map(|(&p, b)| [p as u64, b.to_bits()]),
+                    )
+                    .chain(out.trace.iter().flat_map(|e| {
+                        [
+                            e.proc as u64,
+                            e.kind as u64,
+                            e.dataset as u64,
+                            e.start.to_bits(),
+                            e.end.to_bits(),
+                        ]
+                    })));
+                let id = format!("chaos {}-n{n}-p{} {label}", family.label(), n / 2);
+                lines.push(format!(
+                    "{id} makespan_bits {:016x}",
+                    report.makespan.to_bits()
+                ));
+                lines.push(format!("{id} completed {}", deg.completed));
+                lines.push(format!("{id} dropped {}", deg.dropped));
+                lines.push(format!("{id} report_hash {hash:016x}"));
+            }
+        }
+    }
+    let rows = chaos_study(&ChaosParams {
+        n_instances: 4,
+        threads: 2,
+        ..ChaosParams::default()
+    });
+    lines.push(format!(
+        "chaos study fingerprint {:016x}",
+        chaos_fingerprint(&rows)
+    ));
+}
+
 /// Every pinned line of the current build, in fixture order.
 fn current_lines() -> Vec<String> {
     let mut lines = Vec::new();
@@ -159,6 +263,7 @@ fn current_lines() -> Vec<String> {
     failover_lines(&mut lines);
     tenant_lines(&mut lines);
     sweep_lines(&mut lines);
+    chaos_lines(&mut lines);
     lines
 }
 
