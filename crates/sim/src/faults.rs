@@ -46,13 +46,23 @@
 //! Busy-time accounting credits each activity at start, so a span cut
 //! short by a mid-activity death stays credited in full — an accepted
 //! approximation, as `busy` feeds utilization diagnostics only.
+//!
+//! Both machines start activities greedily, and only where the event
+//! just popped can have enabled one: after each greedy step no activity
+//! is left enabled (asserted in debug builds by a full scan of the same
+//! predicates), so an event can enable only what touches the stations it
+//! changed. In rendezvous mode that is at most one link per event — the
+//! step costs O(1) — and in queued mode a fixpoint over a few worklist
+//! entries, each started activity adding its neighbours. Together with
+//! the event queue's O(log) push and pop, a run of `N` data sets through
+//! `m` stations costs O(N·m·log(N + m)): O(1) greedy work per event.
 
 use crate::engine::EventQueue;
 use crate::metrics::SimReport;
 use crate::trace::{TraceEvent, TraceKind};
 use crate::workflow::{InputPolicy, SimConfig};
 use pipeline_model::prelude::*;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// How the outside world offers data sets when a plan overrides the
 /// [`SimConfig`] input policy. Both processes are seeded by
@@ -334,7 +344,8 @@ struct Station {
 struct Ledger {
     start: Vec<f64>,
     completion: Vec<f64>,
-    busy: BTreeMap<usize, f64>,
+    /// Busy time per processor id; `None` until its first activity.
+    busy: Vec<Option<f64>>,
     record_trace: bool,
     trace: Vec<TraceEvent>,
     completed: usize,
@@ -343,11 +354,11 @@ struct Ledger {
 }
 
 impl Ledger {
-    fn new(n_datasets: usize, record_trace: bool) -> Self {
+    fn new(n_datasets: usize, n_procs: usize, record_trace: bool) -> Self {
         Ledger {
             start: vec![f64::NAN; n_datasets],
             completion: vec![f64::NAN; n_datasets],
-            busy: BTreeMap::new(),
+            busy: vec![None; n_procs],
             record_trace,
             trace: Vec::new(),
             completed: 0,
@@ -360,7 +371,7 @@ impl Ledger {
     /// data set `d` (traced when requested).
     #[inline]
     fn record(&mut self, proc: ProcId, kind: TraceKind, d: usize, from: f64, to: f64) {
-        *self.busy.entry(proc).or_insert(0.0) += to - from;
+        *self.busy[proc].get_or_insert(0.0) += to - from;
         if self.record_trace {
             self.trace.push(TraceEvent {
                 proc,
@@ -397,7 +408,9 @@ impl Ledger {
                 report: SimReport {
                     start: self.start,
                     completion: self.completion,
-                    busy: self.busy,
+                    busy: (self.busy.into_iter().enumerate())
+                        .filter_map(|(proc, busy)| Some((proc, busy?)))
+                        .collect(),
                     makespan,
                 },
             },
@@ -591,7 +604,30 @@ impl<'a> FaultedSim<'a> {
             queue.schedule(f.at, Ev::Fault { proc: f.proc });
         }
 
-        let mut ledger = Ledger::new(n_datasets, self.config.record_trace);
+        let mut ledger = Ledger::new(n_datasets, pf.n_procs(), self.config.record_trace);
+
+        // Whether the transfer on link `k` can start: the sender (the
+        // source for `k = 0`) holds the data set the receiver awaits (the
+        // sink, `k = m`, takes any). A dead station is in neither
+        // `WaitRecv` nor `WaitSend`, so it starts nothing.
+        macro_rules! enabled {
+            ($k:expr) => {{
+                let k = $k;
+                if k == 0 {
+                    !source_busy
+                        && source_next < n_datasets
+                        && source_next < released
+                        && stations[0].phase == Phase::WaitRecv
+                        && stations[0].current == source_next
+                } else if k < m {
+                    stations[k - 1].phase == Phase::WaitSend
+                        && stations[k].phase == Phase::WaitRecv
+                        && stations[k].current == stations[k - 1].current
+                } else {
+                    stations[m - 1].phase == Phase::WaitSend
+                }
+            }};
+        }
 
         while ledger.completed < n_datasets {
             // A drained queue means the pipeline stalled behind a dead
@@ -600,9 +636,11 @@ impl<'a> FaultedSim<'a> {
             let Some((now, ev)) = queue.pop() else {
                 break;
             };
-            match ev {
+            // Each arm returns the one link its event can enable, if any.
+            let candidate = match ev {
                 Ev::SourceReady => {
                     released += 1;
+                    Some(0)
                 }
                 Ev::Fault { proc } => {
                     for st in stations.iter_mut().filter(|st| st.proc == proc) {
@@ -614,21 +652,28 @@ impl<'a> FaultedSim<'a> {
                         }
                         st.phase = Phase::Dead;
                     }
+                    None
                 }
                 Ev::ComputeDone { station, dataset } => {
                     // A dead station's compute produced nothing; the data
                     // set was counted dropped at the failure instant.
-                    if stations[station].phase != Phase::Dead {
+                    (stations[station].phase != Phase::Dead).then(|| {
                         debug_assert_eq!(stations[station].phase, Phase::Computing);
                         debug_assert_eq!(stations[station].current, dataset);
                         stations[station].phase = Phase::WaitSend;
-                    }
+                        station + 1
+                    })
                 }
                 Ev::TransferDone { link, dataset } => {
+                    // A live sender now awaits its next data set on link
+                    // `link - 1`. The receiver either computes or, behind a
+                    // dead sender, awaits on link `link` from that dead
+                    // sender: neither enables a transfer.
+                    let sender_freed = link > 0 && stations[link - 1].phase != Phase::Dead;
                     if link == 0 {
                         source_busy = false;
                         source_next += 1;
-                    } else if stations[link - 1].phase != Phase::Dead {
+                    } else if sender_freed {
                         // Advance the sender past data set `dataset`.
                         let st = &mut stations[link - 1];
                         st.current = dataset + 1;
@@ -668,65 +713,43 @@ impl<'a> FaultedSim<'a> {
                     }
                     // A final transfer whose sender died mid-send
                     // delivered nothing (counted at the failure instant).
+                    sender_freed.then(|| link - 1)
                 }
-            }
-            // Greedy: start every enabled transfer. A dead station is in
-            // neither `WaitRecv` nor `WaitSend`, so it starts nothing.
-            for k in 0..=m {
+            };
+            // Greedy, event-local: no link was enabled before the event,
+            // and starting a transfer only moves its endpoints out of
+            // `WaitRecv`/`WaitSend`, so the candidate is the only link to
+            // test — O(1) per event rather than a scan of all `m + 1`.
+            if let Some(k) = candidate.filter(|&k| enabled!(k)) {
+                let d = if k == 0 {
+                    source_next
+                } else {
+                    stations[k - 1].current
+                };
+                let dt = self.xfer_time(&t_xfer, k, d);
                 if k == 0 {
-                    if !source_busy
-                        && source_next < n_datasets
-                        && source_next < released
-                        && stations[0].phase == Phase::WaitRecv
-                        && stations[0].current == source_next
-                    {
-                        let d = source_next;
-                        source_busy = true;
-                        stations[0].phase = Phase::Receiving;
-                        ledger.start[d] = now;
-                        let dt = self.xfer_time(&t_xfer, 0, d);
-                        ledger.record(stations[0].proc, TraceKind::Receive, d, now, now + dt);
-                        queue.schedule(
-                            now + dt,
-                            Ev::TransferDone {
-                                link: 0,
-                                dataset: d,
-                            },
-                        );
-                    }
-                } else if k < m {
-                    if stations[k - 1].phase == Phase::WaitSend
-                        && stations[k].phase == Phase::WaitRecv
-                        && stations[k].current == stations[k - 1].current
-                    {
-                        let d = stations[k - 1].current;
-                        stations[k - 1].phase = Phase::Sending;
-                        stations[k].phase = Phase::Receiving;
-                        let dt = self.xfer_time(&t_xfer, k, d);
-                        ledger.record(stations[k - 1].proc, TraceKind::Send, d, now, now + dt);
-                        ledger.record(stations[k].proc, TraceKind::Receive, d, now, now + dt);
-                        queue.schedule(
-                            now + dt,
-                            Ev::TransferDone {
-                                link: k,
-                                dataset: d,
-                            },
-                        );
-                    }
-                } else if stations[m - 1].phase == Phase::WaitSend {
-                    let d = stations[m - 1].current;
-                    stations[m - 1].phase = Phase::Sending;
-                    let dt = self.xfer_time(&t_xfer, m, d);
-                    ledger.record(stations[m - 1].proc, TraceKind::Send, d, now, now + dt);
-                    queue.schedule(
-                        now + dt,
-                        Ev::TransferDone {
-                            link: m,
-                            dataset: d,
-                        },
-                    );
+                    source_busy = true;
+                    ledger.start[d] = now;
+                } else {
+                    stations[k - 1].phase = Phase::Sending;
+                    ledger.record(stations[k - 1].proc, TraceKind::Send, d, now, now + dt);
                 }
+                if k < m {
+                    stations[k].phase = Phase::Receiving;
+                    ledger.record(stations[k].proc, TraceKind::Receive, d, now, now + dt);
+                }
+                queue.schedule(
+                    now + dt,
+                    Ev::TransferDone {
+                        link: k,
+                        dataset: d,
+                    },
+                );
             }
+            debug_assert!(
+                (0..=m).all(|k| !enabled!(k)),
+                "an enabled link was left idle at {now}"
+            );
         }
         ledger.finish()
     }
@@ -768,7 +791,7 @@ impl<'a> FaultedSim<'a> {
             queue.schedule(f.at, QEv::Fault { proc: f.proc });
         }
 
-        let mut ledger = Ledger::new(n_datasets, self.config.record_trace);
+        let mut ledger = Ledger::new(n_datasets, pf.n_procs(), self.config.record_trace);
 
         // Moves a blocked computed data set into freed output-buffer
         // space, releasing the CPU.
@@ -782,75 +805,77 @@ impl<'a> FaultedSim<'a> {
             }};
         }
 
-        // Tries to start the transfer on link `k`; true when started.
-        macro_rules! try_xfer {
-            ($k:expr, $now:expr) => {{
+        // Whether the transfer on link `k` can start: both endpoints
+        // alive with free ports, a data set to send (the source queue
+        // for `k = 0`) and room to receive it (the sink, `k = m`, always
+        // has room).
+        macro_rules! xfer_ready {
+            ($k:expr) => {{
                 let k = $k;
-                let now = $now;
-                let mut started = false;
                 if k == 0 {
-                    if !stations[0].dead
+                    !stations[0].dead
                         && !source_busy
                         && !source_q.is_empty()
                         && !stations[0].port_busy
                         && stations[0].inbuf.len() < cap
-                    {
-                        let d = source_q.pop_front().expect("checked non-empty");
-                        source_busy = true;
-                        stations[0].port_busy = true;
-                        ledger.start[d] = now;
-                        let dt = self.xfer_time(&t_xfer, 0, d);
-                        ledger.record(stations[0].proc, TraceKind::Receive, d, now, now + dt);
-                        queue.schedule(
-                            now + dt,
-                            QEv::TransferDone {
-                                link: 0,
-                                dataset: d,
-                            },
-                        );
-                        started = true;
-                    }
                 } else if k < m {
-                    if !stations[k - 1].dead
+                    !stations[k - 1].dead
                         && !stations[k].dead
                         && !stations[k - 1].port_busy
                         && !stations[k].port_busy
                         && !stations[k - 1].outbuf.is_empty()
                         && stations[k].inbuf.len() < cap
-                    {
+                } else {
+                    !stations[m - 1].dead
+                        && !stations[m - 1].port_busy
+                        && !stations[m - 1].outbuf.is_empty()
+                }
+            }};
+        }
+
+        // Whether station `j` can start a compute: alive, CPU free and a
+        // buffered input.
+        macro_rules! comp_ready {
+            ($j:expr) => {{
+                let j = $j;
+                !stations[j].dead && !stations[j].cpu_busy && !stations[j].inbuf.is_empty()
+            }};
+        }
+
+        // Tries to start the transfer on link `k`; true when started.
+        macro_rules! try_xfer {
+            ($k:expr, $now:expr) => {{
+                let k = $k;
+                let now = $now;
+                let started = xfer_ready!(k);
+                if started {
+                    let d = if k == 0 {
+                        source_busy = true;
+                        source_q.pop_front().expect("checked non-empty")
+                    } else {
                         let d = stations[k - 1].outbuf.pop_front().expect("checked");
                         unblock!(k - 1);
-                        stations[k - 1].port_busy = true;
-                        stations[k].port_busy = true;
-                        let dt = self.xfer_time(&t_xfer, k, d);
-                        ledger.record(stations[k - 1].proc, TraceKind::Send, d, now, now + dt);
-                        ledger.record(stations[k].proc, TraceKind::Receive, d, now, now + dt);
-                        queue.schedule(
-                            now + dt,
-                            QEv::TransferDone {
-                                link: k,
-                                dataset: d,
-                            },
-                        );
-                        started = true;
+                        d
+                    };
+                    if k == 0 {
+                        ledger.start[d] = now;
                     }
-                } else if !stations[m - 1].dead
-                    && !stations[m - 1].port_busy
-                    && !stations[m - 1].outbuf.is_empty()
-                {
-                    let d = stations[m - 1].outbuf.pop_front().expect("checked");
-                    unblock!(m - 1);
-                    stations[m - 1].port_busy = true;
-                    let dt = self.xfer_time(&t_xfer, m, d);
-                    ledger.record(stations[m - 1].proc, TraceKind::Send, d, now, now + dt);
+                    let dt = self.xfer_time(&t_xfer, k, d);
+                    if k > 0 {
+                        stations[k - 1].port_busy = true;
+                        ledger.record(stations[k - 1].proc, TraceKind::Send, d, now, now + dt);
+                    }
+                    if k < m {
+                        stations[k].port_busy = true;
+                        ledger.record(stations[k].proc, TraceKind::Receive, d, now, now + dt);
+                    }
                     queue.schedule(
                         now + dt,
                         QEv::TransferDone {
-                            link: m,
+                            link: k,
                             dataset: d,
                         },
                     );
-                    started = true;
                 }
                 started
             }};
@@ -861,8 +886,8 @@ impl<'a> FaultedSim<'a> {
             ($j:expr, $now:expr) => {{
                 let j = $j;
                 let now = $now;
-                let mut started = false;
-                if !stations[j].dead && !stations[j].cpu_busy && !stations[j].inbuf.is_empty() {
+                let started = comp_ready!(j);
+                if started {
                     let d = stations[j].inbuf.pop_front().expect("checked");
                     stations[j].cpu_busy = true;
                     stations[j].computing = Some(d);
@@ -875,20 +900,26 @@ impl<'a> FaultedSim<'a> {
                             dataset: d,
                         },
                     );
-                    started = true;
                 }
                 started
             }};
         }
 
+        // Worklists of the greedy step: links, then stations, to test in
+        // ascending order within one pass.
+        let mut links: Vec<usize> = Vec::with_capacity(4);
+        let mut comps: Vec<usize> = Vec::with_capacity(4);
+
         while ledger.completed < n_datasets {
             let Some((now, ev)) = queue.pop() else {
                 break;
             };
+            // Each arm queues what its event can enable.
             match ev {
                 QEv::Arrival { dataset } => {
                     if source_q.len() < cap {
                         source_q.push_back(dataset);
+                        links.push(0);
                     } else {
                         // Bounded source buffer full: shed the arrival.
                         ledger.drop(dataset);
@@ -916,6 +947,10 @@ impl<'a> FaultedSim<'a> {
                         if stations[station].outbuf.len() < cap {
                             stations[station].outbuf.push_back(dataset);
                             stations[station].cpu_busy = false;
+                            // The result can leave; the CPU can take the
+                            // next input.
+                            links.push(station + 1);
+                            comps.push(station);
                         } else {
                             // Output buffer full: the CPU holds the
                             // result and blocks until a send frees space.
@@ -952,22 +987,42 @@ impl<'a> FaultedSim<'a> {
                         stations[m - 1].port_busy = false;
                         ledger.complete(dataset, now);
                     }
+                    // Freed ports at both endpoints reopen the links
+                    // around them; a delivered input can be computed.
+                    links.extend(link.saturating_sub(1)..=(link + 1).min(m));
+                    if link < m {
+                        comps.push(link);
+                    }
                 }
             }
-            // Greedy to fixpoint: starting a transfer can unblock a CPU
-            // and vice versa; repeat until nothing new starts.
-            loop {
-                let mut any = false;
-                for k in 0..=m {
-                    any |= try_xfer!(k, now);
+            // Greedy to fixpoint, event-local: nothing was enabled before
+            // the event. Each pass tests its links ascending, then its
+            // stations ascending — the order of a full scan, so every
+            // activity starts as it would under one. A started transfer
+            // on link `k` may unblock station `k - 1`'s CPU (tested this
+            // pass); a started compute on station `j` frees input space
+            // for link `j` (tested next pass). Nothing else is enabled by
+            // a start, so a step costs O(1) per started activity.
+            while !links.is_empty() || !comps.is_empty() {
+                for &k in &links {
+                    if try_xfer!(k, now) && k > 0 {
+                        comps.push(k - 1);
+                    }
                 }
-                for j in 0..m {
-                    any |= try_comp!(j, now);
+                links.clear();
+                comps.sort_unstable();
+                comps.dedup();
+                for &j in &comps {
+                    if try_comp!(j, now) {
+                        links.push(j);
+                    }
                 }
-                if !any {
-                    break;
-                }
+                comps.clear();
             }
+            debug_assert!(
+                (0..=m).all(|k| !xfer_ready!(k)) && (0..m).all(|j| !comp_ready!(j)),
+                "an enabled activity was left idle at {now}"
+            );
         }
 
         ledger.finish()
@@ -979,6 +1034,7 @@ mod tests {
     use super::*;
     use crate::workflow::PipelineSim;
     use pipeline_model::{Application, Platform};
+    use std::collections::BTreeMap;
 
     fn two_interval_fixture() -> (Application, Platform, Vec<Interval>, Vec<usize>) {
         // Interval 1 cycle = 6, interval 2 cycle = 8, latency = 12 (the
