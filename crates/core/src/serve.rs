@@ -37,7 +37,7 @@ use crate::tenancy::{CoSchedOptions, PartitionObjective, Tenant, TenantSet};
 use crate::workspace::SolveWorkspace;
 use pipeline_model::io::{
     format_report, parse_cosched_at, parse_instance, parse_request_at, parse_stats_at,
-    parse_update_at, ParseError, WireFailure, WireReport, WireSolved, WireStatsReport,
+    parse_update_at, push_report, ParseError, WireFailure, WireReport, WireSolved, WireStatsReport,
 };
 use pipeline_model::IntervalMapping;
 use std::collections::HashMap;
@@ -938,7 +938,7 @@ fn handle_connection(
 /// buffer `buf`, with one `write_all`: one segment on a nodelay stream.
 fn write_report<W: Write>(w: &mut W, buf: &mut String, report: &WireReport) -> std::io::Result<()> {
     buf.clear();
-    buf.push_str(&format_report(report));
+    push_report(buf, report);
     buf.push('\n');
     w.write_all(buf.as_bytes())?;
     w.flush()

@@ -31,6 +31,7 @@ use crate::application::Application;
 use crate::delta::InstanceDelta;
 use crate::platform::{LinkModel, Platform};
 use crate::ModelError;
+use std::fmt::Write as _;
 
 /// Errors raised while parsing the text format.
 #[derive(Debug, Clone, PartialEq)]
@@ -137,10 +138,16 @@ pub fn format_instance(app: &Application, platform: &Platform) -> String {
 }
 
 fn format_f64(v: f64) -> String {
-    // Shortest representation that round-trips.
-    let s = format!("{v}");
-    debug_assert_eq!(s.parse::<f64>().ok(), Some(v));
+    let mut s = String::new();
+    push_f64(&mut s, v);
     s
+}
+
+/// Appends `v` in its shortest representation that round-trips.
+fn push_f64(out: &mut String, v: f64) {
+    let from = out.len();
+    let _ = write!(out, "{v}");
+    debug_assert_eq!(out[from..].parse::<f64>().ok(), Some(v));
 }
 
 /// Parses the v1 text format back into an instance.
@@ -1095,90 +1102,105 @@ pub fn parse_report(line: &str) -> Result<WireReport, ParseError> {
 /// Formats one report as a `report …` line (round-trips through
 /// [`parse_report`]).
 pub fn format_report(report: &WireReport) -> String {
+    let mut out = String::new();
+    push_report(&mut out, report);
+    out
+}
+
+/// Appends one report as a `report …` line, without its newline, to
+/// `out`: [`format_report`] into a caller's buffer, allocation-free once
+/// the buffer has room.
+pub fn push_report(out: &mut String, report: &WireReport) {
+    // `write!` into a `String` cannot fail.
     match report {
         WireReport::Solved(s) => {
-            let mut out = format!(
-                "report id={} status=ok solver={} period={} latency={} feasible={} mapping={}",
-                s.id,
-                s.solver,
-                format_f64(s.period),
-                format_f64(s.latency),
-                s.feasible,
-                s.mapping
+            let _ = write!(
+                out,
+                "report id={} status=ok solver={} period=",
+                s.id, s.solver
             );
+            push_f64(out, s.period);
+            out.push_str(" latency=");
+            push_f64(out, s.latency);
+            let _ = write!(out, " feasible={} mapping={}", s.feasible, s.mapping);
             if let Some(front) = &s.front {
-                let pts: Vec<String> = front
-                    .iter()
-                    .map(|(p, l)| format!("{}:{}", format_f64(*p), format_f64(*l)))
-                    .collect();
-                out.push_str(&format!(" front={}", pts.join(";")));
+                out.push_str(" front=");
+                push_joined(out, front, ';', |out, &(p, l)| {
+                    push_f64(out, p);
+                    out.push(':');
+                    push_f64(out, l);
+                });
             }
-            out
         }
         WireReport::Cosched(c) => {
-            let partition: Vec<String> = c
-                .partition
-                .iter()
-                .map(|group| {
-                    group
-                        .iter()
-                        .map(|u| u.to_string())
-                        .collect::<Vec<_>>()
-                        .join(",")
-                })
-                .collect();
-            let f64s = |vals: &[f64]| {
-                vals.iter()
-                    .map(|v| format_f64(*v))
-                    .collect::<Vec<_>>()
-                    .join(";")
-            };
-            let slo_met: Vec<String> = c.slo_met.iter().map(|m| m.to_string()).collect();
-            format!(
-                "report id={} status=ok solver=cosched objective={} score={} tiebreak={} \
-                 feasible={} partition={} periods={} latencies={} slo-met={}",
-                c.id,
-                c.objective,
-                format_f64(c.score),
-                format_f64(c.tiebreak),
-                c.feasible,
-                partition.join(";"),
-                f64s(&c.periods),
-                f64s(&c.latencies),
-                slo_met.join(";")
-            )
+            let _ = write!(
+                out,
+                "report id={} status=ok solver=cosched objective={} score=",
+                c.id, c.objective
+            );
+            push_f64(out, c.score);
+            out.push_str(" tiebreak=");
+            push_f64(out, c.tiebreak);
+            let _ = write!(out, " feasible={} partition=", c.feasible);
+            push_joined(out, &c.partition, ';', |out, group| {
+                push_joined(out, group, ',', |out, u| {
+                    let _ = write!(out, "{u}");
+                });
+            });
+            out.push_str(" periods=");
+            push_joined(out, &c.periods, ';', |out, &v| push_f64(out, v));
+            out.push_str(" latencies=");
+            push_joined(out, &c.latencies, ';', |out, &v| push_f64(out, v));
+            out.push_str(" slo-met=");
+            push_joined(out, &c.slo_met, ';', |out, m| {
+                let _ = write!(out, "{m}");
+            });
         }
-        WireReport::Stats(s) => format!(
-            "report id={} status=ok solver=stats live={} connections={} rejected={} \
-             requests={} failures={} cache-hits={} cache-misses={} cache-evictions={} \
-             uptime-s={}",
-            s.id,
-            s.live,
-            s.connections,
-            s.rejected,
-            s.requests,
-            s.failures,
-            s.cache_hits,
-            s.cache_misses,
-            s.cache_evictions,
-            s.uptime_s
-        ),
+        WireReport::Stats(s) => {
+            let _ = write!(
+                out,
+                "report id={} status=ok solver=stats live={} connections={} rejected={} \
+                 requests={} failures={} cache-hits={} cache-misses={} cache-evictions={} \
+                 uptime-s={}",
+                s.id,
+                s.live,
+                s.connections,
+                s.rejected,
+                s.requests,
+                s.failures,
+                s.cache_hits,
+                s.cache_misses,
+                s.cache_evictions,
+                s.uptime_s
+            );
+        }
         WireReport::Failed(f) => {
-            let mut out = format!("report id={} status=error code={}", f.id, f.code);
+            let _ = write!(out, "report id={} status=error code={}", f.id, f.code);
             if let Some(b) = f.bound {
-                out.push_str(&format!(" bound={}", format_f64(b)));
+                out.push_str(" bound=");
+                push_f64(out, b);
             }
             if let Some(fl) = f.floor {
-                out.push_str(&format!(" floor={}", format_f64(fl)));
+                out.push_str(" floor=");
+                push_f64(out, fl);
             }
             if let Some(line) = f.line {
-                out.push_str(&format!(" line={line}"));
+                let _ = write!(out, " line={line}");
             }
             if let Some(key) = &f.key {
-                out.push_str(&format!(" key={key}"));
+                let _ = write!(out, " key={key}");
             }
-            out
         }
+    }
+}
+
+/// Appends `items` to `out`, separated by `sep`, each by `push`.
+fn push_joined<T>(out: &mut String, items: &[T], sep: char, mut push: impl FnMut(&mut String, &T)) {
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(sep);
+        }
+        push(out, item);
     }
 }
 

@@ -5,7 +5,8 @@
 //! (a) the steady-state split loops of a warm-buffer solve — two-way,
 //! and the three-way loops of H2a and H2b — and (b) a re-queried
 //! `PreparedInstance` bound lookup, and (c) the bottleneck kernel's
-//! threshold probes on a warm scratch. All must be **zero** —
+//! threshold probes on a warm scratch, and (d) appending a solved and a
+//! co-scheduling report line into a warm buffer. All must be **zero** —
 //! that is the contract the workspace/arena refactor establishes, and
 //! any future `clone()`/`Vec::new()` sneaking into those paths fails
 //! this test loudly.
@@ -26,6 +27,9 @@ use pipeline_workflows::assign::{
 use pipeline_workflows::core::service::PreparedInstance;
 use pipeline_workflows::core::{HeuristicKind, SolveWorkspace, SplitBuffers, SplitState};
 use pipeline_workflows::model::generator::{ExperimentKind, InstanceGenerator, InstanceParams};
+use pipeline_workflows::model::io::{
+    format_report, push_report, WireCoschedReport, WireReport, WireSolved,
+};
 use pipeline_workflows::model::CostModel;
 
 /// Counts allocations (alloc + realloc + alloc_zeroed) while enabled.
@@ -213,4 +217,44 @@ fn warm_solve_paths_do_not_allocate() {
         allocs, 1,
         "a warm bottleneck search allocated {allocs} times"
     );
+
+    // --- (d) report lines appended into a warm buffer ------------------
+    // What `serve` does per answer: clear the connection's buffer and
+    // append the report. No debug_asserts allocate here either.
+    let solved = WireReport::Solved(WireSolved {
+        id: 7,
+        solver: "h3".into(),
+        period: 0.1 + 0.2,
+        latency: 123.456,
+        feasible: true,
+        mapping: "0-30@4,30-60@1".into(),
+        front: Some((1..40).map(|i| (1.0 / i as f64, 7.0 * i as f64)).collect()),
+    });
+    let cosched = WireReport::Cosched(WireCoschedReport {
+        id: 8,
+        objective: "max-min".into(),
+        score: 0.75,
+        tiebreak: 1e-9,
+        feasible: true,
+        partition: vec![vec![0, 2, 5], vec![1, 3], vec![4, 6, 7]],
+        periods: vec![2.5, 1.0 / 3.0, 4.0],
+        latencies: vec![10.25, 11.0, 1e300],
+        slo_met: vec![true, false, true],
+    });
+    let mut buf = String::new();
+    for report in [&solved, &cosched] {
+        push_report(&mut buf, report);
+        assert_eq!(buf, format_report(report));
+        buf.clear();
+    }
+    for report in [&solved, &cosched] {
+        let allocs = count_allocations(|| {
+            buf.clear();
+            push_report(&mut buf, black_box(report));
+        });
+        assert_eq!(
+            allocs, 0,
+            "appending {buf:?} to a warm buffer allocated {allocs} times"
+        );
+    }
 }
