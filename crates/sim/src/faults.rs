@@ -408,7 +408,10 @@ impl Ledger {
                 report: SimReport {
                     start: self.start,
                     completion: self.completion,
-                    busy: (self.busy.into_iter().enumerate())
+                    busy: self
+                        .busy
+                        .into_iter()
+                        .enumerate()
                         .filter_map(|(proc, busy)| Some((proc, busy?)))
                         .collect(),
                     makespan,
@@ -793,18 +796,6 @@ impl<'a> FaultedSim<'a> {
 
         let mut ledger = Ledger::new(n_datasets, pf.n_procs(), self.config.record_trace);
 
-        // Moves a blocked computed data set into freed output-buffer
-        // space, releasing the CPU.
-        macro_rules! unblock {
-            ($j:expr) => {{
-                let j = $j;
-                if let Some(b) = stations[j].blocked.take() {
-                    stations[j].outbuf.push_back(b);
-                    stations[j].cpu_busy = false;
-                }
-            }};
-        }
-
         // Whether the transfer on link `k` can start: both endpoints
         // alive with free ports, a data set to send (the source queue
         // for `k = 0`) and room to receive it (the sink, `k = m`, always
@@ -851,15 +842,20 @@ impl<'a> FaultedSim<'a> {
                 if started {
                     let d = if k == 0 {
                         source_busy = true;
-                        source_q.pop_front().expect("checked non-empty")
+                        let d = source_q.pop_front().expect("checked non-empty");
+                        ledger.start[d] = now;
+                        d
                     } else {
-                        let d = stations[k - 1].outbuf.pop_front().expect("checked");
-                        unblock!(k - 1);
+                        let sender = &mut stations[k - 1];
+                        let d = sender.outbuf.pop_front().expect("checked");
+                        // A blocked computed data set moves into the freed
+                        // output-buffer space, releasing the CPU.
+                        if let Some(b) = sender.blocked.take() {
+                            sender.outbuf.push_back(b);
+                            sender.cpu_busy = false;
+                        }
                         d
                     };
-                    if k == 0 {
-                        ledger.start[d] = now;
-                    }
                     let dt = self.xfer_time(&t_xfer, k, d);
                     if k > 0 {
                         stations[k - 1].port_busy = true;
