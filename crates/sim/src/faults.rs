@@ -722,7 +722,7 @@ impl<'a> FaultedSim<'a> {
             // Greedy, event-local: no link was enabled before the event,
             // and starting a transfer only moves its endpoints out of
             // `WaitRecv`/`WaitSend`, so the candidate is the only link to
-            // test — O(1) per event rather than a scan of all `m + 1`.
+            // test: O(1) per event.
             if let Some(k) = candidate.filter(|&k| enabled!(k)) {
                 let d = if k == 0 {
                     source_next
