@@ -1193,6 +1193,48 @@ mod tests {
     }
 
     #[test]
+    fn a_blocked_cpu_restarts_when_a_send_frees_its_output() {
+        // A fast station (compute 1) feeds a slow one (compute 4) through
+        // 1-deep buffers, offered a data set every time unit: the fast
+        // station's output fills, its CPU blocks holding a result, and
+        // every send on link 1 must release that result and restart the
+        // CPU on the input it holds. Transfers take 0.5, so every time
+        // below is exact.
+        let app = Application::new(vec![1.0, 4.0], vec![0.5, 0.5, 0.5]).unwrap();
+        let pf = Platform::comm_homogeneous(vec![1.0, 1.0], 1.0).unwrap();
+        let ivs = vec![Interval::new(0, 1), Interval::new(1, 2)];
+        let mapping = IntervalMapping::new(&app, &pf, ivs, vec![0, 1]).unwrap();
+        let cm = CostModel::new(&app, &pf);
+        let config = SimConfig {
+            input: InputPolicy::Periodic(1.0),
+            ..SimConfig::default()
+        };
+        let plan = FaultPlan {
+            queue_capacity: Some(1),
+            ..FaultPlan::empty()
+        };
+        let deg = FaultedSim::new(&cm, &mapping, config, plan)
+            .run(40)
+            .degraded;
+        assert!(deg.dropped > 0, "the offered load is 4x the slow station's");
+        // Nothing is stranded behind a CPU that was never restarted.
+        assert_eq!(deg.completed + deg.dropped, deg.offered);
+        // The slow station never idles: results leave every 4 time units
+        // from the first (0.5 in, 1 compute, 0.5 across, 4 compute, 0.5 out).
+        let done: Vec<f64> = deg
+            .report
+            .completion
+            .iter()
+            .copied()
+            .filter(|t| t.is_finite())
+            .collect();
+        assert_eq!(done.len(), deg.completed);
+        for (i, &t) in done.iter().enumerate() {
+            assert_eq!(t, 6.5 + 4.0 * i as f64, "completion {i}");
+        }
+    }
+
+    #[test]
     fn poisson_arrivals_below_capacity_mostly_complete() {
         let (app, pf, ivs, procs) = two_interval_fixture();
         let mapping = IntervalMapping::new(&app, &pf, ivs, procs).unwrap();

@@ -177,7 +177,10 @@ fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
 
 /// The fault simulator on best-of-all incumbents at the chaos-replan
 /// sizes, under every named plan (built against the bottleneck
-/// processor) and the empty plan; then one fixed chaos study.
+/// processor) and the empty plan; then one fixed chaos study. The victim
+/// is the processor of the last interval with the largest cycle time
+/// (`max_by` keeps the last of equals, where `chaos_study` keeps the
+/// first).
 fn chaos_lines(lines: &mut Vec<String>) {
     let request = SolveRequest::new(Objective::MinPeriod).strategy(Strategy::BestOfAll);
     let mut ws = SolveWorkspace::new();
