@@ -31,6 +31,7 @@ use crate::application::Application;
 use crate::delta::InstanceDelta;
 use crate::platform::{LinkModel, Platform};
 use crate::ModelError;
+use std::cell::RefCell;
 use std::fmt::Write as _;
 
 /// Errors raised while parsing the text format.
@@ -1102,9 +1103,16 @@ pub fn parse_report(line: &str) -> Result<WireReport, ParseError> {
 /// Formats one report as a `report …` line (round-trips through
 /// [`parse_report`]).
 pub fn format_report(report: &WireReport) -> String {
-    let mut out = String::new();
-    push_report(&mut out, report);
-    out
+    // Built in a reused per-thread buffer and copied out, so the line
+    // costs one allocation of its exact length.
+    thread_local! {
+        static LINE: RefCell<String> = const { RefCell::new(String::new()) };
+    }
+    LINE.with_borrow_mut(|line| {
+        line.clear();
+        push_report(line, report);
+        line.as_str().to_owned()
+    })
 }
 
 /// Appends one report as a `report …` line, without its newline, to

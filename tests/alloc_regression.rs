@@ -9,7 +9,8 @@
 //! co-scheduling report line into a warm buffer. All must be **zero** —
 //! that is the contract the workspace/arena refactor establishes, and
 //! any future `clone()`/`Vec::new()` sneaking into those paths fails
-//! this test loudly.
+//! this test loudly. `format_report` allocates once, its returned
+//! `String`.
 //!
 //! The strict zero assertions run in release builds (CI runs
 //! `cargo test --release --test alloc_regression`): debug builds keep
@@ -256,5 +257,23 @@ fn warm_solve_paths_do_not_allocate() {
             allocs, 0,
             "appending {buf:?} to a warm buffer allocated {allocs} times"
         );
+    }
+    // `format_report` builds in a warm per-thread buffer (the checks
+    // above warmed it) and copies the line out: one allocation, the
+    // returned `String`, whatever the line's length.
+    let plain = WireReport::Solved(WireSolved {
+        id: 9,
+        solver: "h2b".into(),
+        period: 0.1 + 0.2,
+        latency: 123.456,
+        feasible: true,
+        mapping: "0-3@4,3-7@1,7-9@6,9-12@2,12-16@0".into(),
+        front: None,
+    });
+    for report in [&plain, &solved, &cosched] {
+        let mut line = String::new();
+        let allocs = count_allocations(|| line = format_report(black_box(report)));
+        assert_eq!(allocs, 1, "formatting {line:?} allocated {allocs} times");
+        assert_eq!(line.capacity(), line.len());
     }
 }
