@@ -6,7 +6,7 @@
 //! given a detected fault, is it worth re-planning, and what does the
 //! recovery cost? A [`DetectedFault`] is translated into the
 //! corresponding [`InstanceDelta`], applied through
-//! [`PreparedInstance::apply_in`] — so the re-solve warm-starts from
+//! [`PreparedInstance::apply`] — so the re-solve warm-starts from
 //! every memoized artifact the fault does not invalidate, exactly like
 //! the serve path's `update` verb — and the re-solved mapping is
 //! compared against riding the fault out on the incumbent mapping.
@@ -170,7 +170,7 @@ fn stage_procs(mapping: &IntervalMapping, n_stages: usize, lost: Option<ProcId>)
 }
 
 /// Re-plans after `fault`: applies the corresponding delta through
-/// [`PreparedInstance::apply_in`] (warm start), re-solves `request` on
+/// [`PreparedInstance::apply`] (warm start), re-solves `request` on
 /// the degraded instance, and adopts the better of {re-solved mapping,
 /// incumbent mapping} by period. Returns the degraded prepared instance
 /// (ready to serve further requests) and the recovery report.
@@ -187,7 +187,7 @@ pub fn replan(
 ) -> Result<(PreparedInstance, ReplanReport), ReplanError> {
     let delta = fault.to_delta(prev.platform())?;
     let period_nominal = prev.cost_model().period(incumbent);
-    let next = prev.apply_in(&delta, ws)?;
+    let next = prev.apply(&delta)?;
 
     let lost = match *fault {
         DetectedFault::ProcessorLoss { proc } => Some(proc),
@@ -389,7 +389,7 @@ mod tests {
     #[test]
     fn warm_replan_is_bit_identical_to_scratch_on_the_degraded_instance() {
         // The warm start must be observation-equivalent: re-planning
-        // through apply_in answers exactly what preparing the degraded
+        // through apply answers exactly what preparing the degraded
         // instance from scratch would.
         for seed in [2, 9] {
             let prev = prepared(seed);

@@ -6,7 +6,7 @@
 //! long-running network service — the steady-state story of the paper
 //! applied to the solver itself: many clients, sustained load, one warm
 //! cache. `update` lines hot-reload the default instance through
-//! [`PreparedInstance::apply_in`], so a drifting platform re-solves
+//! [`PreparedInstance::apply`], so a drifting platform re-solves
 //! incrementally instead of from scratch.
 //!
 //! Three layers, std-only (no async runtime — the accept loop is a
@@ -209,11 +209,6 @@ impl InstanceCache {
         }
     }
 
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Number of cached instances right now.
     pub fn len(&self) -> usize {
         self.inner.lock().unwrap().map.len()
@@ -225,7 +220,7 @@ impl InstanceCache {
     }
 
     /// `(hits, misses, evictions)` counters since construction.
-    pub fn counters(&self) -> (u64, u64, u64) {
+    fn counters(&self) -> (u64, u64, u64) {
         (
             self.hits.load(Ordering::Relaxed),
             self.misses.load(Ordering::Relaxed),
@@ -235,7 +230,7 @@ impl InstanceCache {
 
     /// Inserts a prepared instance under `key`, evicting the least
     /// recently used entry if the cache is full.
-    pub fn insert(&self, key: &str, prepared: Arc<PreparedInstance>) {
+    fn insert(&self, key: &str, prepared: Arc<PreparedInstance>) {
         let mut inner = self.inner.lock().unwrap();
         Self::insert_locked(&mut inner, self.capacity, &self.evictions, key, prepared);
     }
@@ -314,18 +309,6 @@ pub struct ServeStats {
     pub cache_evictions: u64,
     /// Whole seconds the service has been up.
     pub uptime_s: u64,
-}
-
-impl ServeStats {
-    /// Cache hit rate in `[0, 1]` (0 when no lookups happened).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
 }
 
 /// Everything the service shares across connections: the instance cache,
@@ -458,7 +441,7 @@ impl ServeState {
 
     fn answer_request(&self, line: &str, line_no: u64, ws: &mut SolveWorkspace) -> WireReport {
         match line.split_whitespace().next() {
-            Some("update") => return self.answer_update(line, line_no, ws),
+            Some("update") => return self.answer_update(line, line_no),
             Some("cosched") => return self.answer_cosched(line, line_no, ws),
             Some("stats") => return self.answer_stats(line, line_no),
             _ => {}
@@ -488,15 +471,15 @@ impl ServeState {
 
     /// Handles one `update …` line (wire format v1.1): applies the
     /// [`InstanceDelta`](pipeline_model::InstanceDelta) to the service's
-    /// *default* instance via [`PreparedInstance::apply_in`] — carrying
-    /// over every memoized artifact the delta does not invalidate and
-    /// warm-starting the workspace's selection memo — and republishes the
-    /// result under the default path's cache key, so every subsequent
-    /// selector-less request (from any connection) is answered against
-    /// the updated instance. The acknowledgement is an ordinary `ok`
-    /// report with the updated instance's baseline coordinates: the
-    /// Lemma-1 single-interval mapping, its period and `L_opt`.
-    fn answer_update(&self, line: &str, line_no: u64, ws: &mut SolveWorkspace) -> WireReport {
+    /// *default* instance via [`PreparedInstance::apply`] — carrying
+    /// over every memoized artifact the delta does not invalidate — and
+    /// republishes the result under the default path's cache key, so
+    /// every subsequent selector-less request (from any connection) is
+    /// answered against the updated instance. The acknowledgement is an
+    /// ordinary `ok` report with the updated instance's baseline
+    /// coordinates: the Lemma-1 single-interval mapping, its period and
+    /// `L_opt`.
+    fn answer_update(&self, line: &str, line_no: u64) -> WireReport {
         let upd = match parse_update_at(line, line_no as usize) {
             Ok(upd) => upd,
             Err(e) => return bad_request(line, &e),
@@ -508,7 +491,7 @@ impl ServeState {
             Ok(prepared) => prepared,
             Err(_) => return WireReport::Failed(WireFailure::new(upd.id, "bad-instance")),
         };
-        let next = match prepared.apply_in(&upd.delta, ws) {
+        let next = match prepared.apply(&upd.delta) {
             Ok(next) => Arc::new(next),
             Err(_) => return WireReport::Failed(WireFailure::new(upd.id, "bad-delta")),
         };
@@ -1045,9 +1028,16 @@ mod tests {
         let before = state
             .answer_line("solve id=1 objective=min-period strategy=best", 1, &mut ws)
             .expect("answered");
+        // An H4 bound query fills the workspace's selection memo before
+        // the update, and the same query runs again after it.
+        let prepared = state.cache().get_or_load(&key).unwrap();
+        let h4_line = format!(
+            "solve id=7 objective=min-latency-for-period bound={} strategy=h4",
+            1.05 * prepared.best_period_floor()
+        );
+        state.answer_line(&h4_line, 1, &mut ws).expect("answered");
         // Speed up the fastest processor; the ack carries the updated
         // baseline (Lemma-1) coordinates.
-        let prepared = state.cache().get_or_load(&key).unwrap();
         let fastest = prepared.platform().fastest();
         let doubled = 2.0 * prepared.platform().speed(fastest);
         let ack = state
@@ -1076,6 +1066,25 @@ mod tests {
             .answer_line("solve id=3 objective=min-period strategy=best", 3, &mut ws)
             .expect("answered");
         assert_ne!(format_report(&before), format_report(&after));
+        // The warm H4 answer equals a fresh service's on a file that
+        // holds the updated instance.
+        let warm_h4 = state.answer_line(&h4_line, 3, &mut ws).expect("answered");
+        assert!(matches!(warm_h4, WireReport::Solved(_)), "{warm_h4:?}");
+        let fresh_path = std::env::temp_dir().join(format!(
+            "pwsched-serve-unit-{}-update-fresh.pw",
+            std::process::id()
+        ));
+        std::fs::write(
+            &fresh_path,
+            format_instance(updated.app(), updated.platform()),
+        )
+        .expect("temp file writable");
+        let fresh = ServeState::new(Some(fresh_path.to_string_lossy().into_owned()), 4);
+        let cold_h4 = fresh
+            .answer_line(&h4_line, 3, &mut SolveWorkspace::new())
+            .expect("answered");
+        assert_eq!(format_report(&warm_h4), format_report(&cold_h4));
+        let _ = std::fs::remove_file(fresh_path);
         // Structured failures: bad delta (unknown proc), no default.
         let report = state
             .answer_line("update id=4 delta=proc-speed proc=99 speed=1", 4, &mut ws)

@@ -36,7 +36,7 @@
 use crate::exact;
 use crate::pareto::ParetoFront;
 use crate::solve::{Objective, Strategy};
-use crate::state::{instance_fingerprint, BiCriteriaResult};
+use crate::state::BiCriteriaResult;
 use crate::trajectory::{fixed_period_trajectory_in, Trajectory, TrajectoryKind};
 use crate::workspace::SolveWorkspace;
 use crate::{hetero, sp_bi_l_in, sp_bi_p_in, sp_mono_l_in, HeuristicKind, SpBiPOptions};
@@ -440,12 +440,8 @@ impl PreparedInstance {
     /// slows down, joins, leaves; a link degrades; a stage's work
     /// estimate is revised) and the service wants the next prepared
     /// instance without paying a cold start.
-    pub fn apply(&self, delta: &InstanceDelta) -> Result<PreparedInstance, DeltaError> {
-        self.apply_in(delta, &mut SolveWorkspace::new())
-    }
-
-    /// [`Self::apply`] reusing a caller-owned workspace. Three reuse
-    /// tiers, each provably observation-equivalent to a scratch
+    ///
+    /// Two reuse tiers, each provably observation-equivalent to a scratch
     /// [`PreparedInstance::new`] on the updated instance (pinned bitwise
     /// by `tests/delta_differential.rs`):
     ///
@@ -463,18 +459,7 @@ impl PreparedInstance {
     ///   trajectory is kept; anything else about the platform may change
     ///   freely (the typical drift: a processor outside the working set
     ///   speeds up or slows down).
-    /// * **Selection-memo warm start** — if the workspace's `SplitMemo`
-    ///   is bound to this instance, it is rebound
-    ///   (`SplitMemo::migrate`) to the updated instance's fingerprint,
-    ///   keeping exactly the entries whose keys the delta cannot touch.
-    ///   The next H4 run on the updated instance then starts from the
-    ///   previous instance's cached split selections instead of a cold
-    ///   memo.
-    pub fn apply_in(
-        &self,
-        delta: &InstanceDelta,
-        ws: &mut SolveWorkspace,
-    ) -> Result<PreparedInstance, DeltaError> {
+    pub fn apply(&self, delta: &InstanceDelta) -> Result<PreparedInstance, DeltaError> {
         let (app, platform) = delta.apply_to(&self.app, &self.platform)?;
         let next = PreparedInstance::new(app, platform);
         let same_app = bits_eq(self.app.works(), next.app.works())
@@ -511,56 +496,18 @@ impl PreparedInstance {
                 }
             }
         }
-        self.migrate_memo(&next, delta, ws);
         Ok(next)
     }
 
-    /// Rebinds the workspace's selection memo from this instance to
-    /// `next`, retaining the entries `delta` cannot invalidate. A memo
-    /// bound elsewhere (or unbound) is left alone — the fingerprint
-    /// guard in `SplitMemo::bind` keeps it sound either way.
-    ///
-    /// Keep rules, per delta kind (`MemoKey` caches the best-cut
-    /// selection of interval `[start, end)` owned by `key.proc`, with
-    /// the candidate processor identified by its speed *value*):
-    ///
-    /// * `StageWeight(s)` — an entry observes `works[s]` iff
-    ///   `s ∈ [start, end)`; keep the rest.
-    /// * `ProcSpeed(u)` — entries owned by `u` observe its speed; every
-    ///   other entry keys candidates by speed value, so it stays correct
-    ///   for whichever processors still have that speed. Keep
-    ///   `key.proc != u`.
-    /// * `ProcArrival` — appends a processor; no existing key can refer
-    ///   to it. Keep all.
-    /// * `ProcDeparture(d)` — removal renumbers every processor above
-    ///   `d`. Keep `key.proc < d`.
-    /// * `Bandwidth` / `LinkBandwidth` — every interval cost changes.
-    ///   Keep none (the rebind still preserves table capacity).
-    fn migrate_memo(
+    /// [`Self::apply`] in the `*_in` calling convention of the other
+    /// entry points. Nothing in the workspace crosses a delta (H4's
+    /// selection memo starts empty in every solve), so it is unused.
+    pub fn apply_in(
         &self,
-        next: &PreparedInstance,
         delta: &InstanceDelta,
-        ws: &mut SolveWorkspace,
-    ) {
-        if ws.memo.fingerprint() != Some(instance_fingerprint(&self.cost_model())) {
-            return;
-        }
-        let new_fp = instance_fingerprint(&next.cost_model());
-        match *delta {
-            InstanceDelta::StageWeight { stage, .. } => ws
-                .memo
-                .migrate(new_fp, |start, end, _| stage < start || stage >= end),
-            InstanceDelta::ProcSpeed { proc, .. } => {
-                ws.memo.migrate(new_fp, |_, _, owner| owner != proc)
-            }
-            InstanceDelta::ProcArrival { .. } => ws.memo.migrate(new_fp, |_, _, _| true),
-            InstanceDelta::ProcDeparture { proc } => {
-                ws.memo.migrate(new_fp, |_, _, owner| owner < proc)
-            }
-            InstanceDelta::Bandwidth { .. } | InstanceDelta::LinkBandwidth { .. } => {
-                ws.memo.migrate(new_fp, |_, _, _| false)
-            }
-        }
+        _ws: &mut SolveWorkspace,
+    ) -> Result<PreparedInstance, DeltaError> {
+        self.apply(delta)
     }
 
     /// The memoized bound-independent trajectory of a heuristic, when it
@@ -680,13 +627,9 @@ impl PreparedInstance {
         Ok(())
     }
 
-    /// The memoized exact minimum period and its mapping. Structured
-    /// errors when the enumerator cannot run here.
-    pub fn exact_min_period(&self) -> Result<&(f64, IntervalMapping), SolveError> {
-        self.exact_min_period_in(&mut SolveWorkspace::new())
-    }
-
-    /// [`Self::exact_min_period`] reusing a caller-owned workspace.
+    /// The memoized exact minimum period and its mapping, computed with
+    /// a caller-owned workspace. Structured errors when the enumerator
+    /// cannot run here.
     pub fn exact_min_period_in(
         &self,
         ws: &mut SolveWorkspace,
@@ -699,7 +642,7 @@ impl PreparedInstance {
 
     /// The memoized exact Pareto front. Structured errors when the
     /// enumerator cannot run here. Considerably more expensive than one
-    /// [`Self::exact_min_period`] call (it sweeps every cycle-value
+    /// [`Self::exact_min_period_in`] call (it sweeps every cycle-value
     /// threshold of every partition), so the bound objectives use the
     /// dedicated solvers and only [`Objective::MinPeriodForLatency`] and
     /// [`Objective::ParetoFront`] — which need the whole front anyway —
@@ -1712,11 +1655,9 @@ mod tests {
     }
 
     #[test]
-    fn apply_rebinds_the_workspace_memo_without_tripping_the_guard() {
+    fn chained_deltas_re_solve_through_one_workspace_like_scratch() {
         // A chain of drifting instances re-solved through one workspace:
-        // apply_in migrates the memo binding each step, so the fingerprint
-        // guard never fires (debug_assert in debug builds) and every warm
-        // re-solve stays bit-identical to a scratch solve.
+        // every warm re-solve stays bit-identical to a scratch solve.
         let (app, pf) = instance(12, 8);
         let mut ws = SolveWorkspace::new();
         let mut session = PreparedInstance::new(app, pf);

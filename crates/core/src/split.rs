@@ -97,19 +97,16 @@ impl Default for SpBiPOptions {
 /// All probe runs share one `SplitMemo`: consecutive probes replay the
 /// same split prefix until their budgets diverge, and the memoized
 /// selections turn those replayed steps into cache hits. The ~30 probe
-/// runs share the workspace's split buffers *and* its selection memo.
-/// The memo is taken *warm* when the workspace last served this very
-/// instance (fingerprint match) — repeated solves and delta-rebound
-/// memos start from cached selections — and reset otherwise, so reuse
-/// across instances stays safe. Bit-identical to the fresh-memo run
-/// either way.
+/// runs share the workspace's split buffers *and* its selection memo,
+/// which is reset at the start of every call (its table capacity kept),
+/// so the memo lives for exactly one binary search on one instance.
 pub fn sp_bi_p_in(
     cm: &CostModel<'_>,
     period_target: f64,
     opts: SpBiPOptions,
     ws: &mut SolveWorkspace,
 ) -> BiCriteriaResult {
-    let mut memo = ws.take_memo_for(crate::state::instance_fingerprint(cm));
+    let mut memo = ws.take_memo();
     let result = sp_bi_p_with_memo(cm, period_target, opts, &mut memo, ws);
     ws.restore_memo(memo);
     result

@@ -20,7 +20,8 @@
 //!   the interval's identity (plus everything else the choice depends
 //!   on), so repeated walks over the same split prefix — H3's binary
 //!   search replays its probe runs dozens of times — skip the candidate
-//!   scan entirely. A changed interval simply misses the memo; no
+//!   scan entirely. The memo lives for one binary search on one
+//!   instance, so within it a changed interval simply misses; no
 //!   explicit invalidation exists or is needed;
 //! * the three-way search of H2a/H2b skips every candidate that provably
 //!   cannot win: the selector passes a bound (the validity threshold,
@@ -45,7 +46,7 @@
 
 use pipeline_model::prelude::*;
 use pipeline_model::util::{approx_le, definitely_lt, EPS};
-use std::cell::{Cell, OnceCell};
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::HashMap;
 
@@ -180,89 +181,32 @@ struct MemoKey {
 
 /// Memo of per-interval best-cut selections (see the module docs).
 ///
-/// One memo can outlive many [`SplitState`]s **on the same instance**:
-/// H3's binary search shares one across its probe runs, so the shared
-/// split prefix of every probe is selected from cache instead of
-/// rescanned. Entries are never invalidated — the key carries the
-/// interval identity and the selection context, so a stale *state* of
-/// the same instance cannot hit.
+/// One memo serves many [`SplitState`]s **of one instance**: H3's
+/// binary search shares one across its probe runs, so the shared split
+/// prefix of every probe is selected from cache instead of rescanned.
+/// Entries are never invalidated — the key carries the interval
+/// identity and the selection context, so a stale *state* of the same
+/// instance cannot hit.
 ///
-/// A memo is bound to the first (application, platform) pair it is used
-/// with: the keys do not encode the instance itself, so reusing one
-/// memo across different instances could return a split chosen for the
-/// other instance's work profile. The memoized selectors assert an
-/// instance fingerprint — a hash of every work, volume, speed and
-/// bandwidth bit, computed lazily once per [`SplitState`] so the
-/// non-memoized heuristics never pay for it — to refuse such reuse;
-/// pass a fresh `SplitMemo::default()` per instance.
+/// The keys do not encode the instance itself, so a memo must not
+/// outlive the instance it was filled on: a split chosen for another
+/// instance's work profile could hit. `sp_bi_p_in` therefore resets the
+/// memo at the start of every binary search.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SplitMemo {
     /// `min max_i Δlatency/Δperiod(i)` winners (H5's rule, H3's default).
     over_i: HashMap<MemoKey, Option<Split2>>,
     /// `Δlatency/Δperiod(j)` winners (the literal paper H3 formula).
     over_j: HashMap<MemoKey, Option<Split2>>,
-    /// Fingerprint of the instance this memo serves, set on first use.
-    fingerprint: Option<u64>,
 }
 
 impl SplitMemo {
-    /// Binds the memo to an instance on first use. Offering a bound memo
-    /// a *different* instance is a caller bug — the keys cannot tell
-    /// instances apart — so debug builds panic. Release builds recover
-    /// structurally: the memo is emptied and rebound, which is always
-    /// correct (an empty memo serves any instance), merely cold.
-    fn bind(&mut self, fp: u64) {
-        match self.fingerprint {
-            None => self.fingerprint = Some(fp),
-            Some(bound) if bound == fp => {}
-            Some(_bound) => {
-                debug_assert_eq!(
-                    _bound, fp,
-                    "SplitMemo reused across instances; use one memo per instance"
-                );
-                self.reset();
-                self.fingerprint = Some(fp);
-            }
-        }
-    }
-
-    /// The fingerprint of the instance this memo currently serves, if it
-    /// has been bound.
-    pub(crate) fn fingerprint(&self) -> Option<u64> {
-        self.fingerprint
-    }
-
-    /// Rebinds the memo to a *related* instance, retaining only the
-    /// entries `keep(start, end, owner_proc)` approves. This is the warm
-    /// path behind `PreparedInstance::apply`: after an
-    /// [`crate::service::PreparedInstance`] delta, the caller knows which
-    /// intervals the edit can affect (a changed stage weight invalidates
-    /// intervals containing that stage; a changed processor speed
-    /// invalidates intervals owned by it; departures shift ids) and keeps
-    /// the rest. Safe because a cached [`Split2`] depends only on the
-    /// interval's works and volumes, the owner's speed, the enrolled
-    /// speed (keyed *by value*), the global latency (keyed) and the
-    /// shared bandwidth — `keep` must reject any key whose inputs the
-    /// delta touched, and callers must drop everything on bandwidth
-    /// changes.
-    pub(crate) fn migrate(
-        &mut self,
-        new_fp: u64,
-        mut keep: impl FnMut(usize, usize, ProcId) -> bool,
-    ) {
-        self.over_i.retain(|k, _| keep(k.start, k.end, k.proc));
-        self.over_j.retain(|k, _| keep(k.start, k.end, k.proc));
-        self.fingerprint = Some(new_fp);
-    }
-
-    /// Empties the memo and unbinds it from its instance, keeping the
-    /// hash-map capacity — how [`crate::workspace::SolveWorkspace`] reuses
-    /// one memo across the items of a batch without reallocating its
-    /// tables per solve.
+    /// Empties the memo, keeping the hash-map capacity — how
+    /// [`crate::workspace::SolveWorkspace`] reuses one memo across the
+    /// solves of a batch without reallocating its tables per solve.
     pub fn reset(&mut self) {
         self.over_i.clear();
         self.over_j.clear();
-        self.fingerprint = None;
     }
 }
 
@@ -280,25 +224,6 @@ pub struct SplitBuffers {
     by_cycle: Vec<(CycleKey, Reverse<usize>)>,
     split3_c: Vec<[IntervalCost; 3]>,
     split3_t_min: Vec<f64>,
-}
-
-/// Hash of the full instance profile — every work, communication volume,
-/// processor speed and the link bandwidth, as raw bits — used to pin a
-/// `SplitMemo` to one instance.
-pub(crate) fn instance_fingerprint(cm: &CostModel<'_>) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    for &w in cm.app().works() {
-        w.to_bits().hash(&mut h);
-    }
-    for &d in cm.app().deltas() {
-        d.to_bits().hash(&mut h);
-    }
-    for &s in cm.platform().speeds() {
-        s.to_bits().hash(&mut h);
-    }
-    cm.platform().io_bandwidth_of(0).to_bits().hash(&mut h);
-    h.finish()
 }
 
 /// The mutable splitting state.
@@ -327,9 +252,6 @@ pub struct SplitState<'a> {
     /// Suffix minima of the transfer times `δ_c/b` over the second-cut
     /// positions, for H2b's row bound (see [`Self::for_each_split3`]).
     split3_t_min: Vec<f64>,
-    /// Hash of the instance profile, for `SplitMemo` binding — only
-    /// the memoized selectors pay for it, lazily on first use.
-    instance_fp: OnceCell<u64>,
 }
 
 impl<'a> SplitState<'a> {
@@ -379,7 +301,6 @@ impl<'a> SplitState<'a> {
             by_cycle,
             split3_c,
             split3_t_min,
-            instance_fp: OnceCell::new(),
         }
     }
 
@@ -631,11 +552,6 @@ impl<'a> SplitState<'a> {
         rule: RatioRule,
         memo: &mut SplitMemo,
     ) -> Option<Split2> {
-        memo.bind(
-            *self
-                .instance_fp
-                .get_or_init(|| instance_fingerprint(&self.cm)),
-        );
         let e = self.entries[j];
         let new_proc = self.peek_unused(0)?;
         let key = MemoKey {
@@ -1209,74 +1125,6 @@ mod tests {
             }
         }
         assert!(!memo.over_i.is_empty());
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "SplitMemo reused across instances")]
-    fn memo_refuses_cross_instance_reuse() {
-        let (app, pf) = setup();
-        let cm = CostModel::new(&app, &pf);
-        let st = SplitState::new_in(&cm, SplitBuffers::default());
-        let mut memo = SplitMemo::default();
-        let _ = st.best_split2_bi_memo(0, None, &mut memo);
-        // A different instance must not be able to hit this memo.
-        let app2 = Application::new(vec![1.0, 2.0, 3.0], vec![1.0; 4]).unwrap();
-        let pf2 = Platform::comm_homogeneous(vec![1.0, 2.0], 1.0).unwrap();
-        let cm2 = CostModel::new(&app2, &pf2);
-        let st2 = SplitState::new_in(&cm2, SplitBuffers::default());
-        let _ = st2.best_split2_bi_memo(0, None, &mut memo);
-    }
-
-    #[test]
-    #[cfg(not(debug_assertions))]
-    fn memo_recovers_from_cross_instance_reuse_in_release() {
-        // Release builds reset-and-rebind instead of panicking: the
-        // answer matches an unmemoized selection on the new instance.
-        let (app, pf) = setup();
-        let cm = CostModel::new(&app, &pf);
-        let st = SplitState::new_in(&cm, SplitBuffers::default());
-        let mut memo = SplitMemo::default();
-        let _ = st.best_split2_bi_memo(0, None, &mut memo);
-        let app2 = Application::new(vec![1.0, 2.0, 3.0], vec![1.0; 4]).unwrap();
-        let pf2 = Platform::comm_homogeneous(vec![1.0, 2.0], 1.0).unwrap();
-        let cm2 = CostModel::new(&app2, &pf2);
-        let st2 = SplitState::new_in(&cm2, SplitBuffers::default());
-        let warm = st2.best_split2_bi_memo(0, None, &mut memo);
-        let direct = st2.best_split2_bi(0, None);
-        assert_eq!(
-            warm.map(|s| (s.cut, s.keep_left)),
-            direct.map(|s| (s.cut, s.keep_left))
-        );
-    }
-
-    #[test]
-    fn memo_migrate_keeps_approved_entries_and_rebinds() {
-        let (app, pf) = setup();
-        let cm = CostModel::new(&app, &pf);
-        let st = SplitState::new_in(&cm, SplitBuffers::default());
-        let mut memo = SplitMemo::default();
-        let _ = st.best_split2_bi_memo(0, None, &mut memo);
-        let _ = st.best_split2_bi_denom_j_memo(0, None, &mut memo);
-        assert!(!memo.over_i.is_empty() && !memo.over_j.is_empty());
-        let old_fp = memo.fingerprint().expect("bound after first use");
-
-        // Keep everything: the entries survive and the memo answers for
-        // the (identical) "new" instance without tripping the guard.
-        memo.migrate(old_fp ^ 1, |_, _, _| true);
-        assert_eq!(memo.fingerprint(), Some(old_fp ^ 1));
-        assert!(!memo.over_i.is_empty());
-
-        // Keep nothing: both tables drain but the binding stands.
-        memo.migrate(old_fp, |_, _, _| false);
-        assert!(memo.over_i.is_empty() && memo.over_j.is_empty());
-        assert_eq!(memo.fingerprint(), Some(old_fp));
-        // The rebound memo serves its instance again without asserting.
-        let again = st.best_split2_bi_memo(0, None, &mut memo);
-        assert_eq!(
-            again.map(|s| (s.cut, s.keep_left)),
-            st.best_split2_bi(0, None).map(|s| (s.cut, s.keep_left))
-        );
     }
 
     #[test]

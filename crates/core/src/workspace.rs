@@ -105,17 +105,13 @@ impl SolveWorkspace {
         self.split = buffers;
     }
 
-    /// Takes the selection memo out *warm* when it already serves the
-    /// instance with fingerprint `fp` — consecutive solves on one
-    /// instance (re-solves after an `InstanceDelta`, repeated service
-    /// queries) then start from the previous solve's cached selections
-    /// instead of a cold memo. Any other binding is reset. Bit-identical
-    /// either way: memoized selections equal direct ones, warm or cold.
-    pub(crate) fn take_memo_for(&mut self, fp: u64) -> SplitMemo {
+    /// Takes the selection memo out, emptied but with its table
+    /// capacity kept; pair with [`Self::restore_memo`]. Every H3 binary
+    /// search starts from an empty memo, so no selection cached for
+    /// another instance can hit.
+    pub(crate) fn take_memo(&mut self) -> SplitMemo {
         let mut memo = std::mem::take(&mut self.memo);
-        if memo.fingerprint() != Some(fp) {
-            memo.reset();
-        }
+        memo.reset();
         memo
     }
 
@@ -217,8 +213,8 @@ mod tests {
     fn workspace_reuse_is_bit_identical_across_solves() {
         // Buffers recycle capacity, never values: one workspace carried
         // across instances of different shapes (buffers grown by larger
-        // ones, H4's memo bound to the previous instance) answers every
-        // entry point exactly like a fresh workspace.
+        // ones, H4's memo tables filled on the previous instance) answers
+        // every entry point exactly like a fresh workspace.
         let shapes = [
             (ExperimentKind::E1, 10, 6),
             (ExperimentKind::E2, 6, 10),
@@ -244,7 +240,20 @@ mod tests {
         let mut ws = SolveWorkspace::new();
         let bufs = ws.take_split();
         ws.restore_split(bufs);
-        let memo = ws.take_memo_for(0);
+        let memo = ws.take_memo();
         ws.restore_memo(memo);
+        // The memo keys cannot tell these mirrored instances apart (same
+        // interval, speeds and Lemma-1 latency), so H4 on the second one
+        // matches a fresh workspace only because `take_memo` empties the
+        // memo the first one filled.
+        let pf = Platform::comm_homogeneous(vec![4.0, 3.0, 2.0, 1.0], 1.0).unwrap();
+        let deltas = vec![1.0; 7];
+        let ramp = Application::new(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], deltas.clone()).unwrap();
+        let mirror = Application::new(vec![6.0, 5.0, 4.0, 3.0, 2.0, 1.0], deltas).unwrap();
+        let h4 =
+            |cm: &CostModel<'_>, ws: &mut SolveWorkspace| heuristic(HeuristicKind::SpBiP, cm, ws);
+        h4(&CostModel::new(&ramp, &pf), &mut ws);
+        let cm = CostModel::new(&mirror, &pf);
+        assert_eq!(h4(&cm, &mut ws), h4(&cm, &mut SolveWorkspace::new()));
     }
 }

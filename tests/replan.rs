@@ -93,7 +93,7 @@ proptest! {
     }
 }
 
-/// The warm-started re-solve (carried trajectories, split memo and
+/// The warm-started re-solve (carried trajectories and a reused
 /// workspace) finds the period a cold preparation of the degraded
 /// instance finds, bit for bit, at n = 60, 120 and 240 for both faults.
 #[test]
