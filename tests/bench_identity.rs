@@ -29,24 +29,24 @@
 //!
 //! Every key must be in both the fixture and the current run.
 
+#[path = "support/chaos_incumbents.rs"]
+mod chaos_incumbents;
 #[path = "support/failover.rs"]
 mod failover;
 
+use chaos_incumbents::for_each_chaos_incumbent;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use pipeline_workflows::core::service::PreparedInstance;
 use pipeline_workflows::core::tenancy::{CoSchedOptions, PartitionObjective, Tenant, TenantSet};
 use pipeline_workflows::core::SolveWorkspace;
-use pipeline_workflows::core::{Objective, SolveRequest, Strategy};
 use pipeline_workflows::experiments::{
     chaos_fingerprint, chaos_study, exact_min_period_sharded, exact_pareto_front_sharded,
     run_scenario, ChaosParams, ChaosPlanKind, ShardOptions,
 };
 use pipeline_workflows::model::generator::{ExperimentKind, InstanceGenerator, InstanceParams};
-use pipeline_workflows::model::scenario::{
-    ScenarioFamily, ScenarioGenerator, ScenarioParams, TenantFamily, TenantScenarioGenerator,
-};
+use pipeline_workflows::model::scenario::{ScenarioFamily, TenantFamily, TenantScenarioGenerator};
 use pipeline_workflows::model::util::{approx_eq, approx_le};
 use pipeline_workflows::model::{CostModel, Platform};
 use pipeline_workflows::sim::{FaultPlan, FaultedSim, SimConfig};
@@ -177,77 +177,55 @@ fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
 
 /// The fault simulator on best-of-all incumbents at the chaos-replan
 /// sizes, under every named plan (built against the bottleneck
-/// processor) and the empty plan; then one fixed chaos study. The victim
-/// is the processor of the last interval with the largest cycle time
-/// (`max_by` keeps the last of equals, where `chaos_study` keeps the
-/// first).
+/// processor, see `tests/support/chaos_incumbents.rs` for its tie rule)
+/// and the empty plan; then one fixed chaos study.
 fn chaos_lines(lines: &mut Vec<String>) {
-    let request = SolveRequest::new(Objective::MinPeriod).strategy(Strategy::BestOfAll);
-    let mut ws = SolveWorkspace::new();
-    for family in [ScenarioFamily::HeavyTail, ScenarioFamily::E2] {
-        for n in [60, 120] {
-            let gen = ScenarioGenerator::new(ScenarioParams::preset(family, n, n / 2));
-            let (app, pf) = gen.instance(2007, 0);
-            let prepared = PreparedInstance::new(app, pf);
-            let incumbent = prepared
-                .solve_in(&request, &mut ws)
-                .expect("best-of-all always maps")
-                .result
-                .mapping;
-            let cm = prepared.cost_model();
-            let period = cm.period(&incumbent);
-            let bottleneck = (0..incumbent.n_intervals())
-                .max_by(|&a, &b| {
-                    cm.cycle_time(&incumbent, a)
-                        .total_cmp(&cm.cycle_time(&incumbent, b))
-                })
-                .expect("a mapping has intervals");
-            let victim = incumbent.proc_of(bottleneck);
-            let plans = ChaosPlanKind::ALL.map(|kind| {
-                (
-                    kind.label(),
-                    kind.build(victim, period, CHAOS_DATASETS, 2007),
+    for_each_chaos_incumbent(2007, 1, |family, n, _, cm, incumbent, victim| {
+        let period = cm.period(incumbent);
+        let plans = ChaosPlanKind::ALL.map(|kind| {
+            (
+                kind.label(),
+                kind.build(victim, period, CHAOS_DATASETS, 2007),
+            )
+        });
+        for (label, plan) in [("empty", FaultPlan::empty())].into_iter().chain(plans) {
+            let config = SimConfig {
+                record_trace: true,
+                ..SimConfig::default()
+            };
+            let out = FaultedSim::new(cm, incumbent, config, plan).run(CHAOS_DATASETS);
+            let deg = &out.degraded;
+            let report = &deg.report;
+            let hash = fnv(report
+                .start
+                .iter()
+                .chain(&report.completion)
+                .map(|v| v.to_bits())
+                .chain(
+                    report
+                        .busy
+                        .iter()
+                        .flat_map(|(&p, b)| [p as u64, b.to_bits()]),
                 )
-            });
-            for (label, plan) in [("empty", FaultPlan::empty())].into_iter().chain(plans) {
-                let config = SimConfig {
-                    record_trace: true,
-                    ..SimConfig::default()
-                };
-                let out = FaultedSim::new(&cm, &incumbent, config, plan).run(CHAOS_DATASETS);
-                let deg = &out.degraded;
-                let report = &deg.report;
-                let hash = fnv(report
-                    .start
-                    .iter()
-                    .chain(&report.completion)
-                    .map(|v| v.to_bits())
-                    .chain(
-                        report
-                            .busy
-                            .iter()
-                            .flat_map(|(&p, b)| [p as u64, b.to_bits()]),
-                    )
-                    .chain(out.trace.iter().flat_map(|e| {
-                        [
-                            e.proc as u64,
-                            e.kind as u64,
-                            e.dataset as u64,
-                            e.start.to_bits(),
-                            e.end.to_bits(),
-                        ]
-                    })));
-                let id = format!("chaos {}-n{n}-p{} {label}", family.label(), n / 2);
-                lines.push(format!(
-                    "{id} makespan_bits {:016x}",
-                    report.makespan.to_bits()
-                ));
-                lines.push(format!("{id} completed {}", deg.completed));
-                lines.push(format!("{id} dropped {}", deg.dropped));
-                lines.push(format!("{id} report_hash {hash:016x}"));
-            }
+                .chain(out.trace.iter().flat_map(|e| {
+                    [
+                        e.proc as u64,
+                        e.kind as u64,
+                        e.dataset as u64,
+                        e.start.to_bits(),
+                        e.end.to_bits(),
+                    ]
+                })));
+            let id = format!("chaos {}-n{n}-p{} {label}", family.label(), n / 2);
+            lines.push(format!(
+                "{id} makespan_bits {:016x}",
+                report.makespan.to_bits()
+            ));
+            lines.push(format!("{id} completed {}", deg.completed));
+            lines.push(format!("{id} dropped {}", deg.dropped));
+            lines.push(format!("{id} report_hash {hash:016x}"));
         }
-    }
+    });
     let rows = chaos_study(&ChaosParams {
         n_instances: 4,
         threads: 2,

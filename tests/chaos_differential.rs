@@ -12,15 +12,17 @@
 //! oracle's full scan starts), on the hand-computed two-interval fixture,
 //! and on proptest-generated instances.
 
+#[path = "support/chaos_incumbents.rs"]
+mod chaos_incumbents;
 #[path = "support/clean_sim.rs"]
 mod clean_sim;
 
+use chaos_incumbents::for_each_chaos_incumbent;
 use clean_sim::clean_sim;
 use proptest::prelude::*;
 
-use pipeline_workflows::core::service::PreparedInstance;
-use pipeline_workflows::core::{HeuristicKind, Objective, SolveRequest, SolveWorkspace, Strategy};
-use pipeline_workflows::model::scenario::{ScenarioFamily, ScenarioGenerator, ScenarioParams};
+use pipeline_workflows::core::{HeuristicKind, SolveWorkspace};
+use pipeline_workflows::model::scenario::{ScenarioFamily, ScenarioGenerator};
 use pipeline_workflows::model::{Application, CostModel, Interval, IntervalMapping, Platform};
 use pipeline_workflows::sim::{
     FaultPlan, FaultedSim, InputPolicy, PipelineSim, SimConfig, SimReport, TraceEvent,
@@ -145,36 +147,20 @@ fn empty_fault_plan_is_bit_identical_on_every_zoo_family() {
     }
 }
 
-/// The chaos-replan corpus's bases: heavy-tail and E2 at n = 60 and 120,
-/// p = n/2, each mapped by the best-of-all minimum-period solve.
+/// The chaos-replan corpus's bases (`tests/support/chaos_incumbents.rs`).
 #[test]
 fn empty_fault_plan_is_bit_identical_at_chaos_replan_sizes() {
-    let request = SolveRequest::new(Objective::MinPeriod).strategy(Strategy::BestOfAll);
-    let mut ws = SolveWorkspace::new();
-    for family in [ScenarioFamily::HeavyTail, ScenarioFamily::E2] {
-        for n in [60, 120] {
-            let gen = ScenarioGenerator::new(ScenarioParams::preset(family, n, n / 2));
-            for index in 0..2u64 {
-                let (app, pf) = gen.instance(1007, index);
-                let prepared = PreparedInstance::new(app, pf);
-                let mapping = prepared
-                    .solve_in(&request, &mut ws)
-                    .expect("best-of-all always maps")
-                    .result
-                    .mapping;
-                let cm = prepared.cost_model();
-                let m = mapping.n_intervals();
-                for (policy_name, policy) in policies(cm.period(&mapping)) {
-                    check_identity(
-                        &cm,
-                        &mapping,
-                        policy,
-                        &format!("{family} n={n} #{index} m={m} {policy_name}"),
-                    );
-                }
-            }
+    for_each_chaos_incumbent(1007, 2, |family, n, index, cm, mapping, _| {
+        let m = mapping.n_intervals();
+        for (policy_name, policy) in policies(cm.period(mapping)) {
+            check_identity(
+                cm,
+                mapping,
+                policy,
+                &format!("{family} n={n} #{index} m={m} {policy_name}"),
+            );
         }
-    }
+    });
 }
 
 /// The hand-computed two-interval instance of the simulator's unit
