@@ -25,7 +25,13 @@
 //!   bits, the counts, and an FNV hash of the start, completion, busy and
 //!   trace bits;
 //! * `chaos study fingerprint` — `chaos_fingerprint` of one fixed
-//!   `chaos_study`, exactly.
+//!   `chaos_study`, exactly;
+//! * `scenario <family>-n<n>-p<p> <index> instance_hash` — an FNV hash of
+//!   the works, deltas, speeds and link bits of the first three
+//!   instances of every zoo family at n = 10, p = 6 and at n = 6, p = 10,
+//!   and (`<family>-k3-n6-p8`) of the first three 3-tenant scenarios of
+//!   every tenant family with their weights and SLOs, exactly; they pin
+//!   each family's sampling constants.
 //!
 //! Every key must be in both the fixture and the current run.
 
@@ -46,9 +52,11 @@ use pipeline_workflows::experiments::{
     run_scenario, ChaosParams, ChaosPlanKind, ShardOptions,
 };
 use pipeline_workflows::model::generator::{ExperimentKind, InstanceGenerator, InstanceParams};
-use pipeline_workflows::model::scenario::{ScenarioFamily, TenantFamily, TenantScenarioGenerator};
+use pipeline_workflows::model::scenario::{
+    ScenarioFamily, ScenarioGenerator, TenantFamily, TenantScenarioGenerator,
+};
 use pipeline_workflows::model::util::{approx_eq, approx_le};
-use pipeline_workflows::model::{CostModel, Platform};
+use pipeline_workflows::model::{CostModel, LinkModel, Platform};
 use pipeline_workflows::sim::{FaultPlan, FaultedSim, SimConfig};
 
 const FIXTURE: &str = concat!(
@@ -237,6 +245,72 @@ fn chaos_lines(lines: &mut Vec<String>) {
     ));
 }
 
+/// The bits of a platform's speeds and links.
+fn platform_bits(pf: &Platform) -> Vec<u64> {
+    let links: Vec<f64> = match pf.links() {
+        LinkModel::Homogeneous(b) => vec![*b],
+        LinkModel::Heterogeneous {
+            matrix,
+            io_bandwidth,
+        } => matrix
+            .iter()
+            .flatten()
+            .chain([io_bandwidth])
+            .copied()
+            .collect(),
+    };
+    pf.speeds()
+        .iter()
+        .chain(&links)
+        .map(|v| v.to_bits())
+        .chain([pf.is_comm_homogeneous() as u64])
+        .collect()
+}
+
+/// The first instances of every zoo family at one size with p < n and
+/// one with p > n, and the first scenarios of every tenant family,
+/// hashed bit for bit.
+fn scenario_lines(lines: &mut Vec<String>) {
+    for family in ScenarioFamily::ALL {
+        for (n, p) in [(10, 6), (6, 10)] {
+            let gen = ScenarioGenerator::new(family.params(n, p));
+            for index in 0..3 {
+                let (app, pf) = gen.instance(2007, index);
+                let hash = fnv(app
+                    .works()
+                    .iter()
+                    .chain(app.deltas())
+                    .map(|v| v.to_bits())
+                    .chain(platform_bits(&pf)));
+                lines.push(format!(
+                    "scenario {}-n{n}-p{p} {index} instance_hash {hash:016x}",
+                    family.label()
+                ));
+            }
+        }
+    }
+    for family in TenantFamily::ALL {
+        let gen = TenantScenarioGenerator::new(family, 3, 6, 8);
+        for index in 0..3 {
+            let scenario = gen.scenario(2007, index);
+            let tenants = scenario.tenants.iter().flat_map(|t| {
+                let slo = t.slo.map_or(u64::MAX, f64::to_bits);
+                t.app
+                    .works()
+                    .iter()
+                    .chain(t.app.deltas())
+                    .map(|v| v.to_bits())
+                    .chain([t.weight.to_bits(), slo])
+            });
+            let hash = fnv(tenants.chain(platform_bits(&scenario.platform)));
+            lines.push(format!(
+                "scenario {}-k3-n6-p8 {index} instance_hash {hash:016x}",
+                family.label()
+            ));
+        }
+    }
+}
+
 /// Every pinned line of the current build, in fixture order.
 fn current_lines() -> Vec<String> {
     let mut lines = Vec::new();
@@ -245,6 +319,7 @@ fn current_lines() -> Vec<String> {
     tenant_lines(&mut lines);
     sweep_lines(&mut lines);
     chaos_lines(&mut lines);
+    scenario_lines(&mut lines);
     lines
 }
 
