@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pipeline_experiments::config::PAPER_FIGURES;
-use pipeline_experiments::sweep::run_family;
+use pipeline_experiments::sweep::run_scenario;
 use pipeline_experiments::table::failure_thresholds;
 use pipeline_model::generator::{ExperimentKind, InstanceParams};
 use std::hint::black_box;
@@ -20,7 +20,7 @@ fn bench_figures(c: &mut Criterion) {
     group.sample_size(10);
     for spec in PAPER_FIGURES {
         group.bench_with_input(BenchmarkId::from_parameter(spec.id), spec, |b, spec| {
-            b.iter(|| black_box(run_family(spec.params(), 2007, INSTANCES, GRID, THREADS)))
+            b.iter(|| black_box(run_scenario(&spec.params(), 2007, INSTANCES, GRID, THREADS)))
         });
     }
     group.finish();

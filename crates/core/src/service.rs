@@ -203,13 +203,11 @@ pub struct SolveRequest {
     /// authorized latency). Defaults to
     /// `SpBiPOptions::default().rel_tolerance`.
     pub tolerance: f64,
-    /// Largest `n` for which [`Strategy::Auto`] picks the exact solver.
-    pub exact_cutoff: usize,
 }
 
 impl SolveRequest {
-    /// Largest `n` for which [`Strategy::Auto`] defaults to the exact
-    /// solver. Raised from 12 to 14 when the branch-and-bound exact
+    /// Largest `n` for which [`Strategy::Auto`] picks the exact solver.
+    /// Raised from 12 to 14 when the branch-and-bound exact
     /// solver v2 replaced the blind enumeration, and from 14 to 18 with
     /// the v3 dominance DP ([`exact::supports_dominance_dp`]): where the
     /// DP routes, n = 18 is milliseconds, and where it does not, the v2
@@ -222,7 +220,6 @@ impl SolveRequest {
             objective,
             strategy: Strategy::Auto,
             tolerance: SpBiPOptions::default().rel_tolerance,
-            exact_cutoff: Self::DEFAULT_EXACT_CUTOFF,
         }
     }
 
@@ -238,6 +235,9 @@ impl SolveRequest {
         self
     }
 }
+
+// Auto never routes to the exact solver above its guard.
+const _: () = assert!(SolveRequest::DEFAULT_EXACT_CUTOFF <= exact::MAX_STAGES);
 
 /// A solve outcome with `Copy` provenance and, for front queries, the
 /// materialized Pareto front.
@@ -687,8 +687,9 @@ impl PreparedInstance {
         }
         let strategy = match request.strategy {
             Strategy::Auto => {
-                let cutoff = request.exact_cutoff.min(exact::MAX_STAGES);
-                if self.app.n_stages() <= cutoff && self.comm_homogeneous {
+                if self.app.n_stages() <= SolveRequest::DEFAULT_EXACT_CUTOFF
+                    && self.comm_homogeneous
+                {
                     Strategy::Exact
                 } else {
                     Strategy::BestOfAll

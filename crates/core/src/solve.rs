@@ -44,8 +44,9 @@ pub enum Strategy {
     BestOfAll,
     /// Exhaustive exact solve (guarded: requires small `n`).
     Exact,
-    /// [`Strategy::Exact`] when `n ≤ exact_cutoff`, else
-    /// [`Strategy::BestOfAll`].
+    /// [`Strategy::Exact`] on Communication Homogeneous platforms when
+    /// `n ≤` [`SolveRequest::DEFAULT_EXACT_CUTOFF`](crate::SolveRequest::DEFAULT_EXACT_CUTOFF),
+    /// else [`Strategy::BestOfAll`].
     Auto,
 }
 
@@ -99,31 +100,25 @@ mod tests {
     }
 
     #[test]
-    fn exact_cutoff_is_configurable() {
-        let request = SolveRequest {
-            exact_cutoff: 4,
-            ..SolveRequest::new(Objective::MinPeriod)
-        };
-        let report = instance(10, 6).solve(&request).unwrap();
-        assert_ne!(
-            report.solver,
-            SolverId::Exact,
-            "cutoff 4 must route n=10 to heuristics"
-        );
-    }
-
-    #[test]
-    fn auto_clamps_an_unbounded_cutoff_to_the_exact_guard() {
-        let prepared = instance(exact::MAX_STAGES + 1, 6);
-        assert!(prepared.platform().is_comm_homogeneous());
-        let request = SolveRequest {
-            exact_cutoff: usize::MAX,
-            ..SolveRequest::new(Objective::MinPeriod)
-        };
-        let report = prepared
-            .solve(&request)
-            .expect("Auto above the exact guard must fall back to heuristics");
-        assert_ne!(report.solver, SolverId::Exact);
+    fn auto_routes_to_exact_up_to_the_cutoff_and_to_heuristics_above() {
+        let cutoff = SolveRequest::DEFAULT_EXACT_CUTOFF;
+        assert_eq!(cutoff, 18);
+        for n in [cutoff, cutoff + 1] {
+            let prepared = instance(n, 6);
+            assert!(prepared.platform().is_comm_homogeneous());
+            let report = prepared
+                .solve(&SolveRequest::new(Objective::MinPeriod))
+                .expect("min period always solvable");
+            if n <= cutoff {
+                assert_eq!(report.solver, SolverId::Exact, "n = {n}");
+            } else {
+                assert!(
+                    matches!(report.solver, SolverId::Heuristic(_)),
+                    "n = {n}: {:?}",
+                    report.solver
+                );
+            }
+        }
     }
 
     #[test]

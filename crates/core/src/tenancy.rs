@@ -131,18 +131,18 @@ pub struct CoSchedOptions {
     pub strategy: Strategy,
     /// Bound-search tolerance forwarded to the inner oracle.
     pub tolerance: f64,
-    /// Local-refinement passes of the heuristic partitioner (0 keeps the
-    /// greedy seed). Each pass tries every single-processor move and, if
-    /// none improves, every cross-tenant swap.
-    pub refine_rounds: usize,
 }
+
+/// Local-refinement passes of the heuristic partitioner. Each pass tries
+/// every single-processor move and, if none improves, every cross-tenant
+/// swap.
+const REFINE_ROUNDS: usize = 2;
 
 impl Default for CoSchedOptions {
     fn default() -> Self {
         CoSchedOptions {
             strategy: Strategy::Auto,
             tolerance: SolveRequest::new(Objective::MinPeriod).tolerance,
-            refine_rounds: 2,
         }
     }
 }
@@ -530,9 +530,9 @@ impl TenantSet {
 
     /// The heuristic partitioner: largest-demand-first seeding over the
     /// speed-sorted processors, greedy balancing of the rest by
-    /// demand-per-allocated-speed, then up to `opts.refine_rounds`
-    /// passes of local exchange (single-processor moves, then swaps when
-    /// no move improves). Deterministic throughout: processors scan in
+    /// demand-per-allocated-speed, then up to two passes of local
+    /// exchange (single-processor moves, then swaps when no move
+    /// improves). Deterministic throughout: processors scan in
     /// speed-descending order, tenants in index order, and only
     /// `strictly_better` improvements are taken.
     pub fn co_schedule(
@@ -580,7 +580,7 @@ impl TenantSet {
         }
 
         let mut best = self.evaluate_partition(&groups, objective, opts, ws)?;
-        for _ in 0..opts.refine_rounds {
+        for _ in 0..REFINE_ROUNDS {
             let mut improved = false;
             // Single-processor moves, speed-descending scan.
             for &u in &speed_desc {

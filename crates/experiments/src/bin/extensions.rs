@@ -11,7 +11,7 @@
 use pipeline_experiments::config::flag_value;
 use pipeline_experiments::loaded::{loaded_latency_study, render_loaded};
 use pipeline_experiments::robustness::{
-    link_robustness_study, render_robustness, robustness_study,
+    link_robustness_study, render_robustness, robustness_study, PERIOD_TARGET_FACTOR,
 };
 use pipeline_experiments::{out, outln};
 use pipeline_model::generator::{ExperimentKind, InstanceParams};
@@ -55,14 +55,13 @@ fn main() {
         (ExperimentKind::E4, 20, 10),
     ] {
         outln!(
-            "-- {} (n = {n}, p = {p}, target 0.6·P_init, {datasets} data sets)",
+            "-- {} (n = {n}, p = {p}, target {PERIOD_TARGET_FACTOR}·P_init, {datasets} data sets)",
             kind.label()
         );
         let rows = loaded_latency_study(
             InstanceParams::paper(kind, n, p),
             seed,
             instances,
-            0.6,
             datasets,
             threads,
         );
@@ -73,12 +72,14 @@ fn main() {
     let pct = gamma * 100.0;
     outln!("B. Robustness: worst-case period when one enrolled processor slows down\n");
     for (kind, n, p) in [(ExperimentKind::E1, 20, 10), (ExperimentKind::E3, 10, 10)] {
-        outln!("-- {} (n = {n}, p = {p}, target 0.6·P_init)", kind.label());
+        outln!(
+            "-- {} (n = {n}, p = {p}, target {PERIOD_TARGET_FACTOR}·P_init)",
+            kind.label()
+        );
         let rows = robustness_study(
             InstanceParams::paper(kind, n, p),
             seed,
             instances,
-            0.6,
             gamma,
             threads,
         );
@@ -89,12 +90,14 @@ fn main() {
 
     outln!("C. Link robustness: worst-case period when one boundary link degrades\n");
     for (kind, n, p) in [(ExperimentKind::E1, 20, 10), (ExperimentKind::E4, 20, 10)] {
-        outln!("-- {} (n = {n}, p = {p}, target 0.6·P_init)", kind.label());
+        outln!(
+            "-- {} (n = {n}, p = {p}, target {PERIOD_TARGET_FACTOR}·P_init)",
+            kind.label()
+        );
         let rows = link_robustness_study(
             InstanceParams::paper(kind, n, p),
             seed,
             instances,
-            0.6,
             gamma,
             threads,
         );

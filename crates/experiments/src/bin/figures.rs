@@ -13,7 +13,7 @@ use pipeline_experiments::ascii::Chart;
 use pipeline_experiments::config::{figures_of, flag_value};
 use pipeline_experiments::csvout::{fmt, write_csv};
 use pipeline_experiments::summary::{checks_p10, checks_p100, render_checks};
-use pipeline_experiments::sweep::run_family;
+use pipeline_experiments::sweep::run_scenario;
 use pipeline_experiments::{out, outln};
 use std::path::PathBuf;
 
@@ -89,8 +89,8 @@ fn main() {
     for fig_no in &args.figs {
         for spec in figures_of(*fig_no) {
             let t0 = std::time::Instant::now();
-            let fam = run_family(
-                spec.params(),
+            let fam = run_scenario(
+                &spec.params(),
                 args.seed,
                 args.instances,
                 args.grid,

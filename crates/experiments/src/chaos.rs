@@ -16,6 +16,7 @@
 //! the paper experiments: output is bit-identical for every thread
 //! count (asserted by tests and by `pwsched chaos --verify-threads`).
 
+use crate::robustness::natural_target;
 use crate::shard::{sharded_map_items_with, ShardOptions};
 use pipeline_core::{
     replan, DetectedFault, HeuristicKind, Objective, PreparedInstance, SolveRequest,
@@ -136,9 +137,6 @@ pub struct ChaosParams {
     pub n_datasets: usize,
     /// Base RNG seed.
     pub seed: u64,
-    /// Period target factor for period-fixed heuristics
-    /// (`target = factor × P_init`).
-    pub target_factor: f64,
     /// Worker threads (output is identical for any value).
     pub threads: usize,
 }
@@ -154,7 +152,6 @@ impl Default for ChaosParams {
             n_instances: 10,
             n_datasets: 60,
             seed: 2007,
-            target_factor: 0.6,
             threads: 1,
         }
     }
@@ -230,7 +227,6 @@ pub fn chaos_study(params: &ChaosParams) -> Vec<ChaosRow> {
     let heuristics = params.heuristics.clone();
     let plans = params.plans.clone();
     let n_datasets = params.n_datasets;
-    let target_factor = params.target_factor;
     let seed = params.seed;
     let opts = ShardOptions::with_threads(params.threads);
 
@@ -253,12 +249,7 @@ pub fn chaos_study(params: &ChaosParams) -> Vec<ChaosRow> {
                     out.extend(std::iter::repeat_n(None, plans.len()));
                     continue;
                 }
-                let target = if kind.is_period_fixed() {
-                    target_factor * p0
-                } else {
-                    2.0 * l0
-                };
-                let res = kind.run_in(&cm, target, ws);
+                let res = kind.run_in(&cm, natural_target(kind, p0, l0), ws);
                 if !res.feasible {
                     out.extend(std::iter::repeat_n(None, plans.len()));
                     continue;
@@ -453,7 +444,6 @@ mod tests {
             n_instances: 3,
             n_datasets: 30,
             seed: 42,
-            target_factor: 0.6,
             threads,
         }
     }

@@ -2,7 +2,7 @@
 //! default sweep sizes, and the flag-value parser and stdout writer the
 //! experiment binaries share.
 
-use pipeline_model::generator::{ExperimentKind, InstanceParams};
+use pipeline_model::generator::ExperimentKind;
 use pipeline_model::scenario::{ScenarioFamily, ScenarioParams};
 use std::str::FromStr;
 
@@ -82,9 +82,9 @@ pub struct FigureSpec {
 }
 
 impl FigureSpec {
-    /// The paper's instance parameters for this figure.
-    pub fn params(&self) -> InstanceParams {
-        InstanceParams::paper(self.kind, self.n_stages, self.n_procs)
+    /// The paper family's parameters for this figure.
+    pub fn params(&self) -> ScenarioParams {
+        ScenarioFamily::from(self.kind).params(self.n_stages, self.n_procs)
     }
 
     /// The figure number this sub-figure belongs to (2–7).
@@ -265,8 +265,7 @@ mod tests {
         let p = f.params();
         assert_eq!(p.n_stages, 5);
         assert_eq!(p.n_procs, 10);
-        assert_eq!(p.bandwidth, 10.0);
-        assert_eq!(p.speed_range, (1, 20));
+        assert_eq!(p.family, ScenarioFamily::E3);
     }
 
     #[test]
@@ -283,7 +282,7 @@ mod tests {
             assert_eq!(spec.family, family);
             let p = spec.params();
             assert_eq!(p.n_stages, spec.n_stages);
-            assert_eq!(p.family(), family);
+            assert_eq!(p.family, family);
         }
     }
 }

@@ -46,9 +46,7 @@ pub use exact_shard::{
 };
 pub use loadgen::{request_lines, run_load, write_zoo_instances, LoadReport};
 pub use shard::{sharded_map_indices_with, sharded_map_items_with, ShardOptions};
-pub use sweep::{
-    run_family, run_scenario, FamilyResult, FrontQuality, HeuristicSeries, SweepPoint,
-};
+pub use sweep::{run_scenario, FamilyResult, FrontQuality, HeuristicSeries, SweepPoint};
 pub use table::{failure_thresholds, ThresholdTable};
 
 #[cfg(test)]

@@ -36,43 +36,34 @@ impl LoadedLatencyRow {
     }
 }
 
-/// Measures loaded latency for every heuristic on one family.
-///
-/// `target_factor` positions the period target (fraction of the mean
-/// single-processor period); latency-fixed heuristics get a latency
-/// budget of twice their optimum.
+/// Measures loaded latency for every heuristic on one family, each at
+/// its natural target: period-fixed heuristics at
+/// [`crate::robustness::PERIOD_TARGET_FACTOR`] of the single-processor
+/// period, latency-fixed ones at twice their optimum latency.
 pub fn loaded_latency_study(
     params: InstanceParams,
     seed: u64,
     n_instances: usize,
-    target_factor: f64,
     datasets: usize,
     threads: usize,
 ) -> Vec<LoadedLatencyRow> {
-    heuristic_study(
-        params,
-        seed,
-        n_instances,
-        target_factor,
-        threads,
-        |cm, res| {
-            let saturated = PipelineSim::new(cm, &res.mapping, SimConfig::default()).run(datasets);
-            let throttled = PipelineSim::new(
-                cm,
-                &res.mapping,
-                SimConfig {
-                    input: InputPolicy::Periodic(res.period),
-                    record_trace: false,
-                },
-            )
-            .run(datasets);
-            [
-                res.latency,
-                saturated.report.max_latency(),
-                throttled.report.max_latency(),
-            ]
-        },
-    )
+    heuristic_study(params, seed, n_instances, threads, |cm, res| {
+        let saturated = PipelineSim::new(cm, &res.mapping, SimConfig::default()).run(datasets);
+        let throttled = PipelineSim::new(
+            cm,
+            &res.mapping,
+            SimConfig {
+                input: InputPolicy::Periodic(res.period),
+                record_trace: false,
+            },
+        )
+        .run(datasets);
+        [
+            res.latency,
+            saturated.report.max_latency(),
+            throttled.report.max_latency(),
+        ]
+    })
     .into_iter()
     .map(
         |(kind, [mean_analytic, mean_loaded, mean_throttled], n_feasible)| LoadedLatencyRow {
@@ -126,7 +117,6 @@ mod tests {
             InstanceParams::paper(ExperimentKind::E1, 10, 10),
             5,
             6,
-            0.6,
             30,
             2,
         );
@@ -157,7 +147,6 @@ mod tests {
             InstanceParams::paper(ExperimentKind::E4, 8, 10),
             7,
             4,
-            0.7,
             20,
             2,
         );

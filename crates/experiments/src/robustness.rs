@@ -136,10 +136,25 @@ fn degraded_period_link_inline(
     period
 }
 
+/// Every per-heuristic study (processor and link robustness, loaded
+/// latency, chaos) gives a period-fixed heuristic the target
+/// `PERIOD_TARGET_FACTOR × P_init`.
+pub const PERIOD_TARGET_FACTOR: f64 = 0.6;
+
+/// A heuristic's natural target on an instance with single-processor
+/// period `p0` and optimal latency `l0`: [`PERIOD_TARGET_FACTOR`] × `p0`
+/// when period-fixed, `2 × l0` otherwise.
+pub(crate) fn natural_target(kind: HeuristicKind, p0: f64, l0: f64) -> f64 {
+    if kind.is_period_fixed() {
+        PERIOD_TARGET_FACTOR * p0
+    } else {
+        2.0 * l0
+    }
+}
+
 /// The driver behind every per-heuristic study: shards the family's
 /// instances with one workspace per worker, runs each paper heuristic at
-/// its natural target (`target_factor × P_init` when period-fixed,
-/// `2 × L_opt` otherwise), applies `measure` to each feasible result,
+/// its [`natural_target`], applies `measure` to each feasible result,
 /// and returns per heuristic (in [`HeuristicKind::ALL`] order) the mean
 /// of each measured column over the feasible instances (NaN when there
 /// is none) and their count.
@@ -147,7 +162,6 @@ pub(crate) fn heuristic_study<F>(
     params: InstanceParams,
     seed: u64,
     n_instances: usize,
-    target_factor: f64,
     threads: usize,
     measure: F,
 ) -> Vec<(HeuristicKind, [f64; 3], usize)>
@@ -164,12 +178,7 @@ where
             let p0 = cm.single_proc_period();
             let l0 = cm.optimal_latency();
             HeuristicKind::ALL.map(|kind| {
-                let target = if kind.is_period_fixed() {
-                    target_factor * p0
-                } else {
-                    2.0 * l0
-                };
-                let res = kind.run_in(&cm, target, ws);
+                let res = kind.run_in(&cm, natural_target(kind, p0, l0), ws);
                 res.feasible.then(|| measure(&cm, &res))
             })
         },
@@ -211,29 +220,21 @@ pub fn robustness_study(
     params: InstanceParams,
     seed: u64,
     n_instances: usize,
-    target_factor: f64,
     gamma: f64,
     threads: usize,
 ) -> Vec<RobustnessRow> {
-    let study = heuristic_study(
-        params,
-        seed,
-        n_instances,
-        target_factor,
-        threads,
-        |cm, res| {
-            let m = &res.mapping;
-            let degraded = m
-                .procs()
-                .iter()
-                .map(|&u| degraded_period_inline(cm, m, u, gamma));
-            [
-                res.period,
-                degraded.fold(f64::NEG_INFINITY, f64::max),
-                m.n_intervals() as f64,
-            ]
-        },
-    );
+    let study = heuristic_study(params, seed, n_instances, threads, |cm, res| {
+        let m = &res.mapping;
+        let degraded = m
+            .procs()
+            .iter()
+            .map(|&u| degraded_period_inline(cm, m, u, gamma));
+        [
+            res.period,
+            degraded.fold(f64::NEG_INFINITY, f64::max),
+            m.n_intervals() as f64,
+        ]
+    });
     robustness_rows(study)
 }
 
@@ -247,27 +248,18 @@ pub fn link_robustness_study(
     params: InstanceParams,
     seed: u64,
     n_instances: usize,
-    target_factor: f64,
     gamma: f64,
     threads: usize,
 ) -> Vec<RobustnessRow> {
-    let study = heuristic_study(
-        params,
-        seed,
-        n_instances,
-        target_factor,
-        threads,
-        |cm, res| {
-            let m = &res.mapping;
-            let degraded =
-                (0..=m.n_intervals()).map(|k| degraded_period_link_inline(cm, m, k, gamma));
-            [
-                res.period,
-                degraded.fold(f64::NEG_INFINITY, f64::max),
-                m.n_intervals() as f64,
-            ]
-        },
-    );
+    let study = heuristic_study(params, seed, n_instances, threads, |cm, res| {
+        let m = &res.mapping;
+        let degraded = (0..=m.n_intervals()).map(|k| degraded_period_link_inline(cm, m, k, gamma));
+        [
+            res.period,
+            degraded.fold(f64::NEG_INFINITY, f64::max),
+            m.n_intervals() as f64,
+        ]
+    });
     robustness_rows(study)
 }
 
@@ -418,7 +410,6 @@ mod tests {
             InstanceParams::paper(ExperimentKind::E1, 10, 10),
             9,
             6,
-            0.6,
             0.7,
             2,
         );
@@ -531,7 +522,6 @@ mod tests {
             InstanceParams::paper(ExperimentKind::E4, 10, 8),
             11,
             6,
-            0.6,
             0.5,
             2,
         );
@@ -562,13 +552,13 @@ mod tests {
         };
         let studies: [(&str, Study); 3] = [
             ("processor robustness", &|threads| {
-                robustness(robustness_study(params, 5, 4, 0.6, 0.7, threads))
+                robustness(robustness_study(params, 5, 4, 0.7, threads))
             }),
             ("link robustness", &|threads| {
-                robustness(link_robustness_study(params, 5, 4, 0.6, 0.7, threads))
+                robustness(link_robustness_study(params, 5, 4, 0.7, threads))
             }),
             ("loaded latency", &|threads| {
-                loaded_latency_study(params, 5, 4, 0.6, 20, threads)
+                loaded_latency_study(params, 5, 4, 20, threads)
                     .into_iter()
                     .map(|r| {
                         let means = [r.mean_analytic, r.mean_loaded, r.mean_throttled];

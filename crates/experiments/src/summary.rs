@@ -148,18 +148,12 @@ pub fn render_checks(checks: &[ShapeCheck]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::run_family;
-    use pipeline_model::generator::{ExperimentKind, InstanceParams};
+    use crate::sweep::run_scenario;
+    use pipeline_model::scenario::ScenarioFamily;
 
     #[test]
     fn checks_run_on_a_small_family() {
-        let fam = run_family(
-            InstanceParams::paper(ExperimentKind::E1, 10, 10),
-            5,
-            8,
-            8,
-            2,
-        );
+        let fam = run_scenario(&ScenarioFamily::E1.params(10, 10), 5, 8, 8, 2);
         let checks = checks_p10(&fam);
         assert!(!checks.is_empty());
         let rendered = render_checks(&checks);
@@ -169,13 +163,7 @@ mod tests {
 
     #[test]
     fn p100_checks_have_content() {
-        let fam = run_family(
-            InstanceParams::paper(ExperimentKind::E1, 10, 30),
-            5,
-            6,
-            6,
-            2,
-        );
+        let fam = run_scenario(&ScenarioFamily::E1.params(10, 30), 5, 6, 6, 2);
         let checks = checks_p100(&fam);
         assert!(!checks.is_empty());
     }
@@ -184,13 +172,7 @@ mod tests {
     fn h1_reaches_lower_or_equal_periods_than_explo_on_e1() {
         // Statistical, but with 10 instances the paper's strongest claim
         // (H1 best threshold) holds robustly on E1.
-        let fam = run_family(
-            InstanceParams::paper(ExperimentKind::E1, 20, 10),
-            9,
-            10,
-            8,
-            2,
-        );
+        let fam = run_scenario(&ScenarioFamily::E1.params(20, 10), 9, 10, 8, 2);
         let checks = checks_p10(&fam);
         let c = checks
             .iter()

@@ -32,7 +32,6 @@ use pipeline_core::service::{PreparedInstance, SolveRequest};
 use pipeline_core::{
     sp_bi_l_in, sp_bi_p_in, sp_mono_l_in, HeuristicKind, ParetoFront, SolveWorkspace, SpBiPOptions,
 };
-use pipeline_model::generator::InstanceParams;
 use pipeline_model::scenario::{ScenarioGenerator, ScenarioParams};
 use pipeline_model::util::{linspace, mean};
 
@@ -161,32 +160,6 @@ pub struct FamilyResult {
     pub quality: Vec<FrontQuality>,
 }
 
-/// Sweeps one of the paper's E1–E4 families. `n_instances` follows the
-/// paper's 50; `n_grid` controls curve resolution; `threads` sizes the
-/// sharded engine. Equivalent to [`run_scenario`] on the corresponding
-/// registered family (identical instance streams).
-pub fn run_family(
-    params: InstanceParams,
-    seed: u64,
-    n_instances: usize,
-    n_grid: usize,
-    threads: usize,
-) -> FamilyResult {
-    // Route through the registry so every sweep exercises one engine;
-    // the Paper config delegates to `InstanceGenerator`, keeping the
-    // instance streams bit-identical to the pre-registry harness.
-    let scenario = ScenarioParams {
-        n_stages: params.n_stages,
-        n_procs: params.n_procs,
-        config: pipeline_model::scenario::FamilyConfig::Paper {
-            kind: params.kind,
-            bandwidth: params.bandwidth,
-            speed_range: params.speed_range,
-        },
-    };
-    run_scenario(&scenario, seed, n_instances, n_grid, threads)
-}
-
 /// Sums of the per-instance landmark statistics a sweep reports, one
 /// per chunk of instances.
 #[derive(Debug, Clone, Copy, Default)]
@@ -277,7 +250,7 @@ pub fn run_scenario(
     let period_grid = linspace(mean_best_floor * 0.9, mean_p_init * 1.02, n_grid);
     let latency_grid = linspace(mean_l_opt, mean_l_opt * 3.0, n_grid);
 
-    let comm_homogeneous = params.family().comm_homogeneous();
+    let comm_homogeneous = params.family.comm_homogeneous();
     // `applicable_to` rejections are recorded rather than silently
     // dropped: hetero families run only the §7 extension.
     let (kinds, skipped): (&[HeuristicKind], Vec<HeuristicKind>) = if comm_homogeneous {
@@ -471,7 +444,7 @@ fn sweep_grid(
 mod tests {
     use super::*;
     use crate::shard::sharded_map_items_with;
-    use pipeline_model::generator::{ExperimentKind, InstanceGenerator};
+    use pipeline_model::generator::{ExperimentKind, InstanceGenerator, InstanceParams};
     use pipeline_model::scenario::ScenarioFamily;
 
     #[test]
@@ -545,7 +518,7 @@ mod tests {
     }
 
     fn tiny_family() -> FamilyResult {
-        run_family(InstanceParams::paper(ExperimentKind::E1, 8, 10), 7, 6, 8, 2)
+        run_scenario(&ScenarioFamily::E1.params(8, 10), 7, 6, 8, 2)
     }
 
     #[test]
@@ -609,7 +582,6 @@ mod tests {
 
     #[test]
     fn scenario_sweep_covers_every_registered_family() {
-        use pipeline_model::scenario::ScenarioFamily;
         for family in ScenarioFamily::ALL {
             // Heterogeneous families are costlier per split; keep tiny.
             let params = family.params(6, 5);
@@ -639,25 +611,6 @@ mod tests {
     }
 
     #[test]
-    fn paper_family_routes_through_the_registry_unchanged() {
-        // run_family == run_scenario on the registered paper family.
-        let params = InstanceParams::paper(ExperimentKind::E3, 7, 6);
-        let a = run_family(params, 5, 4, 6, 1);
-        let b = run_scenario(
-            &pipeline_model::scenario::ScenarioFamily::E3.params(7, 6),
-            5,
-            4,
-            6,
-            1,
-        );
-        assert_eq!(a.period_grid, b.period_grid);
-        for (sa, sb) in a.series.iter().zip(&b.series) {
-            assert_eq!(sa.kind, sb.kind);
-            assert_eq!(sa.xy(), sb.xy());
-        }
-    }
-
-    #[test]
     fn quality_scores_are_sane_and_deterministic() {
         // n = 8 ≤ the exact cutoff on a comm-homogeneous family: every
         // heuristic gets scored against the exact front.
@@ -675,7 +628,7 @@ mod tests {
         }
         // Bit-identical across thread counts (exact fronts + instance-order
         // score merges are both deterministic).
-        let again = run_family(InstanceParams::paper(ExperimentKind::E1, 8, 10), 7, 6, 8, 4);
+        let again = run_scenario(&ScenarioFamily::E1.params(8, 10), 7, 6, 8, 4);
         for (a, b) in fam.quality.iter().zip(&again.quality) {
             assert_eq!(a.kind, b.kind);
             assert_eq!(a.hypervolume_ratio.to_bits(), b.hypervolume_ratio.to_bits());
@@ -687,7 +640,6 @@ mod tests {
     #[test]
     fn quality_skipped_above_cutoff_and_on_hetero_platforms() {
         use pipeline_core::service::SolveRequest;
-        use pipeline_model::scenario::ScenarioFamily;
         let big = ScenarioFamily::E1.params(SolveRequest::DEFAULT_EXACT_CUTOFF + 1, 4);
         assert!(run_scenario(&big, 3, 2, 4, 1).quality.is_empty());
         let hetero = ScenarioFamily::TwoTier.params(6, 5);

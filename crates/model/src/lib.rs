@@ -52,8 +52,8 @@ pub use generator::{ExperimentKind, InstanceGenerator, InstanceParams};
 pub use mapping::{Interval, IntervalMapping};
 pub use platform::{LinkModel, Platform, ProcId};
 pub use scenario::{
-    DriftFamily, DriftGenerator, FamilyConfig, ScenarioFamily, ScenarioGenerator, ScenarioParams,
-    TenantFamily, TenantScenario, TenantScenarioGenerator, TenantSpec,
+    DriftFamily, DriftGenerator, ScenarioFamily, ScenarioGenerator, ScenarioParams, TenantFamily,
+    TenantScenario, TenantScenarioGenerator, TenantSpec,
 };
 
 /// Convenient glob import: `use pipeline_model::prelude::*;`.
@@ -65,8 +65,8 @@ pub mod prelude {
     pub use crate::mapping::{Interval, IntervalMapping};
     pub use crate::platform::{LinkModel, Platform, ProcId};
     pub use crate::scenario::{
-        DriftFamily, DriftGenerator, FamilyConfig, ScenarioFamily, ScenarioGenerator,
-        ScenarioParams, TenantFamily, TenantScenario, TenantScenarioGenerator, TenantSpec,
+        DriftFamily, DriftGenerator, ScenarioFamily, ScenarioGenerator, ScenarioParams,
+        TenantFamily, TenantScenario, TenantScenarioGenerator, TenantSpec,
     };
     pub use crate::util::{approx_eq, approx_le, EPS};
 }

@@ -10,10 +10,10 @@
 //!
 //! * [`ScenarioFamily`] — the registry: every family has a **stable
 //!   label** (`"e1"` … `"adversarial"`), a one-line description of what
-//!   it stresses, and a default parameterization;
-//! * per-family **parameter structs** ([`HeavyTailConfig`],
-//!   [`TwoTierConfig`], [`CommDominantConfig`], [`PowerLawWorkConfig`],
-//!   [`AdversarialConfig`]) collected in [`FamilyConfig`];
+//!   it stresses, and its parameterization at a given size;
+//! * [`ScenarioParams`] — a family at a size; each family samples with
+//!   its own fixed constants (ranges, tail exponents, bandwidths),
+//!   pinned bit for bit by `tests/bench_identity.rs`;
 //! * [`ScenarioGenerator`] — seeded, deterministic instance generation:
 //!   `instance(seed, i)` always regenerates the same application/platform
 //!   pair, and distinct `(family, seed, i)` triples are decorrelated by
@@ -131,27 +131,24 @@ impl ScenarioFamily {
         !matches!(self, ScenarioFamily::TwoTier | ScenarioFamily::CommDominant)
     }
 
-    /// Default parameterization of the family at a given size.
+    /// The family's parameterization at a given size.
     pub fn params(&self, n_stages: usize, n_procs: usize) -> ScenarioParams {
-        let config = match self {
-            ScenarioFamily::E1 => FamilyConfig::paper(ExperimentKind::E1),
-            ScenarioFamily::E2 => FamilyConfig::paper(ExperimentKind::E2),
-            ScenarioFamily::E3 => FamilyConfig::paper(ExperimentKind::E3),
-            ScenarioFamily::E4 => FamilyConfig::paper(ExperimentKind::E4),
-            ScenarioFamily::HeavyTail => FamilyConfig::HeavyTail(HeavyTailConfig::default()),
-            ScenarioFamily::TwoTier => FamilyConfig::TwoTier(TwoTierConfig::default()),
-            ScenarioFamily::CommDominant => {
-                FamilyConfig::CommDominant(CommDominantConfig::default())
-            }
-            ScenarioFamily::PowerLawWork => {
-                FamilyConfig::PowerLawWork(PowerLawWorkConfig::default())
-            }
-            ScenarioFamily::Adversarial => FamilyConfig::Adversarial(AdversarialConfig::default()),
-        };
         ScenarioParams {
             n_stages,
             n_procs,
-            config,
+            family: *self,
+        }
+    }
+
+    /// The paper regime a paper family delegates to, `None` for the zoo's
+    /// own families.
+    fn paper_kind(&self) -> Option<ExperimentKind> {
+        match self {
+            ScenarioFamily::E1 => Some(ExperimentKind::E1),
+            ScenarioFamily::E2 => Some(ExperimentKind::E2),
+            ScenarioFamily::E3 => Some(ExperimentKind::E3),
+            ScenarioFamily::E4 => Some(ExperimentKind::E4),
+            _ => None,
         }
     }
 
@@ -171,221 +168,80 @@ impl ScenarioFamily {
     }
 }
 
+/// The registered family of a paper regime.
+impl From<ExperimentKind> for ScenarioFamily {
+    fn from(kind: ExperimentKind) -> Self {
+        match kind {
+            ExperimentKind::E1 => ScenarioFamily::E1,
+            ExperimentKind::E2 => ScenarioFamily::E2,
+            ExperimentKind::E3 => ScenarioFamily::E3,
+            ExperimentKind::E4 => ScenarioFamily::E4,
+        }
+    }
+}
+
 impl std::fmt::Display for ScenarioFamily {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
     }
 }
 
-/// Knobs of the [`ScenarioFamily::HeavyTail`] family.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HeavyTailConfig {
-    /// Pareto tail exponent of the speed distribution (smaller = heavier
-    /// tail).
-    pub alpha: f64,
-    /// Support `[lo, hi]` of the bounded-Pareto speed draw.
-    pub speed_range: (f64, f64),
-    /// Uniform stage-work range.
-    pub work_range: (f64, f64),
-    /// Uniform communication-volume range.
-    pub delta_range: (f64, f64),
-    /// Homogeneous link bandwidth.
-    pub bandwidth: f64,
-}
+/// Uniform stage-work and communication-volume range (the paper's E2
+/// range) of the heavy-tail, two-tier and tenant families, and the volume
+/// range of the power-law family.
+const WEIGHT_RANGE: (f64, f64) = (1.0, 20.0);
+/// Link bandwidth of the homogeneous-link families (the paper's `b`).
+const BANDWIDTH: f64 = 10.0;
+/// Integer-uniform processor-speed range (the paper's 1–20).
+const SPEEDS: (u32, u32) = (1, 20);
 
-impl Default for HeavyTailConfig {
-    fn default() -> Self {
-        HeavyTailConfig {
-            alpha: 1.2,
-            speed_range: (1.0, 100.0),
-            work_range: (1.0, 20.0),
-            delta_range: (1.0, 20.0),
-            bandwidth: 10.0,
-        }
-    }
-}
+/// Heavy-tail: Pareto tail exponent of the speed draw (smaller is a
+/// heavier tail) and its support.
+const HEAVY_TAIL_ALPHA: f64 = 1.2;
+const HEAVY_TAIL_SPEEDS: (f64, f64) = (1.0, 100.0);
 
-/// Knobs of the [`ScenarioFamily::TwoTier`] family.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TwoTierConfig {
-    /// Fraction of processors in the fast cluster (rounded, clamped to
-    /// `[1, p]`).
-    pub fast_fraction: f64,
-    /// Integer-uniform speed range of the fast cluster.
-    pub fast_speed: (u32, u32),
-    /// Integer-uniform speed range of the slow cluster.
-    pub slow_speed: (u32, u32),
-    /// Bandwidth of links inside a cluster.
-    pub intra_bandwidth: f64,
-    /// Bandwidth of links between the clusters (and to the outside
-    /// world).
-    pub inter_bandwidth: f64,
-    /// Uniform stage-work range.
-    pub work_range: (f64, f64),
-    /// Uniform communication-volume range.
-    pub delta_range: (f64, f64),
-}
+/// Two-tier (and the het-sharing tenant platform): the fast cluster's share of the processors (rounded,
+/// clamped to `[1, p]`), the two clusters' integer speed ranges, and the
+/// bandwidths inside a cluster and between the clusters (the latter also
+/// to the outside world).
+const TWO_TIER_FAST_FRACTION: f64 = 0.25;
+const TWO_TIER_FAST_SPEEDS: (u32, u32) = (15, 30);
+const TWO_TIER_SLOW_SPEEDS: (u32, u32) = (1, 5);
+const TWO_TIER_INTRA_BANDWIDTH: f64 = 100.0;
+const TWO_TIER_INTER_BANDWIDTH: f64 = 5.0;
 
-impl Default for TwoTierConfig {
-    fn default() -> Self {
-        TwoTierConfig {
-            fast_fraction: 0.25,
-            fast_speed: (15, 30),
-            slow_speed: (1, 5),
-            intra_bandwidth: 100.0,
-            inter_bandwidth: 5.0,
-            work_range: (1.0, 20.0),
-            delta_range: (1.0, 20.0),
-        }
-    }
-}
+/// Comm-dominant: large volumes, small works, and the range each
+/// unordered processor pair (and the I/O link) draws its bandwidth from.
+const COMM_DOMINANT_DELTAS: (f64, f64) = (50.0, 200.0);
+const COMM_DOMINANT_WORKS: (f64, f64) = (0.01, 5.0);
+const COMM_DOMINANT_BANDWIDTHS: (f64, f64) = (1.0, 10.0);
 
-/// Knobs of the [`ScenarioFamily::CommDominant`] family.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CommDominantConfig {
-    /// Uniform communication-volume range (large by design).
-    pub delta_range: (f64, f64),
-    /// Uniform stage-work range (small by design).
-    pub work_range: (f64, f64),
-    /// Uniform per-link bandwidth range (each unordered processor pair
-    /// draws one symmetric bandwidth; the I/O links draw another).
-    pub bandwidth_range: (f64, f64),
-    /// Integer-uniform processor-speed range.
-    pub speed_range: (u32, u32),
-}
+/// Power-law: Pareto tail exponent of the stage-work draw and its
+/// support.
+const POWER_LAW_ALPHA: f64 = 1.1;
+const POWER_LAW_WORKS: (f64, f64) = (1.0, 1000.0);
 
-impl Default for CommDominantConfig {
-    fn default() -> Self {
-        CommDominantConfig {
-            delta_range: (50.0, 200.0),
-            work_range: (0.01, 5.0),
-            bandwidth_range: (1.0, 10.0),
-            speed_range: (1, 20),
-        }
-    }
-}
+/// Adversarial: stage works are `2^e` with `e` integer-uniform in
+/// `[0, ADVERSARIAL_MAX_EXPONENT]`.
+const ADVERSARIAL_MAX_EXPONENT: u32 = 6;
 
-/// Knobs of the [`ScenarioFamily::PowerLawWork`] family.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PowerLawWorkConfig {
-    /// Pareto tail exponent of the stage-work distribution.
-    pub alpha: f64,
-    /// Support `[lo, hi]` of the bounded-Pareto work draw.
-    pub work_range: (f64, f64),
-    /// Uniform communication-volume range.
-    pub delta_range: (f64, f64),
-    /// Integer-uniform processor-speed range.
-    pub speed_range: (u32, u32),
-    /// Homogeneous link bandwidth.
-    pub bandwidth: f64,
-}
-
-impl Default for PowerLawWorkConfig {
-    fn default() -> Self {
-        PowerLawWorkConfig {
-            alpha: 1.1,
-            work_range: (1.0, 1000.0),
-            delta_range: (1.0, 20.0),
-            speed_range: (1, 20),
-            bandwidth: 10.0,
-        }
-    }
-}
-
-/// Knobs of the [`ScenarioFamily::Adversarial`] family.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdversarialConfig {
-    /// Stage works are `2^e` with `e` integer-uniform in
-    /// `[0, max_exponent]`.
-    pub max_exponent: u32,
-    /// Homogeneous link bandwidth (volumes are zero, so it only has to be
-    /// valid).
-    pub bandwidth: f64,
-}
-
-impl Default for AdversarialConfig {
-    fn default() -> Self {
-        AdversarialConfig {
-            max_exponent: 6,
-            bandwidth: 10.0,
-        }
-    }
-}
-
-/// Family-specific parameters, one variant per registered family class.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FamilyConfig {
-    /// One of the paper's E1–E4 regimes (same knobs as
-    /// [`InstanceParams`]).
-    Paper {
-        /// Workload regime.
-        kind: ExperimentKind,
-        /// Homogeneous link bandwidth.
-        bandwidth: f64,
-        /// Integer-uniform processor-speed range.
-        speed_range: (u32, u32),
-    },
-    /// Heavy-tailed processor speeds.
-    HeavyTail(HeavyTailConfig),
-    /// Clustered two-tier platform.
-    TwoTier(TwoTierConfig),
-    /// Communication-dominant pipeline on heterogeneous links.
-    CommDominant(CommDominantConfig),
-    /// Power-law stage weights.
-    PowerLawWork(PowerLawWorkConfig),
-    /// Degenerate NMWTS-style instances.
-    Adversarial(AdversarialConfig),
-}
-
-impl FamilyConfig {
-    /// The paper's setting for one experiment regime.
-    pub fn paper(kind: ExperimentKind) -> FamilyConfig {
-        FamilyConfig::Paper {
-            kind,
-            bandwidth: 10.0,
-            speed_range: (1, 20),
-        }
-    }
-
-    /// The family this configuration belongs to.
-    pub fn family(&self) -> ScenarioFamily {
-        match self {
-            FamilyConfig::Paper { kind, .. } => match kind {
-                ExperimentKind::E1 => ScenarioFamily::E1,
-                ExperimentKind::E2 => ScenarioFamily::E2,
-                ExperimentKind::E3 => ScenarioFamily::E3,
-                ExperimentKind::E4 => ScenarioFamily::E4,
-            },
-            FamilyConfig::HeavyTail(_) => ScenarioFamily::HeavyTail,
-            FamilyConfig::TwoTier(_) => ScenarioFamily::TwoTier,
-            FamilyConfig::CommDominant(_) => ScenarioFamily::CommDominant,
-            FamilyConfig::PowerLawWork(_) => ScenarioFamily::PowerLawWork,
-            FamilyConfig::Adversarial(_) => ScenarioFamily::Adversarial,
-        }
-    }
-}
-
-/// Full parameterization of one scenario instance family.
+/// Parameterization of one scenario instance family: its size. Each
+/// family samples with its own fixed constants.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScenarioParams {
     /// Number of pipeline stages `n`.
     pub n_stages: usize,
     /// Number of processors `p`.
     pub n_procs: usize,
-    /// Family-specific knobs.
-    pub config: FamilyConfig,
+    /// The registered family.
+    pub family: ScenarioFamily,
 }
 
 impl ScenarioParams {
-    /// The registry's default parameterization of `family` at the given
-    /// size — shorthand for [`ScenarioFamily::params`].
+    /// The registry's parameterization of `family` at the given size —
+    /// shorthand for [`ScenarioFamily::params`].
     pub fn preset(family: ScenarioFamily, n_stages: usize, n_procs: usize) -> Self {
         family.params(n_stages, n_procs)
-    }
-
-    /// The family of this parameterization.
-    pub fn family(&self) -> ScenarioFamily {
-        self.config.family()
     }
 }
 
@@ -399,56 +255,10 @@ pub struct ScenarioGenerator {
 }
 
 impl ScenarioGenerator {
-    /// Creates a generator, validating the family knobs.
+    /// Creates a generator.
     pub fn new(params: ScenarioParams) -> Self {
         assert!(params.n_stages > 0, "need at least one stage");
         assert!(params.n_procs > 0, "need at least one processor");
-        match &params.config {
-            FamilyConfig::Paper {
-                bandwidth,
-                speed_range,
-                ..
-            } => {
-                assert!(*bandwidth > 0.0, "bandwidth must be positive");
-                assert!(speed_range.0 >= 1, "speeds must be positive");
-                assert!(speed_range.0 <= speed_range.1, "empty speed range");
-            }
-            FamilyConfig::HeavyTail(c) => {
-                assert!(c.alpha > 0.0, "tail exponent must be positive");
-                validate_range("speed", c.speed_range, 1e-9);
-                validate_range("work", c.work_range, 0.0);
-                validate_range("delta", c.delta_range, 0.0);
-                assert!(c.bandwidth > 0.0, "bandwidth must be positive");
-            }
-            FamilyConfig::TwoTier(c) => {
-                assert!(
-                    c.fast_fraction > 0.0 && c.fast_fraction <= 1.0,
-                    "fast fraction must be in (0, 1]"
-                );
-                assert!(c.fast_speed.0 >= 1 && c.fast_speed.0 <= c.fast_speed.1);
-                assert!(c.slow_speed.0 >= 1 && c.slow_speed.0 <= c.slow_speed.1);
-                assert!(c.intra_bandwidth > 0.0 && c.inter_bandwidth > 0.0);
-                validate_range("work", c.work_range, 0.0);
-                validate_range("delta", c.delta_range, 0.0);
-            }
-            FamilyConfig::CommDominant(c) => {
-                validate_range("delta", c.delta_range, 0.0);
-                validate_range("work", c.work_range, 0.0);
-                validate_range("bandwidth", c.bandwidth_range, 1e-9);
-                assert!(c.speed_range.0 >= 1 && c.speed_range.0 <= c.speed_range.1);
-            }
-            FamilyConfig::PowerLawWork(c) => {
-                assert!(c.alpha > 0.0, "tail exponent must be positive");
-                validate_range("work", c.work_range, 1e-9);
-                validate_range("delta", c.delta_range, 0.0);
-                assert!(c.speed_range.0 >= 1 && c.speed_range.0 <= c.speed_range.1);
-                assert!(c.bandwidth > 0.0, "bandwidth must be positive");
-            }
-            FamilyConfig::Adversarial(c) => {
-                assert!(c.max_exponent <= 52, "2^e must stay exact in f64");
-                assert!(c.bandwidth > 0.0, "bandwidth must be positive");
-            }
-        }
         ScenarioGenerator { params }
     }
 
@@ -459,7 +269,7 @@ impl ScenarioGenerator {
 
     /// The family being generated.
     pub fn family(&self) -> ScenarioFamily {
-        self.params.family()
+        self.params.family
     }
 
     /// The family's stable label.
@@ -474,27 +284,16 @@ impl ScenarioGenerator {
     /// inside worker shards in any order.
     pub fn instance(&self, seed: u64, index: u64) -> (Application, Platform) {
         let p = &self.params;
-        match &p.config {
-            FamilyConfig::Paper {
-                kind,
-                bandwidth,
-                speed_range,
-            } => {
-                // Delegate so paper-family streams stay bit-identical to
-                // the legacy generator.
-                let legacy = InstanceGenerator::new(InstanceParams {
-                    n_stages: p.n_stages,
-                    n_procs: p.n_procs,
-                    kind: *kind,
-                    bandwidth: *bandwidth,
-                    speed_range: *speed_range,
-                });
-                legacy.instance(seed, index)
+        match p.family.paper_kind() {
+            // Delegate so paper-family streams stay bit-identical to the
+            // legacy generator.
+            Some(kind) => {
+                InstanceGenerator::new(InstanceParams::paper(kind, p.n_stages, p.n_procs))
+                    .instance(seed, index)
             }
-            config => {
-                let salt = self.family().salt();
-                let mut rng = StdRng::seed_from_u64(stream_seed(seed ^ salt, index));
-                self.sample(config, &mut rng)
+            None => {
+                let mut rng = StdRng::seed_from_u64(stream_seed(seed ^ p.family.salt(), index));
+                self.sample(&mut rng)
             }
         }
     }
@@ -504,67 +303,41 @@ impl ScenarioGenerator {
         (0..count as u64).map(|i| self.instance(seed, i)).collect()
     }
 
-    fn sample<R: Rng + ?Sized>(
-        &self,
-        config: &FamilyConfig,
-        rng: &mut R,
-    ) -> (Application, Platform) {
+    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> (Application, Platform) {
         let n = self.params.n_stages;
         let p = self.params.n_procs;
-        match config {
-            FamilyConfig::Paper { .. } => unreachable!("paper families delegate"),
-            FamilyConfig::HeavyTail(c) => {
-                let works = sample_vec(rng, n, c.work_range);
-                let deltas = sample_vec(rng, n + 1, c.delta_range);
+        match self.params.family {
+            ScenarioFamily::E1 | ScenarioFamily::E2 | ScenarioFamily::E3 | ScenarioFamily::E4 => {
+                unreachable!("paper families delegate")
+            }
+            ScenarioFamily::HeavyTail => {
+                let works = sample_vec(rng, n, WEIGHT_RANGE);
+                let deltas = sample_vec(rng, n + 1, WEIGHT_RANGE);
+                let (lo, hi) = HEAVY_TAIL_SPEEDS;
                 let speeds: Vec<f64> = (0..p)
-                    .map(|_| bounded_pareto(rng, c.alpha, c.speed_range.0, c.speed_range.1))
+                    .map(|_| bounded_pareto(rng, HEAVY_TAIL_ALPHA, lo, hi))
                     .collect();
                 let app = Application::new(works, deltas).expect("valid application");
-                let pf = Platform::comm_homogeneous(speeds, c.bandwidth).expect("valid platform");
+                let pf = Platform::comm_homogeneous(speeds, BANDWIDTH).expect("valid platform");
                 (app, pf)
             }
-            FamilyConfig::TwoTier(c) => {
-                let works = sample_vec(rng, n, c.work_range);
-                let deltas = sample_vec(rng, n + 1, c.delta_range);
-                let n_fast = ((p as f64 * c.fast_fraction).round() as usize).clamp(1, p);
-                let speeds: Vec<f64> = (0..p)
-                    .map(|u| {
-                        let (lo, hi) = if u < n_fast {
-                            c.fast_speed
-                        } else {
-                            c.slow_speed
-                        };
-                        rng.random_range(lo..=hi) as f64
-                    })
-                    .collect();
-                let matrix: Vec<Vec<f64>> = (0..p)
-                    .map(|u| {
-                        (0..p)
-                            .map(|v| {
-                                if (u < n_fast) == (v < n_fast) {
-                                    c.intra_bandwidth
-                                } else {
-                                    c.inter_bandwidth
-                                }
-                            })
-                            .collect()
-                    })
-                    .collect();
+            ScenarioFamily::TwoTier => {
+                let works = sample_vec(rng, n, WEIGHT_RANGE);
+                let deltas = sample_vec(rng, n + 1, WEIGHT_RANGE);
+                let n_fast = ((p as f64 * TWO_TIER_FAST_FRACTION).round() as usize).clamp(1, p);
                 let app = Application::new(works, deltas).expect("valid application");
-                let pf = Platform::fully_heterogeneous(speeds, matrix, c.inter_bandwidth)
-                    .expect("valid platform");
+                let pf = two_tier_platform(rng, p, n_fast);
                 (app, pf)
             }
-            FamilyConfig::CommDominant(c) => {
-                let works = sample_vec(rng, n, c.work_range);
-                let deltas = sample_vec(rng, n + 1, c.delta_range);
-                let speeds: Vec<f64> = (0..p)
-                    .map(|_| rng.random_range(c.speed_range.0..=c.speed_range.1) as f64)
-                    .collect();
+            ScenarioFamily::CommDominant => {
+                let works = sample_vec(rng, n, COMM_DOMINANT_WORKS);
+                let deltas = sample_vec(rng, n + 1, COMM_DOMINANT_DELTAS);
+                let speeds = sample_speeds(rng, p);
                 // Symmetric link draws: one bandwidth per unordered pair,
                 // drawn in row-major upper-triangle order.
+                let (b_lo, b_hi) = COMM_DOMINANT_BANDWIDTHS;
                 let upper: Vec<f64> = (0..p * p.saturating_sub(1) / 2)
-                    .map(|_| sample_uniform(rng, c.bandwidth_range.0, c.bandwidth_range.1))
+                    .map(|_| sample_uniform(rng, b_lo, b_hi))
                     .collect();
                 let pair = |u: usize, v: usize| {
                     let (a, b) = if u < v { (u, v) } else { (v, u) };
@@ -577,7 +350,7 @@ impl ScenarioGenerator {
                             .map(|v| {
                                 // Diagonal entries are unused by the model.
                                 if u == v {
-                                    c.bandwidth_range.1
+                                    b_hi
                                 } else {
                                     upper[pair(u, v)]
                                 }
@@ -585,31 +358,31 @@ impl ScenarioGenerator {
                             .collect()
                     })
                     .collect();
-                let io = sample_uniform(rng, c.bandwidth_range.0, c.bandwidth_range.1);
+                let io = sample_uniform(rng, b_lo, b_hi);
                 let app = Application::new(works, deltas).expect("valid application");
                 let pf = Platform::fully_heterogeneous(speeds, matrix, io).expect("valid platform");
                 (app, pf)
             }
-            FamilyConfig::PowerLawWork(c) => {
+            ScenarioFamily::PowerLawWork => {
+                let (lo, hi) = POWER_LAW_WORKS;
                 let works: Vec<f64> = (0..n)
-                    .map(|_| bounded_pareto(rng, c.alpha, c.work_range.0, c.work_range.1))
+                    .map(|_| bounded_pareto(rng, POWER_LAW_ALPHA, lo, hi))
                     .collect();
-                let deltas = sample_vec(rng, n + 1, c.delta_range);
-                let speeds: Vec<f64> = (0..p)
-                    .map(|_| rng.random_range(c.speed_range.0..=c.speed_range.1) as f64)
-                    .collect();
+                let deltas = sample_vec(rng, n + 1, WEIGHT_RANGE);
+                let speeds = sample_speeds(rng, p);
                 let app = Application::new(works, deltas).expect("valid application");
-                let pf = Platform::comm_homogeneous(speeds, c.bandwidth).expect("valid platform");
+                let pf = Platform::comm_homogeneous(speeds, BANDWIDTH).expect("valid platform");
                 (app, pf)
             }
-            FamilyConfig::Adversarial(c) => {
+            ScenarioFamily::Adversarial => {
                 let works: Vec<f64> = (0..n)
-                    .map(|_| f64::from(1u32 << rng.random_range(0..=c.max_exponent)))
+                    .map(|_| f64::from(1u32 << rng.random_range(0..=ADVERSARIAL_MAX_EXPONENT)))
                     .collect();
                 let deltas = vec![0.0; n + 1];
                 let speeds = vec![1.0; p];
                 let app = Application::new(works, deltas).expect("valid application");
-                let pf = Platform::comm_homogeneous(speeds, c.bandwidth).expect("valid platform");
+                // Volumes are zero, so the bandwidth only has to be valid.
+                let pf = Platform::comm_homogeneous(speeds, BANDWIDTH).expect("valid platform");
                 (app, pf)
             }
         }
@@ -923,39 +696,17 @@ impl TenantScenarioGenerator {
         let p = self.n_procs;
         let platform = match self.family {
             TenantFamily::MixedPaper | TenantFamily::SkewedWeights => {
-                let speeds: Vec<f64> = (0..p).map(|_| rng.random_range(1..=20u32) as f64).collect();
-                Platform::comm_homogeneous(speeds, 10.0).expect("valid platform")
+                let speeds = sample_speeds(&mut rng, p);
+                Platform::comm_homogeneous(speeds, BANDWIDTH).expect("valid platform")
             }
-            TenantFamily::HetSharing => {
-                let n_fast = (p / 4).max(1);
-                let speeds: Vec<f64> = (0..p)
-                    .map(|u| {
-                        let (lo, hi): (u32, u32) = if u < n_fast { (15, 30) } else { (1, 5) };
-                        rng.random_range(lo..=hi) as f64
-                    })
-                    .collect();
-                let matrix: Vec<Vec<f64>> = (0..p)
-                    .map(|u| {
-                        (0..p)
-                            .map(|v| {
-                                if (u < n_fast) == (v < n_fast) {
-                                    100.0
-                                } else {
-                                    5.0
-                                }
-                            })
-                            .collect()
-                    })
-                    .collect();
-                Platform::fully_heterogeneous(speeds, matrix, 5.0).expect("valid platform")
-            }
+            TenantFamily::HetSharing => two_tier_platform(&mut rng, p, (p / 4).max(1)),
         };
         let tenants = (0..self.n_tenants)
             .map(|i| {
                 let scale = [1.0, 0.5, 1.5][i % 3];
                 let n = ((self.n_base_stages as f64 * scale).round() as usize).max(2);
-                let works = sample_vec(&mut rng, n, (1.0, 20.0));
-                let deltas = sample_vec(&mut rng, n + 1, (1.0, 20.0));
+                let works = sample_vec(&mut rng, n, WEIGHT_RANGE);
+                let deltas = sample_vec(&mut rng, n + 1, WEIGHT_RANGE);
                 let app = Application::new(works, deltas).expect("valid application");
                 let (weight, slo) = match self.family {
                     TenantFamily::MixedPaper | TenantFamily::HetSharing => (1.0, None),
@@ -987,11 +738,42 @@ fn drift_factor<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     (2.0f64).powf(sample_uniform(rng, -1.0, 1.0))
 }
 
-fn validate_range(what: &str, (lo, hi): (f64, f64), min_lo: f64) {
-    assert!(
-        lo.is_finite() && hi.is_finite() && lo >= min_lo && lo <= hi,
-        "invalid {what} range [{lo}, {hi}]"
-    );
+/// A clustered platform of `p` processors whose first `n_fast` form the
+/// fast cluster: integer speeds uniform in the tier's range, fast links
+/// inside a cluster, slow ones between the clusters and to the outside
+/// world.
+fn two_tier_platform<R: Rng + ?Sized>(rng: &mut R, p: usize, n_fast: usize) -> Platform {
+    let speeds: Vec<f64> = (0..p)
+        .map(|u| {
+            let (lo, hi) = if u < n_fast {
+                TWO_TIER_FAST_SPEEDS
+            } else {
+                TWO_TIER_SLOW_SPEEDS
+            };
+            rng.random_range(lo..=hi) as f64
+        })
+        .collect();
+    let matrix: Vec<Vec<f64>> = (0..p)
+        .map(|u| {
+            (0..p)
+                .map(|v| {
+                    if (u < n_fast) == (v < n_fast) {
+                        TWO_TIER_INTRA_BANDWIDTH
+                    } else {
+                        TWO_TIER_INTER_BANDWIDTH
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    Platform::fully_heterogeneous(speeds, matrix, TWO_TIER_INTER_BANDWIDTH).expect("valid platform")
+}
+
+/// `p` integer speeds uniform in [`SPEEDS`].
+fn sample_speeds<R: Rng + ?Sized>(rng: &mut R, p: usize) -> Vec<f64> {
+    (0..p)
+        .map(|_| rng.random_range(SPEEDS.0..=SPEEDS.1) as f64)
+        .collect()
 }
 
 fn sample_vec<R: Rng + ?Sized>(rng: &mut R, count: usize, range: (f64, f64)) -> Vec<f64> {
@@ -1108,7 +890,7 @@ mod tests {
     fn two_tier_platform_has_two_bandwidth_classes() {
         let gen = ScenarioGenerator::new(ScenarioFamily::TwoTier.params(6, 8));
         let (_, pf) = gen.instance(3, 0);
-        let c = TwoTierConfig::default();
+        let (intra, inter) = (TWO_TIER_INTRA_BANDWIDTH, TWO_TIER_INTER_BANDWIDTH);
         let mut seen_intra = false;
         let mut seen_inter = false;
         for u in 0..8 {
@@ -1117,13 +899,13 @@ mod tests {
                     continue;
                 }
                 let b = pf.bandwidth(u, v);
-                assert!(b == c.intra_bandwidth || b == c.inter_bandwidth);
-                seen_intra |= b == c.intra_bandwidth;
-                seen_inter |= b == c.inter_bandwidth;
+                assert!(b == intra || b == inter);
+                seen_intra |= b == intra;
+                seen_inter |= b == inter;
             }
         }
         assert!(seen_intra && seen_inter, "both link classes must appear");
-        assert_eq!(pf.io_bandwidth_of(0), c.inter_bandwidth);
+        assert_eq!(pf.io_bandwidth_of(0), inter);
     }
 
     #[test]

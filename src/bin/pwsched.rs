@@ -237,8 +237,13 @@ fn run_serve(mut args: impl Iterator<Item = String>) -> ! {
         eprintln!("--max-conns and --cache-capacity must be >= 1");
         usage();
     }
-    if config.request_quota == Some(0) {
-        eprintln!("--request-quota must be >= 1");
+    // A zero idle timeout would close every connection before its first
+    // read, and a zero deadline would refuse every first request.
+    if config.request_quota == Some(0)
+        || config.idle_timeout.is_zero()
+        || config.conn_deadline == Some(Duration::ZERO)
+    {
+        eprintln!("--request-quota, --idle-timeout-secs and --conn-deadline-secs must be >= 1");
         usage();
     }
     let listener = TcpListener::bind(&addr).unwrap_or_else(|e| {

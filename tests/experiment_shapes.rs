@@ -4,9 +4,10 @@
 //! under `cargo test`.
 
 use pipeline_workflows::core::HeuristicKind;
-use pipeline_workflows::experiments::sweep::run_family;
+use pipeline_workflows::experiments::sweep::run_scenario;
 use pipeline_workflows::experiments::table::failure_thresholds;
 use pipeline_workflows::model::generator::{ExperimentKind, InstanceParams};
+use pipeline_workflows::model::scenario::ScenarioFamily;
 
 const SEED: u64 = 2007;
 const INSTANCES: usize = 12; // reduced from the paper's 50 for test speed
@@ -51,8 +52,8 @@ fn sp_mono_p_has_the_smallest_period_threshold_on_average() {
 
 #[test]
 fn fixed_latency_heuristics_always_feasible_at_generous_budgets() {
-    let fam = run_family(
-        InstanceParams::paper(ExperimentKind::E1, 10, 10),
+    let fam = run_scenario(
+        &ScenarioFamily::E1.params(10, 10),
         SEED,
         INSTANCES,
         GRID,
@@ -73,8 +74,8 @@ fn period_fixed_curves_slope_downward() {
     // The latency-vs-period trade-off: tighter period targets cost
     // latency. Check the fully-feasible region of the H1 curve is
     // non-increasing in the target.
-    let fam = run_family(
-        InstanceParams::paper(ExperimentKind::E2, 20, 10),
+    let fam = run_scenario(
+        &ScenarioFamily::E2.params(20, 10),
         SEED,
         INSTANCES,
         GRID,
@@ -105,15 +106,15 @@ fn period_fixed_curves_slope_downward() {
 fn more_processors_shift_every_curve_left_and_down() {
     // Paper §5.2.2: "both periods and latencies are lower with the
     // increasing number of processors".
-    let small = run_family(
-        InstanceParams::paper(ExperimentKind::E1, 20, 10),
+    let small = run_scenario(
+        &ScenarioFamily::E1.params(20, 10),
         SEED,
         INSTANCES,
         GRID,
         THREADS,
     );
-    let large = run_family(
-        InstanceParams::paper(ExperimentKind::E1, 20, 100),
+    let large = run_scenario(
+        &ScenarioFamily::E1.params(20, 100),
         SEED,
         INSTANCES,
         GRID,
@@ -136,8 +137,8 @@ fn bi_criteria_heuristics_improve_relative_standing_at_p100() {
     // platforms. Compare 3-Explo bi's floor to 3-Explo mono's at both
     // sizes: the bi variant must close (or reverse) the gap at p = 100.
     let floors = |p: usize| {
-        let fam = run_family(
-            InstanceParams::paper(ExperimentKind::E1, 40, p),
+        let fam = run_scenario(
+            &ScenarioFamily::E1.params(40, p),
             SEED,
             INSTANCES,
             GRID,

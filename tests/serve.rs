@@ -565,3 +565,41 @@ fn expired_connection_deadline_is_refused_structurally() {
     assert_eq!(n, 0);
     handle.shutdown();
 }
+
+/// `pwsched serve` refuses a zero limit with the usage exit status before
+/// it binds: a zero idle timeout would close every connection before its
+/// first read, and a zero deadline would refuse every first request. A
+/// child still running after the timeout is killed, so a regression fails
+/// here instead of hanging the suite.
+#[test]
+fn zero_serve_limits_exit_2_before_binding() {
+    use std::process::{Command, Stdio};
+    use std::time::Instant;
+    for flag in [
+        "--idle-timeout-secs",
+        "--conn-deadline-secs",
+        "--request-quota",
+        "--max-conns",
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_pwsched"))
+            .args(["serve", "127.0.0.1:0", flag, "0"])
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("pwsched spawns");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let status = loop {
+            if let Some(status) = child.try_wait().expect("child waitable") {
+                break status;
+            }
+            if Instant::now() > deadline {
+                child.kill().expect("child killable");
+                child.wait().expect("killed child reaped");
+                panic!("`serve {flag} 0` still running after 10 s");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        assert_eq!(status.code(), Some(2), "`serve {flag} 0`");
+    }
+}
