@@ -101,7 +101,7 @@ pub fn latency_lower_bound(cm: &CostModel<'_>) -> f64 {
 /// real value by a few ulps. 1e-12 is ~3 orders of magnitude above the
 /// worst association noise of these short sums and ~3 below the
 /// `EPS`-level differences the exact solvers distinguish.
-const LB_SLACK: f64 = 1e-12;
+pub(crate) const LB_SLACK: f64 = 1e-12;
 
 /// Precomputed per-instance admissible bounds shared by the exact
 /// searches ([`crate::exact`]): both the interval-prefix DFS

@@ -37,18 +37,33 @@
 //!   evicted by points that dominate them, so the check is conservative
 //!   for the rest of the search too;
 //! * **one-probe leaves** — once the min-period walk holds an incumbent
-//!   `v`, a leaf can win only if its bottleneck optimum is `< v`, which
-//!   holds exactly when some row-perfect matching uses only cycles
-//!   `< v`. One bitset feasibility probe ([`bottleneck_below`]) decides
-//!   that; the threshold search and the mapping are paid only on a real
-//!   improvement. Within one partition the front sweep skips the
+//!   or a cap `v`, a leaf can win only if its bottleneck optimum is
+//!   `< v`, which holds exactly when some row-perfect matching uses only
+//!   cycles `< v`. One bitset feasibility probe ([`bottleneck_below`])
+//!   decides that; the threshold search and the mapping are paid only on
+//!   a real improvement. Within one partition the front sweep skips the
 //!   thresholds below the partition's bottleneck optimum outright (the
 //!   Hungarian solve is infeasible by construction) and solves each
 //!   remaining threshold once: thresholds are deduplicated more than
 //!   [`EPS`] apart and each admits its own pair, so no two allow the same
 //!   pair set.
 //!
-//! Each operation has exactly one partition walk:
+//! **Heuristic seeds.** No search starts from nothing. The public entry
+//! points first record the H1, H2a and H2b trajectories in the caller's
+//! workspace and evaluate every point's own mapping through
+//! [`CostModel::evaluate`] (eq. 1 and eq. 2), so each seed is an
+//! achieved point and no heuristic's bookkeeping reaches an answer. With
+//! `h` the smallest seed period, the min-period walk starts capped at
+//! `next_up(h)`: it prunes prefixes whose bound reaches the cap and
+//! probes every leaf from the start. Its filters are strict, so it still
+//! reaches the optimum `≤ h`, never reports the seed, and keeps the
+//! leftmost winner, since every leaf it skips is above the optimum. The
+//! latency walk's ceiling is the smallest seed latency whose period fits
+//! the bound, padded by `LB_SLACK`. The front walk's shadow (below)
+//! starts as the seeds' Pareto set.
+//!
+//! Each operation has exactly one partition walk, and an unseeded
+//! search is the seeded one with a cap of `+∞` and an empty shadow:
 //! [`exact_min_period_from_value`] with `v_star = +∞`,
 //! [`exact_front_from_shadow`] with an empty shadow, and the latency walk
 //! with a ceiling of `+∞` are the plain v2 searches. The latency and
@@ -101,7 +116,12 @@
 //! | complete prefix | feeds the incumbent | adds `δ_n/b`, feeds it | adds `δ_n/b`, offers it |
 //!
 //! States are bounded out against the incumbent (min period, min
-//! latency) or against the coordinate front found so far (shadow). Every
+//! latency) or against the coordinate front found so far (shadow). A
+//! whole min-period solve starts its incumbent at the seed cap
+//! `next_up(h)` and a whole front solve its shadow at the seeds' Pareto
+//! set; the latency DP starts unseeded, because its own value already
+//! ceilings the latency walk and seeding it did not pay. The sharded
+//! roots start unseeded too. Every
 //! cycle, here and in v2, is one helper's eq. 1, so the period
 //! accumulator is bit-identical to a blind leaf's bottleneck. The latency
 //! accumulator is eq. 2 as `CostModel::latency` sums it; every completion
@@ -117,7 +137,7 @@
 //! With `p` pairwise-distinct speeds the mask space is `2^p` and v2's
 //! one-polynomial-assignment-per-partition factorization is the better
 //! algorithm, so [`supports_dominance_dp`] routes by a canonical-state
-//! budget and the entry points walk v2 with no known value beyond it.
+//! budget and the entry points walk v2 from the heuristic seeds beyond it.
 //!
 //! The DP answers *values* (and, for the front, coordinates). The
 //! reported **witness** — the mapping, and which partition wins a tie —
@@ -131,7 +151,8 @@
 //! the latency and the front the witness pass is the v2 walk, pruned
 //! against the DP's value (the latency ceiling) or, for the front,
 //! pruning partitions whose optimistic point falls a safety margin below
-//! the DP's coordinate front. Results stay bit-identical to v1/v2,
+//! the DP's coordinate front (grown from the seeds). Results stay
+//! bit-identical to v1/v2,
 //! pinned by `tests/exact_frontier.rs` and `tests/kernel_identity.rs`.
 //!
 //! The DP phases are also the **sharding seam**: the first-interval
@@ -148,8 +169,9 @@
 //! production scheduling. The period minimization problem is NP-hard
 //! (paper Theorem 2), so no polynomial exact solver exists unless P = NP.
 
-use crate::bounds::ExactBounds;
+use crate::bounds::{ExactBounds, LB_SLACK};
 use crate::pareto::ParetoFront;
+use crate::trajectory::{fixed_period_trajectory_in, TrajectoryKind};
 use crate::workspace::SolveWorkspace;
 use pipeline_assign::{
     bottleneck_assignment, bottleneck_assignment_at, bottleneck_below, hungarian_in, CostMatrix,
@@ -372,36 +394,84 @@ impl<'c, 'a> PartitionSearch<'c, 'a> {
 }
 
 // ---------------------------------------------------------------------------
-// Entry points: the DP's value phase when it applies, then the walk.
+// Entry points: an achieved seed, the DP's value phase when it applies,
+// then the walk.
 // ---------------------------------------------------------------------------
 
+/// The achieved starting points of the exact searches: the Pareto set of
+/// every point of the H1, H2a and H2b trajectories (recorded in `ws`),
+/// each at eq. 1 and eq. 2 of its own mapping ([`CostModel::evaluate`]),
+/// so no heuristic's own bookkeeping can reach an exact answer.
+fn heuristic_seeds(cm: &CostModel<'_>, ws: &mut SolveWorkspace) -> ParetoFront<()> {
+    let mut seeds = ParetoFront::new();
+    for kind in [
+        TrajectoryKind::SplitMono,
+        TrajectoryKind::ExploMono,
+        TrajectoryKind::ExploBi,
+    ] {
+        for point in fixed_period_trajectory_in(cm, kind, ws).iter() {
+            let (period, latency) = cm.evaluate(&point.mapping());
+            seeds.offer(period, latency, ());
+        }
+    }
+    seeds
+}
+
 /// Exact minimum period over every interval mapping (NP-hard in general),
-/// with the optimal mapping. Runs the v3 dominance DP's value phase when
-/// [`supports_dominance_dp`] holds, then the witness pass
-/// [`exact_min_period_from_value`] with the value found — or with `+∞`
-/// (no known value, the plain v2 search) when it does not. The workspace
-/// lends its assignment matrices and DP tables.
+/// with the optimal mapping. The search is capped at `next_up(h)`, `h`
+/// the smallest period the H1, H2a and H2b trajectories achieve (eq. 1
+/// of each point's own mapping). The workspace lends its trajectory
+/// buffers, assignment matrices and DP tables.
 pub fn exact_min_period_in(cm: &CostModel<'_>, ws: &mut SolveWorkspace) -> (f64, IntervalMapping) {
-    let inc = SharedIncumbent::new();
+    let seeds = heuristic_seeds(cm, ws);
+    let h = seeds
+        .first()
+        .expect("a trajectory holds its Lemma-1 point")
+        .0;
+    min_period_below(cm, h.next_up(), ws)
+}
+
+/// The exact minimum period and its leftmost witness, searched below
+/// `cap`, which must lie above an achieved period (`+∞`: none known).
+/// Every filter is strict (`cycle < cap`, a prefix bound `≥ cap` prunes),
+/// so the search still reaches an optimum at or below that period and
+/// never reports the cap. Runs the v3 dominance DP's value phase and its
+/// witness pass when [`supports_dominance_dp`] holds, the capped v2 walk
+/// otherwise.
+fn min_period_below(
+    cm: &CostModel<'_>,
+    cap: f64,
+    ws: &mut SolveWorkspace,
+) -> (f64, IntervalMapping) {
     if supports_dominance_dp(cm) {
+        let inc = SharedIncumbent::new();
+        inc.observe(cap);
         let n = cm.app().n_stages();
         run_phase(cm, &mut MinPeriod(&inc), 1..=n, &mut ws.dp.scalar);
+        return min_period_witness(cm, inc.current(), ws);
     }
-    exact_min_period_from_value(cm, inc.current(), ws)
+    min_period_walk(cm, cap, ws)
 }
 
 /// Exact minimum latency subject to `period ≤ period_bound`. `None` when
 /// no interval mapping satisfies the bound. Runs the v3 dominance DP's
 /// value phase when [`supports_dominance_dp`] holds and hands its value to
-/// [`exact_min_latency_from_value`]; otherwise walks the plain v2 search
-/// (a latency ceiling of `+∞`).
+/// [`exact_min_latency_from_value`]; otherwise walks v2 under a ceiling:
+/// the smallest latency (eq. 2 of its own mapping) of an H1, H2a or H2b
+/// trajectory point whose period fits the bound, padded by `LB_SLACK`,
+/// or `+∞` when no point fits.
 pub fn exact_min_latency_for_period_in(
     cm: &CostModel<'_>,
     period_bound: f64,
     ws: &mut SolveWorkspace,
 ) -> Option<(f64, IntervalMapping)> {
     if !supports_dominance_dp(cm) {
-        return min_latency_walk(cm, period_bound, f64::INFINITY, ws);
+        let ceiling = heuristic_seeds(cm, ws)
+            .iter()
+            .filter(|&(period, _, ())| approx_le(period, period_bound))
+            .map(|(_, latency, ())| latency)
+            .fold(f64::INFINITY, f64::min);
+        return min_latency_walk(cm, period_bound, ceiling * (1.0 + LB_SLACK), ws);
     }
     let inc = SharedIncumbent::new();
     let phase = &mut MinLatency(&inc, period_bound);
@@ -410,15 +480,17 @@ pub fn exact_min_latency_for_period_in(
 }
 
 /// The exact Pareto front of (period, latency) over every interval
-/// mapping. Runs the v3 dominance DP's coordinate-only "shadow" front
-/// when [`supports_dominance_dp`] holds, then the threshold sweep
-/// [`exact_front_from_shadow`] pruned against it — with an empty shadow
-/// (the plain v2 sweep) when it does not.
+/// mapping. The shadow front starts as the Pareto set of the H1, H2a and
+/// H2b trajectory points (eq. 1 and eq. 2 of their own mappings); the v3
+/// dominance DP's coordinate-only "shadow" front grows it when
+/// [`supports_dominance_dp`] holds, then the threshold sweep
+/// [`exact_front_from_shadow`] runs pruned against it. Seeds are achieved
+/// points like the DP's, so the sweep's margin argument covers them.
 pub fn exact_pareto_front_in(
     cm: &CostModel<'_>,
     ws: &mut SolveWorkspace,
 ) -> ParetoFront<IntervalMapping> {
-    let mut shadow: ParetoFront<()> = ParetoFront::new();
+    let mut shadow = heuristic_seeds(cm, ws);
     if supports_dominance_dp(cm) {
         let n = cm.app().n_stages();
         run_phase(cm, &mut Shadow(&mut shadow), 1..=n, &mut ws.dp.front);
@@ -445,7 +517,7 @@ const SHADOW_MARGIN: f64 = 4.0 * EPS;
 /// to pay for itself. Beyond it (e.g. 16 pairwise-distinct speeds,
 /// 2^16 masks) the v2 partition search with its per-leaf polynomial
 /// assignment solves is the better algorithm and the entry points walk
-/// it with no known value.
+/// it from the heuristic seeds.
 const DP_STATE_BUDGET: u64 = 50_000;
 
 /// Identity-strength mixer for the `(pos, mask)` state keys — the keys
@@ -558,8 +630,8 @@ impl SharedIncumbent {
 /// enrolled-set bitmask), and at most 50 000 canonical states:
 /// `(n+1) · Π_classes (|class| + 1)`, the `(pos, mask)` pairs reachable
 /// under the first-free-member-per-class symmetry break. Outside that,
-/// the entry points walk the v2 partition search with no known value
-/// (it stays the better algorithm when all speeds are pairwise
+/// the entry points walk the v2 partition search from the heuristic
+/// seeds (it stays the better algorithm when all speeds are pairwise
 /// distinct).
 pub fn supports_dominance_dp(cm: &CostModel<'_>) -> bool {
     if !matches!(cm.platform().links(), LinkModel::Homogeneous(_)) || cm.platform().n_procs() > 32 {
@@ -989,10 +1061,7 @@ pub fn exact_min_period_value_root(
 /// takes the matching the walk's bottleneck assignment ends on for that
 /// partition: the one at threshold `v_star`.
 ///
-/// Otherwise it walks v2: the branch-and-bound over partitions with a
-/// bottleneck assignment per surviving leaf, keeping strict
-/// improvements and pruning prefixes whose bit-wise admissible bound
-/// reaches the best leaf so far.
+/// Otherwise it walks v2 with no cap (see `min_period_walk`).
 pub fn exact_min_period_from_value(
     cm: &CostModel<'_>,
     v_star: f64,
@@ -1001,29 +1070,42 @@ pub fn exact_min_period_from_value(
     if v_star.is_finite() && supports_dominance_dp(cm) {
         return min_period_witness(cm, v_star, ws);
     }
+    min_period_walk(cm, f64::INFINITY, ws)
+}
+
+/// The min-period partition walk: the v2 branch-and-bound over
+/// partitions with a bottleneck assignment per surviving leaf, keeping
+/// strict improvements on the best leaf so far, or on `cap` before the
+/// first. Prefixes whose bit-wise admissible bound reaches that value are
+/// pruned, and once it is finite one [`bottleneck_below`] probe decides
+/// each leaf. Any `cap` above the optimum (`+∞`: none known) returns the
+/// same leftmost winner: the leaves it skips are all above the optimum.
+fn min_period_walk(
+    cm: &CostModel<'_>,
+    cap: f64,
+    ws: &mut SolveWorkspace,
+) -> (f64, IntervalMapping) {
     let scratch = &mut ws.exact;
     let mut search = PartitionSearch::new(cm);
     let mut best: Option<(f64, IntervalMapping)> = None;
     search.dfs(&mut |s, is_leaf| {
+        let bar = best.as_ref().map_or(cap, |(v, _)| *v);
         if !is_leaf {
-            return best.as_ref().is_some_and(|(v, _)| s.lb_period() >= *v);
+            return s.lb_period() >= bar;
         }
         s.fill_cycle_matrix(&mut scratch.matrix);
-        // Only a bottleneck optimum below the incumbent improves on it:
-        // one probe decides that before the threshold search runs.
-        if let Some((v, _)) = &best {
-            if !bottleneck_below(&scratch.matrix, *v, &mut scratch.bottleneck) {
-                return false;
-            }
+        // Only a bottleneck optimum below the bar improves on it: one
+        // probe decides that before the threshold search runs (every
+        // finite optimum is below an infinite bar).
+        if bar.is_finite() && !bottleneck_below(&scratch.matrix, bar, &mut scratch.bottleneck) {
+            return false;
         }
         if let Some(a) = bottleneck_assignment(&scratch.matrix, &mut scratch.bottleneck) {
-            if best.as_ref().is_none_or(|(v, _)| a.objective < *v) {
-                best = Some((a.objective, build_mapping(s.cm, &s.intervals, &a.assigned)));
-            }
+            best = Some((a.objective, build_mapping(s.cm, &s.intervals, &a.assigned)));
         }
         false
     });
-    best.expect("the single-interval partition is always assignable")
+    best.expect("the single-interval partition is always assignable, and a cap is achieved")
 }
 
 /// The forward pass of [`exact_min_period_from_value`] at the DP's
@@ -1116,10 +1198,11 @@ pub fn exact_min_latency_value_root(
 /// means the DP found no feasible pair — exactly the blind solver's
 /// infeasibility condition — and answers `None` without walking.
 ///
-/// A ceiling of `+∞` is the plain v2 search, which
-/// [`exact_min_latency_for_period_in`] walks when the DP does not apply.
-/// Any ceiling at or above the optimum gives the same result, so
-/// `f64::MAX` stands for "no known value" here.
+/// The walk under a ceiling of `+∞` is the plain v2 search;
+/// [`exact_min_latency_for_period_in`] walks it under the heuristic
+/// seeds' ceiling when the DP does not apply. Any ceiling at or above the
+/// optimum gives the same result, so `f64::MAX` stands for "no known
+/// value" here.
 pub fn exact_min_latency_from_value(
     cm: &CostModel<'_>,
     period_bound: f64,
@@ -1199,13 +1282,15 @@ pub fn exact_front_shadow_root(
 /// thresholds below the partition's bottleneck optimum — both
 /// output-preserving.
 ///
-/// As the witness pass of the front DP it also skips prefixes (and
-/// partitions) whose optimistic point the DP's coordinate front `shadow`
-/// dominates by more than a safety margin of `4·EPS`. Every skipped offer
-/// is strictly dominated by an offer the sweep still makes, so the final
-/// front (coordinates, payloads, and first-achiever tie-breaks) is
-/// bit-identical to the blind enumeration's. An empty `shadow` is the
-/// plain v2 sweep.
+/// It also skips prefixes (and partitions) whose optimistic point
+/// `shadow` dominates by more than a safety margin of `4·EPS`. The shadow
+/// must hold achieved points only: the heuristic seeds, grown by the
+/// front DP's coordinate front on DP-routed instances. Each achieved
+/// point is weakly dominated by a Pareto point whose offer the margin
+/// never skips, so every skipped offer is strictly dominated by an offer
+/// the sweep still makes, and the final front (coordinates, payloads,
+/// and first-achiever tie-breaks) is bit-identical to the blind
+/// enumeration's. An empty `shadow` is the plain v2 sweep.
 pub fn exact_front_from_shadow(
     cm: &CostModel<'_>,
     shadow: &ParetoFront<()>,
@@ -1441,6 +1526,55 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{objective:?}: {e}"));
             assert_eq!(report.result.period.to_bits(), 0.0f64.to_bits());
             assert_eq!(report.result.latency.to_bits(), 0.0f64.to_bits());
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// A cap never moves the leftmost winner. On the tie-heavy
+        /// instances of `tests/exact_frontier.rs`'s witness test (many
+        /// partitions and assignments reach the optimum), the min-period
+        /// walk and the DP route, capped just above the period of the
+        /// unseeded winner's own mapping or of the Lemma-1 mapping, return
+        /// the unseeded walk's period bits and mapping. That walk is the
+        /// blind enumeration's leftmost winner, pinned there.
+        #[test]
+        fn a_seeded_min_period_keeps_the_leftmost_winner_under_ties(
+            works in proptest::collection::vec(0u32..=3, 2..=10),
+            delta in 0u32..=3,
+            p in 2usize..=6,
+            speed_a in 1u32..=3,
+            speed_b in 1u32..=3,
+        ) {
+            let n = works.len();
+            let app = Application::new(
+                works.iter().map(|&w| w as f64).collect(),
+                vec![delta as f64; n + 1],
+            )
+            .expect("valid application");
+            let speeds: Vec<f64> = (0..p)
+                .map(|u| if u % 2 == 0 { speed_a as f64 } else { speed_b as f64 })
+                .collect();
+            let pf = Platform::comm_homogeneous(speeds, 2.0).expect("valid platform");
+            let cm = CostModel::new(&app, &pf);
+            proptest::prop_assert!(supports_dominance_dp(&cm));
+
+            let mut ws = SolveWorkspace::new();
+            let (v, m) = min_period_walk(&cm, f64::INFINITY, &mut ws);
+            let lemma_1 =
+                IntervalMapping::new(&app, &pf, vec![Interval::new(0, n)], vec![pf.fastest()])
+                    .expect("valid mapping");
+            for seed in [&m, &lemma_1] {
+                let cap = cm.period(seed).next_up();
+                for (v_s, m_s) in [
+                    min_period_walk(&cm, cap, &mut ws),
+                    min_period_below(&cm, cap, &mut ws),
+                ] {
+                    proptest::prop_assert_eq!(v_s.to_bits(), v.to_bits());
+                    proptest::prop_assert_eq!(&m_s, &m);
+                }
+            }
         }
     }
 

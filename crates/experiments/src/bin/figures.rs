@@ -96,12 +96,10 @@ fn main() {
                 args.grid,
                 args.threads,
             );
-            outln!(
-                "\n=== {} — {} [{:.1}s] ===",
-                spec.id,
-                spec.caption,
-                t0.elapsed().as_secs_f64()
-            );
+            // Wall-clock time goes to stderr, so stdout is a function of
+            // the flags alone.
+            eprintln!("{} computed in {:.1}s", spec.id, t0.elapsed().as_secs_f64());
+            outln!("\n=== {} — {} ===", spec.id, spec.caption);
             outln!(
                 "    landmarks: mean P_init {:.3}, mean L_opt {:.3}, mean best floor {:.3}",
                 fam.stats.mean_p_init,

@@ -47,7 +47,10 @@ fn main() {
     outln!("Table 1 — failure thresholds (p = {procs}, {instances} instances/cell, seed {seed})");
     let t0 = std::time::Instant::now();
     let table = table1(seed, instances, procs, &TABLE1_STAGE_COUNTS, threads);
-    outln!("computed in {:.1}s\n", t0.elapsed().as_secs_f64());
+    // Wall-clock time goes to stderr, so stdout is a function of the
+    // flags alone.
+    eprintln!("computed in {:.1}s", t0.elapsed().as_secs_f64());
+    outln!();
     out!("{}", table.render());
 
     let mut rows = Vec::new();

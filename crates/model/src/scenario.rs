@@ -262,21 +262,6 @@ impl ScenarioGenerator {
         ScenarioGenerator { params }
     }
 
-    /// The generator's parameters.
-    pub fn params(&self) -> &ScenarioParams {
-        &self.params
-    }
-
-    /// The family being generated.
-    pub fn family(&self) -> ScenarioFamily {
-        self.params.family
-    }
-
-    /// The family's stable label.
-    pub fn label(&self) -> &'static str {
-        self.family().label()
-    }
-
     /// Generates the `index`-th instance of the family under `seed`.
     /// Deterministic: the same `(params, seed, index)` always regenerates
     /// the same pair, and each index is its own decorrelated RNG stream —

@@ -4,7 +4,9 @@
 //! latency ceiling of `f64::MAX`, an empty shadow front), and the v1
 //! blind enumeration (the test oracle in `support/exact_oracle.rs`) must
 //! produce **bit-identical** results — values and mappings — on every
-//! Communication Homogeneous zoo family. The sharded entry points must
+//! Communication Homogeneous zoo family. The public entries start from
+//! the heuristics' achieved points and the witness entries do not, so
+//! each comparison also pins the seeds. The sharded entry points must
 //! match the sequential ones at any thread count. And dominance pruning
 //! must never drop a Pareto point (property-based, against the blind
 //! oracle).
@@ -419,8 +421,9 @@ fn dp_value_phase_matches_v2_values_three_ways() {
 
 /// v2-routed instances against the blind oracle, bit for bit: twenty
 /// pairwise-distinct speeds in scrambled column order put the platform
-/// far past the DP's state budget, so the public min-period and front
-/// entries walk v2 — its one-probe min-period leaves and the bitset
+/// far past the DP's state budget, so the public min-period,
+/// min-latency and front entries walk v2 — its one-probe min-period
+/// leaves, the latency walk under its seeded ceiling and the bitset
 /// bottleneck search of every front leaf — while the oracle runs the
 /// full search on every partition. E1's constant volumes make ties
 /// between partitions common; E3 and E4 put computation, then
@@ -442,11 +445,81 @@ fn v2_routed_twenty_speed_platforms_match_the_blind_oracle() {
             let (v_blind, m_blind) = exact_min_period_blind(&cm);
             assert_eq!(v.to_bits(), v_blind.to_bits(), "{label}: period");
             assert_eq!(m, m_blind, "{label}: mapping");
+            // Below the optimum (infeasible), at it, and with slack.
+            for factor in [0.9f64, 1.0, 1.5] {
+                let bound = v * factor;
+                match (
+                    exact::exact_min_latency_for_period_in(&cm, bound, &mut ws),
+                    exact_min_latency_for_period_blind(&cm, bound),
+                ) {
+                    (Some((la, ma)), Some((lb, mb))) => {
+                        assert_eq!(la.to_bits(), lb.to_bits(), "{label}@{factor}: latency");
+                        assert_eq!(ma, mb, "{label}@{factor}: mapping");
+                    }
+                    (None, None) => assert!(factor < 1.0, "{label}@{factor}: infeasible"),
+                    other => panic!("{label}@{factor}: feasibility: {other:?}"),
+                }
+            }
             assert_fronts_identical(
                 &exact::exact_pareto_front_in(&cm, &mut ws),
                 &exact_pareto_front_blind(&cm),
                 &label,
             );
+        }
+    }
+}
+
+/// The seeded public entries against the unseeded walks, bit for bit,
+/// values and mappings: the DP min-period sweep and the v2 walks start
+/// capped by the best heuristic point and the front's shadow starts with
+/// the heuristic points, which only prunes. Paper E1–E4 at p = 16 with
+/// speeds 1–20 (v2-routed) and 1–3 (DP-routed), over every exact
+/// objective, the latency one at three bounds. E2 and E4 run at n = 17
+/// and 20; E1 and E3 at n = 14, since from n = 16 on their unseeded v2
+/// fronts take 0.2–0.6 s each in a release build.
+#[test]
+fn seeded_entries_match_the_unseeded_walks() {
+    let mut ws = SolveWorkspace::new();
+    for (kind, sizes) in [
+        (ExperimentKind::E1, &[(14usize, 1u64)][..]),
+        (ExperimentKind::E2, &[(17, 2), (20, 3)]),
+        (ExperimentKind::E3, &[(14, 1)]),
+        (ExperimentKind::E4, &[(17, 2), (20, 3)]),
+    ] {
+        for (speed_range, dp) in [((1, 20), false), ((1, 3), true)] {
+            for &(n, seed) in sizes {
+                let gen = InstanceGenerator::new(InstanceParams {
+                    n_stages: n,
+                    n_procs: 16,
+                    kind,
+                    bandwidth: 10.0,
+                    speed_range,
+                });
+                let (app, pf) = gen.instance(seed, 0);
+                let cm = CostModel::new(&app, &pf);
+                let label = format!("{kind:?} n={n} seed={seed} speeds={speed_range:?}");
+                assert_eq!(exact::supports_dominance_dp(&cm), dp, "{label}: route");
+
+                let (v, m) = exact::exact_min_period_in(&cm, &mut ws);
+                let (v_v2, m_v2) = v2_min_period(&cm, &mut ws);
+                assert_eq!(v.to_bits(), v_v2.to_bits(), "{label}: period");
+                assert_eq!(m, m_v2, "{label}: period mapping");
+
+                for factor in [1.0f64, 1.25, 1.6] {
+                    let bound = v * factor;
+                    let seeded = exact::exact_min_latency_for_period_in(&cm, bound, &mut ws);
+                    let (l, ml) = seeded.expect("the optimum period is feasible");
+                    let (l_v2, ml_v2) = v2_min_latency(&cm, bound, &mut ws).expect("feasible");
+                    assert_eq!(l.to_bits(), l_v2.to_bits(), "{label}@{factor}: latency");
+                    assert_eq!(ml, ml_v2, "{label}@{factor}: latency mapping");
+                }
+
+                assert_fronts_identical(
+                    &exact::exact_pareto_front_in(&cm, &mut ws),
+                    &v2_front(&cm, &mut ws),
+                    &label,
+                );
+            }
         }
     }
 }
