@@ -31,7 +31,13 @@
 //!   instances of every zoo family at n = 10, p = 6 and at n = 6, p = 10,
 //!   and (`<family>-k3-n6-p8`) of the first three 3-tenant scenarios of
 //!   every tenant family with their weights and SLOs, exactly; they pin
-//!   each family's sampling constants.
+//!   each family's sampling constants;
+//! * `cosched <family>-k<K>-n<n>-p<p> <index> <strategy> <objective>
+//!   fingerprint` — an FNV hash of the heuristic co-schedule of the
+//!   first two scenarios of every tenant family at K = 2, 3 and 4 under
+//!   h1, h5, h6, best-of-all and (at p ≤ 8) auto: the score, tiebreak
+//!   and feasible bits, and each tenant's processors, period, latency,
+//!   SLO flag and solver, exactly (the error code when it fails).
 //!
 //! Every key must be in both the fixture and the current run.
 
@@ -46,14 +52,14 @@ use std::sync::Arc;
 
 use pipeline_workflows::core::service::PreparedInstance;
 use pipeline_workflows::core::tenancy::{CoSchedOptions, PartitionObjective, Tenant, TenantSet};
-use pipeline_workflows::core::SolveWorkspace;
+use pipeline_workflows::core::{SolveWorkspace, Strategy};
 use pipeline_workflows::experiments::{
     chaos_fingerprint, chaos_study, exact_min_period_sharded, exact_pareto_front_sharded,
     run_scenario, ChaosParams, ChaosPlanKind, ShardOptions,
 };
 use pipeline_workflows::model::generator::{ExperimentKind, InstanceGenerator, InstanceParams};
 use pipeline_workflows::model::scenario::{
-    ScenarioFamily, ScenarioGenerator, TenantFamily, TenantScenarioGenerator,
+    ScenarioFamily, ScenarioGenerator, TenantFamily, TenantScenario, TenantScenarioGenerator,
 };
 use pipeline_workflows::model::util::{approx_eq, approx_le};
 use pipeline_workflows::model::{CostModel, LinkModel, Platform};
@@ -120,17 +126,7 @@ fn tenant_lines(lines: &mut Vec<String>) {
         let sets: Vec<TenantSet> = cases
             .iter()
             .map(|&(k, n_base, p)| {
-                let scenario = TenantScenarioGenerator::new(family, k, n_base, p).scenario(2007, 0);
-                let tenants = scenario.tenants.iter().map(|spec| {
-                    let prepared =
-                        PreparedInstance::new(spec.app.clone(), scenario.platform.clone());
-                    let tenant = Tenant::new(Arc::new(prepared)).weight(spec.weight);
-                    match spec.slo {
-                        Some(slo) => tenant.slo(slo),
-                        None => tenant,
-                    }
-                });
-                TenantSet::new(tenants.collect()).expect("valid tenant set")
+                scenario_set(&TenantScenarioGenerator::new(family, k, n_base, p).scenario(2007, 0))
             })
             .collect();
         for objective in PartitionObjective::ALL {
@@ -311,6 +307,73 @@ fn scenario_lines(lines: &mut Vec<String>) {
     }
 }
 
+/// A tenant scenario as a tenant set: each pipeline prepared against the
+/// shared platform, with its weight and SLO.
+fn scenario_set(scenario: &TenantScenario) -> TenantSet {
+    let tenants = scenario.tenants.iter().map(|spec| {
+        let prepared = PreparedInstance::new(spec.app.clone(), scenario.platform.clone());
+        let tenant = Tenant::new(Arc::new(prepared)).weight(spec.weight);
+        match spec.slo {
+            Some(slo) => tenant.slo(slo),
+            None => tenant,
+        }
+    });
+    TenantSet::new(tenants.collect()).expect("valid tenant set")
+}
+
+/// The heuristic co-scheduler on the first scenarios of every tenant
+/// family, every objective and the strategies the service exposes,
+/// hashed bit for bit. `auto` routes shares of up to
+/// `DEFAULT_EXACT_CUTOFF` stages to the exact solver, so it runs only on
+/// the smaller platforms.
+fn cosched_lines(lines: &mut Vec<String>) {
+    let mut ws = SolveWorkspace::new();
+    for family in TenantFamily::ALL {
+        for (k, n, p) in [(2, 8, 6), (3, 10, 8), (4, 12, 10)] {
+            let gen = TenantScenarioGenerator::new(family, k, n, p);
+            for index in 0..2 {
+                let set = scenario_set(&gen.scenario(2007, index));
+                for label in ["h1", "h5", "h6", "best-of-all", "auto"] {
+                    if label == "auto" && p > 8 {
+                        continue;
+                    }
+                    let opts = CoSchedOptions {
+                        strategy: label.parse::<Strategy>().expect("a strategy"),
+                        ..CoSchedOptions::default()
+                    };
+                    for objective in PartitionObjective::ALL {
+                        let value = match set.co_schedule(objective, &opts, &mut ws) {
+                            Ok(s) => {
+                                let head = [s.score.to_bits(), s.tiebreak.to_bits()];
+                                let tenants = s.tenants.iter().flat_map(|t| {
+                                    let procs = t.procs.iter().map(|&u| u as u64);
+                                    [t.procs.len() as u64]
+                                        .into_iter()
+                                        .chain(procs)
+                                        .chain([
+                                            t.period.to_bits(),
+                                            t.latency.to_bits(),
+                                            t.slo_met as u64,
+                                        ])
+                                        .chain(t.solver.code().bytes().map(u64::from))
+                                });
+                                let words = head.into_iter().chain([s.feasible as u64]);
+                                format!("{:016x}", fnv(words.chain(tenants)))
+                            }
+                            Err(e) => e.code().to_string(),
+                        };
+                        lines.push(format!(
+                            "cosched {}-k{k}-n{n}-p{p} {index} {label} {} fingerprint {value}",
+                            family.label(),
+                            objective.label()
+                        ));
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Every pinned line of the current build, in fixture order.
 fn current_lines() -> Vec<String> {
     let mut lines = Vec::new();
@@ -320,6 +383,7 @@ fn current_lines() -> Vec<String> {
     sweep_lines(&mut lines);
     chaos_lines(&mut lines);
     scenario_lines(&mut lines);
+    cosched_lines(&mut lines);
     lines
 }
 
