@@ -366,9 +366,10 @@ impl PreparedInstance {
     /// computed eagerly; trajectories, floors and the exact front
     /// materialize on first use.
     pub fn new(app: Application, platform: Platform) -> Self {
-        let cm = CostModel::new(&app, &platform);
-        let p_init = cm.single_proc_period();
-        let l_opt = cm.optimal_latency();
+        // Lemma 1: the whole pipeline on the fastest processor gives the
+        // optimal latency and the period every heuristic starts from.
+        let (p_init, l_opt) = CostModel::new(&app, &platform)
+            .evaluate(&IntervalMapping::all_on_fastest(&app, &platform));
         let comm_homogeneous = platform.is_comm_homogeneous();
         PreparedInstance {
             app,
@@ -409,6 +410,17 @@ impl PreparedInstance {
     /// Optimal latency `L_opt` — the floor of every latency-bound query.
     pub fn optimal_latency(&self) -> f64 {
         self.l_opt
+    }
+
+    /// The Lemma 1 mapping with its landmarks: the answer to every
+    /// [`Objective::MinLatency`] query.
+    fn lemma_1(&self) -> BiCriteriaResult {
+        BiCriteriaResult {
+            mapping: IntervalMapping::all_on_fastest(&self.app, &self.platform),
+            period: self.p_init,
+            latency: self.l_opt,
+            feasible: true,
+        }
     }
 
     /// Forces the bound-independent caches of this instance's platform
@@ -724,9 +736,8 @@ impl PreparedInstance {
             // Lemma 1 needs no enumeration (and holds on any platform:
             // the single interval only crosses the input/output links).
             Objective::MinLatency => {
-                let mapping = IntervalMapping::all_on_fastest(&self.app, &self.platform);
-                let (period, latency) = self.cost_model().evaluate(&mapping);
-                Ok(report(mapping, period, latency))
+                let r = self.lemma_1();
+                Ok(report(r.mapping, r.period, r.latency))
             }
             Objective::MinPeriod => {
                 let (p_opt, mapping) = self.exact_min_period_in(ws)?;
@@ -882,15 +893,11 @@ impl PreparedInstance {
             }
             Objective::MinLatency => {
                 // Trivial for every period-fixed heuristic: the initial
-                // (Lemma 1) mapping.
+                // (Lemma 1) mapping, where an unbounded run stops.
                 if !kind.is_period_fixed() {
                     return not_expressible();
                 }
-                let result = match self.trajectory_in(kind, ws) {
-                    Some(traj) => traj.result_for_period(f64::INFINITY),
-                    None => self.run_sp_bi_p(f64::INFINITY, request.tolerance, ws),
-                };
-                Ok(report(result))
+                Ok(report(self.lemma_1()))
             }
             Objective::ParetoFront => {
                 if self.trajectory_in(kind, ws).is_none() {

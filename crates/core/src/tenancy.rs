@@ -331,6 +331,17 @@ fn sub_platform(parent: &Platform, procs: &[usize]) -> Platform {
     .expect("a sub-platform of a valid platform is valid")
 }
 
+/// An ascending processor share without `out` and with `into`, still
+/// ascending.
+fn reshare(share: &[usize], out: Option<usize>, into: Option<usize>) -> Vec<usize> {
+    let mut next: Vec<usize> = share.iter().copied().filter(|&w| Some(w) != out).collect();
+    if let Some(u) = into {
+        let at = next.partition_point(|&w| w < u);
+        next.insert(at, u);
+    }
+    next
+}
+
 /// K tenants sharing one platform. Construction validates the weights,
 /// SLOs and that every tenant is prepared against the *same* platform;
 /// the co-scheduling entry points live here.
@@ -404,19 +415,20 @@ impl TenantSet {
             .collect()
     }
 
-    /// Solves one tenant on its processor share with the inner oracle.
-    /// SLO-carrying tenants ask for min-period under the latency bound;
-    /// when the bound is below the share's feasibility floor the tenant
-    /// falls back to unconstrained min-period with `slo_met = false`.
+    /// Solves one tenant on its processor share (ascending, original
+    /// numbering) with the inner oracle. SLO-carrying tenants ask for
+    /// min-period under the latency bound; when the bound is below the
+    /// share's feasibility floor the tenant falls back to unconstrained
+    /// min-period with `slo_met = false`.
     fn solve_tenant(
         &self,
         tenant: usize,
-        procs: &[usize],
+        procs: Vec<usize>,
         opts: &CoSchedOptions,
         ws: &mut SolveWorkspace,
     ) -> Result<TenantOutcome, TenancyError> {
         let t = &self.tenants[tenant];
-        let sub = sub_platform(&self.platform, procs);
+        let sub = sub_platform(&self.platform, &procs);
         let inst = PreparedInstance::new(t.instance.app().clone(), sub);
         let request = |objective: Objective| {
             SolveRequest::new(objective)
@@ -444,7 +456,7 @@ impl TenantSet {
             (report, true)
         };
         Ok(TenantOutcome {
-            procs: procs.to_vec(),
+            procs,
             period: report.result.period,
             latency: report.result.latency,
             slo_met,
@@ -487,6 +499,27 @@ impl TenantSet {
         Ok(())
     }
 
+    /// `(score, tiebreak, feasible)` under `objective` of the schedule in
+    /// which tenant `i` has outcome `outcome(i)`, aggregated in tenant
+    /// order.
+    fn aggregate<'a>(
+        &self,
+        objective: PartitionObjective,
+        outcome: impl Fn(usize) -> &'a TenantOutcome,
+    ) -> (f64, f64, bool) {
+        let k = self.tenants.len();
+        let weighted = || (0..k).map(|i| self.tenants[i].weight * outcome(i).period);
+        let sum: f64 = weighted().sum();
+        let max = weighted().fold(0.0f64, f64::max);
+        let violations = (0..k).filter(|&i| !outcome(i).slo_met).count() as f64;
+        let (score, tiebreak) = match objective {
+            PartitionObjective::MaxMinWeightedPeriod => (max, sum),
+            PartitionObjective::WeightedSumPeriod => (sum, max),
+            PartitionObjective::LatencySloFeasibility => (violations, sum),
+        };
+        (score, tiebreak, violations == 0.0)
+    }
+
     /// Scores a fixed partition: solves every tenant on its share and
     /// aggregates under `objective`. `partition[i]` lists tenant `i`'s
     /// processors in original numbering; groups must be non-empty and
@@ -504,28 +537,49 @@ impl TenantSet {
         for (i, group) in partition.iter().enumerate() {
             let mut sorted = group.clone();
             sorted.sort_unstable();
-            outcomes.push(self.solve_tenant(i, &sorted, opts, ws)?);
+            outcomes.push(self.solve_tenant(i, sorted, opts, ws)?);
         }
-        let weighted: Vec<f64> = outcomes
-            .iter()
-            .zip(&self.tenants)
-            .map(|(o, t)| t.weight * o.period)
-            .collect();
-        let sum: f64 = weighted.iter().sum();
-        let max = weighted.iter().cloned().fold(0.0f64, f64::max);
-        let violations = outcomes.iter().filter(|o| !o.slo_met).count() as f64;
-        let (score, tiebreak) = match objective {
-            PartitionObjective::MaxMinWeightedPeriod => (max, sum),
-            PartitionObjective::WeightedSumPeriod => (sum, max),
-            PartitionObjective::LatencySloFeasibility => (violations, sum),
-        };
+        let (score, tiebreak, feasible) = self.aggregate(objective, |i| &outcomes[i]);
         Ok(CoSchedule {
             objective,
             score,
             tiebreak,
-            feasible: violations == 0.0,
+            feasible,
             tenants: outcomes,
         })
+    }
+
+    /// Adopts the candidate that gives tenants `a.0` and `b.0` the
+    /// outcomes `a.1` and `b.1` (every other tenant keeps its outcome in
+    /// `current`) when it scores strictly better than `current`.
+    fn adopt_if_better(
+        &self,
+        current: &mut CoSchedule,
+        a: (usize, &TenantOutcome),
+        b: (usize, &TenantOutcome),
+    ) -> bool {
+        let outcome = |i: usize| match i {
+            _ if i == a.0 => a.1,
+            _ if i == b.0 => b.1,
+            _ => &current.tenants[i],
+        };
+        debug_assert!(self
+            .validate_partition(
+                &(0..self.tenants.len())
+                    .map(|i| outcome(i).procs.clone())
+                    .collect::<Vec<_>>()
+            )
+            .is_ok());
+        let (score, tiebreak, feasible) = self.aggregate(current.objective, outcome);
+        if !strictly_better((score, tiebreak), current.key()) {
+            return false;
+        }
+        current.score = score;
+        current.tiebreak = tiebreak;
+        current.feasible = feasible;
+        current.tenants[a.0] = a.1.clone();
+        current.tenants[b.0] = b.1.clone();
+        true
     }
 
     /// The heuristic partitioner: largest-demand-first seeding over the
@@ -535,6 +589,12 @@ impl TenantSet {
     /// improves). Deterministic throughout: processors scan in
     /// speed-descending order, tenants in index order, and only
     /// `strictly_better` improvements are taken.
+    ///
+    /// A move or swap changes two tenants' shares, so a candidate
+    /// re-solves only those two; every other tenant keeps its outcome in
+    /// the current schedule. The result is the one a full rescore of
+    /// every candidate gives, bit for bit, and so is the first failure
+    /// (candidates in scan order, tenants in index order).
     pub fn co_schedule(
         &self,
         objective: PartitionObjective,
@@ -580,28 +640,51 @@ impl TenantSet {
         }
 
         let mut best = self.evaluate_partition(&groups, objective, opts, ws)?;
+        // The current shares are `best.tenants[i].procs` (ascending);
+        // `owner[u]` is the tenant holding processor `u`.
+        let mut owner = vec![0usize; p];
+        for (t, group) in groups.iter().enumerate() {
+            for &u in group {
+                owner[u] = t;
+            }
+        }
         for _ in 0..REFINE_ROUNDS {
             let mut improved = false;
-            // Single-processor moves, speed-descending scan.
+            // Single-processor moves, speed-descending scan. The donor's
+            // share without `u` is the same for every target, so it is
+            // solved once.
             for &u in &speed_desc {
-                let from = groups
-                    .iter()
-                    .position(|g| g.contains(&u))
-                    .expect("every processor is assigned");
-                if groups[from].len() <= 1 {
+                let from = owner[u];
+                if best.tenants[from].procs.len() <= 1 {
                     continue;
                 }
+                let mut donor = None;
                 for to in 0..k {
                     if to == from {
                         continue;
                     }
-                    let mut candidate = groups.clone();
-                    candidate[from].retain(|&v| v != u);
-                    candidate[to].push(u);
-                    let cand = self.evaluate_partition(&candidate, objective, opts, ws)?;
-                    if strictly_better(cand.key(), best.key()) {
-                        groups = candidate;
-                        best = cand;
+                    let solve_taker = |ws: &mut SolveWorkspace| {
+                        let share = reshare(&best.tenants[to].procs, None, Some(u));
+                        self.solve_tenant(to, share, opts, ws)
+                    };
+                    // Tenants solve in index order, so a failure surfaces
+                    // where a full rescore would hit it first.
+                    let early = if to < from {
+                        Some(solve_taker(ws)?)
+                    } else {
+                        None
+                    };
+                    if donor.is_none() {
+                        let share = reshare(&best.tenants[from].procs, Some(u), None);
+                        donor = Some(self.solve_tenant(from, share, opts, ws)?);
+                    }
+                    let taker = match early {
+                        Some(taker) => taker,
+                        None => solve_taker(ws)?,
+                    };
+                    let donor = donor.as_ref().expect("solved above");
+                    if self.adopt_if_better(&mut best, (from, donor), (to, &taker)) {
+                        owner[u] = to;
                         improved = true;
                         break; // u moved; rescan its new neighborhood later
                     }
@@ -613,26 +696,21 @@ impl TenantSet {
                 'swaps: for ai in 0..speed_desc.len() {
                     for bi in (ai + 1)..speed_desc.len() {
                         let (u, v) = (speed_desc[ai], speed_desc[bi]);
-                        let fu = groups
-                            .iter()
-                            .position(|g| g.contains(&u))
-                            .expect("assigned");
-                        let fv = groups
-                            .iter()
-                            .position(|g| g.contains(&v))
-                            .expect("assigned");
+                        let (fu, fv) = (owner[u], owner[v]);
                         if fu == fv {
                             continue;
                         }
-                        let mut candidate = groups.clone();
-                        candidate[fu].retain(|&w| w != u);
-                        candidate[fv].retain(|&w| w != v);
-                        candidate[fu].push(v);
-                        candidate[fv].push(u);
-                        let cand = self.evaluate_partition(&candidate, objective, opts, ws)?;
-                        if strictly_better(cand.key(), best.key()) {
-                            groups = candidate;
-                            best = cand;
+                        let mut changed = [
+                            (fu, reshare(&best.tenants[fu].procs, Some(u), Some(v))),
+                            (fv, reshare(&best.tenants[fv].procs, Some(v), Some(u))),
+                        ];
+                        changed.sort_by_key(|c| c.0);
+                        let [(a, share_a), (b, share_b)] = changed;
+                        let out_a = self.solve_tenant(a, share_a, opts, ws)?;
+                        let out_b = self.solve_tenant(b, share_b, opts, ws)?;
+                        if self.adopt_if_better(&mut best, (a, &out_a), (b, &out_b)) {
+                            owner[u] = fv;
+                            owner[v] = fu;
                             improved = true;
                             break 'swaps;
                         }
