@@ -17,7 +17,8 @@
 //! * [`TenantSet::co_schedule`] — the heuristic partitioner:
 //!   largest-demand-first seeding over the speed-sorted processors,
 //!   then bounded local exchange refinement (moves and swaps, first
-//!   improvement, deterministic scan order);
+//!   improvement, deterministic scan order), each candidate re-solving
+//!   only the two shares it changes;
 //! * [`TenantSet::co_schedule_exact`] — the small-case exact oracle:
 //!   enumerates every processor-to-tenant assignment (differential
 //!   tests pin the heuristic to within the exact optimum on the zoo).
